@@ -885,14 +885,13 @@ class MorimotoReport:
     residual_r: float
     residual_t: float
     compatibility: CompatibilityReport
+    tol: float
 
     @property
     def ok(self) -> bool:
-        return (
-            self.compatibility.strongly_compatible
-            and max(self.residual_r, self.residual_t) <= 1e-8
-        )
+        return self.compatibility.strongly_compatible and self.max_residual <= self.tol
 
+    @property
     def max_residual(self) -> float:
         return max(self.residual_r, self.residual_t)
 
@@ -950,7 +949,7 @@ def check_morimoto(conn: Connection, points, convention: str = "selector",
                 rhs = -_operator_pairing(t_v, tz_w, gram, ginv)
                 worst_t = max(worst_t, abs(lhs - rhs))
 
-    return MorimotoReport(worst_r, worst_t, compat)
+    return MorimotoReport(worst_r, worst_t, compat, tol)
 
 
 def torsion_id_residual(conn: Connection, points) -> float:

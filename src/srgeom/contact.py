@@ -22,6 +22,9 @@ from .manifold import (
     FramedManifold,
     ManifoldError,
     VectorField,
+    _default_samples,
+    _gram_schmidt_horizontal,
+    _simp_add,
     bracket,
     frame_inverse,
     growth_flag,
@@ -41,56 +44,6 @@ __all__ = [
 
 _ZERO = expr.rational(0)
 _HALF = expr.rational(1, 2)
-
-
-def _simp_add(*terms):
-    return expr.simplify(expr.add(*terms))
-
-
-def _default_samples(m: FramedManifold, count: int = 10, seed: int = 42):
-    rng = np.random.default_rng(seed)
-    return [
-        {c: float(v) for c, v in zip(m.coords, rng.uniform(-0.9, 0.9, m.dim))}
-        for _ in range(count)
-    ]
-
-
-def _gram_schmidt_horizontal(m: FramedManifold):
-    """Orthonormalize the horizontal frame symbolically; returns VectorFields."""
-    r = m.rank
-    # coefficient vectors over the original horizontal frame
-    basis = [[expr.rational(1 if j == i else 0) for j in range(r)] for i in range(r)]
-
-    def inner(u, v):
-        return _simp_add(
-            *[
-                expr.mul(u[i], m.metric[i][j], v[j])
-                for i in range(r)
-                for j in range(r)
-            ]
-        )
-
-    ortho = []
-    for i in range(r):
-        vec = list(basis[i])
-        for prev in ortho:
-            coef = inner(vec, prev)
-            vec = [
-                _simp_add(vec[j], expr.neg(expr.mul(coef, prev[j]))) for j in range(r)
-            ]
-        nrm = expr.sqrt(inner(vec, vec))
-        inv = expr.pow_(nrm, -1)
-        ortho.append([expr.simplify(expr.mul(inv, c)) for c in vec])
-    fields = []
-    for coeffs in ortho:
-        comps = [
-            _simp_add(
-                *[expr.mul(coeffs[i], m.frames[i].components[a]) for i in range(r)]
-            )
-            for a in range(m.dim)
-        ]
-        fields.append(VectorField(m, comps))
-    return fields
 
 
 def _cluster_descending(values, tol=1e-6):

@@ -1,19 +1,18 @@
-"""Rank-two distributions of growth (2,3,5): frames, gradings, connections.
+"""Rank-two distributions of growth (2,3,5): grading, connections, flatness.
 
-Two constructions are provided for the same geometry.
+:func:`intrinsic_frame_235` builds the intrinsic grading
+``E + span{Z} + span{Y_1, Y_2}``: ``Z`` and ``Y_1``, ``Y_2`` correct the
+iterated brackets of an orthonormal horizontal frame so that ``Z`` and the
+span of the ``Y_j`` do not depend on that frame.  :func:`connection_235` is
+the adapted metric connection of this grading; the structure is locally
+equivalent to the nilpotent model group exactly when
+``connection.flatness_check(connection_235(data), points)`` reports it flat.
 
-Frame pipeline: :func:`canonical_frame_235` builds the iterated-bracket frame
-and the corrected fields ``Z``, ``Y_1``, ``Y_2`` whose spans do not depend on
-the choice of orthonormal horizontal frame; :func:`connection_235` equips the
-resulting splitting with its adapted metric connection and
-:func:`flatness_235` tests local equivalence with the nilpotent model group.
-
-Grading pipeline: :func:`intrinsic_frame_235` recovers the complementary
-grading from differential forms alone, :func:`morimoto_grading_235` adds the
-normalization data (the obstruction field, its induced corrections, and the
-rotation generator) that single out the canonical grading, and
-:func:`morimoto_connection_235` solves the normalization identities checked
-by ``check_morimoto`` for the unique compatible connection.
+:func:`morimoto_grading_235` corrects the intrinsic grading to Morimoto's
+normalization (the obstruction field, its induced corrections, and the
+rotation generator), and :func:`morimoto_connection_235` solves the
+normalization identities checked by ``check_morimoto`` for the unique
+compatible connection of the corrected grading.
 
 All constructions run in the coefficient calculus of the iterated-bracket
 frame: every corrected field is stored as a coefficient row over that frame,
@@ -32,24 +31,22 @@ from .manifold import (
     FramedManifold,
     ManifoldError,
     VectorField,
+    _default_samples,
+    _gram_schmidt_horizontal,
+    _is_zero,
+    _simp_add,
     bracket,
     frame_inverse,
     growth_flag,
     structure_functions,
 )
 from .connection import Connection, Grading, selector
-from .contact import _default_samples, _gram_schmidt_horizontal
 
 __all__ = [
-    "Frame235",
     "Intrinsic235",
     "Grading235Params",
     "QMap",
-    "Flatness235Report",
-    "canonical_frame_235",
-    "grading_235",
     "connection_235",
-    "flatness_235",
     "intrinsic_frame_235",
     "intrinsic_grading_235",
     "q_map",
@@ -61,14 +58,6 @@ __all__ = [
 _ZERO = expr.rational(0)
 _ONE = expr.rational(1)
 _HALF = expr.rational(1, 2)
-
-
-def _simp_add(*terms):
-    return expr.simplify(expr.add(*terms))
-
-
-def _is_zero(e) -> bool:
-    return isinstance(e, expr.Rat) and e.value == 0
 
 
 def _dderiv(coords, fld: VectorField, f):
@@ -388,151 +377,6 @@ def _bracket_frame(m: FramedManifold, x1, x2):
     return fields, aux
 
 
-# ---------------------------------------------------------------------------
-# frame pipeline
-
-
-@dataclass
-class Frame235:
-    """Iterated-bracket frame with the frame-independent corrected fields."""
-
-    manifold: FramedManifold
-    fields: tuple  # X_1..X_5
-    aux: FramedManifold  # framed manifold over X_1..X_5
-    c: tuple  # structure functions of the bracket frame
-    z: VectorField
-    y1: VectorField
-    y2: VectorField
-    derivative_reading: str
-    srows: tuple = field(default=None, repr=False)
-    sinv: tuple = field(default=None, repr=False)
-    _grading: Grading = field(default=None, repr=False)
-
-    @property
-    def grading(self) -> Grading:
-        if self._grading is None:
-            g = Grading(
-                self.manifold,
-                [(self.fields[0], self.fields[1]), (self.z,), (self.y1, self.y2)],
-            )
-            _seed_grading(
-                g,
-                self.srows,
-                self.sinv,
-                frame_inverse(self.aux),
-                self.manifold.coords,
-                self.fields,
-                structure_functions(self.aux),
-            )
-            self._grading = g
-        return self._grading
-
-
-def canonical_frame_235(m: FramedManifold, x1: VectorField = None,
-                        x2: VectorField = None, sample_points=None,
-                        derivative_reading: str = "pattern") -> Frame235:
-    """Corrected adapted frame of a growth (2,3,5) horizontal bundle.
-
-    ``Z`` corrects the first bracket field by horizontal terms and ``Y_1``,
-    ``Y_2`` correct the second-layer bracket fields by ``Z`` and horizontal
-    terms, using the structure functions of the bracket frame and their
-    horizontal derivatives.  The construction makes ``Z`` and the span of
-    ``Y_1, Y_2`` independent of the choice of oriented orthonormal
-    horizontal frame.
-
-    ``derivative_reading`` selects which second-layer coefficient sum is
-    differentiated in the ``Y_2`` correction: ``"pattern"`` uses the same sum
-    that multiplies ``Z`` (mirroring the ``Y_1`` formula), ``"printed"`` uses
-    the variant with both indices on the last bracket field.  The pattern
-    reading is the one that passes the frame-independence tests.
-    """
-    if sample_points is None:
-        sample_points = _default_samples(m)
-    _check_growth(m, sample_points)
-    fields, aux = _bracket_frame(m, x1, x2)
-    try:
-        aux.frame_matrix_at(aux.point(sample_points[0]))
-    except ManifoldError as exc:
-        raise ManifoldError(f"bracket frame is rank deficient: {exc}") from exc
-    if derivative_reading not in ("pattern", "printed"):
-        raise ManifoldError(
-            "derivative_reading must be 'pattern' or 'printed'"
-        )
-    c = structure_functions(aux)
-    coords = m.coords
-    x1f, x2f, x3f, x4f, x5f = fields
-
-    def der(i, f):
-        return _dderiv(coords, fields[i], f)
-
-    # two recurring horizontal-coefficient sums of the second layer
-    p_sum = _simp_add(c[0][3][3], c[0][4][4])
-    s_sum = _simp_add(c[1][3][3], c[1][4][4])
-
-    zc1 = _simp_add(c[1][2][2], s_sum)
-    zc2 = _simp_add(c[0][2][2], p_sum)
-    z = x3f + x1f.scaled(zc1) - x2f.scaled(zc2)
-
-    y1c1 = _simp_add(
-        c[1][3][2],
-        expr.neg(der(1, p_sum)),
-        expr.mul(c[1][3][3], p_sum),
-        expr.mul(c[1][3][4], s_sum),
-    )
-    y1c2 = _simp_add(
-        c[0][3][2],
-        expr.neg(der(0, p_sum)),
-        expr.mul(c[0][3][3], p_sum),
-        expr.mul(c[0][3][4], s_sum),
-    )
-    y1 = x4f - z.scaled(p_sum) + x1f.scaled(y1c1) - x2f.scaled(y1c2)
-
-    if derivative_reading == "pattern":
-        d_arg = s_sum
-    else:
-        d_arg = _simp_add(c[1][4][3], c[1][4][4])
-    y2c1 = _simp_add(
-        c[1][4][2],
-        expr.neg(der(1, d_arg)),
-        expr.mul(c[1][4][3], p_sum),
-        expr.mul(c[1][4][4], s_sum),
-    )
-    y2c2 = _simp_add(
-        c[0][4][2],
-        expr.neg(der(0, d_arg)),
-        expr.mul(c[0][4][3], p_sum),
-        expr.mul(c[0][4][4], s_sum),
-    )
-    y2 = x5f - z.scaled(s_sum) + x1f.scaled(y2c1) - x2f.scaled(y2c2)
-
-    srows = (
-        (_ONE, _ZERO, _ZERO, _ZERO, _ZERO),
-        (_ZERO, _ONE, _ZERO, _ZERO, _ZERO),
-        (zc1, expr.simplify(expr.neg(zc2)), _ONE, _ZERO, _ZERO),
-        (
-            _simp_add(y1c1, expr.neg(expr.mul(p_sum, zc1))),
-            _simp_add(expr.neg(y1c2), expr.mul(p_sum, zc2)),
-            expr.simplify(expr.neg(p_sum)),
-            _ONE,
-            _ZERO,
-        ),
-        (
-            _simp_add(y2c1, expr.neg(expr.mul(s_sum, zc1))),
-            _simp_add(expr.neg(y2c2), expr.mul(s_sum, zc2)),
-            expr.simplify(expr.neg(s_sum)),
-            _ZERO,
-            _ONE,
-        ),
-    )
-    sinv = tuple(tuple(row) for row in _unit_lower_inverse(srows))
-    return Frame235(m, fields, aux, c, z, y1, y2, derivative_reading, srows, sinv)
-
-
-def grading_235(f: Frame235) -> Grading:
-    """Splitting by the corrected frame: E, span{Z}, span{Y_1, Y_2}."""
-    return f.grading
-
-
 # nonzero entries of the frame rotation generator D, as (out, in): sign;
 # D rotates the horizontal plane by J, kills the degree -2 direction, and
 # rotates the degree -3 plane compatibly with the lifts
@@ -648,67 +492,13 @@ def _adapted_connection(grading: Grading) -> Connection:
     return _rotation_connection(grading, _adapted_lambda(grading))
 
 
-def connection_235(f: Frame235) -> Connection:
-    """Adapted metric connection of the corrected frame splitting."""
-    return _adapted_connection(f.grading)
-
-
-@dataclass
-class Flatness235Report:
-    flat: bool
-    torsion_residual: float
-    curvature_residual: float
-
-
-def flatness_235(m: FramedManifold, x1: VectorField = None,
-                 x2: VectorField = None, sample_points=None,
-                 tol: float = 1e-8,
-                 derivative_reading: str = "pattern") -> Flatness235Report:
-    """Local equivalence with the nilpotent model group.
-
-    Flat exactly when the curvature of the adapted connection vanishes and
-    the torsion has no components beyond the model pattern ``T(X_2, X_1) =
-    Z`` and ``T(Z, X_j) = Y_j`` in the corrected frame.
-    """
-    if sample_points is None:
-        sample_points = _default_samples(m)
-    f = canonical_frame_235(m, x1, x2, sample_points=sample_points,
-                            derivative_reading=derivative_reading)
-    conn = connection_235(f)
-    n = 5
-    expected = np.zeros((n, n, n))
-    expected[1, 0, 2] = 1.0
-    expected[0, 1, 2] = -1.0
-    for j in range(2):
-        expected[2, j, 3 + j] = 1.0
-        expected[j, 2, 3 + j] = -1.0
-    worst_t = 0.0
-    worst_r = 0.0
-    for point in sample_points:
-        p = f.grading.frame.point(point)
-        tten = conn.torsion_at(p)
-        rten = conn.curvature_at(p)
-        worst_t = max(worst_t, float(np.abs(tten - expected).max()))
-        worst_r = max(worst_r, float(np.abs(rten).max()))
-    return Flatness235Report(
-        flat=bool(worst_t <= tol and worst_r <= tol),
-        torsion_residual=worst_t,
-        curvature_residual=worst_r,
-    )
-
-
-# ---------------------------------------------------------------------------
-# grading pipeline
-
-
 @dataclass
 class Intrinsic235:
-    """Complementary grading recovered from differential forms alone.
+    """Intrinsic grading ``E + span{Z} + span{Y_1, Y_2}`` over the bracket frame.
 
-    ``theta`` annihilates the degree -1 and -3 subbundles and is normalized
-    against the first bracket field; ``beta1``/``beta2`` cut out the
-    complement of the horizontal bundle.  The degree -2 direction ``zp`` is
-    normalized by ``theta(zp) = 1``.
+    ``srows`` holds the adapted fields ``X_1, X_2, Z, Y_1, Y_2`` as coefficient
+    rows over the bracket frame ``x``, ``sinv`` their inverse.  The grading
+    itself is built on first access.
     """
 
     manifold: FramedManifold
@@ -716,27 +506,45 @@ class Intrinsic235:
     aux: FramedManifold
     alpha: tuple  # coframe rows of the bracket frame
     c: tuple  # structure functions of the bracket frame
-    a1: object
-    a2: object
-    theta: tuple  # coordinate components
-    beta1: tuple
-    beta2: tuple
-    zp: VectorField
-    wp: tuple  # basis fields of the degree -3 subbundle
-    grading: Grading
-    srows: tuple = field(default=None, repr=False)
-    sinv: tuple = field(default=None, repr=False)
+    zp: VectorField  # Z
+    wp: tuple  # Y_1, Y_2
+    srows: tuple = field(repr=False)
+    sinv: tuple = field(repr=False)
+    _grading: Grading = field(default=None, repr=False)
+
+    @property
+    def grading(self) -> Grading:
+        if self._grading is None:
+            g = Grading(self.manifold, [self.x[:2], (self.zp,), self.wp])
+            _seed_grading(g, self.srows, self.sinv, self.alpha,
+                          self.manifold.coords, self.x, self.c)
+            self._grading = g
+        return self._grading
 
 
 def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
                         x2: VectorField = None, sample_points=None) -> Intrinsic235:
-    """Recover the complementary grading from the structure two-form.
+    """Intrinsic grading of a growth (2,3,5) horizontal bundle.
 
-    The top coframe wedge of the bracket frame is differentiated to extract
-    the correction coefficients of ``theta``; the kernels of ``d theta``
-    contracted with the horizontal fields then intersect the flag subbundles
-    in the degree -2 and -3 layers.  All pairings are expanded through the
-    structure functions of the bracket frame.
+    ``x1``, ``x2`` is an orthonormal horizontal frame (by default
+    the Gram-Schmidt frame of the chart); ``X_3 = [X_1, X_2]``,
+    ``X_4 = [X_1, X_3]``, ``X_5 = [X_2, X_3]`` complete it to the bracket
+    frame with structure functions ``[X_a, X_b] = c_ab^k X_k``.  With
+    ``P = c_14^4 + c_15^5`` and ``S = c_24^4 + c_25^5`` the corrected fields
+    are (indices from 1)::
+
+        Z   = X_3 + (c_23^3 + S) X_1 - (c_13^3 + P) X_2
+        Y_1 = X_4 - P Z + (c_24^3 - X_2 P + c_24^4 P + c_24^5 S) X_1
+                        - (c_14^3 - X_1 P + c_14^4 P + c_14^5 S) X_2
+        Y_2 = X_5 - S Z + (c_25^3 - X_2 S + c_25^4 P + c_25^5 S) X_1
+                        - (c_15^3 - X_1 S + c_15^4 P + c_15^5 S) X_2
+
+    Equivalently, let ``theta`` be the one-form that kills ``E`` and
+    ``Y_1``, ``Y_2`` and has ``theta(Z) = 1``.  Then ``span{Z, Y_1, Y_2}``
+    is the common kernel of ``i_{X_1} d theta`` and ``i_{X_2} d theta``,
+    ``span{Y_1, Y_2}`` is its intersection with the kernel of ``theta``, and
+    ``theta([X_1, X_2]) = 1``.  Either way ``Z`` and ``span{Y_1, Y_2}`` do
+    not depend on the choice of orthonormal horizontal frame.
     """
     if sample_points is None:
         sample_points = _default_samples(m)
@@ -746,107 +554,76 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
         aux.frame_matrix_at(aux.point(sample_points[0]))
     except ManifoldError as exc:
         raise ManifoldError(f"bracket frame is rank deficient: {exc}") from exc
-    coords = m.coords
-    n = m.dim
-    alpha = frame_inverse(aux)
     c = structure_functions(aux)
+    coords = m.coords
+    x1f, x2f, x3f, x4f, x5f = fields
 
-    # exterior derivative of the top coframe wedge against the frame: only
-    # the diagonal second-layer structure functions survive the wedge
-    a1 = expr.simplify(expr.neg(_simp_add(c[0][3][3], c[0][4][4])))
-    a2 = expr.simplify(expr.neg(_simp_add(c[1][3][3], c[1][4][4])))
+    def der(i, f):
+        return _dderiv(coords, fields[i], f)
 
-    # values of theta on the bracket frame (exact by coframe duality)
-    theta_vals = (_ZERO, _ZERO, _ONE, expr.simplify(expr.neg(a1)),
-                  expr.simplify(expr.neg(a2)))
+    # two recurring horizontal-coefficient sums of the second layer
+    p_sum = _simp_add(c[0][3][3], c[0][4][4])
+    s_sum = _simp_add(c[1][3][3], c[1][4][4])
 
-    def dth_frame(i, j):
-        """d theta on the i-th and j-th bracket fields."""
-        return _simp_add(
-            _dderiv(coords, fields[i], theta_vals[j]),
-            expr.neg(_dderiv(coords, fields[j], theta_vals[i])),
-            *[
-                expr.neg(expr.mul(c[i][j][k], theta_vals[k]))
-                for k in range(n)
-                if not _is_zero(c[i][j][k]) and not _is_zero(theta_vals[k])
-            ],
-        )
+    zc1 = _simp_add(c[1][2][2], s_sum)
+    zc2 = _simp_add(c[0][2][2], p_sum)
+    z = x3f + x1f.scaled(zc1) - x2f.scaled(zc2)
 
-    b1 = [dth_frame(1, j) for j in range(n)]
-    b2 = [expr.simplify(expr.neg(dth_frame(0, j))) for j in range(n)]
-
-    theta = tuple(
-        _simp_add(
-            alpha[2][a],
-            expr.neg(expr.mul(a1, alpha[3][a])),
-            expr.neg(expr.mul(a2, alpha[4][a])),
-        )
-        for a in range(n)
-    )
-    beta1 = tuple(
-        _simp_add(*[expr.mul(b1[k], alpha[k][a]) for k in range(n)
-                    if not _is_zero(b1[k])])
-        for a in range(n)
-    )
-    beta2 = tuple(
-        _simp_add(*[expr.mul(b2[k], alpha[k][a]) for k in range(n)
-                    if not _is_zero(b2[k])])
-        for a in range(n)
-    )
-
-    # the kernel conditions are diagonal: each beta pairs the opposite
-    # horizontal field to zero, so each correction divides one pairing
-    dinv1 = expr.simplify(expr.div(_ONE, b1[0]))
-    dinv2 = expr.simplify(expr.div(_ONE, b2[1]))
-
-    # degree -2 direction: kernel of both betas inside the first flag layer
-    u0 = expr.simplify(expr.neg(expr.mul(b1[2], dinv1)))
-    u1 = expr.simplify(expr.neg(expr.mul(b2[2], dinv2)))
-    zp = fields[2] + fields[0].scaled(u0) + fields[1].scaled(u1)
-
-    # degree -3 basis: kernel of both betas inside the kernel of theta
-    wp = []
-    vrows = []
-    for j, coef in ((3, a1), (4, a2)):
-        v0 = expr.simplify(
-            expr.neg(
-                expr.mul(_simp_add(b1[j], expr.mul(coef, b1[2])), dinv1)
+    # coefficients of X_1 and -X_2 in Y_j; ``v`` is the sum multiplying Z
+    def ycoeffs(j, v):
+        return [
+            _simp_add(
+                c[e][j][2],
+                expr.neg(der(e, v)),
+                expr.mul(c[e][j][3], p_sum),
+                expr.mul(c[e][j][4], s_sum),
             )
-        )
-        v1 = expr.simplify(
-            expr.neg(
-                expr.mul(_simp_add(b2[j], expr.mul(coef, b2[2])), dinv2)
-            )
-        )
-        vrows.append((v0, v1))
-        wp.append(
-            fields[j]
-            + fields[2].scaled(coef)
-            + fields[0].scaled(v0)
-            + fields[1].scaled(v1)
-        )
+            for e in (1, 0)
+        ]
+
+    y1c1, y1c2 = ycoeffs(3, p_sum)
+    y1 = x4f - z.scaled(p_sum) + x1f.scaled(y1c1) - x2f.scaled(y1c2)
+    y2c1, y2c2 = ycoeffs(4, s_sum)
+    y2 = x5f - z.scaled(s_sum) + x1f.scaled(y2c1) - x2f.scaled(y2c2)
 
     srows = (
         (_ONE, _ZERO, _ZERO, _ZERO, _ZERO),
         (_ZERO, _ONE, _ZERO, _ZERO, _ZERO),
-        (u0, u1, _ONE, _ZERO, _ZERO),
-        (vrows[0][0], vrows[0][1], a1, _ONE, _ZERO),
-        (vrows[1][0], vrows[1][1], a2, _ZERO, _ONE),
+        (zc1, expr.simplify(expr.neg(zc2)), _ONE, _ZERO, _ZERO),
+        (
+            _simp_add(y1c1, expr.neg(expr.mul(p_sum, zc1))),
+            _simp_add(expr.neg(y1c2), expr.mul(p_sum, zc2)),
+            expr.simplify(expr.neg(p_sum)),
+            _ONE,
+            _ZERO,
+        ),
+        (
+            _simp_add(y2c1, expr.neg(expr.mul(s_sum, zc1))),
+            _simp_add(expr.neg(y2c2), expr.mul(s_sum, zc2)),
+            expr.simplify(expr.neg(s_sum)),
+            _ZERO,
+            _ONE,
+        ),
     )
     sinv = tuple(tuple(row) for row in _unit_lower_inverse(srows))
-
-    grading = Grading(m, [(fields[0], fields[1]), (zp,), tuple(wp)])
-    _seed_grading(grading, srows, sinv, alpha, coords, fields, c)
     return Intrinsic235(
-        m, fields, aux, alpha, c, a1, a2, theta, beta1, beta2, zp, tuple(wp),
-        grading, srows, sinv,
+        m, fields, aux, frame_inverse(aux), c, z, (y1, y2), srows, sinv
     )
 
 
 def intrinsic_grading_235(m: FramedManifold, x1: VectorField = None,
                           x2: VectorField = None, sample_points=None) -> Grading:
-    """Grading of the tangent bundle recovered from differential forms."""
+    """Intrinsic grading of the tangent bundle; see :func:`intrinsic_frame_235`."""
     return intrinsic_frame_235(m, x1, x2, sample_points).grading
+
+
+def connection_235(data: Intrinsic235) -> Connection:
+    """Adapted metric connection of the intrinsic grading.
+
+    The structure is locally equivalent to the nilpotent model group exactly
+    when this connection passes ``connection.flatness_check``.
+    """
+    return _adapted_connection(data.grading)
 
 
 # rotation generator on the horizontal plane: J X_1 = X_2, J X_2 = -X_1
@@ -901,7 +678,7 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
                          x2: VectorField = None, sample_points=None) -> Grading235Params:
     """Canonical grading of a growth (2,3,5) structure.
 
-    Corrects the form-recovered grading so the canonical connection of the
+    Corrects the intrinsic grading so the canonical connection of the
     result satisfies the torsion and curvature trace normalizations exactly:
     the degree -2 direction is shifted by a rotated horizontal field, and
     the degree -3 lifts are tilted by a vertical shift and a horizontal
@@ -909,7 +686,7 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     functions of the corrected frame over intrinsic bracket tensors and
     solving the resulting linear systems in closed form; on the model
     algebra every correction vanishes and the grading coincides with the
-    form-recovered one.
+    intrinsic one.
     """
     data = intrinsic_frame_235(m, x1, x2, sample_points)
     coords = m.coords
@@ -947,7 +724,7 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
         ]
 
     def pr1(v):
-        """Horizontal part of a coefficient vector in the form grading."""
+        """Horizontal part of a coefficient vector in the intrinsic grading."""
         return [_frame_comp(v, sinv, 0), _frame_comp(v, sinv, 1)]
 
     # obstruction field: quarter trace of the mixed bracket defect of the lifts

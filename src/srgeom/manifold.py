@@ -243,6 +243,48 @@ def _is_nonzero_const(e: Expr) -> bool:
     return isinstance(e, (expr.Rat, expr.Flt)) and not _is_zero(e)
 
 
+def _simp_add(*terms):
+    return expr.simplify(expr.add(*terms))
+
+
+def _gram_schmidt_horizontal(m: FramedManifold):
+    """Orthonormalize the horizontal frame symbolically; returns VectorFields."""
+    r = m.rank
+    # coefficient vectors over the original horizontal frame
+    basis = [[expr.rational(1 if j == i else 0) for j in range(r)] for i in range(r)]
+
+    def inner(u, v):
+        return _simp_add(
+            *[
+                expr.mul(u[i], m.metric[i][j], v[j])
+                for i in range(r)
+                for j in range(r)
+            ]
+        )
+
+    ortho = []
+    for i in range(r):
+        vec = list(basis[i])
+        for prev in ortho:
+            coef = inner(vec, prev)
+            vec = [
+                _simp_add(vec[j], expr.neg(expr.mul(coef, prev[j]))) for j in range(r)
+            ]
+        nrm = expr.sqrt(inner(vec, vec))
+        inv = expr.pow_(nrm, -1)
+        ortho.append([expr.simplify(expr.mul(inv, c)) for c in vec])
+    fields = []
+    for coeffs in ortho:
+        comps = [
+            _simp_add(
+                *[expr.mul(coeffs[i], m.frames[i].components[a]) for i in range(r)]
+            )
+            for a in range(m.dim)
+        ]
+        fields.append(VectorField(m, comps))
+    return fields
+
+
 def _gauss_jordan(rows, n: int):
     """Reduce [A | B] in place so the left n columns become the identity.
 
@@ -524,7 +566,20 @@ def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> Symbo
 
 
 # ---------------------------------------------------------------------------
-# description files
+# sampling and description files
+
+
+def _uniform_rows(rng, box, count: int) -> np.ndarray:
+    """``count`` points drawn uniformly from a coordinate box, one per row."""
+    lows = np.array([lo for lo, _ in box])
+    highs = np.array([hi for _, hi in box])
+    return rng.uniform(lows, highs, size=(count, len(box)))
+
+
+def _default_samples(m: FramedManifold, count: int = 10, seed: int = 42):
+    """Seeded sample points, uniform in the box [-0.9, 0.9] on every axis."""
+    rows = _uniform_rows(np.random.default_rng(seed), ((-0.9, 0.9),) * m.dim, count)
+    return [m.point(row) for row in rows]
 
 
 @dataclass
@@ -543,10 +598,8 @@ class ManifoldDocument:
             return [self.manifold.point(p) for p in self.sample_points]
         if rng is None:
             rng = np.random.default_rng(self.seed)
-        lows = np.array([lo for lo, _ in self.chart_box])
-        highs = np.array([hi for _, hi in self.chart_box])
-        pts = rng.uniform(lows, highs, size=(self.sample_count, len(self.chart_box)))
-        return [self.manifold.point(row) for row in pts]
+        rows = _uniform_rows(rng, self.chart_box, self.sample_count)
+        return [self.manifold.point(row) for row in rows]
 
 
 def manifold_from_dict(data: dict) -> ManifoldDocument:

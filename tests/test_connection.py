@@ -261,7 +261,7 @@ def test_flat_connection_morimoto_conditions():
         conn = flat_frame_connection(g)
         rep = check_morimoto(conn, sample_points(m, 4))
         assert rep.ok
-        assert rep.max_residual() <= 1e-10
+        assert rep.max_residual <= 1e-10
 
 
 def test_torsion_identity_on_groups():
@@ -304,6 +304,14 @@ def test_perturbed_connection_fails_morimoto():
     rep = check_morimoto(conn, sample_points(m, 3))
     assert not rep.ok
     assert rep.residual_r > 1e-3
+
+
+def test_morimoto_report_honours_tol():
+    m, g, conn = _heis_d_perturbed()
+    pts = sample_points(m, 3)
+    rep = check_morimoto(conn, pts)
+    assert rep.residual_r > 1e-3
+    assert check_morimoto(conn, pts, tol=10 * rep.residual_r).ok
 
 
 def test_levi_civita_not_layer_parallel_on_group():
