@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr
 from .expr import Expr
-from .lie import CarnotAlgebra, isometry_algebra
+from .lie import CarnotAlgebra, _onb_columns, isometry_algebra
 from .manifold import (
     FramedManifold,
     ManifoldError,
@@ -54,13 +54,6 @@ __all__ = [
 ]
 
 _ZERO = expr.rational(0)
-
-
-def _orthonormal_columns(gram: np.ndarray) -> np.ndarray:
-    w, q = np.linalg.eigh(gram)
-    if w.min() <= 0:
-        raise ManifoldError("inner product is not positive-definite")
-    return q @ np.diag(w ** -0.5)
 
 
 class Grading:
@@ -136,9 +129,7 @@ class Grading:
         finv = self.coframe()
         n = self.dim
         return [
-            expr.simplify(
-                expr.add(*[expr.mul(finv[i][a], v.components[a]) for a in range(n)])
-            )
+            expr.add(*[expr.mul(finv[i][a], v.components[a]) for a in range(n)])
             for i in range(n)
         ]
 
@@ -208,7 +199,7 @@ class Grading:
                 if kdeg > self.step:
                     continue
                 for k in self.layer_range(kdeg):
-                    out[i][j][k] = expr.simplify(expr.neg(c[i][j][k]))
+                    out[i][j][k] = expr.neg(c[i][j][k])
         return out
 
     def validate(self, points, tol: float = 1e-8):
@@ -342,11 +333,9 @@ def taming_metric(m: FramedManifold, grading: Grading, convention: str = "select
         ]
         wgram = [
             [
-                expr.simplify(
-                    expr.sub(
-                        expr.mul(gmat[a][cc], gmat[b][d]),
-                        expr.mul(gmat[a][d], gmat[b][cc]),
-                    )
+                expr.sub(
+                    expr.mul(gmat[a][cc], gmat[b][d]),
+                    expr.mul(gmat[a][d], gmat[b][cc]),
                 )
                 for (cc, d) in wedges
             ]
@@ -356,14 +345,12 @@ def taming_metric(m: FramedManifold, grading: Grading, convention: str = "select
         rk = grading.layer_range(k)
         ginv = [
             [
-                expr.simplify(
-                    expr.add(
-                        *[
-                            expr.mul(c[a][b][u], winv[i][j], c[aa][bb][v])
-                            for i, (a, b) in enumerate(wedges)
-                            for j, (aa, bb) in enumerate(wedges)
-                        ]
-                    )
+                expr.add(
+                    *[
+                        expr.mul(c[a][b][u], winv[i][j], c[aa][bb][v])
+                        for i, (a, b) in enumerate(wedges)
+                        for j, (aa, bb) in enumerate(wedges)
+                    ]
                 )
                 for v in rk
             ]
@@ -372,14 +359,14 @@ def taming_metric(m: FramedManifold, grading: Grading, convention: str = "select
         block = _symbolic_inverse(ginv)
         for ui, u in enumerate(rk):
             for vi, v in enumerate(rk):
-                gmat[u][v] = expr.simplify(block[ui][vi])
+                gmat[u][v] = block[ui][vi]
     if convention == "tensor":
         # the recursion always runs in selector flavor; rescale afterwards
         for k in range(2, grading.step + 1):
             factor = expr.rational(1, 2 ** (k - 1))
             for u in grading.layer_range(k):
                 for v in grading.layer_range(k):
-                    gmat[u][v] = expr.simplify(expr.mul(factor, gmat[u][v]))
+                    gmat[u][v] = expr.mul(factor, gmat[u][v])
     return TamingMetric(grading, convention, tuple(tuple(row) for row in gmat))
 
 
@@ -434,11 +421,9 @@ def selector(grading: Grading) -> Selector:
         targets = list(grading.layer_range(k))
         wgram = [
             [
-                expr.simplify(
-                    expr.sub(
-                        expr.mul(gmat[a][cc], gmat[b][d]),
-                        expr.mul(gmat[a][d], gmat[b][cc]),
-                    )
+                expr.sub(
+                    expr.mul(gmat[a][cc], gmat[b][d]),
+                    expr.mul(gmat[a][d], gmat[b][cc]),
                 )
                 for (cc, d) in wedges
             ]
@@ -447,17 +432,13 @@ def selector(grading: Grading) -> Selector:
         winv = _symbolic_inverse(wgram)
         for t in targets:
             rhs = [
-                expr.simplify(
-                    expr.add(
-                        *[expr.mul(c[a][b][d], gmat[d][t]) for d in grading.layer_range(k)]
-                    )
+                expr.add(
+                    *[expr.mul(c[a][b][d], gmat[d][t]) for d in grading.layer_range(k)]
                 )
                 for (a, b) in wedges
             ]
             for i, (a, b) in enumerate(wedges):
-                coef = expr.simplify(
-                    expr.add(*[expr.mul(winv[i][j], rhs[j]) for j in range(len(wedges))])
-                )
+                coef = expr.add(*[expr.mul(winv[i][j], rhs[j]) for j in range(len(wedges))])
                 if coef is not _ZERO:
                     coefficients[t].append((a, b, coef))
     return Selector(grading, tuple(tuple(row) for row in coefficients))
@@ -481,7 +462,7 @@ class Connection:
         for i in range(n):
             row = []
             for j in range(n):
-                entry = [expr.simplify(expr._coerce(e)) for e in gamma[i][j]]
+                entry = [expr._coerce(e) for e in gamma[i][j]]
                 if len(entry) != n:
                     raise ManifoldError("Christoffel table has wrong width")
                 row.append(tuple(entry))
@@ -500,11 +481,9 @@ class Connection:
             self._torsion = tuple(
                 tuple(
                     tuple(
-                        expr.simplify(
-                            expr.sub(
-                                expr.sub(self.gamma[i][j][k], self.gamma[j][i][k]),
-                                c[i][j][k],
-                            )
+                        expr.sub(
+                            expr.sub(self.gamma[i][j][k], self.gamma[j][i][k]),
+                            c[i][j][k],
                         )
                         for k in range(n)
                     )
@@ -558,7 +537,7 @@ class Connection:
                                 terms.append(
                                     expr.neg(expr.mul(c[i][j][mm], self.gamma[mm][k][l]))
                                 )
-                            comps.append(expr.simplify(expr.add(*terms)))
+                            comps.append(expr.add(*terms))
                         row_j.append(tuple(comps))
                     row_i.append(tuple(row_j))
                 out.append(tuple(row_i))
@@ -636,11 +615,9 @@ class Connection:
                     )
                 for j in range(n):
                     terms.append(expr.mul(xs[i], ys[j], self.gamma[i][j][k]))
-            out_frame.append(expr.simplify(expr.add(*terms)))
+            out_frame.append(expr.add(*terms))
         comps = [
-            expr.simplify(
-                expr.add(*[expr.mul(out_frame[i], fields[i].components[a]) for i in range(n)])
-            )
+            expr.add(*[expr.mul(out_frame[i], fields[i].components[a]) for i in range(n)])
             for a in range(g.frame.dim)
         ]
         return VectorField(g.base, comps)
@@ -691,9 +668,7 @@ def levi_civita(tm: TamingMetric) -> Connection:
                 )
                 lowered.append(expr.mul(expr.rational(1, 2), twice))
             for l in range(n):
-                gamma[i][j][l] = expr.simplify(
-                    expr.add(*[expr.mul(ginv[l][k], lowered[k]) for k in range(n)])
-                )
+                gamma[i][j][l] = expr.add(*[expr.mul(ginv[l][k], lowered[k]) for k in range(n)])
     return Connection(g, gamma)
 
 
@@ -744,21 +719,17 @@ def t_zero(grading: Grading):
         xs = grading.components_in_frame(x)
         ys = grading.components_in_frame(y)
         out_frame = [
-            expr.simplify(
-                expr.add(
-                    *[
-                        expr.mul(xs[i], ys[j], tensor[i][j][k])
-                        for i in range(n)
-                        for j in range(n)
-                    ]
-                )
+            expr.add(
+                *[
+                    expr.mul(xs[i], ys[j], tensor[i][j][k])
+                    for i in range(n)
+                    for j in range(n)
+                ]
             )
             for k in range(n)
         ]
         comps = [
-            expr.simplify(
-                expr.add(*[expr.mul(out_frame[i], fields[i].components[a]) for i in range(n)])
-            )
+            expr.add(*[expr.mul(out_frame[i], fields[i].components[a]) for i in range(n)])
             for a in range(grading.frame.dim)
         ]
         return VectorField(grading.base, comps)
@@ -829,7 +800,7 @@ def check_compatible(conn: Connection, points, tol: float = 1e-8) -> Compatibili
                         for mm in range(n)
                     ]
                 )
-                metric_terms[i, j, k] = expr.simplify(expr.sub(dterm, sterm))
+                metric_terms[i, j, k] = expr.sub(dterm, sterm)
 
     nab_tz = {}
     for i in range(n):
@@ -847,7 +818,7 @@ def check_compatible(conn: Connection, points, tol: float = 1e-8) -> Compatibili
                         terms.append(expr.mul(tz[j][k][mm], conn.gamma[i][mm][l]))
                         terms.append(expr.neg(expr.mul(conn.gamma[i][j][mm], tz[mm][k][l])))
                         terms.append(expr.neg(expr.mul(conn.gamma[i][k][mm], tz[j][mm][l])))
-                    nab_tz[i, j, k, l] = expr.simplify(expr.add(*terms))
+                    nab_tz[i, j, k, l] = expr.add(*terms)
 
     for point in points:
         p = g.frame.point(point)
@@ -1040,7 +1011,7 @@ def flatness_check(conn: Connection, points, convention: str = "selector",
     for point in points:
         p = g.frame.point(point)
         gram = g.gram_at(p, convention)
-        q = _orthonormal_columns(gram)
+        q = _onb_columns(gram)
         qinv = np.linalg.inv(q)
         tten = conn.torsion_at(p)
         rten = conn.curvature_at(p)

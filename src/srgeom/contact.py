@@ -24,7 +24,6 @@ from .manifold import (
     VectorField,
     _default_samples,
     _gram_schmidt_horizontal,
-    _simp_add,
     bracket,
     frame_inverse,
     growth_flag,
@@ -83,7 +82,7 @@ class ContactData:
         return self.manifold.rank
 
     def theta_of(self, v: VectorField) -> Expr:
-        return _simp_add(
+        return expr.add(
             *[expr.mul(self.theta[a], v.components[a]) for a in range(self.manifold.dim)]
         )
 
@@ -94,7 +93,7 @@ def _matmul(a, b):
     inner = len(b)
     return [
         [
-            _simp_add(*[expr.mul(a[i][k], b[k][j]) for k in range(inner)])
+            expr.add(*[expr.mul(a[i][k], b[k][j]) for k in range(inner)])
             for j in range(mcols)
         ]
         for i in range(n)
@@ -102,14 +101,14 @@ def _matmul(a, b):
 
 
 def _matscale(s, a):
-    return [[expr.simplify(expr.mul(s, e)) for e in row] for row in a]
+    return [[expr.mul(s, e) for e in row] for row in a]
 
 
 def _matadd(*mats):
     n = len(mats[0])
     m = len(mats[0][0])
     return [
-        [_simp_add(*[mat[i][j] for mat in mats]) for j in range(m)] for i in range(n)
+        [expr.add(*[mat[i][j] for mat in mats]) for j in range(m)] for i in range(n)
     ]
 
 
@@ -178,9 +177,7 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     theta_raw = tuple(finv[v])
 
     # structure coefficients of the raw form: dtheta_raw(F_a, F_b)
-    dmat = [
-        [expr.simplify(expr.neg(caux[a][b][v])) for b in range(r)] for a in range(r)
-    ]
+    dmat = [[expr.neg(caux[a][b][v]) for b in range(r)] for a in range(r)]
 
     # pointwise eigen data of -(D^2)
     clusters0 = None
@@ -220,11 +217,11 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     # normalization scale: theta = t * theta_raw with
     # t^2 * tr(-D^2) = tr(Lambda^{-2})
     tr_lam = float(sum(n * lo**-2.0 for lo, n in zip(lam_op, mults)))
-    tr_d = _simp_add(
+    tr_d = expr.add(
         *[expr.mul(dmat[a][b], dmat[a][b]) for a in range(r) for b in range(r)]
     )
-    t = expr.sqrt(expr.simplify(expr.div(expr.floatc(tr_lam), tr_d)))
-    theta = tuple(expr.simplify(expr.mul(t, e)) for e in theta_raw)
+    t = expr.sqrt(expr.div(expr.floatc(tr_lam), tr_d))
+    theta = tuple(expr.mul(t, e) for e in theta_raw)
     jtheta = _matscale(t, dmat)
 
     # projectors: Lagrange polynomials in Msq = -(J^theta)^2
@@ -262,21 +259,21 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     tinv = expr.pow_(t, -1)
     rhs = []
     for b in range(r):
-        der = _simp_add(
+        der = expr.add(
             *[
                 expr.mul(fields[b].components[a], expr.differentiate(tinv, coord))
                 for a, coord in enumerate(m.coords)
             ]
         )
-        rhs.append(_simp_add(expr.mul(tinv, caux[v][b][v]), expr.neg(der)))
+        rhs.append(expr.add(expr.mul(tinv, caux[v][b][v]), expr.neg(der)))
     jl = _matmul(jmat, lam_matrix)
     u = [
-        _simp_add(*[expr.mul(t, jl[a][b], rhs[b]) for b in range(r)])
+        expr.add(*[expr.mul(t, jl[a][b], rhs[b]) for b in range(r)])
         for a in range(r)
     ]
     reeb_coeffs = tuple(u) + (tinv,)
     reeb_comps = [
-        _simp_add(
+        expr.add(
             expr.mul(tinv, vert_raw.components[a]),
             *[expr.mul(u[c], fields[c].components[a]) for c in range(r)],
         )
@@ -310,7 +307,7 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
 
 def _hderiv(cd: ContactData, f: Expr, i: int, frame_fields) -> Expr:
     field = frame_fields[i]
-    return _simp_add(
+    return expr.add(
         *[
             expr.mul(field.components[a], expr.differentiate(f, coord))
             for a, coord in enumerate(cd.manifold.coords)
@@ -336,7 +333,7 @@ def _bracket_coeffs(cd: ContactData, u, w, ctab, frame_fields):
                 if w[b] is _ZERO:
                     continue
                 terms.append(expr.mul(u[a], w[b], ctab[a][b][k]))
-        out.append(_simp_add(*terms))
+        out.append(expr.add(*terms))
     return out
 
 
@@ -347,7 +344,7 @@ def upsilon_fields(cd: ContactData):
         key: VectorField(
             cd.manifold,
             [
-                _simp_add(
+                expr.add(
                     *[
                         expr.mul(vec[c], cd.ortho_frame[c].components[a])
                         for c in range(cd.rank)
@@ -377,7 +374,7 @@ def _upsilon_coeffs(cd: ContactData):
                 # pr[j] F_a and pr[j] J F_a as aux coefficient vectors
                 ucol = [cd.projections[j][c][a] for c in range(r)] + [_ZERO]
                 jcol = [
-                    _simp_add(
+                    expr.add(
                         *[
                             expr.mul(cd.projections[j][c][d], cd.jmat[d][a])
                             for d in range(r)
@@ -388,7 +385,7 @@ def _upsilon_coeffs(cd: ContactData):
                 brk = _bracket_coeffs(cd, ucol, jcol, ctab, frame_fields)
                 for c in range(r):
                     # pr[i] of the horizontal part
-                    acc[c] = _simp_add(
+                    acc[c] = expr.add(
                         acc[c],
                         *[
                             expr.mul(cd.projections[i][c][d], brk[d])
@@ -397,7 +394,7 @@ def _upsilon_coeffs(cd: ContactData):
                     )
             # apply J and the 1/2 factor
             vec = [
-                _simp_add(
+                expr.add(
                     *[expr.mul(_HALF, cd.jmat[c][d], acc[d]) for d in range(r)]
                 )
                 for c in range(r)
@@ -430,22 +427,22 @@ def morimoto_grading_contact(cd: ContactData) -> ContactGradingParams:
         coef = expr.floatc(
             (2.0 / tr_lam) * cd.lam_op[i - 1] ** 2 / cd.lam_op[j - 1]
         )
-        w = [_simp_add(w[c], expr.mul(coef, vec[c])) for c in range(r)]
+        w = [expr.add(w[c], expr.mul(coef, vec[c])) for c in range(r)]
     w_field = VectorField(
         cd.manifold,
         [
-            _simp_add(
+            expr.add(
                 *[expr.mul(w[c], cd.ortho_frame[c].components[a]) for c in range(r)]
             )
             for a in range(cd.manifold.dim)
         ],
     )
     jw = [
-        _simp_add(*[expr.mul(cd.jmat[c][d], w[d]) for d in range(r)])
+        expr.add(*[expr.mul(cd.jmat[c][d], w[d]) for d in range(r)])
         for c in range(r)
     ]
     zw_comps = [
-        _simp_add(
+        expr.add(
             cd.reeb.components[a],
             expr.neg(
                 expr.add(
@@ -486,7 +483,7 @@ def _tau_tensor(cd: ContactData, params: ContactGradingParams):
             ui = basis(i)
             if i < r:
                 for c in range(r):
-                    ui[c] = _simp_add(ui[c], expr.neg(proj[c][i]))
+                    ui[c] = expr.add(ui[c], expr.neg(proj[c][i]))
             # ui = W_i - pr[p] W_i
             if all(e is _ZERO for e in ui):
                 continue
@@ -496,17 +493,17 @@ def _tau_tensor(cd: ContactData, params: ContactGradingParams):
                 for kk in range(r):
                     bk = embed([proj[c][kk] for c in range(r)])
                     brb = _bracket_coeffs(cd, ui, bk, ctab, frame_fields)
-                    gab = _simp_add(
+                    gab = expr.add(
                         *[expr.mul(proj[c][j], proj[c][kk]) for c in range(r)]
                     )
-                    du = _simp_add(
+                    du = expr.add(
                         *[
                             expr.mul(ui[a], _hderiv(cd, gab, a, frame_fields))
                             for a in range(nn)
                             if ui[a] is not _ZERO
                         ]
                     )
-                    lie = _simp_add(
+                    lie = expr.add(
                         du,
                         expr.neg(
                             expr.add(*[expr.mul(bra[c], bk[c]) for c in range(r)])
@@ -515,7 +512,7 @@ def _tau_tensor(cd: ContactData, params: ContactGradingParams):
                             expr.add(*[expr.mul(brb[c], aj[c]) for c in range(r)])
                         ),
                     )
-                    tau[i][j][kk] = _simp_add(tau[i][j][kk], expr.mul(_HALF, lie))
+                    tau[i][j][kk] = expr.add(tau[i][j][kk], expr.mul(_HALF, lie))
     return tau
 
 
@@ -538,15 +535,13 @@ def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connectio
     gamma_h = [
         [
             [
-                expr.simplify(
-                    expr.mul(
-                        _HALF,
-                        expr.add(
-                            ctab[a][b][c],
-                            expr.neg(ctab[a][c][b]),
-                            expr.neg(ctab[b][c][a]),
-                        ),
-                    )
+                expr.mul(
+                    _HALF,
+                    expr.add(
+                        ctab[a][b][c],
+                        expr.neg(ctab[a][c][b]),
+                        expr.neg(ctab[b][c][a]),
+                    ),
                 )
                 for c in range(r)
             ]
@@ -565,7 +560,7 @@ def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connectio
             ui = [expr.rational(1 if c == i else 0) for c in range(nn)]
             if i < r:
                 for c in range(r):
-                    ui[c] = _simp_add(ui[c], expr.neg(proj[c][i]))
+                    ui[c] = expr.add(ui[c], expr.neg(proj[c][i]))
             for j in range(r):
                 bcol = [proj[c][j] for c in range(r)]
                 # term 1: pr[p] ( LC_{pr[p]W_i} pr[p]F_j )
@@ -581,23 +576,23 @@ def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connectio
                                 terms.append(
                                     expr.mul(acol[a], bcol[b], gamma_h[a][b][kk])
                                 )
-                        t1[kk] = _simp_add(*terms)
+                        t1[kk] = expr.add(*terms)
                 # term 2: pr[p] [ W_i - pr[p]W_i, pr[p]F_j ]
                 brk = _bracket_coeffs(
                     cd, ui, list(bcol) + [_ZERO], ctab, frame_fields
                 )
                 for kk in range(r):
-                    val = _simp_add(
+                    val = expr.add(
                         *[
-                            expr.mul(proj[kk][c], _simp_add(t1[c], brk[c]))
+                            expr.mul(proj[kk][c], expr.add(t1[c], brk[c]))
                             for c in range(r)
                         ]
                     )
-                    gamma[i][j][kk] = _simp_add(gamma[i][j][kk], val)
+                    gamma[i][j][kk] = expr.add(gamma[i][j][kk], val)
     for i in range(nn):
         for j in range(r):
             for kk in range(r):
-                gamma[i][j][kk] = _simp_add(gamma[i][j][kk], tau[i][j][kk])
+                gamma[i][j][kk] = expr.add(gamma[i][j][kk], tau[i][j][kk])
     return Connection(g, gamma)
 
 
@@ -617,7 +612,7 @@ def _dj_tensor(cd: ContactData, conn: Connection):
                     terms.append(
                         expr.neg(expr.mul(conn.gamma[i][b][c], cd.jmat[kk][c]))
                     )
-                dj[i][b][kk] = _simp_add(*terms)
+                dj[i][b][kk] = expr.add(*terms)
     return dj
 
 
@@ -638,10 +633,10 @@ def connection_double_prime(cd: ContactData, params: ContactGradingParams,
     for i in range(nn):
         for j in range(r):
             for kk in range(r):
-                corr = _simp_add(
+                corr = expr.add(
                     *[expr.mul(cd.jmat[b][j], dj[i][b][kk]) for b in range(r)]
                 )
-                gamma[i][j][kk] = _simp_add(
+                gamma[i][j][kk] = expr.add(
                     gamma[i][j][kk], expr.mul(_HALF, corr)
                 )
     return Connection(g, gamma)
@@ -666,8 +661,8 @@ def morimoto_connection_contact(cd: ContactData, params: ContactGradingParams,
             continue
         for j in range(nn):
             for kk in range(nn):
-                corr = _simp_add(
+                corr = expr.add(
                     *[expr.mul(coef, rten[a][b][j][kk]) for a, b, coef in rows]
                 )
-                gamma[i][j][kk] = _simp_add(gamma[i][j][kk], expr.mul(_HALF, corr))
+                gamma[i][j][kk] = expr.add(gamma[i][j][kk], expr.mul(_HALF, corr))
     return Connection(g, gamma)

@@ -7,6 +7,9 @@ cheap. Smart constructors normalize on the way in (constant folding, 0/1
 identities, flattening, collection of like terms and like powers), which keeps
 the bracket/curvature pipelines from drowning in redundant subtrees.
 
+Invariant: every node the constructors return is already in normal form, i.e.
+``simplify(e) is e``. Callers never need to re-normalize a result.
+
 Exact rationals stay exact until a float literal or a transcendental forces a
 float; all verdict-level work downstream is numeric at sample points.
 """
@@ -370,16 +373,22 @@ def mul(*factors) -> Expr:
         return ZERO
 
     out = []
+    folded = []
     for base in order:
         k = by_base[base]
         p = pow_(base, k)
         if p is ONE:
             continue
         if _is_const(p):
-            # pow_ may fold (rare here since base is non-constant), stay safe
+            # sqrt(c)^(2j) folds to a constant
             absorb(p)
             continue
-        out.append(p)
+        if p is base or (isinstance(p, Pow) and p.base is base):
+            out.append(p)
+        else:
+            # sqrt(u)^(2j) became u^j, which may share its base with other
+            # factors: it goes back through mul below
+            folded.append(p)
 
     const: Expr | None = None
     if has_flt:
@@ -391,6 +400,8 @@ def mul(*factors) -> Expr:
     elif rat_part != 1:
         const = Rat(rat_part)
 
+    if folded:
+        return mul(*([] if const is None else [const]), *out, *folded)
     if not out:
         return const if const is not None else ONE
     out.sort(key=lambda e: e.skey)
@@ -529,7 +540,12 @@ def _apply_fn(name: str, x: float) -> float:
 
 
 def simplify(e: Expr) -> Expr:
-    """Re-normalize bottom-up through the smart constructors (idempotent)."""
+    """Re-normalize bottom-up through the smart constructors (idempotent).
+
+    Every constructor output is a fixed point, so this returns its input for
+    any expression built through this module; it is kept as the reference
+    the tests check the constructors against.
+    """
     if isinstance(e, (Rat, Flt, Var)):
         return e
     if isinstance(e, Add):

@@ -34,7 +34,6 @@ from .manifold import (
     _default_samples,
     _gram_schmidt_horizontal,
     _is_zero,
-    _simp_add,
     bracket,
     frame_inverse,
     growth_flag,
@@ -62,7 +61,7 @@ _HALF = expr.rational(1, 2)
 
 def _dderiv(coords, fld: VectorField, f):
     """Derivative of a scalar expression along a vector field."""
-    return _simp_add(
+    return expr.add(
         *[
             expr.mul(fld.components[a], expr.differentiate(f, c))
             for a, c in enumerate(coords)
@@ -91,13 +90,13 @@ def _brk(coords, frame_fields, ctab, u, w):
                 if _is_zero(w[b]) or _is_zero(ctab[a][b][k]):
                     continue
                 terms.append(expr.mul(u[a], w[b], ctab[a][b][k]))
-        out.append(_simp_add(*terms))
+        out.append(expr.add(*terms))
     return out
 
 
 def _field_from_coeffs(m: FramedManifold, frame_fields, coeffs) -> VectorField:
     comps = [
-        _simp_add(
+        expr.add(
             *[
                 expr.mul(coeffs[i], frame_fields[i].components[a])
                 for i in range(len(frame_fields))
@@ -111,7 +110,7 @@ def _field_from_coeffs(m: FramedManifold, frame_fields, coeffs) -> VectorField:
 
 def _frame_comp(v, sinv, k):
     """Adapted component k of a bracket-frame coefficient vector."""
-    return _simp_add(
+    return expr.add(
         *[expr.mul(v[a], sinv[a][k]) for a in range(5) if not _is_zero(v[a])]
     )
 
@@ -128,14 +127,14 @@ def _solve_linear_exprs(mat, rhs):
     a = [[mat[i][j] for j in range(n)] + [rhs[i]] for i in range(n)]
     for i in range(n):
         inv = expr.div(_ONE, a[i][i])
-        a[i] = [expr.simplify(expr.mul(inv, t)) for t in a[i]]
+        a[i] = [expr.mul(inv, t) for t in a[i]]
         a[i][i] = _ONE
         for r in range(n):
             if r == i or _is_zero(a[r][i]):
                 continue
             f = a[r][i]
             a[r] = [
-                expr.simplify(expr.sub(a[r][j], expr.mul(f, a[i][j])))
+                expr.sub(a[r][j], expr.mul(f, a[i][j]))
                 for j in range(n + 1)
             ]
             a[r][i] = _ZERO
@@ -153,8 +152,8 @@ def _unit_lower_inverse(srows):
     n2 = srows[2]
     out.append(
         [
-            expr.simplify(expr.neg(n2[0])),
-            expr.simplify(expr.neg(n2[1])),
+            expr.neg(n2[0]),
+            expr.neg(n2[1]),
             _ONE,
             _ZERO,
             _ZERO,
@@ -163,9 +162,9 @@ def _unit_lower_inverse(srows):
     for r in (3, 4):
         nr = srows[r]
         row = [
-            _simp_add(expr.neg(nr[a]), expr.mul(nr[2], n2[a])) for a in range(2)
+            expr.add(expr.neg(nr[a]), expr.mul(nr[2], n2[a])) for a in range(2)
         ]
-        row.append(expr.simplify(expr.neg(nr[2])))
+        row.append(expr.neg(nr[2]))
         row += [_ONE if 3 + b == r else _ZERO for b in range(2)]
         out.append(row)
     return out
@@ -182,7 +181,7 @@ def _seed_grading(grading: Grading, srows, sinv, alpha, coords, xfields, ctab):
     n = 5
     finv = tuple(
         tuple(
-            _simp_add(
+            expr.add(
                 *[
                     expr.mul(sinv[k][i], alpha[k][a])
                     for k in range(n)
@@ -200,7 +199,7 @@ def _seed_grading(grading: Grading, srows, sinv, alpha, coords, xfields, ctab):
             for k in range(n):
                 e = _frame_comp(br, sinv, k)
                 cbar[i][j][k] = e
-                cbar[j][i][k] = expr.simplify(expr.neg(e))
+                cbar[j][i][k] = expr.neg(e)
     grading.frame._frame_inverse = finv
     grading.frame._structure_functions = cbar
     return cbar
@@ -219,7 +218,7 @@ def _check_growth(m: FramedManifold, points):
 
 
 def _minor2(mat, rows, cols):
-    return _simp_add(
+    return expr.add(
         expr.mul(mat[rows[0]][cols[0]], mat[rows[1]][cols[1]]),
         expr.neg(expr.mul(mat[rows[0]][cols[1]], mat[rows[1]][cols[0]])),
     )
@@ -255,7 +254,7 @@ def _frame_calculus(m: FramedManifold, fields):
     mrows = [None] * 5
     for i in range(2):
         row = [
-            _simp_add(
+            expr.add(
                 *[
                     expr.mul(alpha_r[j][a], fields[i].components[a])
                     for a in range(5)
@@ -272,20 +271,18 @@ def _frame_calculus(m: FramedManifold, fields):
     # block inverse: horizontal 2x2 block by adjugate, lower 3x3 block by
     # adjugate over its determinant, mixed block by composition
     det_l = _minor2(mrows, (0, 1), (0, 1))
-    dli = expr.simplify(expr.div(_ONE, det_l))
+    dli = expr.div(_ONE, det_l)
     linv = [
-        [expr.simplify(expr.mul(mrows[1][1], dli)),
-         expr.simplify(expr.neg(expr.mul(mrows[0][1], dli)))],
-        [expr.simplify(expr.neg(expr.mul(mrows[1][0], dli))),
-         expr.simplify(expr.mul(mrows[0][0], dli))],
+        [expr.mul(mrows[1][1], dli), expr.neg(expr.mul(mrows[0][1], dli))],
+        [expr.neg(expr.mul(mrows[1][0], dli)), expr.mul(mrows[0][0], dli)],
     ]
     cblk = [[mrows[2 + r][2 + s] for s in range(3)] for r in range(3)]
-    det_c = _simp_add(
+    det_c = expr.add(
         expr.mul(cblk[0][0], _minor2(cblk, (1, 2), (1, 2))),
         expr.neg(expr.mul(cblk[0][1], _minor2(cblk, (1, 2), (0, 2)))),
         expr.mul(cblk[0][2], _minor2(cblk, (1, 2), (0, 1))),
     )
-    dci = expr.simplify(expr.div(_ONE, det_c))
+    dci = expr.div(_ONE, det_c)
     cinv = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(3):
@@ -294,21 +291,19 @@ def _frame_calculus(m: FramedManifold, fields):
             sign = _minor2(cblk, rows, cols)
             if (i + j) % 2:
                 sign = expr.neg(sign)
-            cinv[i][j] = expr.simplify(expr.mul(sign, dci))
+            cinv[i][j] = expr.mul(sign, dci)
     pblk = [[mrows[2 + r][a] for a in range(2)] for r in range(3)]
     # -Cinv P Linv
     pli = [
         [
-            _simp_add(*[expr.mul(pblk[r][a], linv[a][b]) for a in range(2)])
+            expr.add(*[expr.mul(pblk[r][a], linv[a][b]) for a in range(2)])
             for b in range(2)
         ]
         for r in range(3)
     ]
     lowleft = [
         [
-            expr.simplify(
-                expr.neg(_simp_add(*[expr.mul(cinv[i][r], pli[r][b]) for r in range(3)]))
-            )
+            expr.neg(expr.add(*[expr.mul(cinv[i][r], pli[r][b]) for r in range(3)]))
             for b in range(2)
         ]
         for i in range(3)
@@ -323,7 +318,7 @@ def _frame_calculus(m: FramedManifold, fields):
 
     alpha = tuple(
         tuple(
-            _simp_add(
+            expr.add(
                 *[
                     expr.mul(minv[k][i], alpha_r[k][a])
                     for k in range(5)
@@ -339,7 +334,7 @@ def _frame_calculus(m: FramedManifold, fields):
         for j in range(i + 1, 5):
             br = _brk(coords, rfields, c_r, mrows[i], mrows[j])
             for k in range(5):
-                e = _simp_add(
+                e = expr.add(
                     *[
                         expr.mul(br[a], minv[a][k])
                         for a in range(5)
@@ -347,7 +342,7 @@ def _frame_calculus(m: FramedManifold, fields):
                     ]
                 )
                 c[i][j][k] = e
-                c[j][i][k] = expr.simplify(expr.neg(e))
+                c[j][i][k] = expr.neg(e)
     return alpha, c
 
 
@@ -400,7 +395,7 @@ def _rotation_connection(grading: Grading, nu_vals) -> Connection:
     gamma = [[[_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         nv = nu_vals[i]
-        nneg = expr.simplify(expr.neg(nv))
+        nneg = expr.neg(nv)
         # gamma[i][j][k] = nu_i * D[k][j]
         gamma[i][0][1] = nv
         gamma[i][1][0] = nneg
@@ -421,13 +416,13 @@ def _rotation_connection(grading: Grading, nu_vals) -> Connection:
                 dki = _DENTRIES.get((k, i))
                 if dki and not _is_zero(nu_vals[j]):
                     terms.append(expr.mul(nu_vals[j], expr.rational(-dki)))
-                tten[i][j][k] = _simp_add(*terms)
+                tten[i][j][k] = expr.add(*terms)
     conn._torsion = tuple(tuple(tuple(r) for r in row) for row in tten)
 
     dnu = [[_ZERO for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            e = _simp_add(
+            e = expr.add(
                 _dderiv(coords, fields[i], nu_vals[j]),
                 expr.neg(_dderiv(coords, fields[j], nu_vals[i])),
                 *[
@@ -437,7 +432,7 @@ def _rotation_connection(grading: Grading, nu_vals) -> Connection:
                 ],
             )
             dnu[i][j] = e
-            dnu[j][i] = expr.simplify(expr.neg(e))
+            dnu[j][i] = expr.neg(e)
     rten = [
         [
             [
@@ -473,10 +468,10 @@ def _adapted_lambda(grading: Grading):
     lam = []
     for i in range(grading.dim):
         # the Koszul value of gamma[i][0][1] equals nu_i * D[1][0] = nu_i
-        val = _simp_add(cbar[i][0][1], expr.neg(cbar[i][1][0]))
+        val = expr.add(cbar[i][0][1], expr.neg(cbar[i][1][0]))
         if i < 2:
-            val = _simp_add(val, expr.neg(cbar[0][1][i]))
-        lam.append(expr.simplify(expr.mul(_HALF, val)))
+            val = expr.add(val, expr.neg(cbar[0][1][i]))
+        lam.append(expr.mul(_HALF, val))
     return lam
 
 
@@ -562,17 +557,17 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
         return _dderiv(coords, fields[i], f)
 
     # two recurring horizontal-coefficient sums of the second layer
-    p_sum = _simp_add(c[0][3][3], c[0][4][4])
-    s_sum = _simp_add(c[1][3][3], c[1][4][4])
+    p_sum = expr.add(c[0][3][3], c[0][4][4])
+    s_sum = expr.add(c[1][3][3], c[1][4][4])
 
-    zc1 = _simp_add(c[1][2][2], s_sum)
-    zc2 = _simp_add(c[0][2][2], p_sum)
+    zc1 = expr.add(c[1][2][2], s_sum)
+    zc2 = expr.add(c[0][2][2], p_sum)
     z = x3f + x1f.scaled(zc1) - x2f.scaled(zc2)
 
     # coefficients of X_1 and -X_2 in Y_j; ``v`` is the sum multiplying Z
     def ycoeffs(j, v):
         return [
-            _simp_add(
+            expr.add(
                 c[e][j][2],
                 expr.neg(der(e, v)),
                 expr.mul(c[e][j][3], p_sum),
@@ -589,18 +584,18 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
     srows = (
         (_ONE, _ZERO, _ZERO, _ZERO, _ZERO),
         (_ZERO, _ONE, _ZERO, _ZERO, _ZERO),
-        (zc1, expr.simplify(expr.neg(zc2)), _ONE, _ZERO, _ZERO),
+        (zc1, expr.neg(zc2), _ONE, _ZERO, _ZERO),
         (
-            _simp_add(y1c1, expr.neg(expr.mul(p_sum, zc1))),
-            _simp_add(expr.neg(y1c2), expr.mul(p_sum, zc2)),
-            expr.simplify(expr.neg(p_sum)),
+            expr.add(y1c1, expr.neg(expr.mul(p_sum, zc1))),
+            expr.add(expr.neg(y1c2), expr.mul(p_sum, zc2)),
+            expr.neg(p_sum),
             _ONE,
             _ZERO,
         ),
         (
-            _simp_add(y2c1, expr.neg(expr.mul(s_sum, zc1))),
-            _simp_add(expr.neg(y2c2), expr.mul(s_sum, zc2)),
-            expr.simplify(expr.neg(s_sum)),
+            expr.add(y2c1, expr.neg(expr.mul(s_sum, zc1))),
+            expr.add(expr.neg(y2c2), expr.mul(s_sum, zc2)),
+            expr.neg(s_sum),
             _ZERO,
             _ONE,
         ),
@@ -699,8 +694,8 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     def jvec(v):
         """Rotate a horizontal coefficient pair."""
         return [
-            _simp_add(expr.mul(jm[0][0], v[0]), expr.mul(jm[0][1], v[1])),
-            _simp_add(expr.mul(jm[1][0], v[0]), expr.mul(jm[1][1], v[1])),
+            expr.add(expr.mul(jm[0][0], v[0]), expr.mul(jm[0][1], v[1])),
+            expr.add(expr.mul(jm[1][0], v[0]), expr.mul(jm[1][1], v[1])),
         ]
 
     def brk(u, w):
@@ -712,14 +707,14 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     def ellx(a, b):
         """Bracket-frame coefficients of the degree -3 lift of a*X_1 + b*X_2."""
         return [
-            _simp_add(expr.mul(b, srows[3][k]), expr.neg(expr.mul(a, srows[4][k])))
+            expr.add(expr.mul(b, srows[3][k]), expr.neg(expr.mul(a, srows[4][k])))
             for k in range(5)
         ]
 
     def phix(v):
         """Horizontal image of a coefficient vector under the flag map."""
         return [
-            expr.simplify(expr.neg(_frame_comp(v, sinv, 4))),
+            expr.neg(_frame_comp(v, sinv, 4)),
             _frame_comp(v, sinv, 3),
         ]
 
@@ -737,17 +732,17 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
         t2 = brk(base, ellx(*jb))
         t3 = brk(ellx(base[0], base[1]), jbase)
         total = [
-            _simp_add(t1[k], expr.neg(t2[k]), expr.neg(t3[k])) for k in range(5)
+            expr.add(t1[k], expr.neg(t2[k]), expr.neg(t3[k])) for k in range(5)
         ]
         ph = phix(total)
         for k in range(2):
             ju_terms[k].append(ph[k])
     jups = [
-        expr.simplify(expr.mul(expr.rational(1, 4), _simp_add(*ju_terms[k])))
+        expr.mul(expr.rational(1, 4), expr.add(*ju_terms[k]))
         for k in range(2)
     ]
     # invert the rotation: upsilon = -J(J upsilon)
-    ups = [expr.simplify(expr.neg(cc)) for cc in jvec(jups)]
+    ups = [expr.neg(cc) for cc in jvec(jups)]
     upsilon = _field_from_coeffs(m, xfields[:2], ups)
 
     # ---- intrinsic tensors of the lift geometry -------------------------
@@ -777,10 +772,10 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     # trace on horizontal selector wedges) close up into a linear system for
     # the rotated horizontal components of the two lift corrections.
     f_t = [
-        _simp_add(phi_t[v][0][1], expr.neg(phi_t[v][1][0])) for v in range(2)
+        expr.add(phi_t[v][0][1], expr.neg(phi_t[v][1][0])) for v in range(2)
     ]
     g_t = [
-        _simp_add(
+        expr.add(
             *[
                 expr.mul(phi_t[e][j][k], p_t[e][k])
                 for e in range(2)
@@ -789,18 +784,18 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
         )
         for j in range(2)
     ]
-    psq = _simp_add(
+    psq = expr.add(
         *[expr.mul(p_t[e][k], p_t[e][k]) for e in range(2) for k in range(2)]
     )
     rhs1 = [
-        _simp_add(f_t[0], expr.mul(expr.rational(2), cp_t[0])),
-        _simp_add(f_t[1], expr.mul(expr.rational(2), cp_t[1])),
-        _simp_add(
+        expr.add(f_t[0], expr.mul(expr.rational(2), cp_t[0])),
+        expr.add(f_t[1], expr.mul(expr.rational(2), cp_t[1])),
+        expr.add(
             g_t[0],
             expr.mul(cp_t[0], p_t[0][1]),
             expr.mul(cp_t[1], p_t[1][1]),
         ),
-        _simp_add(
+        expr.add(
             g_t[1],
             expr.neg(expr.mul(cp_t[0], p_t[0][0])),
             expr.neg(expr.mul(cp_t[1], p_t[1][0])),
@@ -813,19 +808,19 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
         [
             r5,
             _ZERO,
-            _simp_add(expr.mul(r3, p_t[1][0]), expr.neg(p_t[0][1])),
-            _simp_add(p_t[0][0], expr.mul(r3, p_t[1][1])),
+            expr.add(expr.mul(r3, p_t[1][0]), expr.neg(p_t[0][1])),
+            expr.add(p_t[0][0], expr.mul(r3, p_t[1][1])),
         ],
         [
             _ZERO,
             r5,
-            expr.neg(_simp_add(p_t[1][1], expr.mul(r3, p_t[0][0]))),
-            _simp_add(p_t[1][0], expr.neg(expr.mul(r3, p_t[0][1]))),
+            expr.neg(expr.add(p_t[1][1], expr.mul(r3, p_t[0][0]))),
+            expr.add(p_t[1][0], expr.neg(expr.mul(r3, p_t[0][1]))),
         ],
         [
-            _simp_add(_ONE, expr.mul(r2, p_t[0][1])),
+            expr.add(_ONE, expr.mul(r2, p_t[0][1])),
             expr.mul(r2, p_t[1][1]),
-            _simp_add(
+            expr.add(
                 p_t[1][0],
                 expr.neg(psq),
                 expr.mul(p_t[1][0], p_t[0][1]),
@@ -835,10 +830,10 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
         ],
         [
             expr.neg(expr.mul(r2, p_t[0][0])),
-            _simp_add(_ONE, expr.neg(expr.mul(r2, p_t[1][0]))),
+            expr.add(_ONE, expr.neg(expr.mul(r2, p_t[1][0]))),
             expr.neg(p_t[0][0]),
             expr.neg(
-                _simp_add(
+                expr.add(
                     p_t[0][1],
                     psq,
                     expr.mul(p_t[1][1], p_t[0][0]),
@@ -857,25 +852,23 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     dw1 = [[hderiv(e, w1c[k]) for k in range(2)] for e in range(2)]
     dw2 = [[hderiv(e, w2c[j]) for j in range(2)] for e in range(2)]
     w2p = [
-        _simp_add(expr.mul(w2c[0], p_t[e][0]), expr.mul(w2c[1], p_t[e][1]))
+        expr.add(expr.mul(w2c[0], p_t[e][0]), expr.mul(w2c[1], p_t[e][1]))
         for e in range(2)
     ]
 
     # horizontal scaling values of the canonical connection, from the
     # curvature trace normalization (closed form with weight 3)
     nu_e = [
-        expr.simplify(
-            expr.mul(
-                expr.rational(1, 3),
-                _simp_add(
-                    w1c[e],
-                    expr.neg(cp_t[e]),
-                    phi_t[e][0][1],
-                    expr.neg(phi_t[e][1][0]),
-                    expr.mul(w2c[0], p_t[e][1]),
-                    expr.neg(expr.mul(w2c[1], p_t[e][0])),
-                ),
-            )
+        expr.mul(
+            expr.rational(1, 3),
+            expr.add(
+                w1c[e],
+                expr.neg(cp_t[e]),
+                phi_t[e][0][1],
+                expr.neg(phi_t[e][1][0]),
+                expr.mul(w2c[0], p_t[e][1]),
+                expr.neg(expr.mul(w2c[1], p_t[e][0])),
+            ),
         )
         for e in range(2)
     ]
@@ -892,13 +885,13 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
         return [_ZERO, _ZERO, _ZERO, _ZERO, _ZERO, const]
 
     def aff_sum(*terms):
-        return [_simp_add(*[t[i] for t in terms]) for i in range(6)]
+        return [expr.add(*[t[i] for t in terms]) for i in range(6)]
 
     def aff_neg(t):
-        return [expr.simplify(expr.neg(ti)) for ti in t]
+        return [expr.neg(ti) for ti in t]
 
     def aff_scale(s, t):
-        return [expr.simplify(expr.mul(s, ti)) for ti in t]
+        return [expr.mul(s, ti) for ti in t]
 
     # theta values of brackets of horizontal fields with the corrected
     # degree -2 field
@@ -910,27 +903,27 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
             cw = expr.mul(w1c[1], cp_t[k]) if e == 0 else expr.neg(
                 expr.mul(w1c[0], cp_t[k])
             )
-            const = _simp_add(
+            const = expr.add(
                 b_t[e][k],
                 cw,
                 dw1[e][k],
                 expr.neg(
-                    expr.mul(_simp_add(zpr[e], expr.neg(w2p[e])), w1c[k])
+                    expr.mul(expr.add(zpr[e], expr.neg(w2p[e])), w1c[k])
                 ),
             )
             row = aff(const)
             for mm in range(2):
-                row[2 * mm + k] = expr.simplify(expr.neg(p_t[e][mm]))
+                row[2 * mm + k] = expr.neg(p_t[e][mm])
             cbar_e2[e][k] = row
     # degree -2 components of brackets of the lifts with horizontal fields
     cbar_ye2 = [[None, None], [None, None]]
     for j in range(2):
         for e in range(2):
-            w2phi = _simp_add(
+            w2phi = expr.add(
                 expr.mul(w2c[0], phi_t[e][j][0]),
                 expr.mul(w2c[1], phi_t[e][j][1]),
             )
-            const = _simp_add(
+            const = expr.add(
                 expr.neg(dw2[e][j]), w2phi, expr.mul(w2c[j], w2p[e])
             )
             row = aff(const)
@@ -944,13 +937,13 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     cbar_y2y = [[None, None], [None, None]]
     for j in range(2):
         for k in range(2):
-            const = _simp_add(
+            const = expr.add(
                 expr.neg(xi_t[j][k]),
                 *[
                     expr.neg(
                         expr.mul(
                             w1c[mm],
-                            _simp_add(
+                            expr.add(
                                 phi_t[mm][j][k],
                                 expr.mul(w2c[j], p_t[mm][k]),
                             ),
@@ -971,11 +964,11 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
         cbar_y2y[1][0],
         aff_neg(cbar_y2y[0][1]),
     )
-    dkn2 = _simp_add(
+    dkn2 = expr.add(
         hderiv(0, nu_e[1]),
         expr.neg(hderiv(1, nu_e[0])),
-        expr.neg(expr.mul(_simp_add(cp_t[0], expr.neg(w1c[0])), nu_e[0])),
-        expr.neg(expr.mul(_simp_add(cp_t[1], expr.neg(w1c[1])), nu_e[1])),
+        expr.neg(expr.mul(expr.add(cp_t[0], expr.neg(w1c[0])), nu_e[0])),
+        expr.neg(expr.mul(expr.add(cp_t[1], expr.neg(w1c[1])), nu_e[1])),
     )
 
     nu2aff = aff()
@@ -1024,7 +1017,7 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
         ),
     ]
     mat2 = [[eqs[i][j] for j in range(5)] for i in range(5)]
-    rhs2 = [expr.simplify(expr.neg(eqs[i][5])) for i in range(5)]
+    rhs2 = [expr.neg(eqs[i][5]) for i in range(5)]
     sol2 = _solve_linear_exprs(mat2, rhs2)
     amat = [[sol2[0], sol2[1]], [sol2[2], sol2[3]]]
 
@@ -1043,18 +1036,17 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     tinv = [
         [_ONE, _ZERO, _ZERO, _ZERO, _ZERO],
         [_ZERO, _ONE, _ZERO, _ZERO, _ZERO],
-        [expr.simplify(expr.neg(w1c[0])), expr.simplify(expr.neg(w1c[1])),
-         _ONE, _ZERO, _ZERO],
+        [expr.neg(w1c[0]), expr.neg(w1c[1]), _ONE, _ZERO, _ZERO],
         [
-            _simp_add(expr.mul(w2c[1], w1c[0]), expr.neg(amat[1][0])),
-            _simp_add(expr.mul(w2c[1], w1c[1]), expr.neg(amat[1][1])),
-            expr.simplify(expr.neg(w2c[1])),
+            expr.add(expr.mul(w2c[1], w1c[0]), expr.neg(amat[1][0])),
+            expr.add(expr.mul(w2c[1], w1c[1]), expr.neg(amat[1][1])),
+            expr.neg(w2c[1]),
             _ZERO,
             _ONE,
         ],
         [
-            _simp_add(amat[0][0], expr.neg(expr.mul(w2c[0], w1c[0]))),
-            _simp_add(amat[0][1], expr.neg(expr.mul(w2c[0], w1c[1]))),
+            expr.add(amat[0][0], expr.neg(expr.mul(w2c[0], w1c[0]))),
+            expr.add(amat[0][1], expr.neg(expr.mul(w2c[0], w1c[1]))),
             w2c[0],
             expr.neg(_ONE),
             _ZERO,
@@ -1062,7 +1054,7 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     ]
     srows_i = tuple(
         tuple(
-            _simp_add(
+            expr.add(
                 *[
                     expr.mul(tmat[i][k], srows[k][a])
                     for k in range(5)
@@ -1075,7 +1067,7 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     )
     sinv_i = tuple(
         tuple(
-            _simp_add(
+            expr.add(
                 *[
                     expr.mul(sinv[i][k], tinv[k][a])
                     for k in range(5)
@@ -1099,11 +1091,11 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     # degree -1 part of the scaling form: values on the horizontal frame are
     # the scaling values minus the adapted combination, in closed form
     m_vec = [
-        _simp_add(w1c[0], w2p[1]),
-        _simp_add(w1c[1], expr.neg(w2p[0])),
+        expr.add(w1c[0], w2p[1]),
+        expr.add(w1c[1], expr.neg(w2p[0])),
     ]
     mu1 = tuple(
-        _simp_add(
+        expr.add(
             expr.mul(m_vec[0], finv[0][a]), expr.mul(m_vec[1], finv[1][a])
         )
         for a in range(m.dim)
@@ -1113,12 +1105,8 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     dmat[:2, :2] = np.array(_JMAT)
     dmat[3:, 3:] = np.array(_JMAT)
 
-    w1_field = _field_from_coeffs(
-        m, xfields[:2], [w1c[1], expr.simplify(expr.neg(w1c[0]))]
-    )
-    w2_field = _field_from_coeffs(
-        m, xfields[:2], [w2c[1], expr.simplify(expr.neg(w2c[0]))]
-    )
+    w1_field = _field_from_coeffs(m, xfields[:2], [w1c[1], expr.neg(w1c[0])])
+    w2_field = _field_from_coeffs(m, xfields[:2], [w2c[1], expr.neg(w2c[0])])
 
     return Grading235Params(
         manifold=m,
@@ -1156,11 +1144,9 @@ def tau_vertical(grading: Grading, v: VectorField):
             ek = [_ONE if i == k else _ZERO for i in range(5)]
             bj = _brk(coords, wf, ctab, comps, ej)
             bk = _brk(coords, wf, ctab, comps, ek)
-            out[j][k] = expr.simplify(
-                expr.mul(
-                    _HALF,
-                    _simp_add(expr.neg(bj[k]), expr.neg(bk[j])),
-                )
+            out[j][k] = expr.mul(
+                _HALF,
+                expr.add(expr.neg(bj[k]), expr.neg(bk[j])),
             )
     return out
 
@@ -1179,7 +1165,7 @@ class QMap:
         comps = []
         for k in range(2):
             comps.append(
-                _simp_add(
+                expr.add(
                     *[
                         expr.mul(xc[i], yc[j], self.tensor[i][j][k])
                         for i in range(2)
@@ -1209,20 +1195,15 @@ def q_map(data: Intrinsic235) -> QMap:
         row = []
         for j in range(2):
             if j == 0:
-                ell_j = [expr.simplify(expr.neg(srows[4][k])) for k in range(5)]
+                ell_j = [expr.neg(srows[4][k]) for k in range(5)]
             else:
                 ell_j = list(srows[3])
             br = _brk(coords, xfields, c, ei, ell_j)
             ph = [
-                expr.simplify(expr.neg(_frame_comp(br, sinv, 4))),
+                expr.neg(_frame_comp(br, sinv, 4)),
                 _frame_comp(br, sinv, 3),
             ]
-            row.append(
-                tuple(
-                    expr.simplify(expr.sub(ph[k], conn0.gamma[i][j][k]))
-                    for k in range(2)
-                )
-            )
+            row.append(tuple(expr.sub(ph[k], conn0.gamma[i][j][k]) for k in range(2)))
         tensor.append(tuple(row))
     return QMap(data, tuple(tensor))
 
@@ -1252,7 +1233,7 @@ def morimoto_connection_235(params: Grading235Params) -> Connection:
 
     def qval(v):
         """Trace of the structure functions along one field against D."""
-        return _simp_add(
+        return expr.add(
             *[
                 expr.mul(expr.rational(s), cbar[v][y][x])
                 for (x, y), s in _DENTRIES.items()
@@ -1270,7 +1251,7 @@ def morimoto_connection_235(params: Grading235Params) -> Connection:
         """
         terms = []
         for a, b, coef in chi.coefficients[v]:
-            e = _simp_add(
+            e = expr.add(
                 _dderiv(coords, wf[a], vals[b]),
                 expr.neg(_dderiv(coords, wf[b], vals[a])),
                 *[
@@ -1280,33 +1261,29 @@ def morimoto_connection_235(params: Grading235Params) -> Connection:
                 ],
             )
             terms.append(expr.mul(coef, e))
-        return _simp_add(*terms)
+        return expr.add(*terms)
 
-    nu0 = expr.simplify(expr.mul(expr.rational(1, 3), qval(0)))
-    nu1 = expr.simplify(expr.mul(expr.rational(1, 3), qval(1)))
+    nu0 = expr.mul(expr.rational(1, 3), qval(0))
+    nu1 = expr.mul(expr.rational(1, 3), qval(1))
 
     # degree -2: 4 d nu(chi) = 4 nu - q with the unknown's contraction
     # moved left (weight 1), so 8 nu_2 = 4 * known part + q_2
     known = (nu0, nu1, _ZERO, _ZERO, _ZERO)
-    nu2 = expr.simplify(
-        expr.mul(
-            expr.rational(1, 8),
-            _simp_add(
-                expr.mul(expr.rational(4), dform_known(known, 2)), qval(2)
-            ),
-        )
+    nu2 = expr.mul(
+        expr.rational(1, 8),
+        expr.add(
+            expr.mul(expr.rational(4), dform_known(known, 2)), qval(2)
+        ),
     )
 
     # degree -3: 4 d nu(chi) = 3 nu - q, unknown weight 1: 7 nu_v = 4*known + q_v
     known = (nu0, nu1, nu2, _ZERO, _ZERO)
     nu34 = [
-        expr.simplify(
-            expr.mul(
-                expr.rational(1, 7),
-                _simp_add(
-                    expr.mul(expr.rational(4), dform_known(known, v)), qval(v)
-                ),
-            )
+        expr.mul(
+            expr.rational(1, 7),
+            expr.add(
+                expr.mul(expr.rational(4), dform_known(known, v)), qval(v)
+            ),
         )
         for v in (3, 4)
     ]
@@ -1315,15 +1292,13 @@ def morimoto_connection_235(params: Grading235Params) -> Connection:
     conn = _rotation_connection(g, nu)
 
     finv = g.coframe()
-    mu2 = expr.simplify(expr.sub(nu2, lam[2]))
-    mu3 = tuple(expr.simplify(expr.sub(nu34[i], lam[3 + i])) for i in range(2))
+    mu2 = expr.sub(nu2, lam[2])
+    mu3 = tuple(expr.sub(nu34[i], lam[3 + i]) for i in range(2))
     params.mu2 = mu2
     params.mu3 = mu3
-    params.mu2_form = tuple(
-        expr.simplify(expr.mul(mu2, finv[2][a])) for a in range(m.dim)
-    )
+    params.mu2_form = tuple(expr.mul(mu2, finv[2][a]) for a in range(m.dim))
     params.mu3_form = tuple(
-        _simp_add(expr.mul(mu3[0], finv[3][a]), expr.mul(mu3[1], finv[4][a]))
+        expr.add(expr.mul(mu3[0], finv[3][a]), expr.mul(mu3[1], finv[4][a]))
         for a in range(m.dim)
     )
     params._connection = conn

@@ -144,7 +144,7 @@ class FramedManifold:
             raise ManifoldError(f"metric must be a {r}x{r} matrix")
         for i in range(r):
             for j in range(i + 1, r):
-                if expr.simplify(rows[i][j]) is not expr.simplify(rows[j][i]):
+                if rows[i][j] is not rows[j][i]:
                     raise ManifoldError("metric matrix must be symmetric")
         self.metric = tuple(rows)
 
@@ -231,7 +231,7 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
         for a, c in enumerate(m.coords):
             terms.append(expr.mul(x.components[a], expr.differentiate(y.components[k], c)))
             terms.append(expr.neg(expr.mul(y.components[a], expr.differentiate(x.components[k], c))))
-        out.append(expr.simplify(expr.add(*terms)))
+        out.append(expr.add(*terms))
     return VectorField(m, out)
 
 
@@ -243,10 +243,6 @@ def _is_nonzero_const(e: Expr) -> bool:
     return isinstance(e, (expr.Rat, expr.Flt)) and not _is_zero(e)
 
 
-def _simp_add(*terms):
-    return expr.simplify(expr.add(*terms))
-
-
 def _gram_schmidt_horizontal(m: FramedManifold):
     """Orthonormalize the horizontal frame symbolically; returns VectorFields."""
     r = m.rank
@@ -254,7 +250,7 @@ def _gram_schmidt_horizontal(m: FramedManifold):
     basis = [[expr.rational(1 if j == i else 0) for j in range(r)] for i in range(r)]
 
     def inner(u, v):
-        return _simp_add(
+        return expr.add(
             *[
                 expr.mul(u[i], m.metric[i][j], v[j])
                 for i in range(r)
@@ -268,15 +264,15 @@ def _gram_schmidt_horizontal(m: FramedManifold):
         for prev in ortho:
             coef = inner(vec, prev)
             vec = [
-                _simp_add(vec[j], expr.neg(expr.mul(coef, prev[j]))) for j in range(r)
+                expr.add(vec[j], expr.neg(expr.mul(coef, prev[j]))) for j in range(r)
             ]
         nrm = expr.sqrt(inner(vec, vec))
         inv = expr.pow_(nrm, -1)
-        ortho.append([expr.simplify(expr.mul(inv, c)) for c in vec])
+        ortho.append([expr.mul(inv, c) for c in vec])
     fields = []
     for coeffs in ortho:
         comps = [
-            _simp_add(
+            expr.add(
                 *[expr.mul(coeffs[i], m.frames[i].components[a]) for i in range(r)]
             )
             for a in range(m.dim)
@@ -307,13 +303,13 @@ def _gauss_jordan(rows, n: int):
             raise ManifoldError("frame matrix is not symbolically invertible")
         rows[col], rows[pivot] = rows[pivot], rows[col]
         inv = expr.pow_(rows[col][col], -1)
-        rows[col] = [expr.simplify(expr.mul(inv, e)) for e in rows[col]]
+        rows[col] = [expr.mul(inv, e) for e in rows[col]]
         for r in range(n):
             if r == col or _is_zero(rows[r][col]):
                 continue
             f = rows[r][col]
             rows[r] = [
-                expr.simplify(expr.sub(rows[r][c], expr.mul(f, rows[col][c])))
+                expr.sub(rows[r][c], expr.mul(f, rows[col][c]))
                 for c in range(width)
             ]
     return rows
@@ -348,16 +344,9 @@ def structure_functions(m: FramedManifold):
             for j in range(i + 1, n):
                 br = bracket(m.frames[i], m.frames[j])
                 for k in range(n):
-                    e = expr.simplify(
-                        expr.add(
-                            *[
-                                expr.mul(finv[k][a], br.components[a])
-                                for a in range(n)
-                            ]
-                        )
-                    )
+                    e = expr.add(*[expr.mul(finv[k][a], br.components[a]) for a in range(n)])
                     c[i][j][k] = e
-                    c[j][i][k] = expr.simplify(expr.neg(e))
+                    c[j][i][k] = expr.neg(e)
         m._structure_functions = c
     return m._structure_functions
 

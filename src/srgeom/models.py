@@ -77,7 +77,7 @@ def carnot_group_manifold(algebra: CarnotAlgebra, coords=None,
                             xs[a],
                             xs[b],
                         )
-        frames.append([expr.simplify(c) for c in comp])
+        frames.append(comp)
 
     if metric is None:
         r = algebra.layer_dims[0]

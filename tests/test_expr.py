@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srgeom import expr
 from srgeom.expr import (
@@ -212,6 +214,32 @@ def test_construction_division_by_zero():
 def test_sqrt_of_square_power():
     assert pow_(sqrt(X), 2) is X
     assert pow_(sqrt(X), 4) is pow_(X, 2)
+
+
+def test_mul_merges_folded_sqrt_with_its_base():
+    u = add(1, pow_(X, 2))
+    assert mul(pow_(sqrt(u), -1), pow_(sqrt(u), -1), u) is expr.ONE
+
+
+_SHARED_BASES = (X, add(1, pow_(X, 2)), add(Y, mul(X, Z)))
+_OTHER_FACTORS = (Y, Z, rational(2, 3), sin(X), add(X, Y))
+
+
+@st.composite
+def _products_over_shared_bases(draw):
+    factors = []
+    for u in draw(st.lists(st.sampled_from(_SHARED_BASES), min_size=1, max_size=6)):
+        if draw(st.booleans()):
+            u = sqrt(u)
+        factors.append(pow_(u, draw(st.integers(-3, 3))))
+    factors += draw(st.lists(st.sampled_from(_OTHER_FACTORS), max_size=3))
+    return mul(*draw(st.permutations(factors)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_products_over_shared_bases())
+def test_constructor_output_is_simplify_fixed_point(e):
+    assert simplify(e) is e
 
 
 def test_pow_of_mul_distributes():

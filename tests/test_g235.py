@@ -11,6 +11,7 @@ from srgeom.g235 import (
     intrinsic_frame_235,
     morimoto_connection_235,
     morimoto_grading_235,
+    q_map,
 )
 from srgeom.manifold import (
     _default_samples,
@@ -64,11 +65,20 @@ def test_perturbed_adapted_connection_is_not_flat(perturbed):
     assert rep.curvature_residual == pytest.approx(0.09683132718135146, abs=1e-10)
 
 
-@pytest.mark.parametrize("chart", ["cartan", "perturbed"])
-def test_grading_satisfies_form_characterization(chart, request):
+def test_perturbed_morimoto_connection_is_normalized_but_not_flat():
+    m = perturbed_235_manifold(0.1)
+    pts = _default_samples(m)
+    conn = morimoto_connection_235(morimoto_grading_235(m, sample_points=pts))
+    assert check_morimoto(conn, pts).ok
+    rep = flatness_check(conn, pts)
+    assert not rep.flat
+    assert rep.torsion_residual == pytest.approx(0.054897400767521844, abs=1e-10)
+    assert rep.curvature_residual == pytest.approx(0.04495192438719752, abs=1e-10)
+
+
+def _assert_form_characterization(m, pts, data):
     # theta is the coframe member dual to Z: d theta(X_e, .) kills Z and the
     # degree -3 layer, and theta([X_1, X_2]) = 1
-    m, pts, data = request.getfixturevalue(chart)
     c = data.grading.structure_functions()
     for p in pts:
         p = m.point(p)
@@ -76,6 +86,25 @@ def test_grading_satisfies_form_characterization(chart, request):
             for b in range(2, 5):
                 assert abs(expr.evaluate(c[e][b][2], p)) <= 1e-12
         assert abs(expr.evaluate(c[0][1][2], p) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("chart", ["cartan", "perturbed"])
+def test_grading_satisfies_form_characterization(chart, request):
+    _assert_form_characterization(*request.getfixturevalue(chart))
+
+
+def test_q_map_is_tensorial(perturbed):
+    m, pts, data = perturbed
+    q = q_map(data)
+    x, y = data.x[0], data.x[1]
+    f = expr.add(expr.ONE, expr.mul(expr.var("x1"), expr.var("x3")))
+    base = q(x, y)
+    for p in pts:
+        p = m.point(p)
+        want = expr.evaluate(f, p) * base.value_at(p)
+        assert np.abs(want).max() > 1e-3
+        assert np.abs(q(x.scaled(f), y).value_at(p) - want).max() <= 1e-12
+        assert np.abs(q(x, y.scaled(f)).value_at(p) - want).max() <= 1e-12
 
 
 def _span_projector(fields, p):
@@ -96,3 +125,7 @@ def test_fields_do_not_depend_on_horizontal_frame(cartan):
         assert np.abs(rotated.zp.value_at(p) - data.zp.value_at(p)).max() <= 1e-12
         moved = _span_projector(rotated.wp, p) - _span_projector(data.wp, p)
         assert np.abs(moved).max() <= 1e-12
+    _assert_form_characterization(m, pts, rotated)
+    rep = flatness_check(connection_235(rotated), pts)
+    assert rep.flat
+    assert max(rep.torsion_residual, rep.curvature_residual) <= 1e-8
