@@ -18,14 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr
-from .expr import Expr
 from .lie import CarnotAlgebra, _onb_columns, isometry_algebra
 from .manifold import (
     FramedManifold,
     ManifoldError,
     VectorField,
     _gauss_jordan,
+    bracket,
+    frame_combination,
     frame_inverse,
+    growth_flag,
     structure_functions,
 )
 
@@ -202,15 +204,13 @@ class Grading:
                     out[i][j][k] = expr.neg(c[i][j][k])
         return out
 
-    def validate(self, points, tol: float = 1e-8):
+    def validate(self, points):
         """Check the flag decomposition at sample points; returns max residual.
 
         For each k, the span of the adapted fields of degrees <= k must equal
         the k-th bracket-flag subspace of the base manifold's horizontal
         bundle, and the two spans must fill it as a direct sum.
         """
-        from .manifold import growth_flag
-
         worst = 0.0
         for point in points:
             p = self.base.point(point)
@@ -274,12 +274,7 @@ class TamingMetric:
     matrix: tuple  # n x n Expr entries in the adapted frame
 
     def at(self, point) -> np.ndarray:
-        p = self.grading.frame.point(point)
-        cache: dict = {}
-        n = self.grading.dim
-        return np.array(
-            [[expr._eval(self.matrix[i][j], p, cache) for j in range(n)] for i in range(n)]
-        )
+        return expr.evaluate_array(self.matrix, self.grading.frame.point(point))
 
 
 def _wedge_classes(grading: Grading):
@@ -499,7 +494,6 @@ class Connection:
             n = self.grading.dim
             c = self.grading.structure_functions()
             fields = self.grading.fields
-            coords = self.grading.frame.coords
             out = []
             for i in range(n):
                 row_i = []
@@ -508,23 +502,11 @@ class Connection:
                     for k in range(n):
                         comps = []
                         for l in range(n):
-                            terms = []
                             # directional derivatives of the Christoffels
-                            for a, coord in enumerate(coords):
-                                terms.append(
-                                    expr.mul(
-                                        fields[i].components[a],
-                                        expr.differentiate(self.gamma[j][k][l], coord),
-                                    )
-                                )
-                                terms.append(
-                                    expr.neg(
-                                        expr.mul(
-                                            fields[j].components[a],
-                                            expr.differentiate(self.gamma[i][k][l], coord),
-                                        )
-                                    )
-                                )
+                            terms = [
+                                fields[i].apply(self.gamma[j][k][l]),
+                                fields[j].apply(self.gamma[i][k][l], expr.MINUS_ONE),
+                            ]
                             for mm in range(n):
                                 terms.append(
                                     expr.mul(self.gamma[j][k][mm], self.gamma[i][mm][l])
@@ -547,48 +529,13 @@ class Connection:
     # -- pointwise tensors ----------------------------------------------------
 
     def torsion_at(self, point) -> np.ndarray:
-        p = self.grading.frame.point(point)
-        t = self.torsion_tensor()
-        n = self.grading.dim
-        cache: dict = {}
-        return np.array(
-            [
-                [[expr._eval(t[i][j][k], p, cache) for k in range(n)] for j in range(n)]
-                for i in range(n)
-            ]
-        )
+        return expr.evaluate_array(self.torsion_tensor(), self.grading.frame.point(point))
 
     def curvature_at(self, point) -> np.ndarray:
-        p = self.grading.frame.point(point)
-        r = self.curvature_tensor()
-        n = self.grading.dim
-        cache: dict = {}
-        return np.array(
-            [
-                [
-                    [
-                        [expr._eval(r[i][j][k][l], p, cache) for l in range(n)]
-                        for k in range(n)
-                    ]
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
+        return expr.evaluate_array(self.curvature_tensor(), self.grading.frame.point(point))
 
     def gamma_at(self, point) -> np.ndarray:
-        p = self.grading.frame.point(point)
-        n = self.grading.dim
-        cache: dict = {}
-        return np.array(
-            [
-                [
-                    [expr._eval(self.gamma[i][j][k], p, cache) for k in range(n)]
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
+        return expr.evaluate_array(self.gamma, self.grading.frame.point(point))
 
     # -- derivatives of general fields ---------------------------------------
 
@@ -598,29 +545,17 @@ class Connection:
         xs = g.components_in_frame(x)
         ys = g.components_in_frame(y)
         n = g.dim
-        coords = g.frame.coords
         fields = g.fields
         out_frame = []
         for k in range(n):
             terms = []
             for i in range(n):
                 # x^i W_i(y^k)
-                for a, coord in enumerate(coords):
-                    terms.append(
-                        expr.mul(
-                            xs[i],
-                            fields[i].components[a],
-                            expr.differentiate(ys[k], coord),
-                        )
-                    )
+                terms.append(fields[i].apply(ys[k], xs[i]))
                 for j in range(n):
                     terms.append(expr.mul(xs[i], ys[j], self.gamma[i][j][k]))
             out_frame.append(expr.add(*terms))
-        comps = [
-            expr.add(*[expr.mul(out_frame[i], fields[i].components[a]) for i in range(n)])
-            for a in range(g.frame.dim)
-        ]
-        return VectorField(g.base, comps)
+        return frame_combination(g.base, fields, out_frame)
 
 
 def flat_frame_connection(grading: Grading) -> Connection:
@@ -638,16 +573,10 @@ def levi_civita(tm: TamingMetric) -> Connection:
     gmat = tm.matrix
     ginv = _symbolic_inverse([list(row) for row in gmat])
     fields = g.fields
-    coords = g.frame.coords
 
     def dmetric(i, j, k):
         # W_i <W_j, W_k>
-        return expr.add(
-            *[
-                expr.mul(fields[i].components[a], expr.differentiate(gmat[j][k], coord))
-                for a, coord in enumerate(coords)
-            ]
-        )
+        return fields[i].apply(gmat[j][k])
 
     def cdown(i, j, k):
         # <[W_i, W_j], W_k>
@@ -680,8 +609,6 @@ def torsion(conn: Connection):
     """Torsion as a bilinear map on vector fields."""
 
     def t(x: VectorField, y: VectorField) -> VectorField:
-        from .manifold import bracket
-
         return (
             conn.covariant_derivative(x, y)
             - conn.covariant_derivative(y, x)
@@ -695,8 +622,6 @@ def curvature(conn: Connection):
     """Curvature as an operator-valued map on vector-field pairs."""
 
     def r(x: VectorField, y: VectorField):
-        from .manifold import bracket
-
         def apply(w: VectorField) -> VectorField:
             return (
                 conn.covariant_derivative(x, conn.covariant_derivative(y, w))
@@ -728,11 +653,7 @@ def t_zero(grading: Grading):
             )
             for k in range(n)
         ]
-        comps = [
-            expr.add(*[expr.mul(out_frame[i], fields[i].components[a]) for i in range(n)])
-            for a in range(grading.frame.dim)
-        ]
-        return VectorField(grading.base, comps)
+        return frame_combination(grading.base, fields, out_frame)
 
     return tt
 
@@ -763,78 +684,54 @@ def check_compatible(conn: Connection, points, tol: float = 1e-8) -> Compatibili
     """Layer parallelism, horizontal metric rule, and degree-0-torsion parallelism."""
     g = conn.grading
     n = g.dim
-    coords = g.frame.coords
     fields = g.fields
     gm = g.frame.metric
     r = g.layer_dims[0]
 
-    # (a) residual: Christoffel components that change layer
-    worst_layers = 0.0
-    # (b) residual: metric derivative rule on horizontal pairs
-    worst_metric = 0.0
-    # (c) residual: covariant derivative of the degree-0 torsion
-    worst_tz = 0.0
-
     tz = g.t_zero_tensor()
 
-    metric_terms = {}
+    # metric derivative rule on horizontal pairs
+    metric_terms = []
     for i in range(n):
         for j in range(r):
             for k in range(r):
-                dterm = expr.add(
-                    *[
-                        expr.mul(fields[i].components[a], expr.differentiate(gm[j][k], coord))
-                        for a, coord in enumerate(coords)
-                    ]
-                )
+                dterm = fields[i].apply(gm[j][k])
                 sterm = expr.add(
                     *[
                         expr.add(
-                            expr.mul(conn.gamma[i][j][mm], gm[mm][k])
-                            if mm < r
-                            else _ZERO,
-                            expr.mul(conn.gamma[i][k][mm], gm[j][mm])
-                            if mm < r
-                            else _ZERO,
+                            expr.mul(conn.gamma[i][j][mm], gm[mm][k]),
+                            expr.mul(conn.gamma[i][k][mm], gm[j][mm]),
                         )
-                        for mm in range(n)
+                        for mm in range(r)
                     ]
                 )
-                metric_terms[i, j, k] = expr.sub(dterm, sterm)
+                metric_terms.append(expr.sub(dterm, sterm))
 
-    nab_tz = {}
+    # covariant derivative of the degree-0 torsion
+    nab_tz = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    terms = [
-                        expr.mul(
-                            fields[i].components[a],
-                            expr.differentiate(tz[j][k][l], coord),
-                        )
-                        for a, coord in enumerate(coords)
-                    ]
+                    terms = [fields[i].apply(tz[j][k][l])]
                     for mm in range(n):
                         terms.append(expr.mul(tz[j][k][mm], conn.gamma[i][mm][l]))
                         terms.append(expr.neg(expr.mul(conn.gamma[i][j][mm], tz[mm][k][l])))
                         terms.append(expr.neg(expr.mul(conn.gamma[i][k][mm], tz[j][mm][l])))
-                    nab_tz[i, j, k, l] = expr.add(*terms)
+                    nab_tz.append(expr.add(*terms))
 
+    # Christoffel components [i][j][k] that change layer
+    deg = np.array(g.degrees)
+    layer_change = deg[:, None] != deg[None, :]
+    worst_layers = worst_metric = worst_tz = 0.0
     for point in points:
         p = g.frame.point(point)
-        cache: dict = {}
-        for i in range(n):
-            for j in range(n):
-                dj = g.degree_of(j)
-                for k in range(n):
-                    if g.degree_of(k) != dj:
-                        worst_layers = max(
-                            worst_layers, abs(expr._eval(conn.gamma[i][j][k], p, cache))
-                        )
-        for key, e in metric_terms.items():
-            worst_metric = max(worst_metric, abs(expr._eval(e, p, cache)))
-        for key, e in nab_tz.items():
-            worst_tz = max(worst_tz, abs(expr._eval(e, p, cache)))
+        gam = conn.gamma_at(p)[:, layer_change]
+        met = expr.evaluate_array(metric_terms, p)
+        ntz = expr.evaluate_array(nab_tz, p)
+        worst_layers = max(worst_layers, float(np.abs(gam).max(initial=0.0)))
+        worst_metric = max(worst_metric, float(np.abs(met).max(initial=0.0)))
+        worst_tz = max(worst_tz, float(np.abs(ntz).max(initial=0.0)))
 
     return CompatibilityReport(
         layers_parallel=worst_layers <= tol,
@@ -867,8 +764,7 @@ class MorimotoReport:
         return max(self.residual_r, self.residual_t)
 
 
-def check_morimoto(conn: Connection, points, convention: str = "selector",
-                   tol: float = 1e-8) -> MorimotoReport:
+def check_morimoto(conn: Connection, points, tol: float = 1e-8) -> MorimotoReport:
     """Residuals of the two normalization identities of the canonical pair.
 
     For every sample point, every isometry generator D of the pointwise
@@ -882,22 +778,17 @@ def check_morimoto(conn: Connection, points, convention: str = "selector",
     n = g.dim
     chi = selector(g)
     compat = check_compatible(conn, points, tol=tol)
+    tz = g.t_zero_tensor()
 
     worst_r = 0.0
     worst_t = 0.0
     for point in points:
         p = g.frame.point(point)
-        gram = g.gram_at(p, convention)
+        gram = g.gram_at(p)
         ginv = np.linalg.inv(gram)
         tten = conn.torsion_at(p)
         rten = conn.curvature_at(p)
-        tzt = np.zeros((n, n, n))
-        tz = g.t_zero_tensor()
-        cache: dict = {}
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    tzt[i, j, k] = expr._eval(tz[i][j][k], p, cache)
+        tzt = expr.evaluate_array(tz, p)
 
         chimats = [chi.matrix_at(p, v) for v in range(n)]
         isos = g.isometries_at(p)
@@ -936,17 +827,14 @@ def torsion_id_residual(conn: Connection, points) -> float:
     for point in points:
         p = g.frame.point(point)
         tten = conn.torsion_at(p)
-        cache: dict = {}
+        tzt = expr.evaluate_array(tz, p)
         for i in range(n):
             for j in range(n):
                 target = g.degree_of(i) + g.degree_of(j)
                 for k in range(n):
                     dk = g.degree_of(k)
                     if dk == target:
-                        worst = max(
-                            worst,
-                            abs(tten[i, j, k] - expr._eval(tz[i][j][k], p, cache)),
-                        )
+                        worst = max(worst, abs(tten[i, j, k] - tzt[i, j, k]))
                     elif dk > target:
                         worst = max(worst, abs(tten[i, j, k]))
     return worst
@@ -995,8 +883,7 @@ class FlatnessReport:
     curvature_residual: float
 
 
-def flatness_check(conn: Connection, points, convention: str = "selector",
-                   tol: float = 1e-8) -> FlatnessReport:
+def flatness_check(conn: Connection, points, tol: float = 1e-8) -> FlatnessReport:
     """Verdict on whether torsion reduces to degree zero and curvature vanishes.
 
     Components are measured in the orthonormalized adapted frame of the
@@ -1004,24 +891,16 @@ def flatness_check(conn: Connection, points, convention: str = "selector",
     group of the symbol.
     """
     g = conn.grading
-    n = g.dim
     worst_t = 0.0
     worst_r = 0.0
     tz = g.t_zero_tensor()
     for point in points:
         p = g.frame.point(point)
-        gram = g.gram_at(p, convention)
-        q = _onb_columns(gram)
+        q = _onb_columns(g.gram_at(p))
         qinv = np.linalg.inv(q)
         tten = conn.torsion_at(p)
         rten = conn.curvature_at(p)
-        cache: dict = {}
-        tzt = np.array(
-            [
-                [[expr._eval(tz[i][j][k], p, cache) for k in range(n)] for j in range(n)]
-                for i in range(n)
-            ]
-        )
+        tzt = expr.evaluate_array(tz, p)
         dt = np.einsum("ia,jb,ijk,kc->abc", q, q, tten - tzt, qinv.T)
         dr = np.einsum("ia,jb,kc,ijkl,ld->abcd", q, q, q, rten, qinv.T)
         worst_t = max(worst_t, float(np.abs(dt).max()))

@@ -25,6 +25,8 @@ from .manifold import (
     _default_samples,
     _gram_schmidt_horizontal,
     bracket,
+    frame_bracket,
+    frame_combination,
     frame_inverse,
     growth_flag,
     structure_functions,
@@ -112,10 +114,6 @@ def _matadd(*mats):
     ]
 
 
-def _eval_matrix(mat, p, cache) -> np.ndarray:
-    return np.array([[expr._eval(e, p, cache) for e in row] for row in mat])
-
-
 def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int = 1) -> ContactData:
     """Normalize the contact structure of a constant-symbol manifold.
 
@@ -183,9 +181,7 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     clusters0 = None
     ratios0 = None
     for point in sample_points:
-        p = m.point(point)
-        cache: dict = {}
-        dnum = _eval_matrix(dmat, p, cache)
+        dnum = expr.evaluate_array(dmat, m.point(point))
         msq = -dnum @ dnum
         eigs = np.linalg.eigvalsh(msq)[::-1]
         if eigs[0] <= 0 or eigs[-1] <= 1e-9 * eigs[0]:
@@ -257,29 +253,17 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     # solves d(theta)(Z^0, F_b) = 0:  sum_a u_a D_ab = (1/t) c^v_{vb}... via
     # u = t J Lambda rhs with rhs_b = (1/t) c_aux[v][b][v] - F_b(1/t)
     tinv = expr.pow_(t, -1)
-    rhs = []
-    for b in range(r):
-        der = expr.add(
-            *[
-                expr.mul(fields[b].components[a], expr.differentiate(tinv, coord))
-                for a, coord in enumerate(m.coords)
-            ]
-        )
-        rhs.append(expr.add(expr.mul(tinv, caux[v][b][v]), expr.neg(der)))
+    rhs = [
+        expr.add(expr.mul(tinv, caux[v][b][v]), expr.neg(fields[b].apply(tinv)))
+        for b in range(r)
+    ]
     jl = _matmul(jmat, lam_matrix)
     u = [
         expr.add(*[expr.mul(t, jl[a][b], rhs[b]) for b in range(r)])
         for a in range(r)
     ]
     reeb_coeffs = tuple(u) + (tinv,)
-    reeb_comps = [
-        expr.add(
-            expr.mul(tinv, vert_raw.components[a]),
-            *[expr.mul(u[c], fields[c].components[a]) for c in range(r)],
-        )
-        for a in range(m.dim)
-    ]
-    reeb = VectorField(m, reeb_comps)
+    reeb = frame_combination(m, aux.frames, reeb_coeffs)
 
     return ContactData(
         manifold=m,
@@ -302,58 +286,14 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
 
 
 # ---------------------------------------------------------------------------
-# frame-coefficient calculus over the auxiliary frame
-
-
-def _hderiv(cd: ContactData, f: Expr, i: int, frame_fields) -> Expr:
-    field = frame_fields[i]
-    return expr.add(
-        *[
-            expr.mul(field.components[a], expr.differentiate(f, coord))
-            for a, coord in enumerate(cd.manifold.coords)
-        ]
-    )
-
-
-def _bracket_coeffs(cd: ContactData, u, w, ctab, frame_fields):
-    """Bracket of two aux-frame coefficient vectors, as coefficients."""
-    nn = len(u)
-    out = []
-    for k in range(nn):
-        terms = []
-        for a in range(nn):
-            if u[a] is not _ZERO:
-                terms.append(expr.mul(u[a], _hderiv(cd, w[k], a, frame_fields)))
-            if w[a] is not _ZERO:
-                terms.append(expr.neg(expr.mul(w[a], _hderiv(cd, u[k], a, frame_fields))))
-        for a in range(nn):
-            if u[a] is _ZERO:
-                continue
-            for b in range(nn):
-                if w[b] is _ZERO:
-                    continue
-                terms.append(expr.mul(u[a], w[b], ctab[a][b][k]))
-        out.append(expr.add(*terms))
-    return out
+# grading
 
 
 def upsilon_fields(cd: ContactData):
     """Cross-eigenbundle obstruction fields, indexed by ordered pairs."""
-    coeffs = _upsilon_coeffs(cd)
     return {
-        key: VectorField(
-            cd.manifold,
-            [
-                expr.add(
-                    *[
-                        expr.mul(vec[c], cd.ortho_frame[c].components[a])
-                        for c in range(cd.rank)
-                    ]
-                )
-                for a in range(cd.manifold.dim)
-            ],
-        )
-        for key, vec in coeffs.items()
+        key: frame_combination(cd.manifold, cd.ortho_frame, vec)
+        for key, vec in _upsilon_coeffs(cd).items()
     }
 
 
@@ -363,7 +303,6 @@ def _upsilon_coeffs(cd: ContactData):
     if k == 1:
         return {}
     ctab = structure_functions(cd.aux)
-    frame_fields = cd.aux.frames
     out = {}
     for i in range(k):
         for j in range(k):
@@ -382,7 +321,7 @@ def _upsilon_coeffs(cd: ContactData):
                     )
                     for c in range(r)
                 ] + [_ZERO]
-                brk = _bracket_coeffs(cd, ucol, jcol, ctab, frame_fields)
+                brk = frame_bracket(cd.aux.frames, ctab, ucol, jcol)
                 for c in range(r):
                     # pr[i] of the horizontal part
                     acc[c] = expr.add(
@@ -418,7 +357,6 @@ def morimoto_grading_contact(cd: ContactData) -> ContactGradingParams:
     """Canonical grading: the weighted sum of the cross-eigenbundle fields."""
     r = cd.rank
     ups = _upsilon_coeffs(cd)
-    k = len(cd.lam_op)
     tr_lam = float(
         sum(n * lo**-2.0 for lo, n in zip(cd.lam_op, cd.multiplicities))
     )
@@ -428,31 +366,12 @@ def morimoto_grading_contact(cd: ContactData) -> ContactGradingParams:
             (2.0 / tr_lam) * cd.lam_op[i - 1] ** 2 / cd.lam_op[j - 1]
         )
         w = [expr.add(w[c], expr.mul(coef, vec[c])) for c in range(r)]
-    w_field = VectorField(
-        cd.manifold,
-        [
-            expr.add(
-                *[expr.mul(w[c], cd.ortho_frame[c].components[a]) for c in range(r)]
-            )
-            for a in range(cd.manifold.dim)
-        ],
-    )
+    w_field = frame_combination(cd.manifold, cd.ortho_frame, w)
     jw = [
         expr.add(*[expr.mul(cd.jmat[c][d], w[d]) for d in range(r)])
         for c in range(r)
     ]
-    zw_comps = [
-        expr.add(
-            cd.reeb.components[a],
-            expr.neg(
-                expr.add(
-                    *[expr.mul(jw[c], cd.ortho_frame[c].components[a]) for c in range(r)]
-                )
-            ),
-        )
-        for a in range(cd.manifold.dim)
-    ]
-    zw_field = VectorField(cd.manifold, zw_comps)
+    zw_field = cd.reeb - frame_combination(cd.manifold, cd.ortho_frame, jw)
     grading = Grading(cd.manifold, [cd.ortho_frame, (zw_field,)])
     return ContactGradingParams(cd, tuple(w), w_field, zw_field, grading)
 
@@ -489,16 +408,16 @@ def _tau_tensor(cd: ContactData, params: ContactGradingParams):
                 continue
             for j in range(r):
                 aj = embed([proj[c][j] for c in range(r)])
-                bra = _bracket_coeffs(cd, ui, aj, ctab, frame_fields)
+                bra = frame_bracket(frame_fields, ctab, ui, aj)
                 for kk in range(r):
                     bk = embed([proj[c][kk] for c in range(r)])
-                    brb = _bracket_coeffs(cd, ui, bk, ctab, frame_fields)
+                    brb = frame_bracket(frame_fields, ctab, ui, bk)
                     gab = expr.add(
                         *[expr.mul(proj[c][j], proj[c][kk]) for c in range(r)]
                     )
                     du = expr.add(
                         *[
-                            expr.mul(ui[a], _hderiv(cd, gab, a, frame_fields))
+                            expr.mul(ui[a], frame_fields[a].apply(gab))
                             for a in range(nn)
                             if ui[a] is not _ZERO
                         ]
@@ -568,7 +487,7 @@ def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connectio
                 if i < r:
                     for kk in range(r):
                         terms = [
-                            expr.mul(acol[a], _hderiv(cd, bcol[kk], a, frame_fields))
+                            expr.mul(acol[a], frame_fields[a].apply(bcol[kk]))
                             for a in range(r)
                         ]
                         for a in range(r):
@@ -578,9 +497,7 @@ def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connectio
                                 )
                         t1[kk] = expr.add(*terms)
                 # term 2: pr[p] [ W_i - pr[p]W_i, pr[p]F_j ]
-                brk = _bracket_coeffs(
-                    cd, ui, list(bcol) + [_ZERO], ctab, frame_fields
-                )
+                brk = frame_bracket(frame_fields, ctab, ui, list(bcol) + [_ZERO])
                 for kk in range(r):
                     val = expr.add(
                         *[
@@ -606,7 +523,7 @@ def _dj_tensor(cd: ContactData, conn: Connection):
     for i in range(nn):
         for b in range(r):
             for kk in range(r):
-                terms = [_hderiv(cd, cd.jmat[kk][b], i, frame_fields)]
+                terms = [frame_fields[i].apply(cd.jmat[kk][b])]
                 for c in range(r):
                     terms.append(expr.mul(cd.jmat[c][b], conn.gamma[i][c][kk]))
                     terms.append(

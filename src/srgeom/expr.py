@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 class ExprError(Exception):
     """Base class for expression errors."""
@@ -571,6 +573,22 @@ def evaluate_many(exprs, point: dict):
     """Evaluate several expressions sharing one per-point cache."""
     cache: dict = {}
     return [_eval(_coerce(e), point, cache) for e in exprs]
+
+
+def evaluate_array(table, point: dict) -> np.ndarray:
+    """Evaluate a nested table (lists or tuples) of expressions to an ndarray.
+
+    All entries share one per-point cache, so subexpressions common to
+    several entries are evaluated once.
+    """
+    cache: dict = {}
+
+    def walk(t):
+        if isinstance(t, (list, tuple)):
+            return [walk(x) for x in t]
+        return _eval(_coerce(t), point, cache)
+
+    return np.array(walk(table), dtype=float)
 
 
 def _eval(e: Expr, point: dict, cache: dict) -> float:

@@ -19,7 +19,10 @@ frame: every corrected field is stored as a coefficient row over that frame,
 brackets are expanded through the frame structure functions, and the adapted
 gradings receive their coframe and structure functions from closed-form
 inverses of the (block unitriangular) coefficient matrices.  Only the bracket
-frame itself is ever inverted at the coordinate level.
+frame itself is ever inverted at the coordinate level.  The calculus is the
+one ``contact`` uses too: ``manifold.frame_bracket`` brackets coefficient
+rows, ``manifold.frame_combination`` turns them back into fields, and
+``VectorField.apply`` differentiates along a frame field.
 """
 
 from dataclasses import dataclass, field
@@ -32,9 +35,12 @@ from .manifold import (
     ManifoldError,
     VectorField,
     _default_samples,
+    _gauss_jordan,
     _gram_schmidt_horizontal,
     _is_zero,
     bracket,
+    frame_bracket,
+    frame_combination,
     frame_inverse,
     growth_flag,
     structure_functions,
@@ -59,86 +65,11 @@ _ONE = expr.rational(1)
 _HALF = expr.rational(1, 2)
 
 
-def _dderiv(coords, fld: VectorField, f):
-    """Derivative of a scalar expression along a vector field."""
-    return expr.add(
-        *[
-            expr.mul(fld.components[a], expr.differentiate(f, c))
-            for a, c in enumerate(coords)
-            if not _is_zero(fld.components[a])
-        ]
-    )
-
-
-def _brk(coords, frame_fields, ctab, u, w):
-    """Bracket of two frame-coefficient vectors, again as coefficients."""
-    n = len(u)
-    out = []
-    for k in range(n):
-        terms = []
-        for a in range(n):
-            if not _is_zero(u[a]) and not _is_zero(w[k]):
-                terms.append(expr.mul(u[a], _dderiv(coords, frame_fields[a], w[k])))
-            if not _is_zero(w[a]) and not _is_zero(u[k]):
-                terms.append(
-                    expr.neg(expr.mul(w[a], _dderiv(coords, frame_fields[a], u[k])))
-                )
-        for a in range(n):
-            if _is_zero(u[a]):
-                continue
-            for b in range(n):
-                if _is_zero(w[b]) or _is_zero(ctab[a][b][k]):
-                    continue
-                terms.append(expr.mul(u[a], w[b], ctab[a][b][k]))
-        out.append(expr.add(*terms))
-    return out
-
-
-def _field_from_coeffs(m: FramedManifold, frame_fields, coeffs) -> VectorField:
-    comps = [
-        expr.add(
-            *[
-                expr.mul(coeffs[i], frame_fields[i].components[a])
-                for i in range(len(frame_fields))
-                if not _is_zero(coeffs[i])
-            ]
-        )
-        for a in range(m.dim)
-    ]
-    return VectorField(m, comps)
-
-
 def _frame_comp(v, sinv, k):
     """Adapted component k of a bracket-frame coefficient vector."""
     return expr.add(
         *[expr.mul(v[a], sinv[a][k]) for a in range(5) if not _is_zero(v[a])]
     )
-
-
-def _solve_linear_exprs(mat, rhs):
-    """Solve a square linear system with Expr entries by elimination.
-
-    Pivoting follows the diagonal in order; callers arrange the equations so
-    every diagonal entry stays bounded away from zero on the chart (the
-    systems solved here are constant-coefficient perturbations of integer
-    matrices with nonzero leading minors).
-    """
-    n = len(rhs)
-    a = [[mat[i][j] for j in range(n)] + [rhs[i]] for i in range(n)]
-    for i in range(n):
-        inv = expr.div(_ONE, a[i][i])
-        a[i] = [expr.mul(inv, t) for t in a[i]]
-        a[i][i] = _ONE
-        for r in range(n):
-            if r == i or _is_zero(a[r][i]):
-                continue
-            f = a[r][i]
-            a[r] = [
-                expr.sub(a[r][j], expr.mul(f, a[i][j]))
-                for j in range(n + 1)
-            ]
-            a[r][i] = _ZERO
-    return [a[i][n] for i in range(n)]
 
 
 def _unit_lower_inverse(srows):
@@ -170,13 +101,14 @@ def _unit_lower_inverse(srows):
     return out
 
 
-def _seed_grading(grading: Grading, srows, sinv, alpha, coords, xfields, ctab):
-    """Install the coframe and structure functions of an adapted grading.
+def _install_calculus(frame: FramedManifold, srows, sinv, alpha, xfields, ctab):
+    """Install the coframe and structure functions of a frame given by rows.
 
-    Both are assembled from the coefficient rows of the adapted fields over
-    the bracket frame, its coordinate coframe ``alpha`` and its structure
-    functions ``ctab``; this replaces the coordinate-level solve the grading
-    would otherwise perform on its own frame.
+    ``srows`` holds the fields of ``frame`` as coefficient rows over the
+    frame ``xfields``, ``sinv`` is their inverse, ``alpha`` the coordinate
+    coframe of ``xfields`` and ``ctab`` its structure functions.  Assembling
+    the coframe and structure functions of ``frame`` from these replaces the
+    coordinate-level solve the frame would otherwise perform.
     """
     n = 5
     finv = tuple(
@@ -195,14 +127,13 @@ def _seed_grading(grading: Grading, srows, sinv, alpha, coords, xfields, ctab):
     cbar = [[[_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            br = _brk(coords, xfields, ctab, srows[i], srows[j])
+            br = frame_bracket(xfields, ctab, srows[i], srows[j])
             for k in range(n):
                 e = _frame_comp(br, sinv, k)
                 cbar[i][j][k] = e
                 cbar[j][i][k] = expr.neg(e)
-    grading.frame._frame_inverse = finv
-    grading.frame._structure_functions = cbar
-    return cbar
+    frame._frame_inverse = finv
+    frame._structure_functions = cbar
 
 
 def _check_growth(m: FramedManifold, points):
@@ -224,24 +155,25 @@ def _minor2(mat, rows, cols):
     )
 
 
-def _frame_calculus(m: FramedManifold, fields):
-    """Coframe and structure functions of an orthonormal bracket frame.
+def _frame_calculus(m: FramedManifold, aux: FramedManifold):
+    """Install the coframe and structure functions of a bracket frame.
 
-    Only the bracket frame of the manifold's declared horizontal fields is
-    inverted at the coordinate level; the orthonormal bracket frame is a
-    block-triangular coefficient transform of it (horizontal block, degree -2
-    slot, degree -3 block), inverted in closed form.  This keeps the metric
-    normalization factors as isolated atoms instead of threading them
-    through an elimination.
+    ``aux`` is the bracket frame of an orthonormal horizontal frame.  Only
+    the bracket frame of the manifold's declared horizontal fields is
+    inverted at the coordinate level; ``aux`` is a block-triangular
+    coefficient transform of it (horizontal block, degree -2 slot, degree -3
+    block), inverted in closed form.  This keeps the metric normalization
+    factors as isolated atoms instead of threading them through an
+    elimination.
     """
-    coords = m.coords
+    fields = aux.frames
     r1, r2 = m.frames[0], m.frames[1]
     r3 = bracket(r1, r2)
     r4 = bracket(r1, r3)
     r5 = bracket(r2, r3)
     rfields = (r1, r2, r3, r4, r5)
     raux = FramedManifold(
-        coords,
+        m.coords,
         [list(f.components) for f in rfields],
         m.rank,
         structure_class=m.structure_class,
@@ -264,9 +196,9 @@ def _frame_calculus(m: FramedManifold, fields):
             for j in range(2)
         ]
         mrows[i] = row + [_ZERO, _ZERO, _ZERO]
-    mrows[2] = _brk(coords, rfields, c_r, mrows[0], mrows[1])
-    mrows[3] = _brk(coords, rfields, c_r, mrows[0], mrows[2])
-    mrows[4] = _brk(coords, rfields, c_r, mrows[1], mrows[2])
+    mrows[2] = frame_bracket(rfields, c_r, mrows[0], mrows[1])
+    mrows[3] = frame_bracket(rfields, c_r, mrows[0], mrows[2])
+    mrows[4] = frame_bracket(rfields, c_r, mrows[1], mrows[2])
 
     # block inverse: horizontal 2x2 block by adjugate, lower 3x3 block by
     # adjugate over its determinant, mixed block by composition
@@ -315,42 +247,14 @@ def _frame_calculus(m: FramedManifold, fields):
         [lowleft[i][0], lowleft[i][1], cinv[i][0], cinv[i][1], cinv[i][2]]
         for i in range(3)
     ]
-
-    alpha = tuple(
-        tuple(
-            expr.add(
-                *[
-                    expr.mul(minv[k][i], alpha_r[k][a])
-                    for k in range(5)
-                    if not _is_zero(minv[k][i])
-                ]
-            )
-            for a in range(5)
-        )
-        for i in range(5)
-    )
-    c = [[[_ZERO for _ in range(5)] for _ in range(5)] for _ in range(5)]
-    for i in range(5):
-        for j in range(i + 1, 5):
-            br = _brk(coords, rfields, c_r, mrows[i], mrows[j])
-            for k in range(5):
-                e = expr.add(
-                    *[
-                        expr.mul(br[a], minv[a][k])
-                        for a in range(5)
-                        if not _is_zero(br[a])
-                    ]
-                )
-                c[i][j][k] = e
-                c[j][i][k] = expr.neg(e)
-    return alpha, c
+    _install_calculus(aux, mrows, minv, alpha_r, rfields, c_r)
 
 
 def _bracket_frame(m: FramedManifold, x1, x2):
     """The five iterated-bracket fields and their auxiliary frame.
 
-    The auxiliary frame carries precomputed coframe and structure functions
-    from :func:`_frame_calculus`.
+    The auxiliary frame carries the coframe and structure functions
+    installed by :func:`_frame_calculus`.
     """
     if (x1 is None) != (x2 is None):
         raise ManifoldError("provide both horizontal fields or neither")
@@ -366,9 +270,7 @@ def _bracket_frame(m: FramedManifold, x1, x2):
         m.rank,
         structure_class=m.structure_class,
     )
-    alpha, c = _frame_calculus(m, fields)
-    aux._frame_inverse = alpha
-    aux._structure_functions = c
+    _frame_calculus(m, aux)
     return fields, aux
 
 
@@ -390,7 +292,6 @@ def _rotation_connection(grading: Grading, nu_vals) -> Connection:
     """
     n = grading.dim
     cbar = grading.structure_functions()
-    coords = grading.base.coords
     fields = grading.fields
     gamma = [[[_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -423,8 +324,8 @@ def _rotation_connection(grading: Grading, nu_vals) -> Connection:
     for i in range(n):
         for j in range(i + 1, n):
             e = expr.add(
-                _dderiv(coords, fields[i], nu_vals[j]),
-                expr.neg(_dderiv(coords, fields[j], nu_vals[i])),
+                fields[i].apply(nu_vals[j]),
+                expr.neg(fields[j].apply(nu_vals[i])),
                 *[
                     expr.neg(expr.mul(cbar[i][j][k], nu_vals[k]))
                     for k in range(n)
@@ -511,8 +412,7 @@ class Intrinsic235:
     def grading(self) -> Grading:
         if self._grading is None:
             g = Grading(self.manifold, [self.x[:2], (self.zp,), self.wp])
-            _seed_grading(g, self.srows, self.sinv, self.alpha,
-                          self.manifold.coords, self.x, self.c)
+            _install_calculus(g.frame, self.srows, self.sinv, self.alpha, self.x, self.c)
             self._grading = g
         return self._grading
 
@@ -550,11 +450,7 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
     except ManifoldError as exc:
         raise ManifoldError(f"bracket frame is rank deficient: {exc}") from exc
     c = structure_functions(aux)
-    coords = m.coords
     x1f, x2f, x3f, x4f, x5f = fields
-
-    def der(i, f):
-        return _dderiv(coords, fields[i], f)
 
     # two recurring horizontal-coefficient sums of the second layer
     p_sum = expr.add(c[0][3][3], c[0][4][4])
@@ -569,7 +465,7 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
         return [
             expr.add(
                 c[e][j][2],
-                expr.neg(der(e, v)),
+                expr.neg(fields[e].apply(v)),
                 expr.mul(c[e][j][3], p_sum),
                 expr.mul(c[e][j][4], s_sum),
             )
@@ -684,7 +580,6 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     intrinsic one.
     """
     data = intrinsic_frame_235(m, x1, x2, sample_points)
-    coords = m.coords
     xfields = data.x
     c = data.c
     srows = data.srows
@@ -699,7 +594,7 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
         ]
 
     def brk(u, w):
-        return _brk(coords, xfields, c, u, w)
+        return frame_bracket(xfields, c, u, w)
 
     def evec(a, b):
         return [a, b, _ZERO, _ZERO, _ZERO]
@@ -743,7 +638,7 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     ]
     # invert the rotation: upsilon = -J(J upsilon)
     ups = [expr.neg(cc) for cc in jvec(jups)]
-    upsilon = _field_from_coeffs(m, xfields[:2], ups)
+    upsilon = frame_combination(m, xfields[:2], ups)
 
     # ---- intrinsic tensors of the lift geometry -------------------------
     # p pairs the flag image of brackets of horizontal fields with the
@@ -842,15 +737,13 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
             ),
         ],
     ]
-    sol1 = _solve_linear_exprs(mat1, rhs1)
+    aug1 = [mat1[i] + [rhs1[i]] for i in range(4)]
+    sol1 = [row[4] for row in _gauss_jordan(aug1, 4)]
     w1c = sol1[:2]  # rotated components of the degree -2 shift
     w2c = sol1[2:]  # rotated components of the degree -3 vertical tilt
 
-    def hderiv(j, f):
-        return _dderiv(coords, xfields[j], f)
-
-    dw1 = [[hderiv(e, w1c[k]) for k in range(2)] for e in range(2)]
-    dw2 = [[hderiv(e, w2c[j]) for j in range(2)] for e in range(2)]
+    dw1 = [[xfields[e].apply(w1c[k]) for k in range(2)] for e in range(2)]
+    dw2 = [[xfields[e].apply(w2c[j]) for j in range(2)] for e in range(2)]
     w2p = [
         expr.add(expr.mul(w2c[0], p_t[e][0]), expr.mul(w2c[1], p_t[e][1]))
         for e in range(2)
@@ -965,8 +858,8 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
         aff_neg(cbar_y2y[0][1]),
     )
     dkn2 = expr.add(
-        hderiv(0, nu_e[1]),
-        expr.neg(hderiv(1, nu_e[0])),
+        xfields[0].apply(nu_e[1]),
+        expr.neg(xfields[1].apply(nu_e[0])),
         expr.neg(expr.mul(expr.add(cp_t[0], expr.neg(w1c[0])), nu_e[0])),
         expr.neg(expr.mul(expr.add(cp_t[1], expr.neg(w1c[1])), nu_e[1])),
     )
@@ -1016,12 +909,12 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
             aff_neg(qt2),
         ),
     ]
-    mat2 = [[eqs[i][j] for j in range(5)] for i in range(5)]
-    rhs2 = [expr.neg(eqs[i][5]) for i in range(5)]
-    sol2 = _solve_linear_exprs(mat2, rhs2)
+    # augmented rows: the five unknowns' coefficients, then minus the constant
+    aug2 = [eqs[i][:5] + [expr.neg(eqs[i][5])] for i in range(5)]
+    sol2 = [row[5] for row in _gauss_jordan(aug2, 5)]
     amat = [[sol2[0], sol2[1]], [sol2[2], sol2[3]]]
 
-    z_field = data.zp + _field_from_coeffs(m, xfields[:2], w1c)
+    z_field = data.zp + frame_combination(m, xfields[:2], w1c)
 
     # adapted rows of the corrected fields over the bracket frame; the lift
     # block rotates the degree -3 plane, so the inverse composes the layered
@@ -1080,12 +973,12 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     )
 
     ell_fields = [
-        _field_from_coeffs(m, xfields, srows_i[3]),
-        _field_from_coeffs(m, xfields, srows_i[4]),
+        frame_combination(m, xfields, srows_i[3]),
+        frame_combination(m, xfields, srows_i[4]),
     ]
 
     grading = Grading(m, [(xfields[0], xfields[1]), (z_field,), tuple(ell_fields)])
-    _seed_grading(grading, srows_i, sinv_i, data.alpha, coords, xfields, c)
+    _install_calculus(grading.frame, srows_i, sinv_i, data.alpha, xfields, c)
 
     finv = grading.coframe()
     # degree -1 part of the scaling form: values on the horizontal frame are
@@ -1105,8 +998,8 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     dmat[:2, :2] = np.array(_JMAT)
     dmat[3:, 3:] = np.array(_JMAT)
 
-    w1_field = _field_from_coeffs(m, xfields[:2], [w1c[1], expr.neg(w1c[0])])
-    w2_field = _field_from_coeffs(m, xfields[:2], [w2c[1], expr.neg(w2c[0])])
+    w1_field = frame_combination(m, xfields[:2], [w1c[1], expr.neg(w1c[0])])
+    w2_field = frame_combination(m, xfields[:2], [w2c[1], expr.neg(w2c[0])])
 
     return Grading235Params(
         manifold=m,
@@ -1132,8 +1025,6 @@ def tau_vertical(grading: Grading, v: VectorField):
     metric along ``v`` against the horizontal frame, halved; this is the
     torsion contribution of vertical directions in the adapted connection.
     """
-    m = grading.base
-    coords = m.coords
     wf = grading.fields
     ctab = grading.structure_functions()
     comps = grading.components_in_frame(v)
@@ -1142,8 +1033,8 @@ def tau_vertical(grading: Grading, v: VectorField):
         ej = [_ONE if i == j else _ZERO for i in range(5)]
         for k in range(2):
             ek = [_ONE if i == k else _ZERO for i in range(5)]
-            bj = _brk(coords, wf, ctab, comps, ej)
-            bk = _brk(coords, wf, ctab, comps, ek)
+            bj = frame_bracket(wf, ctab, comps, ej)
+            bk = frame_bracket(wf, ctab, comps, ek)
             out[j][k] = expr.mul(
                 _HALF,
                 expr.add(expr.neg(bj[k]), expr.neg(bk[j])),
@@ -1173,7 +1064,7 @@ class QMap:
                     ]
                 )
             )
-        return _field_from_coeffs(self.data.manifold, g.fields[:2], comps)
+        return frame_combination(self.data.manifold, g.fields[:2], comps)
 
 
 def q_map(data: Intrinsic235) -> QMap:
@@ -1183,9 +1074,6 @@ def q_map(data: Intrinsic235) -> QMap:
     degree -3 lift of Y, minus the adapted-connection derivative of Y along
     X.  It is tensorial in both slots.
     """
-    coords = data.manifold.coords
-    xfields = data.x
-    c = data.c
     srows = data.srows
     sinv = data.sinv
     conn0 = _adapted_connection(data.grading)
@@ -1198,7 +1086,7 @@ def q_map(data: Intrinsic235) -> QMap:
                 ell_j = [expr.neg(srows[4][k]) for k in range(5)]
             else:
                 ell_j = list(srows[3])
-            br = _brk(coords, xfields, c, ei, ell_j)
+            br = frame_bracket(data.x, data.c, ei, ell_j)
             ph = [
                 expr.neg(_frame_comp(br, sinv, 4)),
                 _frame_comp(br, sinv, 3),
@@ -1225,7 +1113,6 @@ def morimoto_connection_235(params: Grading235Params) -> Connection:
         return params._connection
     g = params.grading
     m = params.manifold
-    coords = m.coords
     wf = g.fields
     cbar = g.structure_functions()
     lam = _adapted_lambda(g)
@@ -1252,8 +1139,8 @@ def morimoto_connection_235(params: Grading235Params) -> Connection:
         terms = []
         for a, b, coef in chi.coefficients[v]:
             e = expr.add(
-                _dderiv(coords, wf[a], vals[b]),
-                expr.neg(_dderiv(coords, wf[b], vals[a])),
+                wf[a].apply(vals[b]),
+                expr.neg(wf[b].apply(vals[a])),
                 *[
                     expr.neg(expr.mul(cbar[a][b][k], vals[k]))
                     for k in range(5)

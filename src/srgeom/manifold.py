@@ -28,6 +28,8 @@ __all__ = [
     "SymbolVerdict",
     "ManifoldDocument",
     "bracket",
+    "frame_bracket",
+    "frame_combination",
     "structure_functions",
     "frame_inverse",
     "growth_flag",
@@ -81,6 +83,21 @@ class VectorField:
 
     def value_at(self, point: dict) -> np.ndarray:
         return np.array(expr.evaluate_many(self.components, point))
+
+    def apply(self, f: Expr, factor: Expr = _ONE) -> Expr:
+        """``factor * X(f)``: the derivative of ``f`` along this field.
+
+        Zero components are skipped.  ``factor`` multiplies every term, not
+        the sum: a negated sum is a ``(-1)*(a+b)`` node, which ``expr.add``
+        does not cancel against the flat terms ``a`` and ``b``.
+        """
+        return expr.add(
+            *[
+                expr.mul(factor, xa, expr.differentiate(f, c))
+                for xa, c in zip(self.components, self.manifold.coords)
+                if xa is not _ZERO
+            ]
+        )
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if other.manifold is not self.manifold:
@@ -183,10 +200,7 @@ class FramedManifold:
         return mat
 
     def metric_at(self, point: dict) -> np.ndarray:
-        cache: dict = {}
-        g = np.array(
-            [[expr._eval(e, point, cache) for e in row] for row in self.metric]
-        )
+        g = expr.evaluate_array(self.metric, point)
         if np.abs(g - g.T).max() > 1e-12:
             raise ManifoldError("metric is not symmetric at the requested point")
         try:
@@ -220,27 +234,68 @@ class FramedManifold:
 # brackets and structure functions
 
 
-def bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Commutator bracket of two vector fields on the same chart."""
-    if x.manifold is not y.manifold:
-        raise ManifoldError("vector fields live on different manifolds")
-    m = x.manifold
-    out = []
-    for k in range(m.dim):
-        terms = []
-        for a, c in enumerate(m.coords):
-            terms.append(expr.mul(x.components[a], expr.differentiate(y.components[k], c)))
-            terms.append(expr.neg(expr.mul(y.components[a], expr.differentiate(x.components[k], c))))
-        out.append(expr.add(*terms))
-    return VectorField(m, out)
-
-
 def _is_zero(e: Expr) -> bool:
     return e is _ZERO
 
 
 def _is_nonzero_const(e: Expr) -> bool:
     return isinstance(e, (expr.Rat, expr.Flt)) and not _is_zero(e)
+
+
+def bracket(x: VectorField, y: VectorField) -> VectorField:
+    """Commutator bracket of two vector fields on the same chart."""
+    if x.manifold is not y.manifold:
+        raise ManifoldError("vector fields live on different manifolds")
+    return VectorField(
+        x.manifold,
+        [
+            expr.add(x.apply(yk), y.apply(xk, expr.MINUS_ONE))
+            for xk, yk in zip(x.components, y.components)
+        ],
+    )
+
+
+def frame_bracket(fields, ctab, u, w):
+    """Bracket of two coefficient vectors over a frame, again as coefficients.
+
+    ``u`` and ``w`` hold coefficients over the vector fields ``fields``, whose
+    structure functions are ``ctab``; terms with a zero factor are skipped.
+    """
+    n = len(u)
+    out = []
+    for k in range(n):
+        terms = []
+        for a in range(n):
+            if not _is_zero(u[a]) and not _is_zero(w[k]):
+                terms.append(expr.mul(u[a], fields[a].apply(w[k])))
+            if not _is_zero(w[a]) and not _is_zero(u[k]):
+                terms.append(expr.neg(expr.mul(w[a], fields[a].apply(u[k]))))
+        for a in range(n):
+            if _is_zero(u[a]):
+                continue
+            for b in range(n):
+                if _is_zero(w[b]) or _is_zero(ctab[a][b][k]):
+                    continue
+                terms.append(expr.mul(u[a], w[b], ctab[a][b][k]))
+        out.append(expr.add(*terms))
+    return out
+
+
+def frame_combination(m: FramedManifold, fields, coeffs) -> VectorField:
+    """The vector field ``sum_i coeffs[i] * fields[i]`` on ``m``."""
+    return VectorField(
+        m,
+        [
+            expr.add(
+                *[
+                    expr.mul(coeffs[i], fields[i].components[a])
+                    for i in range(len(fields))
+                    if not _is_zero(coeffs[i])
+                ]
+            )
+            for a in range(m.dim)
+        ],
+    )
 
 
 def _gram_schmidt_horizontal(m: FramedManifold):
@@ -269,16 +324,7 @@ def _gram_schmidt_horizontal(m: FramedManifold):
         nrm = expr.sqrt(inner(vec, vec))
         inv = expr.pow_(nrm, -1)
         ortho.append([expr.mul(inv, c) for c in vec])
-    fields = []
-    for coeffs in ortho:
-        comps = [
-            expr.add(
-                *[expr.mul(coeffs[i], m.frames[i].components[a]) for i in range(r)]
-            )
-            for a in range(m.dim)
-        ]
-        fields.append(VectorField(m, comps))
-    return fields
+    return [frame_combination(m, m.frames[:r], coeffs) for coeffs in ortho]
 
 
 def _gauss_jordan(rows, n: int):
@@ -300,7 +346,7 @@ def _gauss_jordan(rows, n: int):
                     pivot = r
                     break
         if pivot is None:
-            raise ManifoldError("frame matrix is not symbolically invertible")
+            raise ManifoldError("matrix is not symbolically invertible")
         rows[col], rows[pivot] = rows[pivot], rows[col]
         inv = expr.pow_(rows[col][col], -1)
         rows[col] = [expr.mul(inv, e) for e in rows[col]]
@@ -581,13 +627,13 @@ class ManifoldDocument:
     sample_count: int
     sample_points: Optional[tuple]
 
-    def sample(self, rng=None):
+    def sample(self):
         """Sample points: the declared list if present, else seeded uniform."""
         if self.sample_points is not None:
             return [self.manifold.point(p) for p in self.sample_points]
-        if rng is None:
-            rng = np.random.default_rng(self.seed)
-        rows = _uniform_rows(rng, self.chart_box, self.sample_count)
+        rows = _uniform_rows(
+            np.random.default_rng(self.seed), self.chart_box, self.sample_count
+        )
         return [self.manifold.point(row) for row in rows]
 
 
@@ -632,10 +678,18 @@ def manifold_from_dict(data: dict) -> ManifoldDocument:
     return ManifoldDocument(
         manifold=manifold,
         chart_box=chart_box,
-        seed=int(data.get("seed", 42)),
-        sample_count=int(data.get("sample_count", 10)),
+        seed=_whole_number(data, "seed", 42, 0),
+        sample_count=_whole_number(data, "sample_count", 10, 1),
         sample_points=sample_points,
     )
+
+
+def _whole_number(data: dict, key: str, default: int, least: int) -> int:
+    """The integer ``data[key]`` (``default`` if absent), at least ``least``."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ManifoldError(f"{key} must be an integer of at least {least}, got {value!r}")
+    return value
 
 
 def load_manifold(path) -> ManifoldDocument:

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from . import expr
 from .lie import CarnotAlgebra, LieError, cartan_nilpotent, heisenberg
 from .manifold import FramedManifold

@@ -249,3 +249,19 @@ def test_pow_of_mul_distributes():
 
 def test_antisymmetric_cancellation():
     assert sub(mul(X, Y), mul(Y, X)) is expr.ZERO
+
+
+def test_evaluate_array_matches_elementwise_evaluate():
+    shared = add(mul(X, Y), sin(Z))
+    table = [
+        [(shared, mul(shared, shared)), (rational(3), X)],
+        [(sub(shared, Y), cos(shared)), (pow_(shared, -1), mul(X, Z))],
+    ]
+    point = {"x": 0.3, "y": -1.2, "z": 0.7}
+    out = expr.evaluate_array(table, point)
+    assert out.shape == (2, 2, 2)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                assert out[i, j, k] == evaluate(table[i][j][k], point)
+

@@ -11,6 +11,8 @@ from srgeom.manifold import (
     RankJumpError,
     bracket,
     check_constant_symbol,
+    frame_bracket,
+    frame_combination,
     frame_inverse,
     growth_flag,
     load_manifold,
@@ -24,6 +26,7 @@ from srgeom.models import (
     euclidean_manifold,
     heisenberg_manifold,
     heisenberg_metric4_manifold,
+    perturbed_235_manifold,
     varying_lambda_manifold,
 )
 
@@ -288,6 +291,36 @@ def test_constant_symbol_generic_is_undecidable():
 
 
 # ---------------------------------------------------------------------------
+# frame-coefficient calculus
+
+
+def test_apply_with_minus_one_cancels_exactly():
+    m = heis()
+    f = expr.parse("x^2*y + z*y", m.coords)
+    x = m.frames[0]
+    # the factor multiplies every term, so the flat terms cancel pairwise
+    assert expr.add(x.apply(f), x.apply(f, expr.MINUS_ONE)) is expr.ZERO
+
+
+def test_frame_bracket_matches_bracket_of_combinations():
+    from srgeom.g235 import intrinsic_frame_235
+
+    m = perturbed_235_manifold(0.1)
+    data = intrinsic_frame_235(m)
+    fields = data.x
+    u = [expr.parse(t, m.coords) for t in ("x1", "1", "x2*x3", "0", "x5^2")]
+    w = [expr.parse(t, m.coords) for t in ("x4", "x1*x2", "0", "1", "x3 - x5")]
+    coeffs = frame_bracket(fields, data.c, u, w)
+    field = bracket(frame_combination(m, fields, u), frame_combination(m, fields, w))
+    for p in ((0.1, -0.2, 0.3, 0.4, -0.5), (0.5, 0.3, -0.7, 0.2, 0.6), (-0.4, 0.8, 0.1, -0.3, 0.2)):
+        pt = m.point(p)
+        fmat = np.column_stack([f.value_at(pt) for f in fields])
+        want = np.linalg.solve(fmat, field.value_at(pt))
+        got = np.array(expr.evaluate_many(coeffs, pt))
+        assert np.abs(got - want).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # description files
 
 
@@ -331,6 +364,30 @@ def test_manifold_from_dict_validation():
         )
     with pytest.raises(ManifoldError):
         manifold_from_dict({"coords": ["x"]})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("sample_count", 0),
+        ("sample_count", -2),
+        ("sample_count", 2.5),
+        ("sample_count", "3"),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", "x"),
+        ("seed", True),
+    ],
+)
+def test_sampling_directives_are_checked_on_load(key, value):
+    doc = {
+        "coords": ["x", "y", "z"],
+        "frames": [["1", "0", "-y/2"], ["0", "1", "x/2"], ["0", "0", "1"]],
+        "horizontal_rank": 2,
+        key: value,
+    }
+    with pytest.raises(ManifoldError, match=key):
+        manifold_from_dict(doc)
 
 
 def test_explicit_sample_points():
