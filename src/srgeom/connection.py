@@ -139,19 +139,7 @@ class Grading:
 
     def graded_structure_at(self, point: dict) -> np.ndarray:
         """Structure functions at a point, restricted to exact-degree targets."""
-        p = self.frame.point(point)
-        c = self.structure_functions()
-        n = self.dim
-        cache: dict = {}
-        out = np.zeros((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                kdeg = self.degrees[i] + self.degrees[j]
-                if kdeg > self.step:
-                    continue
-                for k in self.layer_range(kdeg):
-                    out[i, j, k] = expr._eval(c[i][j][k], p, cache)
-        return out
+        return -expr.evaluate_array(self.t_zero_tensor(), self.frame.point(point))
 
     def symbol_algebra_at(self, point: dict) -> CarnotAlgebra:
         """Pointwise symbol: the graded structure constants plus the metric."""
@@ -943,17 +931,8 @@ def normal_geodesic(conn: Connection, x0, lam0, t_max: float = 1.0,
         u = np.linalg.solve(gh, ll[:r])
         fmat = g.frame.frame_matrix_at(p)
         xdot = fmat[:, :r] @ u
-        cache: dict = {}
-        ldot = np.zeros(n)
-        for k in range(n):
-            acc = 0.0
-            for a in range(r):
-                for m in range(n):
-                    coef = expr._eval(gamma_t[a][k][m], p, cache) - expr._eval(
-                        tors[a][k][m], p, cache
-                    )
-                    acc += u[a] * coef * ll[m]
-            ldot[k] = acc
+        gam, tor = expr.evaluate_array([gamma_t[:r], tors[:r]], p)
+        ldot = np.einsum("a,akm,m->k", u, gam - tor, ll)
         return np.concatenate([xdot, ldot])
 
     steps = max(1, int(round(t_max / step)))

@@ -3,9 +3,13 @@
 Scalar functions of named chart coordinates. Nodes are immutable and
 hash-consed: structurally equal expressions are the same object, so identity
 comparison, per-point evaluation caches, and derivative memoization are all
-cheap. Smart constructors normalize on the way in (constant folding, 0/1
-identities, flattening, collection of like terms and like powers), which keeps
-the bracket/curvature pipelines from drowning in redundant subtrees.
+cheap. The pool key of a node is its tag plus its atoms or its child nodes,
+which hash by their cached hash and compare by identity. Each node also
+carries ``skey``, its structure as nested tuples, which is used only as the
+sort key for the canonical order of terms and factors. Smart constructors
+normalize on the way in (constant folding, 0/1 identities, flattening,
+collection of like terms and like powers), which keeps the bracket/curvature
+pipelines from drowning in redundant subtrees.
 
 Invariant: every node the constructors return is already in normal form, i.e.
 ``simplify(e) is e``. Callers never need to re-normalize a result.
@@ -39,8 +43,25 @@ class EvaluationError(ExprError):
 _POOL: dict = {}
 
 
-def _intern(node: "Expr") -> "Expr":
-    return _POOL.setdefault(node.skey, node)
+def _node(cls, key: tuple, *fields) -> "Expr":
+    """The one interned node of class ``cls`` with pool key ``key``.
+
+    ``key`` is the tag followed by atoms or child nodes. Children hash by
+    their cached ``_hash`` and compare by identity, so a lookup costs the
+    node's arity, not the size of its tree. ``fields`` fill the class's
+    ``__slots__`` in order. The order key ``skey`` replaces each child by the
+    child's ``skey``; it only sorts terms and factors and is never hashed.
+    """
+    hit = _POOL.get(key)
+    if hit is not None:
+        return hit
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        setattr(node, name, value)
+    node.skey = tuple(c.skey if isinstance(c, Expr) else c for c in key)
+    node._hash = hash(key)
+    _POOL[key] = node
+    return node
 
 
 class Expr:
@@ -98,91 +119,42 @@ class Rat(Expr):
     __slots__ = ("value",)
 
     def __new__(cls, value: Fraction):
-        skey = (0, value.numerator, value.denominator)
-        hit = _POOL.get(skey)
-        if hit is not None:
-            return hit
-        node = object.__new__(cls)
-        node.value = value
-        node.skey = skey
-        node._hash = hash(skey)
-        return _intern(node)
+        return _node(cls, (0, value.numerator, value.denominator), value)
 
 
 class Flt(Expr):
     __slots__ = ("value",)
 
     def __new__(cls, value: float):
-        skey = (1, repr(float(value)))
-        hit = _POOL.get(skey)
-        if hit is not None:
-            return hit
-        node = object.__new__(cls)
-        node.value = float(value)
-        node.skey = skey
-        node._hash = hash(skey)
-        return _intern(node)
+        return _node(cls, (1, repr(float(value))), float(value))
 
 
 class Var(Expr):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
-        skey = (2, name)
-        hit = _POOL.get(skey)
-        if hit is not None:
-            return hit
-        node = object.__new__(cls)
-        node.name = name
-        node.skey = skey
-        node._hash = hash(skey)
-        return _intern(node)
+        return _node(cls, (2, name), name)
 
 
 class Add(Expr):
     __slots__ = ("terms",)
 
     def __new__(cls, terms: tuple):
-        skey = (3,) + tuple(t.skey for t in terms)
-        hit = _POOL.get(skey)
-        if hit is not None:
-            return hit
-        node = object.__new__(cls)
-        node.terms = terms
-        node.skey = skey
-        node._hash = hash(skey)
-        return _intern(node)
+        return _node(cls, (3,) + terms, terms)
 
 
 class Mul(Expr):
     __slots__ = ("factors",)
 
     def __new__(cls, factors: tuple):
-        skey = (4,) + tuple(f.skey for f in factors)
-        hit = _POOL.get(skey)
-        if hit is not None:
-            return hit
-        node = object.__new__(cls)
-        node.factors = factors
-        node.skey = skey
-        node._hash = hash(skey)
-        return _intern(node)
+        return _node(cls, (4,) + factors, factors)
 
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
     def __new__(cls, base: Expr, exponent: int):
-        skey = (5, base.skey, exponent)
-        hit = _POOL.get(skey)
-        if hit is not None:
-            return hit
-        node = object.__new__(cls)
-        node.base = base
-        node.exponent = exponent
-        node.skey = skey
-        node._hash = hash(skey)
-        return _intern(node)
+        return _node(cls, (5, base, exponent), base, exponent)
 
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos", "tan")
@@ -192,16 +164,7 @@ class Fn(Expr):
     __slots__ = ("name", "arg")
 
     def __new__(cls, name: str, arg: Expr):
-        skey = (6, name, arg.skey)
-        hit = _POOL.get(skey)
-        if hit is not None:
-            return hit
-        node = object.__new__(cls)
-        node.name = name
-        node.arg = arg
-        node.skey = skey
-        node._hash = hash(skey)
-        return _intern(node)
+        return _node(cls, (6, name, arg), name, arg)
 
 
 ZERO = Rat(Fraction(0))
@@ -240,11 +203,6 @@ def _is_const(e: Expr) -> bool:
     return isinstance(e, (Rat, Flt))
 
 
-def _const_value(e: Expr):
-    # Fraction for Rat, float for Flt.
-    return e.value
-
-
 def add(*terms) -> Expr:
     """n-ary sum with flattening, exact constant folding, like-term collection."""
     rat_part = Fraction(0)
@@ -279,7 +237,7 @@ def add(*terms) -> Expr:
     out = []
     for core in order:
         coeff = by_core[core]
-        if _num_is_zero(coeff):
+        if coeff == 0:
             continue
         out.append(_scale(core, coeff))
     const: Expr | None = None
@@ -305,16 +263,6 @@ def _num_add(a, b):
     return float(a) + float(b)
 
 
-def _num_mul(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    return float(a) * float(b)
-
-
-def _num_is_zero(a) -> bool:
-    return a == 0
-
-
 def _split_coeff(e: Expr):
     """Write a non-constant term as (numeric coefficient, core expression)."""
     if isinstance(e, Mul):
@@ -322,7 +270,7 @@ def _split_coeff(e: Expr):
         if _is_const(f0):
             rest = e.factors[1:]
             core = rest[0] if len(rest) == 1 else Mul(rest)
-            return _const_value(f0), core
+            return f0.value, core
     return Fraction(1), e
 
 
@@ -450,7 +398,7 @@ def sub(a, b) -> Expr:
 
 def div(a, b) -> Expr:
     b = _coerce(b)
-    if _is_const(b) and _const_value(b) == 0:
+    if _is_const(b) and b.value == 0:
         raise EvaluationError("division by zero")
     return mul(_coerce(a), pow_(b, -1))
 
@@ -567,12 +515,6 @@ def simplify(e: Expr) -> Expr:
 
 def evaluate(e: Expr, point: dict) -> float:
     return _eval(e, point, {})
-
-
-def evaluate_many(exprs, point: dict):
-    """Evaluate several expressions sharing one per-point cache."""
-    cache: dict = {}
-    return [_eval(_coerce(e), point, cache) for e in exprs]
 
 
 def evaluate_array(table, point: dict) -> np.ndarray:
@@ -864,7 +806,7 @@ def _parse_product(tz, coords) -> Expr:
             tok = tz.peek()
             tz.next()
             rhs = _parse_unary(tz, coords)
-            if _is_const(rhs) and _const_value(rhs) == 0:
+            if _is_const(rhs) and rhs.value == 0:
                 raise ParseError("division by zero constant", tok[2])
             e = div(e, rhs)
         else:

@@ -38,10 +38,6 @@ class ResourceError(LieError):
     pass
 
 
-def _tofloat(x) -> float:
-    return float(x)
-
-
 class StratifiedAlgebra:
     """Graded nilpotent Lie algebra generated by its -1 layer."""
 
@@ -98,8 +94,8 @@ class StratifiedAlgebra:
             C = np.zeros((self.dim, self.dim, self.dim))
             for (a, b), row in self.brackets.items():
                 for c, v in row.items():
-                    C[a, b, c] = _tofloat(v)
-                    C[b, a, c] = -_tofloat(v)
+                    C[a, b, c] = float(v)
+                    C[b, a, c] = -float(v)
             self._tensor = C
         return self._tensor
 
@@ -140,7 +136,7 @@ class StratifiedAlgebra:
             for a in self.layer_range(1):
                 for b in self.layer_range(k):
                     row = self.bracket(a, b)
-                    cols.append([_tofloat(row.get(c, 0)) for c in target])
+                    cols.append([float(row.get(c, 0)) for c in target])
             mat = np.array(cols, dtype=float).T if cols else np.zeros((len(target), 0))
             if len(target) == 0:
                 continue
@@ -214,7 +210,7 @@ def _induced_gram(g: CarnotAlgebra, convention: str) -> np.ndarray:
         for i, (a, b) in enumerate(wedges):
             row = g.bracket(a, b)
             for c, v in row.items():
-                bmat[c - rk.start, i] = _tofloat(v)
+                bmat[c - rk.start, i] = float(v)
         bon = bmat @ onb
         ginv = bon @ bon.T
         block = np.linalg.inv(ginv)
@@ -229,22 +225,6 @@ def _induced_gram(g: CarnotAlgebra, convention: str) -> np.ndarray:
 def induced_inner_product(g: CarnotAlgebra, convention: str = "tensor") -> np.ndarray:
     """Inner product matrix on all of the algebra (layers mutually orthogonal)."""
     return g.full_gram(convention)
-
-
-def orthonormal_frame(g: CarnotAlgebra, convention: str = "selector") -> np.ndarray:
-    """Degree-preserving basis change to an orthonormal basis.
-
-    Column j holds the coordinates (in the structural basis) of the j-th
-    orthonormal basis vector; the orthonormalization respects layers, so
-    Q.T @ full_gram @ Q == identity and each column stays in one layer.
-    """
-    gram = g.full_gram(convention)
-    q = np.zeros((g.dim, g.dim))
-    for k in range(1, g.step + 1):
-        rk = g.layer_range(k)
-        block = gram[np.ix_(rk, rk)]
-        q[np.ix_(rk, rk)] = _onb_columns(block)
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +446,8 @@ def heisenberg_normal_form(g: CarnotAlgebra, tol: float = 1e-9):
     for a in range(d1):
         for b in range(a + 1, d1):
             v = g.bracket(a, b).get(center, 0)
-            B[a, b] = _tofloat(v)
-            B[b, a] = -_tofloat(v)
+            B[a, b] = float(v)
+            B[b, a] = -float(v)
     scale = np.abs(B).max()
     if scale == 0 or np.linalg.matrix_rank(B, tol=tol * scale) < d1:
         raise LieError("degenerate bracket form")

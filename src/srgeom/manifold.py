@@ -82,7 +82,7 @@ class VectorField:
         self.components = comps
 
     def value_at(self, point: dict) -> np.ndarray:
-        return np.array(expr.evaluate_many(self.components, point))
+        return expr.evaluate_array(self.components, point)
 
     def apply(self, f: Expr, factor: Expr = _ONE) -> Expr:
         """``factor * X(f)``: the derivative of ``f`` along this field.

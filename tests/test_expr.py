@@ -265,3 +265,23 @@ def test_evaluate_array_matches_elementwise_evaluate():
             for k in range(2):
                 assert out[i, j, k] == evaluate(table[i][j][k], point)
 
+
+
+def _sin_cos_chain(depth):
+    e = X
+    for _ in range(depth):
+        e = mul(sin(e), cos(e))
+    return e
+
+
+def test_interning_cost_follows_the_dag_not_the_tree():
+    # Written out as a tree, the chain has about 2^48 nodes; as a DAG, about
+    # 4 per level. Interning keyed on the children's identities stays linear.
+    e = _sin_cos_chain(48)
+    v = 0.3
+    for _ in range(48):
+        v = math.sin(v) * math.cos(v)
+    assert evaluate(e, {"x": 0.3}) == v
+    size = len(expr._POOL)
+    assert _sin_cos_chain(48) is e
+    assert len(expr._POOL) == size

@@ -316,7 +316,7 @@ def test_frame_bracket_matches_bracket_of_combinations():
         pt = m.point(p)
         fmat = np.column_stack([f.value_at(pt) for f in fields])
         want = np.linalg.solve(fmat, field.value_at(pt))
-        got = np.array(expr.evaluate_many(coeffs, pt))
+        got = expr.evaluate_array(coeffs, pt)
         assert np.abs(got - want).max() <= 1e-12
 
 
