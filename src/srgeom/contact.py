@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr
-from .expr import Expr
 from .connection import Connection, Grading, selector
 from .manifold import (
     FramedManifold,
@@ -24,6 +23,7 @@ from .manifold import (
     VectorField,
     _default_samples,
     _gram_schmidt_horizontal,
+    _matmul,
     bracket,
     frame_bracket,
     frame_combination,
@@ -64,10 +64,8 @@ class ContactData:
 
     manifold: FramedManifold
     ortho_frame: tuple  # orthonormal horizontal VectorFields
-    vertical: VectorField  # oriented bracket complement direction
     aux: FramedManifold  # frame (ortho..., vertical)
     theta: tuple  # normalized one-form, coordinate components (Expr)
-    scale: Expr  # factor between theta and the raw coframe row
     jtheta: tuple  # structure operator on E, Expr matrix
     lam_op: tuple  # eigenvalue parameters, ascending, lam_op[0] == 1
     multiplicities: tuple  # dimensions of the eigenbundles
@@ -77,29 +75,11 @@ class ContactData:
     lam_inv_matrix: tuple
     jmat: tuple  # J = Lambda J^theta, Expr matrix on E
     reeb: VectorField  # Z^0
-    reeb_coeffs: tuple  # Z^0 in aux-frame coefficients (Expr, length 2n+1)
 
     @property
     def rank(self) -> int:
         return self.manifold.rank
 
-    def theta_of(self, v: VectorField) -> Expr:
-        return expr.add(
-            *[expr.mul(self.theta[a], v.components[a]) for a in range(self.manifold.dim)]
-        )
-
-
-def _matmul(a, b):
-    n = len(a)
-    mcols = len(b[0])
-    inner = len(b)
-    return [
-        [
-            expr.add(*[expr.mul(a[i][k], b[k][j]) for k in range(inner)])
-            for j in range(mcols)
-        ]
-        for i in range(n)
-    ]
 
 
 def _matscale(s, a):
@@ -268,10 +248,8 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     return ContactData(
         manifold=m,
         ortho_frame=tuple(fields),
-        vertical=vert_raw,
         aux=aux,
         theta=theta,
-        scale=t,
         jtheta=tuple(tuple(row) for row in jtheta),
         lam_op=lam_op,
         multiplicities=mults,
@@ -281,7 +259,6 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
         lam_inv_matrix=tuple(tuple(row) for row in lam_inv_matrix),
         jmat=tuple(tuple(row) for row in jmat),
         reeb=reeb,
-        reeb_coeffs=reeb_coeffs,
     )
 
 

@@ -632,29 +632,6 @@ def _diff(e: Expr, v: str) -> Expr:
     raise ExprError(f"unknown node {e!r}")
 
 
-def variables(e: Expr) -> set:
-    """Set of coordinate names occurring in e."""
-    out: set = set()
-    stack = [e]
-    seen: set = set()
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        if isinstance(n, Var):
-            out.add(n.name)
-        elif isinstance(n, Add):
-            stack.extend(n.terms)
-        elif isinstance(n, Mul):
-            stack.extend(n.factors)
-        elif isinstance(n, Pow):
-            stack.append(n.base)
-        elif isinstance(n, Fn):
-            stack.append(n.arg)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # printing (the printed form re-parses)
 

@@ -8,11 +8,14 @@ the adapted metric connection of this grading; the structure is locally
 equivalent to the nilpotent model group exactly when
 ``connection.flatness_check(connection_235(data), points)`` reports it flat.
 
-:func:`morimoto_grading_235` corrects the intrinsic grading to Morimoto's
-normalization (the obstruction field, its induced corrections, and the
-rotation generator), and :func:`morimoto_connection_235` solves the
-normalization identities checked by ``check_morimoto`` for the unique
-compatible connection of the corrected grading.
+:func:`morimoto_grading_235` returns Morimoto's canonical grading as a
+``Grading``: the intrinsic grading with its degree -2 field and degree -3
+lifts corrected so that the normalization holds.  On the nilpotent model
+every correction vanishes, so each layer spans the same subspace as the
+intrinsic one (the degree -3 frames still differ by the rotation generator).
+:func:`morimoto_connection_235` takes that grading and solves the
+normalization identities checked by ``check_morimoto`` for its unique
+compatible connection.
 
 All constructions run in the coefficient calculus of the iterated-bracket
 frame: every corrected field is stored as a coefficient row over that frame,
@@ -27,8 +30,6 @@ rows, ``manifold.frame_combination`` turns them back into fields, and
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import expr
 from .manifold import (
     FramedManifold,
@@ -38,6 +39,7 @@ from .manifold import (
     _gauss_jordan,
     _gram_schmidt_horizontal,
     _is_zero,
+    _matmul,
     bracket,
     frame_bracket,
     frame_combination,
@@ -49,15 +51,12 @@ from .connection import Connection, Grading, selector
 
 __all__ = [
     "Intrinsic235",
-    "Grading235Params",
     "QMap",
     "connection_235",
     "intrinsic_frame_235",
-    "intrinsic_grading_235",
     "q_map",
     "morimoto_grading_235",
     "morimoto_connection_235",
-    "tau_vertical",
 ]
 
 _ZERO = expr.rational(0)
@@ -111,19 +110,7 @@ def _install_calculus(frame: FramedManifold, srows, sinv, alpha, xfields, ctab):
     coordinate-level solve the frame would otherwise perform.
     """
     n = 5
-    finv = tuple(
-        tuple(
-            expr.add(
-                *[
-                    expr.mul(sinv[k][i], alpha[k][a])
-                    for k in range(n)
-                    if not _is_zero(sinv[k][i])
-                ]
-            )
-            for a in range(n)
-        )
-        for i in range(n)
-    )
+    finv = tuple(map(tuple, _matmul(list(zip(*sinv)), alpha)))
     cbar = [[[_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -376,18 +363,6 @@ def _adapted_lambda(grading: Grading):
     return lam
 
 
-def _adapted_connection(grading: Grading) -> Connection:
-    """Metric connection adapted to a three-layer splitting of this shape.
-
-    Horizontal directions differentiate by the horizontal part of the
-    Levi-Civita connection of the taming metric; directions of degree -2 and
-    -3 use the bracket-plus-metric-drift rule.  The middle field is parallel
-    and the degree -3 block mirrors the horizontal block, which makes all
-    three layers parallel and the frame metric covariant constant.
-    """
-    return _rotation_connection(grading, _adapted_lambda(grading))
-
-
 @dataclass
 class Intrinsic235:
     """Intrinsic grading ``E + span{Z} + span{Y_1, Y_2}`` over the bracket frame.
@@ -399,7 +374,6 @@ class Intrinsic235:
 
     manifold: FramedManifold
     x: tuple  # bracket frame X_1..X_5
-    aux: FramedManifold
     alpha: tuple  # coframe rows of the bracket frame
     c: tuple  # structure functions of the bracket frame
     zp: VectorField  # Z
@@ -498,75 +472,27 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
     )
     sinv = tuple(tuple(row) for row in _unit_lower_inverse(srows))
     return Intrinsic235(
-        m, fields, aux, frame_inverse(aux), c, z, (y1, y2), srows, sinv
+        m, fields, frame_inverse(aux), c, z, (y1, y2), srows, sinv
     )
-
-
-def intrinsic_grading_235(m: FramedManifold, x1: VectorField = None,
-                          x2: VectorField = None, sample_points=None) -> Grading:
-    """Intrinsic grading of the tangent bundle; see :func:`intrinsic_frame_235`."""
-    return intrinsic_frame_235(m, x1, x2, sample_points).grading
 
 
 def connection_235(data: Intrinsic235) -> Connection:
     """Adapted metric connection of the intrinsic grading.
 
-    The structure is locally equivalent to the nilpotent model group exactly
+    Horizontal directions differentiate by the horizontal part of the
+    Levi-Civita connection of the taming metric; directions of degree -2 and
+    -3 use the bracket-plus-metric-drift rule.  The middle field is parallel
+    and the degree -3 block mirrors the horizontal block, which makes all
+    three layers parallel and the frame metric covariant constant.  The
+    structure is locally equivalent to the nilpotent model group exactly
     when this connection passes ``connection.flatness_check``.
     """
-    return _adapted_connection(data.grading)
-
-
-# rotation generator on the horizontal plane: J X_1 = X_2, J X_2 = -X_1
-# ([out][in] entries).  The sign is pinned by the orientation convention:
-# with the degree -2 direction normalized along +[X_1, X_2], the vertical
-# one-form theta satisfies d theta(u, v) = <u, J v> on horizontal u, v.
-_JMAT = ((0.0, -1.0), (1.0, 0.0))
-
-
-def _jexpr():
-    return [
-        [expr.rational(int(_JMAT[a][b])) for b in range(2)] for a in range(2)
-    ]
-
-
-@dataclass
-class Grading235Params:
-    """Normalization data of the canonical grading.
-
-    ``upsilon`` is the obstruction field (the quarter trace of the mixed
-    bracket defect of the lifts); ``w1`` and ``w2`` are the solved degree -2
-    and degree -3 lift corrections, which agree with the obstruction field
-    to leading order in the deviation from the model algebra and vanish with
-    it.  ``amat[j][k]`` is the horizontal pairing of the degree -3
-    correction endomorphism on the j-th frame field against the k-th.
-    ``dmat`` is the rotation generator of the pointwise isometry algebra: it
-    rotates the horizontal plane, kills the degree -2 direction, and rotates
-    the degree -3 plane compatibly with the lifts.
-    """
-
-    manifold: FramedManifold
-    intrinsic: Intrinsic235
-    upsilon: VectorField
-    ups: tuple  # horizontal components of upsilon
-    jups: tuple  # horizontal components of the rotated obstruction field
-    w1: VectorField
-    w2: VectorField
-    amat: tuple  # 2x2 Expr matrix
-    z_field: VectorField
-    ell_fields: tuple
-    grading: Grading
-    mu1: tuple  # coordinate components of the degree -1 part of mu
-    dmat: tuple  # 5x5 float matrix
-    mu2: object = None  # scalar value on the degree -2 field (set by the solver)
-    mu3: tuple = None  # values on the degree -3 fields (set by the solver)
-    mu2_form: tuple = None
-    mu3_form: tuple = None
-    _connection: Connection = field(default=None, repr=False)
+    g = data.grading
+    return _rotation_connection(g, _adapted_lambda(g))
 
 
 def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
-                         x2: VectorField = None, sample_points=None) -> Grading235Params:
+                         x2: VectorField = None, sample_points=None) -> Grading:
     """Canonical grading of a growth (2,3,5) structure.
 
     Corrects the intrinsic grading so the canonical connection of the
@@ -575,23 +501,17 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     the degree -3 lifts are tilted by a vertical shift and a horizontal
     endomorphism.  The corrections are obtained by expanding the structure
     functions of the corrected frame over intrinsic bracket tensors and
-    solving the resulting linear systems in closed form; on the model
-    algebra every correction vanishes and the grading coincides with the
-    intrinsic one.
+    solving the resulting linear systems in closed form.  The returned
+    grading carries its coframe and structure functions.  On the model
+    algebra every correction vanishes, so its layers span the same subspaces
+    as those of ``intrinsic_frame_235(...).grading``; the degree -3 frames
+    differ by the rotation generator.
     """
     data = intrinsic_frame_235(m, x1, x2, sample_points)
     xfields = data.x
     c = data.c
     srows = data.srows
     sinv = data.sinv
-    jm = _jexpr()
-
-    def jvec(v):
-        """Rotate a horizontal coefficient pair."""
-        return [
-            expr.add(expr.mul(jm[0][0], v[0]), expr.mul(jm[0][1], v[1])),
-            expr.add(expr.mul(jm[1][0], v[0]), expr.mul(jm[1][1], v[1])),
-        ]
 
     def brk(u, w):
         return frame_bracket(xfields, c, u, w)
@@ -612,33 +532,6 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
             expr.neg(_frame_comp(v, sinv, 4)),
             _frame_comp(v, sinv, 3),
         ]
-
-    def pr1(v):
-        """Horizontal part of a coefficient vector in the intrinsic grading."""
-        return [_frame_comp(v, sinv, 0), _frame_comp(v, sinv, 1)]
-
-    # obstruction field: quarter trace of the mixed bracket defect of the lifts
-    ju_terms = [[], []]
-    for e in range(2):
-        base = [_ONE if i == e else _ZERO for i in range(5)]
-        jb = jvec([base[0], base[1]])
-        jbase = evec(*jb)
-        t1 = ellx(*pr1(brk(base, jbase)))
-        t2 = brk(base, ellx(*jb))
-        t3 = brk(ellx(base[0], base[1]), jbase)
-        total = [
-            expr.add(t1[k], expr.neg(t2[k]), expr.neg(t3[k])) for k in range(5)
-        ]
-        ph = phix(total)
-        for k in range(2):
-            ju_terms[k].append(ph[k])
-    jups = [
-        expr.mul(expr.rational(1, 4), expr.add(*ju_terms[k]))
-        for k in range(2)
-    ]
-    # invert the rotation: upsilon = -J(J upsilon)
-    ups = [expr.neg(cc) for cc in jvec(jups)]
-    upsilon = frame_combination(m, xfields[:2], ups)
 
     # ---- intrinsic tensors of the lift geometry -------------------------
     # p pairs the flag image of brackets of horizontal fields with the
@@ -945,32 +838,8 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
             _ZERO,
         ],
     ]
-    srows_i = tuple(
-        tuple(
-            expr.add(
-                *[
-                    expr.mul(tmat[i][k], srows[k][a])
-                    for k in range(5)
-                    if not _is_zero(tmat[i][k])
-                ]
-            )
-            for a in range(5)
-        )
-        for i in range(5)
-    )
-    sinv_i = tuple(
-        tuple(
-            expr.add(
-                *[
-                    expr.mul(sinv[i][k], tinv[k][a])
-                    for k in range(5)
-                    if not _is_zero(sinv[i][k])
-                ]
-            )
-            for a in range(5)
-        )
-        for i in range(5)
-    )
+    srows_i = _matmul(tmat, srows)
+    sinv_i = _matmul(sinv, tinv)
 
     ell_fields = [
         frame_combination(m, xfields, srows_i[3]),
@@ -979,67 +848,7 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
 
     grading = Grading(m, [(xfields[0], xfields[1]), (z_field,), tuple(ell_fields)])
     _install_calculus(grading.frame, srows_i, sinv_i, data.alpha, xfields, c)
-
-    finv = grading.coframe()
-    # degree -1 part of the scaling form: values on the horizontal frame are
-    # the scaling values minus the adapted combination, in closed form
-    m_vec = [
-        expr.add(w1c[0], w2p[1]),
-        expr.add(w1c[1], expr.neg(w2p[0])),
-    ]
-    mu1 = tuple(
-        expr.add(
-            expr.mul(m_vec[0], finv[0][a]), expr.mul(m_vec[1], finv[1][a])
-        )
-        for a in range(m.dim)
-    )
-
-    dmat = np.zeros((5, 5))
-    dmat[:2, :2] = np.array(_JMAT)
-    dmat[3:, 3:] = np.array(_JMAT)
-
-    w1_field = frame_combination(m, xfields[:2], [w1c[1], expr.neg(w1c[0])])
-    w2_field = frame_combination(m, xfields[:2], [w2c[1], expr.neg(w2c[0])])
-
-    return Grading235Params(
-        manifold=m,
-        intrinsic=data,
-        upsilon=upsilon,
-        ups=tuple(ups),
-        jups=tuple(jups),
-        w1=w1_field,
-        w2=w2_field,
-        amat=tuple(tuple(row) for row in amat),
-        z_field=z_field,
-        ell_fields=tuple(ell_fields),
-        grading=grading,
-        mu1=mu1,
-        dmat=tuple(map(tuple, dmat)),
-    )
-
-
-def tau_vertical(grading: Grading, v: VectorField):
-    """Horizontal metric drift along a field of the two vertical layers.
-
-    Returns the symmetric 2x2 Expr matrix pairing the drift of the taming
-    metric along ``v`` against the horizontal frame, halved; this is the
-    torsion contribution of vertical directions in the adapted connection.
-    """
-    wf = grading.fields
-    ctab = grading.structure_functions()
-    comps = grading.components_in_frame(v)
-    out = [[None, None], [None, None]]
-    for j in range(2):
-        ej = [_ONE if i == j else _ZERO for i in range(5)]
-        for k in range(2):
-            ek = [_ONE if i == k else _ZERO for i in range(5)]
-            bj = frame_bracket(wf, ctab, comps, ej)
-            bk = frame_bracket(wf, ctab, comps, ek)
-            out[j][k] = expr.mul(
-                _HALF,
-                expr.add(expr.neg(bj[k]), expr.neg(bk[j])),
-            )
-    return out
+    return grading
 
 
 @dataclass
@@ -1076,7 +885,8 @@ def q_map(data: Intrinsic235) -> QMap:
     """
     srows = data.srows
     sinv = data.sinv
-    conn0 = _adapted_connection(data.grading)
+    g = data.grading
+    conn0 = _rotation_connection(g, _adapted_lambda(g))
     tensor = []
     for i in range(2):
         ei = [_ONE if a == i else _ZERO for a in range(5)]
@@ -1096,8 +906,8 @@ def q_map(data: Intrinsic235) -> QMap:
     return QMap(data, tuple(tensor))
 
 
-def morimoto_connection_235(params: Grading235Params) -> Connection:
-    """Canonical connection of the canonical grading.
+def morimoto_connection_235(g: Grading) -> Connection:
+    """Canonical connection of the grading from :func:`morimoto_grading_235`.
 
     Every direction of the connection acts as a multiple of the frame
     rotation generator, so the whole connection is a scaling one-form times
@@ -1109,13 +919,8 @@ def morimoto_connection_235(params: Grading235Params) -> Connection:
     vertical unknown enters its own equation with a fixed integer weight and
     the solve is a closed form.
     """
-    if params._connection is not None:
-        return params._connection
-    g = params.grading
-    m = params.manifold
     wf = g.fields
     cbar = g.structure_functions()
-    lam = _adapted_lambda(g)
     chi = selector(g)
 
     def qval(v):
@@ -1175,18 +980,4 @@ def morimoto_connection_235(params: Grading235Params) -> Connection:
         for v in (3, 4)
     ]
 
-    nu = (nu0, nu1, nu2, nu34[0], nu34[1])
-    conn = _rotation_connection(g, nu)
-
-    finv = g.coframe()
-    mu2 = expr.sub(nu2, lam[2])
-    mu3 = tuple(expr.sub(nu34[i], lam[3 + i]) for i in range(2))
-    params.mu2 = mu2
-    params.mu3 = mu3
-    params.mu2_form = tuple(expr.mul(mu2, finv[2][a]) for a in range(m.dim))
-    params.mu3_form = tuple(
-        expr.add(expr.mul(mu3[0], finv[3][a]), expr.mul(mu3[1], finv[4][a]))
-        for a in range(m.dim)
-    )
-    params._connection = conn
-    return conn
+    return _rotation_connection(g, (nu0, nu1, nu2, nu34[0], nu34[1]))

@@ -99,10 +99,6 @@ class StratifiedAlgebra:
             self._tensor = C
         return self._tensor
 
-    def bracket_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        C = self.structure_tensor()
-        return np.einsum("a,b,abc->c", u, v, C)
-
     def is_exact(self) -> bool:
         return all(
             isinstance(v, (Fraction, int))

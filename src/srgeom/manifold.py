@@ -397,6 +397,23 @@ def structure_functions(m: FramedManifold):
     return m._structure_functions
 
 
+def _matmul(a, b):
+    """Product of two Expr matrices; zero entries of ``a`` are skipped."""
+    return [
+        [
+            expr.add(
+                *[
+                    expr.mul(a[i][k], b[k][j])
+                    for k in range(len(b))
+                    if not _is_zero(a[i][k])
+                ]
+            )
+            for j in range(len(b[0]))
+        ]
+        for i in range(len(a))
+    ]
+
+
 # ---------------------------------------------------------------------------
 # growth vector and graded symbol
 
@@ -491,7 +508,9 @@ def symbol_at(m: FramedManifold, point, reference_flag=None, max_step: int = 8):
     dims = [b.shape[1] for b in layer_basis]
     offsets = np.concatenate([[0], np.cumsum(dims)])
 
-    # numeric values of all pairwise brackets of layer fields, frame coords
+    # numeric values of all pairwise brackets of layer fields, frame coords;
+    # bracket layer j + 1 already holds [X_a, Y_b] of layer 1 with layer j at
+    # index a * len(fj) + b
     bracket_vals = {}
     for i in range(1, step + 1):
         for j in range(i, step + 1):
@@ -499,12 +518,14 @@ def symbol_at(m: FramedManifold, point, reference_flag=None, max_step: int = 8):
                 continue
             fi = m.bracket_layer(i)
             fj = m.bracket_layer(j)
-            cache: dict = {}
-            vals = np.zeros((m.dim, len(fi), len(fj)))
-            for a, x in enumerate(fi):
-                for b, y in enumerate(fj):
-                    w = bracket(x, y)
-                    vals[:, a, b] = [expr._eval(e, p, cache) for e in w.components]
+            if i == 1:
+                pairs = m.bracket_layer(j + 1)
+            else:
+                pairs = [bracket(x, y) for x in fi for y in fj]
+            vals = expr.evaluate_array([w.components for w in pairs], p)
+            # a C-contiguous (component, a, b) array, so the einsum below
+            # takes the same summation path whatever the layer sizes
+            vals = np.ascontiguousarray(vals.T).reshape(m.dim, len(fi), len(fj))
             bracket_vals[i, j] = np.einsum("xy,yab->xab", finv, vals)
 
     brackets = {}

@@ -129,3 +129,35 @@ def test_fields_do_not_depend_on_horizontal_frame(cartan):
     rep = flatness_check(connection_235(rotated), pts)
     assert rep.flat
     assert max(rep.torsion_residual, rep.curvature_residual) <= 1e-8
+
+
+def _layer_projectors(g, p):
+    return [
+        _span_projector([g.fields[a] for a in g.layer_range(k)], p)
+        for k in range(1, g.step + 1)
+    ]
+
+
+def _layer_moves(m, pts, data):
+    """Per point, how far each Morimoto layer lies from the intrinsic one."""
+    g = morimoto_grading_235(m, sample_points=pts)
+    moves = []
+    for p in pts:
+        p = m.point(p)
+        moves.append([
+            np.abs(a - b).max()
+            for a, b in zip(_layer_projectors(g, p), _layer_projectors(data.grading, p))
+        ])
+    return g, moves
+
+
+def test_morimoto_layers_are_intrinsic_on_the_model(cartan):
+    # the degree -3 frames differ by the rotation D, so compare spans
+    g, moves = _layer_moves(*cartan)
+    assert max(max(row) for row in moves) <= 1e-12
+    assert morimoto_connection_235(g).grading is g
+
+
+def test_morimoto_degree_two_layer_moves_off_the_model(perturbed):
+    _, moves = _layer_moves(*perturbed)
+    assert all(row[1] > 1e-3 for row in moves)

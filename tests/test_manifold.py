@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from srgeom import expr
-from srgeom.lie import cartan_nilpotent, heisenberg, heisenberg_normal_form
+from srgeom.lie import cartan_nilpotent, heisenberg_normal_form
 from srgeom.manifold import (
     FramedManifold,
     ManifoldError,
@@ -21,7 +21,6 @@ from srgeom.manifold import (
     symbol_at,
 )
 from srgeom.models import (
-    carnot_group_manifold,
     cartan_group_manifold,
     euclidean_manifold,
     heisenberg_manifold,
