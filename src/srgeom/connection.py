@@ -9,6 +9,12 @@ all concretely computable, either symbolically or pointwise from the symbol
 algebra.  A :class:`Connection` stores frame Christoffel coefficients and
 provides torsion/curvature tensors plus the compatibility, normalization,
 and flatness checks and the normal-geodesic integrator.
+
+Symbolic where a construction reads expressions: structure functions,
+degree-0 torsion, taming metric, selector, Γ and the symbolic tensors listed
+on :class:`Connection`.  From values where only points are read: the checks
+and the geodesic integrator assemble torsion, curvature and ∇T₀ with
+``einsum`` from tables evaluated at the point with one shared cache.
 """
 
 from __future__ import annotations
@@ -102,6 +108,10 @@ class Grading:
         )
         self._symbol_cache = {}
         self._fields = self.frame.frames
+        # rows[i][a]: coordinate component a of the i-th adapted field
+        self.frame_rows = tuple(f.components for f in self._fields)
+        self._t_zero = None
+        self._t_zero_gradient = None
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -180,17 +190,25 @@ class Grading:
         and j-th adapted fields; it is the negated exact-degree part of the
         structure functions.
         """
-        c = self.structure_functions()
-        n = self.dim
-        out = [[[_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                kdeg = self.degrees[i] + self.degrees[j]
-                if kdeg > self.step:
-                    continue
-                for k in self.layer_range(kdeg):
-                    out[i][j][k] = expr.neg(c[i][j][k])
-        return out
+        if self._t_zero is None:
+            c = self.structure_functions()
+            n = self.dim
+            out = [[[_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    kdeg = self.degrees[i] + self.degrees[j]
+                    if kdeg > self.step:
+                        continue
+                    for k in self.layer_range(kdeg):
+                        out[i][j][k] = expr.neg(c[i][j][k])
+            self._t_zero = out
+        return self._t_zero
+
+    def t_zero_gradient(self):
+        """Coordinate gradient of the degree-0 torsion, built once."""
+        if self._t_zero_gradient is None:
+            self._t_zero_gradient = _coordinate_gradient(self.t_zero_tensor(), self.frame.coords)
+        return self._t_zero_gradient
 
     def validate(self, points):
         """Check the flag decomposition at sample points; returns max residual.
@@ -431,28 +449,48 @@ def selector(grading: Grading) -> Selector:
 # connections
 
 
+def _coordinate_gradient(table, coords):
+    """[a][i][j][k]: the derivative of ``table[i][j][k]`` along coordinate a."""
+    return tuple(
+        tuple(
+            tuple(tuple(expr.differentiate(e, x) for e in row) for row in plane)
+            for plane in table
+        )
+        for x in coords
+    )
+
+
+def _torsion_values(gam: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """T_ij^k = Γ_ij^k - Γ_ji^k - c_ij^k from values."""
+    return gam - gam.transpose(1, 0, 2) - c
+
+
 class Connection:
     """Affine connection given by Christoffel coefficients in an adapted frame.
 
     ``gamma[i][j][k]`` is the k-th adapted component of the derivative of the
     j-th adapted field along the i-th.
+
+    Symbolic: ``gamma``, ``torsion_tensor`` and ``curvature_rows`` (the
+    contact construction reads the rows at the selector's wedge pairs);
+    ``curvature_tensor`` holds every row, for tests.  From values:
+    ``torsion_at`` and ``curvature_at``.  The frame derivatives W_i(Γ) at a
+    point are F(p)ᵀ ∂Γ(p): F(p) is the adapted frame matrix and ∂Γ the
+    coordinate gradient of Γ, built once and stored on the connection.
     """
 
     def __init__(self, grading: Grading, gamma):
         n = grading.dim
         self.grading = grading
-        g = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                entry = [expr._coerce(e) for e in gamma[i][j]]
-                if len(entry) != n:
-                    raise ManifoldError("Christoffel table has wrong width")
-                row.append(tuple(entry))
-            g.append(tuple(row))
-        self.gamma = tuple(g)
+        self.gamma = tuple(
+            tuple(tuple(expr._coerce(e) for e in gamma[i][j]) for j in range(n))
+            for i in range(n)
+        )
+        if any(len(entry) != n for row in self.gamma for entry in row):
+            raise ManifoldError("Christoffel table has wrong width")
         self._torsion = None
         self._curvature = None
+        self._gamma_gradient = None
 
     # -- symbolic tensors ---------------------------------------------------
 
@@ -460,67 +498,80 @@ class Connection:
         """T[i][j][k]: torsion components on adapted frame pairs."""
         if self._torsion is None:
             c = self.grading.structure_functions()
+            gam = self.gamma
             n = self.grading.dim
             self._torsion = tuple(
                 tuple(
-                    tuple(
-                        expr.sub(
-                            expr.sub(self.gamma[i][j][k], self.gamma[j][i][k]),
-                            c[i][j][k],
-                        )
-                        for k in range(n)
-                    )
+                    tuple(expr.sub(expr.sub(gam[i][j][k], gam[j][i][k]), c[i][j][k])
+                          for k in range(n))
                     for j in range(n)
                 )
                 for i in range(n)
             )
         return self._torsion
 
+    def curvature_rows(self, i: int, j: int):
+        """R[i][j] as Expr rows: [k][l] is component l of R(W_i, W_j) W_k."""
+        n = self.grading.dim
+        c = self.grading.structure_functions()
+        fields = self.grading.fields
+        gam = self.gamma
+        return tuple(
+            tuple(
+                expr.add(
+                    # directional derivatives of the Christoffels
+                    fields[i].apply(gam[j][k][l]),
+                    fields[j].apply(gam[i][k][l], expr.MINUS_ONE),
+                    *[
+                        term
+                        for mm in range(n)
+                        for term in (
+                            expr.mul(gam[j][k][mm], gam[i][mm][l]),
+                            expr.neg(expr.mul(gam[i][k][mm], gam[j][mm][l])),
+                            expr.neg(expr.mul(c[i][j][mm], gam[mm][k][l])),
+                        )
+                    ],
+                )
+                for l in range(n)
+            )
+            for k in range(n)
+        )
+
     def curvature_tensor(self):
         """R[i][j][k][l]: value on (i, j) applied to field k, component l."""
         if self._curvature is None:
             n = self.grading.dim
-            c = self.grading.structure_functions()
-            fields = self.grading.fields
-            out = []
-            for i in range(n):
-                row_i = []
-                for j in range(n):
-                    row_j = []
-                    for k in range(n):
-                        comps = []
-                        for l in range(n):
-                            # directional derivatives of the Christoffels
-                            terms = [
-                                fields[i].apply(self.gamma[j][k][l]),
-                                fields[j].apply(self.gamma[i][k][l], expr.MINUS_ONE),
-                            ]
-                            for mm in range(n):
-                                terms.append(
-                                    expr.mul(self.gamma[j][k][mm], self.gamma[i][mm][l])
-                                )
-                                terms.append(
-                                    expr.neg(
-                                        expr.mul(self.gamma[i][k][mm], self.gamma[j][mm][l])
-                                    )
-                                )
-                                terms.append(
-                                    expr.neg(expr.mul(c[i][j][mm], self.gamma[mm][k][l]))
-                                )
-                            comps.append(expr.add(*terms))
-                        row_j.append(tuple(comps))
-                    row_i.append(tuple(row_j))
-                out.append(tuple(row_i))
-            self._curvature = tuple(out)
+            self._curvature = tuple(
+                tuple(self.curvature_rows(i, j) for j in range(n)) for i in range(n)
+            )
         return self._curvature
 
     # -- pointwise tensors ----------------------------------------------------
 
+    def _values_at(self, point, *tables):
+        """Γ, the structure functions and ``tables`` at a point, one cache."""
+        g = self.grading
+        return expr.evaluate_arrays(
+            (self.gamma, g.structure_functions()) + tables, g.frame.point(point)
+        )
+
     def torsion_at(self, point) -> np.ndarray:
-        return expr.evaluate_array(self.torsion_tensor(), self.grading.frame.point(point))
+        return _torsion_values(*self._values_at(point))
 
     def curvature_at(self, point) -> np.ndarray:
-        return expr.evaluate_array(self.curvature_tensor(), self.grading.frame.point(point))
+        return self._tensors_at(point)[1]
+
+    def _tensors_at(self, point):
+        """Torsion, curvature and degree-0 torsion at a point, from values."""
+        if self._gamma_gradient is None:
+            self._gamma_gradient = _coordinate_gradient(self.gamma, self.grading.frame.coords)
+        gam, c, tz, frame, dgam = self._values_at(
+            point, self.grading.t_zero_tensor(), self.grading.frame_rows, self._gamma_gradient
+        )
+        # W_i(Γ_jkl) + Σ_m Γ_jkm Γ_iml, antisymmetrized in (i, j), minus c_ij^m Γ_mkl
+        part = np.einsum("ia,ajkl->ijkl", frame, dgam) + np.einsum("jkm,iml->ijkl", gam, gam)
+        curv = part - part.transpose(1, 0, 2, 3) - np.einsum("ijm,mkl->ijkl", c, gam)
+        return _torsion_values(gam, c), curv, tz
 
     def gamma_at(self, point) -> np.ndarray:
         return expr.evaluate_array(self.gamma, self.grading.frame.point(point))
@@ -668,6 +719,24 @@ class CompatibilityReport:
         return self.compatible and self.t_zero_parallel
 
 
+def _t_zero_derivative_at(conn: Connection, point, *tables):
+    """Γ, ``tables`` and ∇T₀ at a point, from one evaluation cache.
+
+    (∇_i T₀)_jk^l = W_i(T₀_jk^l) + T₀_jk^m Γ_im^l - Γ_ij^m T₀_mk^l - Γ_ik^m T₀_jm^l.
+    """
+    g = conn.grading
+    gam, _, tz, frame, dtz, *vals = conn._values_at(
+        point, g.t_zero_tensor(), g.frame_rows, g.t_zero_gradient(), *tables
+    )
+    ntz = (
+        np.einsum("ia,ajkl->ijkl", frame, dtz)
+        + np.einsum("jkm,iml->ijkl", tz, gam)
+        - np.einsum("ijm,mkl->ijkl", gam, tz)
+        - np.einsum("ikm,jml->ijkl", gam, tz)
+    )
+    return (gam, *vals, ntz)
+
+
 def check_compatible(conn: Connection, points, tol: float = 1e-8) -> CompatibilityReport:
     """Layer parallelism, horizontal metric rule, and degree-0-torsion parallelism."""
     g = conn.grading
@@ -675,8 +744,6 @@ def check_compatible(conn: Connection, points, tol: float = 1e-8) -> Compatibili
     fields = g.fields
     gm = g.frame.metric
     r = g.layer_dims[0]
-
-    tz = g.t_zero_tensor()
 
     # metric derivative rule on horizontal pairs
     metric_terms = []
@@ -695,29 +762,13 @@ def check_compatible(conn: Connection, points, tol: float = 1e-8) -> Compatibili
                 )
                 metric_terms.append(expr.sub(dterm, sterm))
 
-    # covariant derivative of the degree-0 torsion
-    nab_tz = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    terms = [fields[i].apply(tz[j][k][l])]
-                    for mm in range(n):
-                        terms.append(expr.mul(tz[j][k][mm], conn.gamma[i][mm][l]))
-                        terms.append(expr.neg(expr.mul(conn.gamma[i][j][mm], tz[mm][k][l])))
-                        terms.append(expr.neg(expr.mul(conn.gamma[i][k][mm], tz[j][mm][l])))
-                    nab_tz.append(expr.add(*terms))
-
     # Christoffel components [i][j][k] that change layer
     deg = np.array(g.degrees)
     layer_change = deg[:, None] != deg[None, :]
     worst_layers = worst_metric = worst_tz = 0.0
     for point in points:
-        p = g.frame.point(point)
-        gam = conn.gamma_at(p)[:, layer_change]
-        met = expr.evaluate_array(metric_terms, p)
-        ntz = expr.evaluate_array(nab_tz, p)
-        worst_layers = max(worst_layers, float(np.abs(gam).max(initial=0.0)))
+        gam, met, ntz = _t_zero_derivative_at(conn, point, metric_terms)
+        worst_layers = max(worst_layers, float(np.abs(gam[:, layer_change]).max(initial=0.0)))
         worst_metric = max(worst_metric, float(np.abs(met).max(initial=0.0)))
         worst_tz = max(worst_tz, float(np.abs(ntz).max(initial=0.0)))
 
@@ -766,7 +817,6 @@ def check_morimoto(conn: Connection, points, tol: float = 1e-8) -> MorimotoRepor
     n = g.dim
     chi = selector(g)
     compat = check_compatible(conn, points, tol=tol)
-    tz = g.t_zero_tensor()
 
     worst_r = 0.0
     worst_t = 0.0
@@ -774,9 +824,7 @@ def check_morimoto(conn: Connection, points, tol: float = 1e-8) -> MorimotoRepor
         p = g.frame.point(point)
         gram = g.gram_at(p)
         ginv = np.linalg.inv(gram)
-        tten = conn.torsion_at(p)
-        rten = conn.curvature_at(p)
-        tzt = expr.evaluate_array(tz, p)
+        tten, rten, tzt = conn._tensors_at(p)
 
         chimats = [chi.matrix_at(p, v) for v in range(n)]
         isos = g.isometries_at(p)
@@ -809,23 +857,18 @@ def torsion_id_residual(conn: Connection, points) -> float:
     equal the degree-0 torsion value and all parts of degree > i+j vanish.
     """
     g = conn.grading
-    n = g.dim
+    deg = np.array(g.degrees)
+    target = (deg[:, None] + deg[None, :])[:, :, None]  # [i, j, 0]: deg i + deg j
     worst = 0.0
-    tz = g.t_zero_tensor()
     for point in points:
-        p = g.frame.point(point)
-        tten = conn.torsion_at(p)
-        tzt = expr.evaluate_array(tz, p)
-        for i in range(n):
-            for j in range(n):
-                target = g.degree_of(i) + g.degree_of(j)
-                for k in range(n):
-                    dk = g.degree_of(k)
-                    if dk == target:
-                        worst = max(worst, abs(tten[i, j, k] - tzt[i, j, k]))
-                    elif dk > target:
-                        worst = max(worst, abs(tten[i, j, k]))
-    return worst
+        gam, c, tzt = conn._values_at(point, g.t_zero_tensor())
+        tten = _torsion_values(gam, c)
+        worst = max(
+            worst,
+            np.abs(tten - tzt)[deg == target].max(initial=0.0),
+            np.abs(tten)[deg > target].max(initial=0.0),
+        )
+    return float(worst)
 
 
 def curvature_isometry_residual(conn: Connection, points) -> float:
@@ -881,16 +924,13 @@ def flatness_check(conn: Connection, points, tol: float = 1e-8) -> FlatnessRepor
     g = conn.grading
     worst_t = 0.0
     worst_r = 0.0
-    tz = g.t_zero_tensor()
     for point in points:
         p = g.frame.point(point)
         q = _onb_columns(g.gram_at(p))
         qinv = np.linalg.inv(q)
-        tten = conn.torsion_at(p)
-        rten = conn.curvature_at(p)
-        tzt = expr.evaluate_array(tz, p)
-        dt = np.einsum("ia,jb,ijk,kc->abc", q, q, tten - tzt, qinv.T)
-        dr = np.einsum("ia,jb,kc,ijkl,ld->abcd", q, q, q, rten, qinv.T)
+        tten, rten, tzt = conn._tensors_at(p)
+        dt = np.einsum("ia,jb,ijk,kc->abc", q, q, tten - tzt, qinv.T, optimize=True)
+        dr = np.einsum("ia,jb,kc,ijkl,ld->abcd", q, q, q, rten, qinv.T, optimize=True)
         worst_t = max(worst_t, float(np.abs(dt).max()))
         worst_r = max(worst_r, float(np.abs(dr).max()))
     return FlatnessReport(
@@ -921,9 +961,6 @@ def normal_geodesic(conn: Connection, x0, lam0, t_max: float = 1.0,
         raise ManifoldError(f"covector needs {n} components")
     x = np.array([g.frame.point(x0)[c] for c in coords], dtype=float)
 
-    gamma_t = conn.gamma
-    tors = conn.torsion_tensor()
-
     def rhs(state):
         xx, ll = state[:n], state[n:]
         p = {c: xx[a] for a, c in enumerate(coords)}
@@ -931,8 +968,8 @@ def normal_geodesic(conn: Connection, x0, lam0, t_max: float = 1.0,
         u = np.linalg.solve(gh, ll[:r])
         fmat = g.frame.frame_matrix_at(p)
         xdot = fmat[:, :r] @ u
-        gam, tor = expr.evaluate_array([gamma_t[:r], tors[:r]], p)
-        ldot = np.einsum("a,akm,m->k", u, gam - tor, ll)
+        gam, c = conn._values_at(p)
+        ldot = np.einsum("a,akm,m->k", u, (gam - _torsion_values(gam, c))[:r], ll)
         return np.concatenate([xdot, ldot])
 
     steps = max(1, int(round(t_max / step)))

@@ -538,13 +538,16 @@ def connection_double_prime(cd: ContactData, params: ContactGradingParams,
 
 def morimoto_connection_contact(cd: ContactData, params: ContactGradingParams,
                                 second: Connection = None) -> Connection:
-    """Canonical connection: curvature-corrected along the selector."""
+    """Canonical connection: curvature-corrected along the selector.
+
+    Only the curvature rows of ``second`` at the selector's wedge pairs are built.
+    """
     if second is None:
         second = connection_double_prime(cd, params)
     g = params.grading
     nn = g.dim
     chi = selector(g)
-    rten = second.curvature_tensor()
+    rten = {(a, b): second.curvature_rows(a, b) for rows in chi.coefficients for a, b, _ in rows}
     gamma = [
         [[second.gamma[i][j][kk] for kk in range(nn)] for j in range(nn)]
         for i in range(nn)
@@ -556,7 +559,7 @@ def morimoto_connection_contact(cd: ContactData, params: ContactGradingParams,
         for j in range(nn):
             for kk in range(nn):
                 corr = expr.add(
-                    *[expr.mul(coef, rten[a][b][j][kk]) for a, b, coef in rows]
+                    *[expr.mul(coef, rten[a, b][j][kk]) for a, b, coef in rows]
                 )
                 gamma[i][j][kk] = expr.add(gamma[i][j][kk], expr.mul(_HALF, corr))
     return Connection(g, gamma)

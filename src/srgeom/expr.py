@@ -523,6 +523,11 @@ def evaluate_array(table, point: dict) -> np.ndarray:
     All entries share one per-point cache, so subexpressions common to
     several entries are evaluated once.
     """
+    return evaluate_arrays([table], point)[0]
+
+
+def evaluate_arrays(tables, point: dict) -> list:
+    """Evaluate several nested tables, one ndarray each, with one shared cache."""
     cache: dict = {}
 
     def walk(t):
@@ -530,7 +535,7 @@ def evaluate_array(table, point: dict) -> np.ndarray:
             return [walk(x) for x in t]
         return _eval(_coerce(t), point, cache)
 
-    return np.array(walk(table), dtype=float)
+    return [np.array(walk(table), dtype=float) for table in tables]
 
 
 def _eval(e: Expr, point: dict, cache: dict) -> float:

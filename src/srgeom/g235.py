@@ -271,75 +271,18 @@ def _rotation_connection(grading: Grading, nu_vals) -> Connection:
     """Connection whose value in every direction is a multiple of D.
 
     ``nu_vals[i]`` scales the rotation generator along the i-th adapted
-    field.  Because all the Christoffel operators commute (they are
-    multiples of one generator), torsion and curvature have closed forms:
-    the torsion pairs the scaling one-form against D minus the structure
-    functions, and the curvature is the exterior derivative of the scaling
-    one-form times D.  Both tensors are installed on the connection.
+    field: gamma[i][j][k] = nu_i * D[k][j].
     """
     n = grading.dim
-    cbar = grading.structure_functions()
-    fields = grading.fields
     gamma = [[[_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         nv = nu_vals[i]
         nneg = expr.neg(nv)
-        # gamma[i][j][k] = nu_i * D[k][j]
         gamma[i][0][1] = nv
         gamma[i][1][0] = nneg
         gamma[i][3][4] = nv
         gamma[i][4][3] = nneg
-    conn = Connection(grading, gamma)
-
-    tten = [[[None for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                terms = []
-                if not _is_zero(cbar[i][j][k]):
-                    terms.append(expr.neg(cbar[i][j][k]))
-                dkj = _DENTRIES.get((k, j))
-                if dkj and not _is_zero(nu_vals[i]):
-                    terms.append(expr.mul(nu_vals[i], expr.rational(dkj)))
-                dki = _DENTRIES.get((k, i))
-                if dki and not _is_zero(nu_vals[j]):
-                    terms.append(expr.mul(nu_vals[j], expr.rational(-dki)))
-                tten[i][j][k] = expr.add(*terms)
-    conn._torsion = tuple(tuple(tuple(r) for r in row) for row in tten)
-
-    dnu = [[_ZERO for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = expr.add(
-                fields[i].apply(nu_vals[j]),
-                expr.neg(fields[j].apply(nu_vals[i])),
-                *[
-                    expr.neg(expr.mul(cbar[i][j][k], nu_vals[k]))
-                    for k in range(n)
-                    if not _is_zero(cbar[i][j][k]) and not _is_zero(nu_vals[k])
-                ],
-            )
-            dnu[i][j] = e
-            dnu[j][i] = expr.neg(e)
-    rten = [
-        [
-            [
-                [
-                    expr.mul(dnu[i][j], expr.rational(_DENTRIES[(l, k)]))
-                    if (l, k) in _DENTRIES and not _is_zero(dnu[i][j])
-                    else _ZERO
-                    for l in range(n)
-                ]
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    conn._curvature = tuple(
-        tuple(tuple(tuple(r) for r in rk) for rk in row) for row in rten
-    )
-    return conn
+    return Connection(grading, gamma)
 
 
 def _adapted_lambda(grading: Grading):

@@ -168,7 +168,7 @@ class FramedManifold:
         self._frame_inverse = None
         self._structure_functions = None
         self._bracket_layers = [list(self.frames[:r])]
-        self._layer_values = {}
+        self._layer_brackets = {}
 
     # -- basic queries -----------------------------------------------------
 
@@ -228,6 +228,20 @@ class FramedManifold:
             ]
             self._bracket_layers.append(nxt)
         return self._bracket_layers[k - 1]
+
+    def layer_brackets(self, i: int, j: int):
+        """Brackets [x, y] of layer i with layer j, built once.
+
+        Entry a * len(layer j) + b holds [x_a, y_b]; for i = 1 that is the
+        bracket layer j + 1 itself.
+        """
+        if i == 1:
+            return self.bracket_layer(j + 1)
+        if (i, j) not in self._layer_brackets:
+            self._layer_brackets[i, j] = [
+                bracket(x, y) for x in self.bracket_layer(i) for y in self.bracket_layer(j)
+            ]
+        return self._layer_brackets[i, j]
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +522,7 @@ def symbol_at(m: FramedManifold, point, reference_flag=None, max_step: int = 8):
     dims = [b.shape[1] for b in layer_basis]
     offsets = np.concatenate([[0], np.cumsum(dims)])
 
-    # numeric values of all pairwise brackets of layer fields, frame coords;
-    # bracket layer j + 1 already holds [X_a, Y_b] of layer 1 with layer j at
-    # index a * len(fj) + b
+    # numeric values of all pairwise brackets of layer fields, frame coords
     bracket_vals = {}
     for i in range(1, step + 1):
         for j in range(i, step + 1):
@@ -518,10 +530,7 @@ def symbol_at(m: FramedManifold, point, reference_flag=None, max_step: int = 8):
                 continue
             fi = m.bracket_layer(i)
             fj = m.bracket_layer(j)
-            if i == 1:
-                pairs = m.bracket_layer(j + 1)
-            else:
-                pairs = [bracket(x, y) for x in fi for y in fj]
+            pairs = m.layer_brackets(i, j)
             vals = expr.evaluate_array([w.components for w in pairs], p)
             # a C-contiguous (component, a, b) array, so the einsum below
             # takes the same summation path whatever the layer sizes

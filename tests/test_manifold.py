@@ -242,6 +242,42 @@ def test_symbol_independent_of_constant_rotation():
     assert lam_base == pytest.approx(lam_rot, abs=1e-9)
 
 
+def _filiform_chart():
+    """Step-4 filiform chart of dimension 5: growth (2, 3, 4, 5)."""
+    frames = [
+        ["1", "0", "0", "0", "0"],
+        ["0", "1", "x1", "x1^2/2", "x1^3/6"],
+        ["0", "0", "1", "0", "0"],
+        ["0", "0", "0", "1", "0"],
+        ["0", "0", "0", "0", "1"],
+    ]
+    return FramedManifold(("x1", "x2", "x3", "x4", "x5"), frames, 2)
+
+
+def test_symbol_at_builds_layer_brackets_once(monkeypatch):
+    # the brackets of layer 2 with layer 2 do not depend on the point, so the
+    # number of bracket calls must not grow with the number of points
+    import srgeom.manifold as manifold_module
+
+    calls = []
+
+    def counting_bracket(x, y):
+        calls.append(None)
+        return bracket(x, y)
+
+    monkeypatch.setattr(manifold_module, "bracket", counting_bracket)
+    rng = np.random.default_rng(4)
+    counts = []
+    for count in (1, 5):
+        m = _filiform_chart()
+        calls.clear()
+        for _ in range(count):
+            alg = symbol_at(m, rng.uniform(-1, 1, size=5))
+            assert alg.layer_dims == (2, 1, 1, 1)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_symbol_rank_jump_against_reference():
     m = heis()
     with pytest.raises(RankJumpError):

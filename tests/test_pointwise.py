@@ -1,0 +1,177 @@
+"""Torsion, curvature and the derivative of the degree-0 torsion evaluated
+from point values, against the symbolic tables they replace on the verdict
+path."""
+
+import numpy as np
+import pytest
+
+from srgeom import expr, models
+from srgeom.connection import (
+    Connection,
+    _t_zero_derivative_at,
+    check_morimoto,
+    flatness_check,
+    levi_civita,
+    taming_metric,
+)
+from srgeom.contact import (
+    extract_contact_data,
+    morimoto_connection_contact,
+    morimoto_grading_contact,
+)
+from srgeom.g235 import morimoto_connection_235, morimoto_grading_235
+from srgeom.lie import heisenberg
+from srgeom.manifold import (
+    _default_samples,
+    _gram_schmidt_horizontal,
+    check_constant_symbol,
+)
+
+
+def _conformal_h2():
+    """h_2(1, 1) with its metric rescaled by exp(x1): curved, constant symbol."""
+    scale = expr.exp(expr.var("x1"))
+    metric = [[scale if i == j else expr.ZERO for j in range(4)] for i in range(4)]
+    return models.carnot_group_manifold(
+        heisenberg((1, 1)), metric=metric, structure_class="contact"
+    )
+
+
+def _contact_grading(m):
+    cd = extract_contact_data(m)
+    return cd, morimoto_grading_contact(cd)
+
+
+def _contact_connection(m):
+    return morimoto_connection_contact(*_contact_grading(m))
+
+
+def _rotated_cartan_connection():
+    """Morimoto connection of Cartan's chart with the frame rotated by x4/3."""
+    m = models.cartan_group_manifold()
+    e1, e2 = _gram_schmidt_horizontal(m)
+    phi = expr.mul(expr.rational(1, 3), expr.var("x4"))
+    cs, sn = expr.cos(phi), expr.sin(phi)
+    x1 = e1.scaled(cs) + e2.scaled(sn)
+    x2 = e2.scaled(cs) - e1.scaled(sn)
+    pts = _default_samples(m)[:3]
+    return morimoto_connection_235(morimoto_grading_235(m, x1, x2, sample_points=pts)), pts
+
+
+def _perturbed_235_connection():
+    m = models.perturbed_235_manifold(0.1)
+    pts = _default_samples(m)[:3]
+    return morimoto_connection_235(morimoto_grading_235(m, sample_points=pts)), pts
+
+
+def _contact_chart(build):
+    def make():
+        m = build()
+        return _contact_connection(m), _default_samples(m, count=3, seed=5)
+
+    return make
+
+
+CHARTS = {
+    "conformal-h1": _contact_chart(models.conformal_heisenberg_manifold),
+    "conformal-h2": _contact_chart(_conformal_h2),
+    "perturbed-235": _perturbed_235_connection,
+    "rotated-cartan": _rotated_cartan_connection,
+}
+
+
+def _assert_close(got, want):
+    """Equal within 1e-12 relative to the size of ``want`` (at least 1)."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("chart", sorted(CHARTS))
+def test_tensors_from_values_equal_symbolic_tables(chart):
+    conn, pts = CHARTS[chart]()
+    sizes = []
+    for p in pts:
+        want_r = expr.evaluate_array(conn.curvature_tensor(), p)
+        want_t = expr.evaluate_array(conn.torsion_tensor(), p)
+        _assert_close(conn.curvature_at(p), want_r)
+        _assert_close(conn.torsion_at(p), want_t)
+        sizes.append(np.abs(want_t).max())
+    # torsion holds the structure functions, so the comparison is not of zeros
+    assert min(sizes) > 0.1
+
+
+def _symbolic_t_zero_derivative(conn):
+    """(∇_i T₀)[j][k][l] as an n⁴ table of expressions."""
+    g = conn.grading
+    n = g.dim
+    tz = g.t_zero_tensor()
+    gam = conn.gamma
+    return [
+        [
+            [
+                [
+                    expr.add(
+                        g.fields[i].apply(tz[j][k][l]),
+                        *[
+                            term
+                            for m in range(n)
+                            for term in (
+                                expr.mul(tz[j][k][m], gam[i][m][l]),
+                                expr.neg(expr.mul(gam[i][j][m], tz[m][k][l])),
+                                expr.neg(expr.mul(gam[i][k][m], tz[j][m][l])),
+                            )
+                        ],
+                    )
+                    for l in range(n)
+                ]
+                for k in range(n)
+            ]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "build", [models.conformal_heisenberg_manifold, _conformal_h2], ids=["h1", "h2"]
+)
+def test_t_zero_derivative_from_values_equals_symbolic(build):
+    # the Levi-Civita connection of the taming metric does not keep the
+    # degree-0 torsion parallel, so the compared tensor is not zero
+    m = build()
+    _, params = _contact_grading(m)
+    conn = levi_civita(taming_metric(m, params.grading))
+    table = _symbolic_t_zero_derivative(conn)
+    for p in _default_samples(m, count=3, seed=5):
+        want = expr.evaluate_array(table, p)
+        assert np.abs(want).max() > 0.1
+        _assert_close(_t_zero_derivative_at(conn, p)[-1], want)
+
+
+def _no_full_curvature_table(self):
+    raise AssertionError("the verdict path built the full symbolic curvature table")
+
+
+@pytest.mark.parametrize(
+    "build, flat",
+    [(models.conformal_heisenberg_manifold, False), (models.heisenberg_metric4_manifold, True)],
+    ids=["conformal-h1", "flat-h2"],
+)
+def test_contact_verdicts_without_full_curvature_table(build, flat, monkeypatch):
+    monkeypatch.setattr(Connection, "curvature_tensor", _no_full_curvature_table)
+    m = build()
+    pts = _default_samples(m, count=3, seed=5)
+    assert check_constant_symbol(m, pts).constant
+    conn = _contact_connection(m)
+    assert check_morimoto(conn, pts, tol=1e-6).ok
+    assert flatness_check(conn, pts).flat is flat
+
+
+def test_235_verdicts_without_full_curvature_table(monkeypatch):
+    monkeypatch.setattr(Connection, "curvature_tensor", _no_full_curvature_table)
+    m = models.cartan_group_manifold()
+    pts = _default_samples(m)[:3]
+    assert check_constant_symbol(m, pts).constant
+    conn = morimoto_connection_235(morimoto_grading_235(m, sample_points=pts))
+    assert check_morimoto(conn, pts).ok
+    assert flatness_check(conn, pts).flat
