@@ -11,10 +11,13 @@ provides torsion/curvature tensors plus the compatibility, normalization,
 and flatness checks and the normal-geodesic integrator.
 
 Symbolic where a construction reads expressions: structure functions,
-degree-0 torsion, taming metric, selector, Γ and the symbolic tensors listed
-on :class:`Connection`.  From values where only points are read: the checks
-and the geodesic integrator assemble torsion, curvature and ∇T₀ with
-``einsum`` from tables evaluated at the point with one shared cache.
+degree-0 torsion, taming metric, selector (solved once per grading), Γ and
+the symbolic tensors listed on :class:`Connection`.  From values where only
+points are read: each check evaluates the tables it reads (Γ, structure
+functions, T₀, frame rows, the non-zero coordinate derivatives of Γ and T₀,
+selector coefficients) in one :func:`expr.evaluate_tables` call for all of
+its points, then assembles torsion, curvature and ∇T₀ one point at a time
+with ``einsum`` from that point's slices.
 """
 
 from __future__ import annotations
@@ -112,6 +115,7 @@ class Grading:
         self.frame_rows = tuple(f.components for f in self._fields)
         self._t_zero = None
         self._t_zero_gradient = None
+        self._selector = None
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -153,27 +157,38 @@ class Grading:
 
     def symbol_algebra_at(self, point: dict) -> CarnotAlgebra:
         """Pointwise symbol: the graded structure constants plus the metric."""
-        p = self.frame.point(point)
-        key = tuple(sorted(p.items()))
-        if key not in self._symbol_cache:
-            cg = self.graded_structure_at(p)
-            brackets = {}
+        return self.symbol_algebras_at([point])[0]
+
+    def symbol_algebras_at(self, points) -> list:
+        """Pointwise symbols at several points, each built once per point.
+
+        The points not seen before are evaluated together: one call for the
+        structure constants and one for the metric, whatever their number.
+        """
+        pts = [self.frame.point(p) for p in points]
+        keys = [tuple(sorted(p.items())) for p in pts]
+        fresh = {k: p for k, p in zip(keys, pts) if k not in self._symbol_cache}
+        if fresh:
             n = self.dim
-            for a in range(n):
-                for b in range(a + 1, n):
-                    row = {
-                        c: float(cg[a, b, c])
-                        for c in range(n)
-                        if abs(cg[a, b, c]) > 1e-13
-                    }
-                    if row:
-                        brackets[a, b] = row
             labels = tuple(f"W{a+1}" for a in range(n))
-            self._symbol_cache[key] = CarnotAlgebra(
-                self.layer_dims, labels, brackets,
-                metric1=self.frame.metric_at(p),
-            )
-        return self._symbol_cache[key]
+            tzs = expr.evaluate_tables([self.t_zero_tensor()], fresh.values())[0]
+            metrics = self.frame.metrics_at(fresh.values())
+            for key, tz, metric in zip(fresh, tzs, metrics):
+                cg = -tz
+                brackets = {}
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        row = {
+                            c: float(cg[a, b, c])
+                            for c in range(n)
+                            if abs(cg[a, b, c]) > 1e-13
+                        }
+                        if row:
+                            brackets[a, b] = row
+                self._symbol_cache[key] = CarnotAlgebra(
+                    self.layer_dims, labels, brackets, metric1=metric
+                )
+        return [self._symbol_cache[k] for k in keys]
 
     def gram_at(self, point: dict, convention: str = "selector") -> np.ndarray:
         """Taming metric in adapted coordinates at a point."""
@@ -205,7 +220,7 @@ class Grading:
         return self._t_zero
 
     def t_zero_gradient(self):
-        """Coordinate gradient of the degree-0 torsion, built once."""
+        """Non-zero coordinate derivatives of the degree-0 torsion, built once."""
         if self._t_zero_gradient is None:
             self._t_zero_gradient = _coordinate_gradient(self.t_zero_tensor(), self.frame.coords)
         return self._t_zero_gradient
@@ -386,17 +401,31 @@ class Selector:
     grading: Grading
     coefficients: tuple
 
+    def table(self) -> list:
+        """Every coefficient expression, field after field: what :meth:`matrices` reads."""
+        return [coef for row in self.coefficients for _, _, coef in row]
+
+    def matrices(self, values) -> list:
+        """Antisymmetric wedge-coefficient matrices of the values on every field.
+
+        ``values`` holds the values of :meth:`table` at one point.
+        """
+        n = self.grading.dim
+        out = []
+        pos = 0
+        for row in self.coefficients:
+            mat = np.zeros((n, n))
+            for a, b, _ in row:
+                mat[a, b] += values[pos]
+                mat[b, a] -= values[pos]
+                pos += 1
+            out.append(mat)
+        return out
+
     def matrix_at(self, point, index: int) -> np.ndarray:
         """Antisymmetric wedge-coefficient matrix of the value on one field."""
-        p = self.grading.frame.point(point)
-        n = self.grading.dim
-        out = np.zeros((n, n))
-        cache: dict = {}
-        for a, b, coef in self.coefficients[index]:
-            v = expr._eval(coef, p, cache)
-            out[a, b] += v
-            out[b, a] -= v
-        return out
+        values = expr.evaluate_array(self.table(), self.grading.frame.point(point))
+        return self.matrices(values)[index]
 
 
 def selector(grading: Grading) -> Selector:
@@ -407,8 +436,15 @@ def selector(grading: Grading) -> Selector:
     against the field; with the selector-flavor metric extension this
     inverts the fiberwise bracket (bracketing the value reproduces the
     field modulo lower flag layers), which is the defining normalization.
-    Values on horizontal fields vanish.
+    Values on horizontal fields vanish.  Solved once per grading and stored
+    on it.
     """
+    if grading._selector is None:
+        grading._selector = _solve_selector(grading)
+    return grading._selector
+
+
+def _solve_selector(grading: Grading) -> Selector:
     tm = taming_metric(grading.base, grading, "selector")
     gmat = tm.matrix
     c = grading.structure_functions()
@@ -450,14 +486,25 @@ def selector(grading: Grading) -> Selector:
 
 
 def _coordinate_gradient(table, coords):
-    """[a][i][j][k]: the derivative of ``table[i][j][k]`` along coordinate a."""
-    return tuple(
-        tuple(
-            tuple(tuple(expr.differentiate(e, x) for e in row) for row in plane)
-            for plane in table
-        )
-        for x in coords
-    )
+    """Non-zero derivatives of a rank-3 table along the coordinates.
+
+    Returns the shape (coordinate, i, j, k), the flat indices of the non-zero
+    derivatives of ``table[i][j][k]`` and those derivatives; most are zero,
+    so only these are evaluated and held for every point.
+    """
+    derivatives = [
+        expr.differentiate(e, x) for x in coords for plane in table for row in plane for e in row
+    ]
+    index = [pos for pos, d in enumerate(derivatives) if d is not _ZERO]
+    shape = (len(coords), len(table), len(table[0]), len(table[0][0]))
+    return shape, index, [derivatives[pos] for pos in index]
+
+
+def _dense(shape, index, values) -> np.ndarray:
+    """The array of ``shape`` holding ``values`` at the flat ``index``, zero elsewhere."""
+    out = np.zeros(shape)
+    out.flat[index] = values
+    return out
 
 
 def _torsion_values(gam: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -474,9 +521,13 @@ class Connection:
     Symbolic: ``gamma``, ``torsion_tensor`` and ``curvature_rows`` (the
     contact construction reads the rows at the selector's wedge pairs);
     ``curvature_tensor`` holds every row, for tests.  From values:
-    ``torsion_at`` and ``curvature_at``.  The frame derivatives W_i(Γ) at a
-    point are F(p)ᵀ ∂Γ(p): F(p) is the adapted frame matrix and ∂Γ the
-    coordinate gradient of Γ, built once and stored on the connection.
+    ``torsion_at`` and ``curvature_at``, the one-point case of ``_tensors``,
+    which evaluates its tables once for all points and assembles each
+    point's tensors when that point is read, so only one point's n⁴
+    curvature is held at a time.  The frame derivatives W_i(Γ) at a point
+    are F(p)ᵀ ∂Γ(p): F(p) is the adapted frame matrix and ∂Γ the coordinate
+    gradient of Γ, whose non-zero entries are built once and stored on the
+    connection.
     """
 
     def __init__(self, grading: Grading, gamma):
@@ -548,30 +599,39 @@ class Connection:
 
     # -- pointwise tensors ----------------------------------------------------
 
-    def _values_at(self, point, *tables):
-        """Γ, the structure functions and ``tables`` at a point, one cache."""
+    def _values(self, points, *tables):
+        """Γ, the structure functions and ``tables`` at every point, one call."""
         g = self.grading
-        return expr.evaluate_arrays(
-            (self.gamma, g.structure_functions()) + tables, g.frame.point(point)
+        return expr.evaluate_tables(
+            (self.gamma, g.structure_functions()) + tables, [g.frame.point(p) for p in points]
         )
 
     def torsion_at(self, point) -> np.ndarray:
-        return _torsion_values(*self._values_at(point))
+        gam, c = self._values([point])
+        return _torsion_values(gam[0], c[0])
 
     def curvature_at(self, point) -> np.ndarray:
-        return self._tensors_at(point)[1]
+        return next(self._tensors([point]))[1]
 
-    def _tensors_at(self, point):
-        """Torsion, curvature and degree-0 torsion at a point, from values."""
+    def _tensors(self, points, *tables):
+        """Yield torsion, curvature, degree-0 torsion and ``tables`` at each point.
+
+        Every table is evaluated once for all points; the tensors of one point
+        are assembled from its slices when that point's turn comes.
+        """
+        g = self.grading
         if self._gamma_gradient is None:
-            self._gamma_gradient = _coordinate_gradient(self.gamma, self.grading.frame.coords)
-        gam, c, tz, frame, dgam = self._values_at(
-            point, self.grading.t_zero_tensor(), self.grading.frame_rows, self._gamma_gradient
+            self._gamma_gradient = _coordinate_gradient(self.gamma, g.frame.coords)
+        shape, index, derivatives = self._gamma_gradient
+        gams, cs, tzs, frames, dgams, *vals = self._values(
+            points, g.t_zero_tensor(), g.frame_rows, derivatives, *tables
         )
-        # W_i(Γ_jkl) + Σ_m Γ_jkm Γ_iml, antisymmetrized in (i, j), minus c_ij^m Γ_mkl
-        part = np.einsum("ia,ajkl->ijkl", frame, dgam) + np.einsum("jkm,iml->ijkl", gam, gam)
-        curv = part - part.transpose(1, 0, 2, 3) - np.einsum("ijm,mkl->ijkl", c, gam)
-        return _torsion_values(gam, c), curv, tz
+        for x, (gam, c, frame) in enumerate(zip(gams, cs, frames)):
+            dgam = _dense(shape, index, dgams[x])
+            # W_i(Γ_jkl) + Σ_m Γ_jkm Γ_iml, antisymmetrized in (i, j), minus c_ij^m Γ_mkl
+            part = np.einsum("ia,ajkl->ijkl", frame, dgam) + np.einsum("jkm,iml->ijkl", gam, gam)
+            curv = part - part.transpose(1, 0, 2, 3) - np.einsum("ijm,mkl->ijkl", c, gam)
+            yield (_torsion_values(gam, c), curv, tzs[x], *[v[x] for v in vals])
 
     def gamma_at(self, point) -> np.ndarray:
         return expr.evaluate_array(self.gamma, self.grading.frame.point(point))
@@ -719,22 +779,25 @@ class CompatibilityReport:
         return self.compatible and self.t_zero_parallel
 
 
-def _t_zero_derivative_at(conn: Connection, point, *tables):
-    """Γ, ``tables`` and ∇T₀ at a point, from one evaluation cache.
+def _t_zero_derivatives(conn: Connection, points, *tables):
+    """Yield Γ, ``tables`` and ∇T₀ at each point; every table evaluated once.
 
     (∇_i T₀)_jk^l = W_i(T₀_jk^l) + T₀_jk^m Γ_im^l - Γ_ij^m T₀_mk^l - Γ_ik^m T₀_jm^l.
     """
     g = conn.grading
-    gam, _, tz, frame, dtz, *vals = conn._values_at(
-        point, g.t_zero_tensor(), g.frame_rows, g.t_zero_gradient(), *tables
+    shape, index, derivatives = g.t_zero_gradient()
+    gams, _, tzs, frames, dtzs, *vals = conn._values(
+        points, g.t_zero_tensor(), g.frame_rows, derivatives, *tables
     )
-    ntz = (
-        np.einsum("ia,ajkl->ijkl", frame, dtz)
-        + np.einsum("jkm,iml->ijkl", tz, gam)
-        - np.einsum("ijm,mkl->ijkl", gam, tz)
-        - np.einsum("ikm,jml->ijkl", gam, tz)
-    )
-    return (gam, *vals, ntz)
+    for x, (gam, tz, frame) in enumerate(zip(gams, tzs, frames)):
+        dtz = _dense(shape, index, dtzs[x])
+        ntz = (
+            np.einsum("ia,ajkl->ijkl", frame, dtz)
+            + np.einsum("jkm,iml->ijkl", tz, gam)
+            - np.einsum("ijm,mkl->ijkl", gam, tz)
+            - np.einsum("ikm,jml->ijkl", gam, tz)
+        )
+        yield (gam, *[v[x] for v in vals], ntz)
 
 
 def check_compatible(conn: Connection, points, tol: float = 1e-8) -> CompatibilityReport:
@@ -766,8 +829,7 @@ def check_compatible(conn: Connection, points, tol: float = 1e-8) -> Compatibili
     deg = np.array(g.degrees)
     layer_change = deg[:, None] != deg[None, :]
     worst_layers = worst_metric = worst_tz = 0.0
-    for point in points:
-        gam, met, ntz = _t_zero_derivative_at(conn, point, metric_terms)
+    for gam, met, ntz in _t_zero_derivatives(conn, points, metric_terms):
         worst_layers = max(worst_layers, float(np.abs(gam[:, layer_change]).max(initial=0.0)))
         worst_metric = max(worst_metric, float(np.abs(met).max(initial=0.0)))
         worst_tz = max(worst_tz, float(np.abs(ntz).max(initial=0.0)))
@@ -820,14 +882,12 @@ def check_morimoto(conn: Connection, points, tol: float = 1e-8) -> MorimotoRepor
 
     worst_r = 0.0
     worst_t = 0.0
-    for point in points:
-        p = g.frame.point(point)
-        gram = g.gram_at(p)
+    symbols = g.symbol_algebras_at(points)
+    for sym, (tten, rten, tzt, coefs) in zip(symbols, conn._tensors(points, chi.table())):
+        gram = sym.full_gram("selector")
         ginv = np.linalg.inv(gram)
-        tten, rten, tzt = conn._tensors_at(p)
-
-        chimats = [chi.matrix_at(p, v) for v in range(n)]
-        isos = g.isometries_at(p)
+        chimats = chi.matrices(coefs)
+        isos = isometry_algebra(sym)
 
         for v in range(n):
             cm = chimats[v]
@@ -860,8 +920,7 @@ def torsion_id_residual(conn: Connection, points) -> float:
     deg = np.array(g.degrees)
     target = (deg[:, None] + deg[None, :])[:, :, None]  # [i, j, 0]: deg i + deg j
     worst = 0.0
-    for point in points:
-        gam, c, tzt = conn._values_at(point, g.t_zero_tensor())
+    for gam, c, tzt in zip(*conn._values(points, g.t_zero_tensor())):
         tten = _torsion_values(gam, c)
         worst = max(
             worst,
@@ -880,12 +939,10 @@ def curvature_isometry_residual(conn: Connection, points) -> float:
     g = conn.grading
     n = g.dim
     worst = 0.0
-    for point in points:
-        p = g.frame.point(point)
-        gram = g.gram_at(p)
+    for sym, (_, rten, _) in zip(g.symbol_algebras_at(points), conn._tensors(points)):
+        gram = sym.full_gram("selector")
         ginv = np.linalg.inv(gram)
-        rten = conn.curvature_at(p)
-        isos = g.isometries_at(p)
+        isos = isometry_algebra(sym)
         # orthonormalize the generators under the trace pairing
         basis = []
         for d in isos:
@@ -924,11 +981,9 @@ def flatness_check(conn: Connection, points, tol: float = 1e-8) -> FlatnessRepor
     g = conn.grading
     worst_t = 0.0
     worst_r = 0.0
-    for point in points:
-        p = g.frame.point(point)
-        q = _onb_columns(g.gram_at(p))
+    for sym, (tten, rten, tzt) in zip(g.symbol_algebras_at(points), conn._tensors(points)):
+        q = _onb_columns(sym.full_gram("selector"))
         qinv = np.linalg.inv(q)
-        tten, rten, tzt = conn._tensors_at(p)
         dt = np.einsum("ia,jb,ijk,kc->abc", q, q, tten - tzt, qinv.T, optimize=True)
         dr = np.einsum("ia,jb,kc,ijkl,ld->abcd", q, q, q, rten, qinv.T, optimize=True)
         worst_t = max(worst_t, float(np.abs(dt).max()))
@@ -968,7 +1023,7 @@ def normal_geodesic(conn: Connection, x0, lam0, t_max: float = 1.0,
         u = np.linalg.solve(gh, ll[:r])
         fmat = g.frame.frame_matrix_at(p)
         xdot = fmat[:, :r] @ u
-        gam, c = conn._values_at(p)
+        gam, c = (v[0] for v in conn._values([p]))
         ldot = np.einsum("a,akm,m->k", u, (gam - _torsion_values(gam, c))[:r], ll)
         return np.concatenate([xdot, ldot])
 

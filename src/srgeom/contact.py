@@ -366,32 +366,26 @@ def _tau_tensor(cd: ContactData, params: ContactGradingParams):
     frame_fields = g.fields
     k = len(cd.lam_op)
 
-    def embed(col):
-        return list(col) + [_ZERO]
-
-    def basis(i):
-        return [expr.rational(1 if c == i else 0) for c in range(nn)]
-
     tau = [[[_ZERO] * nn for _ in range(nn)] for _ in range(nn)]
     for p_idx in range(k):
         proj = cd.projections[p_idx]
+        # pr[p] F_j as frame coefficients, with the indices where they are non-zero
+        cols = [[proj[c][j] for c in range(r)] + [_ZERO] for j in range(r)]
+        supports = [[c for c in range(r) if col[c] is not _ZERO] for col in cols]
         for i in range(nn):
-            ui = basis(i)
+            ui = _unit(nn, i)
             if i < r:
                 for c in range(r):
                     ui[c] = expr.add(ui[c], expr.neg(proj[c][i]))
             # ui = W_i - pr[p] W_i
             if all(e is _ZERO for e in ui):
                 continue
+            brackets = [frame_bracket(frame_fields, ctab, ui, col) for col in cols]
             for j in range(r):
-                aj = embed([proj[c][j] for c in range(r)])
-                bra = frame_bracket(frame_fields, ctab, ui, aj)
+                aj, bra = cols[j], brackets[j]
                 for kk in range(r):
-                    bk = embed([proj[c][kk] for c in range(r)])
-                    brb = frame_bracket(frame_fields, ctab, ui, bk)
-                    gab = expr.add(
-                        *[expr.mul(proj[c][j], proj[c][kk]) for c in range(r)]
-                    )
+                    bk, brb = cols[kk], brackets[kk]
+                    gab = expr.add(*[expr.mul(aj[c], bk[c]) for c in supports[j] if bk[c] is not _ZERO])
                     du = expr.add(
                         *[
                             expr.mul(ui[a], frame_fields[a].apply(gab))
@@ -401,15 +395,16 @@ def _tau_tensor(cd: ContactData, params: ContactGradingParams):
                     )
                     lie = expr.add(
                         du,
-                        expr.neg(
-                            expr.add(*[expr.mul(bra[c], bk[c]) for c in range(r)])
-                        ),
-                        expr.neg(
-                            expr.add(*[expr.mul(brb[c], aj[c]) for c in range(r)])
-                        ),
+                        expr.neg(expr.add(*[expr.mul(bra[c], bk[c]) for c in supports[kk]])),
+                        expr.neg(expr.add(*[expr.mul(brb[c], aj[c]) for c in supports[j]])),
                     )
                     tau[i][j][kk] = expr.add(tau[i][j][kk], expr.mul(_HALF, lie))
     return tau
+
+
+def _unit(n: int, i: int) -> list:
+    """Coefficients of the i-th of n frame fields."""
+    return [expr.ONE if c == i else _ZERO for c in range(n)]
 
 
 def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connection:
@@ -450,38 +445,39 @@ def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connectio
     gamma = [[[_ZERO] * nn for _ in range(nn)] for _ in range(nn)]
     for p_idx in range(k):
         proj = cd.projections[p_idx]
+        # the non-zero entries of each row of pr[p]
+        rows = [[c for c in range(r) if proj[kk][c] is not _ZERO] for kk in range(r)]
         for i in range(nn):
-            # pr[p] W_i as horizontal coefficients
-            acol = [proj[c][i] for c in range(r)] if i < r else [_ZERO] * r
-            ui = [expr.rational(1 if c == i else 0) for c in range(nn)]
+            # pr[p] W_i as horizontal coefficients, and where they are non-zero
+            asupp = [a for a in range(r) if proj[a][i] is not _ZERO] if i < r else []
+            ui = _unit(nn, i)
             if i < r:
                 for c in range(r):
                     ui[c] = expr.add(ui[c], expr.neg(proj[c][i]))
             for j in range(r):
                 bcol = [proj[c][j] for c in range(r)]
+                bsupp = [b for b in range(r) if bcol[b] is not _ZERO]
                 # term 1: pr[p] ( LC_{pr[p]W_i} pr[p]F_j )
-                t1 = [_ZERO] * r
-                if i < r:
-                    for kk in range(r):
-                        terms = [
-                            expr.mul(acol[a], frame_fields[a].apply(bcol[kk]))
-                            for a in range(r)
-                        ]
-                        for a in range(r):
-                            for b in range(r):
-                                terms.append(
-                                    expr.mul(acol[a], bcol[b], gamma_h[a][b][kk])
-                                )
-                        t1[kk] = expr.add(*terms)
-                # term 2: pr[p] [ W_i - pr[p]W_i, pr[p]F_j ]
-                brk = frame_bracket(frame_fields, ctab, ui, list(bcol) + [_ZERO])
-                for kk in range(r):
-                    val = expr.add(
+                t1 = [
+                    expr.add(
                         *[
-                            expr.mul(proj[kk][c], expr.add(t1[c], brk[c]))
-                            for c in range(r)
-                        ]
+                            expr.mul(proj[a][i], frame_fields[a].apply(bcol[kk]))
+                            for a in asupp
+                            if bcol[kk] is not _ZERO
+                        ],
+                        *[
+                            expr.mul(proj[a][i], bcol[b], gamma_h[a][b][kk])
+                            for a in asupp
+                            for b in bsupp
+                        ],
                     )
+                    for kk in range(r)
+                ]
+                # term 2: pr[p] [ W_i - pr[p]W_i, pr[p]F_j ]
+                brk = frame_bracket(frame_fields, ctab, ui, bcol + [_ZERO])
+                both = [expr.add(t1[c], brk[c]) for c in range(r)]
+                for kk in range(r):
+                    val = expr.add(*[expr.mul(proj[kk][c], both[c]) for c in rows[kk]])
                     gamma[i][j][kk] = expr.add(gamma[i][j][kk], val)
     for i in range(nn):
         for j in range(r):
@@ -502,10 +498,12 @@ def _dj_tensor(cd: ContactData, conn: Connection):
             for kk in range(r):
                 terms = [frame_fields[i].apply(cd.jmat[kk][b])]
                 for c in range(r):
-                    terms.append(expr.mul(cd.jmat[c][b], conn.gamma[i][c][kk]))
-                    terms.append(
-                        expr.neg(expr.mul(conn.gamma[i][b][c], cd.jmat[kk][c]))
-                    )
+                    if cd.jmat[c][b] is not _ZERO:
+                        terms.append(expr.mul(cd.jmat[c][b], conn.gamma[i][c][kk]))
+                    if cd.jmat[kk][c] is not _ZERO:
+                        terms.append(
+                            expr.neg(expr.mul(conn.gamma[i][b][c], cd.jmat[kk][c]))
+                        )
                 dj[i][b][kk] = expr.add(*terms)
     return dj
 
@@ -528,7 +526,11 @@ def connection_double_prime(cd: ContactData, params: ContactGradingParams,
         for j in range(r):
             for kk in range(r):
                 corr = expr.add(
-                    *[expr.mul(cd.jmat[b][j], dj[i][b][kk]) for b in range(r)]
+                    *[
+                        expr.mul(cd.jmat[b][j], dj[i][b][kk])
+                        for b in range(r)
+                        if cd.jmat[b][j] is not _ZERO
+                    ]
                 )
                 gamma[i][j][kk] = expr.add(
                     gamma[i][j][kk], expr.mul(_HALF, corr)

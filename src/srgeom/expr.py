@@ -9,18 +9,24 @@ carries ``skey``, its structure as nested tuples, which is used only as the
 sort key for the canonical order of terms and factors. Smart constructors
 normalize on the way in (constant folding, 0/1 identities, flattening,
 collection of like terms and like powers), which keeps the bracket/curvature
-pipelines from drowning in redundant subtrees.
+pipelines from drowning in redundant subtrees. Most terms the geometry builds
+are structurally zero, so ``mul`` returns ``ZERO`` as soon as a factor is
+``ZERO`` and ``add`` drops ``ZERO`` terms before folding anything.
 
 Invariant: every node the constructors return is already in normal form, i.e.
 ``simplify(e) is e``. Callers never need to re-normalize a result.
 
 Exact rationals stay exact until a float literal or a transcendental forces a
-float; all verdict-level work downstream is numeric at sample points.
+float; all verdict-level work downstream is numeric at sample points. One
+evaluator, :func:`evaluate_tables`, takes nested tables and a list of points
+and evaluates each DAG node once for all of them; ``evaluate``,
+``evaluate_array`` and ``evaluate_arrays`` are its one-point case.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -167,8 +173,12 @@ class Fn(Expr):
         return _node(cls, (6, name, arg), name, arg)
 
 
-ZERO = Rat(Fraction(0))
-ONE = Rat(Fraction(1))
+# Fraction is immutable, so the folds below start from shared constants
+_FRACTION_ZERO = Fraction(0)
+_FRACTION_ONE = Fraction(1)
+
+ZERO = Rat(_FRACTION_ZERO)
+ONE = Rat(_FRACTION_ONE)
 MINUS_ONE = Rat(Fraction(-1))
 HALF = Rat(Fraction(1, 2))
 
@@ -204,8 +214,14 @@ def _is_const(e: Expr) -> bool:
 
 
 def add(*terms) -> Expr:
-    """n-ary sum with flattening, exact constant folding, like-term collection."""
-    rat_part = Fraction(0)
+    """n-ary sum with flattening, exact constant folding, like-term collection.
+
+    ``ZERO`` terms are dropped before anything is folded.
+    """
+    terms = [t for t in map(_coerce, terms) if t is not ZERO]
+    if not terms:
+        return ZERO
+    rat_part = _FRACTION_ZERO
     flt_part = 0.0
     has_flt = False
     by_core: dict = {}
@@ -232,7 +248,7 @@ def add(*terms) -> Expr:
             order.append(core)
 
     for t in terms:
-        absorb(_coerce(t))
+        absorb(t)
 
     out = []
     for core in order:
@@ -271,7 +287,7 @@ def _split_coeff(e: Expr):
             rest = e.factors[1:]
             core = rest[0] if len(rest) == 1 else Mul(rest)
             return f0.value, core
-    return Fraction(1), e
+    return _FRACTION_ONE, e
 
 
 def _scale(core: Expr, coeff) -> Expr:
@@ -284,8 +300,15 @@ def _scale(core: Expr, coeff) -> Expr:
 
 
 def mul(*factors) -> Expr:
-    """n-ary product with flattening, constant folding, like-power collection."""
-    rat_part = Fraction(1)
+    """n-ary product with flattening, constant folding, like-power collection.
+
+    A ``ZERO`` factor makes the product ``ZERO`` before anything is folded.
+    """
+    factors = [_coerce(f) for f in factors]
+    for f in factors:
+        if f is ZERO:
+            return ZERO
+    rat_part = _FRACTION_ONE
     flt_part = 1.0
     has_flt = False
     by_base: dict = {}
@@ -315,7 +338,7 @@ def mul(*factors) -> Expr:
             order.append(base)
 
     for f in factors:
-        absorb(_coerce(f))
+        absorb(f)
 
     if rat_part == 0:
         return ZERO
@@ -513,65 +536,101 @@ def simplify(e: Expr) -> Expr:
 # evaluation
 
 
+def evaluate_tables(tables, points) -> list:
+    """Evaluate nested tables (lists or tuples) of expressions at every point.
+
+    Returns one ndarray per table, of shape ``(len(points),) + table shape``.
+    Every node of the shared DAG is evaluated once, for all points together;
+    at each point its arithmetic is the scalar one (``math.fsum`` for sums,
+    left-to-right products, Python ``**``), so a point's values do not depend
+    on the other points in the batch.  An :class:`EvaluationError` at any
+    point aborts the whole batch.
+    """
+    points = list(points)
+    count = len(points)
+    cache: dict = {}
+
+    def ev(e: Expr) -> list:
+        key = id(e)
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
+        if isinstance(e, Rat):
+            v = [float(e.value)] * count
+        elif isinstance(e, Flt):
+            v = [e.value] * count
+        elif isinstance(e, Var):
+            try:
+                v = [float(p[e.name]) for p in points]
+            except KeyError:
+                raise EvaluationError(f"missing coordinate {e.name!r}") from None
+        elif isinstance(e, Add):
+            v = list(map(math.fsum, zip(*[ev(t) for t in e.terms])))
+        elif isinstance(e, Mul):
+            # 1.0 * x is x, so the product starts from the first factor
+            fs = e.factors
+            v = ev(fs[0])
+            for f in fs[1:]:
+                v = list(map(operator.mul, v, ev(f)))
+        elif isinstance(e, Pow):
+            k = e.exponent
+            b = ev(e.base)
+            if k < 0 and 0.0 in b:
+                raise EvaluationError("division by zero")
+            try:
+                v = [x ** k for x in b]
+            except OverflowError as exc:
+                raise EvaluationError("overflow in power") from exc
+        elif isinstance(e, Fn):
+            name = e.name
+            v = [_apply_fn(name, x) for x in ev(e.arg)]
+        else:
+            raise ExprError(f"unknown node {e!r}")
+        cache[key] = v
+        return v
+
+    out = []
+    for table in tables:
+        shape, entries = _table_entries(table)
+        values = np.zeros((count, math.prod(shape)))
+        if entries:
+            # ZERO entries keep the fill value, 0.0 = float(ZERO.value)
+            index, exprs = zip(*entries)
+            values[:, list(index)] = np.array([ev(e) for e in exprs], dtype=float).T
+        out.append(values.reshape((count,) + shape))
+    return out
+
+
+def _table_entries(table):
+    """Shape of a nested table and its (flat index, Expr) entries that are not ZERO."""
+    shape = []
+    flat = [table]
+    while isinstance(flat[0], (list, tuple)):
+        try:
+            if len(set(map(len, flat))) != 1:
+                raise TypeError
+        except TypeError:
+            raise ExprError("table is not rectangular") from None
+        shape.append(len(flat[0]))
+        flat = [x for row in flat for x in row]
+        if not flat:
+            break
+    entries = [(i, e) for i, e in enumerate(map(_coerce, flat)) if e is not ZERO]
+    return tuple(shape), entries
+
+
 def evaluate(e: Expr, point: dict) -> float:
-    return _eval(e, point, {})
+    return float(evaluate_tables([e], [point])[0][0])
 
 
 def evaluate_array(table, point: dict) -> np.ndarray:
-    """Evaluate a nested table (lists or tuples) of expressions to an ndarray.
-
-    All entries share one per-point cache, so subexpressions common to
-    several entries are evaluated once.
-    """
-    return evaluate_arrays([table], point)[0]
+    """Evaluate a nested table of expressions at one point to an ndarray."""
+    return evaluate_tables([table], [point])[0][0]
 
 
 def evaluate_arrays(tables, point: dict) -> list:
-    """Evaluate several nested tables, one ndarray each, with one shared cache."""
-    cache: dict = {}
-
-    def walk(t):
-        if isinstance(t, (list, tuple)):
-            return [walk(x) for x in t]
-        return _eval(_coerce(t), point, cache)
-
-    return [np.array(walk(table), dtype=float) for table in tables]
-
-
-def _eval(e: Expr, point: dict, cache: dict) -> float:
-    key = id(e)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(e, Rat):
-        v = float(e.value)
-    elif isinstance(e, Flt):
-        v = e.value
-    elif isinstance(e, Var):
-        try:
-            v = float(point[e.name])
-        except KeyError:
-            raise EvaluationError(f"missing coordinate {e.name!r}") from None
-    elif isinstance(e, Add):
-        v = math.fsum(_eval(t, point, cache) for t in e.terms)
-    elif isinstance(e, Mul):
-        v = 1.0
-        for f in e.factors:
-            v *= _eval(f, point, cache)
-    elif isinstance(e, Pow):
-        b = _eval(e.base, point, cache)
-        if e.exponent < 0 and b == 0.0:
-            raise EvaluationError("division by zero")
-        try:
-            v = b ** e.exponent
-        except OverflowError as exc:
-            raise EvaluationError("overflow in power") from exc
-    elif isinstance(e, Fn):
-        v = _apply_fn(e.name, _eval(e.arg, point, cache))
-    else:
-        raise ExprError(f"unknown node {e!r}")
-    cache[key] = v
-    return v
+    """Evaluate several nested tables at one point, one ndarray each."""
+    return [values[0] for values in evaluate_tables(tables, [point])]
 
 
 # ---------------------------------------------------------------------------

@@ -194,22 +194,27 @@ class FramedManifold:
 
     def frame_matrix_at(self, point: dict) -> np.ndarray:
         """Columns are the frame fields evaluated at the point."""
-        mat = np.column_stack([f.value_at(point) for f in self.frames])
+        mat = _columns_at(self.frames, point)
         if abs(np.linalg.det(mat)) <= 1e-9:
             raise ManifoldError("frame is singular at the requested point")
         return mat
 
     def metric_at(self, point: dict) -> np.ndarray:
-        g = expr.evaluate_array(self.metric, point)
-        if np.abs(g - g.T).max() > 1e-12:
-            raise ManifoldError("metric is not symmetric at the requested point")
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError as exc:
-            raise ManifoldError(
-                "metric is not positive-definite at the requested point"
-            ) from exc
-        return g
+        return self.metrics_at([point])[0]
+
+    def metrics_at(self, points) -> np.ndarray:
+        """Horizontal metric at every point, checked symmetric positive-definite."""
+        gs = expr.evaluate_tables([self.metric], points)[0]
+        for g in gs:
+            if np.abs(g - g.T).max() > 1e-12:
+                raise ManifoldError("metric is not symmetric at the requested point")
+            try:
+                np.linalg.cholesky(g)
+            except np.linalg.LinAlgError as exc:
+                raise ManifoldError(
+                    "metric is not positive-definite at the requested point"
+                ) from exc
+        return gs
 
     # -- iterated horizontal brackets ---------------------------------------
 
@@ -432,10 +437,15 @@ def _matmul(a, b):
 # growth vector and graded symbol
 
 
+def _columns_at(fields, point: dict) -> np.ndarray:
+    """Columns: the vector fields evaluated at the point, in one evaluation."""
+    return np.ascontiguousarray(expr.evaluate_array([f.components for f in fields], point).T)
+
+
 def _layer_values_at(m: FramedManifold, point: dict, k: int, finv: np.ndarray):
     """Columns: layer-k bracket fields at the point, in frame coordinates."""
     fields = m.bracket_layer(k)
-    vals = np.column_stack([f.value_at(point) for f in fields])
+    vals = _columns_at(fields, point)
     return finv @ vals
 
 

@@ -66,8 +66,7 @@ def build(name):
 
 
 def eval_matrix(mat, p):
-    cache = {}
-    return np.array([[expr._eval(e, p, cache) for e in row] for row in mat])
+    return expr.evaluate_array(mat, p)
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +118,8 @@ def test_reeb_and_structure_operator_invariants():
         ]
         for pt in pts:
             p = m.point(pt)
-            cache = {}
-            dmat = np.array(
-                [[expr._eval(e, p, cache) for e in row] for row in dth]
-            )
-            theta = np.array([expr._eval(e, p, cache) for e in cd.theta])
+            dmat = expr.evaluate_array(dth, p)
+            theta = expr.evaluate_array(cd.theta, p)
             z = cd.reeb.value_at(p)
             assert abs(theta @ z - 1.0) <= 1e-10
             assert np.abs(dmat @ z).max() <= 1e-10
@@ -281,16 +277,10 @@ def test_twist_correction_restores_parallel_j():
     gamma[0][1][0] = expr.sub(gamma[0][1][0], bump)
     perturbed = Connection(g, gamma)
     p = m.point(pts[0])
-    cache = {}
 
     def djmax(conn):
-        dj = _dj_tensor(cd, conn)
-        return max(
-            abs(expr._eval(dj[i][b][k], p, cache))
-            for i in range(nn)
-            for b in range(m.rank)
-            for k in range(nn)
-        )
+        dj = expr.evaluate_array(_dj_tensor(cd, conn), p)
+        return np.abs(dj[:, : m.rank]).max()
 
     assert djmax(perturbed) > 0.1
     corrected = connection_double_prime(cd, params, prime=perturbed)
@@ -337,13 +327,7 @@ def test_trace_j_identity():
         r = m.rank
         for pt in pts:
             p = m.point(pt)
-            cache = {}
-            djn = np.array(
-                [
-                    [[expr._eval(dj[i][b][k], p, cache) for k in range(m.dim)] for b in range(r)]
-                    for i in range(r)
-                ]
-            )[:, :, :r]
+            djn = expr.evaluate_array(dj, p)[:r, :r, :r]
             for pr in cd.projections:
                 pn = eval_matrix(pr, p)
                 resid = np.einsum("ak,abk->b", pn, djn)
@@ -359,13 +343,7 @@ def test_bianchi_cyclic_identity_prime():
         r = m.rank
         for pt in pts[:3]:
             p = m.point(pt)
-            cache = {}
-            djn = np.array(
-                [
-                    [[expr._eval(dj[i][b][k], p, cache) for k in range(m.dim)] for b in range(r)]
-                    for i in range(r)
-                ]
-            )[:, :, :r]
+            djn = expr.evaluate_array(dj, p)[:r, :r, :r]
             for pr in cd.projections:
                 pn = eval_matrix(pr, p)
                 vs = [pn @ rng.standard_normal(r) for _ in range(3)]
@@ -382,16 +360,10 @@ def test_torsion_prime_equals_tau_on_horizontal_output():
         tau = _tau_tensor(cd, params)
         tten = prime.torsion_tensor()
         r = m.rank
-        nn = m.dim
         for pt in pts[:3]:
             p = m.point(pt)
-            cache = {}
-            for i in range(nn):
-                for j in range(r):
-                    for k in range(r):
-                        lhs = expr._eval(tten[i][j][k], p, cache)
-                        rhs = expr._eval(tau[i][j][k], p, cache)
-                        assert abs(lhs - rhs) <= 1e-8, (name, i, j, k)
+            lhs, rhs = expr.evaluate_arrays([tten, tau], p)
+            assert np.abs(lhs - rhs)[:, :r, :r].max() <= 1e-8, name
 
 
 def test_torsion_prime_same_bundle_matches_degree_zero():
@@ -404,13 +376,7 @@ def test_torsion_prime_same_bundle_matches_degree_zero():
         v = m.dim - 1
         for pt in pts[:3]:
             p = m.point(pt)
-            cache = {}
-            tn = np.array(
-                [[expr._eval(tten[a][b][v], p, cache) for b in range(r)] for a in range(r)]
-            )
-            tz = np.array(
-                [[expr._eval(tzt[a][b][v], p, cache) for b in range(r)] for a in range(r)]
-            )
+            tn, tz = (t[:r, :r, v] for t in expr.evaluate_arrays([tten, tzt], p))
             for pr in cd.projections:
                 pn = eval_matrix(pr, p)
                 assert np.abs(pn.T @ (tn - tz) @ pn).max() <= 1e-8
@@ -425,10 +391,7 @@ def test_degree_zero_torsion_sign():
         v = m.dim - 1
         for pt in pts[:3]:
             p = m.point(pt)
-            cache = {}
-            tz = np.array(
-                [[expr._eval(tzt[a][b][v], p, cache) for b in range(r)] for a in range(r)]
-            )
+            tz = expr.evaluate_array(tzt, p)[:r, :r, v]
             jt = eval_matrix(cd.jtheta, p)
             assert np.abs(tz - jt).max() <= 1e-8
 

@@ -1,0 +1,194 @@
+"""The batched evaluator against a scalar per-point reference."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from srgeom import expr, models
+from srgeom.connection import _coordinate_gradient
+from srgeom.contact import (
+    extract_contact_data,
+    morimoto_connection_contact,
+    morimoto_grading_contact,
+)
+from srgeom.expr import EvaluationError, ExprError
+from srgeom.lie import heisenberg
+from srgeom.manifold import _default_samples
+
+X, Y, Z = expr.var("x"), expr.var("y"), expr.var("z")
+
+
+def _reference(e, point, cache):
+    """One expression at one point: fsum for sums, left-to-right products."""
+    key = id(e)
+    if key in cache:
+        return cache[key]
+    if isinstance(e, expr.Rat):
+        v = float(e.value)
+    elif isinstance(e, expr.Flt):
+        v = e.value
+    elif isinstance(e, expr.Var):
+        try:
+            v = float(point[e.name])
+        except KeyError:
+            raise EvaluationError(f"missing coordinate {e.name!r}") from None
+    elif isinstance(e, expr.Add):
+        v = math.fsum(_reference(t, point, cache) for t in e.terms)
+    elif isinstance(e, expr.Mul):
+        v = 1.0
+        for f in e.factors:
+            v *= _reference(f, point, cache)
+    elif isinstance(e, expr.Pow):
+        b = _reference(e.base, point, cache)
+        if e.exponent < 0 and b == 0.0:
+            raise EvaluationError("division by zero")
+        try:
+            v = b ** e.exponent
+        except OverflowError as exc:
+            raise EvaluationError("overflow in power") from exc
+    else:
+        v = expr._apply_fn(e.name, _reference(e.arg, point, cache))
+    cache[key] = v
+    return v
+
+
+def _reference_table(table, point):
+    cache = {}
+
+    def walk(t):
+        if isinstance(t, (list, tuple)):
+            return [walk(x) for x in t]
+        return _reference(expr._coerce(t), point, cache)
+
+    return np.array(walk(table), dtype=float)
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _dags(draw):
+    """Several expressions over x, y, z built from shared subexpressions."""
+    nodes = [X, Y, Z]
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(["add", "mul", "pow", "fn", "flt"]))
+        args = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=3))
+        try:
+            if kind == "add":
+                e = expr.add(*args)
+            elif kind == "mul":
+                e = expr.mul(*args)
+            elif kind == "pow":
+                e = expr.pow_(args[0], draw(st.sampled_from([-2, -1, 2, 3])))
+            elif kind == "fn":
+                e = expr.fn(draw(st.sampled_from(expr.FUNCTIONS)), args[0])
+            else:
+                c = draw(st.floats(-3, 3, allow_nan=False, allow_infinity=False))
+                e = expr.add(expr.mul(expr.floatc(c), args[0]), *args[1:])
+        except EvaluationError:
+            continue
+        nodes.append(e)
+    return nodes
+
+
+_POINTS = st.lists(
+    st.fixed_dictionaries(
+        {c: st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, -0.3, 1e-3]) for c in "xyz"}
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_dags(), _POINTS)
+def test_batch_equals_scalar_reference_bitwise(nodes, points):
+    table = [nodes, list(reversed(nodes))]
+    errors = []
+    want = []
+    for p in points:
+        try:
+            want.append(_reference_table(table, p))
+        except (EvaluationError, ValueError) as exc:
+            errors.append((type(exc), str(exc)))
+    if errors:
+        # a failing point fails the batch, with one of the per-point errors
+        with pytest.raises((EvaluationError, ValueError)) as info:
+            expr.evaluate_tables([table], points)
+        assert (info.type, str(info.value)) in errors
+        return
+    (got,) = expr.evaluate_tables([table], points)
+    _assert_bitwise(got, np.array(want))
+    for x, p in enumerate(points):
+        _assert_bitwise(expr.evaluate_array(table, p), want[x])
+
+
+_FAILING = [
+    ("missing coordinate 'y'", X * Y, {"x": 1.0}),
+    ("division by zero", expr.pow_(X, -1), {"x": 0.0}),
+    ("sqrt of negative argument", expr.sqrt(X), {"x": -1.0}),
+    ("log of non-positive argument", expr.log(X), {"x": 0.0}),
+    ("overflow in exp", expr.exp(X), {"x": 1000.0}),
+    ("overflow in power", expr.pow_(X, 3), {"x": 1e200}),
+]
+
+
+@pytest.mark.parametrize("message, e, bad", _FAILING, ids=[m for m, _, _ in _FAILING])
+def test_one_failing_point_fails_the_batch(message, e, bad):
+    good = {"x": 0.5, "y": 2.0}
+    for at in range(3):
+        points = [good, good, good]
+        points[at] = bad
+        with pytest.raises(EvaluationError) as info:
+            expr.evaluate_tables([[e, X]], points)
+        assert str(info.value) == message
+    assert expr.evaluate_tables([[e]], [good, good])[0].shape == (2, 1)
+
+
+def test_tables_keep_their_shape_with_the_point_axis_first():
+    points = [{"x": 0.5}, {"x": 2.0}]
+    scalar, empty, table = expr.evaluate_tables([X, [], [[X, 0], [1, X * X]]], points)
+    assert scalar.tolist() == [0.5, 2.0]
+    assert empty.shape == (2, 0)
+    assert table.tolist() == [[[0.5, 0.0], [1.0, 0.25]], [[2.0, 0.0], [1.0, 4.0]]]
+    with pytest.raises(ExprError):
+        expr.evaluate_tables([[[X], [X, X]]], points)
+
+
+def _conformal_h2():
+    scale = expr.exp(expr.var("x1"))
+    metric = [[scale if i == j else expr.ZERO for j in range(4)] for i in range(4)]
+    return models.carnot_group_manifold(
+        heisenberg((1, 1)), metric=metric, structure_class="contact"
+    )
+
+
+def _flat_h3():
+    return models.carnot_group_manifold(heisenberg((1, 1.6, 2.9)), structure_class="contact")
+
+
+@pytest.mark.parametrize("build", [_conformal_h2, _flat_h3], ids=["conformal-h2", "flat-h3"])
+def test_connection_tables_batch_equals_scalar_reference(build):
+    m = build()
+    cd = extract_contact_data(m)
+    params = morimoto_grading_contact(cd)
+    conn = morimoto_connection_contact(cd, params)
+    g = conn.grading
+    tables = [
+        conn.gamma,
+        g.structure_functions(),
+        g.t_zero_tensor(),
+        g.frame_rows,
+        _coordinate_gradient(conn.gamma, g.frame.coords)[2],
+        g.t_zero_gradient()[2],
+    ]
+    points = _default_samples(m, count=4, seed=3)
+    batch = expr.evaluate_tables(tables, points)
+    for table, got in zip(tables, batch):
+        for x, p in enumerate(points):
+            _assert_bitwise(got[x], _reference_table(table, p))

@@ -242,6 +242,30 @@ def test_constructor_output_is_simplify_fixed_point(e):
     assert simplify(e) is e
 
 
+_TERMS = _SHARED_BASES + _OTHER_FACTORS + (
+    rational(-1, 2), expr.floatc(0.75), expr.floatc(0.0), pow_(X, -2), mul(rational(3), Y),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.sampled_from(_TERMS), max_size=6),
+    st.lists(st.integers(0, 6), max_size=4),
+)
+def test_zero_short_circuits(terms, zero_slots):
+    with_zeros = list(terms)
+    for slot in zero_slots:
+        with_zeros.insert(min(slot, len(with_zeros)), expr.ZERO)
+    assert mul(*with_zeros, expr.ZERO) is expr.ZERO
+    if zero_slots:
+        assert mul(*with_zeros) is expr.ZERO
+    total = add(*with_zeros)
+    assert total is add(*terms)
+    assert simplify(total) is total
+    product = mul(*terms)
+    assert simplify(product) is product
+
+
 def test_pow_of_mul_distributes():
     e = pow_(mul(X, Y), 2)
     assert e is mul(pow_(X, 2), pow_(Y, 2))

@@ -5,10 +5,11 @@ path."""
 import numpy as np
 import pytest
 
-from srgeom import expr, models
+from srgeom import connection, expr, models
 from srgeom.connection import (
     Connection,
-    _t_zero_derivative_at,
+    _t_zero_derivatives,
+    check_compatible,
     check_morimoto,
     flatness_check,
     levi_civita,
@@ -145,7 +146,7 @@ def test_t_zero_derivative_from_values_equals_symbolic(build):
     for p in _default_samples(m, count=3, seed=5):
         want = expr.evaluate_array(table, p)
         assert np.abs(want).max() > 0.1
-        _assert_close(_t_zero_derivative_at(conn, p)[-1], want)
+        _assert_close(next(_t_zero_derivatives(conn, [p]))[-1], want)
 
 
 def _no_full_curvature_table(self):
@@ -175,3 +176,58 @@ def test_235_verdicts_without_full_curvature_table(monkeypatch):
     conn = morimoto_connection_235(morimoto_grading_235(m, sample_points=pts))
     assert check_morimoto(conn, pts).ok
     assert flatness_check(conn, pts).flat
+
+
+def _cartan_connection(pts):
+    m = models.cartan_group_manifold()
+    return morimoto_connection_235(morimoto_grading_235(m, sample_points=pts))
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build", [models.conformal_heisenberg_manifold, models.cartan_group_manifold],
+    ids=["conformal-h1", "cartan"],
+)
+def test_each_check_walks_its_tables_once_for_all_points(build, monkeypatch):
+    m = build()
+    if m.structure_class == "contact":
+        conn = _contact_connection(m)
+    else:
+        conn = _cartan_connection(_default_samples(m)[:3])
+    calls = _count_calls(monkeypatch, expr, "evaluate_tables")
+    for k, check in enumerate((check_compatible, check_morimoto, flatness_check)):
+        counts = []
+        for count in (5, 20):
+            calls.clear()
+            # fresh points, so no pointwise cache answers for them
+            check(conn, _default_samples(m, count=count, seed=100 * k + count))
+            counts.append(len(calls))
+        assert 0 < counts[0] == counts[1], (check.__name__, counts)
+
+
+@pytest.mark.parametrize(
+    "build", [models.heisenberg_metric4_manifold, models.cartan_group_manifold],
+    ids=["flat-h2", "cartan"],
+)
+def test_selector_is_solved_once_per_pipeline(build, monkeypatch):
+    m = build()
+    pts = _default_samples(m, count=3, seed=5)
+    calls = _count_calls(monkeypatch, connection, "taming_metric")
+    if m.structure_class == "contact":
+        conn = _contact_connection(m)
+    else:
+        conn = _cartan_connection(pts)
+    assert check_morimoto(conn, pts, tol=1e-6).ok
+    assert flatness_check(conn, pts).flat
+    assert len(calls) == 1
