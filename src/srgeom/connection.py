@@ -32,11 +32,13 @@ from .manifold import (
     FramedManifold,
     ManifoldError,
     VectorField,
+    _checked_frame,
+    _checked_metric,
+    _flags,
     _gauss_jordan,
     bracket,
     frame_combination,
     frame_inverse,
-    growth_flag,
     structure_functions,
 )
 
@@ -230,37 +232,29 @@ class Grading:
 
         For each k, the span of the adapted fields of degrees <= k must equal
         the k-th bracket-flag subspace of the base manifold's horizontal
-        bundle, and the two spans must fill it as a direct sum.
+        bundle, and the two spans must fill it as a direct sum.  The flag and
+        its layer columns come from one flag pass over all points.
         """
+        pts = [self.base.point(p) for p in points]
+        passes = _flags(self.base, pts, self.step)
+        adapted_frames = self.frame.frame_matrices_at(pts)
+        want = tuple(sum(self.layer_dims[: k + 1]) for k in range(self.step))
         worst = 0.0
-        for point in points:
-            p = self.base.point(point)
-            flag = growth_flag(self.base, p, self.step)
-            want = tuple(sum(self.layer_dims[: k + 1]) for k in range(self.step))
+        for p, (base_inv, flag, layers), fmat in zip(pts, passes, adapted_frames):
             if flag != want:
                 raise ManifoldError(
                     f"grading layer sizes {want} do not match the flag {flag} at {p}"
                 )
-            base_inv = np.linalg.inv(self.base.frame_matrix_at(p))
-            adapted = base_inv @ self.frame.frame_matrix_at(p)
+            adapted = base_inv @ fmat
             for k in range(1, self.step + 1):
-                cols = adapted[:, : sum(self.layer_dims[:k])]
-                flag_cols = np.hstack(
-                    [
-                        np.column_stack(
-                            [base_inv @ f.value_at(p) for f in self.base.bracket_layer(j)]
-                        )
-                        for j in range(1, k + 1)
-                    ]
-                )
+                cols = adapted[:, : want[k - 1]]
                 # adapted columns must lie inside the flag subspace...
-                q, _ = np.linalg.qr(flag_cols)
-                rank = np.linalg.matrix_rank(flag_cols, tol=1e-9)
-                qr = q[:, :rank]
+                q, _ = np.linalg.qr(np.hstack(layers[:k]))
+                qr = q[:, : flag[k - 1]]
                 resid = np.abs(cols - qr @ (qr.T @ cols)).max()
                 worst = max(worst, float(resid))
                 # ...and span it
-                if np.linalg.matrix_rank(cols, tol=1e-9) != sum(self.layer_dims[:k]):
+                if np.linalg.matrix_rank(cols, tol=1e-9) != want[k - 1]:
                     raise ManifoldError(
                         f"adapted layers through {k} are dependent at {p}"
                     )
@@ -319,6 +313,22 @@ def _symbolic_inverse(matrix):
     return [row[size:] for row in reduced]
 
 
+def _wedge_gram_inverse(gmat, wedges):
+    """Symbolic inverse of the Gram matrix of the wedges ``(a, b)`` under ``gmat``."""
+    return _symbolic_inverse(
+        [
+            [
+                expr.sub(
+                    expr.mul(gmat[a][cc], gmat[b][d]),
+                    expr.mul(gmat[a][d], gmat[b][cc]),
+                )
+                for (cc, d) in wedges
+            ]
+            for (a, b) in wedges
+        ]
+    )
+
+
 def taming_metric(m: FramedManifold, grading: Grading, convention: str = "selector") -> TamingMetric:
     """Extend the horizontal metric over the whole adapted frame.
 
@@ -347,17 +357,7 @@ def taming_metric(m: FramedManifold, grading: Grading, convention: str = "select
             for b in range(a + 1, n)
             if grading.degree_of(a) + grading.degree_of(b) == k
         ]
-        wgram = [
-            [
-                expr.sub(
-                    expr.mul(gmat[a][cc], gmat[b][d]),
-                    expr.mul(gmat[a][d], gmat[b][cc]),
-                )
-                for (cc, d) in wedges
-            ]
-            for (a, b) in wedges
-        ]
-        winv = _symbolic_inverse(wgram)
+        winv = _wedge_gram_inverse(gmat, wedges)
         rk = grading.layer_range(k)
         ginv = [
             [
@@ -456,17 +456,7 @@ def _solve_selector(grading: Grading) -> Selector:
         if k > grading.step:
             continue
         targets = list(grading.layer_range(k))
-        wgram = [
-            [
-                expr.sub(
-                    expr.mul(gmat[a][cc], gmat[b][d]),
-                    expr.mul(gmat[a][d], gmat[b][cc]),
-                )
-                for (cc, d) in wedges
-            ]
-            for (a, b) in wedges
-        ]
-        winv = _symbolic_inverse(wgram)
+        winv = _wedge_gram_inverse(gmat, wedges)
         for t in targets:
             rhs = [
                 expr.add(
@@ -1019,11 +1009,9 @@ def normal_geodesic(conn: Connection, x0, lam0, t_max: float = 1.0,
     def rhs(state):
         xx, ll = state[:n], state[n:]
         p = {c: xx[a] for a, c in enumerate(coords)}
-        gh = g.frame.metric_at(p)
-        u = np.linalg.solve(gh, ll[:r])
-        fmat = g.frame.frame_matrix_at(p)
-        xdot = fmat[:, :r] @ u
-        gam, c = (v[0] for v in conn._values([p]))
+        gam, c, gh, rows = (v[0] for v in conn._values([p], g.frame.metric, g.frame_rows))
+        u = np.linalg.solve(_checked_metric(gh), ll[:r])
+        xdot = _checked_frame(np.ascontiguousarray(rows.T))[:, :r] @ u
         ldot = np.einsum("a,akm,m->k", u, (gam - _torsion_values(gam, c))[:r], ll)
         return np.concatenate([xdot, ldot])
 

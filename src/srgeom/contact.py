@@ -160,8 +160,7 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     # pointwise eigen data of -(D^2)
     clusters0 = None
     ratios0 = None
-    for point in sample_points:
-        dnum = expr.evaluate_array(dmat, m.point(point))
+    for dnum in expr.evaluate_tables([dmat], [m.point(p) for p in sample_points])[0]:
         msq = -dnum @ dnum
         eigs = np.linalg.eigvalsh(msq)[::-1]
         if eigs[0] <= 0 or eigs[-1] <= 1e-9 * eigs[0]:

@@ -6,6 +6,10 @@ bundle, and a symmetric positive-definite coefficient matrix giving the
 horizontal metric in that frame.  All geometry here is exact-symbolic where
 possible (brackets, structure functions, frame inversion) and numeric where
 it has to be (ranks, graded symbol algebras at a point).
+
+Every reader of a bracket flag takes it from one pass, :func:`_flags`, which
+evaluates the frame once for all sample points and each bracket layer once
+for the points whose flag has not yet filled the chart.
 """
 
 from __future__ import annotations
@@ -194,10 +198,11 @@ class FramedManifold:
 
     def frame_matrix_at(self, point: dict) -> np.ndarray:
         """Columns are the frame fields evaluated at the point."""
-        mat = _columns_at(self.frames, point)
-        if abs(np.linalg.det(mat)) <= 1e-9:
-            raise ManifoldError("frame is singular at the requested point")
-        return mat
+        return self.frame_matrices_at([point])[0]
+
+    def frame_matrices_at(self, points) -> list:
+        """Frame matrix at every point, checked non-singular; one evaluation."""
+        return [_checked_frame(mat) for mat in _columns(self.frames, points)]
 
     def metric_at(self, point: dict) -> np.ndarray:
         return self.metrics_at([point])[0]
@@ -206,14 +211,7 @@ class FramedManifold:
         """Horizontal metric at every point, checked symmetric positive-definite."""
         gs = expr.evaluate_tables([self.metric], points)[0]
         for g in gs:
-            if np.abs(g - g.T).max() > 1e-12:
-                raise ManifoldError("metric is not symmetric at the requested point")
-            try:
-                np.linalg.cholesky(g)
-            except np.linalg.LinAlgError as exc:
-                raise ManifoldError(
-                    "metric is not positive-definite at the requested point"
-                ) from exc
+            _checked_metric(g)
         return gs
 
     # -- iterated horizontal brackets ---------------------------------------
@@ -437,16 +435,28 @@ def _matmul(a, b):
 # growth vector and graded symbol
 
 
-def _columns_at(fields, point: dict) -> np.ndarray:
-    """Columns: the vector fields evaluated at the point, in one evaluation."""
-    return np.ascontiguousarray(expr.evaluate_array([f.components for f in fields], point).T)
+def _checked_frame(mat: np.ndarray) -> np.ndarray:
+    """A frame matrix, checked non-singular."""
+    if abs(np.linalg.det(mat)) <= 1e-9:
+        raise ManifoldError("frame is singular at the requested point")
+    return mat
 
 
-def _layer_values_at(m: FramedManifold, point: dict, k: int, finv: np.ndarray):
-    """Columns: layer-k bracket fields at the point, in frame coordinates."""
-    fields = m.bracket_layer(k)
-    vals = _columns_at(fields, point)
-    return finv @ vals
+def _checked_metric(g: np.ndarray) -> np.ndarray:
+    """A metric matrix, checked symmetric positive-definite."""
+    if np.abs(g - g.T).max() > 1e-12:
+        raise ManifoldError("metric is not symmetric at the requested point")
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        raise ManifoldError("metric is not positive-definite at the requested point") from exc
+    return g
+
+
+def _columns(fields, points) -> list:
+    """Per point, the fields evaluated there as columns; one evaluation for all."""
+    values = expr.evaluate_tables([[f.components for f in fields]], points)[0]
+    return [np.ascontiguousarray(v.T) for v in values]
 
 
 def _rank(mat: np.ndarray, tol: float = 1e-9) -> int:
@@ -458,24 +468,37 @@ def _rank(mat: np.ndarray, tol: float = 1e-9) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
-def growth_flag(m: FramedManifold, point, max_step: int):
-    """Ranks of the iterated-bracket flag at a point.
+def _flags(m: FramedManifold, points, max_step: int) -> list:
+    """Per point: the inverse frame matrix, the flag and the layer values.
 
-    Stops once the rank reaches the chart dimension, stabilizes, or
-    ``max_step`` layers have been computed.
+    Layer values are in frame coordinates, one column per bracket field.  A
+    point's flag ends when its rank fills the chart or after ``max_step``
+    layers; a plateau does not end it.
     """
     if max_step < 1:
         raise ManifoldError("max_step must be at least 1")
-    p = m.point(point)
-    finv = np.linalg.inv(m.frame_matrix_at(p))
-    ranks = []
-    blocks = []
+    finvs = [np.linalg.inv(mat) for mat in m.frame_matrices_at(points)]
+    flags = [[] for _ in points]
+    layers = [[] for _ in points]
+    growing = list(range(len(points)))
     for k in range(1, max_step + 1):
-        blocks.append(_layer_values_at(m, p, k, finv))
-        ranks.append(_rank(np.hstack(blocks)))
-        if ranks[-1] == m.dim:
+        if not growing:
             break
-    return tuple(ranks)
+        for x, vals in zip(growing, _columns(m.bracket_layer(k), [points[x] for x in growing])):
+            layers[x].append(finvs[x] @ vals)
+            flags[x].append(_rank(np.hstack(layers[x])))
+        growing = [x for x in growing if flags[x][-1] != m.dim]
+    return [(finv, tuple(flag), layer) for finv, flag, layer in zip(finvs, flags, layers)]
+
+
+def growth_flag(m: FramedManifold, point, max_step: int):
+    """Ranks of the iterated-bracket flag at a point.
+
+    Stops once the rank reaches the chart dimension or ``max_step`` layers
+    have been computed; it goes on through plateaus, so a Martinet point
+    gives (2, 2, 3).
+    """
+    return _flags(m, [m.point(point)], max_step)[0][1]
 
 
 def symbol_at(m: FramedManifold, point, reference_flag=None, max_step: int = 8):
@@ -487,101 +510,87 @@ def symbol_at(m: FramedManifold, point, reference_flag=None, max_step: int = 8):
     constants and the horizontal metric evaluated at the point.
     """
     p = m.point(point)
-    fmat = m.frame_matrix_at(p)
-    finv = np.linalg.inv(fmat)
+    return _symbols(m, [p], _flags(m, [p], max_step), reference_flag)[0]
 
-    flag = growth_flag(m, p, max_step)
-    if flag[-1] != m.dim:
-        raise ManifoldError(
-            f"horizontal bundle is not bracket-generating at {p} "
-            f"(flag {flag} within {max_step} steps)"
-        )
-    if reference_flag is not None and tuple(reference_flag) != flag:
-        raise RankJumpError(
-            f"growth vector {flag} at {p} differs from reference "
-            f"{tuple(reference_flag)}"
-        )
-    step = len(flag)
 
+def _symbols(m: FramedManifold, points, passes, reference_flag=None) -> list:
+    """Symbol algebras at the points, from their :func:`_flags` pass.
+
+    Each point's flag, layers and metric are checked first, in point order;
+    then each table of layer brackets is evaluated once, for the points
+    whose step reaches it.
+    """
+    metrics = expr.evaluate_tables([m.metric], points)[0]
     # orthonormal bases of each quotient layer, plus representative
     # coefficients over the layer's bracket fields
-    layer_basis = []
-    layer_coeffs = []
-    span = np.zeros((m.dim, 0))
-    for k in range(1, step + 1):
-        vals = _layer_values_at(m, p, k, finv)
-        proj = vals - span @ (span.T @ vals)
-        u, s, vt = np.linalg.svd(proj, full_matrices=False)
-        want = flag[k - 1] - (flag[k - 2] if k >= 2 else 0)
-        if want == 0:
-            raise RankJumpError(
-                f"flag {flag} plateaus at layer {k}; the point {p} is not "
-                "equiregular"
+    layered = []
+    for p, (_, flag, layers), gmat in zip(points, passes, metrics):
+        if flag[-1] != m.dim:
+            raise ManifoldError(
+                f"horizontal bundle is not bracket-generating at {p} "
+                f"(flag {flag} within {len(flag)} steps)"
             )
-        keep = s > 1e-9 * (s[0] if s.size else 1.0)
-        if int(np.sum(keep)) != want:
+        if reference_flag is not None and tuple(reference_flag) != flag:
             raise RankJumpError(
-                f"layer {k} rank at {p} is {int(np.sum(keep))}, expected {want}"
+                f"growth vector {flag} at {p} differs from reference "
+                f"{tuple(reference_flag)}"
             )
-        basis = u[:, :want]
-        coeffs = vt[:want].T / s[:want]
-        layer_basis.append(basis)
-        layer_coeffs.append(coeffs)
-        span = np.hstack([span, basis])
-
-    dims = [b.shape[1] for b in layer_basis]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
+        layer_basis, layer_coeffs = [], []
+        span = np.zeros((m.dim, 0))
+        for k, vals in enumerate(layers, 1):
+            proj = vals - span @ (span.T @ vals)
+            u, s, vt = np.linalg.svd(proj, full_matrices=False)
+            want = flag[k - 1] - (flag[k - 2] if k >= 2 else 0)
+            if want == 0:
+                raise RankJumpError(
+                    f"flag {flag} plateaus at layer {k}; the point {p} is not "
+                    "equiregular"
+                )
+            keep = s > 1e-9 * (s[0] if s.size else 1.0)
+            if int(np.sum(keep)) != want:
+                raise RankJumpError(
+                    f"layer {k} rank at {p} is {int(np.sum(keep))}, expected {want}"
+                )
+            layer_basis.append(u[:, :want])
+            layer_coeffs.append(vt[:want].T / s[:want])
+            span = np.hstack([span, layer_basis[-1]])
+        _checked_metric(gmat)
+        layered.append((layer_basis, layer_coeffs))
 
     # numeric values of all pairwise brackets of layer fields, frame coords
-    bracket_vals = {}
-    for i in range(1, step + 1):
-        for j in range(i, step + 1):
-            if i + j > step:
-                continue
-            fi = m.bracket_layer(i)
-            fj = m.bracket_layer(j)
+    steps = [len(flag) for _, flag, _ in passes]
+    bracket_vals = [{} for _ in points]
+    for i in range(1, max(steps) + 1):
+        for j in range(i, max(steps) - i + 1):
+            reach = [x for x, step in enumerate(steps) if i + j <= step]
+            shape = (m.dim, len(m.bracket_layer(i)), len(m.bracket_layer(j)))
             pairs = m.layer_brackets(i, j)
-            vals = expr.evaluate_array([w.components for w in pairs], p)
-            # a C-contiguous (component, a, b) array, so the einsum below
-            # takes the same summation path whatever the layer sizes
-            vals = np.ascontiguousarray(vals.T).reshape(m.dim, len(fi), len(fj))
-            bracket_vals[i, j] = np.einsum("xy,yab->xab", finv, vals)
+            for x, vals in zip(reach, _columns(pairs, [points[x] for x in reach])):
+                # a C-contiguous (component, a, b) array, so the einsum below
+                # takes the same summation path whatever the layer sizes
+                bracket_vals[x][i, j] = np.einsum("xy,yab->xab", passes[x][0], vals.reshape(shape))
 
-    brackets = {}
-    for i in range(1, step + 1):
-        for j in range(i, step + 1):
-            if i + j > step:
-                continue
-            vals = bracket_vals[i, j]
-            target = layer_basis[i + j - 1]
+    algebras = []
+    for (layer_basis, layer_coeffs), vals_at, gmat in zip(layered, bracket_vals, metrics):
+        dims = [b.shape[1] for b in layer_basis]
+        offsets = np.concatenate([[0], np.cumsum(dims)])
+        brackets = {}
+        for (i, j), vals in vals_at.items():
+            ci, cj, target = layer_coeffs[i - 1], layer_coeffs[j - 1], layer_basis[i + j - 1]
             for a in range(dims[i - 1]):
-                for b in range(dims[j - 1]):
-                    ga = offsets[i - 1] + a
-                    gb = offsets[j - 1] + b
-                    if ga >= gb:
-                        continue
-                    vec = np.einsum(
-                        "xyz,y,z->x",
-                        vals,
-                        layer_coeffs[i - 1][:, a],
-                        layer_coeffs[j - 1][:, b],
-                    )
-                    coefs = target.T @ vec
+                for b in range(a + 1 if i == j else 0, dims[j - 1]):
+                    coefs = target.T @ np.einsum("xyz,y,z->x", vals, ci[:, a], cj[:, b])
                     row = {
                         offsets[i + j - 1] + c: float(v)
                         for c, v in enumerate(coefs)
                         if abs(v) > 1e-12
                     }
                     if row:
-                        brackets[ga, gb] = row
-
-    labels = tuple(
-        f"E{k+1}.{a+1}" for k in range(step) for a in range(dims[k])
-    )
-    gmat = m.metric_at(p)
-    s1 = layer_basis[0][: m.rank]
-    metric1 = s1.T @ gmat @ s1
-    return CarnotAlgebra(tuple(dims), labels, brackets, metric1=metric1)
+                        brackets[offsets[i - 1] + a, offsets[j - 1] + b] = row
+        labels = tuple(f"E{k+1}.{a+1}" for k, d in enumerate(dims) for a in range(d))
+        s1 = layer_basis[0][: m.rank]
+        algebras.append(CarnotAlgebra(tuple(dims), labels, brackets, metric1=s1.T @ gmat @ s1))
+    return algebras
 
 
 @dataclass(frozen=True)
@@ -604,19 +613,19 @@ def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> Symbo
         raise ManifoldError("at least one sample point is required")
 
     if m.structure_class == "contact":
-        flags = [growth_flag(m, p, 2) for p in points]
+        passes = _flags(m, points, 2)
+        flags = [flag for _, flag, _ in passes]
         for p, f in zip(points, flags):
             if f != flags[0]:
                 raise RankJumpError(
                     f"growth vector {f} at {p} differs from {flags[0]}"
                 )
-        lams = [heisenberg_normal_form(symbol_at(m, p)) for p in points]
-        spread = max(
-            abs(a - b)
-            for lam in lams
-            for other in lams
-            for a, b in zip(lam, other)
-        )
+        if flags[0][-1] != m.dim:
+            # not contact anywhere: the symbol's verdict reads up to 8 layers,
+            # but only once the first two agree (layer k has rank^(k-1) fields)
+            passes = _flags(m, points, 8)
+        lams = [heisenberg_normal_form(alg) for alg in _symbols(m, points, passes)]
+        spread = max(abs(a - b) for lam in lams for other in lams for a, b in zip(lam, other))
         return SymbolVerdict(
             constant=bool(spread <= tol),
             structure_class="contact",
@@ -625,7 +634,7 @@ def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> Symbo
         )
 
     if m.structure_class == "two-three-five":
-        flags = [growth_flag(m, p, 3) for p in points]
+        flags = [flag for _, flag, _ in _flags(m, points, 3)]
         ok = bool(all(f == (2, 3, 5) for f in flags))
         return SymbolVerdict(
             constant=ok,

@@ -9,6 +9,7 @@ from srgeom.manifold import (
     FramedManifold,
     ManifoldError,
     RankJumpError,
+    _flags,
     bracket,
     check_constant_symbol,
     frame_bracket,
@@ -180,6 +181,25 @@ def test_growth_flag_martinet_point():
         symbol_at(m, (0, 0, 0))
 
 
+def test_flag_pass_mixed_batch_martinet():
+    # one pass over a plateau point and a regular point: each point's flag
+    # and layer values are the ones it gets alone
+    m = FramedManifold(
+        ("x", "y", "z"),
+        [["1", "0", "0"], ["0", "1", "x^2"], ["0", "0", "1"]],
+        2,
+    )
+    pts = [m.point(p) for p in [(0, 0, 0), (0.5, 0, 0)]]
+    batch = _flags(m, pts, 3)
+    assert [flag for _, flag, _ in batch] == [(2, 2, 3), (2, 3)]
+    for p, (finv, flag, layers) in zip(pts, batch):
+        alone_finv, alone_flag, alone_layers = _flags(m, [p], 3)[0]
+        assert flag == alone_flag == growth_flag(m, p, 3)
+        assert np.array_equal(finv, alone_finv)
+        assert len(layers) == len(alone_layers) == len(flag)
+        assert all(np.array_equal(a, b) for a, b in zip(layers, alone_layers))
+
+
 # ---------------------------------------------------------------------------
 # symbol extraction
 
@@ -317,6 +337,21 @@ def test_constant_symbol_235():
     verdict = check_constant_symbol(m, pts)
     assert verdict.constant
     assert verdict.detail == (2, 3, 5)
+
+
+def test_constant_symbol_rejects_differing_flags_within_two_layers():
+    # the bracket [X1, X2] = z d/dz vanishes at z = 0, and so does every
+    # deeper bracket; the growth vectors differ after two layers, so no
+    # deeper layer is built (layer k holds 2^(k-1) fields)
+    m = FramedManifold(
+        ("x", "y", "z"),
+        [["1", "0", "0"], ["0", "1", "x*z"], ["0", "0", "1"]],
+        2,
+        structure_class="contact",
+    )
+    with pytest.raises(RankJumpError, match=r"growth vector \(2, 2\) .* differs from \(2, 3\)"):
+        check_constant_symbol(m, [(0.5, 0.1, 0.5), (0.5, 0.1, 0.0)])
+    assert len(m._bracket_layers) == 2
 
 
 def test_constant_symbol_generic_is_undecidable():

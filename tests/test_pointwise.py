@@ -11,8 +11,11 @@ from srgeom.connection import (
     _t_zero_derivatives,
     check_compatible,
     check_morimoto,
+    flat_frame_connection,
     flatness_check,
+    left_invariant_grading,
     levi_civita,
+    normal_geodesic,
     taming_metric,
 )
 from srgeom.contact import (
@@ -195,6 +198,14 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def check_constant_symbol_of_base(conn, points):
+    return check_constant_symbol(conn.grading.base, points)
+
+
+def validate_grading(conn, points):
+    return conn.grading.validate(points)
+
+
 @pytest.mark.parametrize(
     "build", [models.conformal_heisenberg_manifold, models.cartan_group_manifold],
     ids=["conformal-h1", "cartan"],
@@ -206,7 +217,14 @@ def test_each_check_walks_its_tables_once_for_all_points(build, monkeypatch):
     else:
         conn = _cartan_connection(_default_samples(m)[:3])
     calls = _count_calls(monkeypatch, expr, "evaluate_tables")
-    for k, check in enumerate((check_compatible, check_morimoto, flatness_check)):
+    checks = (
+        check_compatible,
+        check_morimoto,
+        flatness_check,
+        check_constant_symbol_of_base,
+        validate_grading,
+    )
+    for k, check in enumerate(checks):
         counts = []
         for count in (5, 20):
             calls.clear()
@@ -231,3 +249,18 @@ def test_selector_is_solved_once_per_pipeline(build, monkeypatch):
     assert check_morimoto(conn, pts, tol=1e-6).ok
     assert flatness_check(conn, pts).flat
     assert len(calls) == 1
+
+
+def test_geodesic_evaluates_once_per_stage(monkeypatch):
+    # each RK4 stage reads Γ, c, the metric and the frame in one call; the
+    # speed sample after each step adds one more
+    m = models.heisenberg_manifold()
+    conn = flat_frame_connection(left_invariant_grading(m, (2, 1)))
+    calls = _count_calls(monkeypatch, expr, "evaluate_tables")
+    counts = []
+    for steps in (3, 6):
+        calls.clear()
+        normal_geodesic(conn, {"x": 0.1, "y": 0.0, "z": 0.0}, [1.0, 0.0, 0.5],
+                        t_max=steps * 1e-3, step=1e-3)
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 3 * (4 + 1)
