@@ -14,10 +14,12 @@ Symbolic where a construction reads expressions: structure functions,
 degree-0 torsion, taming metric, selector (solved once per grading), Γ and
 the symbolic tensors listed on :class:`Connection`.  From values where only
 points are read: each check evaluates the tables it reads (Γ, structure
-functions, T₀, frame rows, the non-zero coordinate derivatives of Γ and T₀,
-selector coefficients) in one :func:`expr.evaluate_tables` call for all of
-its points, then assembles torsion, curvature and ∇T₀ one point at a time
-with ``einsum`` from that point's slices.
+functions, T₀, frame rows, the horizontal metric, selector coefficients) in
+one :func:`expr.evaluate_tables` call for all of its points, which also
+returns the coordinate gradients of Γ, T₀ and the metric by forward-mode
+differentiation, so no check differentiates a table symbolically.  Torsion,
+curvature, ∇g and ∇T₀ are then assembled one point at a time with
+``einsum`` from that point's slices.
 """
 
 from __future__ import annotations
@@ -116,7 +118,6 @@ class Grading:
         # rows[i][a]: coordinate component a of the i-th adapted field
         self.frame_rows = tuple(f.components for f in self._fields)
         self._t_zero = None
-        self._t_zero_gradient = None
         self._selector = None
 
     # -- bookkeeping --------------------------------------------------------
@@ -220,12 +221,6 @@ class Grading:
                         out[i][j][k] = expr.neg(c[i][j][k])
             self._t_zero = out
         return self._t_zero
-
-    def t_zero_gradient(self):
-        """Non-zero coordinate derivatives of the degree-0 torsion, built once."""
-        if self._t_zero_gradient is None:
-            self._t_zero_gradient = _coordinate_gradient(self.t_zero_tensor(), self.frame.coords)
-        return self._t_zero_gradient
 
     def validate(self, points):
         """Check the flag decomposition at sample points; returns max residual.
@@ -475,28 +470,6 @@ def _solve_selector(grading: Grading) -> Selector:
 # connections
 
 
-def _coordinate_gradient(table, coords):
-    """Non-zero derivatives of a rank-3 table along the coordinates.
-
-    Returns the shape (coordinate, i, j, k), the flat indices of the non-zero
-    derivatives of ``table[i][j][k]`` and those derivatives; most are zero,
-    so only these are evaluated and held for every point.
-    """
-    derivatives = [
-        expr.differentiate(e, x) for x in coords for plane in table for row in plane for e in row
-    ]
-    index = [pos for pos, d in enumerate(derivatives) if d is not _ZERO]
-    shape = (len(coords), len(table), len(table[0]), len(table[0][0]))
-    return shape, index, [derivatives[pos] for pos in index]
-
-
-def _dense(shape, index, values) -> np.ndarray:
-    """The array of ``shape`` holding ``values`` at the flat ``index``, zero elsewhere."""
-    out = np.zeros(shape)
-    out.flat[index] = values
-    return out
-
-
 def _torsion_values(gam: np.ndarray, c: np.ndarray) -> np.ndarray:
     """T_ij^k = Γ_ij^k - Γ_ji^k - c_ij^k from values."""
     return gam - gam.transpose(1, 0, 2) - c
@@ -516,8 +489,7 @@ class Connection:
     point's tensors when that point is read, so only one point's n⁴
     curvature is held at a time.  The frame derivatives W_i(Γ) at a point
     are F(p)ᵀ ∂Γ(p): F(p) is the adapted frame matrix and ∂Γ the coordinate
-    gradient of Γ, whose non-zero entries are built once and stored on the
-    connection.
+    gradient of Γ, which the evaluator returns with Γ's values.
     """
 
     def __init__(self, grading: Grading, gamma):
@@ -531,7 +503,6 @@ class Connection:
             raise ManifoldError("Christoffel table has wrong width")
         self._torsion = None
         self._curvature = None
-        self._gamma_gradient = None
 
     # -- symbolic tensors ---------------------------------------------------
 
@@ -589,11 +560,18 @@ class Connection:
 
     # -- pointwise tensors ----------------------------------------------------
 
-    def _values(self, points, *tables):
-        """Γ, the structure functions and ``tables`` at every point, one call."""
+    def _values(self, points, *tables, gradients=()):
+        """Γ, the structure functions and ``tables`` at every point, one call.
+
+        ``gradients`` are positions in ``(Γ, c) + tables``; the coordinate
+        gradients of those tables follow the values.
+        """
         g = self.grading
         return expr.evaluate_tables(
-            (self.gamma, g.structure_functions()) + tables, [g.frame.point(p) for p in points]
+            (self.gamma, g.structure_functions()) + tables,
+            [g.frame.point(p) for p in points],
+            g.frame.coords,
+            gradients,
         )
 
     def torsion_at(self, point) -> np.ndarray:
@@ -610,14 +588,10 @@ class Connection:
         are assembled from its slices when that point's turn comes.
         """
         g = self.grading
-        if self._gamma_gradient is None:
-            self._gamma_gradient = _coordinate_gradient(self.gamma, g.frame.coords)
-        shape, index, derivatives = self._gamma_gradient
-        gams, cs, tzs, frames, dgams, *vals = self._values(
-            points, g.t_zero_tensor(), g.frame_rows, derivatives, *tables
+        gams, cs, tzs, frames, *vals, dgams = self._values(
+            points, g.t_zero_tensor(), g.frame_rows, *tables, gradients=(0,)
         )
-        for x, (gam, c, frame) in enumerate(zip(gams, cs, frames)):
-            dgam = _dense(shape, index, dgams[x])
+        for x, (gam, c, frame, dgam) in enumerate(zip(gams, cs, frames, dgams)):
             # W_i(Γ_jkl) + Σ_m Γ_jkm Γ_iml, antisymmetrized in (i, j), minus c_ij^m Γ_mkl
             part = np.einsum("ia,ajkl->ijkl", frame, dgam) + np.einsum("jkm,iml->ijkl", gam, gam)
             curv = part - part.transpose(1, 0, 2, 3) - np.einsum("ijm,mkl->ijkl", c, gam)
@@ -769,59 +743,42 @@ class CompatibilityReport:
         return self.compatible and self.t_zero_parallel
 
 
-def _t_zero_derivatives(conn: Connection, points, *tables):
-    """Yield Γ, ``tables`` and ∇T₀ at each point; every table evaluated once.
+def _t_zero_derivatives(conn: Connection, points):
+    """Yield Γ, ∇g and ∇T₀ at each point; every table evaluated once.
 
+    (∇_i g)_jk = W_i(g_jk) - Γ_ij^m g_mk - Γ_ik^m g_jm on horizontal j, k, m;
     (∇_i T₀)_jk^l = W_i(T₀_jk^l) + T₀_jk^m Γ_im^l - Γ_ij^m T₀_mk^l - Γ_ik^m T₀_jm^l.
     """
     g = conn.grading
-    shape, index, derivatives = g.t_zero_gradient()
-    gams, _, tzs, frames, dtzs, *vals = conn._values(
-        points, g.t_zero_tensor(), g.frame_rows, derivatives, *tables
+    r = g.layer_dims[0]
+    gams, _, tzs, frames, metrics, dtzs, dmetrics = conn._values(
+        points, g.t_zero_tensor(), g.frame_rows, g.frame.metric, gradients=(2, 4)
     )
-    for x, (gam, tz, frame) in enumerate(zip(gams, tzs, frames)):
-        dtz = _dense(shape, index, dtzs[x])
+    for gam, tz, frame, met, dtz, dmet in zip(gams, tzs, frames, metrics, dtzs, dmetrics):
+        hor = gam[:, :r, :r]
+        nmet = (
+            np.einsum("ia,ajk->ijk", frame, dmet)
+            - np.einsum("ijm,mk->ijk", hor, met)
+            - np.einsum("ikm,jm->ijk", hor, met)
+        )
         ntz = (
             np.einsum("ia,ajkl->ijkl", frame, dtz)
             + np.einsum("jkm,iml->ijkl", tz, gam)
             - np.einsum("ijm,mkl->ijkl", gam, tz)
             - np.einsum("ikm,jml->ijkl", gam, tz)
         )
-        yield (gam, *[v[x] for v in vals], ntz)
+        yield gam, nmet, ntz
 
 
 def check_compatible(conn: Connection, points, tol: float = 1e-8) -> CompatibilityReport:
     """Layer parallelism, horizontal metric rule, and degree-0-torsion parallelism."""
-    g = conn.grading
-    n = g.dim
-    fields = g.fields
-    gm = g.frame.metric
-    r = g.layer_dims[0]
-
-    # metric derivative rule on horizontal pairs
-    metric_terms = []
-    for i in range(n):
-        for j in range(r):
-            for k in range(r):
-                dterm = fields[i].apply(gm[j][k])
-                sterm = expr.add(
-                    *[
-                        expr.add(
-                            expr.mul(conn.gamma[i][j][mm], gm[mm][k]),
-                            expr.mul(conn.gamma[i][k][mm], gm[j][mm]),
-                        )
-                        for mm in range(r)
-                    ]
-                )
-                metric_terms.append(expr.sub(dterm, sterm))
-
     # Christoffel components [i][j][k] that change layer
-    deg = np.array(g.degrees)
+    deg = np.array(conn.grading.degrees)
     layer_change = deg[:, None] != deg[None, :]
     worst_layers = worst_metric = worst_tz = 0.0
-    for gam, met, ntz in _t_zero_derivatives(conn, points, metric_terms):
+    for gam, nmet, ntz in _t_zero_derivatives(conn, points):
         worst_layers = max(worst_layers, float(np.abs(gam[:, layer_change]).max(initial=0.0)))
-        worst_metric = max(worst_metric, float(np.abs(met).max(initial=0.0)))
+        worst_metric = max(worst_metric, float(np.abs(nmet).max(initial=0.0)))
         worst_tz = max(worst_tz, float(np.abs(ntz).max(initial=0.0)))
 
     return CompatibilityReport(
@@ -971,11 +928,19 @@ def flatness_check(conn: Connection, points, tol: float = 1e-8) -> FlatnessRepor
     g = conn.grading
     worst_t = 0.0
     worst_r = 0.0
+    paths = None
     for sym, (tten, rten, tzt) in zip(g.symbol_algebras_at(points), conn._tensors(points)):
         q = _onb_columns(sym.full_gram("selector"))
         qinv = np.linalg.inv(q)
-        dt = np.einsum("ia,jb,ijk,kc->abc", q, q, tten - tzt, qinv.T, optimize=True)
-        dr = np.einsum("ia,jb,kc,ijkl,ld->abcd", q, q, q, rten, qinv.T, optimize=True)
+        operands = (
+            ("ia,jb,ijk,kc->abc", q, q, tten - tzt, qinv.T),
+            ("ia,jb,kc,ijkl,ld->abcd", q, q, q, rten, qinv.T),
+        )
+        if paths is None:
+            # every point has the same shapes, so the greedy search that
+            # optimize=True runs per call is run once
+            paths = [np.einsum_path(*ops, optimize="greedy")[0] for ops in operands]
+        dt, dr = (np.einsum(*ops, optimize=path) for ops, path in zip(operands, paths))
         worst_t = max(worst_t, float(np.abs(dt).max()))
         worst_r = max(worst_r, float(np.abs(dr).max()))
     return FlatnessReport(
@@ -1005,11 +970,16 @@ def normal_geodesic(conn: Connection, x0, lam0, t_max: float = 1.0,
     if lam.shape != (n,):
         raise ManifoldError(f"covector needs {n} components")
     x = np.array([g.frame.point(x0)[c] for c in coords], dtype=float)
+    # flattened once: each RK4 stage and speed sample only evaluates them
+    tables = [
+        expr._table_entries(t)
+        for t in (conn.gamma, g.structure_functions(), g.frame.metric, g.frame_rows)
+    ]
 
     def rhs(state):
         xx, ll = state[:n], state[n:]
         p = {c: xx[a] for a, c in enumerate(coords)}
-        gam, c, gh, rows = (v[0] for v in conn._values([p], g.frame.metric, g.frame_rows))
+        gam, c, gh, rows = (v[0] for v in expr._evaluate_entries(tables, [p]))
         u = np.linalg.solve(_checked_metric(gh), ll[:r])
         xdot = _checked_frame(np.ascontiguousarray(rows.T))[:, :r] @ u
         ldot = np.einsum("a,akm,m->k", u, (gam - _torsion_values(gam, c))[:r], ll)
@@ -1021,7 +991,7 @@ def normal_geodesic(conn: Connection, x0, lam0, t_max: float = 1.0,
 
     def speed(state):
         p = {c: state[a] for a, c in enumerate(coords)}
-        gh = g.frame.metric_at(p)
+        gh = _checked_metric(expr._evaluate_entries(tables[2:3], [p])[0][0])
         u = np.linalg.solve(gh, state[n : n + r])
         return float(np.sqrt(u @ gh @ u))
 

@@ -19,8 +19,10 @@ Invariant: every node the constructors return is already in normal form, i.e.
 Exact rationals stay exact until a float literal or a transcendental forces a
 float; all verdict-level work downstream is numeric at sample points. One
 evaluator, :func:`evaluate_tables`, takes nested tables and a list of points
-and evaluates each DAG node once for all of them; ``evaluate``,
-``evaluate_array`` and ``evaluate_arrays`` are its one-point case.
+and evaluates each DAG node once for all of them, together with the
+coordinate gradients of the tables the caller names (forward mode, with the
+rules of :func:`differentiate`); ``evaluate``, ``evaluate_array`` and
+``evaluate_arrays`` are its one-point case.
 """
 
 from __future__ import annotations
@@ -400,7 +402,10 @@ def pow_(base, exponent: int) -> Expr:
     if isinstance(base, Flt):
         if base.value == 0.0 and exponent < 0:
             raise EvaluationError("division by zero (0.0 raised to negative power)")
-        return Flt(base.value ** exponent)
+        try:
+            return Flt(base.value ** exponent)
+        except OverflowError as exc:
+            raise EvaluationError("overflow in power") from exc
     if isinstance(base, Mul):
         return mul(*[pow_(f, exponent) for f in base.factors])
     if isinstance(base, Pow):
@@ -536,7 +541,7 @@ def simplify(e: Expr) -> Expr:
 # evaluation
 
 
-def evaluate_tables(tables, points) -> list:
+def evaluate_tables(tables, points, coords=(), gradients=()) -> list:
     """Evaluate nested tables (lists or tuples) of expressions at every point.
 
     Returns one ndarray per table, of shape ``(len(points),) + table shape``.
@@ -545,10 +550,26 @@ def evaluate_tables(tables, points) -> list:
     left-to-right products, Python ``**``), so a point's values do not depend
     on the other points in the batch.  An :class:`EvaluationError` at any
     point aborts the whole batch.
+
+    ``gradients`` names tables by their position in ``tables``; after the
+    values come their coordinate gradients along ``coords``, one ndarray
+    each, of shape ``(len(points), len(coords)) + table shape`` (a read-only
+    view of one zero when no entry depends on a coordinate).  They are
+    carried forward through the same walk (forward-mode differentiation): a
+    node holds a derivative only for the coordinates it depends on, and the
+    rules are :func:`differentiate`'s, so a point where the symbolic
+    derivative fails to evaluate raises the same :class:`EvaluationError`.
     """
+    return _evaluate_entries([_table_entries(t) for t in tables], points, coords, gradients)
+
+
+def _evaluate_entries(tables, points, coords=(), gradients=()) -> list:
+    """:func:`evaluate_tables` on tables already split by :func:`_table_entries`."""
     points = list(points)
     count = len(points)
+    slots = {name: a for a, name in enumerate(coords)}
     cache: dict = {}
+    dcache: dict = {}
 
     def ev(e: Expr) -> list:
         key = id(e)
@@ -567,11 +588,7 @@ def evaluate_tables(tables, points) -> list:
         elif isinstance(e, Add):
             v = list(map(math.fsum, zip(*[ev(t) for t in e.terms])))
         elif isinstance(e, Mul):
-            # 1.0 * x is x, so the product starts from the first factor
-            fs = e.factors
-            v = ev(fs[0])
-            for f in fs[1:]:
-                v = list(map(operator.mul, v, ev(f)))
+            v = _product([ev(f) for f in e.factors])
         elif isinstance(e, Pow):
             k = e.exponent
             b = ev(e.base)
@@ -589,16 +606,79 @@ def evaluate_tables(tables, points) -> list:
         cache[key] = v
         return v
 
+    def grad(e: Expr) -> dict:
+        """Coordinate slot -> derivative values, for the slots ``e`` depends on."""
+        key = id(e)
+        hit = dcache.get(key)
+        if hit is not None:
+            return hit
+        if isinstance(e, (Rat, Flt)):
+            d = {}
+        elif isinstance(e, Var):
+            d = {slots[e.name]: [1.0] * count} if e.name in slots else {}
+        elif isinstance(e, Add):
+            parts = [p for p in map(grad, e.terms) if p]
+            # with one dependent term, the sum's derivative is that term's
+            d = parts[0] if len(parts) == 1 else {
+                a: list(map(math.fsum, zip(*[p[a] for p in parts if a in p])))
+                for a in sorted(set().union(*parts))
+            }
+        elif isinstance(e, Mul):
+            # Σ_i ∂f_i · Π_{j≠i} f_j over the factors that depend on the slot
+            parts = [grad(f) for f in e.factors]
+            vals = [ev(f) for f in e.factors]
+            others = {
+                i: _product([v for j, v in enumerate(vals) if j != i])
+                for i, p in enumerate(parts)
+                if p
+            }
+            d = {}
+            for a in sorted(set().union(*parts)):
+                terms = [
+                    list(map(operator.mul, parts[i][a], v))
+                    for i, v in others.items()
+                    if a in parts[i]
+                ]
+                d[a] = terms[0] if len(terms) == 1 else list(map(math.fsum, zip(*terms)))
+        elif isinstance(e, (Pow, Fn)):
+            inner = grad(e.base if isinstance(e, Pow) else e.arg)
+            # the outer derivative is evaluated only where the chain rule reads it
+            outer = _product([ev(f) for f in _outer(e)]) if inner else None
+            d = {a: list(map(operator.mul, outer, v)) for a, v in inner.items()}
+        else:
+            raise ExprError(f"unknown node {e!r}")
+        dcache[key] = d
+        return d
+
     out = []
-    for table in tables:
-        shape, entries = _table_entries(table)
+    for shape, entries in tables:
         values = np.zeros((count, math.prod(shape)))
         if entries:
             # ZERO entries keep the fill value, 0.0 = float(ZERO.value)
             index, exprs = zip(*entries)
             values[:, list(index)] = np.array([ev(e) for e in exprs], dtype=float).T
         out.append(values.reshape((count,) + shape))
+    for t in gradients:
+        shape, entries = tables[t]
+        nonzero = [(a, i, d) for i, e in entries for a, d in grad(e).items()]
+        if not nonzero:
+            # a constant table (every flat chart's Γ and T₀): one zero, not
+            # points x coordinates x entries of them
+            out.append(np.broadcast_to(0.0, (count, len(coords)) + shape))
+            continue
+        values = np.zeros((count, len(coords), math.prod(shape)))
+        slot, index, derivatives = zip(*nonzero)
+        values[:, list(slot), list(index)] = np.array(derivatives, dtype=float).T
+        out.append(values.reshape((count, len(coords)) + shape))
     return out
+
+
+def _product(factors: list) -> list:
+    """Per-point left-to-right product of value lists; 1.0 * x is x, so it starts from the first."""
+    v = factors[0]
+    for f in factors[1:]:
+        v = list(map(operator.mul, v, f))
+    return v
 
 
 def _table_entries(table):
@@ -667,33 +747,31 @@ def _diff(e: Expr, v: str) -> Expr:
                 continue
             parts.append(mul(df, *fs[:i], *fs[i + 1:]))
         return add(*parts) if parts else ZERO
-    if isinstance(e, Pow):
-        db = differentiate(e.base, v)
-        if db is ZERO:
-            return ZERO
-        return mul(rational(e.exponent), pow_(e.base, e.exponent - 1), db)
-    if isinstance(e, Fn):
-        da = differentiate(e.arg, v)
-        if da is ZERO:
-            return ZERO
-        u = e.arg
-        name = e.name
-        if name == "sqrt":
-            outer = div(HALF, fn("sqrt", u))
-        elif name == "exp":
-            outer = fn("exp", u)
-        elif name == "log":
-            outer = pow_(u, -1)
-        elif name == "sin":
-            outer = fn("cos", u)
-        elif name == "cos":
-            outer = neg(fn("sin", u))
-        elif name == "tan":
-            outer = add(ONE, pow_(fn("tan", u), 2))
-        else:
-            raise ExprError(f"unknown function {name!r}")
-        return mul(outer, da)
+    if isinstance(e, (Pow, Fn)):
+        d = differentiate(e.base if isinstance(e, Pow) else e.arg, v)
+        return ZERO if d is ZERO else mul(*_outer(e), d)
     raise ExprError(f"unknown node {e!r}")
+
+
+def _outer(e: Expr) -> tuple:
+    """Factors of the outer derivative of a Pow or Fn node: d e / d base or d e / d arg."""
+    if isinstance(e, Pow):
+        return rational(e.exponent), pow_(e.base, e.exponent - 1)
+    u = e.arg
+    name = e.name
+    if name == "sqrt":
+        return (div(HALF, fn("sqrt", u)),)
+    if name == "exp":
+        return (fn("exp", u),)
+    if name == "log":
+        return (pow_(u, -1),)
+    if name == "sin":
+        return (fn("cos", u),)
+    if name == "cos":
+        return (neg(fn("sin", u)),)
+    if name == "tan":
+        return (add(ONE, pow_(fn("tan", u), 2)),)
+    raise ExprError(f"unknown function {name!r}")
 
 
 # ---------------------------------------------------------------------------

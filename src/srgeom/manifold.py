@@ -607,7 +607,11 @@ class SymbolVerdict:
 
 
 def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> SymbolVerdict:
-    """Decide whether the symbol algebra is the same at every sample point."""
+    """Decide whether the symbol algebra is the same at every sample point.
+
+    A chart declared contact whose flag does not fill it at step 2 is
+    refused with the :class:`ManifoldError` of ``extract_contact_data``.
+    """
     points = [m.point(p) for p in sample]
     if not points:
         raise ManifoldError("at least one sample point is required")
@@ -621,9 +625,9 @@ def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> Symbo
                     f"growth vector {f} at {p} differs from {flags[0]}"
                 )
         if flags[0][-1] != m.dim:
-            # not contact anywhere: the symbol's verdict reads up to 8 layers,
-            # but only once the first two agree (layer k has rank^(k-1) fields)
-            passes = _flags(m, points, 8)
+            # a contact symbol fills the chart at step 2; deeper layers would
+            # hold rank^(k-1) fields each, so none is built
+            raise ManifoldError(f"not a contact structure: growth flag {flags[0]}")
         lams = [heisenberg_normal_form(alg) for alg in _symbols(m, points, passes)]
         spread = max(abs(a - b) for lam in lams for other in lams for a, b in zip(lam, other))
         return SymbolVerdict(

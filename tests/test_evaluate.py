@@ -1,4 +1,5 @@
-"""The batched evaluator against a scalar per-point reference."""
+"""The batched evaluator against a scalar per-point reference, and its
+gradients against the evaluated symbolic derivatives."""
 
 import math
 
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srgeom import expr, models
-from srgeom.connection import _coordinate_gradient
 from srgeom.contact import (
     extract_contact_data,
     morimoto_connection_contact,
@@ -160,6 +160,110 @@ def test_tables_keep_their_shape_with_the_point_axis_first():
         expr.evaluate_tables([[[X], [X, X]]], points)
 
 
+def _derivatives(table, c):
+    """The symbolic derivative of every entry of a nested table along ``c``."""
+    if isinstance(table, (list, tuple)):
+        return [_derivatives(t, c) for t in table]
+    return expr.differentiate(expr._coerce(table), c)
+
+
+# The evaluator's gradient and the evaluated symbolic derivative round
+# differently (one is a sum of per-point products, the other a simplified
+# expression), so they are compared within this relative tolerance, relative
+# to the size of the reference entry and at least 1.
+GRADIENT_RTOL = 1e-12
+
+
+def _assert_gradient_close(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])
+    scale = np.maximum(1.0, np.abs(want[finite]))
+    assert (np.abs(got[finite] - want[finite]) <= GRADIENT_RTOL * scale).all()
+
+
+def _symbolic_gradients(nodes, points):
+    """Per point, [coordinate][node] values of the symbolic derivatives, or the errors."""
+    want, errors = [], []
+    for p in points:
+        try:
+            want.append(_reference_table([_derivatives(nodes, c) for c in "xyz"], p))
+        except (EvaluationError, ValueError) as exc:
+            errors.append((type(exc), str(exc)))
+    return want, errors
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_dags(), _POINTS)
+def test_gradient_equals_evaluated_symbolic_derivative(nodes, points):
+    try:
+        expr.evaluate_tables([nodes], points)
+    except (EvaluationError, ValueError):
+        return  # the values fail first; the property above covers them
+    want, errors = _symbolic_gradients(nodes, points)
+    if errors:
+        # the gradient fails where the symbolic derivative fails, with its error
+        with pytest.raises((EvaluationError, ValueError)) as info:
+            expr.evaluate_tables([nodes], points, "xyz", (0,))
+        assert (info.type, str(info.value)) in errors
+        return
+    _, grads = expr.evaluate_tables([nodes], points, "xyz", (0,))
+    assert grads.shape == (len(points), 3, len(nodes))
+    _assert_gradient_close(grads, np.array(want))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_dags(), _POINTS)
+def test_gradient_of_a_point_does_not_depend_on_the_batch(nodes, points):
+    table = [nodes, list(reversed(nodes))]
+    try:
+        _, batch = expr.evaluate_tables([table], points, "xyz", (0,))
+    except (EvaluationError, ValueError):
+        return
+    for x, p in enumerate(points):
+        _, alone = expr.evaluate_tables([table], [p], "xyz", (0,))
+        _assert_bitwise(batch[x], alone[0])
+
+
+_FAILING_DERIVATIVES = [
+    # the values evaluate; only the derivative fails
+    ("division by zero", expr.sqrt(X), {"x": 0.0}),
+    ("overflow in power", expr.pow_(X, -1), {"x": 1e-160}),
+]
+
+
+@pytest.mark.parametrize(
+    "message, e, bad", _FAILING_DERIVATIVES, ids=[m for m, _, _ in _FAILING_DERIVATIVES]
+)
+def test_gradient_fails_where_the_symbolic_derivative_fails(message, e, bad):
+    with pytest.raises(EvaluationError) as info:
+        expr.evaluate(expr.differentiate(e, "x"), bad)
+    assert str(info.value) == message
+    good = {"x": 0.5}
+    for at in range(3):
+        points = [good, good, good]
+        points[at] = bad
+        # without a gradient request the same batch evaluates
+        (values,) = expr.evaluate_tables([[e, X]], points)
+        assert np.isfinite(values).all()
+        with pytest.raises(EvaluationError) as info:
+            expr.evaluate_tables([[e, X]], points, "x", (0,))
+        assert str(info.value) == message
+
+
+def test_gradient_layout_is_point_then_coordinate_then_table():
+    points = [{"x": 0.5, "y": 2.0}, {"x": -1.0, "y": 3.0}]
+    _, grad = expr.evaluate_tables([[X * X, 3]], points, ("y", "x"), (0,))
+    # along y: nothing depends on it; along x: 2x and 0
+    assert grad.tolist() == [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [-2.0, 0.0]]]
+    # a coordinate that is not named gets no axis; a table that depends on
+    # no named coordinate has a read-only zero gradient
+    _, grad = expr.evaluate_tables([Y], points, ("x",), (0,))
+    assert grad.tolist() == [[0.0], [0.0]]
+    assert not grad.flags.writeable
+
+
 def _conformal_h2():
     scale = expr.exp(expr.var("x1"))
     metric = [[scale if i == j else expr.ZERO for j in range(4)] for i in range(4)]
@@ -179,16 +283,15 @@ def test_connection_tables_batch_equals_scalar_reference(build):
     params = morimoto_grading_contact(cd)
     conn = morimoto_connection_contact(cd, params)
     g = conn.grading
-    tables = [
-        conn.gamma,
-        g.structure_functions(),
-        g.t_zero_tensor(),
-        g.frame_rows,
-        _coordinate_gradient(conn.gamma, g.frame.coords)[2],
-        g.t_zero_gradient()[2],
-    ]
+    tables = [conn.gamma, g.structure_functions(), g.t_zero_tensor(), g.frame_rows]
     points = _default_samples(m, count=4, seed=3)
-    batch = expr.evaluate_tables(tables, points)
+    coords = g.frame.coords
+    batch = expr.evaluate_tables(tables, points, coords, (0, 2))
     for table, got in zip(tables, batch):
         for x, p in enumerate(points):
             _assert_bitwise(got[x], _reference_table(table, p))
+    # the gradients of Γ and T₀ against their evaluated symbolic derivatives
+    for table, got in zip((conn.gamma, g.t_zero_tensor()), batch[len(tables):]):
+        derivatives = [_derivatives(table, c) for c in coords]
+        for x, p in enumerate(points):
+            _assert_gradient_close(got[x], _reference_table(derivatives, p))

@@ -211,6 +211,12 @@ def test_construction_division_by_zero():
         div(X, 0)
 
 
+def test_construction_float_power_overflow():
+    # folding a float constant raises the evaluator's error, not OverflowError
+    with pytest.raises(EvaluationError, match="^overflow in power$"):
+        pow_(mul(expr.floatc(1e200), X), 3)
+
+
 def test_sqrt_of_square_power():
     assert pow_(sqrt(X), 2) is X
     assert pow_(sqrt(X), 4) is pow_(X, 2)

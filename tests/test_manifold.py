@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from srgeom import expr
+from srgeom import expr, manifold
 from srgeom.lie import cartan_nilpotent, heisenberg_normal_form
 from srgeom.manifold import (
     FramedManifold,
@@ -352,6 +352,50 @@ def test_constant_symbol_rejects_differing_flags_within_two_layers():
     with pytest.raises(RankJumpError, match=r"growth vector \(2, 2\) .* differs from \(2, 3\)"):
         check_constant_symbol(m, [(0.5, 0.1, 0.5), (0.5, 0.1, 0.0)])
     assert len(m._bracket_layers) == 2
+
+
+def _degenerate_rank4_chart():
+    # [X1, X3] = [X2, X4] = z d/dz and every deeper bracket vanish at z = 0,
+    # so the flag there is (4, 4, 4, ...) and never fills the chart
+    return FramedManifold(
+        ("x1", "x2", "x3", "x4", "z"),
+        [
+            ["1", "0", "0", "0", "0"],
+            ["0", "1", "0", "0", "0"],
+            ["0", "0", "1", "0", "x1*z"],
+            ["0", "0", "0", "1", "x2*z"],
+            ["0", "0", "0", "0", "1"],
+        ],
+        4,
+        structure_class="contact",
+    ), [(0.1, -0.2, 0.3, 0.4, 0.0), (-0.5, 0.6, 0.2, -0.1, 0.0)], (4, 4)
+
+
+def _cartan_declared_contact():
+    # a step-3 symbol: its flag (2, 3) does not fill the chart at step 2
+    m = cartan_group_manifold()
+    pts = [(0.1, 0.2, -0.3, 0.4, 0.5), (-0.2, 0.1, 0.3, -0.4, 0.2)]
+    frames = [f.components for f in m.frames]
+    return FramedManifold(m.coords, frames, m.rank, structure_class="contact"), pts, (2, 3)
+
+
+@pytest.mark.parametrize(
+    "build", [_degenerate_rank4_chart, _cartan_declared_contact], ids=["rank4-z0", "cartan"]
+)
+def test_constant_symbol_rejects_non_contact_flag_at_step_two(build, monkeypatch):
+    m, pts, flag = build()
+    steps = []
+    inner = manifold._flags
+
+    def counted(m, points, max_step):
+        steps.append(max_step)
+        return inner(m, points, max_step)
+
+    monkeypatch.setattr(manifold, "_flags", counted)
+    message = rf"^not a contact structure: growth flag \({flag[0]}, {flag[1]}\)$"
+    with pytest.raises(ManifoldError, match=message):
+        check_constant_symbol(m, pts)
+    assert steps and max(steps) <= 2
 
 
 def test_constant_symbol_generic_is_undecidable():

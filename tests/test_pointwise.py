@@ -252,15 +252,30 @@ def test_selector_is_solved_once_per_pipeline(build, monkeypatch):
 
 
 def test_geodesic_evaluates_once_per_stage(monkeypatch):
-    # each RK4 stage reads Γ, c, the metric and the frame in one call; the
-    # speed sample after each step adds one more
+    # Γ, c, the metric and the frame are flattened once per integration; each
+    # RK4 stage evaluates them in one call, and the speed sample after each
+    # step adds one more
     m = models.heisenberg_manifold()
     conn = flat_frame_connection(left_invariant_grading(m, (2, 1)))
-    calls = _count_calls(monkeypatch, expr, "evaluate_tables")
+    flattened = _count_calls(monkeypatch, expr, "_table_entries")
+    evaluated = _count_calls(monkeypatch, expr, "_evaluate_entries")
     counts = []
     for steps in (3, 6):
-        calls.clear()
+        flattened.clear()
+        evaluated.clear()
         normal_geodesic(conn, {"x": 0.1, "y": 0.0, "z": 0.0}, [1.0, 0.0, 0.5],
                         t_max=steps * 1e-3, step=1e-3)
-        counts.append(len(calls))
-    assert counts[1] - counts[0] == 3 * (4 + 1)
+        counts.append((len(flattened), len(evaluated)))
+    assert counts[0][0] == counts[1][0]
+    assert counts[1][1] - counts[0][1] == 3 * (4 + 1)
+
+
+@pytest.mark.parametrize("chart", ["conformal-h2", "rotated-cartan"])
+def test_checks_differentiate_nothing(chart, monkeypatch):
+    # every coordinate derivative a check reads comes from the evaluator
+    conn, pts = CHARTS[chart]()
+    calls = _count_calls(monkeypatch, expr, "differentiate")
+    check_compatible(conn, pts)
+    check_morimoto(conn, pts, tol=1e-6)
+    flatness_check(conn, pts)
+    assert calls == []
