@@ -13,23 +13,28 @@ and flatness checks and the normal-geodesic integrator.
 Symbolic where a construction reads expressions: structure functions,
 degree-0 torsion, taming metric, selector (solved once per grading), Γ and
 the symbolic tensors listed on :class:`Connection`.  From values where only
-points are read: each check evaluates the tables it reads (Γ, structure
-functions, T₀, frame rows, the horizontal metric, selector coefficients) in
-one :func:`expr.evaluate_tables` call for all of its points, which also
-returns the coordinate gradients of Γ, T₀ and the metric by forward-mode
-differentiation, so no check differentiates a table symbolically.  Torsion,
-curvature, ∇g and ∇T₀ are then assembled one point at a time with
-``einsum`` from that point's slices.
+points are read, with one evaluation per chart and one solve per distinct
+symbol: the tables every check reads (Γ, structure functions, T₀, frame
+rows, the horizontal metric, selector coefficients) are evaluated in one
+:func:`expr.evaluate_tables` call for all points, which also returns the
+coordinate gradients of Γ, T₀ and the metric by forward-mode
+differentiation, so no check differentiates a table symbolically.  The
+connection keeps that evaluation for its last point set, so the checks of
+one chart share it.  Torsion, curvature, ∇g and ∇T₀ are assembled one point
+at a time with ``einsum`` from that point's slices.  Points with bitwise
+equal symbols share one :class:`CarnotAlgebra`, so its Gram matrices,
+isometry algebra and trace frame are computed once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr
-from .lie import CarnotAlgebra, _onb_columns, isometry_algebra
+from .lie import CarnotAlgebra, _onb_columns
 from .manifold import (
     FramedManifold,
     ManifoldError,
@@ -113,7 +118,7 @@ class Grading:
         self.degrees = tuple(
             k + 1 for k, d in enumerate(self.layer_dims) for _ in range(d)
         )
-        self._symbol_cache = {}
+        self._symbol_cache = {}  # symbol content -> CarnotAlgebra
         self._fields = self.frame.frames
         # rows[i][a]: coordinate component a of the i-th adapted field
         self.frame_rows = tuple(f.components for f in self._fields)
@@ -163,35 +168,42 @@ class Grading:
         return self.symbol_algebras_at([point])[0]
 
     def symbol_algebras_at(self, points) -> list:
-        """Pointwise symbols at several points, each built once per point.
+        """Pointwise symbols at several points: one evaluation, one solve per distinct symbol.
 
-        The points not seen before are evaluated together: one call for the
-        structure constants and one for the metric, whatever their number.
+        T₀ and the metric are evaluated in one call for all points.  Points
+        whose symbols are bitwise equal get the same :class:`CarnotAlgebra`,
+        so its Gram matrices and isometries are solved once.  The checks
+        build theirs from the evaluation their connection shares.
         """
         pts = [self.frame.point(p) for p in points]
-        keys = [tuple(sorted(p.items())) for p in pts]
-        fresh = {k: p for k, p in zip(keys, pts) if k not in self._symbol_cache}
-        if fresh:
-            n = self.dim
-            labels = tuple(f"W{a+1}" for a in range(n))
-            tzs = expr.evaluate_tables([self.t_zero_tensor()], fresh.values())[0]
-            metrics = self.frame.metrics_at(fresh.values())
-            for key, tz, metric in zip(fresh, tzs, metrics):
-                cg = -tz
-                brackets = {}
-                for a in range(n):
-                    for b in range(a + 1, n):
-                        row = {
-                            c: float(cg[a, b, c])
-                            for c in range(n)
-                            if abs(cg[a, b, c]) > 1e-13
-                        }
-                        if row:
-                            brackets[a, b] = row
+        tzs, metrics = expr.evaluate_tables([self.t_zero_tensor(), self.frame.metric], pts)
+        return self._symbols_from(tzs, metrics)
+
+    def _symbols_from(self, tzs, metrics) -> list:
+        """Symbols from the values of T₀ and the horizontal metric at each point.
+
+        A symbol is its bracket rows (the structure constants above 1e-13) and
+        the bytes of its metric, checked symmetric positive-definite; equal
+        ones are built once per grading.
+        """
+        out = []
+        for tz, metric in zip(tzs, metrics):
+            cg = -tz
+            brackets = {}
+            for a, b, c in zip(*np.nonzero(np.abs(cg) > 1e-13)):
+                if a < b:
+                    brackets.setdefault((int(a), int(b)), {})[int(c)] = float(cg[a, b, c])
+            key = (
+                tuple((ab, tuple(row.items())) for ab, row in brackets.items()),
+                _checked_metric(metric).tobytes(),
+            )
+            if key not in self._symbol_cache:
+                labels = tuple(f"W{a+1}" for a in range(self.dim))
                 self._symbol_cache[key] = CarnotAlgebra(
                     self.layer_dims, labels, brackets, metric1=metric
                 )
-        return [self._symbol_cache[k] for k in keys]
+            out.append(self._symbol_cache[key])
+        return out
 
     def gram_at(self, point: dict, convention: str = "selector") -> np.ndarray:
         """Taming metric in adapted coordinates at a point."""
@@ -199,7 +211,7 @@ class Grading:
 
     def isometries_at(self, point: dict):
         """Basis of the pointwise isometry algebra, in adapted coordinates."""
-        return isometry_algebra(self.symbol_algebra_at(point))
+        return self.symbol_algebra_at(point).isometries()
 
     def t_zero_tensor(self):
         """Degree-0 torsion tensor in the adapted frame (Expr entries).
@@ -475,6 +487,42 @@ def _torsion_values(gam: np.ndarray, c: np.ndarray) -> np.ndarray:
     return gam - gam.transpose(1, 0, 2) - c
 
 
+@dataclass(eq=False)
+class _PointValues:
+    """A connection's tables at a point set, from one :func:`expr.evaluate_tables` call.
+
+    Each array has the point index first; the gradients ``d_*`` put the
+    coordinate index second.  ``selector`` holds the values of
+    :meth:`Selector.table`.
+    """
+
+    key: bytes
+    grading: Grading
+    gamma: np.ndarray
+    c: np.ndarray
+    t_zero: np.ndarray
+    frame: np.ndarray
+    metric: np.ndarray
+    selector: np.ndarray
+    d_gamma: np.ndarray
+    d_t_zero: np.ndarray
+    d_metric: np.ndarray
+
+    @functools.cached_property
+    def symbols(self) -> list:
+        """The symbol at each point; bitwise-equal symbols are one object."""
+        return self.grading._symbols_from(self.t_zero, self.metric)
+
+
+def _once_per_symbol(symbols, make) -> list:
+    """``make(symbol)`` for each point's symbol, called once per distinct symbol."""
+    made = {}
+    for s in symbols:
+        if id(s) not in made:
+            made[id(s)] = make(s)
+    return [made[id(s)] for s in symbols]
+
+
 class Connection:
     """Affine connection given by Christoffel coefficients in an adapted frame.
 
@@ -483,13 +531,16 @@ class Connection:
 
     Symbolic: ``gamma``, ``torsion_tensor`` and ``curvature_rows`` (the
     contact construction reads the rows at the selector's wedge pairs);
-    ``curvature_tensor`` holds every row, for tests.  From values:
-    ``torsion_at`` and ``curvature_at``, the one-point case of ``_tensors``,
-    which evaluates its tables once for all points and assembles each
-    point's tensors when that point is read, so only one point's n⁴
-    curvature is held at a time.  The frame derivatives W_i(Γ) at a point
-    are F(p)ᵀ ∂Γ(p): F(p) is the adapted frame matrix and ∂Γ the coordinate
-    gradient of Γ, which the evaluator returns with Γ's values.
+    ``curvature_tensor`` holds every row, for tests.  From values, one
+    evaluation per chart and one solve per distinct symbol: ``_at``
+    evaluates every table the checks read in one call for all points and
+    keeps the result for the last point set, so the checks of one chart
+    evaluate once.  ``torsion_at`` and ``curvature_at`` are the one-point
+    case of ``_tensors``, which assembles each point's tensors when that
+    point is read, so only one point's n⁴ curvature is held at a time.  The
+    frame derivatives W_i(Γ) at a point are F(p)ᵀ ∂Γ(p): F(p) is the
+    adapted frame matrix and ∂Γ the coordinate gradient of Γ, which the
+    evaluator returns with Γ's values.
     """
 
     def __init__(self, grading: Grading, gamma):
@@ -503,6 +554,7 @@ class Connection:
             raise ManifoldError("Christoffel table has wrong width")
         self._torsion = None
         self._curvature = None
+        self._slot = None
 
     # -- symbolic tensors ---------------------------------------------------
 
@@ -560,42 +612,45 @@ class Connection:
 
     # -- pointwise tensors ----------------------------------------------------
 
-    def _values(self, points, *tables, gradients=()):
-        """Γ, the structure functions and ``tables`` at every point, one call.
+    def _at(self, points) -> _PointValues:
+        """Every table the checks read, at every point, from one evaluator call.
 
-        ``gradients`` are positions in ``(Γ, c) + tables``; the coordinate
-        gradients of those tables follow the values.
+        The values of the last point set asked for are kept, keyed on the bits
+        of its coordinates (so 0.0 and -0.0 are different points): the checks
+        of one chart share one evaluation.
         """
         g = self.grading
-        return expr.evaluate_tables(
-            (self.gamma, g.structure_functions()) + tables,
-            [g.frame.point(p) for p in points],
-            g.frame.coords,
-            gradients,
-        )
+        pts = [g.frame.point(p) for p in points]
+        key = np.array([[p[c] for c in g.frame.coords] for p in pts], dtype=float).tobytes()
+        if self._slot is None or self._slot.key != key:
+            values = expr.evaluate_tables(
+                (self.gamma, g.structure_functions(), g.t_zero_tensor(), g.frame_rows,
+                 g.frame.metric, selector(g).table()),
+                pts,
+                g.frame.coords,
+                gradients=(0, 2, 4),
+            )
+            self._slot = _PointValues(key, g, *values)
+        return self._slot
 
     def torsion_at(self, point) -> np.ndarray:
-        gam, c = self._values([point])
-        return _torsion_values(gam[0], c[0])
+        vals = self._at([point])
+        return _torsion_values(vals.gamma[0], vals.c[0])
 
     def curvature_at(self, point) -> np.ndarray:
-        return next(self._tensors([point]))[1]
+        return next(self._tensors(self._at([point])))[1]
 
-    def _tensors(self, points, *tables):
-        """Yield torsion, curvature, degree-0 torsion and ``tables`` at each point.
+    def _tensors(self, vals: _PointValues):
+        """Yield torsion and curvature at each point of ``vals``.
 
-        Every table is evaluated once for all points; the tensors of one point
-        are assembled from its slices when that point's turn comes.
+        The tensors of one point are assembled from its slices when that
+        point's turn comes, so only one point's n⁴ curvature is held at a time.
         """
-        g = self.grading
-        gams, cs, tzs, frames, *vals, dgams = self._values(
-            points, g.t_zero_tensor(), g.frame_rows, *tables, gradients=(0,)
-        )
-        for x, (gam, c, frame, dgam) in enumerate(zip(gams, cs, frames, dgams)):
+        for gam, c, frame, dgam in zip(vals.gamma, vals.c, vals.frame, vals.d_gamma):
             # W_i(Γ_jkl) + Σ_m Γ_jkm Γ_iml, antisymmetrized in (i, j), minus c_ij^m Γ_mkl
             part = np.einsum("ia,ajkl->ijkl", frame, dgam) + np.einsum("jkm,iml->ijkl", gam, gam)
             curv = part - part.transpose(1, 0, 2, 3) - np.einsum("ijm,mkl->ijkl", c, gam)
-            yield (_torsion_values(gam, c), curv, tzs[x], *[v[x] for v in vals])
+            yield _torsion_values(gam, c), curv
 
     def gamma_at(self, point) -> np.ndarray:
         return expr.evaluate_array(self.gamma, self.grading.frame.point(point))
@@ -743,18 +798,16 @@ class CompatibilityReport:
         return self.compatible and self.t_zero_parallel
 
 
-def _t_zero_derivatives(conn: Connection, points):
-    """Yield Γ, ∇g and ∇T₀ at each point; every table evaluated once.
+def _t_zero_derivatives(vals: _PointValues):
+    """Yield Γ, ∇g and ∇T₀ at each point of ``vals``.
 
     (∇_i g)_jk = W_i(g_jk) - Γ_ij^m g_mk - Γ_ik^m g_jm on horizontal j, k, m;
     (∇_i T₀)_jk^l = W_i(T₀_jk^l) + T₀_jk^m Γ_im^l - Γ_ij^m T₀_mk^l - Γ_ik^m T₀_jm^l.
     """
-    g = conn.grading
-    r = g.layer_dims[0]
-    gams, _, tzs, frames, metrics, dtzs, dmetrics = conn._values(
-        points, g.t_zero_tensor(), g.frame_rows, g.frame.metric, gradients=(2, 4)
-    )
-    for gam, tz, frame, met, dtz, dmet in zip(gams, tzs, frames, metrics, dtzs, dmetrics):
+    r = vals.grading.layer_dims[0]
+    for gam, tz, frame, met, dtz, dmet in zip(
+        vals.gamma, vals.t_zero, vals.frame, vals.metric, vals.d_t_zero, vals.d_metric
+    ):
         hor = gam[:, :r, :r]
         nmet = (
             np.einsum("ia,ajk->ijk", frame, dmet)
@@ -776,7 +829,7 @@ def check_compatible(conn: Connection, points, tol: float = 1e-8) -> Compatibili
     deg = np.array(conn.grading.degrees)
     layer_change = deg[:, None] != deg[None, :]
     worst_layers = worst_metric = worst_tz = 0.0
-    for gam, nmet, ntz in _t_zero_derivatives(conn, points):
+    for gam, nmet, ntz in _t_zero_derivatives(conn._at(points)):
         worst_layers = max(worst_layers, float(np.abs(gam[:, layer_change]).max(initial=0.0)))
         worst_metric = max(worst_metric, float(np.abs(nmet).max(initial=0.0)))
         worst_tz = max(worst_tz, float(np.abs(ntz).max(initial=0.0)))
@@ -794,6 +847,12 @@ def check_compatible(conn: Connection, points, tol: float = 1e-8) -> Compatibili
 def _operator_pairing(a: np.ndarray, b: np.ndarray, gram: np.ndarray, ginv: np.ndarray) -> float:
     """Trace inner product of endomorphisms w.r.t. a frame Gram matrix."""
     return float(np.trace(a.T @ gram @ b @ ginv))
+
+
+def _trace_frame(sym: CarnotAlgebra):
+    """A symbol's selector Gram matrix and its inverse, which the trace pairing reads."""
+    gram = sym.full_gram("selector")
+    return gram, np.linalg.inv(gram)
 
 
 @dataclass
@@ -825,16 +884,16 @@ def check_morimoto(conn: Connection, points, tol: float = 1e-8) -> MorimotoRepor
     g = conn.grading
     n = g.dim
     chi = selector(g)
+    vals = conn._at(points)
     compat = check_compatible(conn, points, tol=tol)
 
     worst_r = 0.0
     worst_t = 0.0
-    symbols = g.symbol_algebras_at(points)
-    for sym, (tten, rten, tzt, coefs) in zip(symbols, conn._tensors(points, chi.table())):
-        gram = sym.full_gram("selector")
-        ginv = np.linalg.inv(gram)
+    pairings = _once_per_symbol(vals.symbols, lambda s: (*_trace_frame(s), s.isometries()))
+    for (gram, ginv, isos), (tten, rten), tzt, coefs in zip(
+        pairings, conn._tensors(vals), vals.t_zero, vals.selector
+    ):
         chimats = chi.matrices(coefs)
-        isos = isometry_algebra(sym)
 
         for v in range(n):
             cm = chimats[v]
@@ -863,11 +922,11 @@ def torsion_id_residual(conn: Connection, points) -> float:
     On fields of degrees i and j, the degree-(i+j) part of the torsion must
     equal the degree-0 torsion value and all parts of degree > i+j vanish.
     """
-    g = conn.grading
-    deg = np.array(g.degrees)
+    vals = conn._at(points)
+    deg = np.array(conn.grading.degrees)
     target = (deg[:, None] + deg[None, :])[:, :, None]  # [i, j, 0]: deg i + deg j
     worst = 0.0
-    for gam, c, tzt in zip(*conn._values(points, g.t_zero_tensor())):
+    for gam, c, tzt in zip(vals.gamma, vals.c, vals.t_zero):
         tten = _torsion_values(gam, c)
         worst = max(
             worst,
@@ -877,28 +936,31 @@ def torsion_id_residual(conn: Connection, points) -> float:
     return float(worst)
 
 
+def _isometry_basis(sym: CarnotAlgebra):
+    """A symbol's trace frame and its isometry generators orthonormalized under the trace pairing."""
+    gram, ginv = _trace_frame(sym)
+    basis = []
+    for d in sym.isometries():
+        v = d.copy()
+        for b in basis:
+            v = v - _operator_pairing(v, b, gram, ginv) * b
+        nrm = _operator_pairing(v, v, gram, ginv) ** 0.5
+        if nrm > 1e-12:
+            basis.append(v / nrm)
+    return gram, ginv, basis
+
+
 def curvature_isometry_residual(conn: Connection, points) -> float:
     """How far curvature values sit from the pointwise isometry algebra.
 
     Measured as the trace-norm of the component of each R(W_a, W_b)
     orthogonal to the span of the isometry generators.
     """
-    g = conn.grading
-    n = g.dim
+    n = conn.grading.dim
+    vals = conn._at(points)
     worst = 0.0
-    for sym, (_, rten, _) in zip(g.symbol_algebras_at(points), conn._tensors(points)):
-        gram = sym.full_gram("selector")
-        ginv = np.linalg.inv(gram)
-        isos = isometry_algebra(sym)
-        # orthonormalize the generators under the trace pairing
-        basis = []
-        for d in isos:
-            v = d.copy()
-            for b in basis:
-                v = v - _operator_pairing(v, b, gram, ginv) * b
-            nrm = _operator_pairing(v, v, gram, ginv) ** 0.5
-            if nrm > 1e-12:
-                basis.append(v / nrm)
+    bases = _once_per_symbol(vals.symbols, _isometry_basis)
+    for (gram, ginv, basis), (_, rten) in zip(bases, conn._tensors(vals)):
         for a in range(n):
             for b in range(a + 1, n):
                 op = rten[a, b].T
@@ -918,6 +980,12 @@ class FlatnessReport:
     curvature_residual: float
 
 
+def _onb_and_inverse(sym: CarnotAlgebra):
+    """Columns of an orthonormal basis of a symbol's selector Gram, and their inverse."""
+    q = _onb_columns(sym.full_gram("selector"))
+    return q, np.linalg.inv(q)
+
+
 def flatness_check(conn: Connection, points, tol: float = 1e-8) -> FlatnessReport:
     """Verdict on whether torsion reduces to degree zero and curvature vanishes.
 
@@ -925,13 +993,12 @@ def flatness_check(conn: Connection, points, tol: float = 1e-8) -> FlatnessRepor
     taming metric; passing certifies local isometry with the flat model
     group of the symbol.
     """
-    g = conn.grading
+    vals = conn._at(points)
     worst_t = 0.0
     worst_r = 0.0
     paths = None
-    for sym, (tten, rten, tzt) in zip(g.symbol_algebras_at(points), conn._tensors(points)):
-        q = _onb_columns(sym.full_gram("selector"))
-        qinv = np.linalg.inv(q)
+    onbs = _once_per_symbol(vals.symbols, _onb_and_inverse)
+    for (q, qinv), (tten, rten), tzt in zip(onbs, conn._tensors(vals), vals.t_zero):
         operands = (
             ("ia,jb,ijk,kc->abc", q, q, tten - tzt, qinv.T),
             ("ia,jb,kc,ijkl,ld->abcd", q, q, q, rten, qinv.T),

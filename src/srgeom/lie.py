@@ -161,6 +161,7 @@ class CarnotAlgebra(StratifiedAlgebra):
             raise LieError("metric must be positive-definite") from exc
         self.metric1 = metric1
         self._gram = {}
+        self._isometries = None
 
     def full_gram(self, convention: str = "tensor") -> np.ndarray:
         if convention not in ("tensor", "selector"):
@@ -168,6 +169,18 @@ class CarnotAlgebra(StratifiedAlgebra):
         if convention not in self._gram:
             self._gram[convention] = _induced_gram(self, convention)
         return self._gram[convention]
+
+    def isometries(self) -> tuple:
+        """:func:`isometry_algebra` of this algebra, solved on first use and kept.
+
+        Every caller gets the same matrices, so they are read-only.
+        """
+        if self._isometries is None:
+            basis = isometry_algebra(self)
+            for d in basis:
+                d.flags.writeable = False
+            self._isometries = tuple(basis)
+        return self._isometries
 
 
 def _onb_columns(gram: np.ndarray) -> np.ndarray:

@@ -205,14 +205,8 @@ class FramedManifold:
         return [_checked_frame(mat) for mat in _columns(self.frames, points)]
 
     def metric_at(self, point: dict) -> np.ndarray:
-        return self.metrics_at([point])[0]
-
-    def metrics_at(self, points) -> np.ndarray:
-        """Horizontal metric at every point, checked symmetric positive-definite."""
-        gs = expr.evaluate_tables([self.metric], points)[0]
-        for g in gs:
-            _checked_metric(g)
-        return gs
+        """Horizontal metric at a point, checked symmetric positive-definite."""
+        return _checked_metric(expr.evaluate_array(self.metric, point))
 
     # -- iterated horizontal brackets ---------------------------------------
 

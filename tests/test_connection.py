@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,11 @@ from srgeom.connection import (
     torsion,
     torsion_id_residual,
 )
+from srgeom.contact import extract_contact_data, morimoto_grading_contact
 from srgeom.manifold import ManifoldError, VectorField
 from srgeom.models import (
     cartan_group_manifold,
+    conformal_heisenberg_manifold,
     euclidean_manifold,
     heisenberg_manifold,
     heisenberg_metric4_manifold,
@@ -90,6 +94,26 @@ def test_symbol_algebra_matches_lie_model():
     alg = g.symbol_algebra_at({c: 0.2 for c in m.coords})
     assert alg.layer_dims == (2, 1, 2)
     assert alg.jacobi_residual() <= 1e-12
+
+
+def test_symbols_are_shared_only_when_bitwise_equal():
+    # the symbol of conformal h_1 is h_1 at every point, but its computed
+    # bracket constant is 1 up to a rounding that depends on x: these five
+    # points have four bitwise-distinct symbols
+    m = conformal_heisenberg_manifold()
+    g = morimoto_grading_contact(extract_contact_data(m)).grading
+    pts = [{"x": x, "y": 0.0, "z": 0.0} for x in (-0.8, -0.3, 0.0, 0.3, 0.5)]
+    syms = g.symbol_algebras_at(pts)
+    assert len({id(s) for s in syms}) == 4
+    for s, t in itertools.combinations(syms, 2):
+        equal = s.brackets == t.brackets and s.metric1.tobytes() == t.metric1.tobytes()
+        assert (s is t) == equal
+    # a later call gets the same objects
+    assert g.symbol_algebras_at(pts[::-1]) == syms[::-1]
+    # a flat chart has one symbol
+    _, g = heis_grading()
+    flat = g.symbol_algebras_at([{"x": 0.1 * k, "y": -0.05 * k, "z": 0.3} for k in range(20)])
+    assert len({id(s) for s in flat}) == 1
 
 
 # ---------------------------------------------------------------------------

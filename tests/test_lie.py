@@ -199,6 +199,22 @@ def test_isometry_algebra_dims(make, expected):
     assert len(isometry_algebra(make())) == expected
 
 
+def test_isometries_are_isometry_algebra_solved_once(monkeypatch):
+    solved = []
+    inner = lie.isometry_algebra
+    monkeypatch.setattr(lie, "isometry_algebra", lambda g: solved.append(g) or inner(g))
+    for make in (lambda: heisenberg((1, 2)), cartan_nilpotent):
+        g = make()
+        got = g.isometries()
+        assert g.isometries() is got
+        want = inner(g)
+        assert len(got) == len(want)
+        assert all(np.array_equal(d, w) for d, w in zip(got, want))
+        # shared between callers, so no caller can change them
+        assert not any(d.flags.writeable for d in got)
+    assert len(solved) == 2
+
+
 def test_cartan_isometry_generator_action():
     g = cartan_nilpotent()
     (D,) = isometry_algebra(g)

@@ -5,7 +5,7 @@ path."""
 import numpy as np
 import pytest
 
-from srgeom import connection, expr, models
+from srgeom import connection, expr, lie, models
 from srgeom.connection import (
     Connection,
     _t_zero_derivatives,
@@ -146,10 +146,12 @@ def test_t_zero_derivative_from_values_equals_symbolic(build):
     _, params = _contact_grading(m)
     conn = levi_civita(taming_metric(m, params.grading))
     table = _symbolic_t_zero_derivative(conn)
-    for p in _default_samples(m, count=3, seed=5):
+    pts = _default_samples(m, count=3, seed=5)
+    # through the evaluation the checks share
+    for p, (_, _, got) in zip(pts, _t_zero_derivatives(conn._at(pts)), strict=True):
         want = expr.evaluate_array(table, p)
         assert np.abs(want).max() > 0.1
-        _assert_close(next(_t_zero_derivatives(conn, [p]))[-1], want)
+        _assert_close(got, want)
 
 
 def _no_full_curvature_table(self):
@@ -249,6 +251,66 @@ def test_selector_is_solved_once_per_pipeline(build, monkeypatch):
     assert check_morimoto(conn, pts, tol=1e-6).ok
     assert flatness_check(conn, pts).flat
     assert len(calls) == 1
+
+
+def _reports(conn, points, flatness_first):
+    """Both checks' reports as reprs, which keep every bit (and tell 0.0 from -0.0)."""
+    checks = {
+        "morimoto": lambda: check_morimoto(conn, points, tol=1e-6),
+        "flatness": lambda: flatness_check(conn, points),
+    }
+    order = ("flatness", "morimoto") if flatness_first else ("morimoto", "flatness")
+    return {name: repr(checks[name]()) for name in order}
+
+
+@pytest.mark.parametrize("flatness_first", [False, True], ids=["morimoto-first", "flatness-first"])
+@pytest.mark.parametrize("change", ["value", "sign-of-zero"])
+def test_shared_evaluation_follows_the_point_set(change, flatness_first, monkeypatch):
+    # point sets A, B, A on one connection, B differing from A in one
+    # coordinate: each change of point set evaluates once, and every report
+    # equals that of a freshly built connection
+    m = models.conformal_heisenberg_manifold()
+    a = [m.point(p) for p in _default_samples(m, count=3, seed=5)]
+    a[1]["y"] = 0.0
+    b = [dict(p) for p in a]
+    b[1]["y"] = 0.25 if change == "value" else -0.0
+    conn = _contact_connection(m)
+    evaluated = _count_calls(monkeypatch, expr, "_evaluate_entries")
+    got = [_reports(conn, pts, flatness_first) for pts in (a, b, a)]
+    assert len(evaluated) == 3
+    for pts, reports in zip((a, b, a), got):
+        fresh = _contact_connection(models.conformal_heisenberg_manifold())
+        assert reports == _reports(fresh, pts, flatness_first)
+
+
+@pytest.mark.parametrize(
+    "build, points, symbols",
+    [
+        (
+            lambda: models.carnot_group_manifold(
+                heisenberg((1, 1.6, 2.9)), structure_class="contact"
+            ),
+            lambda m: _default_samples(m, count=20, seed=5),
+            1,
+        ),
+        (
+            # four bitwise-distinct symbols, see test_connection
+            models.conformal_heisenberg_manifold,
+            lambda m: [{"x": x, "y": 0.0, "z": 0.0} for x in (-0.8, -0.3, 0.0, 0.3, 0.5)],
+            4,
+        ),
+    ],
+    ids=["flat-h3", "conformal-h1"],
+)
+def test_checks_evaluate_once_and_solve_each_symbol_once(build, points, symbols, monkeypatch):
+    m = build()
+    conn = _contact_connection(m)
+    pts = points(m)
+    evaluated = _count_calls(monkeypatch, expr, "_evaluate_entries")
+    solved = _count_calls(monkeypatch, lie, "isometry_algebra")
+    assert check_morimoto(conn, pts, tol=1e-6).ok
+    flatness_check(conn, pts)
+    assert (len(evaluated), len(solved)) == (1, symbols)
 
 
 def test_geodesic_evaluates_once_per_stage(monkeypatch):
