@@ -20,10 +20,11 @@ rows, the horizontal metric, selector coefficients) are evaluated in one
 coordinate gradients of Γ, T₀ and the metric by forward-mode
 differentiation, so no check differentiates a table symbolically.  The
 connection keeps that evaluation for its last point set, so the checks of
-one chart share it.  Torsion, curvature, ∇g and ∇T₀ are assembled one point
-at a time with ``einsum`` from that point's slices.  Points with bitwise
+one chart share it.  Torsion, curvature, ∇g and ∇T₀ are contracted with
+``matmul`` on stacked ``(point, …)`` arrays, one block of points at a time,
+so a stacked n⁴ array holds at most 8192 floats (or one point).  Points with bitwise
 equal symbols share one :class:`CarnotAlgebra`, so its Gram matrices,
-isometry algebra and trace frame are computed once.
+isometry algebra and trace frame are computed once and gathered per point.
 """
 
 from __future__ import annotations
@@ -412,27 +413,29 @@ class Selector:
         """Every coefficient expression, field after field: what :meth:`matrices` reads."""
         return [coef for row in self.coefficients for _, _, coef in row]
 
-    def matrices(self, values) -> list:
-        """Antisymmetric wedge-coefficient matrices of the values on every field.
+    def matrices(self, values) -> np.ndarray:
+        """Antisymmetric wedge-coefficient matrices of the values on every field, at every point.
 
-        ``values`` holds the values of :meth:`table` at one point.
+        ``values`` holds the values of :meth:`table`, one row per point;
+        ``out[p, c]`` is the matrix of the value on the c-th field at point p.
+        One scatter fills every point, so the wedge pairs of one field must be
+        distinct, as :func:`selector` makes them.
         """
+        values = np.asarray(values, dtype=float)
         n = self.grading.dim
-        out = []
-        pos = 0
-        for row in self.coefficients:
-            mat = np.zeros((n, n))
-            for a, b, _ in row:
-                mat[a, b] += values[pos]
-                mat[b, a] -= values[pos]
-                pos += 1
-            out.append(mat)
+        c, a, b = np.array(
+            [(c, a, b) for c, row in enumerate(self.coefficients) for a, b, _ in row],
+            dtype=int,
+        ).reshape(-1, 3).T
+        out = np.zeros((len(values), n, n, n))
+        out[:, c, a, b] = values
+        out[:, c, b, a] = -values
         return out
 
     def matrix_at(self, point, index: int) -> np.ndarray:
         """Antisymmetric wedge-coefficient matrix of the value on one field."""
         values = expr.evaluate_array(self.table(), self.grading.frame.point(point))
-        return self.matrices(values)[index]
+        return self.matrices(values[None])[0, index]
 
 
 def selector(grading: Grading) -> Selector:
@@ -483,8 +486,32 @@ def _solve_selector(grading: Grading) -> Selector:
 
 
 def _torsion_values(gam: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """T_ij^k = Γ_ij^k - Γ_ji^k - c_ij^k from values."""
-    return gam - gam.transpose(1, 0, 2) - c
+    """T_ij^k = Γ_ij^k - Γ_ji^k - c_ij^k from values (at one point or stacked)."""
+    return gam - gam.swapaxes(-3, -2) - c
+
+
+# The most floats a stacked n⁴ temporary of a check holds (64 KiB): the
+# checks contract blocks of max(1, _BLOCK_FLOATS // n⁴) points at a time.
+_BLOCK_FLOATS = 8192
+
+
+def _blocks(count: int, n: int) -> list:
+    """Consecutive slices of ``count`` points, each small enough for its n⁴ arrays."""
+    size = max(1, _BLOCK_FLOATS // n**4)
+    return [slice(s, min(s + size, count)) for s in range(0, count, size)]
+
+
+def _worst(worst, values) -> float:
+    """The larger of ``worst`` and the largest magnitude in ``values``; a NaN in either wins."""
+    return float(np.maximum(worst, np.abs(values).max(initial=0.0)))
+
+
+def _stacked(arrays) -> np.ndarray:
+    """Arrays equal in shape but for the first axis, stacked and zero-padded to the longest."""
+    out = np.zeros((len(arrays), max(len(a) for a in arrays), *arrays[0].shape[1:]))
+    for k, a in enumerate(arrays):
+        out[k, : len(a)] = a
+    return out
 
 
 @dataclass(eq=False)
@@ -513,14 +540,46 @@ class _PointValues:
         """The symbol at each point; bitwise-equal symbols are one object."""
         return self.grading._symbols_from(self.t_zero, self.metric)
 
+    def per_symbol(self, make) -> list:
+        """The arrays ``make(symbol)`` returns, made once per distinct symbol, at every point.
 
-def _once_per_symbol(symbols, make) -> list:
-    """``make(symbol)`` for each point's symbol, called once per distinct symbol."""
-    made = {}
-    for s in symbols:
-        if id(s) not in made:
-            made[id(s)] = make(s)
-    return [made[id(s)] for s in symbols]
+        Each returned array has the point index first; stacks of different
+        length (isometry generators, say) are padded with zeros.
+        """
+        distinct = {id(s): s for s in self.symbols}
+        index = {key: k for k, key in enumerate(distinct)}
+        at = np.array([index[id(s)] for s in self.symbols])
+        made = [make(s) for s in distinct.values()]
+        return [_stacked(arrays)[at] for arrays in zip(*made)]
+
+    def blocks(self) -> list:
+        return _blocks(len(self.gamma), self.grading.dim)
+
+
+def _frame_derivative(frame: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """W_i of a table at stacked points: F ∂, with the frame index in place of the coordinate."""
+    b, n = frame.shape[:2]
+    return (frame @ grad.reshape(b, grad.shape[1], -1)).reshape(b, n, *grad.shape[2:])
+
+
+def _curvature(vals: _PointValues, blk: slice) -> np.ndarray:
+    """R at the points of one block: [p, i, j, k, l] is component l of R(W_i, W_j) W_k.
+
+    R = A - Aᵀ in (i, j), with A_ijkl = W_i(Γ_jkl) + Σ_m (Γ_jkm Γ_iml - ½ c_ij^m Γ_mkl)
+    (c is antisymmetric in i, j).  A is antisymmetrized in place, one i at a
+    time, so one n⁴ array of the block and one matmul product are alive at once.
+    """
+    gam, c = vals.gamma[blk], vals.c[blk]
+    b, n = gam.shape[:2]
+    curv = _frame_derivative(vals.frame[blk], vals.d_gamma[blk])
+    curv += (gam.reshape(b, 1, n * n, n) @ gam).reshape(curv.shape)
+    curv -= ((0.5 * c).reshape(b, n * n, n) @ gam.reshape(b, n, n * n)).reshape(curv.shape)
+    for i in range(n):
+        d = curv[:, i, :i] - curv[:, :i, i]
+        curv[:, i, :i] = d
+        np.negative(d, out=curv[:, :i, i])
+        curv[:, i, i] = 0.0
+    return curv
 
 
 class Connection:
@@ -535,12 +594,13 @@ class Connection:
     evaluation per chart and one solve per distinct symbol: ``_at``
     evaluates every table the checks read in one call for all points and
     keeps the result for the last point set, so the checks of one chart
-    evaluate once.  ``torsion_at`` and ``curvature_at`` are the one-point
-    case of ``_tensors``, which assembles each point's tensors when that
-    point is read, so only one point's n⁴ curvature is held at a time.  The
-    frame derivatives W_i(Γ) at a point are F(p)ᵀ ∂Γ(p): F(p) is the
-    adapted frame matrix and ∂Γ the coordinate gradient of Γ, which the
-    evaluator returns with Γ's values.
+    evaluate once.  The checks contract stacked ``(point, …)`` arrays with
+    ``matmul``, one block of points at a time (``_blocks``): a block holds
+    at most 8192 floats of each n⁴ array, so n = 7 takes 3 points per block
+    and n = 3 takes every point.  ``torsion_at`` and ``curvature_at`` are the
+    one-point case.  The frame derivatives W_i(Γ) at a point are F(p) ∂Γ(p):
+    F(p) is the adapted frame matrix and ∂Γ the coordinate gradient of Γ,
+    which the evaluator returns with Γ's values.
     """
 
     def __init__(self, grading: Grading, gamma):
@@ -617,10 +677,13 @@ class Connection:
 
         The values of the last point set asked for are kept, keyed on the bits
         of its coordinates (so 0.0 and -0.0 are different points): the checks
-        of one chart share one evaluation.
+        of one chart share one evaluation.  Every check reads its points here,
+        so none answers for an empty point set.
         """
         g = self.grading
         pts = [g.frame.point(p) for p in points]
+        if not pts:
+            raise ManifoldError("at least one sample point is required")
         key = np.array([[p[c] for c in g.frame.coords] for p in pts], dtype=float).tobytes()
         if self._slot is None or self._slot.key != key:
             values = expr.evaluate_tables(
@@ -638,19 +701,7 @@ class Connection:
         return _torsion_values(vals.gamma[0], vals.c[0])
 
     def curvature_at(self, point) -> np.ndarray:
-        return next(self._tensors(self._at([point])))[1]
-
-    def _tensors(self, vals: _PointValues):
-        """Yield torsion and curvature at each point of ``vals``.
-
-        The tensors of one point are assembled from its slices when that
-        point's turn comes, so only one point's n⁴ curvature is held at a time.
-        """
-        for gam, c, frame, dgam in zip(vals.gamma, vals.c, vals.frame, vals.d_gamma):
-            # W_i(Γ_jkl) + Σ_m Γ_jkm Γ_iml, antisymmetrized in (i, j), minus c_ij^m Γ_mkl
-            part = np.einsum("ia,ajkl->ijkl", frame, dgam) + np.einsum("jkm,iml->ijkl", gam, gam)
-            curv = part - part.transpose(1, 0, 2, 3) - np.einsum("ijm,mkl->ijkl", c, gam)
-            yield _torsion_values(gam, c), curv
+        return _curvature(self._at([point]), slice(0, 1))[0]
 
     def gamma_at(self, point) -> np.ndarray:
         return expr.evaluate_array(self.gamma, self.grading.frame.point(point))
@@ -798,41 +849,46 @@ class CompatibilityReport:
         return self.compatible and self.t_zero_parallel
 
 
-def _t_zero_derivatives(vals: _PointValues):
-    """Yield Γ, ∇g and ∇T₀ at each point of ``vals``.
+def _metric_derivative(vals: _PointValues, blk: slice) -> np.ndarray:
+    """∇g at the points of one block: [p, i, j, k] = (∇_i g)_jk on horizontal j, k.
 
-    (∇_i g)_jk = W_i(g_jk) - Γ_ij^m g_mk - Γ_ik^m g_jm on horizontal j, k, m;
-    (∇_i T₀)_jk^l = W_i(T₀_jk^l) + T₀_jk^m Γ_im^l - Γ_ij^m T₀_mk^l - Γ_ik^m T₀_jm^l.
+    (∇_i g)_jk = W_i(g_jk) - Γ_ij^m g_mk - Γ_ik^m g_jm on horizontal j, k, m.
     """
     r = vals.grading.layer_dims[0]
-    for gam, tz, frame, met, dtz, dmet in zip(
-        vals.gamma, vals.t_zero, vals.frame, vals.metric, vals.d_t_zero, vals.d_metric
-    ):
-        hor = gam[:, :r, :r]
-        nmet = (
-            np.einsum("ia,ajk->ijk", frame, dmet)
-            - np.einsum("ijm,mk->ijk", hor, met)
-            - np.einsum("ikm,jm->ijk", hor, met)
-        )
-        ntz = (
-            np.einsum("ia,ajkl->ijkl", frame, dtz)
-            + np.einsum("jkm,iml->ijkl", tz, gam)
-            - np.einsum("ijm,mkl->ijkl", gam, tz)
-            - np.einsum("ikm,jml->ijkl", gam, tz)
-        )
-        yield gam, nmet, ntz
+    hor = vals.gamma[blk, :, :r, :r]
+    met = vals.metric[blk, None]
+    return (
+        _frame_derivative(vals.frame[blk], vals.d_metric[blk])
+        - hor @ met
+        - (hor @ met.swapaxes(2, 3)).swapaxes(2, 3)
+    )
+
+
+def _t_zero_derivative(vals: _PointValues, blk: slice) -> np.ndarray:
+    """∇T₀ at the points of one block: [p, i, j, k, l] = (∇_i T₀)_jk^l.
+
+    (∇_i T₀)_jk^l = W_i(T₀_jk^l) + T₀_jk^m Γ_im^l - Γ_ij^m T₀_mk^l - Γ_ik^m T₀_jm^l.
+    """
+    gam, tz = vals.gamma[blk], vals.t_zero[blk]
+    b, n = gam.shape[:2]
+    out = _frame_derivative(vals.frame[blk], vals.d_t_zero[blk])
+    out += (tz.reshape(b, 1, n * n, n) @ gam).reshape(out.shape)
+    out -= (gam.reshape(b, n * n, n) @ tz.reshape(b, n, n * n)).reshape(out.shape)
+    out -= gam[:, :, None] @ tz[:, None]  # Γ_i (k, m) times T₀_j (m, l), for every (i, j)
+    return out
 
 
 def check_compatible(conn: Connection, points, tol: float = 1e-8) -> CompatibilityReport:
     """Layer parallelism, horizontal metric rule, and degree-0-torsion parallelism."""
-    # Christoffel components [i][j][k] that change layer
+    vals = conn._at(points)
+    # Christoffel components [i][j][k] that change layer: deg j != deg k
     deg = np.array(conn.grading.degrees)
     layer_change = deg[:, None] != deg[None, :]
-    worst_layers = worst_metric = worst_tz = 0.0
-    for gam, nmet, ntz in _t_zero_derivatives(conn._at(points)):
-        worst_layers = max(worst_layers, float(np.abs(gam[:, layer_change]).max(initial=0.0)))
-        worst_metric = max(worst_metric, float(np.abs(nmet).max(initial=0.0)))
-        worst_tz = max(worst_tz, float(np.abs(ntz).max(initial=0.0)))
+    worst_layers = _worst(0.0, vals.gamma[:, :, layer_change])
+    worst_metric = worst_tz = 0.0
+    for blk in vals.blocks():
+        worst_metric = _worst(worst_metric, _metric_derivative(vals, blk))
+        worst_tz = _worst(worst_tz, _t_zero_derivative(vals, blk))
 
     return CompatibilityReport(
         layers_parallel=worst_layers <= tol,
@@ -844,15 +900,16 @@ def check_compatible(conn: Connection, points, tol: float = 1e-8) -> Compatibili
     )
 
 
-def _operator_pairing(a: np.ndarray, b: np.ndarray, gram: np.ndarray, ginv: np.ndarray) -> float:
-    """Trace inner product of endomorphisms w.r.t. a frame Gram matrix."""
-    return float(np.trace(a.T @ gram @ b @ ginv))
-
-
 def _trace_frame(sym: CarnotAlgebra):
-    """A symbol's selector Gram matrix and its inverse, which the trace pairing reads."""
+    """A symbol's selector Gram G, its inverse, and (G D G⁻¹)ᵀ for each isometry generator D.
+
+    The checks hold an operator A as X = Aᵀ (input index first); its trace
+    pairing tr(Aᵀ G D G⁻¹) with D is then the sum of X ⊙ (G D G⁻¹)ᵀ.
+    """
     gram = sym.full_gram("selector")
-    return gram, np.linalg.inv(gram)
+    ginv = np.linalg.inv(gram)
+    isos = np.array(sym.isometries()).reshape(-1, *gram.shape)
+    return gram, ginv, (gram @ isos @ ginv).swapaxes(1, 2)
 
 
 @dataclass
@@ -868,7 +925,7 @@ class MorimotoReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residual_r, self.residual_t)
+        return float(np.maximum(self.residual_r, self.residual_t))
 
 
 def check_morimoto(conn: Connection, points, tol: float = 1e-8) -> MorimotoReport:
@@ -879,39 +936,34 @@ def check_morimoto(conn: Connection, points, tol: float = 1e-8) -> MorimotoRepor
         <R(chi(v)), D> = <T_v, D>           (curvature condition)
     and for frame vectors v, w with deg w < deg v:
         <T(chi(v)), w> = -<T_v, TZ_w>       (torsion condition)
-    with operator pairings taken as metric traces.
+    with operator pairings taken as metric traces.  Symbols with fewer
+    generators than others are padded with zero generators, whose pairings
+    are zero.
     """
     g = conn.grading
     n = g.dim
     chi = selector(g)
     vals = conn._at(points)
     compat = check_compatible(conn, points, tol=tol)
+    gram, ginv, pairing = vals.per_symbol(_trace_frame)
+    gram_t, ginv_t = gram.swapaxes(1, 2)[:, None], ginv.swapaxes(1, 2)[:, None]
+    deg = np.array(g.degrees)
+    lower = deg[None, :] < deg[:, None]  # [v, w]: deg w < deg v
 
-    worst_r = 0.0
-    worst_t = 0.0
-    pairings = _once_per_symbol(vals.symbols, lambda s: (*_trace_frame(s), s.isometries()))
-    for (gram, ginv, isos), (tten, rten), tzt, coefs in zip(
-        pairings, conn._tensors(vals), vals.t_zero, vals.selector
-    ):
-        chimats = chi.matrices(coefs)
-
-        for v in range(n):
-            cm = chimats[v]
-            # curvature and torsion of the wedge value
-            r_of_chi = 0.5 * np.einsum("ab,abkl->lk", cm, rten)
-            t_of_chi = 0.5 * np.einsum("ab,abk->k", cm, tten)
-            t_v = tten[v].T  # operator: column = input index
-            for d in isos:
-                lhs = _operator_pairing(r_of_chi, d, gram, ginv)
-                rhs = _operator_pairing(t_v, d, gram, ginv)
-                worst_r = max(worst_r, abs(lhs - rhs))
-            for w in range(n):
-                if g.degree_of(w) >= g.degree_of(v):
-                    continue
-                lhs = float(t_of_chi @ gram[:, w])
-                tz_w = tzt[w].T
-                rhs = -_operator_pairing(t_v, tz_w, gram, ginv)
-                worst_t = max(worst_t, abs(lhs - rhs))
+    worst_r = worst_t = 0.0
+    for blk in vals.blocks():
+        tors = _torsion_values(vals.gamma[blk], vals.c[blk])
+        b = len(tors)
+        t_v = tors.reshape(b, n, n * n)  # operator T_v held with its input index first
+        chis = chi.matrices(vals.selector[blk]).reshape(b, n, n * n)  # [v, ab]
+        # <T(chi(v)), w> + <T_v, TZ_w>, where <T_v, TZ_w> = Σ T_v ⊙ (G⁻ᵀ TZ_w Gᵀ)
+        tz_w = ginv_t[blk] @ vals.t_zero[blk] @ gram_t[blk]
+        resid_t = 0.5 * chis @ tors.reshape(b, n * n, n) @ gram[blk]
+        resid_t += t_v @ tz_w.reshape(b, n, n * n).swapaxes(1, 2)
+        worst_t = _worst(worst_t, resid_t[:, lower])
+        # <R(chi(v)) - T_v, D> for every generator D
+        diff = 0.5 * chis @ _curvature(vals, blk).reshape(b, n * n, n * n) - t_v
+        worst_r = _worst(worst_r, diff @ pairing[blk].reshape(b, -1, n * n).swapaxes(1, 2))
 
     return MorimotoReport(worst_r, worst_t, compat, tol)
 
@@ -925,29 +977,24 @@ def torsion_id_residual(conn: Connection, points) -> float:
     vals = conn._at(points)
     deg = np.array(conn.grading.degrees)
     target = (deg[:, None] + deg[None, :])[:, :, None]  # [i, j, 0]: deg i + deg j
-    worst = 0.0
-    for gam, c, tzt in zip(vals.gamma, vals.c, vals.t_zero):
-        tten = _torsion_values(gam, c)
-        worst = max(
-            worst,
-            np.abs(tten - tzt)[deg == target].max(initial=0.0),
-            np.abs(tten)[deg > target].max(initial=0.0),
-        )
-    return float(worst)
+    tten = _torsion_values(vals.gamma, vals.c)
+    return _worst(_worst(0.0, (tten - vals.t_zero)[:, deg == target]), tten[:, deg > target])
 
 
 def _isometry_basis(sym: CarnotAlgebra):
-    """A symbol's trace frame and its isometry generators orthonormalized under the trace pairing."""
-    gram, ginv = _trace_frame(sym)
+    """What the isometry residual reads of a symbol: G⁻ᵀ, Gᵀ, and its isometry
+    generators D orthonormalized under the trace pairing, as Dᵀ and (G D G⁻¹)ᵀ."""
+    gram, ginv, _ = _trace_frame(sym)
     basis = []
     for d in sym.isometries():
         v = d.copy()
         for b in basis:
-            v = v - _operator_pairing(v, b, gram, ginv) * b
-        nrm = _operator_pairing(v, v, gram, ginv) ** 0.5
+            v = v - np.vdot(v, gram @ b @ ginv) * b
+        nrm = np.vdot(v, gram @ v @ ginv) ** 0.5
         if nrm > 1e-12:
             basis.append(v / nrm)
-    return gram, ginv, basis
+    basis = np.array(basis).reshape(-1, *gram.shape)
+    return ginv.T, gram.T, basis.swapaxes(1, 2), (gram @ basis @ ginv).swapaxes(1, 2)
 
 
 def curvature_isometry_residual(conn: Connection, points) -> float:
@@ -958,18 +1005,18 @@ def curvature_isometry_residual(conn: Connection, points) -> float:
     """
     n = conn.grading.dim
     vals = conn._at(points)
+    ginv_t, gram_t, basis_t, pairing = vals.per_symbol(_isometry_basis)
+    upper = np.triu_indices(n, 1)
     worst = 0.0
-    bases = _once_per_symbol(vals.symbols, _isometry_basis)
-    for (gram, ginv, basis), (_, rten) in zip(bases, conn._tensors(vals)):
-        for a in range(n):
-            for b in range(a + 1, n):
-                op = rten[a, b].T
-                rem = op.copy()
-                for d in basis:
-                    rem = rem - _operator_pairing(op, d, gram, ginv) * d
-                worst = max(
-                    worst, abs(_operator_pairing(rem, rem, gram, ginv)) ** 0.5
-                )
+    for blk in vals.blocks():
+        ops = _curvature(vals, blk)[:, upper[0], upper[1]]  # R(W_a, W_b), a < b
+        b = len(ops)
+        flat = ops.reshape(b, -1, n * n)
+        coef = flat @ pairing[blk].reshape(b, -1, n * n).swapaxes(1, 2)
+        rem = (flat - coef @ basis_t[blk].reshape(b, -1, n * n)).reshape(ops.shape)
+        # the remainder's pairing with itself, Σ X ⊙ (G⁻ᵀ X Gᵀ) with X = remᵀ
+        sq = (rem * (ginv_t[blk, None] @ rem @ gram_t[blk, None])).sum(axis=(2, 3))
+        worst = _worst(worst, np.sqrt(np.abs(sq)))
     return worst
 
 
@@ -986,6 +1033,27 @@ def _onb_and_inverse(sym: CarnotAlgebra):
     return q, np.linalg.inv(q)
 
 
+def _in_frame(x: np.ndarray, q: np.ndarray, qinv: np.ndarray) -> np.ndarray:
+    """Components of ``x`` in the frame ``q`` of each of its points; ``x`` is overwritten.
+
+    ``x`` is C-contiguous, with the point index first, then its lower
+    indices, then one upper index.  The upper index is contracted with
+    q⁻¹ᵀ, then each lower index, last first, with q, in place in the
+    array's layout; the steps alternate between ``x`` and one buffer.
+    """
+    b, n = x.shape[:2]
+    order = x.ndim - 1
+    buf = np.empty_like(x)
+    np.matmul(x.reshape(b, -1, n), qinv.swapaxes(1, 2), out=buf.reshape(b, -1, n))
+    src, dst = buf, x
+    qt = q.swapaxes(1, 2)[:, None]
+    for axis in range(order - 2, -1, -1):
+        shape = (b, n**axis, n, n ** (order - 1 - axis))
+        np.matmul(qt, src.reshape(shape), out=dst.reshape(shape))
+        src, dst = dst, src
+    return src
+
+
 def flatness_check(conn: Connection, points, tol: float = 1e-8) -> FlatnessReport:
     """Verdict on whether torsion reduces to degree zero and curvature vanishes.
 
@@ -994,22 +1062,12 @@ def flatness_check(conn: Connection, points, tol: float = 1e-8) -> FlatnessRepor
     group of the symbol.
     """
     vals = conn._at(points)
-    worst_t = 0.0
-    worst_r = 0.0
-    paths = None
-    onbs = _once_per_symbol(vals.symbols, _onb_and_inverse)
-    for (q, qinv), (tten, rten), tzt in zip(onbs, conn._tensors(vals), vals.t_zero):
-        operands = (
-            ("ia,jb,ijk,kc->abc", q, q, tten - tzt, qinv.T),
-            ("ia,jb,kc,ijkl,ld->abcd", q, q, q, rten, qinv.T),
-        )
-        if paths is None:
-            # every point has the same shapes, so the greedy search that
-            # optimize=True runs per call is run once
-            paths = [np.einsum_path(*ops, optimize="greedy")[0] for ops in operands]
-        dt, dr = (np.einsum(*ops, optimize=path) for ops, path in zip(operands, paths))
-        worst_t = max(worst_t, float(np.abs(dt).max()))
-        worst_r = max(worst_r, float(np.abs(dr).max()))
+    q, qinv = vals.per_symbol(_onb_and_inverse)
+    worst_t = worst_r = 0.0
+    for blk in vals.blocks():
+        tors = _torsion_values(vals.gamma[blk], vals.c[blk]) - vals.t_zero[blk]
+        worst_t = _worst(worst_t, _in_frame(tors, q[blk], qinv[blk]))
+        worst_r = _worst(worst_r, _in_frame(_curvature(vals, blk), q[blk], qinv[blk]))
     return FlatnessReport(
         flat=bool(worst_t <= tol and worst_r <= tol),
         torsion_residual=worst_t,

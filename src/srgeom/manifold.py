@@ -453,13 +453,10 @@ def _columns(fields, points) -> list:
     return [np.ascontiguousarray(v.T) for v in values]
 
 
-def _rank(mat: np.ndarray, tol: float = 1e-9) -> int:
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+def _ranks(mats: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Numerical rank of each stacked matrix, relative to its largest singular value."""
+    s = np.linalg.svd(mats, compute_uv=False)
+    return np.sum(s > tol * s[:, :1], axis=1)
 
 
 def _flags(m: FramedManifold, points, max_step: int) -> list:
@@ -467,21 +464,27 @@ def _flags(m: FramedManifold, points, max_step: int) -> list:
 
     Layer values are in frame coordinates, one column per bracket field.  A
     point's flag ends when its rank fills the chart or after ``max_step``
-    layers; a plateau does not end it.
+    layers; a plateau does not end it.  Each layer is mapped to frame
+    coordinates and ranked for all growing points at once.
     """
     if max_step < 1:
         raise ManifoldError("max_step must be at least 1")
-    finvs = [np.linalg.inv(mat) for mat in m.frame_matrices_at(points)]
+    finvs = np.linalg.inv(np.reshape(m.frame_matrices_at(points), (len(points), m.dim, m.dim)))
     flags = [[] for _ in points]
     layers = [[] for _ in points]
-    growing = list(range(len(points)))
+    spans = np.zeros((len(points), m.dim, 0))  # every point's layers so far, side by side
+    growing = np.arange(len(points))
     for k in range(1, max_step + 1):
-        if not growing:
+        if not len(growing):
             break
-        for x, vals in zip(growing, _columns(m.bracket_layer(k), [points[x] for x in growing])):
-            layers[x].append(finvs[x] @ vals)
-            flags[x].append(_rank(np.hstack(layers[x])))
-        growing = [x for x in growing if flags[x][-1] != m.dim]
+        vals = finvs[growing] @ np.stack(_columns(m.bracket_layer(k), [points[x] for x in growing]))
+        spans = np.concatenate([spans, vals], axis=2)
+        ranks = _ranks(spans)
+        for x, layer, rank in zip(growing, vals, ranks):
+            layers[x].append(layer)
+            flags[x].append(int(rank))
+        still = ranks != m.dim
+        growing, spans = growing[still], spans[still]
     return [(finv, tuple(flag), layer) for finv, flag, layer in zip(finvs, flags, layers)]
 
 
@@ -512,7 +515,8 @@ def _symbols(m: FramedManifold, points, passes, reference_flag=None) -> list:
 
     Each point's flag, layers and metric are checked first, in point order;
     then each table of layer brackets is evaluated once, for the points
-    whose step reaches it.
+    whose step reaches it.  Points whose bracket rows and metric are
+    bitwise equal get one algebra.
     """
     metrics = expr.evaluate_tables([m.metric], points)[0]
     # orthonormal bases of each quotient layer, plus representative
@@ -558,32 +562,41 @@ def _symbols(m: FramedManifold, points, passes, reference_flag=None) -> list:
         for j in range(i, max(steps) - i + 1):
             reach = [x for x, step in enumerate(steps) if i + j <= step]
             shape = (m.dim, len(m.bracket_layer(i)), len(m.bracket_layer(j)))
-            pairs = m.layer_brackets(i, j)
-            for x, vals in zip(reach, _columns(pairs, [points[x] for x in reach])):
-                # a C-contiguous (component, a, b) array, so the einsum below
-                # takes the same summation path whatever the layer sizes
-                bracket_vals[x][i, j] = np.einsum("xy,yab->xab", passes[x][0], vals.reshape(shape))
+            cols = np.stack(_columns(m.layer_brackets(i, j), [points[x] for x in reach]))
+            finvs = np.stack([passes[x][0] for x in reach])
+            # frame coordinates of every reached point's brackets, one matmul
+            for x, vals in zip(reach, (finvs @ cols).reshape(len(reach), *shape)):
+                bracket_vals[x][i, j] = vals
 
-    algebras = []
+    algebras, interned = [], {}
     for (layer_basis, layer_coeffs), vals_at, gmat in zip(layered, bracket_vals, metrics):
         dims = [b.shape[1] for b in layer_basis]
         offsets = np.concatenate([[0], np.cumsum(dims)])
         brackets = {}
         for (i, j), vals in vals_at.items():
             ci, cj, target = layer_coeffs[i - 1], layer_coeffs[j - 1], layer_basis[i + j - 1]
-            for a in range(dims[i - 1]):
-                for b in range(a + 1 if i == j else 0, dims[j - 1]):
-                    coefs = target.T @ np.einsum("xyz,y,z->x", vals, ci[:, a], cj[:, b])
-                    row = {
-                        offsets[i + j - 1] + c: float(v)
-                        for c, v in enumerate(coefs)
-                        if abs(v) > 1e-12
-                    }
-                    if row:
-                        brackets[offsets[i - 1] + a, offsets[j - 1] + b] = row
-        labels = tuple(f"E{k+1}.{a+1}" for k, d in enumerate(dims) for a in range(d))
+            # [c, a, b]: component c of [e_a, e_b] in the target layer's basis
+            coefs = (target.T @ (ci.T @ vals @ cj).reshape(len(target), -1)).reshape(
+                -1, dims[i - 1], dims[j - 1]
+            )
+            keep = np.abs(coefs) > 1e-12
+            if i == j:
+                idx = np.arange(dims[i - 1])
+                keep &= idx[:, None] < idx[None, :]
+            for a, b, c in zip(*np.nonzero(keep.transpose(1, 2, 0))):
+                ab = (int(offsets[i - 1] + a), int(offsets[j - 1] + b))
+                brackets.setdefault(ab, {})[int(offsets[i + j - 1] + c)] = float(coefs[c, a, b])
         s1 = layer_basis[0][: m.rank]
-        algebras.append(CarnotAlgebra(tuple(dims), labels, brackets, metric1=s1.T @ gmat @ s1))
+        metric1 = s1.T @ gmat @ s1
+        key = (
+            tuple(dims),
+            tuple((ab, tuple(row.items())) for ab, row in brackets.items()),
+            metric1.tobytes(),
+        )
+        if key not in interned:
+            labels = tuple(f"E{k+1}.{a+1}" for k, d in enumerate(dims) for a in range(d))
+            interned[key] = CarnotAlgebra(tuple(dims), labels, brackets, metric1=metric1)
+        algebras.append(interned[key])
     return algebras
 
 
@@ -622,8 +635,11 @@ def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> Symbo
             # a contact symbol fills the chart at step 2; deeper layers would
             # hold rank^(k-1) fields each, so none is built
             raise ManifoldError(f"not a contact structure: growth flag {flags[0]}")
-        lams = [heisenberg_normal_form(alg) for alg in _symbols(m, points, passes)]
-        spread = max(abs(a - b) for lam in lams for other in lams for a, b in zip(lam, other))
+        algebras = _symbols(m, points, passes)
+        # equal symbols are one object, so each distinct one is normalized once
+        forms = {alg: heisenberg_normal_form(alg) for alg in dict.fromkeys(algebras)}
+        lams = [forms[alg] for alg in algebras]
+        spread = float(np.ptp(np.array(lams), axis=0).max())
         return SymbolVerdict(
             constant=bool(spread <= tol),
             structure_class="contact",

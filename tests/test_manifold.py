@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from srgeom import expr, manifold
-from srgeom.lie import cartan_nilpotent, heisenberg_normal_form
+from srgeom.lie import cartan_nilpotent, heisenberg, heisenberg_normal_form
 from srgeom.manifold import (
     FramedManifold,
     ManifoldError,
@@ -22,6 +22,7 @@ from srgeom.manifold import (
     symbol_at,
 )
 from srgeom.models import (
+    carnot_group_manifold,
     cartan_group_manifold,
     euclidean_manifold,
     heisenberg_manifold,
@@ -315,6 +316,30 @@ def test_constant_symbol_heisenberg():
     verdict = check_constant_symbol(m, pts)
     assert verdict.constant
     assert verdict.detail == pytest.approx((1.0,), abs=1e-9)
+
+
+def test_constant_symbol_normalizes_each_distinct_symbol_once(monkeypatch):
+    # a flat Heisenberg group's symbol is bitwise the same at every point, so
+    # 20 points share one algebra and one normal form; the varying chart's
+    # two points keep two
+    calls = []
+    inner = manifold.heisenberg_normal_form
+
+    def counted(alg):
+        calls.append(alg)
+        return inner(alg)
+
+    monkeypatch.setattr(manifold, "heisenberg_normal_form", counted)
+    m = carnot_group_manifold(heisenberg((1, 1.6, 2.9)), structure_class="contact")
+    verdict = check_constant_symbol(m, manifold._default_samples(m, count=20, seed=5))
+    assert verdict.constant and len(verdict.samples) == 20
+    assert verdict.detail == pytest.approx((1.0, 1.6, 2.9), abs=1e-9)
+    assert len(calls) == 1
+    calls.clear()
+    verdict = check_constant_symbol(
+        varying_lambda_manifold(), [(0.0, 0.1, 0.2, -0.1, 0.3), (0.8, 0.1, 0.2, -0.1, 0.3)]
+    )
+    assert not verdict.constant and len(calls) == 2
 
 
 def test_constant_symbol_varying_lambda_fails():

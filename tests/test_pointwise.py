@@ -1,22 +1,31 @@
 """Torsion, curvature and the derivative of the degree-0 torsion evaluated
 from point values, against the symbolic tables they replace on the verdict
-path."""
+path; and the checks, which contract blocks of points, against a per-point
+oracle."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from srgeom import connection, expr, lie, models
 from srgeom.connection import (
+    CompatibilityReport,
     Connection,
-    _t_zero_derivatives,
+    FlatnessReport,
+    MorimotoReport,
+    _t_zero_derivative,
     check_compatible,
     check_morimoto,
+    curvature_isometry_residual,
     flat_frame_connection,
     flatness_check,
     left_invariant_grading,
     levi_civita,
     normal_geodesic,
+    selector,
     taming_metric,
+    torsion_id_residual,
 )
 from srgeom.contact import (
     extract_contact_data,
@@ -26,19 +35,24 @@ from srgeom.contact import (
 from srgeom.g235 import morimoto_connection_235, morimoto_grading_235
 from srgeom.lie import heisenberg
 from srgeom.manifold import (
+    ManifoldError,
     _default_samples,
     _gram_schmidt_horizontal,
     check_constant_symbol,
 )
 
 
-def _conformal_h2():
-    """h_2(1, 1) with its metric rescaled by exp(x1): curved, constant symbol."""
+def _conformal(n):
+    """h_n(1, ..., 1) with its metric rescaled by exp(x1): curved, constant symbol."""
     scale = expr.exp(expr.var("x1"))
-    metric = [[scale if i == j else expr.ZERO for j in range(4)] for i in range(4)]
+    metric = [[scale if i == j else expr.ZERO for j in range(2 * n)] for i in range(2 * n)]
     return models.carnot_group_manifold(
-        heisenberg((1, 1)), metric=metric, structure_class="contact"
+        heisenberg((1,) * n), metric=metric, structure_class="contact"
     )
+
+
+def _conformal_h2():
+    return _conformal(2)
 
 
 def _contact_grading(m):
@@ -68,6 +82,32 @@ def _perturbed_235_connection():
     return morimoto_connection_235(morimoto_grading_235(m, sample_points=pts)), pts
 
 
+def _skewed_h2_connection():
+    """A connection on h_2(1, 1.6) that meets none of the checks' conditions.
+
+    The metric is a non-diagonal constant matrix times exp(x1), so the
+    symbol's Gram is not a multiple of the identity and differs from point
+    to point; the connection is half the Levi-Civita connection of the
+    taming metric plus two coordinate-dependent terms, so every residual is
+    far from zero.
+    """
+    a = [[2, 0.5, 0, 0.3], [0.5, 1, 0.2, 0], [0, 0.2, 1.5, 0.4], [0.3, 0, 0.4, 1]]
+    scale = expr.exp(expr.var("x1"))
+    metric = [[expr.mul(expr.floatc(a[i][j]), scale) for j in range(4)] for i in range(4)]
+    m = models.carnot_group_manifold(
+        heisenberg((1, 1.6)), metric=metric, structure_class="contact"
+    )
+    g = left_invariant_grading(m, (4, 1))
+    half = expr.rational(1, 2)
+    gamma = [
+        [[expr.mul(half, e) for e in row] for row in plane]
+        for plane in levi_civita(taming_metric(m, g)).gamma
+    ]
+    gamma[0][1][0] = expr.add(gamma[0][1][0], expr.mul(expr.floatc(0.2), expr.var("x3")))
+    gamma[4][0][1] = expr.add(gamma[4][0][1], expr.mul(expr.floatc(0.3), expr.var("x2")))
+    return Connection(g, gamma), _default_samples(m, count=3, seed=5)
+
+
 def _contact_chart(build):
     def make():
         m = build()
@@ -81,6 +121,7 @@ CHARTS = {
     "conformal-h2": _contact_chart(_conformal_h2),
     "perturbed-235": _perturbed_235_connection,
     "rotated-cartan": _rotated_cartan_connection,
+    "skewed-h2": _skewed_h2_connection,
 }
 
 
@@ -147,8 +188,10 @@ def test_t_zero_derivative_from_values_equals_symbolic(build):
     conn = levi_civita(taming_metric(m, params.grading))
     table = _symbolic_t_zero_derivative(conn)
     pts = _default_samples(m, count=3, seed=5)
-    # through the evaluation the checks share
-    for p, (_, _, got) in zip(pts, _t_zero_derivatives(conn._at(pts)), strict=True):
+    # through the evaluation the checks share, block by block
+    vals = conn._at(pts)
+    blocks = [_t_zero_derivative(vals, blk) for blk in vals.blocks()]
+    for p, got in zip(pts, np.concatenate(blocks), strict=True):
         want = expr.evaluate_array(table, p)
         assert np.abs(want).max() > 0.1
         _assert_close(got, want)
@@ -341,3 +384,252 @@ def test_checks_differentiate_nothing(chart, monkeypatch):
     check_morimoto(conn, pts, tol=1e-6)
     flatness_check(conn, pts)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# per-point oracle: the checks written as loops over points, frame vectors
+# and isometry generators, reading the same shared evaluation
+
+
+def _pairing(a, b, gram, ginv):
+    """Trace inner product of endomorphisms w.r.t. a frame Gram matrix."""
+    return float(np.trace(a.T @ gram @ b @ ginv))
+
+
+def _oracle_tensors(vals):
+    """Torsion and curvature at each point."""
+    for gam, c, frame, dgam in zip(vals.gamma, vals.c, vals.frame, vals.d_gamma):
+        part = np.einsum("ia,ajkl->ijkl", frame, dgam) + np.einsum("jkm,iml->ijkl", gam, gam)
+        curv = part - part.transpose(1, 0, 2, 3) - np.einsum("ijm,mkl->ijkl", c, gam)
+        yield gam - gam.transpose(1, 0, 2) - c, curv
+
+
+def _oracle_compatible(conn, points, tol):
+    vals = conn._at(points)
+    r = conn.grading.layer_dims[0]
+    deg = np.array(conn.grading.degrees)
+    layer_change = deg[:, None] != deg[None, :]
+    worst_layers = worst_metric = worst_tz = 0.0
+    for gam, tz, frame, met, dtz, dmet in zip(
+        vals.gamma, vals.t_zero, vals.frame, vals.metric, vals.d_t_zero, vals.d_metric
+    ):
+        hor = gam[:, :r, :r]
+        nmet = (
+            np.einsum("ia,ajk->ijk", frame, dmet)
+            - np.einsum("ijm,mk->ijk", hor, met)
+            - np.einsum("ikm,jm->ijk", hor, met)
+        )
+        ntz = (
+            np.einsum("ia,ajkl->ijkl", frame, dtz)
+            + np.einsum("jkm,iml->ijkl", tz, gam)
+            - np.einsum("ijm,mkl->ijkl", gam, tz)
+            - np.einsum("ikm,jml->ijkl", gam, tz)
+        )
+        worst_layers = max(worst_layers, float(np.abs(gam[:, layer_change]).max(initial=0.0)))
+        worst_metric = max(worst_metric, float(np.abs(nmet).max(initial=0.0)))
+        worst_tz = max(worst_tz, float(np.abs(ntz).max(initial=0.0)))
+    return CompatibilityReport(
+        worst_layers <= tol, worst_metric <= tol, worst_tz <= tol,
+        worst_layers, worst_metric, worst_tz,
+    )
+
+
+def _oracle_selector_matrices(chi, values):
+    """The wedge-coefficient matrix of the value on each field, at one point."""
+    n = chi.grading.dim
+    out = []
+    pos = 0
+    for row in chi.coefficients:
+        mat = np.zeros((n, n))
+        for a, b, _ in row:
+            mat[a, b] += values[pos]
+            mat[b, a] -= values[pos]
+            pos += 1
+        out.append(mat)
+    return out
+
+
+def _oracle_morimoto(conn, points, tol):
+    g = conn.grading
+    n = g.dim
+    chi = selector(g)
+    vals = conn._at(points)
+    worst_r = worst_t = 0.0
+    for sym, (tten, rten), tzt, coefs in zip(
+        vals.symbols, _oracle_tensors(vals), vals.t_zero, vals.selector
+    ):
+        gram = sym.full_gram("selector")
+        ginv = np.linalg.inv(gram)
+        for v, cm in enumerate(_oracle_selector_matrices(chi, coefs)):
+            r_of_chi = 0.5 * np.einsum("ab,abkl->lk", cm, rten)
+            t_of_chi = 0.5 * np.einsum("ab,abk->k", cm, tten)
+            t_v = tten[v].T
+            for d in sym.isometries():
+                lhs = _pairing(r_of_chi, d, gram, ginv)
+                rhs = _pairing(t_v, d, gram, ginv)
+                worst_r = max(worst_r, abs(lhs - rhs))
+            for w in range(n):
+                if g.degree_of(w) < g.degree_of(v):
+                    lhs = float(t_of_chi @ gram[:, w])
+                    rhs = -_pairing(t_v, tzt[w].T, gram, ginv)
+                    worst_t = max(worst_t, abs(lhs - rhs))
+    return MorimotoReport(worst_r, worst_t, _oracle_compatible(conn, points, tol), tol)
+
+
+def _oracle_torsion_id(conn, points):
+    vals = conn._at(points)
+    deg = np.array(conn.grading.degrees)
+    target = (deg[:, None] + deg[None, :])[:, :, None]
+    worst = 0.0
+    for (tten, _), tzt in zip(_oracle_tensors(vals), vals.t_zero):
+        worst = max(
+            worst,
+            np.abs(tten - tzt)[deg == target].max(initial=0.0),
+            np.abs(tten)[deg > target].max(initial=0.0),
+        )
+    return float(worst)
+
+
+def _oracle_isometry_residual(conn, points):
+    n = conn.grading.dim
+    vals = conn._at(points)
+    worst = 0.0
+    for sym, (_, rten) in zip(vals.symbols, _oracle_tensors(vals)):
+        gram = sym.full_gram("selector")
+        ginv = np.linalg.inv(gram)
+        basis = []
+        for d in sym.isometries():
+            v = d.copy()
+            for b in basis:
+                v = v - _pairing(v, b, gram, ginv) * b
+            nrm = _pairing(v, v, gram, ginv) ** 0.5
+            if nrm > 1e-12:
+                basis.append(v / nrm)
+        for a in range(n):
+            for b in range(a + 1, n):
+                op = rten[a, b].T
+                rem = op.copy()
+                for d in basis:
+                    rem = rem - _pairing(op, d, gram, ginv) * d
+                worst = max(worst, abs(_pairing(rem, rem, gram, ginv)) ** 0.5)
+    return worst
+
+
+def _oracle_flatness(conn, points, tol):
+    vals = conn._at(points)
+    worst_t = worst_r = 0.0
+    for sym, (tten, rten), tzt in zip(vals.symbols, _oracle_tensors(vals), vals.t_zero):
+        q = lie._onb_columns(sym.full_gram("selector"))
+        qinv = np.linalg.inv(q)
+        dt = np.einsum("ia,jb,ijk,kc->abc", q, q, tten - tzt, qinv.T, optimize=True)
+        dr = np.einsum("ia,jb,kc,ijkl,ld->abcd", q, q, q, rten, qinv.T, optimize=True)
+        worst_t = max(worst_t, float(np.abs(dt).max()))
+        worst_r = max(worst_r, float(np.abs(dr).max()))
+    return FlatnessReport(worst_t <= tol and worst_r <= tol, worst_t, worst_r)
+
+
+def _fields(report):
+    """A report's fields, nested reports flattened, in order; a bare residual is its own field."""
+    if dataclasses.is_dataclass(report):
+        return [v for f in dataclasses.fields(report) for v in _fields(getattr(report, f.name))]
+    return [report]
+
+
+def _checks(conn, points):
+    """Every check's report at ``points``; verdicts at tol 1e-6."""
+    return [
+        check_compatible(conn, points, tol=1e-6),
+        check_morimoto(conn, points, tol=1e-6),
+        flatness_check(conn, points, tol=1e-6),
+        torsion_id_residual(conn, points),
+        curvature_isometry_residual(conn, points),
+    ]
+
+
+def _oracle_checks(conn, points):
+    return [
+        _oracle_compatible(conn, points, 1e-6),
+        _oracle_morimoto(conn, points, 1e-6),
+        _oracle_flatness(conn, points, 1e-6),
+        _oracle_torsion_id(conn, points),
+        _oracle_isometry_residual(conn, points),
+    ]
+
+
+@pytest.mark.parametrize("chart", sorted(CHARTS))
+def test_checks_equal_the_per_point_oracle(chart):
+    conn, pts = CHARTS[chart]()
+    got = [_fields(r) for r in _checks(conn, pts)]
+    want = [_fields(r) for r in _oracle_checks(conn, pts)]
+    assert [len(r) for r in got] == [len(r) for r in want]
+    for g, w in zip((v for r in got for v in r), (v for r in want for v in r)):
+        if isinstance(w, bool):
+            assert g is w
+        else:
+            assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (g, w)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 7])
+def test_blocks_of_points_report_the_maximum_over_points(count):
+    # n = 7 takes 3 points per block, so these counts fill one block, fill
+    # it exactly, and spill into a second and a third
+    m = _conformal(3)
+    conn = _contact_connection(m)
+    pts = _default_samples(m, count=count, seed=5)
+    assert connection._blocks(count, m.dim) == [
+        slice(s, min(s + 3, count)) for s in range(0, count, 3)
+    ]
+    each = [[_fields(r) for r in _checks(conn, [p])] for p in pts]
+    got = [_fields(r) for r in _checks(conn, pts)]
+    for k, fields in enumerate(got):
+        for f, value in enumerate(fields):
+            values = [one[k][f] for one in each]
+            if isinstance(value, bool):
+                assert value is all(values)
+            else:
+                assert value == max(values)
+    assert got[2][2] > 0.1  # the curvature residual is not zero
+
+
+def _symmetric_huge_gamma():
+    """Γ_000 = 1e200 x and Γ_010 = Γ_100 = -1e200 x: symmetric in its lower
+    indices, so the torsion stays the structure functions, while ΓΓ
+    overflows and the curvature holds inf - inf = NaN where x = 1."""
+    gam = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    huge = expr.mul(expr.floatc(1e200), expr.var("x"))
+    gam[0][0][0] = huge
+    gam[0][1][0] = gam[1][0][0] = expr.neg(huge)
+    return gam
+
+
+@pytest.mark.parametrize("nan_last", [False, True], ids=["nan-first", "nan-last"])
+def test_nan_residuals_fail_their_verdicts(nan_last):
+    m = models.heisenberg_manifold()
+    conn = Connection(left_invariant_grading(m, (2, 1)), _symmetric_huge_gamma())
+    # 101 points fill the first block of n = 3; the NaN point sits in it or
+    # in a second block of its own
+    finite = [{"x": 0.0, "y": 0.1 * k / 101, "z": 0.0} for k in range(101)]
+    nan_point = {"x": 1.0, "y": 0.0, "z": 0.0}
+    pts = finite + [nan_point] if nan_last else [nan_point] + finite
+    assert len(connection._blocks(len(pts), 3)) == 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        mr = check_morimoto(conn, pts)
+        fr = flatness_check(conn, pts)
+        iso = curvature_isometry_residual(conn, pts)
+        finite_fr = flatness_check(conn, finite)
+    assert np.isnan(mr.residual_r) and np.isnan(mr.max_residual) and not mr.ok
+    assert np.isnan(fr.curvature_residual) and not fr.flat
+    assert fr.torsion_residual == 0.0  # only the NaN fails flatness
+    assert np.isnan(iso)
+    assert np.isfinite(finite_fr.curvature_residual)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [check_compatible, check_morimoto, flatness_check, torsion_id_residual,
+     curvature_isometry_residual],
+)
+def test_checks_refuse_an_empty_point_set(check):
+    conn = _contact_connection(models.heisenberg_metric4_manifold())
+    with pytest.raises(ManifoldError, match="at least one sample point is required"):
+        check(conn, [])
