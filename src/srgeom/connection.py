@@ -44,6 +44,7 @@ from .manifold import (
     _checked_metric,
     _flags,
     _gauss_jordan,
+    _sum_of_products,
     bracket,
     frame_combination,
     frame_inverse,
@@ -153,10 +154,7 @@ class Grading:
         """Adapted-frame components of a vector field (list of Expr)."""
         finv = self.coframe()
         n = self.dim
-        return [
-            expr.add(*[expr.mul(finv[i][a], v.components[a]) for a in range(n)])
-            for i in range(n)
-        ]
+        return [_sum_of_products((finv[i][a], v.components[a]) for a in range(n)) for i in range(n)]
 
     # -- pointwise graded data ----------------------------------------------
 
@@ -231,7 +229,8 @@ class Grading:
                     if kdeg > self.step:
                         continue
                     for k in self.layer_range(kdeg):
-                        out[i][j][k] = expr.neg(c[i][j][k])
+                        if c[i][j][k] is not _ZERO:
+                            out[i][j][k] = expr.neg(c[i][j][k])
             self._t_zero = out
         return self._t_zero
 
@@ -323,18 +322,12 @@ def _symbolic_inverse(matrix):
 
 def _wedge_gram_inverse(gmat, wedges):
     """Symbolic inverse of the Gram matrix of the wedges ``(a, b)`` under ``gmat``."""
-    return _symbolic_inverse(
-        [
-            [
-                expr.sub(
-                    expr.mul(gmat[a][cc], gmat[b][d]),
-                    expr.mul(gmat[a][d], gmat[b][cc]),
-                )
-                for (cc, d) in wedges
-            ]
-            for (a, b) in wedges
-        ]
-    )
+    def minor(a, b, cc, d):
+        # expr.sub(g_ac g_bd, g_ad g_bc), building only the non-zero terms
+        ad_bc = _sum_of_products([(gmat[a][d], gmat[b][cc])])
+        return _sum_of_products([(expr.MINUS_ONE, ad_bc)], _sum_of_products([(gmat[a][cc], gmat[b][d])]))
+
+    return _symbolic_inverse([[minor(a, b, cc, d) for (cc, d) in wedges] for (a, b) in wedges])
 
 
 def taming_metric(m: FramedManifold, grading: Grading, convention: str = "selector") -> TamingMetric:
@@ -369,12 +362,10 @@ def taming_metric(m: FramedManifold, grading: Grading, convention: str = "select
         rk = grading.layer_range(k)
         ginv = [
             [
-                expr.add(
-                    *[
-                        expr.mul(c[a][b][u], winv[i][j], c[aa][bb][v])
-                        for i, (a, b) in enumerate(wedges)
-                        for j, (aa, bb) in enumerate(wedges)
-                    ]
+                _sum_of_products(
+                    (c[a][b][u], winv[i][j], c[aa][bb][v])
+                    for i, (a, b) in enumerate(wedges)
+                    for j, (aa, bb) in enumerate(wedges)
                 )
                 for v in rk
             ]
@@ -469,13 +460,11 @@ def _solve_selector(grading: Grading) -> Selector:
         winv = _wedge_gram_inverse(gmat, wedges)
         for t in targets:
             rhs = [
-                expr.add(
-                    *[expr.mul(c[a][b][d], gmat[d][t]) for d in grading.layer_range(k)]
-                )
+                _sum_of_products((c[a][b][d], gmat[d][t]) for d in grading.layer_range(k))
                 for (a, b) in wedges
             ]
             for i, (a, b) in enumerate(wedges):
-                coef = expr.add(*[expr.mul(winv[i][j], rhs[j]) for j in range(len(wedges))])
+                coef = _sum_of_products((winv[i][j], rhs[j]) for j in range(len(wedges)))
                 if coef is not _ZERO:
                     coefficients[t].append((a, b, coef))
     return Selector(grading, tuple(tuple(row) for row in coefficients))
@@ -635,31 +624,34 @@ class Connection:
         return self._torsion
 
     def curvature_rows(self, i: int, j: int):
-        """R[i][j] as Expr rows: [k][l] is component l of R(W_i, W_j) W_k."""
+        """R[i][j] as Expr rows: [k][l] is component l of R(W_i, W_j) W_k.
+
+        Only the non-zero terms are built, in the order of the dense sum.
+        """
         n = self.grading.dim
         c = self.grading.structure_functions()
         fields = self.grading.fields
         gam = self.gamma
-        return tuple(
-            tuple(
-                expr.add(
-                    # directional derivatives of the Christoffels
+        rows = []
+        for k in range(n):
+            row = []
+            for l in range(n):
+                products = []
+                for mm in range(n):
+                    products.append((gam[j][k][mm], gam[i][mm][l]))
+                    # the negated products, expr.neg(expr.mul(...)), where non-zero
+                    if gam[i][k][mm] is not _ZERO and gam[j][mm][l] is not _ZERO:
+                        products.append((expr.MINUS_ONE, expr.mul(gam[i][k][mm], gam[j][mm][l])))
+                    if c[i][j][mm] is not _ZERO and gam[mm][k][l] is not _ZERO:
+                        products.append((expr.MINUS_ONE, expr.mul(c[i][j][mm], gam[mm][k][l])))
+                # the directional derivatives of the Christoffels come first
+                row.append(_sum_of_products(
+                    products,
                     fields[i].apply(gam[j][k][l]),
                     fields[j].apply(gam[i][k][l], expr.MINUS_ONE),
-                    *[
-                        term
-                        for mm in range(n)
-                        for term in (
-                            expr.mul(gam[j][k][mm], gam[i][mm][l]),
-                            expr.neg(expr.mul(gam[i][k][mm], gam[j][mm][l])),
-                            expr.neg(expr.mul(c[i][j][mm], gam[mm][k][l])),
-                        )
-                    ],
-                )
-                for l in range(n)
-            )
-            for k in range(n)
-        )
+                ))
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def curvature_tensor(self):
         """R[i][j][k][l]: value on (i, j) applied to field k, component l."""
@@ -749,7 +741,7 @@ def levi_civita(tm: TamingMetric) -> Connection:
 
     def cdown(i, j, k):
         # <[W_i, W_j], W_k>
-        return expr.add(*[expr.mul(c[i][j][m], gmat[m][k]) for m in range(n)])
+        return _sum_of_products((c[i][j][m], gmat[m][k]) for m in range(n))
 
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -766,7 +758,7 @@ def levi_civita(tm: TamingMetric) -> Connection:
                 )
                 lowered.append(expr.mul(expr.rational(1, 2), twice))
             for l in range(n):
-                gamma[i][j][l] = expr.add(*[expr.mul(ginv[l][k], lowered[k]) for k in range(n)])
+                gamma[i][j][l] = _sum_of_products((ginv[l][k], lowered[k]) for k in range(n))
     return Connection(g, gamma)
 
 
@@ -813,13 +805,7 @@ def t_zero(grading: Grading):
         xs = grading.components_in_frame(x)
         ys = grading.components_in_frame(y)
         out_frame = [
-            expr.add(
-                *[
-                    expr.mul(xs[i], ys[j], tensor[i][j][k])
-                    for i in range(n)
-                    for j in range(n)
-                ]
-            )
+            _sum_of_products((xs[i], ys[j], tensor[i][j][k]) for i in range(n) for j in range(n))
             for k in range(n)
         ]
         return frame_combination(grading.base, fields, out_frame)

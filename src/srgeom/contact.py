@@ -24,6 +24,7 @@ from .manifold import (
     _default_samples,
     _gram_schmidt_horizontal,
     _matmul,
+    _sum_of_products,
     bracket,
     frame_bracket,
     frame_combination,
@@ -80,18 +81,6 @@ class ContactData:
     def rank(self) -> int:
         return self.manifold.rank
 
-
-
-def _matscale(s, a):
-    return [[expr.mul(s, e) for e in row] for row in a]
-
-
-def _matadd(*mats):
-    n = len(mats[0])
-    m = len(mats[0][0])
-    return [
-        [expr.add(*[mat[i][j] for mat in mats]) for j in range(m)] for i in range(n)
-    ]
 
 
 def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int = 1) -> ContactData:
@@ -155,7 +144,7 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     theta_raw = tuple(finv[v])
 
     # structure coefficients of the raw form: dtheta_raw(F_a, F_b)
-    dmat = [[expr.neg(caux[a][b][v]) for b in range(r)] for a in range(r)]
+    dmat = [[_sum_of_products([(expr.MINUS_ONE, caux[a][b][v])]) for b in range(r)] for a in range(r)]
 
     # pointwise eigen data of -(D^2)
     clusters0 = None
@@ -192,40 +181,44 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     # normalization scale: theta = t * theta_raw with
     # t^2 * tr(-D^2) = tr(Lambda^{-2})
     tr_lam = float(sum(n * lo**-2.0 for lo, n in zip(lam_op, mults)))
-    tr_d = expr.add(
-        *[expr.mul(dmat[a][b], dmat[a][b]) for a in range(r) for b in range(r)]
-    )
+    tr_d = _sum_of_products((e, e) for row in dmat for e in row)
     t = expr.sqrt(expr.div(expr.floatc(tr_lam), tr_d))
-    theta = tuple(expr.mul(t, e) for e in theta_raw)
-    jtheta = _matscale(t, dmat)
+    theta = tuple(_sum_of_products([(t, e)]) for e in theta_raw)
+
+    def scalar(s):
+        # s times the identity on E: _matmul(scalar(s), a) scales a
+        return [[s if i == j else _ZERO for j in range(r)] for i in range(r)]
+
+    jtheta = _matmul(scalar(t), dmat)
 
     # projectors: Lagrange polynomials in Msq = -(J^theta)^2
-    msq_expr = _matscale(
-        expr.neg(expr.mul(t, t)), _matmul(dmat, dmat)
-    )
-    eye = [
-        [expr.rational(1 if i == j else 0) for j in range(r)] for i in range(r)
-    ]
+    msq_expr = _matmul(scalar(expr.neg(expr.mul(t, t))), _matmul(dmat, dmat))
+    eye = scalar(expr.ONE)
     projections = []
     for j, nu_j in enumerate(nus):
         mat = eye
         for i, nu_i in enumerate(nus):
             if i == j:
                 continue
-            shifted = _matadd(msq_expr, _matscale(expr.floatc(-nu_i), eye))
-            mat = _matscale(expr.floatc(1.0 / (nu_j - nu_i)), _matmul(mat, shifted))
+            shift = expr.floatc(-nu_i)
+            shifted = [
+                [_sum_of_products([(shift, e)], m) for m, e in zip(mrow, erow)]
+                for mrow, erow in zip(msq_expr, eye)
+            ]
+            mat = _matmul(scalar(expr.floatc(1.0 / (nu_j - nu_i))), _matmul(mat, shifted))
         projections.append(tuple(tuple(row) for row in mat))
     projections = tuple(projections)
 
-    lam_matrix = _matadd(
-        *[_matscale(expr.floatc(lo), list(map(list, pr))) for lo, pr in zip(lam_op, projections)]
-    )
-    lam_inv_matrix = _matadd(
-        *[
-            _matscale(expr.floatc(1.0 / lo), list(map(list, pr)))
-            for lo, pr in zip(lam_op, projections)
+    def combination(weights):
+        # sum_p weights[p] * projections[p]
+        ws = [expr.floatc(wt) for wt in weights]
+        return [
+            [_sum_of_products((wt, pr[a][b]) for wt, pr in zip(ws, projections)) for b in range(r)]
+            for a in range(r)
         ]
-    )
+
+    lam_matrix = combination(lam_op)
+    lam_inv_matrix = combination([1.0 / lo for lo in lam_op])
     jmat = _matmul(lam_matrix, jtheta)
 
     # Reeb field Z^0 = (1/t) * vertical + u^a F_a where the horizontal part
@@ -233,14 +226,11 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     # u = t J Lambda rhs with rhs_b = (1/t) c_aux[v][b][v] - F_b(1/t)
     tinv = expr.pow_(t, -1)
     rhs = [
-        expr.add(expr.mul(tinv, caux[v][b][v]), expr.neg(fields[b].apply(tinv)))
+        _sum_of_products([(tinv, caux[v][b][v]), (expr.MINUS_ONE, fields[b].apply(tinv))])
         for b in range(r)
     ]
     jl = _matmul(jmat, lam_matrix)
-    u = [
-        expr.add(*[expr.mul(t, jl[a][b], rhs[b]) for b in range(r)])
-        for a in range(r)
-    ]
+    u = [_sum_of_products((t, jl[a][b], rhs[b]) for b in range(r)) for a in range(r)]
     reeb_coeffs = tuple(u) + (tinv,)
     reeb = frame_combination(m, aux.frames, reeb_coeffs)
 
@@ -289,29 +279,18 @@ def _upsilon_coeffs(cd: ContactData):
                 # pr[j] F_a and pr[j] J F_a as aux coefficient vectors
                 ucol = [cd.projections[j][c][a] for c in range(r)] + [_ZERO]
                 jcol = [
-                    expr.add(
-                        *[
-                            expr.mul(cd.projections[j][c][d], cd.jmat[d][a])
-                            for d in range(r)
-                        ]
-                    )
+                    _sum_of_products((cd.projections[j][c][d], cd.jmat[d][a]) for d in range(r))
                     for c in range(r)
                 ] + [_ZERO]
                 brk = frame_bracket(cd.aux.frames, ctab, ucol, jcol)
                 for c in range(r):
                     # pr[i] of the horizontal part
-                    acc[c] = expr.add(
-                        acc[c],
-                        *[
-                            expr.mul(cd.projections[i][c][d], brk[d])
-                            for d in range(r)
-                        ],
+                    acc[c] = _sum_of_products(
+                        ((cd.projections[i][c][d], brk[d]) for d in range(r)), acc[c]
                     )
             # apply J and the 1/2 factor
             vec = [
-                expr.add(
-                    *[expr.mul(_HALF, cd.jmat[c][d], acc[d]) for d in range(r)]
-                )
+                _sum_of_products((_HALF, cd.jmat[c][d], acc[d]) for d in range(r))
                 for c in range(r)
             ]
             out[i + 1, j + 1] = vec
@@ -341,12 +320,9 @@ def morimoto_grading_contact(cd: ContactData) -> ContactGradingParams:
         coef = expr.floatc(
             (2.0 / tr_lam) * cd.lam_op[i - 1] ** 2 / cd.lam_op[j - 1]
         )
-        w = [expr.add(w[c], expr.mul(coef, vec[c])) for c in range(r)]
+        w = [_sum_of_products([(coef, vec[c])], w[c]) for c in range(r)]
     w_field = frame_combination(cd.manifold, cd.ortho_frame, w)
-    jw = [
-        expr.add(*[expr.mul(cd.jmat[c][d], w[d]) for d in range(r)])
-        for c in range(r)
-    ]
+    jw = [_sum_of_products((cd.jmat[c][d], w[d]) for d in range(r)) for c in range(r)]
     zw_field = cd.reeb - frame_combination(cd.manifold, cd.ortho_frame, jw)
     grading = Grading(cd.manifold, [cd.ortho_frame, (zw_field,)])
     return ContactGradingParams(cd, tuple(w), w_field, zw_field, grading)
@@ -371,12 +347,13 @@ def _tau_tensor(cd: ContactData, params: ContactGradingParams):
         # pr[p] F_j as frame coefficients, with the indices where they are non-zero
         cols = [[proj[c][j] for c in range(r)] + [_ZERO] for j in range(r)]
         supports = [[c for c in range(r) if col[c] is not _ZERO] for col in cols]
+        # <pr[p] F_j, pr[p] F_k>, which does not depend on i
+        gram = [
+            [_sum_of_products((aj[c], bk[c]) for c in supp) for bk in cols]
+            for aj, supp in zip(cols, supports)
+        ]
         for i in range(nn):
-            ui = _unit(nn, i)
-            if i < r:
-                for c in range(r):
-                    ui[c] = expr.add(ui[c], expr.neg(proj[c][i]))
-            # ui = W_i - pr[p] W_i
+            ui = _complement(proj, nn, i)  # W_i - pr[p] W_i
             if all(e is _ZERO for e in ui):
                 continue
             brackets = [frame_bracket(frame_fields, ctab, ui, col) for col in cols]
@@ -384,26 +361,29 @@ def _tau_tensor(cd: ContactData, params: ContactGradingParams):
                 aj, bra = cols[j], brackets[j]
                 for kk in range(r):
                     bk, brb = cols[kk], brackets[kk]
-                    gab = expr.add(*[expr.mul(aj[c], bk[c]) for c in supports[j] if bk[c] is not _ZERO])
-                    du = expr.add(
-                        *[
-                            expr.mul(ui[a], frame_fields[a].apply(gab))
-                            for a in range(nn)
-                            if ui[a] is not _ZERO
-                        ]
+                    du = _sum_of_products(
+                        (ui[a], frame_fields[a].apply(gram[j][kk]))
+                        for a in range(nn)
+                        if ui[a] is not _ZERO
                     )
-                    lie = expr.add(
+                    lie = _sum_of_products(
+                        [
+                            (expr.MINUS_ONE, _sum_of_products((bra[c], bk[c]) for c in supports[kk])),
+                            (expr.MINUS_ONE, _sum_of_products((brb[c], aj[c]) for c in supports[j])),
+                        ],
                         du,
-                        expr.neg(expr.add(*[expr.mul(bra[c], bk[c]) for c in supports[kk]])),
-                        expr.neg(expr.add(*[expr.mul(brb[c], aj[c]) for c in supports[j]])),
                     )
-                    tau[i][j][kk] = expr.add(tau[i][j][kk], expr.mul(_HALF, lie))
+                    tau[i][j][kk] = _sum_of_products([(_HALF, lie)], tau[i][j][kk])
     return tau
 
 
-def _unit(n: int, i: int) -> list:
-    """Coefficients of the i-th of n frame fields."""
-    return [expr.ONE if c == i else _ZERO for c in range(n)]
+def _complement(proj, n: int, i: int) -> list:
+    """Coefficients of W_i - pr W_i over the n graded frame fields, for the projector ``proj`` on E."""
+    ui = [expr.ONE if c == i else _ZERO for c in range(n)]
+    if i < len(proj):
+        for c in range(len(proj)):
+            ui[c] = _sum_of_products([(expr.MINUS_ONE, proj[c][i])], ui[c])
+    return ui
 
 
 def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connection:
@@ -420,25 +400,16 @@ def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connectio
     frame_fields = g.fields
     k = len(cd.lam_op)
 
+    def koszul(a, b, c):
+        # half of c_ab^c - c_ac^b - c_bc^a
+        twice = _sum_of_products(
+            [(expr.MINUS_ONE, ctab[a][c][b]), (expr.MINUS_ONE, ctab[b][c][a])], ctab[a][b][c]
+        )
+        return _sum_of_products([(_HALF, twice)])
+
     # horizontal Koszul coefficients of the taming Levi-Civita connection
     # (orthonormal frame: metric derivative terms vanish)
-    gamma_h = [
-        [
-            [
-                expr.mul(
-                    _HALF,
-                    expr.add(
-                        ctab[a][b][c],
-                        expr.neg(ctab[a][c][b]),
-                        expr.neg(ctab[b][c][a]),
-                    ),
-                )
-                for c in range(r)
-            ]
-            for b in range(r)
-        ]
-        for a in range(r)
-    ]
+    gamma_h = [[[koszul(a, b, c) for c in range(r)] for b in range(r)] for a in range(r)]
 
     tau = _tau_tensor(cd, params)
     gamma = [[[_ZERO] * nn for _ in range(nn)] for _ in range(nn)]
@@ -449,39 +420,28 @@ def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connectio
         for i in range(nn):
             # pr[p] W_i as horizontal coefficients, and where they are non-zero
             asupp = [a for a in range(r) if proj[a][i] is not _ZERO] if i < r else []
-            ui = _unit(nn, i)
-            if i < r:
-                for c in range(r):
-                    ui[c] = expr.add(ui[c], expr.neg(proj[c][i]))
+            ui = _complement(proj, nn, i)
             for j in range(r):
                 bcol = [proj[c][j] for c in range(r)]
                 bsupp = [b for b in range(r) if bcol[b] is not _ZERO]
                 # term 1: pr[p] ( LC_{pr[p]W_i} pr[p]F_j )
                 t1 = [
-                    expr.add(
-                        *[
-                            expr.mul(proj[a][i], frame_fields[a].apply(bcol[kk]))
-                            for a in asupp
-                            if bcol[kk] is not _ZERO
-                        ],
-                        *[
-                            expr.mul(proj[a][i], bcol[b], gamma_h[a][b][kk])
-                            for a in asupp
-                            for b in bsupp
-                        ],
+                    _sum_of_products(
+                        [(proj[a][i], frame_fields[a].apply(bcol[kk])) for a in asupp]
+                        + [(proj[a][i], bcol[b], gamma_h[a][b][kk]) for a in asupp for b in bsupp]
                     )
                     for kk in range(r)
                 ]
                 # term 2: pr[p] [ W_i - pr[p]W_i, pr[p]F_j ]
                 brk = frame_bracket(frame_fields, ctab, ui, bcol + [_ZERO])
-                both = [expr.add(t1[c], brk[c]) for c in range(r)]
+                both = [_sum_of_products((), t1[c], brk[c]) for c in range(r)]
                 for kk in range(r):
-                    val = expr.add(*[expr.mul(proj[kk][c], both[c]) for c in rows[kk]])
-                    gamma[i][j][kk] = expr.add(gamma[i][j][kk], val)
+                    val = _sum_of_products((proj[kk][c], both[c]) for c in rows[kk])
+                    gamma[i][j][kk] = _sum_of_products((), gamma[i][j][kk], val)
     for i in range(nn):
         for j in range(r):
             for kk in range(r):
-                gamma[i][j][kk] = expr.add(gamma[i][j][kk], tau[i][j][kk])
+                gamma[i][j][kk] = _sum_of_products((), gamma[i][j][kk], tau[i][j][kk])
     return Connection(g, gamma)
 
 
@@ -491,19 +451,18 @@ def _dj_tensor(cd: ContactData, conn: Connection):
     nn = g.dim
     r = cd.rank
     frame_fields = g.fields
+    gam, jmat = conn.gamma, cd.jmat
     dj = [[[_ZERO] * nn for _ in range(nn)] for _ in range(nn)]
     for i in range(nn):
         for b in range(r):
             for kk in range(r):
-                terms = [frame_fields[i].apply(cd.jmat[kk][b])]
+                products = []
                 for c in range(r):
-                    if cd.jmat[c][b] is not _ZERO:
-                        terms.append(expr.mul(cd.jmat[c][b], conn.gamma[i][c][kk]))
-                    if cd.jmat[kk][c] is not _ZERO:
-                        terms.append(
-                            expr.neg(expr.mul(conn.gamma[i][b][c], cd.jmat[kk][c]))
-                        )
-                dj[i][b][kk] = expr.add(*terms)
+                    products.append((jmat[c][b], gam[i][c][kk]))
+                    if jmat[kk][c] is not _ZERO and gam[i][b][c] is not _ZERO:
+                        # expr.neg of the product
+                        products.append((expr.MINUS_ONE, expr.mul(gam[i][b][c], jmat[kk][c])))
+                dj[i][b][kk] = _sum_of_products(products, frame_fields[i].apply(jmat[kk][b]))
     return dj
 
 
@@ -524,16 +483,8 @@ def connection_double_prime(cd: ContactData, params: ContactGradingParams,
     for i in range(nn):
         for j in range(r):
             for kk in range(r):
-                corr = expr.add(
-                    *[
-                        expr.mul(cd.jmat[b][j], dj[i][b][kk])
-                        for b in range(r)
-                        if cd.jmat[b][j] is not _ZERO
-                    ]
-                )
-                gamma[i][j][kk] = expr.add(
-                    gamma[i][j][kk], expr.mul(_HALF, corr)
-                )
+                corr = _sum_of_products((cd.jmat[b][j], dj[i][b][kk]) for b in range(r))
+                gamma[i][j][kk] = _sum_of_products([(_HALF, corr)], gamma[i][j][kk])
     return Connection(g, gamma)
 
 
@@ -559,8 +510,6 @@ def morimoto_connection_contact(cd: ContactData, params: ContactGradingParams,
             continue
         for j in range(nn):
             for kk in range(nn):
-                corr = expr.add(
-                    *[expr.mul(coef, rten[a, b][j][kk]) for a, b, coef in rows]
-                )
-                gamma[i][j][kk] = expr.add(gamma[i][j][kk], expr.mul(_HALF, corr))
+                corr = _sum_of_products((coef, rten[a, b][j][kk]) for a, b, coef in rows)
+                gamma[i][j][kk] = _sum_of_products([(_HALF, corr)], gamma[i][j][kk])
     return Connection(g, gamma)

@@ -9,9 +9,12 @@ carries ``skey``, its structure as nested tuples, which is used only as the
 sort key for the canonical order of terms and factors. Smart constructors
 normalize on the way in (constant folding, 0/1 identities, flattening,
 collection of like terms and like powers), which keeps the bracket/curvature
-pipelines from drowning in redundant subtrees. Most terms the geometry builds
-are structurally zero, so ``mul`` returns ``ZERO`` as soon as a factor is
-``ZERO`` and ``add`` drops ``ZERO`` terms before folding anything.
+pipelines from drowning in redundant subtrees. Most terms of the geometry's
+dense index sums are structurally zero, and callers skip them: the
+construction loops run over the supports of their operands and call no
+constructor for a term with a ``ZERO`` factor (``manifold._sum_of_products``).
+That ``mul`` returns ``ZERO`` as soon as a factor is ``ZERO`` and ``add`` drops
+``ZERO`` terms before folding anything is only a backstop.
 
 Invariant: every node the constructors return is already in normal form, i.e.
 ``simplify(e) is e``. Callers never need to re-normalize a result.

@@ -91,16 +91,20 @@ class VectorField:
     def apply(self, f: Expr, factor: Expr = _ONE) -> Expr:
         """``factor * X(f)``: the derivative of ``f`` along this field.
 
-        Zero components are skipped.  ``factor`` multiplies every term, not
-        the sum: a negated sum is a ``(-1)*(a+b)`` node, which ``expr.add``
-        does not cancel against the flat terms ``a`` and ``b``.
+        Only the non-zero terms are built: a constant ``f`` gives ``ZERO``, and
+        a coordinate whose component of X or derivative of ``f`` is ``ZERO``
+        is skipped, as every caller of ``expr.mul`` skips ``ZERO`` factors (the
+        short-circuits in ``mul`` and ``add`` are a backstop).  ``factor``
+        multiplies every term, not the sum: a negated sum is a ``(-1)*(a+b)``
+        node, which ``expr.add`` does not cancel against the flat terms ``a``
+        and ``b``.
         """
-        return expr.add(
-            *[
-                expr.mul(factor, xa, expr.differentiate(f, c))
-                for xa, c in zip(self.components, self.manifold.coords)
-                if xa is not _ZERO
-            ]
+        if isinstance(f, (expr.Rat, expr.Flt)):
+            return _ZERO
+        return _sum_of_products(
+            (factor, xa, expr.differentiate(f, c))
+            for xa, c in zip(self.components, self.manifold.coords)
+            if xa is not _ZERO
         )
 
     def __add__(self, other: "VectorField") -> "VectorField":
@@ -108,7 +112,7 @@ class VectorField:
             raise ManifoldError("vector fields live on different manifolds")
         return VectorField(
             self.manifold,
-            [a + b for a, b in zip(self.components, other.components)],
+            [_sum_of_products((), a, b) for a, b in zip(self.components, other.components)],
         )
 
     def __sub__(self, other: "VectorField") -> "VectorField":
@@ -116,7 +120,10 @@ class VectorField:
             raise ManifoldError("vector fields live on different manifolds")
         return VectorField(
             self.manifold,
-            [a - b for a, b in zip(self.components, other.components)],
+            [
+                _sum_of_products([(expr.MINUS_ONE, b)], a)  # expr.sub(a, b)
+                for a, b in zip(self.components, other.components)
+            ],
         )
 
     def scaled(self, factor) -> "VectorField":
@@ -260,7 +267,7 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(
         x.manifold,
         [
-            expr.add(x.apply(yk), y.apply(xk, expr.MINUS_ONE))
+            _sum_of_products((), x.apply(yk), y.apply(xk, expr.MINUS_ONE))
             for xk, yk in zip(x.components, y.components)
         ],
     )
@@ -270,25 +277,32 @@ def frame_bracket(fields, ctab, u, w):
     """Bracket of two coefficient vectors over a frame, again as coefficients.
 
     ``u`` and ``w`` hold coefficients over the vector fields ``fields``, whose
-    structure functions are ``ctab``; terms with a zero factor are skipped.
+    structure functions are ``ctab``.  The loops run over the supports of
+    ``u`` and ``w`` and the non-zero ``ctab[a][b][k]``, so no term with a
+    ``ZERO`` factor reaches ``expr.mul`` (whose ``ZERO`` short-circuit is only
+    a backstop); the kept terms keep their dense order.
     """
     n = len(u)
+    su = [a for a in range(n) if u[a] is not _ZERO]
+    sw = [b for b in range(n) if w[b] is not _ZERO]
+    either = sorted(set(su + sw))
     out = []
     for k in range(n):
         terms = []
-        for a in range(n):
-            if not _is_zero(u[a]) and not _is_zero(w[k]):
-                terms.append(expr.mul(u[a], fields[a].apply(w[k])))
-            if not _is_zero(w[a]) and not _is_zero(u[k]):
-                terms.append(expr.neg(expr.mul(w[a], fields[a].apply(u[k]))))
-        for a in range(n):
-            if _is_zero(u[a]):
-                continue
-            for b in range(n):
-                if _is_zero(w[b]) or _is_zero(ctab[a][b][k]):
-                    continue
-                terms.append(expr.mul(u[a], w[b], ctab[a][b][k]))
-        out.append(expr.add(*terms))
+        uk, wk = u[k], w[k]
+        if uk is not _ZERO or wk is not _ZERO:
+            for a in either:
+                if u[a] is not _ZERO and wk is not _ZERO:
+                    terms.append((u[a], fields[a].apply(wk)))
+                if w[a] is not _ZERO and uk is not _ZERO:
+                    d = fields[a].apply(uk)
+                    if d is not _ZERO:
+                        # expr.neg of the product
+                        terms.append((expr.MINUS_ONE, expr.mul(w[a], d)))
+        for a in su:
+            for b in sw:
+                terms.append((u[a], w[b], ctab[a][b][k]))
+        out.append(_sum_of_products(terms))
     return out
 
 
@@ -297,13 +311,7 @@ def frame_combination(m: FramedManifold, fields, coeffs) -> VectorField:
     return VectorField(
         m,
         [
-            expr.add(
-                *[
-                    expr.mul(coeffs[i], fields[i].components[a])
-                    for i in range(len(fields))
-                    if not _is_zero(coeffs[i])
-                ]
-            )
+            _sum_of_products((coeffs[i], fields[i].components[a]) for i in range(len(fields)))
             for a in range(m.dim)
         ],
     )
@@ -316,12 +324,8 @@ def _gram_schmidt_horizontal(m: FramedManifold):
     basis = [[expr.rational(1 if j == i else 0) for j in range(r)] for i in range(r)]
 
     def inner(u, v):
-        return expr.add(
-            *[
-                expr.mul(u[i], m.metric[i][j], v[j])
-                for i in range(r)
-                for j in range(r)
-            ]
+        return _sum_of_products(
+            (u[i], m.metric[i][j], v[j]) for i in range(r) for j in range(r)
         )
 
     ortho = []
@@ -330,11 +334,12 @@ def _gram_schmidt_horizontal(m: FramedManifold):
         for prev in ortho:
             coef = inner(vec, prev)
             vec = [
-                expr.add(vec[j], expr.neg(expr.mul(coef, prev[j]))) for j in range(r)
+                e if coef is _ZERO or p is _ZERO else expr.add(e, expr.neg(expr.mul(coef, p)))
+                for e, p in zip(vec, prev)
             ]
         nrm = expr.sqrt(inner(vec, vec))
         inv = expr.pow_(nrm, -1)
-        ortho.append([expr.mul(inv, c) for c in vec])
+        ortho.append([_sum_of_products([(inv, c)]) for c in vec])
     return [frame_combination(m, m.frames[:r], coeffs) for coeffs in ortho]
 
 
@@ -360,14 +365,14 @@ def _gauss_jordan(rows, n: int):
             raise ManifoldError("matrix is not symbolically invertible")
         rows[col], rows[pivot] = rows[pivot], rows[col]
         inv = expr.pow_(rows[col][col], -1)
-        rows[col] = [expr.mul(inv, e) for e in rows[col]]
+        rows[col] = [_sum_of_products([(inv, e)]) for e in rows[col]]
         for r in range(n):
             if r == col or _is_zero(rows[r][col]):
                 continue
             f = rows[r][col]
             rows[r] = [
-                expr.sub(rows[r][c], expr.mul(f, rows[col][c]))
-                for c in range(width)
+                e if p is _ZERO else expr.sub(e, expr.mul(f, p))
+                for e, p in zip(rows[r], rows[col])
             ]
     return rows
 
@@ -399,29 +404,44 @@ def structure_functions(m: FramedManifold):
         c = [[[_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                br = bracket(m.frames[i], m.frames[j])
+                br = bracket(m.frames[i], m.frames[j]).components
                 for k in range(n):
-                    e = expr.add(*[expr.mul(finv[k][a], br.components[a]) for a in range(n)])
-                    c[i][j][k] = e
-                    c[j][i][k] = expr.neg(e)
+                    e = _sum_of_products((finv[k][a], br[a]) for a in range(n))
+                    if e is not _ZERO:
+                        c[i][j][k] = e
+                        c[j][i][k] = expr.neg(e)
         m._structure_functions = c
     return m._structure_functions
 
 
+def _sum_of_products(terms, *summands):
+    """``expr.add`` of the ``summands`` and of the products ``expr.mul(*t)``.
+
+    ``terms`` holds tuples of factors.  Only the non-zero terms are built: a
+    ``ZERO`` summand and a tuple with a ``ZERO`` factor are skipped, and
+    ``ZERO`` is returned without a constructor call when nothing is left.  The
+    kept terms go to one ``add`` in their order, summands first: ``add``
+    folds float coefficients in argument order, so the sum is the node the
+    dense sum builds.  One kept term is returned as it is.
+    """
+    kept = [s for s in summands if s is not _ZERO]
+    for t in terms:
+        for f in t:
+            if f is _ZERO:
+                break
+        else:
+            kept.append(expr.mul(*t))
+    if len(kept) == 1:
+        # add of one term the constructors built returns that term
+        return kept[0]
+    return expr.add(*kept) if kept else _ZERO
+
+
 def _matmul(a, b):
-    """Product of two Expr matrices; zero entries of ``a`` are skipped."""
+    """Product of two Expr matrices, built from the non-zero pairs of entries."""
     return [
-        [
-            expr.add(
-                *[
-                    expr.mul(a[i][k], b[k][j])
-                    for k in range(len(b))
-                    if not _is_zero(a[i][k])
-                ]
-            )
-            for j in range(len(b[0]))
-        ]
-        for i in range(len(a))
+        [_sum_of_products((row[k], b[k][j]) for k in range(len(b))) for j in range(len(b[0]))]
+        for row in a
     ]
 
 
