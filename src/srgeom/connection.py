@@ -4,11 +4,10 @@ A :class:`Grading` equips a framed manifold with an adapted frame split into
 layers spanning a complement decomposition of the bracket flag.  In adapted
 coordinates the induced identification of the tangent space with its graded
 symbol is simply "read the frame components", which makes the taming metric,
-the canonical selector, the degree-zero torsion, and the isometry subbundle
-all concretely computable, either symbolically or pointwise from the symbol
-algebra.  A :class:`Connection` stores frame Christoffel coefficients and
-provides torsion/curvature tensors plus the compatibility, normalization,
-and flatness checks and the normal-geodesic integrator.
+the canonical selector and the degree-zero torsion concretely computable.  A
+:class:`Connection` stores frame Christoffel coefficients; the
+compatibility, normalization and flatness checks read its torsion and
+curvature at sample points.
 
 Symbolic where a construction reads expressions: structure functions,
 degree-0 torsion, taming metric, selector (solved once per grading), Γ and
@@ -40,36 +39,24 @@ from .manifold import (
     FramedManifold,
     ManifoldError,
     VectorField,
-    _checked_frame,
     _checked_metric,
     _flags,
     _gauss_jordan,
     _sum_of_products,
-    bracket,
-    frame_combination,
-    frame_inverse,
     structure_functions,
 )
 
 __all__ = [
     "Grading",
     "left_invariant_grading",
-    "TamingMetric",
     "taming_metric",
     "Selector",
     "selector",
     "Connection",
     "flat_frame_connection",
-    "levi_civita",
-    "torsion",
-    "curvature",
-    "t_zero",
     "check_compatible",
     "check_morimoto",
     "flatness_check",
-    "torsion_id_residual",
-    "curvature_isometry_residual",
-    "normal_geodesic",
     "CompatibilityReport",
     "MorimotoReport",
     "FlatnessReport",
@@ -147,36 +134,7 @@ class Grading:
     def structure_functions(self):
         return structure_functions(self.frame)
 
-    def coframe(self):
-        return frame_inverse(self.frame)
-
-    def components_in_frame(self, v: VectorField):
-        """Adapted-frame components of a vector field (list of Expr)."""
-        finv = self.coframe()
-        n = self.dim
-        return [_sum_of_products((finv[i][a], v.components[a]) for a in range(n)) for i in range(n)]
-
     # -- pointwise graded data ----------------------------------------------
-
-    def graded_structure_at(self, point: dict) -> np.ndarray:
-        """Structure functions at a point, restricted to exact-degree targets."""
-        return -expr.evaluate_array(self.t_zero_tensor(), self.frame.point(point))
-
-    def symbol_algebra_at(self, point: dict) -> CarnotAlgebra:
-        """Pointwise symbol: the graded structure constants plus the metric."""
-        return self.symbol_algebras_at([point])[0]
-
-    def symbol_algebras_at(self, points) -> list:
-        """Pointwise symbols at several points: one evaluation, one solve per distinct symbol.
-
-        T₀ and the metric are evaluated in one call for all points.  Points
-        whose symbols are bitwise equal get the same :class:`CarnotAlgebra`,
-        so its Gram matrices and isometries are solved once.  The checks
-        build theirs from the evaluation their connection shares.
-        """
-        pts = [self.frame.point(p) for p in points]
-        tzs, metrics = expr.evaluate_tables([self.t_zero_tensor(), self.frame.metric], pts)
-        return self._symbols_from(tzs, metrics)
 
     def _symbols_from(self, tzs, metrics) -> list:
         """Symbols from the values of T₀ and the horizontal metric at each point.
@@ -203,14 +161,6 @@ class Grading:
                 )
             out.append(self._symbol_cache[key])
         return out
-
-    def gram_at(self, point: dict, convention: str = "selector") -> np.ndarray:
-        """Taming metric in adapted coordinates at a point."""
-        return self.symbol_algebra_at(point).full_gram(convention)
-
-    def isometries_at(self, point: dict):
-        """Basis of the pointwise isometry algebra, in adapted coordinates."""
-        return self.symbol_algebra_at(point).isometries()
 
     def t_zero_tensor(self):
         """Degree-0 torsion tensor in the adapted frame (Expr entries).
@@ -287,18 +237,6 @@ def left_invariant_grading(m: FramedManifold, layer_dims, metric=None) -> Gradin
 # taming metric
 
 
-@dataclass
-class TamingMetric:
-    """Full metric induced on the tangent bundle by a grading."""
-
-    grading: Grading
-    convention: str
-    matrix: tuple  # n x n Expr entries in the adapted frame
-
-    def at(self, point) -> np.ndarray:
-        return expr.evaluate_array(self.matrix, self.grading.frame.point(point))
-
-
 def _wedge_classes(grading: Grading):
     """Wedge index pairs grouped by their degree multiset."""
     groups: dict = {}
@@ -330,19 +268,16 @@ def _wedge_gram_inverse(gmat, wedges):
     return _symbolic_inverse([[minor(a, b, cc, d) for (cc, d) in wedges] for (a, b) in wedges])
 
 
-def taming_metric(m: FramedManifold, grading: Grading, convention: str = "selector") -> TamingMetric:
+def taming_metric(grading: Grading) -> tuple:
     """Extend the horizontal metric over the whole adapted frame.
 
-    Layer one carries the declared horizontal metric.  Each higher layer is
-    built so that bracketing orthonormal 2-vectors of lower layers onto it
-    is a submetry; concretely the layer's inverse Gram is B W^{-1} B^T with
-    W the Gram of the lower-degree wedges and B the bracket coefficients.
-    The ``tensor`` flavor rescales layer k by 2^(1-k).
+    Returns the n x n matrix of Expr entries in the adapted frame.  Layer one
+    carries the declared horizontal metric.  Each higher layer is built so
+    that bracketing orthonormal 2-vectors of lower layers onto it is a
+    submetry; concretely the layer's inverse Gram is B W^{-1} B^T with W the
+    Gram of the lower-degree wedges and B the bracket coefficients.  This is
+    the Gram of :meth:`lie.CarnotAlgebra.full_gram`, as expressions.
     """
-    if convention not in ("selector", "tensor"):
-        raise ManifoldError(f"unknown inner-product convention {convention!r}")
-    if grading.base is not m:
-        raise ManifoldError("grading does not belong to this manifold")
     n = grading.dim
     c = grading.structure_functions()
     gmat = [[_ZERO for _ in range(n)] for _ in range(n)]
@@ -375,14 +310,7 @@ def taming_metric(m: FramedManifold, grading: Grading, convention: str = "select
         for ui, u in enumerate(rk):
             for vi, v in enumerate(rk):
                 gmat[u][v] = block[ui][vi]
-    if convention == "tensor":
-        # the recursion always runs in selector flavor; rescale afterwards
-        for k in range(2, grading.step + 1):
-            factor = expr.rational(1, 2 ** (k - 1))
-            for u in grading.layer_range(k):
-                for v in grading.layer_range(k):
-                    gmat[u][v] = expr.mul(factor, gmat[u][v])
-    return TamingMetric(grading, convention, tuple(tuple(row) for row in gmat))
+    return tuple(tuple(row) for row in gmat)
 
 
 # ---------------------------------------------------------------------------
@@ -423,18 +351,13 @@ class Selector:
         out[:, c, b, a] = -values
         return out
 
-    def matrix_at(self, point, index: int) -> np.ndarray:
-        """Antisymmetric wedge-coefficient matrix of the value on one field."""
-        values = expr.evaluate_array(self.table(), self.grading.frame.point(point))
-        return self.matrices(values[None])[0, index]
-
 
 def selector(grading: Grading) -> Selector:
     """Solve the wedge Gram system for the canonical selector.
 
     The value on a degree-k field is the unique wedge combination whose
     pairing against every wedge equals the pairing of the symbol bracket
-    against the field; with the selector-flavor metric extension this
+    against the field; with the taming metric (:func:`taming_metric`) this
     inverts the fiberwise bracket (bracketing the value reproduces the
     field modulo lower flag layers), which is the defining normalization.
     Values on horizontal fields vanish.  Solved once per grading and stored
@@ -446,8 +369,7 @@ def selector(grading: Grading) -> Selector:
 
 
 def _solve_selector(grading: Grading) -> Selector:
-    tm = taming_metric(grading.base, grading, "selector")
-    gmat = tm.matrix
+    gmat = taming_metric(grading)
     c = grading.structure_functions()
     n = grading.dim
     classes = _wedge_classes(grading)
@@ -577,19 +499,20 @@ class Connection:
     ``gamma[i][j][k]`` is the k-th adapted component of the derivative of the
     j-th adapted field along the i-th.
 
-    Symbolic: ``gamma``, ``torsion_tensor`` and ``curvature_rows`` (the
-    contact construction reads the rows at the selector's wedge pairs);
-    ``curvature_tensor`` holds every row, for tests.  From values, one
-    evaluation per chart and one solve per distinct symbol: ``_at``
-    evaluates every table the checks read in one call for all points and
-    keeps the result for the last point set, so the checks of one chart
-    evaluate once.  The checks contract stacked ``(point, …)`` arrays with
-    ``matmul``, one block of points at a time (``_blocks``): a block holds
-    at most 8192 floats of each n⁴ array, so n = 7 takes 3 points per block
-    and n = 3 takes every point.  ``torsion_at`` and ``curvature_at`` are the
-    one-point case.  The frame derivatives W_i(Γ) at a point are F(p) ∂Γ(p):
-    F(p) is the adapted frame matrix and ∂Γ the coordinate gradient of Γ,
-    which the evaluator returns with Γ's values.
+    Symbolic: ``gamma`` and ``curvature_rows`` (the contact construction
+    reads the rows at the selector's wedge pairs); ``torsion_tensor`` and
+    ``curvature_tensor`` hold every entry, as the oracles the values are
+    tested against.  From values, one evaluation per chart and one solve per
+    distinct symbol: ``_at`` evaluates every table the checks read in one
+    call for all points and keeps the result for the last point set, so the
+    checks of one chart evaluate once.  The checks contract stacked
+    ``(point, …)`` arrays with ``matmul``, one block of points at a time
+    (``_blocks``): a block holds at most 8192 floats of each n⁴ array, so
+    n = 7 takes 3 points per block and n = 3 takes every point.
+    ``torsion_at`` and ``curvature_at`` are the one-point case; the bench
+    harness times these four methods.  The frame derivatives W_i(Γ) at a
+    point are F(p) ∂Γ(p): F(p) is the adapted frame matrix and ∂Γ the
+    coordinate gradient of Γ, which the evaluator returns with Γ's values.
     """
 
     def __init__(self, grading: Grading, gamma):
@@ -695,122 +618,12 @@ class Connection:
     def curvature_at(self, point) -> np.ndarray:
         return _curvature(self._at([point]), slice(0, 1))[0]
 
-    def gamma_at(self, point) -> np.ndarray:
-        return expr.evaluate_array(self.gamma, self.grading.frame.point(point))
-
-    # -- derivatives of general fields ---------------------------------------
-
-    def covariant_derivative(self, x: VectorField, y: VectorField) -> VectorField:
-        """Derivative of y along x, as a vector field on the chart."""
-        g = self.grading
-        xs = g.components_in_frame(x)
-        ys = g.components_in_frame(y)
-        n = g.dim
-        fields = g.fields
-        out_frame = []
-        for k in range(n):
-            terms = []
-            for i in range(n):
-                # x^i W_i(y^k)
-                terms.append(fields[i].apply(ys[k], xs[i]))
-                for j in range(n):
-                    terms.append(expr.mul(xs[i], ys[j], self.gamma[i][j][k]))
-            out_frame.append(expr.add(*terms))
-        return frame_combination(g.base, fields, out_frame)
-
 
 def flat_frame_connection(grading: Grading) -> Connection:
     """Connection making every adapted frame field parallel."""
     n = grading.dim
     zero = [[[0] * n for _ in range(n)] for _ in range(n)]
     return Connection(grading, zero)
-
-
-def levi_civita(tm: TamingMetric) -> Connection:
-    """Levi-Civita connection of a taming metric, in the adapted frame."""
-    g = tm.grading
-    n = g.dim
-    c = g.structure_functions()
-    gmat = tm.matrix
-    ginv = _symbolic_inverse([list(row) for row in gmat])
-    fields = g.fields
-
-    def dmetric(i, j, k):
-        # W_i <W_j, W_k>
-        return fields[i].apply(gmat[j][k])
-
-    def cdown(i, j, k):
-        # <[W_i, W_j], W_k>
-        return _sum_of_products((c[i][j][m], gmat[m][k]) for m in range(n))
-
-    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lowered = []
-            for k in range(n):
-                twice = expr.add(
-                    dmetric(i, j, k),
-                    dmetric(j, i, k),
-                    expr.neg(dmetric(k, i, j)),
-                    cdown(i, j, k),
-                    expr.neg(cdown(i, k, j)),
-                    expr.neg(cdown(j, k, i)),
-                )
-                lowered.append(expr.mul(expr.rational(1, 2), twice))
-            for l in range(n):
-                gamma[i][j][l] = _sum_of_products((ginv[l][k], lowered[k]) for k in range(n))
-    return Connection(g, gamma)
-
-
-# ---------------------------------------------------------------------------
-# spec-level operations on connections
-
-
-def torsion(conn: Connection):
-    """Torsion as a bilinear map on vector fields."""
-
-    def t(x: VectorField, y: VectorField) -> VectorField:
-        return (
-            conn.covariant_derivative(x, y)
-            - conn.covariant_derivative(y, x)
-            - bracket(x, y)
-        )
-
-    return t
-
-
-def curvature(conn: Connection):
-    """Curvature as an operator-valued map on vector-field pairs."""
-
-    def r(x: VectorField, y: VectorField):
-        def apply(w: VectorField) -> VectorField:
-            return (
-                conn.covariant_derivative(x, conn.covariant_derivative(y, w))
-                - conn.covariant_derivative(y, conn.covariant_derivative(x, w))
-                - conn.covariant_derivative(bracket(x, y), w)
-            )
-
-        return apply
-
-    return r
-
-
-def t_zero(grading: Grading):
-    """Degree-zero torsion as a bilinear map on vector fields."""
-    tensor = grading.t_zero_tensor()
-    n = grading.dim
-    fields = grading.fields
-
-    def tt(x: VectorField, y: VectorField) -> VectorField:
-        xs = grading.components_in_frame(x)
-        ys = grading.components_in_frame(y)
-        out_frame = [
-            _sum_of_products((xs[i], ys[j], tensor[i][j][k]) for i in range(n) for j in range(n))
-            for k in range(n)
-        ]
-        return frame_combination(grading.base, fields, out_frame)
-
-    return tt
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +705,7 @@ def _trace_frame(sym: CarnotAlgebra):
     The checks hold an operator A as X = Aᵀ (input index first); its trace
     pairing tr(Aᵀ G D G⁻¹) with D is then the sum of X ⊙ (G D G⁻¹)ᵀ.
     """
-    gram = sym.full_gram("selector")
+    gram = sym.full_gram()
     ginv = np.linalg.inv(gram)
     isos = np.array(sym.isometries()).reshape(-1, *gram.shape)
     return gram, ginv, (gram @ isos @ ginv).swapaxes(1, 2)
@@ -954,58 +767,6 @@ def check_morimoto(conn: Connection, points, tol: float = 1e-8) -> MorimotoRepor
     return MorimotoReport(worst_r, worst_t, compat, tol)
 
 
-def torsion_id_residual(conn: Connection, points) -> float:
-    """Residual of the graded torsion identity for compatible connections.
-
-    On fields of degrees i and j, the degree-(i+j) part of the torsion must
-    equal the degree-0 torsion value and all parts of degree > i+j vanish.
-    """
-    vals = conn._at(points)
-    deg = np.array(conn.grading.degrees)
-    target = (deg[:, None] + deg[None, :])[:, :, None]  # [i, j, 0]: deg i + deg j
-    tten = _torsion_values(vals.gamma, vals.c)
-    return _worst(_worst(0.0, (tten - vals.t_zero)[:, deg == target]), tten[:, deg > target])
-
-
-def _isometry_basis(sym: CarnotAlgebra):
-    """What the isometry residual reads of a symbol: G⁻ᵀ, Gᵀ, and its isometry
-    generators D orthonormalized under the trace pairing, as Dᵀ and (G D G⁻¹)ᵀ."""
-    gram, ginv, _ = _trace_frame(sym)
-    basis = []
-    for d in sym.isometries():
-        v = d.copy()
-        for b in basis:
-            v = v - np.vdot(v, gram @ b @ ginv) * b
-        nrm = np.vdot(v, gram @ v @ ginv) ** 0.5
-        if nrm > 1e-12:
-            basis.append(v / nrm)
-    basis = np.array(basis).reshape(-1, *gram.shape)
-    return ginv.T, gram.T, basis.swapaxes(1, 2), (gram @ basis @ ginv).swapaxes(1, 2)
-
-
-def curvature_isometry_residual(conn: Connection, points) -> float:
-    """How far curvature values sit from the pointwise isometry algebra.
-
-    Measured as the trace-norm of the component of each R(W_a, W_b)
-    orthogonal to the span of the isometry generators.
-    """
-    n = conn.grading.dim
-    vals = conn._at(points)
-    ginv_t, gram_t, basis_t, pairing = vals.per_symbol(_isometry_basis)
-    upper = np.triu_indices(n, 1)
-    worst = 0.0
-    for blk in vals.blocks():
-        ops = _curvature(vals, blk)[:, upper[0], upper[1]]  # R(W_a, W_b), a < b
-        b = len(ops)
-        flat = ops.reshape(b, -1, n * n)
-        coef = flat @ pairing[blk].reshape(b, -1, n * n).swapaxes(1, 2)
-        rem = (flat - coef @ basis_t[blk].reshape(b, -1, n * n)).reshape(ops.shape)
-        # the remainder's pairing with itself, Σ X ⊙ (G⁻ᵀ X Gᵀ) with X = remᵀ
-        sq = (rem * (ginv_t[blk, None] @ rem @ gram_t[blk, None])).sum(axis=(2, 3))
-        worst = _worst(worst, np.sqrt(np.abs(sq)))
-    return worst
-
-
 @dataclass
 class FlatnessReport:
     flat: bool
@@ -1015,7 +776,7 @@ class FlatnessReport:
 
 def _onb_and_inverse(sym: CarnotAlgebra):
     """Columns of an orthonormal basis of a symbol's selector Gram, and their inverse."""
-    q = _onb_columns(sym.full_gram("selector"))
+    q = _onb_columns(sym.full_gram())
     return q, np.linalg.inv(q)
 
 
@@ -1059,71 +820,3 @@ def flatness_check(conn: Connection, points, tol: float = 1e-8) -> FlatnessRepor
         torsion_residual=worst_t,
         curvature_residual=worst_r,
     )
-
-
-# ---------------------------------------------------------------------------
-# normal geodesics
-
-
-def normal_geodesic(conn: Connection, x0, lam0, t_max: float = 1.0,
-                    step: float = 1e-3, chart_box=None):
-    """Integrate the normal-geodesic system with fixed-step RK4.
-
-    The covector is stored in adapted coframe components.  Returns a list of
-    (t, point dict, covector array, horizontal speed) samples including both
-    endpoints.
-    """
-    g = conn.grading
-    n = g.dim
-    r = g.layer_dims[0]
-    coords = g.frame.coords
-    lam = np.array(lam0, dtype=float)
-    if lam.shape != (n,):
-        raise ManifoldError(f"covector needs {n} components")
-    x = np.array([g.frame.point(x0)[c] for c in coords], dtype=float)
-    # flattened once: each RK4 stage and speed sample only evaluates them
-    tables = [
-        expr._table_entries(t)
-        for t in (conn.gamma, g.structure_functions(), g.frame.metric, g.frame_rows)
-    ]
-
-    def rhs(state):
-        xx, ll = state[:n], state[n:]
-        p = {c: xx[a] for a, c in enumerate(coords)}
-        gam, c, gh, rows = (v[0] for v in expr._evaluate_entries(tables, [p]))
-        u = np.linalg.solve(_checked_metric(gh), ll[:r])
-        xdot = _checked_frame(np.ascontiguousarray(rows.T))[:, :r] @ u
-        ldot = np.einsum("a,akm,m->k", u, (gam - _torsion_values(gam, c))[:r], ll)
-        return np.concatenate([xdot, ldot])
-
-    steps = max(1, int(round(t_max / step)))
-    h = t_max / steps
-    state = np.concatenate([x, lam])
-
-    def speed(state):
-        p = {c: state[a] for a, c in enumerate(coords)}
-        gh = _checked_metric(expr._evaluate_entries(tables[2:3], [p])[0][0])
-        u = np.linalg.solve(gh, state[n : n + r])
-        return float(np.sqrt(u @ gh @ u))
-
-    out = [(0.0, {c: float(v) for c, v in zip(coords, state[:n])}, state[n:].copy(), speed(state))]
-    for i in range(steps):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(state)):
-            raise ManifoldError("geodesic integration produced non-finite values")
-        if chart_box is not None:
-            for a, (lo, hi) in enumerate(chart_box):
-                if not lo <= state[a] <= hi:
-                    raise ManifoldError(
-                        f"geodesic left the chart at t={h * (i + 1):.6f} "
-                        f"(coordinate {coords[a]})"
-                    )
-        t = h * (i + 1)
-        out.append(
-            (t, {c: float(v) for c, v in zip(coords, state[:n])}, state[n:].copy(), speed(state))
-        )
-    return out

@@ -37,7 +37,6 @@ __all__ = [
     "ContactData",
     "ContactGradingParams",
     "extract_contact_data",
-    "upsilon_fields",
     "morimoto_grading_contact",
     "connection_prime",
     "connection_double_prime",
@@ -253,14 +252,6 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
 
 # ---------------------------------------------------------------------------
 # grading
-
-
-def upsilon_fields(cd: ContactData):
-    """Cross-eigenbundle obstruction fields, indexed by ordered pairs."""
-    return {
-        key: frame_combination(cd.manifold, cd.ortho_frame, vec)
-        for key, vec in _upsilon_coeffs(cd).items()
-    }
 
 
 def _upsilon_coeffs(cd: ContactData):

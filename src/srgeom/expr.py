@@ -24,8 +24,8 @@ float; all verdict-level work downstream is numeric at sample points. One
 evaluator, :func:`evaluate_tables`, takes nested tables and a list of points
 and evaluates each DAG node once for all of them, together with the
 coordinate gradients of the tables the caller names (forward mode, with the
-rules of :func:`differentiate`); ``evaluate``, ``evaluate_array`` and
-``evaluate_arrays`` are its one-point case.
+rules of :func:`differentiate`); ``evaluate`` and ``evaluate_array`` are its
+one-point case.
 """
 
 from __future__ import annotations
@@ -563,11 +563,7 @@ def evaluate_tables(tables, points, coords=(), gradients=()) -> list:
     rules are :func:`differentiate`'s, so a point where the symbolic
     derivative fails to evaluate raises the same :class:`EvaluationError`.
     """
-    return _evaluate_entries([_table_entries(t) for t in tables], points, coords, gradients)
-
-
-def _evaluate_entries(tables, points, coords=(), gradients=()) -> list:
-    """:func:`evaluate_tables` on tables already split by :func:`_table_entries`."""
+    tables = [_table_entries(t) for t in tables]
     points = list(points)
     count = len(points)
     slots = {name: a for a, name in enumerate(coords)}
@@ -709,11 +705,6 @@ def evaluate(e: Expr, point: dict) -> float:
 def evaluate_array(table, point: dict) -> np.ndarray:
     """Evaluate a nested table of expressions at one point to an ndarray."""
     return evaluate_tables([table], [point])[0][0]
-
-
-def evaluate_arrays(tables, point: dict) -> list:
-    """Evaluate several nested tables at one point, one ndarray each."""
-    return [values[0] for values in evaluate_tables(tables, [point])]
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,10 @@ gradings receive their coframe and structure functions from closed-form
 inverses of the (block unitriangular) coefficient matrices.  Only the bracket
 frame itself is ever inverted at the coordinate level.  The calculus is the
 one ``contact`` uses too: ``manifold.frame_bracket`` brackets coefficient
-rows, ``manifold.frame_combination`` turns them back into fields, and
-``VectorField.apply`` differentiates along a frame field.
+rows, ``manifold.frame_combination`` turns them back into fields,
+``VectorField.apply`` differentiates along a frame field, and every sum of
+products, matrix products included (``manifold._matmul``), is built by
+``manifold._sum_of_products`` from its non-zero terms only.
 """
 
 from dataclasses import dataclass, field
@@ -38,8 +40,8 @@ from .manifold import (
     _default_samples,
     _gauss_jordan,
     _gram_schmidt_horizontal,
-    _is_zero,
     _matmul,
+    _sum_of_products,
     bracket,
     frame_bracket,
     frame_combination,
@@ -51,10 +53,8 @@ from .connection import Connection, Grading, selector
 
 __all__ = [
     "Intrinsic235",
-    "QMap",
     "connection_235",
     "intrinsic_frame_235",
-    "q_map",
     "morimoto_grading_235",
     "morimoto_connection_235",
 ]
@@ -62,13 +62,12 @@ __all__ = [
 _ZERO = expr.rational(0)
 _ONE = expr.rational(1)
 _HALF = expr.rational(1, 2)
+_MINUS_ONE = expr.MINUS_ONE
 
 
 def _frame_comp(v, sinv, k):
     """Adapted component k of a bracket-frame coefficient vector."""
-    return expr.add(
-        *[expr.mul(v[a], sinv[a][k]) for a in range(5) if not _is_zero(v[a])]
-    )
+    return _sum_of_products((v[a], sinv[a][k]) for a in range(5))
 
 
 def _unit_lower_inverse(srows):
@@ -82,8 +81,8 @@ def _unit_lower_inverse(srows):
     n2 = srows[2]
     out.append(
         [
-            expr.neg(n2[0]),
-            expr.neg(n2[1]),
+            _sum_of_products([(_MINUS_ONE, n2[0])]),
+            _sum_of_products([(_MINUS_ONE, n2[1])]),
             _ONE,
             _ZERO,
             _ZERO,
@@ -91,10 +90,8 @@ def _unit_lower_inverse(srows):
     )
     for r in (3, 4):
         nr = srows[r]
-        row = [
-            expr.add(expr.neg(nr[a]), expr.mul(nr[2], n2[a])) for a in range(2)
-        ]
-        row.append(expr.neg(nr[2]))
+        row = [_sum_of_products([(_MINUS_ONE, nr[a]), (nr[2], n2[a])]) for a in range(2)]
+        row.append(_sum_of_products([(_MINUS_ONE, nr[2])]))
         row += [_ONE if 3 + b == r else _ZERO for b in range(2)]
         out.append(row)
     return out
@@ -118,7 +115,7 @@ def _install_calculus(frame: FramedManifold, srows, sinv, alpha, xfields, ctab):
             for k in range(n):
                 e = _frame_comp(br, sinv, k)
                 cbar[i][j][k] = e
-                cbar[j][i][k] = expr.neg(e)
+                cbar[j][i][k] = _sum_of_products([(_MINUS_ONE, e)])
     frame._frame_inverse = finv
     frame._structure_functions = cbar
 
@@ -136,10 +133,10 @@ def _check_growth(m: FramedManifold, points):
 
 
 def _minor2(mat, rows, cols):
-    return expr.add(
-        expr.mul(mat[rows[0]][cols[0]], mat[rows[1]][cols[1]]),
-        expr.neg(expr.mul(mat[rows[0]][cols[1]], mat[rows[1]][cols[0]])),
-    )
+    return _sum_of_products([
+        (mat[rows[0]][cols[0]], mat[rows[1]][cols[1]]),
+        (_MINUS_ONE, mat[rows[0]][cols[1]], mat[rows[1]][cols[0]]),
+    ])
 
 
 def _frame_calculus(m: FramedManifold, aux: FramedManifold):
@@ -173,13 +170,7 @@ def _frame_calculus(m: FramedManifold, aux: FramedManifold):
     mrows = [None] * 5
     for i in range(2):
         row = [
-            expr.add(
-                *[
-                    expr.mul(alpha_r[j][a], fields[i].components[a])
-                    for a in range(5)
-                    if not _is_zero(fields[i].components[a])
-                ]
-            )
+            _sum_of_products((alpha_r[j][a], fields[i].components[a]) for a in range(5))
             for j in range(2)
         ]
         mrows[i] = row + [_ZERO, _ZERO, _ZERO]
@@ -192,15 +183,21 @@ def _frame_calculus(m: FramedManifold, aux: FramedManifold):
     det_l = _minor2(mrows, (0, 1), (0, 1))
     dli = expr.div(_ONE, det_l)
     linv = [
-        [expr.mul(mrows[1][1], dli), expr.neg(expr.mul(mrows[0][1], dli))],
-        [expr.neg(expr.mul(mrows[1][0], dli)), expr.mul(mrows[0][0], dli)],
+        [
+            _sum_of_products([(mrows[1][1], dli)]),
+            _sum_of_products([(_MINUS_ONE, mrows[0][1], dli)]),
+        ],
+        [
+            _sum_of_products([(_MINUS_ONE, mrows[1][0], dli)]),
+            _sum_of_products([(mrows[0][0], dli)]),
+        ],
     ]
     cblk = [[mrows[2 + r][2 + s] for s in range(3)] for r in range(3)]
-    det_c = expr.add(
-        expr.mul(cblk[0][0], _minor2(cblk, (1, 2), (1, 2))),
-        expr.neg(expr.mul(cblk[0][1], _minor2(cblk, (1, 2), (0, 2)))),
-        expr.mul(cblk[0][2], _minor2(cblk, (1, 2), (0, 1))),
-    )
+    det_c = _sum_of_products([
+        (cblk[0][0], _minor2(cblk, (1, 2), (1, 2))),
+        (_MINUS_ONE, cblk[0][1], _minor2(cblk, (1, 2), (0, 2))),
+        (cblk[0][2], _minor2(cblk, (1, 2), (0, 1))),
+    ])
     dci = expr.div(_ONE, det_c)
     cinv = [[None] * 3 for _ in range(3)]
     for i in range(3):
@@ -209,23 +206,13 @@ def _frame_calculus(m: FramedManifold, aux: FramedManifold):
             cols = tuple(s for s in range(3) if s != i)
             sign = _minor2(cblk, rows, cols)
             if (i + j) % 2:
-                sign = expr.neg(sign)
-            cinv[i][j] = expr.mul(sign, dci)
+                sign = _sum_of_products([(_MINUS_ONE, sign)])
+            cinv[i][j] = _sum_of_products([(sign, dci)])
     pblk = [[mrows[2 + r][a] for a in range(2)] for r in range(3)]
     # -Cinv P Linv
-    pli = [
-        [
-            expr.add(*[expr.mul(pblk[r][a], linv[a][b]) for a in range(2)])
-            for b in range(2)
-        ]
-        for r in range(3)
-    ]
+    pli = _matmul(pblk, linv)
     lowleft = [
-        [
-            expr.neg(expr.add(*[expr.mul(cinv[i][r], pli[r][b]) for r in range(3)]))
-            for b in range(2)
-        ]
-        for i in range(3)
+        [_sum_of_products([(_MINUS_ONE, e)]) for e in row] for row in _matmul(cinv, pli)
     ]
     minv = [
         [linv[0][0], linv[0][1], _ZERO, _ZERO, _ZERO],
@@ -277,7 +264,7 @@ def _rotation_connection(grading: Grading, nu_vals) -> Connection:
     gamma = [[[_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         nv = nu_vals[i]
-        nneg = expr.neg(nv)
+        nneg = _sum_of_products([(_MINUS_ONE, nv)])
         gamma[i][0][1] = nv
         gamma[i][1][0] = nneg
         gamma[i][3][4] = nv
@@ -299,10 +286,10 @@ def _adapted_lambda(grading: Grading):
     lam = []
     for i in range(grading.dim):
         # the Koszul value of gamma[i][0][1] equals nu_i * D[1][0] = nu_i
-        val = expr.add(cbar[i][0][1], expr.neg(cbar[i][1][0]))
+        val = _sum_of_products([(_MINUS_ONE, cbar[i][1][0])], cbar[i][0][1])
         if i < 2:
-            val = expr.add(val, expr.neg(cbar[0][1][i]))
-        lam.append(expr.mul(_HALF, val))
+            val = _sum_of_products([(_MINUS_ONE, cbar[0][1][i])], val)
+        lam.append(_sum_of_products([(_HALF, val)]))
     return lam
 
 
@@ -370,21 +357,23 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
     x1f, x2f, x3f, x4f, x5f = fields
 
     # two recurring horizontal-coefficient sums of the second layer
-    p_sum = expr.add(c[0][3][3], c[0][4][4])
-    s_sum = expr.add(c[1][3][3], c[1][4][4])
+    p_sum = _sum_of_products((), c[0][3][3], c[0][4][4])
+    s_sum = _sum_of_products((), c[1][3][3], c[1][4][4])
 
-    zc1 = expr.add(c[1][2][2], s_sum)
-    zc2 = expr.add(c[0][2][2], p_sum)
+    zc1 = _sum_of_products((), c[1][2][2], s_sum)
+    zc2 = _sum_of_products((), c[0][2][2], p_sum)
     z = x3f + x1f.scaled(zc1) - x2f.scaled(zc2)
 
     # coefficients of X_1 and -X_2 in Y_j; ``v`` is the sum multiplying Z
     def ycoeffs(j, v):
         return [
-            expr.add(
+            _sum_of_products(
+                [
+                    (_MINUS_ONE, fields[e].apply(v)),
+                    (c[e][j][3], p_sum),
+                    (c[e][j][4], s_sum),
+                ],
                 c[e][j][2],
-                expr.neg(fields[e].apply(v)),
-                expr.mul(c[e][j][3], p_sum),
-                expr.mul(c[e][j][4], s_sum),
             )
             for e in (1, 0)
         ]
@@ -397,18 +386,18 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
     srows = (
         (_ONE, _ZERO, _ZERO, _ZERO, _ZERO),
         (_ZERO, _ONE, _ZERO, _ZERO, _ZERO),
-        (zc1, expr.neg(zc2), _ONE, _ZERO, _ZERO),
+        (zc1, _sum_of_products([(_MINUS_ONE, zc2)]), _ONE, _ZERO, _ZERO),
         (
-            expr.add(y1c1, expr.neg(expr.mul(p_sum, zc1))),
-            expr.add(expr.neg(y1c2), expr.mul(p_sum, zc2)),
-            expr.neg(p_sum),
+            _sum_of_products([(_MINUS_ONE, p_sum, zc1)], y1c1),
+            _sum_of_products([(_MINUS_ONE, y1c2), (p_sum, zc2)]),
+            _sum_of_products([(_MINUS_ONE, p_sum)]),
             _ONE,
             _ZERO,
         ),
         (
-            expr.add(y2c1, expr.neg(expr.mul(s_sum, zc1))),
-            expr.add(expr.neg(y2c2), expr.mul(s_sum, zc2)),
-            expr.neg(s_sum),
+            _sum_of_products([(_MINUS_ONE, s_sum, zc1)], y2c1),
+            _sum_of_products([(_MINUS_ONE, y2c2), (s_sum, zc2)]),
+            _sum_of_products([(_MINUS_ONE, s_sum)]),
             _ZERO,
             _ONE,
         ),
@@ -456,23 +445,10 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     srows = data.srows
     sinv = data.sinv
 
-    def brk(u, w):
-        return frame_bracket(xfields, c, u, w)
-
-    def evec(a, b):
-        return [a, b, _ZERO, _ZERO, _ZERO]
-
-    def ellx(a, b):
-        """Bracket-frame coefficients of the degree -3 lift of a*X_1 + b*X_2."""
-        return [
-            expr.add(expr.mul(b, srows[3][k]), expr.neg(expr.mul(a, srows[4][k])))
-            for k in range(5)
-        ]
-
     def phix(v):
         """Horizontal image of a coefficient vector under the flag map."""
         return [
-            expr.neg(_frame_comp(v, sinv, 4)),
+            _sum_of_products([(_MINUS_ONE, _frame_comp(v, sinv, 4))]),
             _frame_comp(v, sinv, 3),
         ]
 
@@ -481,95 +457,69 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     # degree -2 direction against the horizontal frame; phi does the same
     # for brackets against the degree -3 lifts; xi for brackets of the
     # degree -2 direction with the lifts; cp and b are the horizontal parts
-    # of the basic brackets.
-    e_rows = [evec(_ONE, _ZERO), evec(_ZERO, _ONE)]
-    zp_row = list(srows[2])
-    ell_rows = [ellx(_ONE, _ZERO), ellx(_ZERO, _ONE)]
-    p_t = [phix(brk(e_rows[j], zp_row)) for j in range(2)]
+    # of the basic brackets.  The horizontal fields and the degree -2
+    # direction are rows of ``srows``; the degree -3 lift of a*X_1 + b*X_2
+    # is b*Y_1 - a*Y_2.
+    e_rows, zp_row = srows[:2], srows[2]
+    ell_rows = _matmul([[_ZERO, _MINUS_ONE], [_ONE, _ZERO]], srows[3:])
+    ez = [frame_bracket(xfields, c, e_rows[e], zp_row) for e in range(2)]
+    p_t = [phix(br) for br in ez]
     phi_t = [
-        [phix(brk(e_rows[a], ell_rows[j])) for j in range(2)] for a in range(2)
+        [phix(frame_bracket(xfields, c, e_rows[a], ell_rows[j])) for j in range(2)]
+        for a in range(2)
     ]
-    xi_t = [phix(brk(zp_row, ell_rows[j])) for j in range(2)]
-    cp_t = [_frame_comp(brk(e_rows[0], e_rows[1]), sinv, k) for k in range(2)]
-    b_t = [
-        [_frame_comp(brk(e_rows[e], zp_row), sinv, k) for k in range(2)]
-        for e in range(2)
-    ]
+    xi_t = [phix(frame_bracket(xfields, c, zp_row, ell_rows[j])) for j in range(2)]
+    cp_t = [_frame_comp(frame_bracket(xfields, c, e_rows[0], e_rows[1]), sinv, k) for k in range(2)]
+    b_t = [[_frame_comp(br, sinv, k) for k in range(2)] for br in ez]
+    (p00, p01), (p10, p11) = p_t
 
     # ---- first correction block: rotated shift pairs --------------------
     # The normalization conditions that avoid the degree -3 endomorphism
     # (torsion on the degree -2 selector against horizontal fields, torsion
     # on degree -3 selectors against the degree -2 field, and the curvature
     # trace on horizontal selector wedges) close up into a linear system for
-    # the rotated horizontal components of the two lift corrections.
-    f_t = [
-        expr.add(phi_t[v][0][1], expr.neg(phi_t[v][1][0])) for v in range(2)
-    ]
+    # the rotated horizontal components of the two lift corrections.  A
+    # 1-tuple among the products keeps a summand in its place in the sum.
+    f_t = [_sum_of_products([(_MINUS_ONE, phi_t[v][1][0])], phi_t[v][0][1]) for v in range(2)]
     g_t = [
-        expr.add(
-            *[
-                expr.mul(phi_t[e][j][k], p_t[e][k])
-                for e in range(2)
-                for k in range(2)
-            ]
-        )
+        _sum_of_products((phi_t[e][j][k], p_t[e][k]) for e in range(2) for k in range(2))
         for j in range(2)
     ]
-    psq = expr.add(
-        *[expr.mul(p_t[e][k], p_t[e][k]) for e in range(2) for k in range(2)]
-    )
-    rhs1 = [
-        expr.add(f_t[0], expr.mul(expr.rational(2), cp_t[0])),
-        expr.add(f_t[1], expr.mul(expr.rational(2), cp_t[1])),
-        expr.add(
-            g_t[0],
-            expr.mul(cp_t[0], p_t[0][1]),
-            expr.mul(cp_t[1], p_t[1][1]),
-        ),
-        expr.add(
-            g_t[1],
-            expr.neg(expr.mul(cp_t[0], p_t[0][0])),
-            expr.neg(expr.mul(cp_t[1], p_t[1][0])),
-        ),
-    ]
+    psq = _sum_of_products((p_t[e][k], p_t[e][k]) for e in range(2) for k in range(2))
     r2 = expr.rational(2)
     r5 = expr.rational(5)
     r3 = expr.rational(3)
+    rhs1 = [
+        _sum_of_products([(r2, cp_t[0])], f_t[0]),
+        _sum_of_products([(r2, cp_t[1])], f_t[1]),
+        _sum_of_products([(cp_t[0], p01), (cp_t[1], p11)], g_t[0]),
+        _sum_of_products([(_MINUS_ONE, cp_t[0], p00), (_MINUS_ONE, cp_t[1], p10)], g_t[1]),
+    ]
     mat1 = [
         [
             r5,
             _ZERO,
-            expr.add(expr.mul(r3, p_t[1][0]), expr.neg(p_t[0][1])),
-            expr.add(p_t[0][0], expr.mul(r3, p_t[1][1])),
+            _sum_of_products([(r3, p10), (_MINUS_ONE, p01)]),
+            _sum_of_products([(r3, p11)], p00),
         ],
         [
             _ZERO,
             r5,
-            expr.neg(expr.add(p_t[1][1], expr.mul(r3, p_t[0][0]))),
-            expr.add(p_t[1][0], expr.neg(expr.mul(r3, p_t[0][1]))),
+            _sum_of_products([(_MINUS_ONE, _sum_of_products([(r3, p00)], p11))]),
+            _sum_of_products([(_MINUS_ONE, r3, p01)], p10),
         ],
         [
-            expr.add(_ONE, expr.mul(r2, p_t[0][1])),
-            expr.mul(r2, p_t[1][1]),
-            expr.add(
-                p_t[1][0],
-                expr.neg(psq),
-                expr.mul(p_t[1][0], p_t[0][1]),
-                expr.neg(expr.mul(p_t[0][0], p_t[1][1])),
-            ),
-            p_t[1][1],
+            _sum_of_products([(r2, p01)], _ONE),
+            _sum_of_products([(r2, p11)]),
+            _sum_of_products([(_MINUS_ONE, psq), (p10, p01), (_MINUS_ONE, p00, p11)], p10),
+            p11,
         ],
         [
-            expr.neg(expr.mul(r2, p_t[0][0])),
-            expr.add(_ONE, expr.neg(expr.mul(r2, p_t[1][0]))),
-            expr.neg(p_t[0][0]),
-            expr.neg(
-                expr.add(
-                    p_t[0][1],
-                    psq,
-                    expr.mul(p_t[1][1], p_t[0][0]),
-                    expr.neg(expr.mul(p_t[0][1], p_t[1][0])),
-                )
+            _sum_of_products([(_MINUS_ONE, r2, p00)]),
+            _sum_of_products([(_MINUS_ONE, r2, p10)], _ONE),
+            _sum_of_products([(_MINUS_ONE, p00)]),
+            _sum_of_products(
+                [(_MINUS_ONE, _sum_of_products([(p11, p00), (_MINUS_ONE, p01, p10)], p01, psq))]
             ),
         ],
     ]
@@ -580,25 +530,24 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
 
     dw1 = [[xfields[e].apply(w1c[k]) for k in range(2)] for e in range(2)]
     dw2 = [[xfields[e].apply(w2c[j]) for j in range(2)] for e in range(2)]
-    w2p = [
-        expr.add(expr.mul(w2c[0], p_t[e][0]), expr.mul(w2c[1], p_t[e][1]))
-        for e in range(2)
-    ]
+    w2p = [_sum_of_products((w2c[k], p_t[e][k]) for k in range(2)) for e in range(2)]
 
     # horizontal scaling values of the canonical connection, from the
     # curvature trace normalization (closed form with weight 3)
     nu_e = [
-        expr.mul(
+        _sum_of_products([(
             expr.rational(1, 3),
-            expr.add(
+            _sum_of_products(
+                [
+                    (_MINUS_ONE, cp_t[e]),
+                    (phi_t[e][0][1],),
+                    (_MINUS_ONE, phi_t[e][1][0]),
+                    (w2c[0], p_t[e][1]),
+                    (_MINUS_ONE, w2c[1], p_t[e][0]),
+                ],
                 w1c[e],
-                expr.neg(cp_t[e]),
-                phi_t[e][0][1],
-                expr.neg(phi_t[e][1][0]),
-                expr.mul(w2c[0], p_t[e][1]),
-                expr.neg(expr.mul(w2c[1], p_t[e][0])),
             ),
-        )
+        )])
         for e in range(2)
     ]
 
@@ -607,57 +556,38 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     # horizontal fields) couple the endomorphism to the degree -2 scaling
     # value; the curvature trace on the degree -2 selector closes the
     # system.  Each structure function entering the conditions is expanded
-    # as an affine function of the endomorphism entries and that scaling,
-    # with coefficients built from the intrinsic tensors and the solved
-    # shift components.
-    def aff(const=_ZERO):
-        return [_ZERO, _ZERO, _ZERO, _ZERO, _ZERO, const]
-
-    def aff_sum(*terms):
-        return [expr.add(*[t[i] for t in terms]) for i in range(6)]
-
-    def aff_neg(t):
-        return [expr.neg(ti) for ti in t]
-
-    def aff_scale(s, t):
-        return [expr.mul(s, ti) for ti in t]
+    # as an affine function of the endomorphism entries and that scaling:
+    # a row of their five coefficients and the constant, built from the
+    # intrinsic tensors and the solved shift components.  The conditions
+    # are combinations of these rows, that is row vectors times them.
 
     # theta values of brackets of horizontal fields with the corrected
     # degree -2 field
-    zpr = [w1c[1], expr.neg(w1c[0])]
+    zpr = [w1c[1], _sum_of_products([(_MINUS_ONE, w1c[0])])]
     # horizontal components of brackets with the corrected degree -2 field
     cbar_e2 = [[None, None], [None, None]]
     for e in range(2):
+        drift = _sum_of_products([(_MINUS_ONE, w2p[e])], zpr[e])
         for k in range(2):
-            cw = expr.mul(w1c[1], cp_t[k]) if e == 0 else expr.neg(
-                expr.mul(w1c[0], cp_t[k])
+            cw = (w1c[1], cp_t[k]) if e == 0 else (_MINUS_ONE, w1c[0], cp_t[k])
+            const = _sum_of_products(
+                [cw, (dw1[e][k],), (_MINUS_ONE, drift, w1c[k])], b_t[e][k]
             )
-            const = expr.add(
-                b_t[e][k],
-                cw,
-                dw1[e][k],
-                expr.neg(
-                    expr.mul(expr.add(zpr[e], expr.neg(w2p[e])), w1c[k])
-                ),
-            )
-            row = aff(const)
+            row = [_ZERO] * 5 + [const]
             for mm in range(2):
-                row[2 * mm + k] = expr.neg(p_t[e][mm])
+                row[2 * mm + k] = _sum_of_products([(_MINUS_ONE, p_t[e][mm])])
             cbar_e2[e][k] = row
     # degree -2 components of brackets of the lifts with horizontal fields
     cbar_ye2 = [[None, None], [None, None]]
     for j in range(2):
         for e in range(2):
-            w2phi = expr.add(
-                expr.mul(w2c[0], phi_t[e][j][0]),
-                expr.mul(w2c[1], phi_t[e][j][1]),
+            w2phi = _sum_of_products((w2c[kk], phi_t[e][j][kk]) for kk in range(2))
+            const = _sum_of_products(
+                [(_MINUS_ONE, dw2[e][j]), (w2phi,), (w2c[j], w2p[e])]
             )
-            const = expr.add(
-                expr.neg(dw2[e][j]), w2phi, expr.mul(w2c[j], w2p[e])
-            )
-            row = aff(const)
+            row = [_ZERO] * 5 + [const]
             if e == 0:
-                row[2 * j + 1] = expr.neg(_ONE)
+                row[2 * j + 1] = _MINUS_ONE
             else:
                 row[2 * j] = _ONE
             cbar_ye2[j][e] = row
@@ -666,87 +596,75 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     cbar_y2y = [[None, None], [None, None]]
     for j in range(2):
         for k in range(2):
-            const = expr.add(
-                expr.neg(xi_t[j][k]),
-                *[
-                    expr.neg(
-                        expr.mul(
-                            w1c[mm],
-                            expr.add(
-                                phi_t[mm][j][k],
-                                expr.mul(w2c[j], p_t[mm][k]),
-                            ),
-                        )
+            const = _sum_of_products(
+                [(_MINUS_ONE, xi_t[j][k])]
+                + [
+                    (
+                        _MINUS_ONE,
+                        w1c[mm],
+                        _sum_of_products([(w2c[j], p_t[mm][k])], phi_t[mm][j][k]),
                     )
                     for mm in range(2)
-                ],
+                ]
             )
-            row = aff(const)
+            row = [_ZERO] * 5 + [const]
             for mm in range(2):
                 row[2 * j + mm] = p_t[mm][k]
             cbar_y2y[j][k] = row
 
     # curvature trace data on the degree -2 selector
-    qt2 = aff_sum(
-        cbar_e2[1][0],
-        aff_neg(cbar_e2[0][1]),
-        cbar_y2y[1][0],
-        aff_neg(cbar_y2y[0][1]),
-    )
-    dkn2 = expr.add(
+    qt2 = _matmul(
+        [[_ONE, _MINUS_ONE, _ONE, _MINUS_ONE]],
+        [cbar_e2[1][0], cbar_e2[0][1], cbar_y2y[1][0], cbar_y2y[0][1]],
+    )[0]
+    dkn2 = _sum_of_products(
+        [
+            (_MINUS_ONE, xfields[1].apply(nu_e[0])),
+            (_MINUS_ONE, _sum_of_products([(_MINUS_ONE, w1c[0])], cp_t[0]), nu_e[0]),
+            (_MINUS_ONE, _sum_of_products([(_MINUS_ONE, w1c[1])], cp_t[1]), nu_e[1]),
+        ],
         xfields[0].apply(nu_e[1]),
-        expr.neg(xfields[1].apply(nu_e[0])),
-        expr.neg(expr.mul(expr.add(cp_t[0], expr.neg(w1c[0])), nu_e[0])),
-        expr.neg(expr.mul(expr.add(cp_t[1], expr.neg(w1c[1])), nu_e[1])),
     )
 
-    nu2aff = aff()
-    nu2aff[4] = _ONE
-    eqs = [
-        aff_sum(
-            aff_neg(nu2aff),
-            cbar_e2[1][0],
-            cbar_ye2[0][1],
-            aff_scale(p_t[0][0], cbar_y2y[0][0]),
-            aff_scale(p_t[0][1], cbar_y2y[0][1]),
-            aff_scale(p_t[0][1], nu2aff),
-        ),
-        aff_sum(
-            cbar_e2[1][1],
-            aff_neg(cbar_ye2[0][0]),
-            aff_scale(p_t[1][0], cbar_y2y[0][0]),
-            aff_scale(p_t[1][1], cbar_y2y[0][1]),
-            aff_scale(p_t[1][1], nu2aff),
-        ),
-        aff_sum(
-            aff_neg(cbar_e2[0][0]),
-            cbar_ye2[1][1],
-            aff_scale(p_t[0][0], cbar_y2y[1][0]),
-            aff_scale(p_t[0][1], cbar_y2y[1][1]),
-            aff_neg(aff_scale(p_t[0][0], nu2aff)),
-        ),
-        aff_sum(
-            aff_neg(nu2aff),
-            aff_neg(cbar_e2[0][1]),
-            aff_neg(cbar_ye2[1][0]),
-            aff_scale(p_t[1][0], cbar_y2y[1][0]),
-            aff_scale(p_t[1][1], cbar_y2y[1][1]),
-            aff_neg(aff_scale(p_t[1][0], nu2aff)),
-        ),
-        aff_sum(
-            [
-                _ZERO,
-                _ZERO,
-                _ZERO,
-                _ZERO,
-                expr.rational(8),
-                expr.mul(expr.rational(-4), dkn2),
-            ],
-            aff_neg(qt2),
-        ),
+    nu2aff = [_ZERO, _ZERO, _ZERO, _ZERO, _ONE, _ZERO]
+    nconst = [_ZERO] * 4 + [expr.rational(8), _sum_of_products([(expr.rational(-4), dkn2)])]
+    # (coefficient, row) pairs of each condition
+    conditions = [
+        [
+            (_MINUS_ONE, nu2aff),
+            (_ONE, cbar_e2[1][0]),
+            (_ONE, cbar_ye2[0][1]),
+            (p00, cbar_y2y[0][0]),
+            (p01, cbar_y2y[0][1]),
+            (p01, nu2aff),
+        ],
+        [
+            (_ONE, cbar_e2[1][1]),
+            (_MINUS_ONE, cbar_ye2[0][0]),
+            (p10, cbar_y2y[0][0]),
+            (p11, cbar_y2y[0][1]),
+            (p11, nu2aff),
+        ],
+        [
+            (_MINUS_ONE, cbar_e2[0][0]),
+            (_ONE, cbar_ye2[1][1]),
+            (p00, cbar_y2y[1][0]),
+            (p01, cbar_y2y[1][1]),
+            (_sum_of_products([(_MINUS_ONE, p00)]), nu2aff),
+        ],
+        [
+            (_MINUS_ONE, nu2aff),
+            (_MINUS_ONE, cbar_e2[0][1]),
+            (_MINUS_ONE, cbar_ye2[1][0]),
+            (p10, cbar_y2y[1][0]),
+            (p11, cbar_y2y[1][1]),
+            (_sum_of_products([(_MINUS_ONE, p10)]), nu2aff),
+        ],
+        [(_ONE, nconst), (_MINUS_ONE, qt2)],
     ]
+    eqs = [_matmul([[s for s, _ in pairs]], [row for _, row in pairs])[0] for pairs in conditions]
     # augmented rows: the five unknowns' coefficients, then minus the constant
-    aug2 = [eqs[i][:5] + [expr.neg(eqs[i][5])] for i in range(5)]
+    aug2 = [eqs[i][:5] + [_sum_of_products([(_MINUS_ONE, eqs[i][5])])] for i in range(5)]
     sol2 = [row[5] for row in _gauss_jordan(aug2, 5)]
     amat = [[sol2[0], sol2[1]], [sol2[2], sol2[3]]]
 
@@ -759,25 +677,31 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
         [_ONE, _ZERO, _ZERO, _ZERO, _ZERO],
         [_ZERO, _ONE, _ZERO, _ZERO, _ZERO],
         [w1c[0], w1c[1], _ONE, _ZERO, _ZERO],
-        [amat[0][0], amat[0][1], w2c[0], _ZERO, expr.neg(_ONE)],
+        [amat[0][0], amat[0][1], w2c[0], _ZERO, _MINUS_ONE],
         [amat[1][0], amat[1][1], w2c[1], _ONE, _ZERO],
     ]
     tinv = [
         [_ONE, _ZERO, _ZERO, _ZERO, _ZERO],
         [_ZERO, _ONE, _ZERO, _ZERO, _ZERO],
-        [expr.neg(w1c[0]), expr.neg(w1c[1]), _ONE, _ZERO, _ZERO],
         [
-            expr.add(expr.mul(w2c[1], w1c[0]), expr.neg(amat[1][0])),
-            expr.add(expr.mul(w2c[1], w1c[1]), expr.neg(amat[1][1])),
-            expr.neg(w2c[1]),
+            _sum_of_products([(_MINUS_ONE, w1c[0])]),
+            _sum_of_products([(_MINUS_ONE, w1c[1])]),
+            _ONE,
+            _ZERO,
+            _ZERO,
+        ],
+        [
+            _sum_of_products([(w2c[1], w1c[0]), (_MINUS_ONE, amat[1][0])]),
+            _sum_of_products([(w2c[1], w1c[1]), (_MINUS_ONE, amat[1][1])]),
+            _sum_of_products([(_MINUS_ONE, w2c[1])]),
             _ZERO,
             _ONE,
         ],
         [
-            expr.add(amat[0][0], expr.neg(expr.mul(w2c[0], w1c[0]))),
-            expr.add(amat[0][1], expr.neg(expr.mul(w2c[0], w1c[1]))),
+            _sum_of_products([(_MINUS_ONE, w2c[0], w1c[0])], amat[0][0]),
+            _sum_of_products([(_MINUS_ONE, w2c[0], w1c[1])], amat[0][1]),
             w2c[0],
-            expr.neg(_ONE),
+            _MINUS_ONE,
             _ZERO,
         ],
     ]
@@ -792,61 +716,6 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     grading = Grading(m, [(xfields[0], xfields[1]), (z_field,), tuple(ell_fields)])
     _install_calculus(grading.frame, srows_i, sinv_i, data.alpha, xfields, c)
     return grading
-
-
-@dataclass
-class QMap:
-    """Defect between bracketing against the lifts and the base connection."""
-
-    data: Intrinsic235
-    tensor: tuple  # [i][j][k]: pairing of the value on (X_i, X_j) against X_k
-
-    def __call__(self, x: VectorField, y: VectorField) -> VectorField:
-        g = self.data.grading
-        xc = g.components_in_frame(x)
-        yc = g.components_in_frame(y)
-        comps = []
-        for k in range(2):
-            comps.append(
-                expr.add(
-                    *[
-                        expr.mul(xc[i], yc[j], self.tensor[i][j][k])
-                        for i in range(2)
-                        for j in range(2)
-                    ]
-                )
-            )
-        return frame_combination(self.data.manifold, g.fields[:2], comps)
-
-
-def q_map(data: Intrinsic235) -> QMap:
-    """Bracket-versus-connection defect on horizontal fields.
-
-    The value on (X, Y) is the horizontal image of the bracket of X with the
-    degree -3 lift of Y, minus the adapted-connection derivative of Y along
-    X.  It is tensorial in both slots.
-    """
-    srows = data.srows
-    sinv = data.sinv
-    g = data.grading
-    conn0 = _rotation_connection(g, _adapted_lambda(g))
-    tensor = []
-    for i in range(2):
-        ei = [_ONE if a == i else _ZERO for a in range(5)]
-        row = []
-        for j in range(2):
-            if j == 0:
-                ell_j = [expr.neg(srows[4][k]) for k in range(5)]
-            else:
-                ell_j = list(srows[3])
-            br = frame_bracket(data.x, data.c, ei, ell_j)
-            ph = [
-                expr.neg(_frame_comp(br, sinv, 4)),
-                _frame_comp(br, sinv, 3),
-            ]
-            row.append(tuple(expr.sub(ph[k], conn0.gamma[i][j][k]) for k in range(2)))
-        tensor.append(tuple(row))
-    return QMap(data, tuple(tensor))
 
 
 def morimoto_connection_235(g: Grading) -> Connection:
@@ -868,12 +737,8 @@ def morimoto_connection_235(g: Grading) -> Connection:
 
     def qval(v):
         """Trace of the structure functions along one field against D."""
-        return expr.add(
-            *[
-                expr.mul(expr.rational(s), cbar[v][y][x])
-                for (x, y), s in _DENTRIES.items()
-                if not _is_zero(cbar[v][y][x])
-            ]
+        return _sum_of_products(
+            (expr.rational(s), cbar[v][y][x]) for (x, y), s in _DENTRIES.items()
         )
 
     def dform_known(vals, v):
@@ -886,40 +751,32 @@ def morimoto_connection_235(g: Grading) -> Connection:
         """
         terms = []
         for a, b, coef in chi.coefficients[v]:
-            e = expr.add(
+            e = _sum_of_products(
+                [(_MINUS_ONE, wf[b].apply(vals[a]))]
+                + [(_MINUS_ONE, cbar[a][b][k], vals[k]) for k in range(5)],
                 wf[a].apply(vals[b]),
-                expr.neg(wf[b].apply(vals[a])),
-                *[
-                    expr.neg(expr.mul(cbar[a][b][k], vals[k]))
-                    for k in range(5)
-                    if not _is_zero(cbar[a][b][k]) and not _is_zero(vals[k])
-                ],
             )
-            terms.append(expr.mul(coef, e))
-        return expr.add(*terms)
+            terms.append((coef, e))
+        return _sum_of_products(terms)
 
-    nu0 = expr.mul(expr.rational(1, 3), qval(0))
-    nu1 = expr.mul(expr.rational(1, 3), qval(1))
+    nu0 = _sum_of_products([(expr.rational(1, 3), qval(0))])
+    nu1 = _sum_of_products([(expr.rational(1, 3), qval(1))])
 
     # degree -2: 4 d nu(chi) = 4 nu - q with the unknown's contraction
     # moved left (weight 1), so 8 nu_2 = 4 * known part + q_2
     known = (nu0, nu1, _ZERO, _ZERO, _ZERO)
-    nu2 = expr.mul(
+    nu2 = _sum_of_products([(
         expr.rational(1, 8),
-        expr.add(
-            expr.mul(expr.rational(4), dform_known(known, 2)), qval(2)
-        ),
-    )
+        _sum_of_products([(expr.rational(4), dform_known(known, 2)), (qval(2),)]),
+    )])
 
     # degree -3: 4 d nu(chi) = 3 nu - q, unknown weight 1: 7 nu_v = 4*known + q_v
     known = (nu0, nu1, nu2, _ZERO, _ZERO)
     nu34 = [
-        expr.mul(
+        _sum_of_products([(
             expr.rational(1, 7),
-            expr.add(
-                expr.mul(expr.rational(4), dform_known(known, v)), qval(v)
-            ),
-        )
+            _sum_of_products([(expr.rational(4), dform_known(known, v)), (qval(v),)]),
+        )])
         for v in (3, 4)
     ]
 

@@ -1,26 +1,21 @@
 """Stratified (Carnot) Lie algebras.
 
 Construction and validation of stratified algebras with exact rational
-structure constants, free nilpotent algebras on a Hall basis, induced inner
-products on the higher layers, isometry algebras, and the two model families
-(Heisenberg algebras h_n(lambda) and the rank-2 step-3 Cartan nilpotent
-algebra), plus the Heisenberg normal-form invariant.
+structure constants, free nilpotent algebras on a Hall basis, the induced
+inner product on the higher layers, isometry algebras, and the two model
+families (Heisenberg algebras h_n(lambda) and the rank-2 step-3 Cartan
+nilpotent algebra), plus the Heisenberg normal-form invariant.
 
 Layer conventions: layer k = 1..s corresponds to degree -k; the basis is
 ordered layer by layer. Structure constants are stored for index pairs a < b
 and extended by antisymmetry.
 
-Induced inner products come in two flavors (see `induced_inner_product`):
-
-- "selector": each layer metric makes the bracket map a linear submetry from
-  the 2-vectors of lower layers (recursively). Under this normalization the
-  bracket picks up no spurious factors: the selector's defining Gram property
-  and its anti-bracket axiom hold simultaneously, and the (2,3,5) model comes
-  out with an orthonormal canonical frame.
-- "tensor": the weighted tensor-embedding convention; it differs from
-  "selector" by an exact factor 2^(1-k) on layer k. The Heisenberg center
-  then has |C|^2 = 1/2, the value pinned by the brute-force degree-2 tensor
-  oracle (asserted at import).
+The induced inner product (:meth:`CarnotAlgebra.full_gram`) makes the bracket
+map a linear submetry from the 2-vectors of lower layers onto each layer
+(recursively). Under this normalization the bracket picks up no spurious
+factors: the selector's defining Gram property and its anti-bracket axiom
+hold simultaneously, the Heisenberg center has |C|^2 = 1, and the (2,3,5)
+model comes out with an orthonormal canonical frame.
 """
 
 from __future__ import annotations
@@ -160,15 +155,14 @@ class CarnotAlgebra(StratifiedAlgebra):
         except np.linalg.LinAlgError as exc:
             raise LieError("metric must be positive-definite") from exc
         self.metric1 = metric1
-        self._gram = {}
+        self._gram = None
         self._isometries = None
 
-    def full_gram(self, convention: str = "tensor") -> np.ndarray:
-        if convention not in ("tensor", "selector"):
-            raise LieError(f"unknown inner-product convention {convention!r}")
-        if convention not in self._gram:
-            self._gram[convention] = _induced_gram(self, convention)
-        return self._gram[convention]
+    def full_gram(self) -> np.ndarray:
+        """Inner product on all of the algebra (layers mutually orthogonal), made once."""
+        if self._gram is None:
+            self._gram = _induced_gram(self)
+        return self._gram
 
     def isometries(self) -> tuple:
         """:func:`isometry_algebra` of this algebra, solved on first use and kept.
@@ -191,12 +185,11 @@ def _onb_columns(gram: np.ndarray) -> np.ndarray:
     return q @ np.diag(w ** -0.5)
 
 
-def _induced_gram(g: CarnotAlgebra, convention: str) -> np.ndarray:
+def _induced_gram(g: CarnotAlgebra) -> np.ndarray:
     """Block-diagonal inner product on all layers.
 
     Layer k >= 2 is defined recursively so that the bracket map from the
-    orthonormalized 2-vectors of lower layers onto layer k is a submetry
-    (selector flavor); the tensor flavor rescales layer k by 2^(1-k).
+    orthonormalized 2-vectors of lower layers onto layer k is a submetry.
     """
     gram = np.zeros((g.dim, g.dim))
     r1 = g.layer_range(1)
@@ -224,16 +217,7 @@ def _induced_gram(g: CarnotAlgebra, convention: str) -> np.ndarray:
         ginv = bon @ bon.T
         block = np.linalg.inv(ginv)
         gram[np.ix_(rk, rk)] = block
-    if convention == "tensor":
-        for k in range(2, g.step + 1):
-            rk = g.layer_range(k)
-            gram[np.ix_(rk, rk)] *= 2.0 ** (1 - k)
     return gram
-
-
-def induced_inner_product(g: CarnotAlgebra, convention: str = "tensor") -> np.ndarray:
-    """Inner product matrix on all of the algebra (layers mutually orthogonal)."""
-    return g.full_gram(convention)
 
 
 # ---------------------------------------------------------------------------
@@ -476,37 +460,3 @@ def heisenberg_normal_form(g: CarnotAlgebra, tol: float = 1e-9):
     top = pairs[0]
     lam = sorted((e / top) ** -0.25 for e in pairs)
     return tuple(lam)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def serialize(g) -> str:
-    lines = []
-    lines.append("layers: " + " ".join(str(d) for d in g.layer_dims))
-    lines.append("labels: " + " ".join(g.labels))
-    for (a, b) in sorted(g.brackets):
-        row = g.brackets[(a, b)]
-        parts = []
-        for c in sorted(row):
-            v = row[c]
-            if isinstance(v, Fraction):
-                coeff = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-            else:
-                coeff = repr(float(v))
-            parts.append(f"{coeff} {g.labels[c]}")
-        lines.append(f"bracket [{g.labels[a]},{g.labels[b]}] = " + " + ".join(parts))
-    if isinstance(g, CarnotAlgebra):
-        lines.append("metric:")
-        for row in g.metric1:
-            lines.append(" ".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-# Pin the tensor-flavor normalization at import: the Heisenberg center must
-# carry |C|^2 = 1/2 (the brute-force tensor-space submetry value).
-_h1 = heisenberg((1,))
-_gram = _h1.full_gram("tensor")
-assert abs(_gram[2, 2] - 0.5) < 1e-12, "tensor normalization lost its anchor value"
-del _h1, _gram

@@ -128,7 +128,7 @@ class VectorField:
 
     def scaled(self, factor) -> "VectorField":
         f = _coerce_expr(factor, self.manifold.coords)
-        return VectorField(self.manifold, [expr.mul(f, c) for c in self.components])
+        return VectorField(self.manifold, [_sum_of_products([(f, c)]) for c in self.components])
 
     def __repr__(self) -> str:
         parts = ", ".join(expr.to_string(c) for c in self.components)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -9,21 +10,14 @@ from srgeom.connection import (
     Grading,
     check_compatible,
     check_morimoto,
-    curvature,
-    curvature_isometry_residual,
     flat_frame_connection,
     flatness_check,
     left_invariant_grading,
-    levi_civita,
-    normal_geodesic,
     selector,
-    t_zero,
     taming_metric,
-    torsion,
-    torsion_id_residual,
 )
 from srgeom.contact import extract_contact_data, morimoto_grading_contact
-from srgeom.manifold import ManifoldError, VectorField
+from srgeom.manifold import ManifoldError, VectorField, bracket, frame_combination, frame_inverse
 from srgeom.models import (
     cartan_group_manifold,
     conformal_heisenberg_manifold,
@@ -58,6 +52,26 @@ def cartan_grading():
     return m, left_invariant_grading(m, (2, 1, 2))
 
 
+def graded_structure_at(g, p):
+    """Structure functions at a point, restricted to exact-degree targets."""
+    return -expr.evaluate_array(g.t_zero_tensor(), g.frame.point(p))
+
+
+def symbols_at(g, points):
+    """The symbol at each point, as the checks of a connection on ``g`` read it."""
+    return flat_frame_connection(g)._at(points).symbols
+
+
+def taming_at(g, p):
+    return expr.evaluate_array(taming_metric(g), g.frame.point(p))
+
+
+def selector_matrix_at(chi, p, index):
+    """Antisymmetric wedge-coefficient matrix of the selector's value on one field."""
+    values = expr.evaluate_array(chi.table(), chi.grading.frame.point(p))
+    return chi.matrices(values[None])[0, index]
+
+
 # ---------------------------------------------------------------------------
 # gradings
 
@@ -82,7 +96,7 @@ def test_grading_bad_complement_has_large_residual():
 
 def test_graded_structure_heisenberg():
     m, g = heis_grading()
-    cg = g.graded_structure_at({"x": 0.3, "y": -0.2, "z": 0.1})
+    cg = graded_structure_at(g, {"x": 0.3, "y": -0.2, "z": 0.1})
     want = np.zeros((3, 3, 3))
     want[0, 1, 2] = 1.0
     want[1, 0, 2] = -1.0
@@ -91,7 +105,7 @@ def test_graded_structure_heisenberg():
 
 def test_symbol_algebra_matches_lie_model():
     m, g = cartan_grading()
-    alg = g.symbol_algebra_at({c: 0.2 for c in m.coords})
+    (alg,) = symbols_at(g, [{c: 0.2 for c in m.coords}])
     assert alg.layer_dims == (2, 1, 2)
     assert alg.jacobi_residual() <= 1e-12
 
@@ -103,16 +117,16 @@ def test_symbols_are_shared_only_when_bitwise_equal():
     m = conformal_heisenberg_manifold()
     g = morimoto_grading_contact(extract_contact_data(m)).grading
     pts = [{"x": x, "y": 0.0, "z": 0.0} for x in (-0.8, -0.3, 0.0, 0.3, 0.5)]
-    syms = g.symbol_algebras_at(pts)
+    syms = symbols_at(g, pts)
     assert len({id(s) for s in syms}) == 4
     for s, t in itertools.combinations(syms, 2):
         equal = s.brackets == t.brackets and s.metric1.tobytes() == t.metric1.tobytes()
         assert (s is t) == equal
     # a later call gets the same objects
-    assert g.symbol_algebras_at(pts[::-1]) == syms[::-1]
+    assert symbols_at(g, pts[::-1]) == syms[::-1]
     # a flat chart has one symbol
     _, g = heis_grading()
-    flat = g.symbol_algebras_at([{"x": 0.1 * k, "y": -0.05 * k, "z": 0.3} for k in range(20)])
+    flat = symbols_at(g, [{"x": 0.1 * k, "y": -0.05 * k, "z": 0.3} for k in range(20)])
     assert len({id(s) for s in flat}) == 1
 
 
@@ -123,59 +137,44 @@ def test_symbols_are_shared_only_when_bitwise_equal():
 def test_taming_euclidean_is_identity():
     m = euclidean_manifold(2)
     g = left_invariant_grading(m, (2,))
-    tm = taming_metric(m, g)
-    assert np.abs(tm.at({"x1": 0.2, "x2": -0.4}) - np.eye(2)).max() == 0.0
+    assert np.abs(taming_at(g, {"x1": 0.2, "x2": -0.4}) - np.eye(2)).max() == 0.0
 
 
 def test_taming_heisenberg_layer_norms():
     m, g = heis_grading()
-    tm = taming_metric(m, g)
-    assert np.abs(tm.at({"x": 0.1, "y": 0.2, "z": 0.3}) - np.eye(3)).max() <= 1e-12
-    tm2 = taming_metric(m, g, convention="tensor")
-    want = np.diag([1.0, 1.0, 0.5])
-    assert np.abs(tm2.at({"x": 0.1, "y": 0.2, "z": 0.3}) - want).max() <= 1e-12
+    assert np.abs(taming_at(g, {"x": 0.1, "y": 0.2, "z": 0.3}) - np.eye(3)).max() <= 1e-12
 
 
 def test_taming_metric4_vertical_norm():
     m, g = metric4_grading()
-    tm = taming_metric(m, g)
-    got = tm.at({c: 0.0 for c in m.coords})
+    got = taming_at(g, {c: 0.0 for c in m.coords})
     want = np.diag([1.0, 4.0, 1.0, 4.0, 16.0 / 17.0])
     assert np.abs(got - want).max() <= 1e-12
 
 
 def test_taming_cartan_all_orthonormal():
     m, g = cartan_grading()
-    tm = taming_metric(m, g)
     for p in sample_points(m, 3):
-        assert np.abs(tm.at(p) - np.eye(5)).max() <= 1e-12
+        assert np.abs(taming_at(g, p) - np.eye(5)).max() <= 1e-12
 
 
 def test_taming_matches_pointwise_symbol():
     for m, g in (heis_grading(), metric4_grading(), cartan_grading()):
-        for convention in ("selector", "tensor"):
-            tm = taming_metric(m, g, convention)
-            for p in sample_points(m, 3):
-                assert np.abs(tm.at(p) - g.gram_at(p, convention)).max() <= 1e-10
+        pts = sample_points(m, 3)
+        for p, sym in zip(pts, symbols_at(g, pts)):
+            assert np.abs(taming_at(g, p) - sym.full_gram()).max() <= 1e-10
 
 
 def test_taming_varying_metric_is_symbolic():
     m = varying_lambda_manifold()
     g = left_invariant_grading(m, (4, 1))
-    tm = taming_metric(m, g)
-    for p in sample_points(m, 4):
+    pts = sample_points(m, 4)
+    for p, sym in zip(pts, symbols_at(g, pts)):
         w = (1.0 + p["x1"] ** 2) ** 2
         want = w**2 / (1.0 + w**2)
-        got = tm.at(p)
+        got = taming_at(g, p)
         assert got[4, 4] == pytest.approx(want, abs=1e-12)
-        assert np.abs(got - g.gram_at(p)).max() <= 1e-10
-
-
-def test_taming_rejects_foreign_grading():
-    m, g = heis_grading()
-    other = heisenberg_manifold()
-    with pytest.raises(ManifoldError):
-        taming_metric(other, g)
+        assert np.abs(got - sym.full_gram()).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +194,7 @@ def test_selector_heisenberg_closed_form():
 def test_selector_metric4_weights():
     m, g = metric4_grading()
     chi = selector(g)
-    mat = chi.matrix_at({c: 0.0 for c in m.coords}, 4)
+    mat = selector_matrix_at(chi, {c: 0.0 for c in m.coords}, 4)
     want = np.zeros((5, 5))
     want[0, 2] = 16.0 / 17.0
     want[2, 0] = -16.0 / 17.0
@@ -208,17 +207,17 @@ def test_selector_cartan_closed_form():
     m, g = cartan_grading()
     chi = selector(g)
     p = {c: 0.1 for c in m.coords}
-    m2 = chi.matrix_at(p, 2)
+    m2 = selector_matrix_at(chi, p, 2)
     want2 = np.zeros((5, 5))
     want2[0, 1] = 1.0
     want2[1, 0] = -1.0
     assert np.abs(m2 - want2).max() <= 1e-12
-    m3 = chi.matrix_at(p, 3)
+    m3 = selector_matrix_at(chi, p, 3)
     want3 = np.zeros((5, 5))
     want3[0, 2] = 1.0
     want3[2, 0] = -1.0
     assert np.abs(m3 - want3).max() <= 1e-12
-    m4 = chi.matrix_at(p, 4)
+    m4 = selector_matrix_at(chi, p, 4)
     want4 = np.zeros((5, 5))
     want4[1, 2] = 1.0
     want4[2, 1] = -1.0
@@ -241,11 +240,11 @@ def test_selector_anti_bracket_identity():
     g = left_invariant_grading(m, (4, 1))
     chi = selector(g)
     for p in sample_points(m, 4):
-        cg = g.graded_structure_at(p)
+        cg = graded_structure_at(g, p)
         for t in range(g.dim):
             if g.degree_of(t) == 1:
                 continue
-            mat = chi.matrix_at(p, t)
+            mat = selector_matrix_at(chi, p, t)
             recon = 0.5 * np.einsum("ab,abc->c", mat, cg)
             want = np.zeros(g.dim)
             want[t] = 1.0
@@ -288,16 +287,29 @@ def test_flat_connection_morimoto_conditions():
         assert rep.max_residual <= 1e-10
 
 
+def graded_torsion_residual(conn, points):
+    """How far the torsion is from the degree-0 torsion on fields of degrees
+    i and j: its degree-(i+j) part must equal T₀ and every part of higher
+    degree vanish."""
+    g = conn.grading
+    deg = np.array(g.degrees)
+    target = (deg[:, None] + deg[None, :])[:, :, None]  # [i, j, 0]: deg i + deg j
+    worst = 0.0
+    for p in points:
+        tors = conn.torsion_at(p)
+        tz = expr.evaluate_array(g.t_zero_tensor(), g.frame.point(p))
+        worst = max(
+            worst,
+            np.abs(tors - tz)[deg == target].max(),
+            np.abs(tors)[deg > target].max(initial=0.0),
+        )
+    return worst
+
+
 def test_torsion_identity_on_groups():
     for m, g in (heis_grading(), metric4_grading(), cartan_grading()):
         conn = flat_frame_connection(g)
-        assert torsion_id_residual(conn, sample_points(m, 3)) <= 1e-10
-
-
-def test_curvature_isometry_residual_flat():
-    for m, g in (heis_grading(), metric4_grading()):
-        conn = flat_frame_connection(g)
-        assert curvature_isometry_residual(conn, sample_points(m, 3)) <= 1e-10
+        assert graded_torsion_residual(conn, sample_points(m, 3)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +332,7 @@ def test_perturbed_connection_still_strongly_compatible():
     rep = check_compatible(conn, sample_points(m, 3))
     assert rep.strongly_compatible
     # torsion identity still holds: the extra torsion sits in too-low degree
-    assert torsion_id_residual(conn, sample_points(m, 3)) <= 1e-10
+    assert graded_torsion_residual(conn, sample_points(m, 3)) <= 1e-10
 
 
 def test_perturbed_connection_fails_morimoto():
@@ -339,13 +351,23 @@ def test_morimoto_report_honours_tol():
 
 
 def test_levi_civita_not_layer_parallel_on_group():
+    # the Levi-Civita connection of the Heisenberg taming metric (the
+    # identity in the frame X, Y, [X, Y]), from the Koszul formula
+    # <∇_i W_j, W_k> = (c_ij^k - c_jk^i + c_ki^j) / 2 with c_12^3 = 1
     m, g = heis_grading()
-    conn = levi_civita(taming_metric(m, g))
-    rep = check_compatible(conn, sample_points(m, 3))
+    half = expr.rational(1, 2)
+    gamma = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    gamma[0][1][2] = gamma[1][2][0] = gamma[2][1][0] = half
+    gamma[1][0][2] = gamma[0][2][1] = gamma[2][0][1] = expr.neg(half)
+    conn = Connection(g, gamma)
+    pts = sample_points(m, 3)
+    rep = check_compatible(conn, pts)
+    assert rep.metric_compatible
     assert not rep.layers_parallel
     assert rep.residual_layers > 1e-3
     # but it is torsion-free, so the graded torsion identity must fail
-    assert torsion_id_residual(conn, sample_points(m, 3)) > 1e-3
+    assert max(np.abs(conn.torsion_at(p)).max() for p in pts) <= 1e-12
+    assert graded_torsion_residual(conn, pts) > 1e-3
 
 
 def test_levi_civita_metric_rule_curved():
@@ -358,7 +380,12 @@ def test_levi_civita_metric_rule_curved():
         metric=[["1 + x1^2", "0"], ["0", "1"]],
     )
     g = left_invariant_grading(curved, (2,))
-    conn = levi_civita(taming_metric(curved, g))
+    # coordinate frame with g_11 = 1 + x1^2: the only Christoffel symbol is
+    # Γ_11^1 = ∂_1 g_11 / (2 g_11)
+    x1 = expr.var("x1")
+    gamma = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    gamma[0][0][0] = expr.div(x1, expr.add(expr.ONE, expr.mul(x1, x1)))
+    conn = Connection(g, gamma)
     pts = sample_points(curved, 4)
     rep = check_compatible(conn, pts)
     assert rep.metric_compatible
@@ -367,138 +394,104 @@ def test_levi_civita_metric_rule_curved():
 
 
 # ---------------------------------------------------------------------------
-# torsion / curvature as field operations
+# torsion / curvature from the covariant derivative of vector fields
 
 
-def test_torsion_map_is_tensorial():
-    m, g = heis_grading()
-    conn = flat_frame_connection(g)
-    tmap = torsion(conn)
-    x = expr.var("x")
-    fx = VectorField(m, [expr.mul(x, c) for c in m.frames[0].components])
-    val = tmap(fx, m.frames[1])
-    p = {"x": 0.7, "y": -0.3, "z": 0.2}
-    got = val.value_at(p)
-    want = 0.7 * (-1.0) * m.frames[2].value_at(p)
-    assert np.abs(got - want).max() <= 1e-10
+def covariant_derivative(conn, x, y):
+    """∇_x y as a vector field: x^i (W_i(y^k) + y^j Γ_ij^k) W_k in the adapted frame W."""
+    g = conn.grading
+    n = g.dim
+    coframe = frame_inverse(g.frame)
+
+    def components(v):
+        return [
+            expr.add(*[expr.mul(coframe[i][a], v.components[a]) for a in range(n)])
+            for i in range(n)
+        ]
+
+    xs, ys = components(x), components(y)
+    out = [
+        expr.add(
+            *[expr.mul(xs[i], g.fields[i].apply(ys[k])) for i in range(n)],
+            *[expr.mul(xs[i], ys[j], conn.gamma[i][j][k]) for i in range(n) for j in range(n)],
+        )
+        for k in range(n)
+    ]
+    return frame_combination(g.base, g.fields, out)
 
 
-def test_curvature_map_zero_on_flat():
-    m, g = heis_grading()
-    conn = flat_frame_connection(g)
-    rmap = curvature(conn)
-    x = expr.var("x")
-    fx = VectorField(m, [expr.mul(x, c) for c in m.frames[1].components])
-    out = rmap(fx, m.frames[0])(m.frames[2])
-    p = {"x": 0.4, "y": 0.1, "z": -0.2}
-    assert np.abs(out.value_at(p)).max() <= 1e-10
+def torsion_field(conn, x, y):
+    return covariant_derivative(conn, x, y) - covariant_derivative(conn, y, x) - bracket(x, y)
 
 
-def test_t_zero_heisenberg_sign():
-    m, g = heis_grading()
-    tz = t_zero(g)
-    val = tz(m.frames[0], m.frames[1])
-    p = {"x": 0.3, "y": 0.2, "z": 0.6}
-    assert np.abs(val.value_at(p) + m.frames[2].value_at(p)).max() <= 1e-12
+def curvature_field(conn, x, y, w):
+    nabla = functools.partial(covariant_derivative, conn)
+    return nabla(x, nabla(y, w)) - nabla(y, nabla(x, w)) - nabla(bracket(x, y), w)
 
 
 def test_covariant_derivative_product_rule():
+    # the oracle above obeys ∇_X (f Y) = X(f) Y + f ∇_X Y
     m, g = heis_grading()
     conn = flat_frame_connection(g)
     x = expr.var("x")
     fy = VectorField(m, [expr.mul(x, c) for c in m.frames[1].components])
-    out = conn.covariant_derivative(m.frames[0], fy)
+    out = covariant_derivative(conn, m.frames[0], fy)
     # flat connection: derivative is X1(x) * X2 = X2
     p = {"x": -0.2, "y": 0.5, "z": 0.1}
     assert np.abs(out.value_at(p) - m.frames[1].value_at(p)).max() <= 1e-12
 
 
-# ---------------------------------------------------------------------------
-# geodesics
-
-
-def test_geodesic_euclidean_straight_line():
-    m = euclidean_manifold(2)
-    g = left_invariant_grading(m, (2,))
-    conn = flat_frame_connection(g)
-    path = normal_geodesic(conn, {"x1": 0.1, "x2": -0.2}, [0.3, 0.4], t_max=1.0, step=0.01)
-    t, p, lam, speed = path[-1]
-    assert t == pytest.approx(1.0)
-    assert p["x1"] == pytest.approx(0.1 + 0.3, abs=1e-12)
-    assert p["x2"] == pytest.approx(-0.2 + 0.4, abs=1e-12)
-    assert speed == pytest.approx(0.5, abs=1e-12)
-
-
-def test_geodesic_heisenberg_exact_solution():
+def test_torsion_map_is_tensorial():
+    # T(x X, Y) from the covariant derivative is x T(X, Y), and its frame
+    # components are those of torsion_at
     m, g = heis_grading()
     conn = flat_frame_connection(g)
-    beta = 0.5
-    path = normal_geodesic(conn, {"x": 0.0, "y": 0.0, "z": 0.0}, [1.0, 0.0, beta],
-                           t_max=1.0, step=1e-3)
-    t, p, lam, speed = path[-1]
-    assert p["x"] == pytest.approx(np.sin(beta) / beta, abs=1e-10)
-    assert p["y"] == pytest.approx((1.0 - np.cos(beta)) / beta, abs=1e-10)
-    assert p["z"] == pytest.approx((beta - np.sin(beta)) / (2 * beta**2), abs=1e-10)
-    speeds = [s for (_, _, _, s) in path]
-    assert max(abs(s - 1.0) for s in speeds) <= 1e-9
+    x = expr.var("x")
+    fx = VectorField(m, [expr.mul(x, c) for c in m.frames[0].components])
+    val = torsion_field(conn, fx, m.frames[1])
+    p = {"x": 0.7, "y": -0.3, "z": 0.2}
+    got = val.value_at(p)
+    want = 0.7 * (-1.0) * m.frames[2].value_at(p)
+    assert np.abs(got - want).max() <= 1e-10
+    frame = g.frame.frame_matrix_at(g.frame.point(p))
+    assert np.abs(got - 0.7 * frame @ conn.torsion_at(p)[0, 1]).max() <= 1e-10
 
 
-def test_geodesic_speed_constant_curved_metric():
-    # Levi-Civita flow on a curved surface conserves the speed
-    flat = euclidean_manifold(2)
-    m = type(flat)(
-        flat.coords,
-        [f.components for f in flat.frames],
-        2,
-        metric=[["1 + x1^2", "0"], ["0", "1"]],
-    )
-    g = left_invariant_grading(m, (2,))
-    conn = levi_civita(taming_metric(m, g))
-    path = normal_geodesic(
-        conn,
-        {"x1": 0.2, "x2": -0.1},
-        [0.4, 0.3],
-        t_max=1.0,
-        step=1e-3,
-    )
-    speeds = [s for (_, _, _, s) in path]
-    assert max(speeds) - min(speeds) <= 1e-8
-
-
-def test_geodesic_rk4_convergence_order():
+def test_curvature_map_zero_on_flat():
     m, g = heis_grading()
     conn = flat_frame_connection(g)
-    beta = 0.9
-
-    def endpoint(h):
-        path = normal_geodesic(conn, {"x": 0.0, "y": 0.0, "z": 0.0},
-                               [1.0, 0.0, beta], t_max=1.0, step=h)
-        _, p, _, _ = path[-1]
-        return np.array([p["x"], p["y"], p["z"]])
-
-    exact = np.array(
-        [
-            np.sin(beta) / beta,
-            (1.0 - np.cos(beta)) / beta,
-            (beta - np.sin(beta)) / (2 * beta**2),
-        ]
-    )
-    e1 = np.abs(endpoint(0.1) - exact).max()
-    e2 = np.abs(endpoint(0.05) - exact).max()
-    order = np.log2(e1 / e2)
-    assert order >= 3.5
+    x = expr.var("x")
+    fx = VectorField(m, [expr.mul(x, c) for c in m.frames[1].components])
+    out = curvature_field(conn, fx, m.frames[0], m.frames[2])
+    p = {"x": 0.4, "y": 0.1, "z": -0.2}
+    assert np.abs(out.value_at(p)).max() <= 1e-10
 
 
-def test_geodesic_chart_exit_raises():
-    m = euclidean_manifold(2)
-    g = left_invariant_grading(m, (2,))
-    conn = flat_frame_connection(g)
-    with pytest.raises(ManifoldError, match="left the chart"):
-        normal_geodesic(
-            conn,
-            {"x1": 0.0, "x2": 0.0},
-            [1.0, 0.0],
-            t_max=2.0,
-            step=0.01,
-            chart_box=[(-1.0, 1.0), (-1.0, 1.0)],
-        )
+def test_curvature_at_equals_the_field_curvature():
+    # on a coordinate-dependent Γ the frame components of R(W_i, W_j) W_k
+    # from the covariant derivative of fields are those of curvature_at
+    m, g = heis_grading()
+    x, y, z = (expr.var(c) for c in m.coords)
+    gamma = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    gamma[0][1][0] = expr.mul(expr.floatc(0.5), y)
+    gamma[1][0][2] = expr.mul(x, z)
+    gamma[2][1][1] = expr.sin(x)
+    gamma[2][0][1] = expr.neg(y)
+    conn = Connection(g, gamma)
+    p = {"x": 0.4, "y": 0.3, "z": -0.2}
+    frame = g.frame.frame_matrix_at(g.frame.point(p))
+    want = conn.curvature_at(p)
+    assert np.abs(want).max() > 1e-3
+    for i, j, k in itertools.product(range(3), repeat=3):
+        got = curvature_field(conn, g.fields[i], g.fields[j], g.fields[k]).value_at(p)
+        assert np.abs(got - frame @ want[i, j, k]).max() <= 1e-10
+
+
+def test_t_zero_heisenberg_sign():
+    # T₀(X, Y) = -[X, Y] on the Heisenberg frame
+    m, g = heis_grading()
+    tz = expr.evaluate_array(g.t_zero_tensor(), {"x": 0.3, "y": 0.2, "z": 0.6})
+    want = np.zeros((3, 3, 3))
+    want[0, 1, 2] = -1.0
+    want[1, 0, 2] = 1.0
+    assert np.abs(tz - want).max() <= 1e-12

@@ -11,7 +11,6 @@ from srgeom.g235 import (
     intrinsic_frame_235,
     morimoto_connection_235,
     morimoto_grading_235,
-    q_map,
 )
 from srgeom.manifold import (
     _default_samples,
@@ -91,20 +90,6 @@ def _assert_form_characterization(m, pts, data):
 @pytest.mark.parametrize("chart", ["cartan", "perturbed"])
 def test_grading_satisfies_form_characterization(chart, request):
     _assert_form_characterization(*request.getfixturevalue(chart))
-
-
-def test_q_map_is_tensorial(perturbed):
-    m, pts, data = perturbed
-    q = q_map(data)
-    x, y = data.x[0], data.x[1]
-    f = expr.add(expr.ONE, expr.mul(expr.var("x1"), expr.var("x3")))
-    base = q(x, y)
-    for p in pts:
-        p = m.point(p)
-        want = expr.evaluate(f, p) * base.value_at(p)
-        assert np.abs(want).max() > 1e-3
-        assert np.abs(q(x.scaled(f), y).value_at(p) - want).max() <= 1e-12
-        assert np.abs(q(x, y.scaled(f)).value_at(p) - want).max() <= 1e-12
 
 
 def _span_projector(fields, p):

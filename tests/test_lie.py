@@ -13,9 +13,7 @@ from srgeom.lie import (
     free_nilpotent,
     heisenberg,
     heisenberg_normal_form,
-    induced_inner_product,
     isometry_algebra,
-    serialize,
 )
 
 
@@ -95,13 +93,13 @@ def test_cartan_nilpotent_basics():
 
 
 # ---------------------------------------------------------------------------
-# induced inner products
+# the induced inner product
 
 
 def test_step1_metric_unchanged():
     m = np.array([[2.0, 0.5], [0.5, 1.0]])
     g = CarnotAlgebra((2,), ("A1", "A2"), {}, metric1=m)
-    assert np.allclose(induced_inner_product(g), m)
+    assert np.allclose(g.full_gram(), m)
 
 
 def brute_force_tensor_degree2(metric_w: np.ndarray, bracket_map) -> np.ndarray:
@@ -110,6 +108,8 @@ def brute_force_tensor_degree2(metric_w: np.ndarray, bracket_map) -> np.ndarray:
     The weighted tensor basis makes 2^(j/2) e_{i1} (x) ... (x) e_{ij}
     orthonormal for an orthonormal basis of W, i.e. the degree-2 Gram is
     (1/4) G_W (x) G_W. The projection sends e_i (x) e_j to [e_i, e_j]/2.
+    This tensor-space metric is the induced one scaled by 2^(1-k) on layer
+    k, so on layer 2 it is half of ``full_gram``.
     """
     n = metric_w.shape[0]
     target_dim = bracket_map(0, 1).shape[0]
@@ -124,7 +124,7 @@ def brute_force_tensor_degree2(metric_w: np.ndarray, bracket_map) -> np.ndarray:
 
 def test_h1_tensor_norm_matches_bruteforce_oracle():
     g = heisenberg((1,))
-    gram = induced_inner_product(g, convention="tensor")
+    gram = g.full_gram()
 
     def br(i, j):
         out = np.zeros(1)
@@ -132,14 +132,14 @@ def test_h1_tensor_norm_matches_bruteforce_oracle():
             out[c - 2] = float(v)
         return out
 
-    oracle = brute_force_tensor_degree2(g.metric1, br)
+    oracle = 2.0 * brute_force_tensor_degree2(g.metric1, br)
     assert gram[2, 2] == pytest.approx(oracle[0, 0], abs=1e-12)
-    assert oracle[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert oracle[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_h2_tensor_block_matches_bruteforce_oracle():
     g = heisenberg((1.0, 2.0))
-    gram = induced_inner_product(g, convention="tensor")
+    gram = g.full_gram()
 
     def br(i, j):
         out = np.zeros(1)
@@ -147,39 +147,29 @@ def test_h2_tensor_block_matches_bruteforce_oracle():
             out[c - 4] = float(v)
         return out
 
-    oracle = brute_force_tensor_degree2(g.metric1, br)
+    oracle = 2.0 * brute_force_tensor_degree2(g.metric1, br)
     assert gram[4, 4] == pytest.approx(oracle[0, 0], abs=1e-12)
 
 
 def test_selector_flavor_values():
     # Heisenberg center: |C|^2 = 1 / sum lambda_j^-4
     g = heisenberg((1.0, 2.0))
-    gram = induced_inner_product(g, convention="selector")
+    gram = g.full_gram()
     assert gram[4, 4] == pytest.approx(16.0 / 17.0, abs=1e-12)
     # Cartan algebra: all five basis vectors orthonormal
     c = cartan_nilpotent()
-    gram = induced_inner_product(c, convention="selector")
+    gram = c.full_gram()
     assert np.allclose(gram, np.eye(5), atol=1e-12)
-
-
-def test_tensor_selector_bridge():
-    c = cartan_nilpotent()
-    gs = induced_inner_product(c, convention="selector")
-    gt = induced_inner_product(c, convention="tensor")
-    for k, scale in ((2, 0.5), (3, 0.25)):
-        rk = c.layer_range(k)
-        assert np.allclose(gt[np.ix_(rk, rk)], scale * gs[np.ix_(rk, rk)], atol=1e-12)
 
 
 def test_induced_gram_block_diagonal_positive():
     for g in (heisenberg((1.0, 1.5)), cartan_nilpotent(), free_nilpotent(2, 3)):
-        for conv in ("tensor", "selector"):
-            gram = induced_inner_product(g, conv)
-            np.linalg.cholesky(gram)
-            for a in range(g.dim):
-                for b in range(g.dim):
-                    if g.degree_of(a) != g.degree_of(b):
-                        assert abs(gram[a, b]) < 1e-12
+        gram = g.full_gram()
+        np.linalg.cholesky(gram)
+        for a in range(g.dim):
+            for b in range(g.dim):
+                if g.degree_of(a) != g.degree_of(b):
+                    assert abs(gram[a, b]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +231,9 @@ def test_isometry_closed_under_commutator():
 def test_isometry_skew_on_all_layers():
     for make in (lambda: heisenberg((1, 2)), cartan_nilpotent):
         g = make()
-        for conv in ("tensor", "selector"):
-            gram = induced_inner_product(g, conv)
-            for D in isometry_algebra(g):
-                assert np.abs(gram @ D + (gram @ D).T).max() < 1e-9
+        gram = g.full_gram()
+        for D in isometry_algebra(g):
+            assert np.abs(gram @ D + (gram @ D).T).max() < 1e-9
 
 
 def test_isometry_derivation_property():
@@ -312,15 +301,3 @@ def test_normal_form_degenerate_error():
     g = CarnotAlgebra((2, 1), ("A1", "A2", "C"), {}, metric1=np.eye(2))
     with pytest.raises(LieError):
         heisenberg_normal_form(g)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_serialize_deterministic():
-    g = heisenberg((1, 2))
-    s1, s2 = serialize(g), serialize(g)
-    assert s1 == s2
-    assert s1.startswith("layers: 4 1\n")
-    assert "bracket [A1,B1] = 1 C" in s1

@@ -3,8 +3,9 @@
 The sparse loops of ``VectorField.apply``, ``frame_bracket``,
 ``Connection.curvature_rows`` and ``manifold._matmul`` run over the supports
 of their operands; the dense loops they replaced are kept here as oracles,
-and both must return the same interned nodes.  A volume guard counts the
-constructor calls the contact pipeline spends on structurally zero terms.
+and both must return the same interned nodes.  Volume guards count the
+constructor calls the contact and (2,3,5) pipelines spend on structurally
+zero terms.
 """
 
 import pytest
@@ -18,7 +19,8 @@ from srgeom.contact import (
     morimoto_connection_contact,
     morimoto_grading_contact,
 )
-from srgeom.manifold import _matmul, frame_bracket
+from srgeom.g235 import morimoto_connection_235, morimoto_grading_235
+from srgeom.manifold import _default_samples, _matmul, frame_bracket
 
 _ZERO = expr.ZERO
 
@@ -135,12 +137,8 @@ def test_sparse_construction_builds_the_dense_nodes(chart):
     assert nonzero > 0
 
 
-def test_contact_pipeline_builds_few_zero_terms(monkeypatch):
-    # Flat h_3 (dimension 7), from the contact data to the canonical connection.
-    # Dense loops made 26,368 `mul` calls with a ZERO argument and 15,713 `add`
-    # calls whose arguments were all ZERO here, in a fresh interpreter, out of
-    # 26,848 and 16,139 calls.
-    m = models.carnot_group_manifold(lie.heisenberg((1, 1.5, 2.5)), structure_class="contact")
+def _count_zero_terms(monkeypatch):
+    """Counters of the `mul` calls with a ZERO argument and the `add` calls whose arguments are all ZERO."""
     zero_mul, zero_add = [0], [0]
     mul, add = expr.mul, expr.add
 
@@ -154,6 +152,16 @@ def test_contact_pipeline_builds_few_zero_terms(monkeypatch):
 
     monkeypatch.setattr(expr, "mul", counted_mul)
     monkeypatch.setattr(expr, "add", counted_add)
+    return zero_mul, zero_add
+
+
+def test_contact_pipeline_builds_few_zero_terms(monkeypatch):
+    # Flat h_3 (dimension 7), from the contact data to the canonical connection.
+    # Dense loops made 26,368 `mul` calls with a ZERO argument and 15,713 `add`
+    # calls whose arguments were all ZERO here, in a fresh interpreter, out of
+    # 26,848 and 16,139 calls.
+    m = models.carnot_group_manifold(lie.heisenberg((1, 1.5, 2.5)), structure_class="contact")
+    zero_mul, zero_add = _count_zero_terms(monkeypatch)
     cd = extract_contact_data(m)
     params = morimoto_grading_contact(cd)
     prime = connection_prime(cd, params)
@@ -161,3 +169,15 @@ def test_contact_pipeline_builds_few_zero_terms(monkeypatch):
     morimoto_connection_contact(cd, params, second=second)
     assert zero_mul[0] < 1000
     assert zero_add[0] < 1000
+
+
+def test_235_pipeline_builds_few_zero_terms(monkeypatch):
+    # Cartan's chart at 3 points, the canonical grading and connection.  The
+    # dense sums of `g235` made 615 `mul` calls with a ZERO argument and 254
+    # `add` calls whose arguments were all ZERO here, in a fresh interpreter,
+    # out of 959 and 374 calls.
+    m = models.cartan_group_manifold()
+    zero_mul, zero_add = _count_zero_terms(monkeypatch)
+    morimoto_connection_235(morimoto_grading_235(m, sample_points=_default_samples(m)[:3]))
+    assert zero_mul[0] < 50
+    assert zero_add[0] < 50
