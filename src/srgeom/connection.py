@@ -39,9 +39,9 @@ from .manifold import (
     FramedManifold,
     ManifoldError,
     VectorField,
-    _checked_metric,
     _flags,
     _gauss_jordan,
+    _interned_symbols,
     _sum_of_products,
     structure_functions,
 )
@@ -135,32 +135,6 @@ class Grading:
         return structure_functions(self.frame)
 
     # -- pointwise graded data ----------------------------------------------
-
-    def _symbols_from(self, tzs, metrics) -> list:
-        """Symbols from the values of T₀ and the horizontal metric at each point.
-
-        A symbol is its bracket rows (the structure constants above 1e-13) and
-        the bytes of its metric, checked symmetric positive-definite; equal
-        ones are built once per grading.
-        """
-        out = []
-        for tz, metric in zip(tzs, metrics):
-            cg = -tz
-            brackets = {}
-            for a, b, c in zip(*np.nonzero(np.abs(cg) > 1e-13)):
-                if a < b:
-                    brackets.setdefault((int(a), int(b)), {})[int(c)] = float(cg[a, b, c])
-            key = (
-                tuple((ab, tuple(row.items())) for ab, row in brackets.items()),
-                _checked_metric(metric).tobytes(),
-            )
-            if key not in self._symbol_cache:
-                labels = tuple(f"W{a+1}" for a in range(self.dim))
-                self._symbol_cache[key] = CarnotAlgebra(
-                    self.layer_dims, labels, brackets, metric1=metric
-                )
-            out.append(self._symbol_cache[key])
-        return out
 
     def t_zero_tensor(self):
         """Degree-0 torsion tensor in the adapted frame (Expr entries).
@@ -449,7 +423,8 @@ class _PointValues:
     @functools.cached_property
     def symbols(self) -> list:
         """The symbol at each point; bitwise-equal symbols are one object."""
-        return self.grading._symbols_from(self.t_zero, self.metric)
+        g = self.grading
+        return _interned_symbols(-self.t_zero, self.metric, g.layer_dims, g._symbol_cache)
 
     def per_symbol(self, make) -> list:
         """The arrays ``make(symbol)`` returns, made once per distinct symbol, at every point.

@@ -94,8 +94,12 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     """
     if m.structure_class != "contact":
         raise ManifoldError("manifold is not declared as a contact structure")
+    if orientation not in (1, -1):
+        raise ManifoldError("orientation must be +1 or -1")
     if sample_points is None:
         sample_points = _default_samples(m)
+    if not sample_points:
+        raise ManifoldError("at least one sample point is required")
     r = m.rank
     if r % 2 != 0 or m.dim != r + 1:
         raise ManifoldError(
@@ -125,8 +129,6 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
         raise ManifoldError(
             "no horizontal bracket complements the horizontal bundle"
         )
-    if orientation not in (1, -1):
-        raise ManifoldError("orientation must be +1 or -1")
     if orientation == -1:
         vert_raw = vert_raw.scaled(expr.rational(-1))
     aux = FramedManifold(

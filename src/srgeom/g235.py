@@ -125,6 +125,8 @@ def _check_growth(m: FramedManifold, points):
         raise ManifoldError(
             "a growth (2,3,5) structure needs horizontal rank 2 in dimension 5"
         )
+    if not points:
+        raise ManifoldError("at least one sample point is required")
     flag = growth_flag(m, m.point(points[0]), 3)
     if tuple(flag) != (2, 3, 5):
         raise ManifoldError(

@@ -5,11 +5,14 @@ global frame of vector fields whose first ``r`` members span the horizontal
 bundle, and a symmetric positive-definite coefficient matrix giving the
 horizontal metric in that frame.  All geometry here is exact-symbolic where
 possible (brackets, structure functions, frame inversion) and numeric where
-it has to be (ranks, graded symbol algebras at a point).
+it has to be (ranks, symbol algebras at sample points).
 
 Every reader of a bracket flag takes it from one pass, :func:`_flags`, which
 evaluates the frame once for all sample points and each bracket layer once
-for the points whose flag has not yet filled the chart.
+for the points whose flag has not yet filled the chart.  The constant-symbol
+verdict reads that pass too: a (2,3,5) chart its growth vector, a contact
+chart the bracket form modulo the horizontal bundle (the vertical row of the
+step-2 values) together with the evaluated metric.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ __all__ = [
     "structure_functions",
     "frame_inverse",
     "growth_flag",
-    "symbol_at",
     "check_constant_symbol",
     "manifold_from_dict",
     "load_manifold",
@@ -179,7 +181,6 @@ class FramedManifold:
         self._frame_inverse = None
         self._structure_functions = None
         self._bracket_layers = [list(self.frames[:r])]
-        self._layer_brackets = {}
 
     # -- basic queries -----------------------------------------------------
 
@@ -200,9 +201,6 @@ class FramedManifold:
             )
         return {c: float(v) for c, v in zip(self.coords, values)}
 
-    def vector_field(self, components) -> VectorField:
-        return VectorField(self, components)
-
     def frame_matrix_at(self, point: dict) -> np.ndarray:
         """Columns are the frame fields evaluated at the point."""
         return self.frame_matrices_at([point])[0]
@@ -210,10 +208,6 @@ class FramedManifold:
     def frame_matrices_at(self, points) -> list:
         """Frame matrix at every point, checked non-singular; one evaluation."""
         return [_checked_frame(mat) for mat in _columns(self.frames, points)]
-
-    def metric_at(self, point: dict) -> np.ndarray:
-        """Horizontal metric at a point, checked symmetric positive-definite."""
-        return _checked_metric(expr.evaluate_array(self.metric, point))
 
     # -- iterated horizontal brackets ---------------------------------------
 
@@ -232,20 +226,6 @@ class FramedManifold:
             ]
             self._bracket_layers.append(nxt)
         return self._bracket_layers[k - 1]
-
-    def layer_brackets(self, i: int, j: int):
-        """Brackets [x, y] of layer i with layer j, built once.
-
-        Entry a * len(layer j) + b holds [x_a, y_b]; for i = 1 that is the
-        bracket layer j + 1 itself.
-        """
-        if i == 1:
-            return self.bracket_layer(j + 1)
-        if (i, j) not in self._layer_brackets:
-            self._layer_brackets[i, j] = [
-                bracket(x, y) for x in self.bracket_layer(i) for y in self.bracket_layer(j)
-            ]
-        return self._layer_brackets[i, j]
 
 
 # ---------------------------------------------------------------------------
@@ -518,106 +498,28 @@ def growth_flag(m: FramedManifold, point, max_step: int):
     return _flags(m, [m.point(point)], max_step)[0][1]
 
 
-def symbol_at(m: FramedManifold, point, reference_flag=None, max_step: int = 8):
-    """Graded nilpotent symbol algebra of the horizontal bundle at a point.
+def _interned_symbols(cs, metrics, layer_dims, cache: dict) -> list:
+    """Symbols from the structure constants and the horizontal metric at each point.
 
-    Layers are realized as orthogonal complements within the bracket flag,
-    orthogonality taken in the auxiliary inner product that declares the
-    input frame orthonormal.  The returned algebra carries float structure
-    constants and the horizontal metric evaluated at the point.
+    ``cs[x][a, b, c]`` is component c of [e_a, e_b] at point x.  A symbol is
+    its bracket rows (the constants above 1e-13) and the bytes of its metric,
+    checked symmetric positive-definite; equal ones are one object of ``cache``.
     """
-    p = m.point(point)
-    return _symbols(m, [p], _flags(m, [p], max_step), reference_flag)[0]
-
-
-def _symbols(m: FramedManifold, points, passes, reference_flag=None) -> list:
-    """Symbol algebras at the points, from their :func:`_flags` pass.
-
-    Each point's flag, layers and metric are checked first, in point order;
-    then each table of layer brackets is evaluated once, for the points
-    whose step reaches it.  Points whose bracket rows and metric are
-    bitwise equal get one algebra.
-    """
-    metrics = expr.evaluate_tables([m.metric], points)[0]
-    # orthonormal bases of each quotient layer, plus representative
-    # coefficients over the layer's bracket fields
-    layered = []
-    for p, (_, flag, layers), gmat in zip(points, passes, metrics):
-        if flag[-1] != m.dim:
-            raise ManifoldError(
-                f"horizontal bundle is not bracket-generating at {p} "
-                f"(flag {flag} within {len(flag)} steps)"
-            )
-        if reference_flag is not None and tuple(reference_flag) != flag:
-            raise RankJumpError(
-                f"growth vector {flag} at {p} differs from reference "
-                f"{tuple(reference_flag)}"
-            )
-        layer_basis, layer_coeffs = [], []
-        span = np.zeros((m.dim, 0))
-        for k, vals in enumerate(layers, 1):
-            proj = vals - span @ (span.T @ vals)
-            u, s, vt = np.linalg.svd(proj, full_matrices=False)
-            want = flag[k - 1] - (flag[k - 2] if k >= 2 else 0)
-            if want == 0:
-                raise RankJumpError(
-                    f"flag {flag} plateaus at layer {k}; the point {p} is not "
-                    "equiregular"
-                )
-            keep = s > 1e-9 * (s[0] if s.size else 1.0)
-            if int(np.sum(keep)) != want:
-                raise RankJumpError(
-                    f"layer {k} rank at {p} is {int(np.sum(keep))}, expected {want}"
-                )
-            layer_basis.append(u[:, :want])
-            layer_coeffs.append(vt[:want].T / s[:want])
-            span = np.hstack([span, layer_basis[-1]])
-        _checked_metric(gmat)
-        layered.append((layer_basis, layer_coeffs))
-
-    # numeric values of all pairwise brackets of layer fields, frame coords
-    steps = [len(flag) for _, flag, _ in passes]
-    bracket_vals = [{} for _ in points]
-    for i in range(1, max(steps) + 1):
-        for j in range(i, max(steps) - i + 1):
-            reach = [x for x, step in enumerate(steps) if i + j <= step]
-            shape = (m.dim, len(m.bracket_layer(i)), len(m.bracket_layer(j)))
-            cols = np.stack(_columns(m.layer_brackets(i, j), [points[x] for x in reach]))
-            finvs = np.stack([passes[x][0] for x in reach])
-            # frame coordinates of every reached point's brackets, one matmul
-            for x, vals in zip(reach, (finvs @ cols).reshape(len(reach), *shape)):
-                bracket_vals[x][i, j] = vals
-
-    algebras, interned = [], {}
-    for (layer_basis, layer_coeffs), vals_at, gmat in zip(layered, bracket_vals, metrics):
-        dims = [b.shape[1] for b in layer_basis]
-        offsets = np.concatenate([[0], np.cumsum(dims)])
+    out = []
+    for cg, metric in zip(cs, metrics):
         brackets = {}
-        for (i, j), vals in vals_at.items():
-            ci, cj, target = layer_coeffs[i - 1], layer_coeffs[j - 1], layer_basis[i + j - 1]
-            # [c, a, b]: component c of [e_a, e_b] in the target layer's basis
-            coefs = (target.T @ (ci.T @ vals @ cj).reshape(len(target), -1)).reshape(
-                -1, dims[i - 1], dims[j - 1]
-            )
-            keep = np.abs(coefs) > 1e-12
-            if i == j:
-                idx = np.arange(dims[i - 1])
-                keep &= idx[:, None] < idx[None, :]
-            for a, b, c in zip(*np.nonzero(keep.transpose(1, 2, 0))):
-                ab = (int(offsets[i - 1] + a), int(offsets[j - 1] + b))
-                brackets.setdefault(ab, {})[int(offsets[i + j - 1] + c)] = float(coefs[c, a, b])
-        s1 = layer_basis[0][: m.rank]
-        metric1 = s1.T @ gmat @ s1
+        for a, b, c in zip(*np.nonzero(np.abs(cg) > 1e-13)):
+            if a < b:
+                brackets.setdefault((int(a), int(b)), {})[int(c)] = float(cg[a, b, c])
         key = (
-            tuple(dims),
             tuple((ab, tuple(row.items())) for ab, row in brackets.items()),
-            metric1.tobytes(),
+            _checked_metric(metric).tobytes(),
         )
-        if key not in interned:
-            labels = tuple(f"E{k+1}.{a+1}" for k, d in enumerate(dims) for a in range(d))
-            interned[key] = CarnotAlgebra(tuple(dims), labels, brackets, metric1=metric1)
-        algebras.append(interned[key])
-    return algebras
+        if key not in cache:
+            labels = tuple(f"W{a+1}" for a in range(len(cg)))
+            cache[key] = CarnotAlgebra(layer_dims, labels, brackets, metric1=metric)
+        out.append(cache[key])
+    return out
 
 
 @dataclass(frozen=True)
@@ -636,8 +538,14 @@ class SymbolVerdict:
 def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> SymbolVerdict:
     """Decide whether the symbol algebra is the same at every sample point.
 
-    A chart declared contact whose flag does not fill it at step 2 is
-    refused with the :class:`ManifoldError` of ``extract_contact_data``.
+    A contact symbol is h_n(λ) with its metric, and λ depends only on the
+    bracket form of the horizontal bundle E modulo E and on the metric on E.
+    So the contact verdict reads, at each point, the vertical row of the
+    step-2 bracket values of the flag pass (in frame coordinates) and the
+    evaluated metric; no graded basis is built.  A chart declared contact
+    whose flag does not fill it at step 2, or whose dimension is not its
+    rank + 1, is refused with a :class:`ManifoldError`.  A (2,3,5) chart is
+    read from its growth vector alone.
     """
     points = [m.point(p) for p in sample]
     if not points:
@@ -655,7 +563,17 @@ def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> Symbo
             # a contact symbol fills the chart at step 2; deeper layers would
             # hold rank^(k-1) fields each, so none is built
             raise ManifoldError(f"not a contact structure: growth flag {flags[0]}")
-        algebras = _symbols(m, points, passes)
+        r = m.rank
+        if m.dim != r + 1:
+            # row r alone would miss the brackets along the other vertical fields
+            raise ManifoldError(
+                f"not a contact structure: {m.dim - r} vertical directions, not 1"
+            )
+        # [X_a, X_b] = B[a, b] X_r modulo E, from row r of the layer-2 values
+        cs = np.zeros((len(points), m.dim, m.dim, m.dim))
+        cs[:, :r, :r, r] = np.reshape([layers[1][r] for _, _, layers in passes], (-1, r, r))
+        metrics = expr.evaluate_tables([m.metric], points)[0]
+        algebras = _interned_symbols(cs, metrics, (r, 1), {})
         # equal symbols are one object, so each distinct one is normalized once
         forms = {alg: heisenberg_normal_form(alg) for alg in dict.fromkeys(algebras)}
         lams = [forms[alg] for alg in algebras]

@@ -21,7 +21,7 @@ from srgeom.contact import (
     morimoto_connection_contact,
     morimoto_grading_contact,
 )
-from srgeom.manifold import FramedManifold, ManifoldError, check_constant_symbol
+from srgeom.manifold import FramedManifold, ManifoldError, VectorField, check_constant_symbol
 from test_connection import covariant_derivative, selector_matrix_at
 
 
@@ -454,6 +454,13 @@ def test_confh2_isometry_algebra_is_larger():
         assert len(sym.isometries()) == dim
 
 
+def test_bad_orientation_is_refused_before_any_bracket():
+    m = models.heisenberg_metric4_manifold()
+    with pytest.raises(ManifoldError, match="orientation must be"):
+        extract_contact_data(m, orientation=0)
+    assert len(m._bracket_layers) == 1
+
+
 def test_orientation_flip_leaves_geometry_unchanged():
     for name in ("m4", "conf"):
         m, cd, params, _, _, final, pts = build(name)
@@ -461,9 +468,7 @@ def test_orientation_flip_leaves_geometry_unchanged():
         params2 = morimoto_grading_contact(cd2)
         final2 = morimoto_connection_contact(cd2, params2)
         coord_fields = [
-            m.vector_field(
-                [expr.rational(1 if a == i else 0) for a in range(m.dim)]
-            )
+            VectorField(m, [expr.rational(1 if a == i else 0) for a in range(m.dim)])
             for i in range(m.dim)
         ]
         for pt in pts[:2]:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from srgeom import expr, manifold
-from srgeom.lie import cartan_nilpotent, heisenberg, heisenberg_normal_form
+from srgeom.lie import CarnotAlgebra, cartan_nilpotent, heisenberg
 from srgeom.manifold import (
     FramedManifold,
     ManifoldError,
     RankJumpError,
+    VectorField,
     _flags,
     bracket,
     check_constant_symbol,
@@ -19,7 +20,6 @@ from srgeom.manifold import (
     load_manifold,
     manifold_from_dict,
     structure_functions,
-    symbol_at,
 )
 from srgeom.models import (
     carnot_group_manifold,
@@ -66,8 +66,8 @@ def test_heisenberg_model_frame():
 
 def test_bracket_antisymmetry():
     m = heis()
-    v = m.vector_field(["x^2", "sin(x)", "y*z"])
-    w = m.vector_field(["exp(y)", "1", "x"])
+    v = VectorField(m, ["x^2", "sin(x)", "y*z"])
+    w = VectorField(m, ["exp(y)", "1", "x"])
     ab = bracket(v, w)
     ba = bracket(w, v)
     for c1, c2 in zip(ab.components, ba.components):
@@ -81,9 +81,9 @@ def test_bracket_antisymmetry():
 def test_bracket_jacobi_identity():
     m = heis()
     fields = [
-        m.vector_field(["x^2", "sin(x)", "y*z"]),
-        m.vector_field(["exp(y)", "1", "x"]),
-        m.vector_field(["z", "x*y", "cos(z)"]),
+        VectorField(m, ["x^2", "sin(x)", "y*z"]),
+        VectorField(m, ["exp(y)", "1", "x"]),
+        VectorField(m, ["z", "x*y", "cos(z)"]),
     ]
     x, y, z = fields
     total = (
@@ -178,8 +178,6 @@ def test_growth_flag_martinet_point():
     )
     assert growth_flag(m, (0, 0, 0), 3) == (2, 2, 3)
     assert growth_flag(m, (0.5, 0, 0), 3) == (2, 3)
-    with pytest.raises(RankJumpError):
-        symbol_at(m, (0, 0, 0))
 
 
 def test_flag_pass_mixed_batch_martinet():
@@ -202,29 +200,18 @@ def test_flag_pass_mixed_batch_martinet():
 
 
 # ---------------------------------------------------------------------------
-# symbol extraction
+# contact symbols
 
 
 def test_symbol_heisenberg_normal_form():
-    m = heis()
-    g = symbol_at(m, (0.2, 0.1, -0.3))
-    assert g.layer_dims == (2, 1)
-    assert heisenberg_normal_form(g) == pytest.approx((1.0,), abs=1e-9)
+    verdict = check_constant_symbol(heis(), [(0.2, 0.1, -0.3)])
+    assert verdict.detail == pytest.approx((1.0,), abs=1e-9)
 
 
 def test_symbol_metric4_normal_form():
     m = heisenberg_metric4_manifold()
-    g = symbol_at(m, (0.2, 0.1, -0.3, 0.4, 0.0))
-    assert g.layer_dims == (4, 1)
-    assert heisenberg_normal_form(g) == pytest.approx((1.0, 2.0), abs=1e-8)
-
-
-def test_symbol_235_carnot_axioms():
-    m = cartan_group_manifold()
-    g = symbol_at(m, (0.1, -0.4, 0.2, 0.7, -0.3))
-    assert g.layer_dims == (2, 1, 2)
-    assert g.jacobi_residual() <= 1e-8
-    assert g.generation_ok()
+    verdict = check_constant_symbol(m, [(0.2, 0.1, -0.3, 0.4, 0.0)])
+    assert verdict.detail == pytest.approx((1.0, 2.0), abs=1e-8)
 
 
 def test_symbol_independent_of_constant_rotation():
@@ -250,59 +237,67 @@ def test_symbol_independent_of_constant_rotation():
         frames.append(vec)
     frames.append(list(base.frames[4].components))
 
-    gmat = base.metric_at(base.point((0, 0, 0, 0, 0)))  # constant metric
+    gmat = expr.evaluate_array(base.metric, base.point((0, 0, 0, 0, 0)))  # constant metric
     gnew = rot.T @ gmat @ rot
     metric = [[expr.floatc(gnew[i, j]) for j in range(4)] for i in range(4)]
     rotated = FramedManifold(
         base.coords, frames, 4, metric=metric, structure_class="contact"
     )
-    p = (0.2, 0.1, -0.3, 0.4, 0.0)
-    lam_base = heisenberg_normal_form(symbol_at(base, p))
-    lam_rot = heisenberg_normal_form(symbol_at(rotated, p))
+    p = [(0.2, 0.1, -0.3, 0.4, 0.0)]
+    lam_base = check_constant_symbol(base, p).detail
+    lam_rot = check_constant_symbol(rotated, p).detail
     assert lam_base == pytest.approx((1.0, 2.0), abs=1e-9)
     assert lam_base == pytest.approx(lam_rot, abs=1e-9)
 
 
-def _filiform_chart():
-    """Step-4 filiform chart of dimension 5: growth (2, 3, 4, 5)."""
-    frames = [
-        ["1", "0", "0", "0", "0"],
-        ["0", "1", "x1", "x1^2/2", "x1^3/6"],
-        ["0", "0", "1", "0", "0"],
-        ["0", "0", "0", "1", "0"],
-        ["0", "0", "0", "0", "1"],
-    ]
-    return FramedManifold(("x1", "x2", "x3", "x4", "x5"), frames, 2)
-
-
-def test_symbol_at_builds_layer_brackets_once(monkeypatch):
-    # the brackets of layer 2 with layer 2 do not depend on the point, so the
-    # number of bracket calls must not grow with the number of points
-    import srgeom.manifold as manifold_module
-
+def test_constant_symbol_bracket_calls_do_not_grow_with_points(monkeypatch):
+    # the flag pass builds each bracket layer once per chart, so the number
+    # of bracket calls must not grow with the number of points
     calls = []
 
     def counting_bracket(x, y):
         calls.append(None)
         return bracket(x, y)
 
-    monkeypatch.setattr(manifold_module, "bracket", counting_bracket)
+    monkeypatch.setattr(manifold, "bracket", counting_bracket)
     rng = np.random.default_rng(4)
     counts = []
     for count in (1, 5):
-        m = _filiform_chart()
+        m = heisenberg_metric4_manifold()
         calls.clear()
-        for _ in range(count):
-            alg = symbol_at(m, rng.uniform(-1, 1, size=5))
-            assert alg.layer_dims == (2, 1, 1, 1)
+        assert check_constant_symbol(m, rng.uniform(-1, 1, size=(count, 5))).constant
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
 
 
-def test_symbol_rank_jump_against_reference():
+def test_contact_symbol_ranks_each_layer_once(monkeypatch):
+    # flat h1 at 20 points: one batched rank per flag layer, no SVD per point
+    calls = []
+    inner = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
     m = heis()
-    with pytest.raises(RankJumpError):
-        symbol_at(m, (0, 0, 0), reference_flag=(2, 3, 5))
+    verdict = check_constant_symbol(m, manifold._default_samples(m, count=20, seed=5))
+    assert verdict.constant and len(verdict.samples) == 20
+    assert len(calls) <= 2
+
+
+def test_constant_symbol_refuses_two_vertical_directions():
+    # [A1, B1] = [A2, B2] = C1 and [A1, A2] = C2: the flag (4, 6) fills the
+    # chart at step 2, but the bracket form modulo E has two components
+    alg = CarnotAlgebra(
+        (4, 2),
+        ("A1", "A2", "B1", "B2", "C1", "C2"),
+        {(0, 2): {4: 1}, (1, 3): {4: 1}, (0, 1): {5: 1}},
+    )
+    m = carnot_group_manifold(alg, structure_class="contact")
+    pts = [(0.1, -0.2, 0.3, 0.4, 0.5, -0.6), (0.0, 0.2, -0.1, 0.3, 0.1, 0.2)]
+    with pytest.raises(ManifoldError, match="^not a contact structure: 2 vertical directions"):
+        check_constant_symbol(m, pts)
 
 
 # ---------------------------------------------------------------------------

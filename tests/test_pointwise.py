@@ -27,7 +27,7 @@ from srgeom.contact import (
     morimoto_connection_contact,
     morimoto_grading_contact,
 )
-from srgeom.g235 import morimoto_connection_235, morimoto_grading_235
+from srgeom.g235 import intrinsic_frame_235, morimoto_connection_235, morimoto_grading_235
 from srgeom.lie import heisenberg
 from srgeom.manifold import (
     ManifoldError,
@@ -589,3 +589,17 @@ def test_checks_refuse_an_empty_point_set(check):
     conn = _contact_connection(models.heisenberg_metric4_manifold())
     with pytest.raises(ManifoldError, match="at least one sample point is required"):
         check(conn, [])
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda: extract_contact_data(models.heisenberg_metric4_manifold(), sample_points=[]),
+        lambda: intrinsic_frame_235(models.cartan_group_manifold(), sample_points=[]),
+        lambda: morimoto_grading_235(models.cartan_group_manifold(), sample_points=[]),
+    ],
+    ids=["extract_contact_data", "intrinsic_frame_235", "morimoto_grading_235"],
+)
+def test_constructions_refuse_an_empty_point_set(construct):
+    with pytest.raises(ManifoldError, match="at least one sample point is required"):
+        construct()
