@@ -21,6 +21,7 @@ from .manifold import (
     FramedManifold,
     ManifoldError,
     VectorField,
+    _contact_shape_error,
     _default_samples,
     _gram_schmidt_horizontal,
     _matmul,
@@ -102,10 +103,7 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
         raise ManifoldError("at least one sample point is required")
     r = m.rank
     if r % 2 != 0 or m.dim != r + 1:
-        raise ManifoldError(
-            f"contact structure needs even horizontal rank and one extra "
-            f"dimension, got rank {r} in dimension {m.dim}"
-        )
+        raise _contact_shape_error(m)
     flag = growth_flag(m, m.point(sample_points[0]), 2)
     if flag != (r, r + 1):
         raise ManifoldError(f"not a contact structure: growth flag {flag}")
@@ -340,22 +338,25 @@ def _tau_tensor(cd: ContactData, params: ContactGradingParams):
         # pr[p] F_j as frame coefficients, with the indices where they are non-zero
         cols = [[proj[c][j] for c in range(r)] + [_ZERO] for j in range(r)]
         supports = [[c for c in range(r) if col[c] is not _ZERO] for col in cols]
+        # a zero column of pr[p] adds nothing to tau as F_j or as F_k
+        live = [j for j in range(r) if supports[j]]
         # <pr[p] F_j, pr[p] F_k>, which does not depend on i
-        gram = [
-            [_sum_of_products((aj[c], bk[c]) for c in supp) for bk in cols]
-            for aj, supp in zip(cols, supports)
-        ]
+        gram = {
+            (j, kk): _sum_of_products((cols[j][c], cols[kk][c]) for c in supports[j])
+            for j in live
+            for kk in live
+        }
         for i in range(nn):
             ui = _complement(proj, nn, i)  # W_i - pr[p] W_i
             if all(e is _ZERO for e in ui):
                 continue
-            brackets = [frame_bracket(frame_fields, ctab, ui, col) for col in cols]
-            for j in range(r):
+            brackets = {j: frame_bracket(frame_fields, ctab, ui, cols[j]) for j in live}
+            for j in live:
                 aj, bra = cols[j], brackets[j]
-                for kk in range(r):
+                for kk in live:
                     bk, brb = cols[kk], brackets[kk]
                     du = _sum_of_products(
-                        (ui[a], frame_fields[a].apply(gram[j][kk]))
+                        (ui[a], frame_fields[a].apply(gram[j, kk]))
                         for a in range(nn)
                         if ui[a] is not _ZERO
                     )
@@ -417,6 +418,9 @@ def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connectio
             for j in range(r):
                 bcol = [proj[c][j] for c in range(r)]
                 bsupp = [b for b in range(r) if bcol[b] is not _ZERO]
+                if not bsupp:
+                    # pr[p] F_j is zero, and so are both terms
+                    continue
                 # term 1: pr[p] ( LC_{pr[p]W_i} pr[p]F_j )
                 t1 = [
                     _sum_of_products(
@@ -430,11 +434,13 @@ def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connectio
                 both = [_sum_of_products((), t1[c], brk[c]) for c in range(r)]
                 for kk in range(r):
                     val = _sum_of_products((proj[kk][c], both[c]) for c in rows[kk])
-                    gamma[i][j][kk] = _sum_of_products((), gamma[i][j][kk], val)
+                    if val is not _ZERO:
+                        gamma[i][j][kk] = _sum_of_products((), gamma[i][j][kk], val)
     for i in range(nn):
         for j in range(r):
             for kk in range(r):
-                gamma[i][j][kk] = _sum_of_products((), gamma[i][j][kk], tau[i][j][kk])
+                if tau[i][j][kk] is not _ZERO:
+                    gamma[i][j][kk] = _sum_of_products((), gamma[i][j][kk], tau[i][j][kk])
     return Connection(g, gamma)
 
 

@@ -13,11 +13,17 @@ for the points whose flag has not yet filled the chart.  The constant-symbol
 verdict reads that pass too: a (2,3,5) chart its growth vector, a contact
 chart the bracket form modulo the horizontal bundle (the vertical row of the
 step-2 values) together with the evaluated metric.
+
+Sample points, the default ones of the constructions and the seeded ones of
+a description file, come from one helper, :func:`_uniform_rows`, which draws
+from the standard library's ``random.Random(seed)``; numpy's generator is
+never loaded.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -282,7 +288,7 @@ def frame_bracket(fields, ctab, u, w):
         for a in su:
             for b in sw:
                 terms.append((u[a], w[b], ctab[a][b][k]))
-        out.append(_sum_of_products(terms))
+        out.append(_sum_of_products(terms) if terms else _ZERO)
     return out
 
 
@@ -522,6 +528,15 @@ def _interned_symbols(cs, metrics, layer_dims, cache: dict) -> list:
     return out
 
 
+def _contact_shape_error(m: FramedManifold) -> ManifoldError:
+    """The refusal of a chart declared contact whose rank is odd or whose
+    dimension is not its rank + 1."""
+    return ManifoldError(
+        f"contact structure needs even horizontal rank and one extra "
+        f"dimension, got rank {m.rank} in dimension {m.dim}"
+    )
+
+
 @dataclass(frozen=True)
 class SymbolVerdict:
     """Outcome of a constant-symbol check over sample points."""
@@ -543,8 +558,8 @@ def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> Symbo
     So the contact verdict reads, at each point, the vertical row of the
     step-2 bracket values of the flag pass (in frame coordinates) and the
     evaluated metric; no graded basis is built.  A chart declared contact
-    whose flag does not fill it at step 2, or whose dimension is not its
-    rank + 1, is refused with a :class:`ManifoldError`.  A (2,3,5) chart is
+    whose rank is odd, whose flag does not fill it at step 2, or whose
+    dimension is not its rank + 1, is refused with a :class:`ManifoldError`.  A (2,3,5) chart is
     read from its growth vector alone.
     """
     points = [m.point(p) for p in sample]
@@ -552,6 +567,9 @@ def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> Symbo
         raise ManifoldError("at least one sample point is required")
 
     if m.structure_class == "contact":
+        if m.rank % 2:
+            # no h_n has odd rank, so no flag or symbol is built
+            raise _contact_shape_error(m)
         passes = _flags(m, points, 2)
         flags = [flag for _, flag, _ in passes]
         for p, f in zip(points, flags):
@@ -605,17 +623,22 @@ def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> Symbo
 # sampling and description files
 
 
-def _uniform_rows(rng, box, count: int) -> np.ndarray:
-    """``count`` points drawn uniformly from a coordinate box, one per row."""
-    lows = np.array([lo for lo, _ in box])
-    highs = np.array([hi for _, hi in box])
-    return rng.uniform(lows, highs, size=(count, len(box)))
+def _uniform_rows(seed: int, box, count: int) -> list:
+    """``count`` points drawn uniformly from a coordinate box, one list per row.
+
+    The one sampling helper: a ``random.Random(seed)`` draws the coordinates
+    row by row, axis by axis, so a seed gives the same points on every run.
+    """
+    rng = random.Random(seed)
+    return [[rng.uniform(lo, hi) for lo, hi in box] for _ in range(count)]
 
 
 def _default_samples(m: FramedManifold, count: int = 10, seed: int = 42):
-    """Seeded sample points, uniform in the box [-0.9, 0.9] on every axis."""
-    rows = _uniform_rows(np.random.default_rng(seed), ((-0.9, 0.9),) * m.dim, count)
-    return [m.point(row) for row in rows]
+    """Seeded sample points, uniform in the box [-0.9, 0.9] on every axis.
+
+    Drawn by :func:`_uniform_rows`, so ``random.Random(seed)`` fixes them.
+    """
+    return [m.point(row) for row in _uniform_rows(seed, ((-0.9, 0.9),) * m.dim, count)]
 
 
 @dataclass
@@ -629,12 +652,12 @@ class ManifoldDocument:
     sample_points: Optional[tuple]
 
     def sample(self):
-        """Sample points: the declared list if present, else seeded uniform."""
+        """Sample points: the declared list if present, else ``sample_count``
+        points uniform in ``chart_box``, drawn by :func:`_uniform_rows` from
+        ``random.Random(seed)``."""
         if self.sample_points is not None:
             return [self.manifold.point(p) for p in self.sample_points]
-        rows = _uniform_rows(
-            np.random.default_rng(self.seed), self.chart_box, self.sample_count
-        )
+        rows = _uniform_rows(self.seed, self.chart_box, self.sample_count)
         return [self.manifold.point(row) for row in rows]
 
 

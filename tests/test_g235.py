@@ -20,19 +20,32 @@ from srgeom.manifold import (
 from srgeom.models import cartan_group_manifold, perturbed_235_manifold
 
 
-def _chart(m):
-    pts = _default_samples(m)[:3]
+def _pinned_samples(m, count=10, seed=42):
+    """The points numpy's ``default_rng(seed)`` draws uniformly in [-0.9, 0.9].
+
+    The perturbed chart's residuals below were pinned at these points, so the
+    tests that check them draw them here rather than through
+    ``_default_samples``.
+    """
+    lows, highs = np.full(m.dim, -0.9), np.full(m.dim, 0.9)
+    rows = np.random.default_rng(seed).uniform(lows, highs, size=(count, m.dim))
+    return [m.point(row) for row in rows]
+
+
+def _chart(m, pts):
     return m, pts, intrinsic_frame_235(m, sample_points=pts)
 
 
 @pytest.fixture(scope="module")
 def cartan():
-    return _chart(cartan_group_manifold())
+    m = cartan_group_manifold()
+    return _chart(m, _default_samples(m)[:3])
 
 
 @pytest.fixture(scope="module")
 def perturbed():
-    return _chart(perturbed_235_manifold(0.1))
+    m = perturbed_235_manifold(0.1)
+    return _chart(m, _pinned_samples(m)[:3])
 
 
 def test_cartan_has_constant_symbol(cartan):
@@ -66,7 +79,7 @@ def test_perturbed_adapted_connection_is_not_flat(perturbed):
 
 def test_perturbed_morimoto_connection_is_normalized_but_not_flat():
     m = perturbed_235_manifold(0.1)
-    pts = _default_samples(m)
+    pts = _pinned_samples(m)
     conn = morimoto_connection_235(morimoto_grading_235(m, sample_points=pts))
     assert check_morimoto(conn, pts).ok
     rep = flatness_check(conn, pts)

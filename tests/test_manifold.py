@@ -300,6 +300,24 @@ def test_constant_symbol_refuses_two_vertical_directions():
         check_constant_symbol(m, pts)
 
 
+def test_constant_symbol_refuses_odd_rank_before_any_flag(monkeypatch):
+    # frame d/dx, d/dy + x d/dz, d/dw, d/dz: the flag (3, 4) fills the chart
+    # at step 2 and the dimension is rank + 1, but no h_n has odd rank
+    zero, one, x = expr.rational(0), expr.rational(1), expr.var("x")
+    m = FramedManifold(
+        ("x", "y", "z", "w"),
+        [[one, zero, zero, zero], [zero, one, x, zero], [zero, zero, zero, one], [zero, zero, one, zero]],
+        3,
+        structure_class="contact",
+    )
+    assert growth_flag(m, {"x": 0.2, "y": 0.0, "z": 0.0, "w": 0.0}, 2) == (3, 4)
+    passes = []
+    monkeypatch.setattr(manifold, "_flags", lambda *args: passes.append(args))
+    with pytest.raises(ManifoldError, match="^contact structure needs even horizontal rank"):
+        check_constant_symbol(m, [(0.1, -0.2, 0.3, 0.4)])
+    assert passes == []
+
+
 # ---------------------------------------------------------------------------
 # constant-symbol verdicts
 

@@ -1,0 +1,74 @@
+"""Sample points come from one seeded standard-library helper.
+
+``manifold._uniform_rows`` draws every sample point, the default ones of the
+constructions and the seeded ones of a description file, from
+``random.Random(seed)``; numpy's generator module is never loaded.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from srgeom import models
+from srgeom.manifold import _default_samples, manifold_from_dict
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_default_samples_are_seeded_and_inside_the_box():
+    m = models.cartan_group_manifold()
+    pts = _default_samples(m, count=20, seed=3)
+    assert len(pts) == 20
+    assert pts == _default_samples(m, count=20, seed=3)
+    assert all(-0.9 <= v <= 0.9 for p in pts for v in p.values())
+    assert pts != _default_samples(m, count=20, seed=4)
+    # a longer draw starts with the shorter one
+    assert _default_samples(m, count=25, seed=3)[:20] == pts
+
+
+def test_description_file_and_defaults_share_one_helper():
+    doc = manifold_from_dict(
+        {
+            "coords": ["x", "y", "z"],
+            "frames": [["1", "0", "-y/2"], ["0", "1", "x/2"], ["0", "0", "1"]],
+            "horizontal_rank": 2,
+            "chart_box": [-0.9, 0.9],
+            "seed": 11,
+            "sample_count": 7,
+        }
+    )
+    assert doc.sample() == _default_samples(doc.manifold, count=7, seed=11)
+
+
+_PIPELINES = """
+import sys
+
+from srgeom import connection, contact, g235, manifold, models
+from srgeom.manifold import _default_samples
+
+m = models.heisenberg_manifold()
+pts = _default_samples(m)
+assert manifold.check_constant_symbol(m, pts).constant
+cd = contact.extract_contact_data(m)
+params = contact.morimoto_grading_contact(cd)
+conn = contact.morimoto_connection_contact(cd, params)
+assert connection.check_morimoto(conn, pts).ok
+assert connection.flatness_check(conn, pts).flat
+g235.morimoto_grading_235(models.cartan_group_manifold())
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_pipelines_with_default_points_never_load_numpy_random():
+    # a fresh interpreter: pytest and hypothesis load numpy.random themselves
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", _PIPELINES],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.split() == ["False"]

@@ -11,7 +11,7 @@ zero terms.
 import pytest
 from test_pointwise import CHARTS
 
-from srgeom import expr, lie, models
+from srgeom import contact, expr, lie, manifold, models
 from srgeom.contact import (
     connection_double_prime,
     connection_prime,
@@ -20,7 +20,7 @@ from srgeom.contact import (
     morimoto_grading_contact,
 )
 from srgeom.g235 import morimoto_connection_235, morimoto_grading_235
-from srgeom.manifold import _default_samples, _matmul, frame_bracket
+from srgeom.manifold import _default_samples, _matmul, _sum_of_products, frame_bracket
 
 _ZERO = expr.ZERO
 
@@ -181,3 +181,25 @@ def test_235_pipeline_builds_few_zero_terms(monkeypatch):
     morimoto_connection_235(morimoto_grading_235(m, sample_points=_default_samples(m)[:3]))
     assert zero_mul[0] < 50
     assert zero_add[0] < 50
+
+
+def test_connection_prime_skips_zero_columns_of_the_projectors(monkeypatch):
+    # Flat h_3(1, 1.6, 2.9): each eigenbundle projector has two non-zero
+    # columns of six.  Looping over every column made 8,672 sums here, 8,610
+    # of them ZERO; skipping the zero columns makes 2,564.
+    m = models.carnot_group_manifold(lie.heisenberg((1, 1.6, 2.9)), structure_class="contact")
+    cd = extract_contact_data(m)
+    params = morimoto_grading_contact(cd)
+    sums, zeros = [0], [0]
+
+    def counted(terms, *summands):
+        out = _sum_of_products(terms, *summands)
+        sums[0] += 1
+        zeros[0] += out is _ZERO
+        return out
+
+    monkeypatch.setattr(contact, "_sum_of_products", counted)
+    monkeypatch.setattr(manifold, "_sum_of_products", counted)
+    connection_prime(cd, params)
+    assert sums[0] < 2800
+    assert zeros[0] < 2600
