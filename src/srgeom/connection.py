@@ -11,7 +11,9 @@ curvature at sample points.
 
 Symbolic where a construction reads expressions: structure functions,
 degree-0 torsion, taming metric, selector (solved once per grading), Γ and
-the symbolic tensors listed on :class:`Connection`.  From values where only
+the symbolic tensors listed on :class:`Connection`.  The wedge-Gram inverse
+of each wedge class is solved once per grading and kept on it, so the taming
+metric and the selector share it.  From values where only
 points are read, with one evaluation per chart and one solve per distinct
 symbol: the tables every check reads (Γ, structure functions, T₀, frame
 rows, the horizontal metric, selector coefficients) are evaluated in one
@@ -113,6 +115,7 @@ class Grading:
         self.frame_rows = tuple(f.components for f in self._fields)
         self._t_zero = None
         self._selector = None
+        self._wedge_inverses = {}  # wedge class -> its wedge-Gram inverse
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -232,14 +235,28 @@ def _symbolic_inverse(matrix):
     return [row[size:] for row in reduced]
 
 
-def _wedge_gram_inverse(gmat, wedges):
-    """Symbolic inverse of the Gram matrix of the wedges ``(a, b)`` under ``gmat``."""
-    def minor(a, b, cc, d):
-        # expr.sub(g_ac g_bd, g_ad g_bc), building only the non-zero terms
-        ad_bc = _sum_of_products([(gmat[a][d], gmat[b][cc])])
-        return _sum_of_products([(expr.MINUS_ONE, ad_bc)], _sum_of_products([(gmat[a][cc], gmat[b][d])]))
+def _wedge_gram_inverse(grading: Grading, gmat, key, wedges):
+    """Symbolic inverse of the Gram matrix of the ``wedges`` of class ``key`` under ``gmat``.
 
-    return _symbolic_inverse([[minor(a, b, cc, d) for (cc, d) in wedges] for (a, b) in wedges])
+    Entry (ab, cd) of the Gram matrix is g_ac g_bd - g_ad g_bc, built from its
+    products of two non-zero entries.  Both layers of a wedge in the class
+    have degree below its sum, so only those layers of ``gmat`` are read,
+    which the taming metric fills before it needs the class.  The inverse is
+    solved once per grading and class and kept on the grading, which
+    :func:`taming_metric` and :func:`selector` share.
+    """
+    if key not in grading._wedge_inverses:
+
+        def minor(a, b, cc, d):
+            # expr.sub(g_ac g_bd, g_ad g_bc), from the products without a ZERO factor
+            ac_bd = _ZERO if _ZERO in (gmat[a][cc], gmat[b][d]) else expr.mul(gmat[a][cc], gmat[b][d])
+            if _ZERO in (gmat[a][d], gmat[b][cc]):
+                return ac_bd
+            return _sum_of_products([(expr.MINUS_ONE, expr.mul(gmat[a][d], gmat[b][cc]))], ac_bd)
+
+        gram = [[minor(a, b, cc, d) for (cc, d) in wedges] for (a, b) in wedges]
+        grading._wedge_inverses[key] = _symbolic_inverse(gram)
+    return grading._wedge_inverses[key]
 
 
 def taming_metric(grading: Grading) -> tuple:
@@ -251,6 +268,13 @@ def taming_metric(grading: Grading) -> tuple:
     submetry; concretely the layer's inverse Gram is B W^{-1} B^T with W the
     Gram of the lower-degree wedges and B the bracket coefficients.  This is
     the Gram of :meth:`lie.CarnotAlgebra.full_gram`, as expressions.
+
+    W is block diagonal over the wedge classes of degree k, which follow each
+    other in the order of the wedges (the first degree of a class grows with
+    its first index), so W⁻¹ is assembled from the inverses of the classes
+    that :func:`_wedge_gram_inverse` keeps on the grading: :func:`selector`
+    reads the same ones.  The sums run over the non-zero bracket
+    coefficients and inverse entries, in the order of the dense sum.
     """
     n = grading.dim
     c = grading.structure_functions()
@@ -260,26 +284,32 @@ def taming_metric(grading: Grading) -> tuple:
         for j in r1:
             gmat[i][j] = grading.frame.metric[i][j]
 
+    classes = _wedge_classes(grading)
     for k in range(2, grading.step + 1):
-        wedges = [
-            (a, b)
-            for a in range(n)
-            for b in range(a + 1, n)
-            if grading.degree_of(a) + grading.degree_of(b) == k
-        ]
-        winv = _wedge_gram_inverse(gmat, wedges)
         rk = grading.layer_range(k)
-        ginv = [
-            [
-                _sum_of_products(
-                    (c[a][b][u], winv[i][j], c[aa][bb][v])
-                    for i, (a, b) in enumerate(wedges)
-                    for j, (aa, bb) in enumerate(wedges)
-                )
-                for v in rk
-            ]
-            for u in rk
-        ]
+        # per class: its inverse, and per u in layer k the wedges i with c[a][b][u] != 0
+        blocks = []
+        for key, wedges in classes.items():
+            if sum(key) == k:
+                winv = _wedge_gram_inverse(grading, gmat, key, wedges)
+                live = {
+                    u: [(i, c[a][b][u]) for i, (a, b) in enumerate(wedges) if c[a][b][u] is not _ZERO]
+                    for u in rk
+                }
+                blocks.append((winv, live))
+        ginv = []
+        for u in rk:
+            row = []
+            for v in rk:
+                terms = [
+                    (cu, winv[i][j], cv)
+                    for winv, live in blocks
+                    for i, cu in live[u]
+                    for j, cv in live[v]
+                    if winv[i][j] is not _ZERO
+                ]
+                row.append(_sum_of_products(terms) if terms else _ZERO)
+            ginv.append(row)
         block = _symbolic_inverse(ginv)
         for ui, u in enumerate(rk):
             for vi, v in enumerate(rk):
@@ -335,7 +365,8 @@ def selector(grading: Grading) -> Selector:
     inverts the fiberwise bracket (bracketing the value reproduces the
     field modulo lower flag layers), which is the defining normalization.
     Values on horizontal fields vanish.  Solved once per grading and stored
-    on it.
+    on it; the wedge-Gram inverse of each class is the one
+    :func:`taming_metric` solved, kept on the grading.
     """
     if grading._selector is None:
         grading._selector = _solve_selector(grading)
@@ -352,15 +383,18 @@ def _solve_selector(grading: Grading) -> Selector:
         k = sum(key)
         if k > grading.step:
             continue
-        targets = list(grading.layer_range(k))
-        winv = _wedge_gram_inverse(gmat, wedges)
-        for t in targets:
-            rhs = [
-                _sum_of_products((c[a][b][d], gmat[d][t]) for d in grading.layer_range(k))
-                for (a, b) in wedges
-            ]
+        rk = grading.layer_range(k)
+        winv = _wedge_gram_inverse(grading, gmat, key, wedges)
+        for t in rk:
+            column = [d for d in rk if gmat[d][t] is not _ZERO]
+            rhs = []
+            for a, b in wedges:
+                terms = [(c[a][b][d], gmat[d][t]) for d in column if c[a][b][d] is not _ZERO]
+                rhs.append(_sum_of_products(terms) if terms else _ZERO)
+            live = [j for j, e in enumerate(rhs) if e is not _ZERO]
             for i, (a, b) in enumerate(wedges):
-                coef = _sum_of_products((winv[i][j], rhs[j]) for j in range(len(wedges)))
+                terms = [(winv[i][j], rhs[j]) for j in live if winv[i][j] is not _ZERO]
+                coef = _sum_of_products(terms) if terms else _ZERO
                 if coef is not _ZERO:
                     coefficients[t].append((a, b, coef))
     return Selector(grading, tuple(tuple(row) for row in coefficients))
@@ -524,7 +558,8 @@ class Connection:
     def curvature_rows(self, i: int, j: int):
         """R[i][j] as Expr rows: [k][l] is component l of R(W_i, W_j) W_k.
 
-        Only the non-zero terms are built, in the order of the dense sum.
+        Only the non-zero terms are built, in the order of the dense sum, and
+        an entry with none is ``ZERO`` without a sum.
         """
         n = self.grading.dim
         c = self.grading.structure_functions()
@@ -536,18 +571,19 @@ class Connection:
             for l in range(n):
                 products = []
                 for mm in range(n):
-                    products.append((gam[j][k][mm], gam[i][mm][l]))
+                    if gam[j][k][mm] is not _ZERO and gam[i][mm][l] is not _ZERO:
+                        products.append((gam[j][k][mm], gam[i][mm][l]))
                     # the negated products, expr.neg(expr.mul(...)), where non-zero
                     if gam[i][k][mm] is not _ZERO and gam[j][mm][l] is not _ZERO:
                         products.append((expr.MINUS_ONE, expr.mul(gam[i][k][mm], gam[j][mm][l])))
                     if c[i][j][mm] is not _ZERO and gam[mm][k][l] is not _ZERO:
                         products.append((expr.MINUS_ONE, expr.mul(c[i][j][mm], gam[mm][k][l])))
                 # the directional derivatives of the Christoffels come first
-                row.append(_sum_of_products(
-                    products,
-                    fields[i].apply(gam[j][k][l]),
-                    fields[j].apply(gam[i][k][l], expr.MINUS_ONE),
-                ))
+                live = [
+                    s for s in (fields[i].apply(gam[j][k][l]), fields[j].apply(gam[i][k][l], expr.MINUS_ONE))
+                    if s is not _ZERO
+                ]
+                row.append(_sum_of_products(products, *live) if products or live else _ZERO)
             rows.append(tuple(row))
         return tuple(rows)
 

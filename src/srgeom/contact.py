@@ -25,6 +25,7 @@ from .manifold import (
     _default_samples,
     _gram_schmidt_horizontal,
     _matmul,
+    _singular,
     _sum_of_products,
     bracket,
     frame_bracket,
@@ -120,7 +121,7 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
         for j in range(i + 1, r):
             cand = bracket(m.frames[i], m.frames[j])
             trial = np.column_stack([fmat, cand.value_at(base)])
-            if abs(np.linalg.det(trial)) > 1e-9:
+            if not _singular(trial):
                 vert_raw = cand
                 break
     if vert_raw is None:
@@ -143,7 +144,8 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     theta_raw = tuple(finv[v])
 
     # structure coefficients of the raw form: dtheta_raw(F_a, F_b)
-    dmat = [[_sum_of_products([(expr.MINUS_ONE, caux[a][b][v])]) for b in range(r)] for a in range(r)]
+    dmat = [[_ZERO if caux[a][b][v] is _ZERO else expr.neg(caux[a][b][v]) for b in range(r)]
+            for a in range(r)]
 
     # pointwise eigen data of -(D^2)
     clusters0 = None
@@ -182,7 +184,7 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     tr_lam = float(sum(n * lo**-2.0 for lo, n in zip(lam_op, mults)))
     tr_d = _sum_of_products((e, e) for row in dmat for e in row)
     t = expr.sqrt(expr.div(expr.floatc(tr_lam), tr_d))
-    theta = tuple(_sum_of_products([(t, e)]) for e in theta_raw)
+    theta = tuple(e if e is _ZERO else expr.mul(t, e) for e in theta_raw)
 
     def scalar(s):
         # s times the identity on E: _matmul(scalar(s), a) scales a
@@ -199,11 +201,11 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
         for i, nu_i in enumerate(nus):
             if i == j:
                 continue
+            # Msq - nu_i I: only the diagonal moves
             shift = expr.floatc(-nu_i)
-            shifted = [
-                [_sum_of_products([(shift, e)], m) for m, e in zip(mrow, erow)]
-                for mrow, erow in zip(msq_expr, eye)
-            ]
+            shifted = [list(row) for row in msq_expr]
+            for a in range(r):
+                shifted[a][a] = _sum_of_products([(shift, expr.ONE)], msq_expr[a][a])
             mat = _matmul(scalar(expr.floatc(1.0 / (nu_j - nu_i))), _matmul(mat, shifted))
         projections.append(tuple(tuple(row) for row in mat))
     projections = tuple(projections)
@@ -211,10 +213,13 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     def combination(weights):
         # sum_p weights[p] * projections[p]
         ws = [expr.floatc(wt) for wt in weights]
-        return [
-            [_sum_of_products((wt, pr[a][b]) for wt, pr in zip(ws, projections)) for b in range(r)]
-            for a in range(r)
-        ]
+        out = [[_ZERO] * r for _ in range(r)]
+        for a in range(r):
+            for b in range(r):
+                terms = [(wt, pr[a][b]) for wt, pr in zip(ws, projections) if pr[a][b] is not _ZERO]
+                if terms:
+                    out[a][b] = _sum_of_products(terms)
+        return out
 
     lam_matrix = combination(lam_op)
     lam_inv_matrix = combination([1.0 / lo for lo in lam_op])
@@ -224,12 +229,17 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     # solves d(theta)(Z^0, F_b) = 0:  sum_a u_a D_ab = (1/t) c^v_{vb}... via
     # u = t J Lambda rhs with rhs_b = (1/t) c_aux[v][b][v] - F_b(1/t)
     tinv = expr.pow_(t, -1)
-    rhs = [
-        _sum_of_products([(tinv, caux[v][b][v]), (expr.MINUS_ONE, fields[b].apply(tinv))])
-        for b in range(r)
-    ]
+    rhs = []
+    for b in range(r):
+        pairs = ((tinv, caux[v][b][v]), (expr.MINUS_ONE, fields[b].apply(tinv)))
+        terms = [(f, e) for f, e in pairs if e is not _ZERO]
+        rhs.append(_sum_of_products(terms) if terms else _ZERO)
     jl = _matmul(jmat, lam_matrix)
-    u = [_sum_of_products((t, jl[a][b], rhs[b]) for b in range(r)) for a in range(r)]
+    live = [b for b in range(r) if rhs[b] is not _ZERO]
+    u = []
+    for a in range(r):
+        terms = [(t, jl[a][b], rhs[b]) for b in live if jl[a][b] is not _ZERO]
+        u.append(_sum_of_products(terms) if terms else _ZERO)
     reeb_coeffs = tuple(u) + (tinv,)
     reeb = frame_combination(m, aux.frames, reeb_coeffs)
 
@@ -260,30 +270,39 @@ def _upsilon_coeffs(cd: ContactData):
     if k == 1:
         return {}
     ctab = structure_functions(cd.aux)
+    # [pr[j] F_a, pr[j] J F_a] over the aux frame, for every j and a
+    brackets = []
+    for pr in cd.projections:
+        prj = _matmul(pr, cd.jmat)
+        brackets.append([
+            frame_bracket(
+                cd.aux.frames,
+                ctab,
+                [pr[c][a] for c in range(r)] + [_ZERO],
+                [prj[c][a] for c in range(r)] + [_ZERO],
+            )
+            for a in range(r)
+        ])
     out = {}
     for i in range(k):
         for j in range(k):
             if i == j:
                 continue
             acc = [_ZERO] * r
-            for a in range(r):
-                # pr[j] F_a and pr[j] J F_a as aux coefficient vectors
-                ucol = [cd.projections[j][c][a] for c in range(r)] + [_ZERO]
-                jcol = [
-                    _sum_of_products((cd.projections[j][c][d], cd.jmat[d][a]) for d in range(r))
-                    for c in range(r)
-                ] + [_ZERO]
-                brk = frame_bracket(cd.aux.frames, ctab, ucol, jcol)
+            for brk in brackets[j]:
+                live = [d for d in range(r) if brk[d] is not _ZERO]
                 for c in range(r):
                     # pr[i] of the horizontal part
-                    acc[c] = _sum_of_products(
-                        ((cd.projections[i][c][d], brk[d]) for d in range(r)), acc[c]
-                    )
+                    row = cd.projections[i][c]
+                    terms = [(row[d], brk[d]) for d in live if row[d] is not _ZERO]
+                    if terms:
+                        acc[c] = _sum_of_products(terms, acc[c])
             # apply J and the 1/2 factor
-            vec = [
-                _sum_of_products((_HALF, cd.jmat[c][d], acc[d]) for d in range(r))
-                for c in range(r)
-            ]
+            live = [d for d in range(r) if acc[d] is not _ZERO]
+            vec = []
+            for c in range(r):
+                terms = [(_HALF, cd.jmat[c][d], acc[d]) for d in live if cd.jmat[c][d] is not _ZERO]
+                vec.append(_sum_of_products(terms) if terms else _ZERO)
             out[i + 1, j + 1] = vec
     return out
 
@@ -311,9 +330,9 @@ def morimoto_grading_contact(cd: ContactData) -> ContactGradingParams:
         coef = expr.floatc(
             (2.0 / tr_lam) * cd.lam_op[i - 1] ** 2 / cd.lam_op[j - 1]
         )
-        w = [_sum_of_products([(coef, vec[c])], w[c]) for c in range(r)]
+        w = [wc if vc is _ZERO else _sum_of_products([(coef, vc)], wc) for vc, wc in zip(vec, w)]
     w_field = frame_combination(cd.manifold, cd.ortho_frame, w)
-    jw = [_sum_of_products((cd.jmat[c][d], w[d]) for d in range(r)) for c in range(r)]
+    jw = [row[0] for row in _matmul(cd.jmat, [[e] for e in w])]
     zw_field = cd.reeb - frame_combination(cd.manifold, cd.ortho_frame, jw)
     grading = Grading(cd.manifold, [cd.ortho_frame, (zw_field,)])
     return ContactGradingParams(cd, tuple(w), w_field, zw_field, grading)
@@ -341,33 +360,36 @@ def _tau_tensor(cd: ContactData, params: ContactGradingParams):
         # a zero column of pr[p] adds nothing to tau as F_j or as F_k
         live = [j for j in range(r) if supports[j]]
         # <pr[p] F_j, pr[p] F_k>, which does not depend on i
-        gram = {
-            (j, kk): _sum_of_products((cols[j][c], cols[kk][c]) for c in supports[j])
-            for j in live
-            for kk in live
-        }
+        gram = {}
+        for j in live:
+            for kk in live:
+                terms = [(cols[j][c], cols[kk][c]) for c in supports[j] if cols[kk][c] is not _ZERO]
+                gram[j, kk] = _sum_of_products(terms) if terms else _ZERO
         for i in range(nn):
             ui = _complement(proj, nn, i)  # W_i - pr[p] W_i
-            if all(e is _ZERO for e in ui):
+            usupp = [a for a in range(nn) if ui[a] is not _ZERO]
+            if not usupp:
                 continue
             brackets = {j: frame_bracket(frame_fields, ctab, ui, cols[j]) for j in live}
             for j in live:
                 aj, bra = cols[j], brackets[j]
                 for kk in live:
                     bk, brb = cols[kk], brackets[kk]
-                    du = _sum_of_products(
-                        (ui[a], frame_fields[a].apply(gram[j, kk]))
-                        for a in range(nn)
-                        if ui[a] is not _ZERO
-                    )
-                    lie = _sum_of_products(
-                        [
-                            (expr.MINUS_ONE, _sum_of_products((bra[c], bk[c]) for c in supports[kk])),
-                            (expr.MINUS_ONE, _sum_of_products((brb[c], aj[c]) for c in supports[j])),
-                        ],
-                        du,
-                    )
-                    tau[i][j][kk] = _sum_of_products([(_HALF, lie)], tau[i][j][kk])
+                    du = []
+                    for a in usupp:
+                        d = frame_fields[a].apply(gram[j, kk])
+                        if d is not _ZERO:
+                            du.append((ui[a], d))
+                    # -<[u, pr F_j], pr F_k> - <[u, pr F_k], pr F_j>
+                    pairings = []
+                    for br, col, supp in ((bra, bk, supports[kk]), (brb, aj, supports[j])):
+                        terms = [(br[c], col[c]) for c in supp if br[c] is not _ZERO]
+                        if terms:
+                            pairings.append((expr.MINUS_ONE, _sum_of_products(terms)))
+                    if du or pairings:
+                        lie = _sum_of_products(pairings, _sum_of_products(du) if du else _ZERO)
+                        if lie is not _ZERO:
+                            tau[i][j][kk] = _sum_of_products([(_HALF, lie)], tau[i][j][kk])
     return tau
 
 
@@ -376,7 +398,8 @@ def _complement(proj, n: int, i: int) -> list:
     ui = [expr.ONE if c == i else _ZERO for c in range(n)]
     if i < len(proj):
         for c in range(len(proj)):
-            ui[c] = _sum_of_products([(expr.MINUS_ONE, proj[c][i])], ui[c])
+            if proj[c][i] is not _ZERO:
+                ui[c] = _sum_of_products([(expr.MINUS_ONE, proj[c][i])], ui[c])
     return ui
 
 
@@ -396,10 +419,10 @@ def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connectio
 
     def koszul(a, b, c):
         # half of c_ab^c - c_ac^b - c_bc^a
-        twice = _sum_of_products(
-            [(expr.MINUS_ONE, ctab[a][c][b]), (expr.MINUS_ONE, ctab[b][c][a])], ctab[a][b][c]
-        )
-        return _sum_of_products([(_HALF, twice)])
+        terms = [(expr.MINUS_ONE, e) for e in (ctab[a][c][b], ctab[b][c][a]) if e is not _ZERO]
+        if not terms and ctab[a][b][c] is _ZERO:
+            return _ZERO
+        return _sum_of_products([(_HALF, _sum_of_products(terms, ctab[a][b][c]))])
 
     # horizontal Koszul coefficients of the taming Levi-Civita connection
     # (orthonormal frame: metric derivative terms vanish)
@@ -421,19 +444,28 @@ def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connectio
                 if not bsupp:
                     # pr[p] F_j is zero, and so are both terms
                     continue
-                # term 1: pr[p] ( LC_{pr[p]W_i} pr[p]F_j )
-                t1 = [
-                    _sum_of_products(
-                        [(proj[a][i], frame_fields[a].apply(bcol[kk])) for a in asupp]
-                        + [(proj[a][i], bcol[b], gamma_h[a][b][kk]) for a in asupp for b in bsupp]
-                    )
-                    for kk in range(r)
-                ]
                 # term 2: pr[p] [ W_i - pr[p]W_i, pr[p]F_j ]
                 brk = frame_bracket(frame_fields, ctab, ui, bcol + [_ZERO])
-                both = [_sum_of_products((), t1[c], brk[c]) for c in range(r)]
+                both = []
                 for kk in range(r):
-                    val = _sum_of_products((proj[kk][c], both[c]) for c in rows[kk])
+                    # term 1: pr[p] ( LC_{pr[p]W_i} pr[p]F_j )
+                    terms = []
+                    for a in asupp:
+                        d = frame_fields[a].apply(bcol[kk])
+                        if d is not _ZERO:
+                            terms.append((proj[a][i], d))
+                    terms += [
+                        (proj[a][i], bcol[b], gamma_h[a][b][kk])
+                        for a in asupp
+                        for b in bsupp
+                        if gamma_h[a][b][kk] is not _ZERO
+                    ]
+                    t1 = _sum_of_products(terms) if terms else _ZERO
+                    live = [e for e in (t1, brk[kk]) if e is not _ZERO]
+                    both.append(_sum_of_products((), *live) if live else _ZERO)
+                for kk in range(r):
+                    terms = [(proj[kk][c], both[c]) for c in rows[kk] if both[c] is not _ZERO]
+                    val = _sum_of_products(terms) if terms else _ZERO
                     if val is not _ZERO:
                         gamma[i][j][kk] = _sum_of_products((), gamma[i][j][kk], val)
     for i in range(nn):
@@ -457,11 +489,14 @@ def _dj_tensor(cd: ContactData, conn: Connection):
             for kk in range(r):
                 products = []
                 for c in range(r):
-                    products.append((jmat[c][b], gam[i][c][kk]))
+                    if jmat[c][b] is not _ZERO and gam[i][c][kk] is not _ZERO:
+                        products.append((jmat[c][b], gam[i][c][kk]))
                     if jmat[kk][c] is not _ZERO and gam[i][b][c] is not _ZERO:
                         # expr.neg of the product
                         products.append((expr.MINUS_ONE, expr.mul(gam[i][b][c], jmat[kk][c])))
-                dj[i][b][kk] = _sum_of_products(products, frame_fields[i].apply(jmat[kk][b]))
+                d = frame_fields[i].apply(jmat[kk][b])
+                if products or d is not _ZERO:
+                    dj[i][b][kk] = _sum_of_products(products, d)
     return dj
 
 
@@ -479,11 +514,14 @@ def connection_double_prime(cd: ContactData, params: ContactGradingParams,
         [[prime.gamma[i][j][kk] for kk in range(nn)] for j in range(nn)]
         for i in range(nn)
     ]
+    jcols = [[b for b in range(r) if cd.jmat[b][j] is not _ZERO] for j in range(r)]
     for i in range(nn):
         for j in range(r):
             for kk in range(r):
-                corr = _sum_of_products((cd.jmat[b][j], dj[i][b][kk]) for b in range(r))
-                gamma[i][j][kk] = _sum_of_products([(_HALF, corr)], gamma[i][j][kk])
+                terms = [(cd.jmat[b][j], dj[i][b][kk]) for b in jcols[j] if dj[i][b][kk] is not _ZERO]
+                corr = _sum_of_products(terms) if terms else _ZERO
+                if corr is not _ZERO:
+                    gamma[i][j][kk] = _sum_of_products([(_HALF, corr)], gamma[i][j][kk])
     return Connection(g, gamma)
 
 
@@ -509,6 +547,8 @@ def morimoto_connection_contact(cd: ContactData, params: ContactGradingParams,
             continue
         for j in range(nn):
             for kk in range(nn):
-                corr = _sum_of_products((coef, rten[a, b][j][kk]) for a, b, coef in rows)
-                gamma[i][j][kk] = _sum_of_products([(_HALF, corr)], gamma[i][j][kk])
+                terms = [(coef, rten[a, b][j][kk]) for a, b, coef in rows if rten[a, b][j][kk] is not _ZERO]
+                corr = _sum_of_products(terms) if terms else _ZERO
+                if corr is not _ZERO:
+                    gamma[i][j][kk] = _sum_of_products([(_HALF, corr)], gamma[i][j][kk])
     return Connection(g, gamma)

@@ -11,9 +11,10 @@ normalize on the way in (constant folding, 0/1 identities, flattening,
 collection of like terms and like powers), which keeps the bracket/curvature
 pipelines from drowning in redundant subtrees. Most terms of the geometry's
 dense index sums are structurally zero, and callers skip them: the
-construction loops run over the supports of their operands and call no
-constructor for a term with a ``ZERO`` factor (``manifold._sum_of_products``).
-That ``mul`` returns ``ZERO`` as soon as a factor is ``ZERO`` and ``add`` drops
+construction loops run over the supports of their operands, pass the one sum
+(``manifold._sum_of_products``) only live terms, make no sum where no term is
+live, and so call no constructor for a term with a ``ZERO`` factor. That
+``mul`` returns ``ZERO`` as soon as a factor is ``ZERO`` and ``add`` drops
 ``ZERO`` terms before folding anything is only a backstop.
 
 Invariant: every node the constructors return is already in normal form, i.e.

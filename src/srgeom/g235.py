@@ -67,7 +67,8 @@ _MINUS_ONE = expr.MINUS_ONE
 
 def _frame_comp(v, sinv, k):
     """Adapted component k of a bracket-frame coefficient vector."""
-    return _sum_of_products((v[a], sinv[a][k]) for a in range(5))
+    terms = [(v[a], sinv[a][k]) for a in range(5) if v[a] is not _ZERO and sinv[a][k] is not _ZERO]
+    return _sum_of_products(terms) if terms else _ZERO
 
 
 def _unit_lower_inverse(srows):
@@ -112,10 +113,13 @@ def _install_calculus(frame: FramedManifold, srows, sinv, alpha, xfields, ctab):
     for i in range(n):
         for j in range(i + 1, n):
             br = frame_bracket(xfields, ctab, srows[i], srows[j])
+            if all(e is _ZERO for e in br):
+                continue
             for k in range(n):
                 e = _frame_comp(br, sinv, k)
-                cbar[i][j][k] = e
-                cbar[j][i][k] = _sum_of_products([(_MINUS_ONE, e)])
+                if e is not _ZERO:
+                    cbar[i][j][k] = e
+                    cbar[j][i][k] = expr.neg(e)
     frame._frame_inverse = finv
     frame._structure_functions = cbar
 
@@ -266,7 +270,7 @@ def _rotation_connection(grading: Grading, nu_vals) -> Connection:
     gamma = [[[_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         nv = nu_vals[i]
-        nneg = _sum_of_products([(_MINUS_ONE, nv)])
+        nneg = _ZERO if nv is _ZERO else expr.neg(nv)
         gamma[i][0][1] = nv
         gamma[i][1][0] = nneg
         gamma[i][3][4] = nv
@@ -739,9 +743,12 @@ def morimoto_connection_235(g: Grading) -> Connection:
 
     def qval(v):
         """Trace of the structure functions along one field against D."""
-        return _sum_of_products(
-            (expr.rational(s), cbar[v][y][x]) for (x, y), s in _DENTRIES.items()
-        )
+        terms = [
+            (expr.rational(s), cbar[v][y][x])
+            for (x, y), s in _DENTRIES.items()
+            if cbar[v][y][x] is not _ZERO
+        ]
+        return _sum_of_products(terms) if terms else _ZERO
 
     def dform_known(vals, v):
         """Exterior derivative of a partially known scaling on chi(v).
@@ -755,7 +762,7 @@ def morimoto_connection_235(g: Grading) -> Connection:
         for a, b, coef in chi.coefficients[v]:
             e = _sum_of_products(
                 [(_MINUS_ONE, wf[b].apply(vals[a]))]
-                + [(_MINUS_ONE, cbar[a][b][k], vals[k]) for k in range(5)],
+                + [(_MINUS_ONE, cbar[a][b][k], vals[k]) for k in range(5) if cbar[a][b][k] is not _ZERO],
                 wf[a].apply(vals[b]),
             )
             terms.append((coef, e))

@@ -109,18 +109,23 @@ class VectorField:
         """
         if isinstance(f, (expr.Rat, expr.Flt)):
             return _ZERO
-        return _sum_of_products(
-            (factor, xa, expr.differentiate(f, c))
-            for xa, c in zip(self.components, self.manifold.coords)
-            if xa is not _ZERO
-        )
+        terms = []
+        for xa, c in zip(self.components, self.manifold.coords):
+            if xa is not _ZERO:
+                d = expr.differentiate(f, c)
+                if d is not _ZERO:
+                    terms.append((factor, xa, d))
+        return _sum_of_products(terms) if terms else _ZERO
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if other.manifold is not self.manifold:
             raise ManifoldError("vector fields live on different manifolds")
         return VectorField(
             self.manifold,
-            [_sum_of_products((), a, b) for a, b in zip(self.components, other.components)],
+            [
+                b if a is _ZERO else a if b is _ZERO else _sum_of_products((), a, b)
+                for a, b in zip(self.components, other.components)
+            ],
         )
 
     def __sub__(self, other: "VectorField") -> "VectorField":
@@ -129,14 +134,16 @@ class VectorField:
         return VectorField(
             self.manifold,
             [
-                _sum_of_products([(expr.MINUS_ONE, b)], a)  # expr.sub(a, b)
+                a if b is _ZERO else _sum_of_products([(expr.MINUS_ONE, b)], a)  # expr.sub(a, b)
                 for a, b in zip(self.components, other.components)
             ],
         )
 
     def scaled(self, factor) -> "VectorField":
         f = _coerce_expr(factor, self.manifold.coords)
-        return VectorField(self.manifold, [_sum_of_products([(f, c)]) for c in self.components])
+        return VectorField(
+            self.manifold, [_ZERO if c is _ZERO or f is _ZERO else expr.mul(f, c) for c in self.components]
+        )
 
     def __repr__(self) -> str:
         parts = ", ".join(expr.to_string(c) for c in self.components)
@@ -250,13 +257,11 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
     """Commutator bracket of two vector fields on the same chart."""
     if x.manifold is not y.manifold:
         raise ManifoldError("vector fields live on different manifolds")
-    return VectorField(
-        x.manifold,
-        [
-            _sum_of_products((), x.apply(yk), y.apply(xk, expr.MINUS_ONE))
-            for xk, yk in zip(x.components, y.components)
-        ],
-    )
+    components = []
+    for xk, yk in zip(x.components, y.components):
+        live = [s for s in (x.apply(yk), y.apply(xk, expr.MINUS_ONE)) if s is not _ZERO]
+        components.append(_sum_of_products((), *live) if live else _ZERO)
+    return VectorField(x.manifold, components)
 
 
 def frame_bracket(fields, ctab, u, w):
@@ -264,14 +269,23 @@ def frame_bracket(fields, ctab, u, w):
 
     ``u`` and ``w`` hold coefficients over the vector fields ``fields``, whose
     structure functions are ``ctab``.  The loops run over the supports of
-    ``u`` and ``w`` and the non-zero ``ctab[a][b][k]``, so no term with a
-    ``ZERO`` factor reaches ``expr.mul`` (whose ``ZERO`` short-circuit is only
-    a backstop); the kept terms keep their dense order.
+    ``u`` and ``w``, the non-zero derivatives and the non-zero
+    ``ctab[a][b][k]``, so no term with a ``ZERO`` factor reaches ``expr.mul``
+    (whose ``ZERO`` short-circuit is only a backstop), and a component with
+    no term is ``ZERO`` without a sum.  The kept terms keep their dense order.
     """
     n = len(u)
     su = [a for a in range(n) if u[a] is not _ZERO]
     sw = [b for b in range(n) if w[b] is not _ZERO]
     either = sorted(set(su + sw))
+    # the structure-constant terms of each component, in the order (a, b)
+    structure = [[] for _ in range(n)]
+    for a in su:
+        for b in sw:
+            row = ctab[a][b]
+            for k in range(n):
+                if row[k] is not _ZERO:
+                    structure[k].append((u[a], w[b], row[k]))
     out = []
     for k in range(n):
         terms = []
@@ -279,28 +293,27 @@ def frame_bracket(fields, ctab, u, w):
         if uk is not _ZERO or wk is not _ZERO:
             for a in either:
                 if u[a] is not _ZERO and wk is not _ZERO:
-                    terms.append((u[a], fields[a].apply(wk)))
+                    d = fields[a].apply(wk)
+                    if d is not _ZERO:
+                        terms.append((u[a], d))
                 if w[a] is not _ZERO and uk is not _ZERO:
                     d = fields[a].apply(uk)
                     if d is not _ZERO:
                         # expr.neg of the product
                         terms.append((expr.MINUS_ONE, expr.mul(w[a], d)))
-        for a in su:
-            for b in sw:
-                terms.append((u[a], w[b], ctab[a][b][k]))
+        terms += structure[k]
         out.append(_sum_of_products(terms) if terms else _ZERO)
     return out
 
 
 def frame_combination(m: FramedManifold, fields, coeffs) -> VectorField:
     """The vector field ``sum_i coeffs[i] * fields[i]`` on ``m``."""
-    return VectorField(
-        m,
-        [
-            _sum_of_products((coeffs[i], fields[i].components[a]) for i in range(len(fields)))
-            for a in range(m.dim)
-        ],
-    )
+    live = [i for i in range(len(fields)) if coeffs[i] is not _ZERO]
+    components = []
+    for a in range(m.dim):
+        terms = [(coeffs[i], fields[i].components[a]) for i in live if fields[i].components[a] is not _ZERO]
+        components.append(_sum_of_products(terms) if terms else _ZERO)
+    return VectorField(m, components)
 
 
 def _gram_schmidt_horizontal(m: FramedManifold):
@@ -310,9 +323,12 @@ def _gram_schmidt_horizontal(m: FramedManifold):
     basis = [[expr.rational(1 if j == i else 0) for j in range(r)] for i in range(r)]
 
     def inner(u, v):
-        return _sum_of_products(
-            (u[i], m.metric[i][j], v[j]) for i in range(r) for j in range(r)
-        )
+        terms = [
+            (u[i], m.metric[i][j], v[j])
+            for i in range(r) if u[i] is not _ZERO
+            for j in range(r) if v[j] is not _ZERO and m.metric[i][j] is not _ZERO
+        ]
+        return _sum_of_products(terms) if terms else _ZERO
 
     ortho = []
     for i in range(r):
@@ -325,7 +341,7 @@ def _gram_schmidt_horizontal(m: FramedManifold):
             ]
         nrm = expr.sqrt(inner(vec, vec))
         inv = expr.pow_(nrm, -1)
-        ortho.append([_sum_of_products([(inv, c)]) for c in vec])
+        ortho.append([c if c is _ZERO else expr.mul(inv, c) for c in vec])
     return [frame_combination(m, m.frames[:r], coeffs) for coeffs in ortho]
 
 
@@ -333,7 +349,9 @@ def _gauss_jordan(rows, n: int):
     """Reduce [A | B] in place so the left n columns become the identity.
 
     Pivots prefer nonzero constants to keep the symbolic arithmetic exact and
-    small; expression pivots are used when no constant is available.
+    small; expression pivots are used when no constant is available.  Only
+    the non-zero entries of the pivot row are scaled, and only the rows with
+    a non-zero entry in the pivot column are reduced, at its non-zero entries.
     """
     width = len(rows[0])
     for col in range(n):
@@ -351,7 +369,7 @@ def _gauss_jordan(rows, n: int):
             raise ManifoldError("matrix is not symbolically invertible")
         rows[col], rows[pivot] = rows[pivot], rows[col]
         inv = expr.pow_(rows[col][col], -1)
-        rows[col] = [_sum_of_products([(inv, e)]) for e in rows[col]]
+        rows[col] = [e if e is _ZERO else expr.mul(inv, e) for e in rows[col]]
         for r in range(n):
             if r == col or _is_zero(rows[r][col]):
                 continue
@@ -391,8 +409,12 @@ def structure_functions(m: FramedManifold):
         for i in range(n):
             for j in range(i + 1, n):
                 br = bracket(m.frames[i], m.frames[j]).components
+                live = [a for a in range(n) if br[a] is not _ZERO]
+                if not live:
+                    continue
                 for k in range(n):
-                    e = _sum_of_products((finv[k][a], br[a]) for a in range(n))
+                    terms = [(finv[k][a], br[a]) for a in live if finv[k][a] is not _ZERO]
+                    e = _sum_of_products(terms) if terms else _ZERO
                     if e is not _ZERO:
                         c[i][j][k] = e
                         c[j][i][k] = expr.neg(e)
@@ -403,12 +425,16 @@ def structure_functions(m: FramedManifold):
 def _sum_of_products(terms, *summands):
     """``expr.add`` of the ``summands`` and of the products ``expr.mul(*t)``.
 
-    ``terms`` holds tuples of factors.  Only the non-zero terms are built: a
-    ``ZERO`` summand and a tuple with a ``ZERO`` factor are skipped, and
-    ``ZERO`` is returned without a constructor call when nothing is left.  The
-    kept terms go to one ``add`` in their order, summands first: ``add``
-    folds float coefficients in argument order, so the sum is the node the
-    dense sum builds.  One kept term is returned as it is.
+    The one sum of the symbolic construction.  ``terms`` holds tuples of
+    factors.  Callers loop over the supports of their operands and pass only
+    live terms: a caller whose sum has no live term takes ``ZERO`` without a
+    call.  Only the non-zero terms are built here too: a ``ZERO`` summand and
+    a tuple with a ``ZERO`` factor are skipped, and ``ZERO`` is returned
+    without a constructor call when nothing is left.  The kept terms go to
+    one ``add`` in their order, summands first: ``add`` folds float
+    coefficients in argument order, so callers keep the dense order of their
+    terms and the sum is the node the dense sum builds.  One kept term is
+    returned as it is.
     """
     kept = [s for s in summands if s is not _ZERO]
     for t in terms:
@@ -425,19 +451,34 @@ def _sum_of_products(terms, *summands):
 
 def _matmul(a, b):
     """Product of two Expr matrices, built from the non-zero pairs of entries."""
-    return [
-        [_sum_of_products((row[k], b[k][j]) for k in range(len(b))) for j in range(len(b[0]))]
-        for row in a
-    ]
+    columns = [[k for k in range(len(b)) if b[k][j] is not _ZERO] for j in range(len(b[0]))]
+    out = []
+    for row in a:
+        out_row = []
+        for j, ks in enumerate(columns):
+            terms = [(row[k], b[k][j]) for k in ks if row[k] is not _ZERO]
+            out_row.append(_sum_of_products(terms) if terms else _ZERO)
+        out.append(out_row)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # growth vector and graded symbol
 
 
+def _singular(mat: np.ndarray) -> bool:
+    """Whether a square matrix is singular, by a test that does not depend on scale.
+
+    |det| is compared with 1e-9 times the product of the column norms, its
+    bound by Hadamard's inequality, so scaling a column does not change the
+    answer.  A matrix whose determinant is not a number counts as singular.
+    """
+    return not abs(np.linalg.det(mat)) > 1e-9 * np.prod(np.linalg.norm(mat, axis=0))
+
+
 def _checked_frame(mat: np.ndarray) -> np.ndarray:
     """A frame matrix, checked non-singular."""
-    if abs(np.linalg.det(mat)) <= 1e-9:
+    if _singular(mat):
         raise ManifoldError("frame is singular at the requested point")
     return mat
 

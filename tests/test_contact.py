@@ -486,3 +486,25 @@ def test_orientation_flip_leaves_geometry_unchanged():
                     d1 = covariant_derivative(final, x, y).value_at(p)
                     d2 = covariant_derivative(final2, x, y).value_at(p)
                     assert np.abs(d1 - d2).max() <= 1e-7, (name, pt)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e10, 1e12])
+@pytest.mark.parametrize("n", [1, 2])
+def test_scaled_metric_passes_every_verdict(n, scale):
+    # The flat group h_n with the metric scale * I.  The vertical complement
+    # is tested by |det| against the product of its column norms, so the
+    # orthonormal frame's size (1/sqrt(scale)) does not refuse it.
+    from srgeom.lie import heisenberg
+    from srgeom.manifold import _default_samples
+
+    r = 2 * n
+    metric = [[expr.floatc(scale) if i == j else expr.ZERO for j in range(r)] for i in range(r)]
+    m = models.carnot_group_manifold(heisenberg((1,) * n), metric=metric, structure_class="contact")
+    pts = _default_samples(m, count=3)
+    assert check_constant_symbol(m, pts).constant
+    cd = extract_contact_data(m)
+    final = morimoto_connection_contact(cd, morimoto_grading_contact(cd))
+    mr = check_morimoto(final, pts)
+    fr = flatness_check(final, pts)
+    assert mr.ok and mr.max_residual == 0.0
+    assert fr.flat and fr.torsion_residual == 0.0 and fr.curvature_residual == 0.0

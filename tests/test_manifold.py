@@ -569,3 +569,36 @@ def test_frame_singular_at_point():
     m = FramedManifold(("x", "y"), [["x", "0"], ["0", "1"]], 1)
     with pytest.raises(ManifoldError, match="singular"):
         m.frame_matrix_at(m.point((0.0, 0.5)))
+
+
+def test_frame_with_tiny_components_is_not_singular():
+    # Heisenberg's frame with every component times 1e-4: its determinant is
+    # 1e-12, but against the product of its column norms it is as regular as
+    # the unscaled frame.
+    h = heisenberg_manifold()
+    small = expr.floatc(1e-4)
+    m = FramedManifold(
+        h.coords,
+        [[expr.mul(small, c) for c in f.components] for f in h.frames],
+        h.rank,
+        structure_class="contact",
+    )
+    pts = [m.point((0.1, -0.3, 0.7)), m.point((0.0, 0.0, 0.0))]
+    for p in pts:
+        assert np.allclose(m.frame_matrix_at(p), 1e-4 * h.frame_matrix_at(p))
+    assert growth_flag(m, pts[0], 2) == (2, 3)
+    assert check_constant_symbol(m, pts).constant
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        [["1e8", "1e8"], ["2e8", "2e8"]],  # dependent columns, |det| = 0
+        [["1e8", "1e8*x"], ["2e8", "2e8*x + 0.001"]],  # |det| = 1e5, near-parallel columns
+    ],
+    ids=["dependent", "near-parallel"],
+)
+def test_large_singular_frame_is_refused(frame):
+    m = FramedManifold(("x", "y"), frame, 1)
+    with pytest.raises(ManifoldError, match="singular"):
+        m.frame_matrix_at(m.point((0.5, 0.5)))
