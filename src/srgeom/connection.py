@@ -9,23 +9,24 @@ the canonical selector and the degree-zero torsion concretely computable.  A
 compatibility, normalization and flatness checks read its torsion and
 curvature at sample points.
 
-Symbolic where a construction reads expressions: structure functions,
-degree-0 torsion, taming metric, selector (solved once per grading), Γ and
-the symbolic tensors listed on :class:`Connection`.  The wedge-Gram inverse
-of each wedge class is solved once per grading and kept on it, so the taming
-metric and the selector share it.  From values where only
+Symbolic where a construction reads expressions: structure functions, degree-0
+torsion, taming metric, selector (solved once per grading), Γ and the symbolic
+tensors listed on :class:`Connection`.  Every symbolic inverse, the wedge-Gram
+inverses and the taming metric's layer blocks alike, is ``manifold._inverse``.
+The wedge-Gram inverse of each wedge class is solved once per grading and kept
+on it, so the taming metric and the selector share it.  From values where only
 points are read, with one evaluation per chart and one solve per distinct
-symbol: the tables every check reads (Γ, structure functions, T₀, frame
-rows, the horizontal metric, selector coefficients) are evaluated in one
+symbol: the tables every check reads (Γ, structure functions, T₀, frame rows,
+the horizontal metric, selector coefficients) are evaluated in one
 :func:`expr.evaluate_tables` call for all points, which also returns the
-coordinate gradients of Γ, T₀ and the metric by forward-mode
-differentiation, so no check differentiates a table symbolically.  The
-connection keeps that evaluation for its last point set, so the checks of
-one chart share it.  Torsion, curvature, ∇g and ∇T₀ are contracted with
-``matmul`` on stacked ``(point, …)`` arrays, one block of points at a time,
-so a stacked n⁴ array holds at most 8192 floats (or one point).  Points with bitwise
-equal symbols share one :class:`CarnotAlgebra`, so its Gram matrices,
-isometry algebra and trace frame are computed once and gathered per point.
+coordinate gradients of Γ, T₀ and the metric by forward-mode differentiation,
+so no check differentiates a table symbolically.  The connection keeps that
+evaluation for its last point set, so the checks of one chart share it.
+Torsion, curvature, ∇g and ∇T₀ are contracted with ``matmul`` on stacked
+``(point, …)`` arrays, one block of points at a time, so a stacked n⁴ array
+holds at most 8192 floats (or one point).  Points with bitwise equal symbols
+share one :class:`CarnotAlgebra`, so its Gram matrices, isometry algebra and
+trace frame are computed once and gathered per point.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ from .manifold import (
     ManifoldError,
     VectorField,
     _flags,
-    _gauss_jordan,
     _interned_symbols,
+    _inverse,
+    _ranks,
     _sum_of_products,
     structure_functions,
 )
@@ -187,8 +189,10 @@ class Grading:
                 qr = q[:, : flag[k - 1]]
                 resid = np.abs(cols - qr @ (qr.T @ cols)).max()
                 worst = max(worst, float(resid))
-                # ...and span it
-                if np.linalg.matrix_rank(cols, tol=1e-9) != want[k - 1]:
+                # ...and span it; horizontal and vertical columns scale
+                # differently with the metric, so they are ranked normalized
+                normalized = cols / np.linalg.norm(cols, axis=0)
+                if _ranks(normalized[None])[0] != want[k - 1]:
                     raise ManifoldError(
                         f"adapted layers through {k} are dependent at {p}"
                     )
@@ -225,16 +229,6 @@ def _wedge_classes(grading: Grading):
     return groups
 
 
-def _symbolic_inverse(matrix):
-    size = len(matrix)
-    rows = [
-        list(matrix[r]) + [expr.rational(1 if c == r else 0) for c in range(size)]
-        for r in range(size)
-    ]
-    reduced = _gauss_jordan(rows, size)
-    return [row[size:] for row in reduced]
-
-
 def _wedge_gram_inverse(grading: Grading, gmat, key, wedges):
     """Symbolic inverse of the Gram matrix of the ``wedges`` of class ``key`` under ``gmat``.
 
@@ -255,7 +249,7 @@ def _wedge_gram_inverse(grading: Grading, gmat, key, wedges):
             return _sum_of_products([(expr.MINUS_ONE, expr.mul(gmat[a][d], gmat[b][cc]))], ac_bd)
 
         gram = [[minor(a, b, cc, d) for (cc, d) in wedges] for (a, b) in wedges]
-        grading._wedge_inverses[key] = _symbolic_inverse(gram)
+        grading._wedge_inverses[key] = _inverse(gram)
     return grading._wedge_inverses[key]
 
 
@@ -310,7 +304,7 @@ def taming_metric(grading: Grading) -> tuple:
                 ]
                 row.append(_sum_of_products(terms) if terms else _ZERO)
             ginv.append(row)
-        block = _symbolic_inverse(ginv)
+        block = _inverse(ginv)
         for ui, u in enumerate(rk):
             for vi, v in enumerate(rk):
                 gmat[u][v] = block[ui][vi]

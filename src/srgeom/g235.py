@@ -20,9 +20,11 @@ compatible connection.
 All constructions run in the coefficient calculus of the iterated-bracket
 frame: every corrected field is stored as a coefficient row over that frame,
 brackets are expanded through the frame structure functions, and the adapted
-gradings receive their coframe and structure functions from closed-form
-inverses of the (block unitriangular) coefficient matrices.  Only the bracket
-frame itself is ever inverted at the coordinate level.  The calculus is the
+gradings receive their coframe and structure functions from the inverse of
+their coefficient matrix, solved by ``manifold._inverse`` like every other
+symbolic inverse.  Only the bracket frame of the declared horizontal fields
+is inverted at the coordinate level.  Every field of a grading is made once,
+by ``manifold.frame_combination`` of its coefficient row.  The calculus is the
 one ``contact`` uses too: ``manifold.frame_bracket`` brackets coefficient
 rows, ``manifold.frame_combination`` turns them back into fields,
 ``VectorField.apply`` differentiates along a frame field, and every sum of
@@ -40,6 +42,7 @@ from .manifold import (
     _default_samples,
     _gauss_jordan,
     _gram_schmidt_horizontal,
+    _inverse,
     _matmul,
     _sum_of_products,
     bracket,
@@ -71,38 +74,12 @@ def _frame_comp(v, sinv, k):
     return _sum_of_products(terms) if terms else _ZERO
 
 
-def _unit_lower_inverse(srows):
-    """Inverse of a layered unitriangular coefficient matrix.
-
-    Rows hold adapted fields over the bracket frame: the horizontal rows are
-    standard basis vectors, row 2 corrects by horizontal terms only, rows 3
-    and 4 correct by terms of slots 0..2 with an identity block on slots 3, 4.
-    """
-    out = [list(srows[0]), list(srows[1])]
-    n2 = srows[2]
-    out.append(
-        [
-            _sum_of_products([(_MINUS_ONE, n2[0])]),
-            _sum_of_products([(_MINUS_ONE, n2[1])]),
-            _ONE,
-            _ZERO,
-            _ZERO,
-        ]
-    )
-    for r in (3, 4):
-        nr = srows[r]
-        row = [_sum_of_products([(_MINUS_ONE, nr[a]), (nr[2], n2[a])]) for a in range(2)]
-        row.append(_sum_of_products([(_MINUS_ONE, nr[2])]))
-        row += [_ONE if 3 + b == r else _ZERO for b in range(2)]
-        out.append(row)
-    return out
-
-
 def _install_calculus(frame: FramedManifold, srows, sinv, alpha, xfields, ctab):
     """Install the coframe and structure functions of a frame given by rows.
 
     ``srows`` holds the fields of ``frame`` as coefficient rows over the
-    frame ``xfields``, ``sinv`` is their inverse, ``alpha`` the coordinate
+    frame ``xfields``, ``sinv`` is their inverse (``manifold._inverse`` of
+    ``srows``), ``alpha`` the coordinate
     coframe of ``xfields`` and ``ctab`` its structure functions.  Assembling
     the coframe and structure functions of ``frame`` from these replaces the
     coordinate-level solve the frame would otherwise perform.
@@ -138,13 +115,6 @@ def _check_growth(m: FramedManifold, points):
         )
 
 
-def _minor2(mat, rows, cols):
-    return _sum_of_products([
-        (mat[rows[0]][cols[0]], mat[rows[1]][cols[1]]),
-        (_MINUS_ONE, mat[rows[0]][cols[1]], mat[rows[1]][cols[0]]),
-    ])
-
-
 def _frame_calculus(m: FramedManifold, aux: FramedManifold):
     """Install the coframe and structure functions of a bracket frame.
 
@@ -152,9 +122,7 @@ def _frame_calculus(m: FramedManifold, aux: FramedManifold):
     the bracket frame of the manifold's declared horizontal fields is
     inverted at the coordinate level; ``aux`` is a block-triangular
     coefficient transform of it (horizontal block, degree -2 slot, degree -3
-    block), inverted in closed form.  This keeps the metric normalization
-    factors as isolated atoms instead of threading them through an
-    elimination.
+    block), whose inverse is ``manifold._inverse`` of its coefficient rows.
     """
     fields = aux.frames
     r1, r2 = m.frames[0], m.frames[1]
@@ -184,50 +152,7 @@ def _frame_calculus(m: FramedManifold, aux: FramedManifold):
     mrows[3] = frame_bracket(rfields, c_r, mrows[0], mrows[2])
     mrows[4] = frame_bracket(rfields, c_r, mrows[1], mrows[2])
 
-    # block inverse: horizontal 2x2 block by adjugate, lower 3x3 block by
-    # adjugate over its determinant, mixed block by composition
-    det_l = _minor2(mrows, (0, 1), (0, 1))
-    dli = expr.div(_ONE, det_l)
-    linv = [
-        [
-            _sum_of_products([(mrows[1][1], dli)]),
-            _sum_of_products([(_MINUS_ONE, mrows[0][1], dli)]),
-        ],
-        [
-            _sum_of_products([(_MINUS_ONE, mrows[1][0], dli)]),
-            _sum_of_products([(mrows[0][0], dli)]),
-        ],
-    ]
-    cblk = [[mrows[2 + r][2 + s] for s in range(3)] for r in range(3)]
-    det_c = _sum_of_products([
-        (cblk[0][0], _minor2(cblk, (1, 2), (1, 2))),
-        (_MINUS_ONE, cblk[0][1], _minor2(cblk, (1, 2), (0, 2))),
-        (cblk[0][2], _minor2(cblk, (1, 2), (0, 1))),
-    ])
-    dci = expr.div(_ONE, det_c)
-    cinv = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            rows = tuple(r for r in range(3) if r != j)
-            cols = tuple(s for s in range(3) if s != i)
-            sign = _minor2(cblk, rows, cols)
-            if (i + j) % 2:
-                sign = _sum_of_products([(_MINUS_ONE, sign)])
-            cinv[i][j] = _sum_of_products([(sign, dci)])
-    pblk = [[mrows[2 + r][a] for a in range(2)] for r in range(3)]
-    # -Cinv P Linv
-    pli = _matmul(pblk, linv)
-    lowleft = [
-        [_sum_of_products([(_MINUS_ONE, e)]) for e in row] for row in _matmul(cinv, pli)
-    ]
-    minv = [
-        [linv[0][0], linv[0][1], _ZERO, _ZERO, _ZERO],
-        [linv[1][0], linv[1][1], _ZERO, _ZERO, _ZERO],
-    ] + [
-        [lowleft[i][0], lowleft[i][1], cinv[i][0], cinv[i][1], cinv[i][2]]
-        for i in range(3)
-    ]
-    _install_calculus(aux, mrows, minv, alpha_r, rfields, c_r)
+    _install_calculus(aux, mrows, _inverse(mrows), alpha_r, rfields, c_r)
 
 
 def _bracket_frame(m: FramedManifold, x1, x2):
@@ -304,8 +229,9 @@ class Intrinsic235:
     """Intrinsic grading ``E + span{Z} + span{Y_1, Y_2}`` over the bracket frame.
 
     ``srows`` holds the adapted fields ``X_1, X_2, Z, Y_1, Y_2`` as coefficient
-    rows over the bracket frame ``x``, ``sinv`` their inverse.  The grading
-    itself is built on first access.
+    rows over the bracket frame ``x``, ``sinv`` their inverse
+    (``manifold._inverse`` of ``srows``); ``zp`` and ``wp`` are the fields of
+    ``srows[2:]``.  The grading itself is built on first access.
     """
 
     manifold: FramedManifold
@@ -360,7 +286,6 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
     except ManifoldError as exc:
         raise ManifoldError(f"bracket frame is rank deficient: {exc}") from exc
     c = structure_functions(aux)
-    x1f, x2f, x3f, x4f, x5f = fields
 
     # two recurring horizontal-coefficient sums of the second layer
     p_sum = _sum_of_products((), c[0][3][3], c[0][4][4])
@@ -368,7 +293,6 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
 
     zc1 = _sum_of_products((), c[1][2][2], s_sum)
     zc2 = _sum_of_products((), c[0][2][2], p_sum)
-    z = x3f + x1f.scaled(zc1) - x2f.scaled(zc2)
 
     # coefficients of X_1 and -X_2 in Y_j; ``v`` is the sum multiplying Z
     def ycoeffs(j, v):
@@ -385,9 +309,7 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
         ]
 
     y1c1, y1c2 = ycoeffs(3, p_sum)
-    y1 = x4f - z.scaled(p_sum) + x1f.scaled(y1c1) - x2f.scaled(y1c2)
     y2c1, y2c2 = ycoeffs(4, s_sum)
-    y2 = x5f - z.scaled(s_sum) + x1f.scaled(y2c1) - x2f.scaled(y2c2)
 
     srows = (
         (_ONE, _ZERO, _ZERO, _ZERO, _ZERO),
@@ -408,10 +330,9 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
             _ONE,
         ),
     )
-    sinv = tuple(tuple(row) for row in _unit_lower_inverse(srows))
-    return Intrinsic235(
-        m, fields, frame_inverse(aux), c, z, (y1, y2), srows, sinv
-    )
+    z, y1, y2 = (frame_combination(m, fields, row) for row in srows[2:])
+    sinv = tuple(map(tuple, _inverse(srows)))
+    return Intrinsic235(m, fields, frame_inverse(aux), c, z, (y1, y2), srows, sinv)
 
 
 def connection_235(data: Intrinsic235) -> Connection:
@@ -439,8 +360,9 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     the degree -3 lifts are tilted by a vertical shift and a horizontal
     endomorphism.  The corrections are obtained by expanding the structure
     functions of the corrected frame over intrinsic bracket tensors and
-    solving the resulting linear systems in closed form.  The returned
-    grading carries its coframe and structure functions.  On the model
+    solving the two resulting linear systems by ``manifold._gauss_jordan``.
+    The returned grading carries its coframe and structure functions, from
+    ``manifold._inverse`` of its coefficient rows.  On the model
     algebra every correction vanishes, so its layers span the same subspaces
     as those of ``intrinsic_frame_235(...).grading``; the degree -3 frames
     differ by the rotation generator.
@@ -674,11 +596,8 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     sol2 = [row[5] for row in _gauss_jordan(aug2, 5)]
     amat = [[sol2[0], sol2[1]], [sol2[2], sol2[3]]]
 
-    z_field = data.zp + frame_combination(m, xfields[:2], w1c)
-
     # adapted rows of the corrected fields over the bracket frame; the lift
-    # block rotates the degree -3 plane, so the inverse composes the layered
-    # unitriangular inverse with the closed-form inverse of that rotation
+    # block rotates the degree -3 plane
     tmat = [
         [_ONE, _ZERO, _ZERO, _ZERO, _ZERO],
         [_ZERO, _ONE, _ZERO, _ZERO, _ZERO],
@@ -686,41 +605,11 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
         [amat[0][0], amat[0][1], w2c[0], _ZERO, _MINUS_ONE],
         [amat[1][0], amat[1][1], w2c[1], _ONE, _ZERO],
     ]
-    tinv = [
-        [_ONE, _ZERO, _ZERO, _ZERO, _ZERO],
-        [_ZERO, _ONE, _ZERO, _ZERO, _ZERO],
-        [
-            _sum_of_products([(_MINUS_ONE, w1c[0])]),
-            _sum_of_products([(_MINUS_ONE, w1c[1])]),
-            _ONE,
-            _ZERO,
-            _ZERO,
-        ],
-        [
-            _sum_of_products([(w2c[1], w1c[0]), (_MINUS_ONE, amat[1][0])]),
-            _sum_of_products([(w2c[1], w1c[1]), (_MINUS_ONE, amat[1][1])]),
-            _sum_of_products([(_MINUS_ONE, w2c[1])]),
-            _ZERO,
-            _ONE,
-        ],
-        [
-            _sum_of_products([(_MINUS_ONE, w2c[0], w1c[0])], amat[0][0]),
-            _sum_of_products([(_MINUS_ONE, w2c[0], w1c[1])], amat[0][1]),
-            w2c[0],
-            _MINUS_ONE,
-            _ZERO,
-        ],
-    ]
     srows_i = _matmul(tmat, srows)
-    sinv_i = _matmul(sinv, tinv)
-
-    ell_fields = [
-        frame_combination(m, xfields, srows_i[3]),
-        frame_combination(m, xfields, srows_i[4]),
-    ]
+    z_field, *ell_fields = (frame_combination(m, xfields, row) for row in srows_i[2:])
 
     grading = Grading(m, [(xfields[0], xfields[1]), (z_field,), tuple(ell_fields)])
-    _install_calculus(grading.frame, srows_i, sinv_i, data.alpha, xfields, c)
+    _install_calculus(grading.frame, srows_i, _inverse(srows_i), data.alpha, xfields, c)
     return grading
 
 

@@ -178,9 +178,13 @@ class CarnotAlgebra(StratifiedAlgebra):
 
 
 def _onb_columns(gram: np.ndarray) -> np.ndarray:
-    """Columns are coordinates of an orthonormal basis for the given Gram."""
+    """Columns are coordinates of an orthonormal basis for the given Gram.
+
+    Positive-definiteness is tested relative to the largest eigenvalue, so
+    scaling the Gram matrix does not change the answer.
+    """
     w, q = np.linalg.eigh(gram)
-    if w.min() <= 1e-12 * max(1.0, w.max()):
+    if not w.min() > 1e-12 * w.max():
         raise LieError("Gram matrix is not positive-definite")
     return q @ np.diag(w ** -0.5)
 

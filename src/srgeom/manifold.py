@@ -353,7 +353,6 @@ def _gauss_jordan(rows, n: int):
     the non-zero entries of the pivot row are scaled, and only the rows with
     a non-zero entry in the pivot column are reduced, at its non-zero entries.
     """
-    width = len(rows[0])
     for col in range(n):
         pivot = None
         for r in range(col, n):
@@ -381,6 +380,17 @@ def _gauss_jordan(rows, n: int):
     return rows
 
 
+def _inverse(matrix):
+    """Symbolic inverse of a square Expr matrix: :func:`_gauss_jordan` of [A | I].
+
+    The one symbolic matrix inverse; a column without a non-zero pivot
+    raises :class:`ManifoldError`.
+    """
+    n = len(matrix)
+    rows = [list(matrix[r]) + [_ONE if c == r else _ZERO for c in range(n)] for r in range(n)]
+    return [row[n:] for row in _gauss_jordan(rows, n)]
+
+
 def frame_inverse(m: FramedManifold):
     """Symbolic inverse of the frame matrix (rows of the dual coframe).
 
@@ -390,13 +400,8 @@ def frame_inverse(m: FramedManifold):
     """
     if m._frame_inverse is None:
         n = m.dim
-        rows = []
-        for a in range(n):
-            row = [m.frames[i].components[a] for i in range(n)]
-            row += [_ONE if b == a else _ZERO for b in range(n)]
-            rows.append(row)
-        reduced = _gauss_jordan(rows, n)
-        m._frame_inverse = tuple(tuple(row[n:]) for row in reduced)
+        matrix = [[m.frames[i].components[a] for i in range(n)] for a in range(n)]
+        m._frame_inverse = tuple(map(tuple, _inverse(matrix)))
     return m._frame_inverse
 
 

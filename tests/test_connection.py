@@ -81,6 +81,16 @@ def test_grading_validates_on_groups():
         assert g.validate(sample_points(m, 4)) <= 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+def test_flat_verdict_does_not_depend_on_metric_scale(scale):
+    # the positive-definiteness test of a Gram matrix is relative to its
+    # largest eigenvalue, so a small metric is not refused
+    m = heisenberg_manifold()
+    metric = [[expr.floatc(scale) if i == j else expr.ZERO for j in range(2)] for i in range(2)]
+    g = left_invariant_grading(m, (2, 1), metric=metric)
+    assert flatness_check(flat_frame_connection(g), sample_points(m, 3)).flat
+
+
 def test_grading_rejects_wrong_layer_sizes():
     m = heisenberg_manifold()
     with pytest.raises(ManifoldError):

@@ -508,3 +508,16 @@ def test_scaled_metric_passes_every_verdict(n, scale):
     fr = flatness_check(final, pts)
     assert mr.ok and mr.max_residual == 0.0
     assert fr.flat and fr.torsion_residual == 0.0 and fr.curvature_residual == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-12, 1.0, 1e12, 1e20])
+def test_contact_grading_validates_at_every_metric_scale(scale):
+    # Horizontal and vertical adapted columns scale differently with the
+    # metric, so the layers are ranked with their columns normalized.
+    from srgeom.lie import heisenberg
+    from srgeom.manifold import _default_samples
+
+    metric = [[expr.floatc(scale) if i == j else expr.ZERO for j in range(2)] for i in range(2)]
+    m = models.carnot_group_manifold(heisenberg((1,)), metric=metric, structure_class="contact")
+    g = morimoto_grading_contact(extract_contact_data(m)).grading
+    assert g.validate(_default_samples(m, count=3)) <= 1e-9

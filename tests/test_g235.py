@@ -16,6 +16,7 @@ from srgeom.manifold import (
     _default_samples,
     _gram_schmidt_horizontal,
     check_constant_symbol,
+    frame_inverse,
 )
 from srgeom.models import cartan_group_manifold, perturbed_235_manifold
 
@@ -110,14 +111,17 @@ def _span_projector(fields, p):
     return w @ np.linalg.pinv(w)
 
 
-def test_fields_do_not_depend_on_horizontal_frame(cartan):
-    m, pts, data = cartan
+def _rotated_frame(m):
+    """Cartan's orthonormal horizontal frame rotated by the angle x4/3."""
     e1, e2 = _gram_schmidt_horizontal(m)
     phi = expr.mul(expr.rational(1, 3), expr.var("x4"))
     cs, sn = expr.cos(phi), expr.sin(phi)
-    x1 = e1.scaled(cs) + e2.scaled(sn)
-    x2 = e2.scaled(cs) - e1.scaled(sn)
-    rotated = intrinsic_frame_235(m, x1, x2, sample_points=pts)
+    return e1.scaled(cs) + e2.scaled(sn), e2.scaled(cs) - e1.scaled(sn)
+
+
+def test_fields_do_not_depend_on_horizontal_frame(cartan):
+    m, pts, data = cartan
+    rotated = intrinsic_frame_235(m, *_rotated_frame(m), sample_points=pts)
     for p in pts:
         p = m.point(p)
         assert np.abs(rotated.zp.value_at(p) - data.zp.value_at(p)).max() <= 1e-12
@@ -159,3 +163,19 @@ def test_morimoto_layers_are_intrinsic_on_the_model(cartan):
 def test_morimoto_degree_two_layer_moves_off_the_model(perturbed):
     _, moves = _layer_moves(*perturbed)
     assert all(row[1] > 1e-3 for row in moves)
+
+
+@pytest.mark.parametrize("chart", ["cartan", "perturbed", "rotated-cartan"])
+def test_installed_coframe_inverts_the_frame(chart, request):
+    # the coframe installed from the inverse of the coefficient rows is the
+    # inverse of the adapted frame, for the intrinsic and Morimoto gradings
+    m, pts, data = request.getfixturevalue(chart.removeprefix("rotated-"))
+    frame = _rotated_frame(m) if chart == "rotated-cartan" else ()
+    if frame:
+        data = intrinsic_frame_235(m, *frame, sample_points=pts)
+    for g in (data.grading, morimoto_grading_235(m, *frame, sample_points=pts)):
+        coframe = frame_inverse(g.frame)
+        for p in pts:
+            p = g.frame.point(p)
+            got = expr.evaluate_array(coframe, p) @ g.frame.frame_matrix_at(p)
+            assert np.abs(got - np.eye(5)).max() <= 1e-12

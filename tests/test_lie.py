@@ -301,3 +301,12 @@ def test_normal_form_degenerate_error():
     g = CarnotAlgebra((2, 1), ("A1", "A2", "C"), {}, metric1=np.eye(2))
     with pytest.raises(LieError):
         heisenberg_normal_form(g)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+def test_full_gram_of_a_scaled_metric(scale):
+    # the positive-definiteness test is relative to the largest eigenvalue,
+    # and the layer-2 Gram of h_1 under scale * I is scale^2
+    g = heisenberg((1,))
+    alg = CarnotAlgebra(g.layer_dims, g.labels, g.brackets, metric1=scale * np.eye(2))
+    assert np.allclose(alg.full_gram(), np.diag([scale, scale, scale**2]), rtol=1e-12, atol=0)

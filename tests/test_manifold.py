@@ -149,6 +149,12 @@ def test_frame_inverse_heisenberg():
         assert np.abs(num @ m.frame_matrix_at(p) - np.eye(3)).max() < 1e-12
 
 
+def test_inverse_refuses_a_singular_matrix():
+    x = expr.var("x")
+    with pytest.raises(ManifoldError, match="not symbolically invertible"):
+        manifold._inverse([[x, x], [x, x]])
+
+
 # ---------------------------------------------------------------------------
 # growth flags
 
