@@ -41,7 +41,6 @@ from .lie import CarnotAlgebra, _onb_columns
 from .manifold import (
     FramedManifold,
     ManifoldError,
-    VectorField,
     _flags,
     _interned_symbols,
     _inverse,
@@ -93,17 +92,11 @@ class Grading:
             )
         self.layer_dims = tuple(len(block) for block in layer_list)
         self.step = len(self.layer_dims)
-        components = []
-        for f in fields:
-            if isinstance(f, VectorField):
-                components.append(list(f.components))
-            else:
-                components.append(list(f))
         # internal framed manifold over the adapted frame; reuses the
         # symbolic frame-inverse and structure-function machinery
         self.frame = FramedManifold(
             manifold.coords,
-            components,
+            [list(f.components) for f in fields],
             manifold.rank,
             metric=metric,
             structure_class=manifold.structure_class,

@@ -49,11 +49,11 @@ _ZERO = expr.rational(0)
 _HALF = expr.rational(1, 2)
 
 
-def _cluster_descending(values, tol=1e-6):
-    """Group a descending array into clusters of relative width tol."""
+def _cluster_descending(values):
+    """Group a descending array whose first entry is 1 into clusters of width 1e-6."""
     groups = []
     for v in values:
-        if groups and abs(groups[-1][-1] - v) <= tol * max(abs(values[0]), 1.0):
+        if groups and abs(groups[-1][-1] - v) <= 1e-6:
             groups[-1].append(v)
         else:
             groups.append([v])

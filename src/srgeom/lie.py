@@ -1,14 +1,15 @@
 """Stratified (Carnot) Lie algebras.
 
-Construction and validation of stratified algebras with exact rational
-structure constants, free nilpotent algebras on a Hall basis, the induced
-inner product on the higher layers, isometry algebras, and the two model
-families (Heisenberg algebras h_n(lambda) and the rank-2 step-3 Cartan
+A :class:`CarnotAlgebra` is a graded nilpotent Lie algebra generated by its
+-1 layer, with an inner product on that layer. The module builds the
+induced inner product on the higher layers, isometry algebras, and the two
+model families (Heisenberg algebras h_n(lambda) and the rank-2 step-3 Cartan
 nilpotent algebra), plus the Heisenberg normal-form invariant.
 
 Layer conventions: layer k = 1..s corresponds to degree -k; the basis is
-ordered layer by layer. Structure constants are stored for index pairs a < b
-and extended by antisymmetry.
+ordered layer by layer. Structure constants are given for index pairs a < b
+and extended by antisymmetry into the dense structure tensor, which every
+method except :meth:`CarnotAlgebra.bracket` reads.
 
 The induced inner product (:meth:`CarnotAlgebra.full_gram`) makes the bracket
 map a linear submetry from the 2-vectors of lower layers onto each layer
@@ -20,8 +21,6 @@ model comes out with an orthonormal canonical frame.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 
@@ -29,119 +28,36 @@ class LieError(Exception):
     pass
 
 
-class ResourceError(LieError):
-    pass
+class CarnotAlgebra:
+    """Graded nilpotent Lie algebra generated by its -1 layer, with the inner
+    product ``metric1`` on that layer (default: identity).
 
+    ``brackets`` is ``{(a, b): {c: coeff}}`` with a < b; the constructor
+    checks it against the grading.
+    """
 
-class StratifiedAlgebra:
-    """Graded nilpotent Lie algebra generated by its -1 layer."""
-
-    def __init__(self, layer_dims, labels, brackets, check=True):
+    def __init__(self, layer_dims, brackets, metric1=None):
         self.layer_dims = tuple(int(d) for d in layer_dims)
         self.dim = sum(self.layer_dims)
         self.step = len(self.layer_dims)
-        self.labels = tuple(labels)
-        if len(self.labels) != self.dim:
-            raise LieError("label count does not match dimension")
-        # brackets: {(a, b): {c: coeff}} with a < b; coeff Fraction or float
+        self._degrees = [k for k, d in enumerate(self.layer_dims, start=1) for _ in range(d)]
         self.brackets = {
             pair: {c: v for c, v in row.items() if v != 0}
             for pair, row in brackets.items()
             if any(v != 0 for v in row.values())
         }
-        self._degrees = []
-        for k, d in enumerate(self.layer_dims, start=1):
-            self._degrees.extend([k] * d)
-        self._tensor = None
-        if check:
-            self._check_grading()
-
-    def degree_of(self, idx: int) -> int:
-        return self._degrees[idx]
-
-    def layer_range(self, k: int) -> range:
-        start = sum(self.layer_dims[: k - 1])
-        return range(start, start + self.layer_dims[k - 1])
-
-    def _check_grading(self):
+        C = np.zeros((self.dim, self.dim, self.dim))
         for (a, b), row in self.brackets.items():
             if not a < b:
                 raise LieError("bracket table must be indexed with a < b")
-            k = self._degrees[a] + self._degrees[b]
-            for c in row:
-                if self._degrees[c] != k:
+            for c, v in row.items():
+                if self._degrees[c] != self._degrees[a] + self._degrees[b]:
                     raise LieError(
-                        f"structure constant [{self.labels[a]},{self.labels[b]}] -> "
-                        f"{self.labels[c]} violates the grading"
+                        f"structure constant [e{a}, e{b}] -> e{c} violates the grading"
                     )
-
-    def bracket(self, a: int, b: int) -> dict:
-        """[e_a, e_b] as {index: coeff}."""
-        if a == b:
-            return {}
-        if a < b:
-            return dict(self.brackets.get((a, b), {}))
-        return {c: -v for c, v in self.brackets.get((b, a), {}).items()}
-
-    def structure_tensor(self) -> np.ndarray:
-        """Dense float tensor C[a, b, c] with [e_a, e_b] = sum_c C[a,b,c] e_c."""
-        if self._tensor is None:
-            C = np.zeros((self.dim, self.dim, self.dim))
-            for (a, b), row in self.brackets.items():
-                for c, v in row.items():
-                    C[a, b, c] = float(v)
-                    C[b, a, c] = -float(v)
-            self._tensor = C
-        return self._tensor
-
-    def is_exact(self) -> bool:
-        return all(
-            isinstance(v, (Fraction, int))
-            for row in self.brackets.values()
-            for v in row.values()
-        )
-
-    def jacobi_residual(self):
-        """Exact Fraction 0 iff Jacobi holds (exact algebras); float residual else."""
-        exact = self.is_exact()
-        worst = Fraction(0) if exact else 0.0
-        for a in range(self.dim):
-            for b in range(a + 1, self.dim):
-                for c in range(b + 1, self.dim):
-                    acc: dict = {}
-                    for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                        for w, v in self.bracket(x, y).items():
-                            for u, vv in self.bracket(w, z).items():
-                                acc[u] = acc.get(u, 0) + v * vv
-                    for val in acc.values():
-                        mag = abs(val)
-                        if mag > worst:
-                            worst = mag
-        return worst
-
-    def generation_ok(self, tol: float = 1e-9) -> bool:
-        """[g_{-1}, g_{-k}] spans g_{-k-1} for k < s (numeric rank check)."""
-        for k in range(1, self.step):
-            target = self.layer_range(k + 1)
-            cols = []
-            for a in self.layer_range(1):
-                for b in self.layer_range(k):
-                    row = self.bracket(a, b)
-                    cols.append([float(row.get(c, 0)) for c in target])
-            mat = np.array(cols, dtype=float).T if cols else np.zeros((len(target), 0))
-            if len(target) == 0:
-                continue
-            rank = np.linalg.matrix_rank(mat, tol=tol * max(1.0, float(np.abs(mat).max(initial=0.0))))
-            if rank < len(target):
-                return False
-        return True
-
-
-class CarnotAlgebra(StratifiedAlgebra):
-    """Stratified algebra with an inner product on the -1 layer."""
-
-    def __init__(self, layer_dims, labels, brackets, metric1=None, check=True):
-        super().__init__(layer_dims, labels, brackets, check=check)
+                C[a, b, c] = float(v)
+                C[b, a, c] = -float(v)
+        self._tensor = C
         d1 = self.layer_dims[0]
         if metric1 is None:
             metric1 = np.eye(d1)
@@ -157,6 +73,50 @@ class CarnotAlgebra(StratifiedAlgebra):
         self.metric1 = metric1
         self._gram = None
         self._isometries = None
+
+    def degree_of(self, idx: int) -> int:
+        return self._degrees[idx]
+
+    def layer_range(self, k: int) -> range:
+        start = sum(self.layer_dims[: k - 1])
+        return range(start, start + self.layer_dims[k - 1])
+
+    def bracket(self, a: int, b: int) -> dict:
+        """[e_a, e_b] as {index: coeff}."""
+        if a == b:
+            return {}
+        if a < b:
+            return dict(self.brackets.get((a, b), {}))
+        return {c: -v for c, v in self.brackets.get((b, a), {}).items()}
+
+    def structure_tensor(self) -> np.ndarray:
+        """Dense float tensor C[a, b, c] with [e_a, e_b] = sum_c C[a,b,c] e_c."""
+        return self._tensor
+
+    def jacobi_residual(self) -> float:
+        """Largest component of [[x, y], z] + [[y, z], x] + [[z, x], y] over basis triples."""
+        C = self._tensor
+        jacobi = (
+            np.einsum("abw,wcu->abcu", C, C)
+            + np.einsum("bcw,wau->abcu", C, C)
+            + np.einsum("caw,wbu->abcu", C, C)
+        )
+        return float(np.abs(jacobi).max())
+
+    def generation_ok(self) -> bool:
+        """[g_{-1}, g_{-k}] spans g_{-k-1} for k < s.
+
+        Each layer map is ranked relative to its largest entry, so scaling
+        the brackets does not change the answer.
+        """
+        r1 = self.layer_range(1)
+        for k in range(1, self.step):
+            rk, target = self.layer_range(k), self.layer_range(k + 1)
+            mat = self._tensor[r1.start : r1.stop, rk.start : rk.stop, target.start : target.stop]
+            mat = mat.reshape(-1, len(target))
+            if np.linalg.matrix_rank(mat, tol=1e-9 * np.abs(mat).max()) < len(target):
+                return False
+        return True
 
     def full_gram(self) -> np.ndarray:
         """Inner product on all of the algebra (layers mutually orthogonal), made once."""
@@ -195,125 +155,25 @@ def _induced_gram(g: CarnotAlgebra) -> np.ndarray:
     Layer k >= 2 is defined recursively so that the bracket map from the
     orthonormalized 2-vectors of lower layers onto layer k is a submetry.
     """
+    C = g.structure_tensor()
     gram = np.zeros((g.dim, g.dim))
     r1 = g.layer_range(1)
     gram[np.ix_(r1, r1)] = g.metric1
+    degrees = np.array([g.degree_of(a) for a in range(g.dim)])
     for k in range(2, g.step + 1):
-        wedges = [
-            (a, b)
-            for a in range(g.dim)
-            for b in range(a + 1, g.dim)
-            if g.degree_of(a) + g.degree_of(b) == k
-        ]
-        m = len(wedges)
-        wgram = np.zeros((m, m))
-        for i, (a, b) in enumerate(wedges):
-            for j, (c, d) in enumerate(wedges):
-                wgram[i, j] = gram[a, c] * gram[b, d] - gram[a, d] * gram[b, c]
+        # the wedges e_a ^ e_b, a < b, of degree k
+        wa, wb = np.nonzero(np.triu(degrees[:, None] + degrees[None, :] == k, 1))
+        wgram = (
+            gram[np.ix_(wa, wa)] * gram[np.ix_(wb, wb)]
+            - gram[np.ix_(wa, wb)] * gram[np.ix_(wb, wa)]
+        )
         onb = _onb_columns(wgram)
         rk = g.layer_range(k)
-        bmat = np.zeros((len(rk), m))
-        for i, (a, b) in enumerate(wedges):
-            row = g.bracket(a, b)
-            for c, v in row.items():
-                bmat[c - rk.start, i] = float(v)
-        bon = bmat @ onb
+        bon = C[wa, wb, rk.start : rk.stop].T @ onb
         ginv = bon @ bon.T
         block = np.linalg.inv(ginv)
         gram[np.ix_(rk, rk)] = block
     return gram
-
-
-# ---------------------------------------------------------------------------
-# free nilpotent algebras (Hall basis)
-
-
-def _hall_elements(n: int, s: int, dim_cap: int):
-    """Hall set for n generators up to degree s.
-
-    Elements are ints (generator index) or index pairs (u, v) into the list;
-    the list order (degree-major) is the Hall order used in the defining
-    condition: [u, v] with u > v, and u = [u1, u2] requires u2 <= v.
-    """
-    elements: list = list(range(n))
-    degrees = [1] * n
-    for d in range(2, s + 1):
-        count = len(elements)
-        new = []
-        for v in range(count):
-            for u in range(v + 1, count):
-                if degrees[u] + degrees[v] != d:
-                    continue
-                eu = elements[u]
-                if isinstance(eu, tuple) and eu[1] > v:
-                    continue
-                new.append((u, v))
-        elements.extend(new)
-        degrees.extend([d] * len(new))
-        if len(elements) > dim_cap:
-            raise ResourceError(
-                f"free nilpotent algebra exceeds the dimension cap ({dim_cap})"
-            )
-    return elements, degrees
-
-
-def free_nilpotent(generator_dim: int, step: int, inner_product=None, dim_cap: int = 64) -> CarnotAlgebra:
-    """Free nilpotent Carnot algebra on `generator_dim` generators of the given step."""
-    n, s = int(generator_dim), int(step)
-    if n < 2 or s < 1:
-        raise LieError("need generator_dim >= 2 and step >= 1")
-    elements, degrees = _hall_elements(n, s, dim_cap)
-    index_of = {e: i for i, e in enumerate(elements) if isinstance(e, tuple)}
-    memo: dict = {}
-
-    def reduce(u: int, v: int) -> dict:
-        if u == v:
-            return {}
-        if u < v:
-            return {c: -x for c, x in reduce(v, u).items()}
-        if degrees[u] + degrees[v] > s:
-            return {}
-        key = (u, v)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        eu = elements[u]
-        if not isinstance(eu, tuple) or eu[1] <= v:
-            out = {index_of[(u, v)]: Fraction(1)}
-        else:
-            # [[u1,u2],v] = [u1,[u2,v]] - [u2,[u1,v]]
-            u1, u2 = eu
-            out: dict = {}
-            for w, c in reduce(u2, v).items():
-                for x, cc in reduce(u1, w).items():
-                    out[x] = out.get(x, Fraction(0)) + c * cc
-            for w, c in reduce(u1, v).items():
-                for x, cc in reduce(u2, w).items():
-                    out[x] = out.get(x, Fraction(0)) - c * cc
-            out = {x: c for x, c in out.items() if c != 0}
-        memo[key] = out
-        return out
-
-    brackets = {}
-    for a in range(len(elements)):
-        for b in range(a + 1, len(elements)):
-            if degrees[a] + degrees[b] > s:
-                continue
-            row = reduce(b, a)
-            # stored for (a, b) = -[b, a]
-            row = {c: -v for c, v in row.items()}
-            if row:
-                brackets[(a, b)] = row
-
-    def label(i) -> str:
-        e = elements[i]
-        if not isinstance(e, tuple):
-            return f"A{e + 1}"
-        return f"[{label(e[0])},{label(e[1])}]"
-
-    dims = [degrees.count(d) for d in range(1, s + 1)]
-    labels = [label(i) for i in range(len(elements))]
-    return CarnotAlgebra(dims, labels, brackets, metric1=inner_product)
 
 
 # ---------------------------------------------------------------------------
@@ -331,32 +191,29 @@ def heisenberg(lam) -> CarnotAlgebra:
     for i in range(n - 1):
         if float(lam[i]) > float(lam[i + 1]) + 1e-12:
             raise LieError("lambda must be nondecreasing")
-    labels = [f"A{j+1}" for j in range(n)] + [f"B{j+1}" for j in range(n)] + ["C"]
-    brackets = {(j, n + j): {2 * n: Fraction(1)} for j in range(n)}
+    brackets = {(j, n + j): {2 * n: 1} for j in range(n)}
     metric = np.diag([float(l) ** 2 for l in lam] * 2)
-    return CarnotAlgebra((2 * n, 1), labels, brackets, metric1=metric)
+    return CarnotAlgebra((2 * n, 1), brackets, metric1=metric)
 
 
 def cartan_nilpotent() -> CarnotAlgebra:
-    """The unique Carnot algebra with growth vector (2,3,5)."""
-    labels = ("A1", "A2", "B", "C1", "C2")
-    brackets = {
-        (0, 1): {2: Fraction(1)},
-        (0, 2): {3: Fraction(1)},
-        (1, 2): {4: Fraction(1)},
-    }
-    return CarnotAlgebra((2, 1, 2), labels, brackets)
+    """The unique Carnot algebra with growth vector (2,3,5), basis A1, A2, B, C1, C2."""
+    brackets = {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}}
+    return CarnotAlgebra((2, 1, 2), brackets)
 
 
 # ---------------------------------------------------------------------------
 # isometry algebras
 
 
-def isometry_algebra(g: CarnotAlgebra, tol: float = 1e-10):
+def isometry_algebra(g: CarnotAlgebra):
     """Basis of the degree-0 derivations skew-symmetric on the -1 layer.
 
     Returns a list of dim x dim float matrices (block-diagonal by layer),
     an orthonormal basis of the solution space in flattened coordinates.
+    The skew rows use the metric divided by its largest entry and the null
+    space is cut relative to the largest singular value, so scaling the
+    metric does not change the answer.
     """
     blocks = [(k, g.layer_range(k)) for k in range(1, g.step + 1)]
     offsets = {}
@@ -396,7 +253,7 @@ def isometry_algebra(g: CarnotAlgebra, tol: float = 1e-10):
                 if np.any(row):
                     rows.append(row)
     # skew on the -1 layer: (G D)^T + G D = 0
-    G1 = g.metric1
+    G1 = g.metric1 / np.abs(g.metric1).max()
     r1 = g.layer_range(1)
     d1 = len(r1)
     for i in range(d1):
@@ -407,10 +264,8 @@ def isometry_algebra(g: CarnotAlgebra, tol: float = 1e-10):
                 row[var_idx(r1.start + m, r1.start + i)] += G1[j, m]
             rows.append(row)
 
-    A = np.array(rows) if rows else np.zeros((1, nvars))
-    _, sv, vt = np.linalg.svd(A)
-    smax = sv[0] if sv.size else 0.0
-    null = [vt[i] for i in range(vt.shape[0]) if i >= sv.size or sv[i] <= tol * max(smax, 1.0)]
+    _, sv, vt = np.linalg.svd(np.array(rows))
+    null = [vt[i] for i in range(vt.shape[0]) if i >= sv.size or sv[i] <= 1e-10 * sv[0]]
     out = []
     for vec in null:
         D = np.zeros((g.dim, g.dim))
@@ -426,7 +281,7 @@ def isometry_algebra(g: CarnotAlgebra, tol: float = 1e-10):
 # Heisenberg normal form
 
 
-def heisenberg_normal_form(g: CarnotAlgebra, tol: float = 1e-9):
+def heisenberg_normal_form(g: CarnotAlgebra):
     """The lambda invariant of a step-2 algebra with rank-1 center.
 
     Eigenvalues of -(J^theta)^2 are normalized so the largest is 1; the
@@ -438,15 +293,9 @@ def heisenberg_normal_form(g: CarnotAlgebra, tol: float = 1e-9):
     d1 = g.layer_dims[0]
     if d1 % 2 != 0:
         raise LieError("the -1 layer of a nondegenerate step-2 algebra has even rank")
-    center = g.dim - 1
-    B = np.zeros((d1, d1))
-    for a in range(d1):
-        for b in range(a + 1, d1):
-            v = g.bracket(a, b).get(center, 0)
-            B[a, b] = float(v)
-            B[b, a] = -float(v)
+    B = g.structure_tensor()[:d1, :d1, d1]
     scale = np.abs(B).max()
-    if scale == 0 or np.linalg.matrix_rank(B, tol=tol * scale) < d1:
+    if scale == 0 or np.linalg.matrix_rank(B, tol=1e-9 * scale) < d1:
         raise LieError("degenerate bracket form")
     G = g.metric1
     J = np.linalg.solve(G, B)
@@ -458,7 +307,7 @@ def heisenberg_normal_form(g: CarnotAlgebra, tol: float = 1e-9):
     sym = gh @ M @ ghi
     ev = np.linalg.eigvalsh((sym + sym.T) / 2.0)
     ev = np.sort(ev)[::-1]
-    if ev[-1] <= tol * ev[0]:
+    if ev[-1] <= 1e-9 * ev[0]:
         raise LieError("degenerate bracket form")
     pairs = [(ev[2 * i] + ev[2 * i + 1]) / 2.0 for i in range(d1 // 2)]
     top = pairs[0]

@@ -505,10 +505,10 @@ def _columns(fields, points) -> list:
     return [np.ascontiguousarray(v.T) for v in values]
 
 
-def _ranks(mats: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _ranks(mats: np.ndarray) -> np.ndarray:
     """Numerical rank of each stacked matrix, relative to its largest singular value."""
     s = np.linalg.svd(mats, compute_uv=False)
-    return np.sum(s > tol * s[:, :1], axis=1)
+    return np.sum(s > 1e-9 * s[:, :1], axis=1)
 
 
 def _flags(m: FramedManifold, points, max_step: int) -> list:
@@ -568,8 +568,7 @@ def _interned_symbols(cs, metrics, layer_dims, cache: dict) -> list:
             _checked_metric(metric).tobytes(),
         )
         if key not in cache:
-            labels = tuple(f"W{a+1}" for a in range(len(cg)))
-            cache[key] = CarnotAlgebra(layer_dims, labels, brackets, metric1=metric)
+            cache[key] = CarnotAlgebra(layer_dims, brackets, metric1=metric)
         out.append(cache[key])
     return out
 

@@ -1,6 +1,4 @@
-import itertools
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,63 +8,10 @@ from srgeom.lie import (
     CarnotAlgebra,
     LieError,
     cartan_nilpotent,
-    free_nilpotent,
     heisenberg,
     heisenberg_normal_form,
     isometry_algebra,
 )
-
-
-def witt_dim(n: int, j: int) -> int:
-    """Dimension of the degree-j layer of the free Lie algebra on n generators."""
-
-    def mobius(d):
-        out, m = 1, d
-        for p in range(2, d + 1):
-            if m % p == 0:
-                m //= p
-                if m % p == 0:
-                    return 0
-                out = -out
-        return out
-
-    total = 0
-    for d in range(1, j + 1):
-        if j % d == 0:
-            total += mobius(d) * n ** (j // d)
-    return total // j
-
-
-@pytest.mark.parametrize("n,s", list(itertools.product((2, 3), (2, 3, 4))))
-def test_free_nilpotent_dims_match_witt(n, s):
-    g = free_nilpotent(n, s)
-    assert g.layer_dims == tuple(witt_dim(n, j) for j in range(1, s + 1))
-
-
-def test_free_22_bracket_spans_layer2():
-    g = free_nilpotent(2, 2)
-    assert g.layer_dims == (2, 1)
-    row = g.bracket(0, 1)
-    assert set(row) == {2}
-
-
-def test_free_23_matches_cartan_shape():
-    g = free_nilpotent(2, 3)
-    c = cartan_nilpotent()
-    assert g.layer_dims == c.layer_dims == (2, 1, 2)
-    assert g.jacobi_residual() == Fraction(0)
-    assert g.generation_ok()
-
-
-@pytest.mark.parametrize("n,s", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
-def test_free_nilpotent_jacobi_exact(n, s):
-    g = free_nilpotent(n, s)
-    assert g.jacobi_residual() == Fraction(0)
-
-
-def test_free_nilpotent_dimension_cap():
-    with pytest.raises(lie.ResourceError):
-        free_nilpotent(4, 5)
 
 
 def test_heisenberg_jacobi_random_lambdas():
@@ -75,7 +20,7 @@ def test_heisenberg_jacobi_random_lambdas():
         lam = sorted(round(rng.uniform(1.0, 3.0), 3) for _ in range(3))
         lam[0] = 1.0
         g = heisenberg(tuple(lam))
-        assert g.jacobi_residual() == Fraction(0)
+        assert g.jacobi_residual() == 0.0
 
 
 def test_heisenberg_ordering_error():
@@ -88,8 +33,39 @@ def test_heisenberg_ordering_error():
 def test_cartan_nilpotent_basics():
     g = cartan_nilpotent()
     assert g.layer_dims == (2, 1, 2)
-    assert g.jacobi_residual() == Fraction(0)
+    assert g.jacobi_residual() == 0.0
     assert g.generation_ok()
+
+
+@pytest.mark.parametrize(
+    "brackets,generated",
+    [
+        ({(0, 1): {2: 1e-12}, (0, 2): {3: 1e-12}, (1, 2): {4: 1e-12}}, True),
+        ({(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}}, True),
+        ({(0, 1): {2: 1e12}, (0, 2): {3: 1e12}, (1, 2): {4: 1e12}}, True),
+        # without [A2, B] the -1 layer does not generate C2
+        ({(0, 1): {2: 1}, (0, 2): {3: 1}}, False),
+    ],
+    ids=["1e-12", "1", "1e12", "without-[A2,B]"],
+)
+def test_generation_is_ranked_relative_to_the_brackets(brackets, generated):
+    assert CarnotAlgebra((2, 1, 2), brackets).generation_ok() is generated
+
+
+def test_bracket_table_is_refused_out_of_order_or_off_grading():
+    with pytest.raises(LieError, match="a < b"):
+        CarnotAlgebra((2, 1), {(1, 0): {2: 1}})
+    with pytest.raises(LieError, match="violates the grading"):
+        CarnotAlgebra((2, 1), {(0, 1): {0: 1}})
+
+
+def test_jacobi_residual_of_a_non_lie_bracket():
+    # on (A1, A2, A3) the Jacobi sum is [[A1,A2],A3] + [[A2,A3],A1] + [[A3,A1],A2] = -C
+    brackets = {
+        (0, 1): {3: 1}, (1, 2): {4: 1}, (0, 2): {5: 1},
+        (2, 3): {6: 1}, (0, 4): {6: 1}, (1, 5): {6: 1},
+    }
+    assert CarnotAlgebra((3, 3, 1), brackets).jacobi_residual() == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +74,7 @@ def test_cartan_nilpotent_basics():
 
 def test_step1_metric_unchanged():
     m = np.array([[2.0, 0.5], [0.5, 1.0]])
-    g = CarnotAlgebra((2,), ("A1", "A2"), {}, metric1=m)
+    g = CarnotAlgebra((2,), {}, metric1=m)
     assert np.allclose(g.full_gram(), m)
 
 
@@ -163,7 +139,7 @@ def test_selector_flavor_values():
 
 
 def test_induced_gram_block_diagonal_positive():
-    for g in (heisenberg((1.0, 1.5)), cartan_nilpotent(), free_nilpotent(2, 3)):
+    for g in (heisenberg((1.0, 1.5)), cartan_nilpotent()):
         gram = g.full_gram()
         np.linalg.cholesky(gram)
         for a in range(g.dim):
@@ -186,7 +162,11 @@ def test_induced_gram_block_diagonal_positive():
     ],
 )
 def test_isometry_algebra_dims(make, expected):
-    assert len(isometry_algebra(make())) == expected
+    # the isometries of c * metric are those of the metric, at every scale c
+    g = make()
+    for c in (1e-12, 1e-7, 1.0, 1e7, 1e12):
+        scaled = CarnotAlgebra(g.layer_dims, g.brackets, metric1=c * g.metric1)
+        assert len(isometry_algebra(scaled)) == expected, c
 
 
 def test_isometries_are_isometry_algebra_solved_once(monkeypatch):
@@ -260,9 +240,7 @@ def test_normal_form_round_trip():
 
 def test_normal_form_scaled_metric():
     g = heisenberg((1,))
-    scaled = CarnotAlgebra(
-        g.layer_dims, g.labels, g.brackets, metric1=4.0 * np.eye(2)
-    )
+    scaled = CarnotAlgebra(g.layer_dims, g.brackets, metric1=4.0 * np.eye(2))
     assert heisenberg_normal_form(scaled) == pytest.approx((1.0,), abs=1e-12)
 
 
@@ -284,7 +262,7 @@ def test_normal_form_isometric_basis_change():
         for b in range(a + 1, 4):
             if abs(newC[a, b, 4]) > 1e-15:
                 brackets[(a, b)] = {4: float(newC[a, b, 4])}
-    g2 = CarnotAlgebra((4, 1), g.labels, brackets, metric1=G)
+    g2 = CarnotAlgebra((4, 1), brackets, metric1=G)
     assert heisenberg_normal_form(g2) == pytest.approx((1.0, 3.0), abs=1e-8)
 
 
@@ -293,12 +271,12 @@ def test_normal_form_center_rescale_invariant():
     brackets = {
         pair: {c: 2 * v for c, v in row.items()} for pair, row in g.brackets.items()
     }
-    g2 = CarnotAlgebra(g.layer_dims, g.labels, brackets, metric1=g.metric1)
+    g2 = CarnotAlgebra(g.layer_dims, brackets, metric1=g.metric1)
     assert heisenberg_normal_form(g2) == pytest.approx((1.0, 2.0), abs=1e-10)
 
 
 def test_normal_form_degenerate_error():
-    g = CarnotAlgebra((2, 1), ("A1", "A2", "C"), {}, metric1=np.eye(2))
+    g = CarnotAlgebra((2, 1), {}, metric1=np.eye(2))
     with pytest.raises(LieError):
         heisenberg_normal_form(g)
 
@@ -308,5 +286,5 @@ def test_full_gram_of_a_scaled_metric(scale):
     # the positive-definiteness test is relative to the largest eigenvalue,
     # and the layer-2 Gram of h_1 under scale * I is scale^2
     g = heisenberg((1,))
-    alg = CarnotAlgebra(g.layer_dims, g.labels, g.brackets, metric1=scale * np.eye(2))
+    alg = CarnotAlgebra(g.layer_dims, g.brackets, metric1=scale * np.eye(2))
     assert np.allclose(alg.full_gram(), np.diag([scale, scale, scale**2]), rtol=1e-12, atol=0)

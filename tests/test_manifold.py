@@ -295,11 +295,7 @@ def test_contact_symbol_ranks_each_layer_once(monkeypatch):
 def test_constant_symbol_refuses_two_vertical_directions():
     # [A1, B1] = [A2, B2] = C1 and [A1, A2] = C2: the flag (4, 6) fills the
     # chart at step 2, but the bracket form modulo E has two components
-    alg = CarnotAlgebra(
-        (4, 2),
-        ("A1", "A2", "B1", "B2", "C1", "C2"),
-        {(0, 2): {4: 1}, (1, 3): {4: 1}, (0, 1): {5: 1}},
-    )
+    alg = CarnotAlgebra((4, 2), {(0, 2): {4: 1}, (1, 3): {4: 1}, (0, 1): {5: 1}})
     m = carnot_group_manifold(alg, structure_class="contact")
     pts = [(0.1, -0.2, 0.3, 0.4, 0.5, -0.6), (0.0, 0.2, -0.1, 0.3, 0.1, 0.2)]
     with pytest.raises(ManifoldError, match="^not a contact structure: 2 vertical directions"):
