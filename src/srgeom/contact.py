@@ -1,10 +1,11 @@
 """Contact sub-Riemannian manifolds of constant symbol.
 
-Pipeline: orthonormalize the horizontal frame, build the annihilator
-one-form from the frame inverse, normalize it so the largest eigenvalue of
-the squared structure operator is one, split the horizontal bundle into
-eigenbundles (pointwise numerics promoted to symbolic projector matrices
-once the eigenvalues are verified constant), construct the Reeb field, the
+Pipeline: refuse the chart unless ``manifold.check_constant_symbol`` finds
+its symbol constant, orthonormalize the horizontal frame, build the
+annihilator one-form from the frame inverse, normalize it so the largest
+eigenvalue of the squared structure operator is one, split the horizontal
+bundle into eigenbundles (eigenvalues taken at the first sample point, then
+promoted to symbolic projector matrices), construct the Reeb field, the
 grading-fixing horizontal field W, and finally the projected/corrected
 connections whose curvature correction yields the canonical connection.
 """
@@ -21,17 +22,16 @@ from .manifold import (
     FramedManifold,
     ManifoldError,
     VectorField,
-    _contact_shape_error,
     _default_samples,
     _gram_schmidt_horizontal,
     _matmul,
     _singular,
     _sum_of_products,
     bracket,
+    check_constant_symbol,
     frame_bracket,
     frame_combination,
     frame_inverse,
-    growth_flag,
     structure_functions,
 )
 
@@ -87,12 +87,14 @@ class ContactData:
 def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int = 1) -> ContactData:
     """Normalize the contact structure of a constant-symbol manifold.
 
-    The annihilator direction is the bracket of the first two horizontal
-    frame fields (``orientation=-1`` flips it, for invariance testing); the
-    one-form is scaled so the top eigenvalue of the squared structure
-    operator is one.  Eigenvalues are computed numerically at the sample
-    points, verified constant, and the eigenbundle projectors are then
-    rebuilt as symbolic polynomial expressions in the structure operator.
+    The chart is refused unless ``manifold.check_constant_symbol`` finds its
+    symbol constant at the sample points.  The annihilator direction is the
+    bracket of the first two horizontal frame fields (``orientation=-1``
+    flips it, for invariance testing); the one-form is scaled so the top
+    eigenvalue of the squared structure operator is one.  The eigenvalues are
+    taken at the first sample point, not read from the verdict's λ, whose
+    rounding would leave residue where the projectors have exact zeros; the
+    projectors are rebuilt as symbolic polynomials in the structure operator.
     """
     if m.structure_class != "contact":
         raise ManifoldError("manifold is not declared as a contact structure")
@@ -100,14 +102,9 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
         raise ManifoldError("orientation must be +1 or -1")
     if sample_points is None:
         sample_points = _default_samples(m)
-    if not sample_points:
-        raise ManifoldError("at least one sample point is required")
+    if not check_constant_symbol(m, sample_points):
+        raise ManifoldError("λ varies over the sample points; the symbol is not constant")
     r = m.rank
-    if r % 2 != 0 or m.dim != r + 1:
-        raise _contact_shape_error(m)
-    flag = growth_flag(m, m.point(sample_points[0]), 2)
-    if flag != (r, r + 1):
-        raise ManifoldError(f"not a contact structure: growth flag {flag}")
 
     fields = _gram_schmidt_horizontal(m)
     # vertical complement: the first pair of horizontal frame fields whose
@@ -147,31 +144,12 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     dmat = [[_ZERO if caux[a][b][v] is _ZERO else expr.neg(caux[a][b][v]) for b in range(r)]
             for a in range(r)]
 
-    # pointwise eigen data of -(D^2)
-    clusters0 = None
-    ratios0 = None
-    for dnum in expr.evaluate_tables([dmat], [m.point(p) for p in sample_points])[0]:
-        msq = -dnum @ dnum
-        eigs = np.linalg.eigvalsh(msq)[::-1]
-        if eigs[0] <= 0 or eigs[-1] <= 1e-9 * eigs[0]:
-            raise ManifoldError("degenerate structure form on the horizontal bundle")
-        clusters = _cluster_descending(eigs / eigs[0])
-        if clusters0 is None:
-            clusters0 = clusters
-            ratios0 = tuple(c for c, _ in clusters)
-        else:
-            if tuple(n for _, n in clusters) != tuple(n for _, n in clusters0):
-                raise ManifoldError(
-                    "eigenvalue multiplicities change across samples; "
-                    "the symbol is not constant"
-                )
-            if max(abs(c - c0) for (c, _), c0 in zip(clusters, ratios0)) > 1e-6:
-                raise ManifoldError(
-                    "eigenvalue ratios change across samples; "
-                    "the symbol is not constant"
-                )
-    nus = ratios0  # descending, nus[0] == 1.0
-    mults = tuple(n for _, n in clusters0)
+    # eigen data of -(D^2) at the first point; the verdict has checked the rest
+    dnum = expr.evaluate_array(dmat, base)
+    eigs = np.linalg.eigvalsh(-dnum @ dnum)[::-1]
+    clusters = _cluster_descending(eigs / eigs[0])
+    nus = tuple(c for c, _ in clusters)  # descending, nus[0] == 1.0
+    mults = tuple(n for _, n in clusters)
     if any(n % 2 for n in mults):
         raise ManifoldError("odd eigenbundle dimension; structure operator corrupt")
     lam_op = tuple(float(nu) ** -0.5 for nu in nus)  # ascending from 1

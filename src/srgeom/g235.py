@@ -46,10 +46,10 @@ from .manifold import (
     _matmul,
     _sum_of_products,
     bracket,
+    check_constant_symbol,
     frame_bracket,
     frame_combination,
     frame_inverse,
-    growth_flag,
     structure_functions,
 )
 from .connection import Connection, Grading, selector
@@ -102,16 +102,14 @@ def _install_calculus(frame: FramedManifold, srows, sinv, alpha, xfields, ctab):
 
 
 def _check_growth(m: FramedManifold, points):
-    if m.rank != 2 or m.dim != 5:
+    """Refuse a chart not declared (2,3,5), or whose flag is not (2,3,5) at every point."""
+    if m.structure_class != "two-three-five":
+        raise ManifoldError("manifold is not declared as a two-three-five structure")
+    verdict = check_constant_symbol(m, points)
+    if not verdict:
         raise ManifoldError(
-            "a growth (2,3,5) structure needs horizontal rank 2 in dimension 5"
-        )
-    if not points:
-        raise ManifoldError("at least one sample point is required")
-    flag = growth_flag(m, m.point(points[0]), 3)
-    if tuple(flag) != (2, 3, 5):
-        raise ManifoldError(
-            f"the horizontal bundle does not have growth (2,3,5): flag {flag}"
+            f"the horizontal bundle does not have growth (2,3,5) at every "
+            f"sample point: flags {sorted(set(verdict.samples))}"
         )
 
 
@@ -257,6 +255,9 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
                         x2: VectorField = None, sample_points=None) -> Intrinsic235:
     """Intrinsic grading of a growth (2,3,5) horizontal bundle.
 
+    Refuses a chart unless it is declared ``two-three-five`` and
+    ``manifold.check_constant_symbol`` finds the flag (2,3,5) at every point.
+
     ``x1``, ``x2`` is an orthonormal horizontal frame (by default
     the Gram-Schmidt frame of the chart); ``X_3 = [X_1, X_2]``,
     ``X_4 = [X_1, X_3]``, ``X_5 = [X_2, X_3]`` complete it to the bracket
@@ -353,6 +354,9 @@ def connection_235(data: Intrinsic235) -> Connection:
 def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
                          x2: VectorField = None, sample_points=None) -> Grading:
     """Canonical grading of a growth (2,3,5) structure.
+
+    Refuses, like :func:`intrinsic_frame_235`, a chart not declared
+    ``two-three-five`` or whose flag is not (2,3,5) at every sample point.
 
     Corrects the intrinsic grading so the canonical connection of the
     result satisfies the torsion and curvature trace normalizations exactly:

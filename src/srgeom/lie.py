@@ -4,7 +4,8 @@ A :class:`CarnotAlgebra` is a graded nilpotent Lie algebra generated by its
 -1 layer, with an inner product on that layer. The module builds the
 induced inner product on the higher layers, isometry algebras, and the two
 model families (Heisenberg algebras h_n(lambda) and the rank-2 step-3 Cartan
-nilpotent algebra), plus the Heisenberg normal-form invariant.
+nilpotent algebra), plus the Heisenberg normal-form invariant, computed for
+stacked symbols (one per sample point) in one batched pass.
 
 Layer conventions: layer k = 1..s corresponds to degree -k; the basis is
 ordered layer by layer. Structure constants are given for index pairs a < b
@@ -211,9 +212,11 @@ def isometry_algebra(g: CarnotAlgebra):
 
     Returns a list of dim x dim float matrices (block-diagonal by layer),
     an orthonormal basis of the solution space in flattened coordinates.
-    The skew rows use the metric divided by its largest entry and the null
-    space is cut relative to the largest singular value, so scaling the
-    metric does not change the answer.
+    The derivation rows use the structure tensor divided by the power of two
+    nearest its largest entry, the skew rows the metric divided by its
+    largest entry, and the null space is cut relative to the largest
+    singular value, so scaling the brackets or the metric does not change
+    the answer.
     """
     blocks = [(k, g.layer_range(k)) for k in range(1, g.step + 1)]
     offsets = {}
@@ -232,6 +235,8 @@ def isometry_algebra(g: CarnotAlgebra):
         return offsets[k] + (row - rng.start) * d + (col - rng.start)
 
     C = g.structure_tensor()
+    if C.any():  # a power of two divides exactly: a largest constant of 1 keeps its bits
+        C = C / 2.0 ** round(np.log2(np.abs(C).max()))
     rows = []
     # derivation: sum_x D_{xa} c_{xb}^c + sum_x D_{xb} c_{ax}^c = sum_{c'} c_{ab}^{c'} D_{c c'}
     for a in range(g.dim):
@@ -281,35 +286,30 @@ def isometry_algebra(g: CarnotAlgebra):
 # Heisenberg normal form
 
 
-def heisenberg_normal_form(g: CarnotAlgebra):
-    """The lambda invariant of a step-2 algebra with rank-1 center.
+def heisenberg_normal_forms(B, G) -> np.ndarray:
+    """The lambda invariants of stacked step-2 symbols with a rank-1 center.
 
-    Eigenvalues of -(J^theta)^2 are normalized so the largest is 1; the
-    returned vector lists the fourth-root reciprocals sorted ascending
-    (lambda_1 = 1), one entry per eigenvalue pair.
+    ``B[x]`` and ``G[x]`` are the bracket form and the inner product of symbol
+    x on its -1 layer.  Row x lists the fourth-root reciprocals of the
+    eigenvalue pairs of -(G^-1 B)^2 over the largest, ascending, so
+    lambda_1 = 1; one batched solve and eigendecomposition serve every row.
     """
-    if g.step != 2 or g.layer_dims[1] != 1:
-        raise LieError("normal form requires layer dims (2n, 1)")
-    d1 = g.layer_dims[0]
-    if d1 % 2 != 0:
-        raise LieError("the -1 layer of a nondegenerate step-2 algebra has even rank")
-    B = g.structure_tensor()[:d1, :d1, d1]
-    scale = np.abs(B).max()
-    if scale == 0 or np.linalg.matrix_rank(B, tol=1e-9 * scale) < d1:
-        raise LieError("degenerate bracket form")
-    G = g.metric1
+    B, G = np.asarray(B, dtype=float), np.asarray(G, dtype=float)
+    if B.shape != G.shape or B.shape[-1] % 2:
+        raise LieError("normal form requires bracket forms and metrics of one even rank")
     J = np.linalg.solve(G, B)
     M = -J @ J
     # symmetrize in G-orthonormal coordinates
     w, q = np.linalg.eigh(G)
-    gh = q @ np.diag(w ** 0.5) @ q.T
-    ghi = q @ np.diag(w ** -0.5) @ q.T
-    sym = gh @ M @ ghi
-    ev = np.linalg.eigvalsh((sym + sym.T) / 2.0)
-    ev = np.sort(ev)[::-1]
-    if ev[-1] <= 1e-9 * ev[0]:
+    qt = np.swapaxes(q, -1, -2)
+    sym = (q * w[..., None, :] ** 0.5) @ qt @ M @ (q * w[..., None, :] ** -0.5) @ qt
+    ev = np.linalg.eigvalsh((sym + np.swapaxes(sym, -1, -2)) / 2.0)[..., ::-1]
+    if not np.all(ev[..., -1] > 1e-9 * ev[..., 0]):
         raise LieError("degenerate bracket form")
-    pairs = [(ev[2 * i] + ev[2 * i + 1]) / 2.0 for i in range(d1 // 2)]
-    top = pairs[0]
-    lam = sorted((e / top) ** -0.25 for e in pairs)
-    return tuple(lam)
+    pairs = (ev[..., 0::2] + ev[..., 1::2]) / 2.0
+    return np.sort((pairs / pairs[..., :1]) ** -0.25, axis=-1)
+
+
+def heisenberg_normal_form(g: CarnotAlgebra) -> tuple:
+    """:func:`heisenberg_normal_forms` of one algebra with layer dims (2n, 1)."""
+    return tuple(heisenberg_normal_forms(g.structure_tensor()[None, :-1, :-1, -1], g.metric1[None])[0])

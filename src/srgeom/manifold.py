@@ -10,9 +10,10 @@ it has to be (ranks, symbol algebras at sample points).
 Every reader of a bracket flag takes it from one pass, :func:`_flags`, which
 evaluates the frame once for all sample points and each bracket layer once
 for the points whose flag has not yet filled the chart.  The constant-symbol
-verdict reads that pass too: a (2,3,5) chart its growth vector, a contact
-chart the bracket form modulo the horizontal bundle (the vertical row of the
-step-2 values) together with the evaluated metric.
+verdict, the one test through which the constructions refuse a chart, reads
+that pass too: a (2,3,5) chart its growth vector, a contact chart the
+bracket form modulo the horizontal bundle (the vertical row of the step-2
+values) and the evaluated metric, stacked for one batched normal form.
 
 Sample points, the default ones of the constructions and the seeded ones of
 a description file, come from one helper, :func:`_uniform_rows`, which draws
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import expr
 from .expr import Expr
-from .lie import CarnotAlgebra, heisenberg_normal_form
+from .lie import CarnotAlgebra, LieError, heisenberg_normal_forms
 
 __all__ = [
     "ManifoldError",
@@ -219,8 +220,8 @@ class FramedManifold:
         return self.frame_matrices_at([point])[0]
 
     def frame_matrices_at(self, points) -> list:
-        """Frame matrix at every point, checked non-singular; one evaluation."""
-        return [_checked_frame(mat) for mat in _columns(self.frames, points)]
+        """Frame matrix at every point, checked non-singular; one evaluation and one check."""
+        return list(_checked_frame(_columns(self.frames, points)))
 
     # -- iterated horizontal brackets ---------------------------------------
 
@@ -472,37 +473,37 @@ def _matmul(a, b):
 
 
 def _singular(mat: np.ndarray) -> bool:
-    """Whether a square matrix is singular, by a test that does not depend on scale.
+    """Whether a square matrix, or any of a stack, is singular, by a scale-free test.
 
     |det| is compared with 1e-9 times the product of the column norms, its
     bound by Hadamard's inequality, so scaling a column does not change the
     answer.  A matrix whose determinant is not a number counts as singular.
     """
-    return not abs(np.linalg.det(mat)) > 1e-9 * np.prod(np.linalg.norm(mat, axis=0))
+    return not np.all(np.abs(np.linalg.det(mat)) > 1e-9 * np.prod(np.linalg.norm(mat, axis=-2), axis=-1))
 
 
 def _checked_frame(mat: np.ndarray) -> np.ndarray:
-    """A frame matrix, checked non-singular."""
+    """A frame matrix, or a stack of them, checked non-singular."""
     if _singular(mat):
-        raise ManifoldError("frame is singular at the requested point")
+        raise ManifoldError("frame is singular at a requested point")
     return mat
 
 
 def _checked_metric(g: np.ndarray) -> np.ndarray:
-    """A metric matrix, checked symmetric positive-definite."""
-    if np.abs(g - g.T).max() > 1e-12:
-        raise ManifoldError("metric is not symmetric at the requested point")
+    """A metric matrix, or a stack of them, checked symmetric positive-definite."""
+    if np.abs(g - np.swapaxes(g, -1, -2)).max() > 1e-12:
+        raise ManifoldError("metric is not symmetric at a requested point")
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
-        raise ManifoldError("metric is not positive-definite at the requested point") from exc
+        raise ManifoldError("metric is not positive-definite at a requested point") from exc
     return g
 
 
-def _columns(fields, points) -> list:
-    """Per point, the fields evaluated there as columns; one evaluation for all."""
+def _columns(fields, points) -> np.ndarray:
+    """Per point, the fields evaluated there as columns, stacked; one evaluation for all."""
     values = expr.evaluate_tables([[f.components for f in fields]], points)[0]
-    return [np.ascontiguousarray(v.T) for v in values]
+    return np.ascontiguousarray(np.swapaxes(values, 1, 2))
 
 
 def _ranks(mats: np.ndarray) -> np.ndarray:
@@ -521,7 +522,7 @@ def _flags(m: FramedManifold, points, max_step: int) -> list:
     """
     if max_step < 1:
         raise ManifoldError("max_step must be at least 1")
-    finvs = np.linalg.inv(np.reshape(m.frame_matrices_at(points), (len(points), m.dim, m.dim)))
+    finvs = np.linalg.inv(_checked_frame(_columns(m.frames, points)))
     flags = [[] for _ in points]
     layers = [[] for _ in points]
     spans = np.zeros((len(points), m.dim, 0))  # every point's layers so far, side by side
@@ -529,7 +530,7 @@ def _flags(m: FramedManifold, points, max_step: int) -> list:
     for k in range(1, max_step + 1):
         if not len(growing):
             break
-        vals = finvs[growing] @ np.stack(_columns(m.bracket_layer(k), [points[x] for x in growing]))
+        vals = finvs[growing] @ _columns(m.bracket_layer(k), [points[x] for x in growing])
         spans = np.concatenate([spans, vals], axis=2)
         ranks = _ranks(spans)
         for x, layer, rank in zip(growing, vals, ranks):
@@ -573,15 +574,6 @@ def _interned_symbols(cs, metrics, layer_dims, cache: dict) -> list:
     return out
 
 
-def _contact_shape_error(m: FramedManifold) -> ManifoldError:
-    """The refusal of a chart declared contact whose rank is odd or whose
-    dimension is not its rank + 1."""
-    return ManifoldError(
-        f"contact structure needs even horizontal rank and one extra "
-        f"dimension, got rank {m.rank} in dimension {m.dim}"
-    )
-
-
 @dataclass(frozen=True)
 class SymbolVerdict:
     """Outcome of a constant-symbol check over sample points."""
@@ -598,23 +590,29 @@ class SymbolVerdict:
 def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> SymbolVerdict:
     """Decide whether the symbol algebra is the same at every sample point.
 
+    The one constant-symbol test, through which the constructions refuse.
     A contact symbol is h_n(λ) with its metric, and λ depends only on the
     bracket form of the horizontal bundle E modulo E and on the metric on E.
-    So the contact verdict reads, at each point, the vertical row of the
+    So the contact verdict stacks, over the points, the vertical row of the
     step-2 bracket values of the flag pass (in frame coordinates) and the
-    evaluated metric; no graded basis is built.  A chart declared contact
-    whose rank is odd, whose flag does not fill it at step 2, or whose
-    dimension is not its rank + 1, is refused with a :class:`ManifoldError`.  A (2,3,5) chart is
-    read from its growth vector alone.
+    evaluated metric for one batched :func:`lie.heisenberg_normal_forms`.  A
+    chart declared contact whose rank is odd, whose flag does not fill it at
+    step 2, whose dimension is not its rank + 1, or whose bracket form is
+    degenerate, is refused with a :class:`ManifoldError`.  A (2,3,5) chart is
+    read from its growth vector at every point.
     """
     points = [m.point(p) for p in sample]
     if not points:
         raise ManifoldError("at least one sample point is required")
 
     if m.structure_class == "contact":
-        if m.rank % 2:
+        r = m.rank
+        if r % 2:
             # no h_n has odd rank, so no flag or symbol is built
-            raise _contact_shape_error(m)
+            raise ManifoldError(
+                f"contact structure needs even horizontal rank and one extra "
+                f"dimension, got rank {r} in dimension {m.dim}"
+            )
         passes = _flags(m, points, 2)
         flags = [flag for _, flag, _ in passes]
         for p, f in zip(points, flags):
@@ -626,26 +624,24 @@ def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> Symbo
             # a contact symbol fills the chart at step 2; deeper layers would
             # hold rank^(k-1) fields each, so none is built
             raise ManifoldError(f"not a contact structure: growth flag {flags[0]}")
-        r = m.rank
         if m.dim != r + 1:
             # row r alone would miss the brackets along the other vertical fields
             raise ManifoldError(
                 f"not a contact structure: {m.dim - r} vertical directions, not 1"
             )
         # [X_a, X_b] = B[a, b] X_r modulo E, from row r of the layer-2 values
-        cs = np.zeros((len(points), m.dim, m.dim, m.dim))
-        cs[:, :r, :r, r] = np.reshape([layers[1][r] for _, _, layers in passes], (-1, r, r))
-        metrics = expr.evaluate_tables([m.metric], points)[0]
-        algebras = _interned_symbols(cs, metrics, (r, 1), {})
-        # equal symbols are one object, so each distinct one is normalized once
-        forms = {alg: heisenberg_normal_form(alg) for alg in dict.fromkeys(algebras)}
-        lams = [forms[alg] for alg in algebras]
-        spread = float(np.ptp(np.array(lams), axis=0).max())
+        forms = np.reshape([layers[1][r] for _, _, layers in passes], (-1, r, r))
+        metrics = _checked_metric(expr.evaluate_tables([m.metric], points)[0])
+        try:
+            lams = heisenberg_normal_forms(forms, metrics)
+        except LieError as exc:
+            raise ManifoldError(f"not a contact structure: {exc}") from None
+        spread = float(np.ptp(lams, axis=0).max())
         return SymbolVerdict(
             constant=bool(spread <= tol),
             structure_class="contact",
-            detail=lams[0] if spread <= tol else None,
-            samples=tuple(lams),
+            detail=tuple(lams[0]) if spread <= tol else None,
+            samples=tuple(map(tuple, lams)),
         )
 
     if m.structure_class == "two-three-five":

@@ -180,6 +180,18 @@ def test_non_contact_inputs_rejected():
         extract_contact_data(odd)
 
 
+def test_degenerate_bracket_form_is_not_a_contact_structure():
+    # X_2 = d/dx2 + x1 d/dz and coordinate fields otherwise: the flag (4, 5)
+    # fills the chart, but the bracket form [X_1, X_2] = d/dz has rank 2
+    rows = [[int(i == j) for j in range(5)] for i in range(5)]
+    rows[1] = ["0", "1", "0", "0", "x1"]
+    m = FramedManifold(("x1", "x2", "x3", "x4", "z"), rows, 4, structure_class="contact")
+    pts = [(0.1, -0.2, 0.3, 0.4, 0.5), (0.2, 0.1, -0.3, 0.0, 0.4)]
+    for refuse in (check_constant_symbol, extract_contact_data):
+        with pytest.raises(ManifoldError, match="^not a contact structure: degenerate bracket form$"):
+            refuse(m, pts)
+
+
 def test_varying_eigenvalue_ratio_rejected():
     with pytest.raises(ManifoldError, match="not constant"):
         extract_contact_data(models.varying_lambda_manifold())

@@ -4,7 +4,7 @@ the invariant characterizations of the intrinsic grading."""
 import numpy as np
 import pytest
 
-from srgeom import expr
+from srgeom import expr, models
 from srgeom.connection import check_morimoto, flatness_check
 from srgeom.g235 import (
     connection_235,
@@ -13,6 +13,8 @@ from srgeom.g235 import (
     morimoto_grading_235,
 )
 from srgeom.manifold import (
+    FramedManifold,
+    ManifoldError,
     _default_samples,
     _gram_schmidt_horizontal,
     check_constant_symbol,
@@ -179,3 +181,32 @@ def test_installed_coframe_inverts_the_frame(chart, request):
             p = g.frame.point(p)
             got = expr.evaluate_array(coframe, p) @ g.frame.frame_matrix_at(p)
             assert np.abs(got - np.eye(5)).max() <= 1e-12
+
+
+def _chart_235(x2_components):
+    """Declared (2,3,5): X_1 = d/dx1 and the given X_2, completed by d/dx3, d/dx4, d/dx5."""
+    rows = [[int(i == j) for j in range(5)] for i in range(5)]
+    rows[1] = list(x2_components)
+    return FramedManifold(("x1", "x2", "x3", "x4", "x5"), rows, 2, structure_class="two-three-five")
+
+
+@pytest.mark.parametrize(
+    "chart,points,message",
+    [
+        (models.heisenberg_manifold, [(0.1, 0.2, 0.3)], "not declared"),
+        # [X_2, [X_1, X_2]] = 0 everywhere: flag (2, 3, 4)
+        (lambda: _chart_235(["0", "1", "x1", "x1^2/2", "0"]), [(0.1, 0.2, 0.3, 0.4, 0.5)], "growth"),
+        # [X_2, [X_1, X_2]] = x3 d/dx5: flag (2, 3, 5) at the first point, (2, 3, 4) at the second
+        (
+            lambda: _chart_235(["0", "1", "x1", "x1^2/2", "x1*x2*x3"]),
+            [(0.1, 0.2, 0.3, 0.4, 0.5), (0.3, -0.2, 0.0, 0.1, 0.2)],
+            r"growth \(2,3,5\) at every sample point: flags \[\(2, 3, 4\), \(2, 3, 5\)\]",
+        ),
+    ],
+    ids=["heisenberg", "flag-234", "flag-234-at-second-point"],
+)
+def test_235_constructions_refuse_through_the_verdict(chart, points, message):
+    m = chart()
+    for construct in (intrinsic_frame_235, morimoto_grading_235):
+        with pytest.raises(ManifoldError, match=message):
+            construct(m, sample_points=points)

@@ -162,10 +162,14 @@ def test_induced_gram_block_diagonal_positive():
     ],
 )
 def test_isometry_algebra_dims(make, expected):
-    # the isometries of c * metric are those of the metric, at every scale c
+    # the isometries of c * metric, and of c * brackets, are those of the
+    # algebra, at every scale c
     g = make()
     for c in (1e-12, 1e-7, 1.0, 1e7, 1e12):
         scaled = CarnotAlgebra(g.layer_dims, g.brackets, metric1=c * g.metric1)
+        assert len(isometry_algebra(scaled)) == expected, c
+        brackets = {ab: {k: c * v for k, v in row.items()} for ab, row in g.brackets.items()}
+        scaled = CarnotAlgebra(g.layer_dims, brackets, metric1=g.metric1)
         assert len(isometry_algebra(scaled)) == expected, c
 
 

@@ -333,28 +333,28 @@ def test_constant_symbol_heisenberg():
     assert verdict.detail == pytest.approx((1.0,), abs=1e-9)
 
 
-def test_constant_symbol_normalizes_each_distinct_symbol_once(monkeypatch):
-    # a flat Heisenberg group's symbol is bitwise the same at every point, so
-    # 20 points share one algebra and one normal form; the varying chart's
-    # two points keep two
+def test_constant_symbol_normalizes_every_point_in_one_call(monkeypatch):
+    # the verdict stacks every point's bracket form and metric into one
+    # batched normal form: one call for a flat group's 20 points, and one for
+    # the two points of a chart whose λ varies
     calls = []
-    inner = manifold.heisenberg_normal_form
+    inner = manifold.heisenberg_normal_forms
 
-    def counted(alg):
-        calls.append(alg)
-        return inner(alg)
+    def counted(forms, metrics):
+        calls.append(len(forms))
+        return inner(forms, metrics)
 
-    monkeypatch.setattr(manifold, "heisenberg_normal_form", counted)
+    monkeypatch.setattr(manifold, "heisenberg_normal_forms", counted)
     m = carnot_group_manifold(heisenberg((1, 1.6, 2.9)), structure_class="contact")
     verdict = check_constant_symbol(m, manifold._default_samples(m, count=20, seed=5))
     assert verdict.constant and len(verdict.samples) == 20
     assert verdict.detail == pytest.approx((1.0, 1.6, 2.9), abs=1e-9)
-    assert len(calls) == 1
+    assert calls == [20]
     calls.clear()
     verdict = check_constant_symbol(
         varying_lambda_manifold(), [(0.0, 0.1, 0.2, -0.1, 0.3), (0.8, 0.1, 0.2, -0.1, 0.3)]
     )
-    assert not verdict.constant and len(calls) == 2
+    assert not verdict.constant and calls == [2]
 
 
 def test_constant_symbol_varying_lambda_fails():
@@ -571,6 +571,9 @@ def test_frame_singular_at_point():
     m = FramedManifold(("x", "y"), [["x", "0"], ["0", "1"]], 1)
     with pytest.raises(ManifoldError, match="singular"):
         m.frame_matrix_at(m.point((0.0, 0.5)))
+    # the points are checked together: one singular point refuses them all
+    with pytest.raises(ManifoldError, match="singular"):
+        m.frame_matrices_at([m.point((0.3, 0.5)), m.point((0.0, 0.5))])
 
 
 def test_frame_with_tiny_components_is_not_singular():

@@ -603,3 +603,31 @@ def test_checks_refuse_an_empty_point_set(check):
 def test_constructions_refuse_an_empty_point_set(construct):
     with pytest.raises(ManifoldError, match="at least one sample point is required"):
         construct()
+
+
+def _log_domain_chart(algebra, coord, structure_class):
+    """A group chart with metric exp(log t)·I, t the coordinate ``coord``: defined for t > 0 only."""
+    scale = expr.exp(expr.log(expr.var(coord)))
+    r = algebra.layer_dims[0]
+    metric = [[scale if i == j else expr.ZERO for j in range(r)] for i in range(r)]
+    return models.carnot_group_manifold(algebra, metric=metric, structure_class=structure_class)
+
+
+def test_constructions_read_only_the_callers_points():
+    # both charts are defined only where the logged coordinate is positive; the
+    # caller's points lie there, and the default points in [-0.9, 0.9] do not
+    rng = np.random.default_rng(12)
+    h1 = _log_domain_chart(heisenberg((1,)), "x1", "contact")
+    pts = [(rng.uniform(0.2, 0.6), *rng.uniform(-0.5, 0.5, size=2)) for _ in range(5)]
+    cd = extract_contact_data(h1, pts)
+    conn = morimoto_connection_contact(cd, morimoto_grading_contact(cd))
+    assert check_morimoto(conn, pts).ok and not flatness_check(conn, pts).flat
+    cartan = _log_domain_chart(lie.cartan_nilpotent(), "x4", "two-three-five")
+    pts235 = [(*rng.uniform(-0.5, 0.5, size=3), rng.uniform(0.2, 0.6), rng.uniform(-0.5, 0.5)) for _ in range(5)]
+    conn = morimoto_connection_235(morimoto_grading_235(cartan, sample_points=pts235))
+    assert check_morimoto(conn, pts235).ok and not flatness_check(conn, pts235).flat
+    # without points, each construction reaches a default point outside the domain
+    with pytest.raises(expr.EvaluationError):
+        extract_contact_data(h1)
+    with pytest.raises(expr.EvaluationError):
+        morimoto_grading_235(cartan)
