@@ -1,7 +1,10 @@
 """Gradings, taming metrics, selectors, and graded affine connections.
 
-A :class:`Grading` equips a framed manifold with an adapted frame split into
-layers spanning a complement decomposition of the bracket flag.  In adapted
+A :class:`Grading` is an adapted frame, a :class:`FramedManifold`, split into
+layers spanning a complement decomposition of the bracket flag.  A
+construction's grading has a derived frame, whose calculus comes from its
+coefficient rows (``manifold._frame_over``); a declared chart's own frame is
+inverted and bracketed at the coordinate level.  In adapted
 coordinates the induced identification of the tangent space with its graded
 symbol is simply "read the frame components", which makes the taming metric,
 the canonical selector and the degree-zero torsion concretely computable.  A
@@ -41,6 +44,7 @@ from .lie import CarnotAlgebra, _onb_columns
 from .manifold import (
     FramedManifold,
     ManifoldError,
+    _chart,
     _flags,
     _interned_symbols,
     _inverse,
@@ -71,43 +75,37 @@ _ZERO = expr.rational(0)
 class Grading:
     """Adapted frame whose layer blocks realize a grading of the tangent bundle.
 
-    ``layers`` is a sequence of sequences of vector fields; the first block
-    must span the horizontal bundle (its size equals the horizontal rank) and
-    block number k spans a complement of the (k-1)-th flag subbundle inside
-    the k-th.  ``metric`` gives the horizontal inner product in the adapted
-    horizontal frame (default: identity, i.e. that frame is orthonormal).
+    ``frame`` is a :class:`FramedManifold` whose fields, taken in blocks of
+    ``layer_dims``, are the layers: the first block spans the horizontal
+    bundle (its size equals the horizontal rank) and block number k spans a
+    complement of the (k-1)-th flag subbundle inside the k-th.  The frame's
+    metric is the horizontal inner product in its first block.  A grading
+    built by a construction has a derived frame (``manifold._frame_over``),
+    whose calculus comes from its coefficient rows; a declared chart's own
+    frame is handled at the coordinate level.  ``base`` is the declared
+    chart under the frame, whose flag :meth:`validate` reads.
     """
 
-    def __init__(self, manifold: FramedManifold, layers, metric=None):
-        self.base = manifold
-        layer_list = [tuple(block) for block in layers]
-        if not layer_list or len(layer_list[0]) != manifold.rank:
+    def __init__(self, frame: FramedManifold, layer_dims):
+        self.layer_dims = tuple(layer_dims)
+        if not self.layer_dims or self.layer_dims[0] != frame.rank:
             raise ManifoldError(
                 "the first grading layer must have exactly the horizontal rank"
             )
-        fields = [f for block in layer_list for f in block]
-        if len(fields) != manifold.dim:
+        if sum(self.layer_dims) != frame.dim:
             raise ManifoldError(
-                f"adapted frame needs {manifold.dim} fields, got {len(fields)}"
+                f"adapted frame needs {frame.dim} fields, got {sum(self.layer_dims)}"
             )
-        self.layer_dims = tuple(len(block) for block in layer_list)
+        self.frame = frame
+        self.base = _chart(frame)
         self.step = len(self.layer_dims)
-        # internal framed manifold over the adapted frame; reuses the
-        # symbolic frame-inverse and structure-function machinery
-        self.frame = FramedManifold(
-            manifold.coords,
-            [list(f.components) for f in fields],
-            manifold.rank,
-            metric=metric,
-            structure_class=manifold.structure_class,
-        )
         self.degrees = tuple(
             k + 1 for k, d in enumerate(self.layer_dims) for _ in range(d)
         )
         self._symbol_cache = {}  # symbol content -> CarnotAlgebra
-        self._fields = self.frame.frames
+        self.fields = frame.frames
         # rows[i][a]: coordinate component a of the i-th adapted field
-        self.frame_rows = tuple(f.components for f in self._fields)
+        self.frame_rows = tuple(f.components for f in self.fields)
         self._t_zero = None
         self._selector = None
         self._wedge_inverses = {}  # wedge class -> its wedge-Gram inverse
@@ -117,10 +115,6 @@ class Grading:
     @property
     def dim(self) -> int:
         return self.frame.dim
-
-    @property
-    def fields(self):
-        return self._fields
 
     def degree_of(self, a: int) -> int:
         return self.degrees[a]
@@ -193,18 +187,15 @@ class Grading:
 
 
 def left_invariant_grading(m: FramedManifold, layer_dims, metric=None) -> Grading:
-    """Grading whose layers are consecutive blocks of the manifold frame."""
-    layer_dims = tuple(layer_dims)
-    if sum(layer_dims) != m.dim:
-        raise ManifoldError("layer dimensions must sum to the chart dimension")
-    blocks = []
-    start = 0
-    for d in layer_dims:
-        blocks.append(m.frames[start : start + d])
-        start += d
-    if metric is None:
-        metric = [list(row) for row in m.metric]
-    return Grading(m, blocks, metric=metric)
+    """Grading whose layers are consecutive blocks of the manifold frame.
+
+    With a ``metric``, the frame is a copy of the chart's frame that carries
+    it as its horizontal metric.
+    """
+    if metric is not None:
+        m = FramedManifold(m.coords, [f.components for f in m.frames], m.rank,
+                           metric=metric, structure_class=m.structure_class)
+    return Grading(m, layer_dims)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,18 @@
 
 Pipeline: refuse the chart unless ``manifold.check_constant_symbol`` finds
 its symbol constant, orthonormalize the horizontal frame, build the
-annihilator one-form from the frame inverse, normalize it so the largest
+annihilator one-form from a coframe row, normalize it so the largest
 eigenvalue of the squared structure operator is one, split the horizontal
 bundle into eigenbundles (eigenvalues taken at the first sample point, then
 promoted to symbolic projector matrices), construct the Reeb field, the
 grading-fixing horizontal field W, and finally the projected/corrected
 connections whose curvature correction yields the canonical connection.
+
+Only the chart's own frame is inverted and bracketed at the coordinate
+level.  The aux frame (the Gram-Schmidt rows and a bracket row over the
+chart) and the grading's frame (its horizontal rows and the Z^W row over
+aux) are derived frames, ``manifold._frame_over``, whose coframe and
+structure functions come from their coefficient rows.
 """
 
 from __future__ import annotations
@@ -23,11 +29,11 @@ from .manifold import (
     ManifoldError,
     VectorField,
     _default_samples,
+    _frame_over,
     _gram_schmidt_horizontal,
     _matmul,
     _singular,
     _sum_of_products,
-    bracket,
     check_constant_symbol,
     frame_bracket,
     frame_combination,
@@ -65,8 +71,7 @@ class ContactData:
     """Normalized contact structure data on a constant-symbol manifold."""
 
     manifold: FramedManifold
-    ortho_frame: tuple  # orthonormal horizontal VectorFields
-    aux: FramedManifold  # frame (ortho..., vertical)
+    aux: FramedManifold  # frame (ortho..., vertical), derived from the chart
     theta: tuple  # normalized one-form, coordinate components (Expr)
     jtheta: tuple  # structure operator on E, Expr matrix
     lam_op: tuple  # eigenvalue parameters, ascending, lam_op[0] == 1
@@ -76,12 +81,21 @@ class ContactData:
     lam_matrix: tuple  # Lambda as Expr matrix on E
     lam_inv_matrix: tuple
     jmat: tuple  # J = Lambda J^theta, Expr matrix on E
-    reeb: VectorField  # Z^0
+    reeb_coeffs: tuple  # Z^0 as coefficients over aux
 
     @property
     def rank(self) -> int:
         return self.manifold.rank
 
+    @property
+    def ortho_frame(self) -> tuple:
+        """The orthonormal horizontal fields: the first ``rank`` fields of aux."""
+        return self.aux.frames[: self.rank]
+
+    @property
+    def reeb(self) -> VectorField:
+        """The Reeb field Z^0."""
+        return frame_combination(self.manifold, self.aux.frames, self.reeb_coeffs)
 
 
 def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int = 1) -> ContactData:
@@ -90,7 +104,9 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     The chart is refused unless ``manifold.check_constant_symbol`` finds its
     symbol constant at the sample points.  The annihilator direction is the
     bracket of the first two horizontal frame fields (``orientation=-1``
-    flips it, for invariance testing); the one-form is scaled so the top
+    flips it, for invariance testing).  With the orthonormal fields it makes
+    aux, a frame derived from its rows over the chart, and the raw one-form
+    is the vertical row of aux's coframe; the one-form is scaled so the top
     eigenvalue of the squared structure operator is one.  The eigenvalues are
     taken at the first sample point, not read from the verdict's λ, whose
     rounding would leave residue where the projectors have exact zeros; the
@@ -106,39 +122,27 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
         raise ManifoldError("λ varies over the sample points; the symbol is not constant")
     r = m.rank
 
-    fields = _gram_schmidt_horizontal(m)
-    # vertical complement: the first pair of horizontal frame fields whose
-    # bracket leaves the horizontal bundle (for most inputs, [X_1, X_2])
-    vert_raw = None
+    # aux, over the chart: the Gram-Schmidt rows (the verdict has checked the
+    # one vertical slot) and the row of a horizontal bracket that leaves the
+    # horizontal bundle, the first such pair (for most inputs, [X_1, X_2])
+    rows = [row + [_ZERO] for row in _gram_schmidt_horizontal(m)]
+    cm = structure_functions(m)
     base = m.point(sample_points[0])
-    fmat = np.column_stack([f.value_at(base) for f in fields])
-    for i in range(r):
-        if vert_raw is not None:
-            break
-        for j in range(i + 1, r):
-            cand = bracket(m.frames[i], m.frames[j])
-            trial = np.column_stack([fmat, cand.value_at(base)])
-            if not _singular(trial):
-                vert_raw = cand
-                break
-    if vert_raw is None:
+    ortho = expr.evaluate_array(rows, base)
+    brackets = (cm[i][j] for i in range(r) for j in range(i + 1, r))
+    vert = next((b for b in brackets if not _singular(np.vstack([ortho, expr.evaluate_array(b, base)]).T)), None)
+    if vert is None:
         raise ManifoldError(
             "no horizontal bracket complements the horizontal bundle"
         )
     if orientation == -1:
-        vert_raw = vert_raw.scaled(expr.rational(-1))
-    aux = FramedManifold(
-        m.coords,
-        [f.components for f in fields] + [vert_raw.components],
-        r,
-        structure_class=m.structure_class,
-    )
+        vert = [e if e is _ZERO else expr.neg(e) for e in vert]
+    aux = _frame_over(m, rows + [vert])
     caux = structure_functions(aux)
     v = r  # index of the vertical frame slot
 
     # raw annihilator one-form: the vertical coframe row
-    finv = frame_inverse(aux)
-    theta_raw = tuple(finv[v])
+    theta_raw = frame_inverse(aux)[v]
 
     # structure coefficients of the raw form: dtheta_raw(F_a, F_b)
     dmat = [[_ZERO if caux[a][b][v] is _ZERO else expr.neg(caux[a][b][v]) for b in range(r)]
@@ -209,7 +213,7 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     tinv = expr.pow_(t, -1)
     rhs = []
     for b in range(r):
-        pairs = ((tinv, caux[v][b][v]), (expr.MINUS_ONE, fields[b].apply(tinv)))
+        pairs = ((tinv, caux[v][b][v]), (expr.MINUS_ONE, aux.frames[b].apply(tinv)))
         terms = [(f, e) for f, e in pairs if e is not _ZERO]
         rhs.append(_sum_of_products(terms) if terms else _ZERO)
     jl = _matmul(jmat, lam_matrix)
@@ -218,12 +222,8 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     for a in range(r):
         terms = [(t, jl[a][b], rhs[b]) for b in live if jl[a][b] is not _ZERO]
         u.append(_sum_of_products(terms) if terms else _ZERO)
-    reeb_coeffs = tuple(u) + (tinv,)
-    reeb = frame_combination(m, aux.frames, reeb_coeffs)
-
     return ContactData(
         manifold=m,
-        ortho_frame=tuple(fields),
         aux=aux,
         theta=theta,
         jtheta=tuple(tuple(row) for row in jtheta),
@@ -234,7 +234,7 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
         lam_matrix=tuple(tuple(row) for row in lam_matrix),
         lam_inv_matrix=tuple(tuple(row) for row in lam_inv_matrix),
         jmat=tuple(tuple(row) for row in jmat),
-        reeb=reeb,
+        reeb_coeffs=tuple(u) + (tinv,),
     )
 
 
@@ -311,9 +311,11 @@ def morimoto_grading_contact(cd: ContactData) -> ContactGradingParams:
         w = [wc if vc is _ZERO else _sum_of_products([(coef, vc)], wc) for vc, wc in zip(vec, w)]
     w_field = frame_combination(cd.manifold, cd.ortho_frame, w)
     jw = [row[0] for row in _matmul(cd.jmat, [[e] for e in w])]
-    zw_field = cd.reeb - frame_combination(cd.manifold, cd.ortho_frame, jw)
-    grading = Grading(cd.manifold, [cd.ortho_frame, (zw_field,)])
-    return ContactGradingParams(cd, tuple(w), w_field, zw_field, grading)
+    # the grading over aux: its horizontal fields, and Z^W = Z^0 - JW
+    zw = [z if e is _ZERO else _sum_of_products([(expr.MINUS_ONE, e)], z) for z, e in zip(cd.reeb_coeffs, jw)]
+    rows = [[expr.ONE if a == b else _ZERO for b in range(r + 1)] for a in range(r)]
+    grading = Grading(_frame_over(cd.aux, rows + [zw + [cd.reeb_coeffs[r]]]), (r, 1))
+    return ContactGradingParams(cd, tuple(w), w_field, grading.fields[r], grading)
 
 
 # ---------------------------------------------------------------------------

@@ -18,18 +18,15 @@ normalization identities checked by ``check_morimoto`` for its unique
 compatible connection.
 
 All constructions run in the coefficient calculus of the iterated-bracket
-frame: every corrected field is stored as a coefficient row over that frame,
-brackets are expanded through the frame structure functions, and the adapted
-gradings receive their coframe and structure functions from the inverse of
-their coefficient matrix, solved by ``manifold._inverse`` like every other
-symbolic inverse.  Only the bracket frame of the declared horizontal fields
-is inverted at the coordinate level.  Every field of a grading is made once,
-by ``manifold.frame_combination`` of its coefficient row.  The calculus is the
-one ``contact`` uses too: ``manifold.frame_bracket`` brackets coefficient
-rows, ``manifold.frame_combination`` turns them back into fields,
+frame: every corrected field is a coefficient row over that frame, and each
+grading is the derived frame of its rows (``manifold._frame_over``), whose
+coframe and structure functions come from the rows.  The bracket frame is
+itself derived, from its rows over ``raux``, the bracket frame of the
+declared horizontal fields, which is the only frame inverted and bracketed
+at the coordinate level.  The calculus is the one ``contact`` uses too:
+``manifold.frame_bracket`` brackets coefficient rows,
 ``VectorField.apply`` differentiates along a frame field, and every sum of
-products, matrix products included (``manifold._matmul``), is built by
-``manifold._sum_of_products`` from its non-zero terms only.
+products is built by ``manifold._sum_of_products`` from its non-zero terms.
 """
 
 from dataclasses import dataclass, field
@@ -39,7 +36,9 @@ from .manifold import (
     FramedManifold,
     ManifoldError,
     VectorField,
+    _component,
     _default_samples,
+    _frame_over,
     _gauss_jordan,
     _gram_schmidt_horizontal,
     _inverse,
@@ -68,39 +67,6 @@ _HALF = expr.rational(1, 2)
 _MINUS_ONE = expr.MINUS_ONE
 
 
-def _frame_comp(v, sinv, k):
-    """Adapted component k of a bracket-frame coefficient vector."""
-    terms = [(v[a], sinv[a][k]) for a in range(5) if v[a] is not _ZERO and sinv[a][k] is not _ZERO]
-    return _sum_of_products(terms) if terms else _ZERO
-
-
-def _install_calculus(frame: FramedManifold, srows, sinv, alpha, xfields, ctab):
-    """Install the coframe and structure functions of a frame given by rows.
-
-    ``srows`` holds the fields of ``frame`` as coefficient rows over the
-    frame ``xfields``, ``sinv`` is their inverse (``manifold._inverse`` of
-    ``srows``), ``alpha`` the coordinate
-    coframe of ``xfields`` and ``ctab`` its structure functions.  Assembling
-    the coframe and structure functions of ``frame`` from these replaces the
-    coordinate-level solve the frame would otherwise perform.
-    """
-    n = 5
-    finv = tuple(map(tuple, _matmul(list(zip(*sinv)), alpha)))
-    cbar = [[[_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = frame_bracket(xfields, ctab, srows[i], srows[j])
-            if all(e is _ZERO for e in br):
-                continue
-            for k in range(n):
-                e = _frame_comp(br, sinv, k)
-                if e is not _ZERO:
-                    cbar[i][j][k] = e
-                    cbar[j][i][k] = expr.neg(e)
-    frame._frame_inverse = finv
-    frame._structure_functions = cbar
-
-
 def _check_growth(m: FramedManifold, points):
     """Refuse a chart not declared (2,3,5), or whose flag is not (2,3,5) at every point."""
     if m.structure_class != "two-three-five":
@@ -113,68 +79,39 @@ def _check_growth(m: FramedManifold, points):
         )
 
 
-def _frame_calculus(m: FramedManifold, aux: FramedManifold):
-    """Install the coframe and structure functions of a bracket frame.
+def _bracket_frame(m: FramedManifold, x1, x2) -> FramedManifold:
+    """The bracket frame of an orthonormal horizontal frame, derived from ``raux``.
 
-    ``aux`` is the bracket frame of an orthonormal horizontal frame.  Only
-    the bracket frame of the manifold's declared horizontal fields is
-    inverted at the coordinate level; ``aux`` is a block-triangular
-    coefficient transform of it (horizontal block, degree -2 slot, degree -3
-    block), whose inverse is ``manifold._inverse`` of its coefficient rows.
-    """
-    fields = aux.frames
-    r1, r2 = m.frames[0], m.frames[1]
-    r3 = bracket(r1, r2)
-    r4 = bracket(r1, r3)
-    r5 = bracket(r2, r3)
-    rfields = (r1, r2, r3, r4, r5)
-    raux = FramedManifold(
-        m.coords,
-        [list(f.components) for f in rfields],
-        m.rank,
-        structure_class=m.structure_class,
-    )
-    alpha_r = frame_inverse(raux)
-    c_r = structure_functions(raux)
-
-    # coefficient rows over the raw frame; the given fields are horizontal,
-    # so their raw components beyond the horizontal slots vanish identically
-    mrows = [None] * 5
-    for i in range(2):
-        row = [
-            _sum_of_products((alpha_r[j][a], fields[i].components[a]) for a in range(5))
-            for j in range(2)
-        ]
-        mrows[i] = row + [_ZERO, _ZERO, _ZERO]
-    mrows[2] = frame_bracket(rfields, c_r, mrows[0], mrows[1])
-    mrows[3] = frame_bracket(rfields, c_r, mrows[0], mrows[2])
-    mrows[4] = frame_bracket(rfields, c_r, mrows[1], mrows[2])
-
-    _install_calculus(aux, mrows, _inverse(mrows), alpha_r, rfields, c_r)
-
-
-def _bracket_frame(m: FramedManifold, x1, x2):
-    """The five iterated-bracket fields and their auxiliary frame.
-
-    The auxiliary frame carries the coframe and structure functions
-    installed by :func:`_frame_calculus`.
+    ``X_3 = [X_1, X_2]``, ``X_4 = [X_1, X_3]`` and ``X_5 = [X_2, X_3]`` are
+    bracketed as fields, and give the frame its coordinate components.  Its
+    calculus comes from its coefficient rows over ``raux``, the bracket
+    frame of the declared horizontal fields, which is the one frame of the
+    construction inverted and bracketed at the coordinate level.
     """
     if (x1 is None) != (x2 is None):
         raise ManifoldError("provide both horizontal fields or neither")
     if x1 is None:
-        x1, x2 = _gram_schmidt_horizontal(m)
+        x1, x2 = (frame_combination(m, m.frames[:2], row) for row in _gram_schmidt_horizontal(m))
     x3 = bracket(x1, x2)
-    x4 = bracket(x1, x3)
-    x5 = bracket(x2, x3)
-    fields = (x1, x2, x3, x4, x5)
-    aux = FramedManifold(
+    fields = (x1, x2, x3, bracket(x1, x3), bracket(x2, x3))
+    r1, r2 = m.frames[:2]
+    r3 = bracket(r1, r2)
+    raux = FramedManifold(
         m.coords,
-        [list(f.components) for f in fields],
+        [f.components for f in (r1, r2, r3, bracket(r1, r3), bracket(r2, r3))],
         m.rank,
         structure_class=m.structure_class,
     )
-    _frame_calculus(m, aux)
-    return fields, aux
+    alpha, c = frame_inverse(raux), structure_functions(raux)
+    # rows over raux; the given fields are horizontal, so their rows vanish
+    # identically beyond the horizontal slots
+    rows = [
+        [_sum_of_products((alpha[j][a], x.components[a]) for a in range(5)) for j in range(2)] + [_ZERO] * 3
+        for x in (x1, x2)
+    ]
+    rows.append(frame_bracket(raux.frames, c, rows[0], rows[1]))
+    rows += [frame_bracket(raux.frames, c, rows[e], rows[2]) for e in range(2)]
+    return _frame_over(raux, rows, [f.components for f in fields])
 
 
 # nonzero entries of the frame rotation generator D, as (out, in): sign;
@@ -226,28 +163,20 @@ def _adapted_lambda(grading: Grading):
 class Intrinsic235:
     """Intrinsic grading ``E + span{Z} + span{Y_1, Y_2}`` over the bracket frame.
 
-    ``srows`` holds the adapted fields ``X_1, X_2, Z, Y_1, Y_2`` as coefficient
-    rows over the bracket frame ``x``, ``sinv`` their inverse
-    (``manifold._inverse`` of ``srows``); ``zp`` and ``wp`` are the fields of
-    ``srows[2:]``.  The grading itself is built on first access.
+    ``frame`` is the bracket frame ``X_1..X_5``; ``srows`` holds the adapted
+    fields ``X_1, X_2, Z, Y_1, Y_2`` as coefficient rows over it.  The
+    grading, the derived frame of these rows, is built on first access.
     """
 
     manifold: FramedManifold
-    x: tuple  # bracket frame X_1..X_5
-    alpha: tuple  # coframe rows of the bracket frame
-    c: tuple  # structure functions of the bracket frame
-    zp: VectorField  # Z
-    wp: tuple  # Y_1, Y_2
+    frame: FramedManifold  # bracket frame X_1..X_5
     srows: tuple = field(repr=False)
-    sinv: tuple = field(repr=False)
     _grading: Grading = field(default=None, repr=False)
 
     @property
     def grading(self) -> Grading:
         if self._grading is None:
-            g = Grading(self.manifold, [self.x[:2], (self.zp,), self.wp])
-            _install_calculus(g.frame, self.srows, self.sinv, self.alpha, self.x, self.c)
-            self._grading = g
+            self._grading = Grading(_frame_over(self.frame, self.srows), (2, 1, 2))
         return self._grading
 
 
@@ -281,7 +210,8 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
     if sample_points is None:
         sample_points = _default_samples(m)
     _check_growth(m, sample_points)
-    fields, aux = _bracket_frame(m, x1, x2)
+    aux = _bracket_frame(m, x1, x2)
+    fields = aux.frames
     try:
         aux.frame_matrix_at(aux.point(sample_points[0]))
     except ManifoldError as exc:
@@ -331,9 +261,7 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
             _ONE,
         ),
     )
-    z, y1, y2 = (frame_combination(m, fields, row) for row in srows[2:])
-    sinv = tuple(map(tuple, _inverse(srows)))
-    return Intrinsic235(m, fields, frame_inverse(aux), c, z, (y1, y2), srows, sinv)
+    return Intrinsic235(m, aux, srows)
 
 
 def connection_235(data: Intrinsic235) -> Connection:
@@ -365,23 +293,22 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     endomorphism.  The corrections are obtained by expanding the structure
     functions of the corrected frame over intrinsic bracket tensors and
     solving the two resulting linear systems by ``manifold._gauss_jordan``.
-    The returned grading carries its coframe and structure functions, from
-    ``manifold._inverse`` of its coefficient rows.  On the model
-    algebra every correction vanishes, so its layers span the same subspaces
-    as those of ``intrinsic_frame_235(...).grading``; the degree -3 frames
-    differ by the rotation generator.
+    The returned grading is the derived frame of its rows over the bracket
+    frame.  On the model algebra every correction vanishes, so its layers
+    span the same subspaces as those of ``intrinsic_frame_235(...).grading``;
+    the degree -3 frames differ by the rotation generator.
     """
     data = intrinsic_frame_235(m, x1, x2, sample_points)
-    xfields = data.x
-    c = data.c
+    xfields = data.frame.frames
+    c = structure_functions(data.frame)
     srows = data.srows
-    sinv = data.sinv
+    sinv = _inverse(srows)
 
     def phix(v):
         """Horizontal image of a coefficient vector under the flag map."""
         return [
-            _sum_of_products([(_MINUS_ONE, _frame_comp(v, sinv, 4))]),
-            _frame_comp(v, sinv, 3),
+            _sum_of_products([(_MINUS_ONE, _component(v, sinv, 4))]),
+            _component(v, sinv, 3),
         ]
 
     # ---- intrinsic tensors of the lift geometry -------------------------
@@ -401,8 +328,8 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
         for a in range(2)
     ]
     xi_t = [phix(frame_bracket(xfields, c, zp_row, ell_rows[j])) for j in range(2)]
-    cp_t = [_frame_comp(frame_bracket(xfields, c, e_rows[0], e_rows[1]), sinv, k) for k in range(2)]
-    b_t = [[_frame_comp(br, sinv, k) for k in range(2)] for br in ez]
+    cp_t = [_component(frame_bracket(xfields, c, e_rows[0], e_rows[1]), sinv, k) for k in range(2)]
+    b_t = [[_component(br, sinv, k) for k in range(2)] for br in ez]
     (p00, p01), (p10, p11) = p_t
 
     # ---- first correction block: rotated shift pairs --------------------
@@ -609,12 +536,7 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
         [amat[0][0], amat[0][1], w2c[0], _ZERO, _MINUS_ONE],
         [amat[1][0], amat[1][1], w2c[1], _ONE, _ZERO],
     ]
-    srows_i = _matmul(tmat, srows)
-    z_field, *ell_fields = (frame_combination(m, xfields, row) for row in srows_i[2:])
-
-    grading = Grading(m, [(xfields[0], xfields[1]), (z_field,), tuple(ell_fields)])
-    _install_calculus(grading.frame, srows_i, _inverse(srows_i), data.alpha, xfields, c)
-    return grading
+    return Grading(_frame_over(data.frame, _matmul(tmat, srows)), (2, 1, 2))
 
 
 def morimoto_connection_235(g: Grading) -> Connection:

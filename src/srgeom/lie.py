@@ -290,24 +290,24 @@ def heisenberg_normal_forms(B, G) -> np.ndarray:
     """The lambda invariants of stacked step-2 symbols with a rank-1 center.
 
     ``B[x]`` and ``G[x]`` are the bracket form and the inner product of symbol
-    x on its -1 layer.  Row x lists the fourth-root reciprocals of the
-    eigenvalue pairs of -(G^-1 B)^2 over the largest, ascending, so
-    lambda_1 = 1; one batched solve and eigendecomposition serve every row.
+    x on its -1 layer.  In G-orthonormal coordinates J = G^-1 B is the skew
+    matrix K = G^-1/2 B G^-1/2, whose eigenvalues are ±i sigma for the
+    singular values sigma of J; iK is Hermitian, so one batched ``eigvalsh``
+    finds every sigma to within rounding of the largest.  Row x lists the
+    square roots of the largest sigma over each sigma, ascending, so
+    lambda_1 = 1.  The form is degenerate when its smallest sigma is below
+    1e-9 times its largest; sigma scales like lambda^-2.
     """
     B, G = np.asarray(B, dtype=float), np.asarray(G, dtype=float)
     if B.shape != G.shape or B.shape[-1] % 2:
         raise LieError("normal form requires bracket forms and metrics of one even rank")
-    J = np.linalg.solve(G, B)
-    M = -J @ J
-    # symmetrize in G-orthonormal coordinates
     w, q = np.linalg.eigh(G)
-    qt = np.swapaxes(q, -1, -2)
-    sym = (q * w[..., None, :] ** 0.5) @ qt @ M @ (q * w[..., None, :] ** -0.5) @ qt
-    ev = np.linalg.eigvalsh((sym + np.swapaxes(sym, -1, -2)) / 2.0)[..., ::-1]
-    if not np.all(ev[..., -1] > 1e-9 * ev[..., 0]):
+    root = (q * w[..., None, :] ** -0.5) @ np.swapaxes(q, -1, -2)  # G^-1/2
+    # the upper half of the eigenvalues of iK, ascending
+    sigma = np.linalg.eigvalsh(1j * (root @ B @ root))[..., B.shape[-1] // 2 :]
+    if not np.all(sigma[..., 0] > 1e-9 * sigma[..., -1]):
         raise LieError("degenerate bracket form")
-    pairs = (ev[..., 0::2] + ev[..., 1::2]) / 2.0
-    return np.sort((pairs / pairs[..., :1]) ** -0.25, axis=-1)
+    return np.sqrt(sigma[..., -1:] / sigma[..., ::-1])
 
 
 def heisenberg_normal_form(g: CarnotAlgebra) -> tuple:

@@ -7,6 +7,14 @@ horizontal metric in that frame.  All geometry here is exact-symbolic where
 possible (brackets, structure functions, frame inversion) and numeric where
 it has to be (ranks, symbol algebras at sample points).
 
+A frame is declared (a chart's own frame, by its coordinate components) or
+derived (:func:`_frame_over`: coefficient rows over a frame whose calculus
+is known), and :func:`frame_inverse` and :func:`structure_functions` hold
+one rule for each.  A declared frame is inverted and bracketed at the
+coordinate level.  A derived frame brackets its rows with
+:func:`frame_bracket` and reads them through the inverse of its rows; its
+coframe, that inverse times the coframe of its base, is made when read.
+
 Every reader of a bracket flag takes it from one pass, :func:`_flags`, which
 evaluates the frame once for all sample points and each bracket layer once
 for the points whose flag has not yet filled the chart.  The constant-symbol
@@ -192,6 +200,7 @@ class FramedManifold:
                     raise ManifoldError("metric matrix must be symmetric")
         self.metric = tuple(rows)
 
+        self._over = None  # (base frame, coefficient rows, their inverse) of a derived frame
         self._frame_inverse = None
         self._structure_functions = None
         self._bracket_layers = [list(self.frames[:r])]
@@ -308,8 +317,10 @@ def frame_bracket(fields, ctab, u, w):
 
 
 def frame_combination(m: FramedManifold, fields, coeffs) -> VectorField:
-    """The vector field ``sum_i coeffs[i] * fields[i]`` on ``m``."""
+    """The vector field ``sum_i coeffs[i] * fields[i]`` on ``m``; a unit row gives its field as it is."""
     live = [i for i in range(len(fields)) if coeffs[i] is not _ZERO]
+    if len(live) == 1 and coeffs[live[0]] is _ONE:
+        return VectorField(m, fields[live[0]].components)
     components = []
     for a in range(m.dim):
         terms = [(coeffs[i], fields[i].components[a]) for i in live if fields[i].components[a] is not _ZERO]
@@ -318,10 +329,12 @@ def frame_combination(m: FramedManifold, fields, coeffs) -> VectorField:
 
 
 def _gram_schmidt_horizontal(m: FramedManifold):
-    """Orthonormalize the horizontal frame symbolically; returns VectorFields."""
+    """Orthonormalize the horizontal frame symbolically.
+
+    Returns the orthonormal fields as coefficient rows over the horizontal
+    frame ``m.frames[:m.rank]``.
+    """
     r = m.rank
-    # coefficient vectors over the original horizontal frame
-    basis = [[expr.rational(1 if j == i else 0) for j in range(r)] for i in range(r)]
 
     def inner(u, v):
         terms = [
@@ -333,7 +346,7 @@ def _gram_schmidt_horizontal(m: FramedManifold):
 
     ortho = []
     for i in range(r):
-        vec = list(basis[i])
+        vec = [_ONE if j == i else _ZERO for j in range(r)]
         for prev in ortho:
             coef = inner(vec, prev)
             vec = [
@@ -343,7 +356,7 @@ def _gram_schmidt_horizontal(m: FramedManifold):
         nrm = expr.sqrt(inner(vec, vec))
         inv = expr.pow_(nrm, -1)
         ortho.append([c if c is _ZERO else expr.mul(inv, c) for c in vec])
-    return [frame_combination(m, m.frames[:r], coeffs) for coeffs in ortho]
+    return ortho
 
 
 def _gauss_jordan(rows, n: int):
@@ -392,35 +405,96 @@ def _inverse(matrix):
     return [row[n:] for row in _gauss_jordan(rows, n)]
 
 
+def _frame_over(base: FramedManifold, rows, components=None) -> FramedManifold:
+    """The derived frame whose fields are the coefficient ``rows`` over the frame ``base``.
+
+    The one rule for a derived frame: :func:`structure_functions` brackets
+    its rows over ``base`` with :func:`frame_bracket` and reads the brackets
+    through the inverse of the rows (:func:`_component`), and
+    :func:`frame_inverse` is that inverse times the coframe of ``base``, made
+    only when something reads it.  Nothing is inverted or bracketed at the
+    coordinate level.  The fields are the ``frame_combination`` of the rows,
+    unless the caller already holds them and passes their coordinate
+    ``components``.  The frame has the rank and class of ``base`` and the
+    identity metric: every derived frame starts with orthonormal horizontal
+    fields.
+    """
+    rows = tuple(map(tuple, rows))
+    if components is None:
+        components = [frame_combination(base, base.frames, row).components for row in rows]
+    m = FramedManifold(base.coords, components, base.rank, structure_class=base.structure_class)
+    m._over = (base, rows, tuple(map(tuple, _inverse(rows))))
+    return m
+
+
+def _chart(m: FramedManifold) -> FramedManifold:
+    """The declared chart a frame is derived from: ``m`` itself if it is declared."""
+    while m._over is not None:
+        m = m._over[0]
+    return m
+
+
+def _component(v, inverse, k: int) -> Expr:
+    """Component k, over a frame given by rows, of the vector ``v`` over their base.
+
+    ``inverse`` is the inverse of the rows: ``v = sum_i d_i rows[i]`` has
+    ``d_k = sum_a v[a] inverse[a][k]``, summed over the non-zero pairs.
+    """
+    terms = [(v[a], inverse[a][k]) for a in range(len(v)) if v[a] is not _ZERO and inverse[a][k] is not _ZERO]
+    return _sum_of_products(terms) if terms else _ZERO
+
+
 def frame_inverse(m: FramedManifold):
     """Symbolic inverse of the frame matrix (rows of the dual coframe).
 
     Entry [i][a] is the coefficient of the i-th coframe one-form on the
     coordinate vector field number a, i.e. applying row i to a coordinate
-    vector recovers the i-th frame component of that vector.
+    vector recovers the i-th frame component of that vector.  A declared
+    frame solves its coordinate matrix by :func:`_inverse`; a derived frame
+    (:func:`_frame_over`) takes the inverse of its rows times the coframe of
+    its base.
     """
     if m._frame_inverse is None:
-        n = m.dim
-        matrix = [[m.frames[i].components[a] for i in range(n)] for a in range(n)]
-        m._frame_inverse = tuple(map(tuple, _inverse(matrix)))
+        if m._over is None:
+            n = m.dim
+            matrix = [[m.frames[i].components[a] for i in range(n)] for a in range(n)]
+            m._frame_inverse = tuple(map(tuple, _inverse(matrix)))
+        else:
+            base, _, inverse = m._over
+            # coframe row i is the sum over k of inverse[k][i] times coframe row k of the base
+            m._frame_inverse = tuple(map(tuple, _matmul(list(zip(*inverse)), frame_inverse(base))))
     return m._frame_inverse
 
 
 def structure_functions(m: FramedManifold):
-    """Expressions c[i][j][k] with [X_i, X_j] = sum_k c[i][j][k] X_k."""
+    """Expressions c[i][j][k] with [X_i, X_j] = sum_k c[i][j][k] X_k.
+
+    A declared frame brackets its fields at the coordinate level and reads
+    each bracket through its coframe; a derived frame (:func:`_frame_over`)
+    brackets its rows over its base with :func:`frame_bracket` and reads
+    each bracket through the inverse of its rows.
+    """
     if m._structure_functions is None:
         n = m.dim
-        finv = frame_inverse(m)
+        if m._over is None:
+            inverse = list(zip(*frame_inverse(m)))
+
+            def brackets(i, j):
+                return bracket(m.frames[i], m.frames[j]).components
+        else:
+            base, rows, inverse = m._over
+            ctab = structure_functions(base)
+
+            def brackets(i, j):
+                return frame_bracket(base.frames, ctab, rows[i], rows[j])
         c = [[[_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                br = bracket(m.frames[i], m.frames[j]).components
-                live = [a for a in range(n) if br[a] is not _ZERO]
-                if not live:
+                br = brackets(i, j)
+                if all(e is _ZERO for e in br):
                     continue
                 for k in range(n):
-                    terms = [(finv[k][a], br[a]) for a in live if finv[k][a] is not _ZERO]
-                    e = _sum_of_products(terms) if terms else _ZERO
+                    e = _component(br, inverse, k)
                     if e is not _ZERO:
                         c[i][j][k] = e
                         c[j][i][k] = expr.neg(e)
@@ -599,6 +673,7 @@ def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> Symbo
     chart declared contact whose rank is odd, whose flag does not fill it at
     step 2, whose dimension is not its rank + 1, or whose bracket form is
     degenerate, is refused with a :class:`ManifoldError`.  A (2,3,5) chart is
+    refused the same way unless it has rank 2 in dimension 5, and is then
     read from its growth vector at every point.
     """
     points = [m.point(p) for p in sample]
@@ -645,6 +720,11 @@ def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> Symbo
         )
 
     if m.structure_class == "two-three-five":
+        if (m.rank, m.dim) != (2, 5):
+            raise ManifoldError(
+                f"two-three-five structure needs rank 2 in dimension 5, "
+                f"got rank {m.rank} in dimension {m.dim}"
+            )
         flags = [flag for _, flag, _ in _flags(m, points, 3)]
         ok = bool(all(f == (2, 3, 5) for f in flags))
         return SymbolVerdict(

@@ -3,6 +3,7 @@ the invariant characterizations of the intrinsic grading."""
 
 import numpy as np
 import pytest
+from test_manifold import _six_coordinate_235_chart
 
 from srgeom import expr, models
 from srgeom.connection import check_morimoto, flatness_check
@@ -17,8 +18,11 @@ from srgeom.manifold import (
     ManifoldError,
     _default_samples,
     _gram_schmidt_horizontal,
+    bracket,
     check_constant_symbol,
+    frame_combination,
     frame_inverse,
+    structure_functions,
 )
 from srgeom.models import cartan_group_manifold, perturbed_235_manifold
 
@@ -115,7 +119,7 @@ def _span_projector(fields, p):
 
 def _rotated_frame(m):
     """Cartan's orthonormal horizontal frame rotated by the angle x4/3."""
-    e1, e2 = _gram_schmidt_horizontal(m)
+    e1, e2 = (frame_combination(m, m.frames[:2], row) for row in _gram_schmidt_horizontal(m))
     phi = expr.mul(expr.rational(1, 3), expr.var("x4"))
     cs, sn = expr.cos(phi), expr.sin(phi)
     return e1.scaled(cs) + e2.scaled(sn), e2.scaled(cs) - e1.scaled(sn)
@@ -126,8 +130,9 @@ def test_fields_do_not_depend_on_horizontal_frame(cartan):
     rotated = intrinsic_frame_235(m, *_rotated_frame(m), sample_points=pts)
     for p in pts:
         p = m.point(p)
-        assert np.abs(rotated.zp.value_at(p) - data.zp.value_at(p)).max() <= 1e-12
-        moved = _span_projector(rotated.wp, p) - _span_projector(data.wp, p)
+        z, rotated_z = data.grading.fields[2], rotated.grading.fields[2]
+        assert np.abs(rotated_z.value_at(p) - z.value_at(p)).max() <= 1e-12
+        moved = _span_projector(rotated.grading.fields[3:], p) - _span_projector(data.grading.fields[3:], p)
         assert np.abs(moved).max() <= 1e-12
     _assert_form_characterization(m, pts, rotated)
     rep = flatness_check(connection_235(rotated), pts)
@@ -169,18 +174,29 @@ def test_morimoto_degree_two_layer_moves_off_the_model(perturbed):
 
 @pytest.mark.parametrize("chart", ["cartan", "perturbed", "rotated-cartan"])
 def test_installed_coframe_inverts_the_frame(chart, request):
-    # the coframe installed from the inverse of the coefficient rows is the
-    # inverse of the adapted frame, for the intrinsic and Morimoto gradings
+    # the coframe and structure functions a derived frame takes from its
+    # coefficient rows are the inverse of its frame matrix and the frame
+    # components of its brackets, for the bracket frame and the intrinsic and
+    # Morimoto gradings; the brackets are taken at the coordinate level and
+    # solved numerically at each point
     m, pts, data = request.getfixturevalue(chart.removeprefix("rotated-"))
     frame = _rotated_frame(m) if chart == "rotated-cartan" else ()
     if frame:
         data = intrinsic_frame_235(m, *frame, sample_points=pts)
-    for g in (data.grading, morimoto_grading_235(m, *frame, sample_points=pts)):
-        coframe = frame_inverse(g.frame)
-        for p in pts:
-            p = g.frame.point(p)
-            got = expr.evaluate_array(coframe, p) @ g.frame.frame_matrix_at(p)
-            assert np.abs(got - np.eye(5)).max() <= 1e-12
+    for derived in (data.frame, data.grading.frame, morimoto_grading_235(m, *frame, sample_points=pts).frame):
+        ctab = structure_functions(derived)
+        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        tables = (
+            frame_inverse(derived),
+            [ctab[i][j] for i, j in pairs],
+            [bracket(derived.frames[i], derived.frames[j]).components for i, j in pairs],
+        )
+        points = [derived.point(p) for p in pts]
+        fmats = derived.frame_matrices_at(points)
+        for fmat, coframe, got, brackets in zip(fmats, *expr.evaluate_tables(tables, points)):
+            assert np.abs(coframe @ fmat - np.eye(5)).max() <= 1e-12
+            want = np.linalg.solve(fmat, brackets.T).T
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _chart_235(x2_components):
@@ -202,8 +218,14 @@ def _chart_235(x2_components):
             [(0.1, 0.2, 0.3, 0.4, 0.5), (0.3, -0.2, 0.0, 0.1, 0.2)],
             r"growth \(2,3,5\) at every sample point: flags \[\(2, 3, 4\), \(2, 3, 5\)\]",
         ),
+        # flag (2, 3, 5) at every point of a 6-dimensional chart
+        (
+            _six_coordinate_235_chart,
+            [(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)],
+            "^two-three-five structure needs rank 2 in dimension 5, got rank 2 in dimension 6$",
+        ),
     ],
-    ids=["heisenberg", "flag-234", "flag-234-at-second-point"],
+    ids=["heisenberg", "flag-234", "flag-234-at-second-point", "six-coordinates"],
 )
 def test_235_constructions_refuse_through_the_verdict(chart, points, message):
     m = chart()

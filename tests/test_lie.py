@@ -285,6 +285,21 @@ def test_normal_form_degenerate_error():
         heisenberg_normal_form(g)
 
 
+def test_normal_forms_refuse_a_rank_two_form_with_rounded_entries():
+    # B = u v^T - v u^T has rank 2 on a 4-dimensional layer.  Computed in
+    # floats, the zero eigenvalues of -J^2 come out within about 1e-16 of the
+    # largest, so for 5 of these forms their square roots pass a 1e-9 test;
+    # the singular values of J come out within about 1e-16 of the largest
+    rng = np.random.default_rng(11)
+    u, v = rng.standard_normal((2, 50, 4))
+    forms = u[:, :, None] * v[:, None, :] - v[:, :, None] * u[:, None, :]
+    a = rng.standard_normal((50, 4, 4))
+    metrics = a @ a.swapaxes(1, 2) + 0.5 * np.eye(4)
+    for form, metric in zip(forms, metrics):
+        with pytest.raises(LieError, match="degenerate bracket form"):
+            lie.heisenberg_normal_forms(form[None], metric[None])
+
+
 @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
 def test_full_gram_of_a_scaled_metric(scale):
     # the positive-definiteness test is relative to the largest eigenvalue,

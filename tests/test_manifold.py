@@ -302,6 +302,37 @@ def test_constant_symbol_refuses_two_vertical_directions():
         check_constant_symbol(m, pts)
 
 
+def _six_coordinate_235_chart():
+    """X_1 = d/dx1, X_2 = d/dx2 + x1 d/dx3 + x1^2/2 d/dx4 + x1 x2 d/dx5, then d/dx3 .. d/dx6.
+
+    Its flag is (2, 3, 5) at every point, in a chart of dimension 6.
+    """
+    rows = [[int(i == j) for j in range(6)] for i in range(6)]
+    rows[1] = ["0", "1", "x1", "x1^2/2", "x1*x2", "0"]
+    return FramedManifold([f"x{i + 1}" for i in range(6)], rows, 2, structure_class="two-three-five")
+
+
+def test_constant_symbol_refuses_a_235_chart_of_the_wrong_shape_before_any_flag(monkeypatch):
+    m = _six_coordinate_235_chart()
+    assert growth_flag(m, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], 3) == (2, 3, 5)
+    passes = []
+    monkeypatch.setattr(manifold, "_flags", lambda *args: passes.append(args))
+    with pytest.raises(ManifoldError, match="^two-three-five structure needs rank 2 in dimension 5, got rank 2 in dimension 6$"):
+        check_constant_symbol(m, [(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)])
+    assert passes == []
+
+
+@pytest.mark.parametrize("lam", [180.0, 300.0])
+def test_constant_symbol_accepts_a_wide_lambda(lam):
+    # the singular values of J scale like 1/lambda^2 and the eigenvalues of
+    # -J^2 like 1/lambda^4, which fell below 1e-9 of the largest from
+    # lambda of about 178 on and were refused as a degenerate form
+    m = carnot_group_manifold(heisenberg((1, lam)), structure_class="contact")
+    verdict = check_constant_symbol(m, manifold._default_samples(m, count=5))
+    assert verdict.constant
+    assert verdict.detail == pytest.approx((1.0, lam), rel=1e-9)
+
+
 def test_constant_symbol_refuses_odd_rank_before_any_flag(monkeypatch):
     # frame d/dx, d/dy + x d/dz, d/dw, d/dz: the flag (3, 4) fills the chart
     # at step 2 and the dimension is rank + 1, but no h_n has odd rank
@@ -461,10 +492,10 @@ def test_frame_bracket_matches_bracket_of_combinations():
 
     m = perturbed_235_manifold(0.1)
     data = intrinsic_frame_235(m)
-    fields = data.x
+    fields = data.frame.frames
     u = [expr.parse(t, m.coords) for t in ("x1", "1", "x2*x3", "0", "x5^2")]
     w = [expr.parse(t, m.coords) for t in ("x4", "x1*x2", "0", "1", "x3 - x5")]
-    coeffs = frame_bracket(fields, data.c, u, w)
+    coeffs = frame_bracket(fields, structure_functions(data.frame), u, w)
     field = bracket(frame_combination(m, fields, u), frame_combination(m, fields, w))
     for p in ((0.1, -0.2, 0.3, 0.4, -0.5), (0.5, 0.3, -0.7, 0.2, 0.6), (-0.4, 0.8, 0.1, -0.3, 0.2)):
         pt = m.point(p)
@@ -472,6 +503,87 @@ def test_frame_bracket_matches_bracket_of_combinations():
         want = np.linalg.solve(fmat, field.value_at(pt))
         got = expr.evaluate_array(coeffs, pt)
         assert np.abs(got - want).max() <= 1e-12
+
+
+def _conformal_contact(n):
+    """h_n(1, ..., 1) with its metric rescaled by exp(x1)."""
+    scale = expr.exp(expr.var("x1"))
+    metric = [[scale if i == j else expr.ZERO for j in range(2 * n)] for i in range(2 * n)]
+    return carnot_group_manifold(heisenberg((1,) * n), metric=metric, structure_class="contact")
+
+
+def _contact_frames(m):
+    from srgeom.contact import extract_contact_data, morimoto_grading_contact
+
+    cd = extract_contact_data(m)
+    return [cd.aux, morimoto_grading_contact(cd).grading.frame]
+
+
+def _235_frames(m):
+    from srgeom.g235 import intrinsic_frame_235, morimoto_grading_235
+
+    data = intrinsic_frame_235(m)
+    return [data.frame, data.grading.frame, morimoto_grading_235(m).frame]
+
+
+@pytest.mark.parametrize(
+    "build, frames",
+    [
+        (lambda: carnot_group_manifold(heisenberg((1, 1.6, 2.9)), structure_class="contact"), _contact_frames),
+        (lambda: _conformal_contact(1), _contact_frames),
+        (lambda: _conformal_contact(2), _contact_frames),
+        (cartan_group_manifold, _235_frames),
+    ],
+    ids=["flat-h3", "conformal-h1", "conformal-h2", "cartan"],
+)
+def test_derived_frames_agree_with_the_coordinate_level_calculus(build, frames):
+    # every frame a construction derives takes its coframe and structure
+    # functions from its coefficient rows; a chart declared with the same
+    # coordinate components inverts and brackets them at the coordinate level
+    # (tests/test_g235.py checks the perturbed (2,3,5) frames against
+    # numeric brackets: there the coordinate-level inverse of the Morimoto
+    # frame divides by a pivot that vanishes in exact arithmetic)
+    m = build()
+    pts = manifold._default_samples(m, count=3)
+    for derived in frames(m):
+        assert derived._over is not None
+        reference = FramedManifold(derived.coords, [f.components for f in derived.frames], derived.rank)
+        for p in pts:
+            got = expr.evaluate_array(frame_inverse(derived), p)
+            assert np.abs(got @ derived.frame_matrix_at(p) - np.eye(m.dim)).max() <= 1e-12
+            want = expr.evaluate_array(structure_functions(reference), p)
+            got = expr.evaluate_array(structure_functions(derived), p)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_pipelines_invert_and_bracket_only_declared_frames_at_the_coordinate_level(monkeypatch):
+    # the contact pipeline reads the calculus of the chart's own frame, the
+    # (2,3,5) pipeline that of raux, the bracket frame of the declared
+    # horizontal fields; every other frame is derived from coefficient rows
+    from srgeom import connection, contact, g235
+
+    declared = []
+    for name in ("frame_inverse", "structure_functions"):
+        inner = getattr(manifold, name)
+
+        def spy(m, inner=inner):
+            if m._over is None:
+                declared.append(m)
+            return inner(m)
+
+        for module in (manifold, contact, connection, g235):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    m = _conformal_contact(1)
+    cd = contact.extract_contact_data(m)
+    contact.morimoto_connection_contact(cd, contact.morimoto_grading_contact(cd))
+    assert {id(f) for f in declared} == {id(m)}
+    declared.clear()
+    m = cartan_group_manifold()
+    g235.morimoto_connection_235(g235.morimoto_grading_235(m))
+    (raux,) = {id(f): f for f in declared}.values()
+    assert raux is not m
+    assert [f.components for f in raux.frames[:2]] == [f.components for f in m.frames[:2]]
 
 
 # ---------------------------------------------------------------------------

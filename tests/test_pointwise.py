@@ -34,6 +34,7 @@ from srgeom.manifold import (
     _default_samples,
     _gram_schmidt_horizontal,
     check_constant_symbol,
+    frame_combination,
 )
 
 
@@ -62,7 +63,7 @@ def _contact_connection(m):
 def _rotated_cartan_connection():
     """Morimoto connection of Cartan's chart with the frame rotated by x4/3."""
     m = models.cartan_group_manifold()
-    e1, e2 = _gram_schmidt_horizontal(m)
+    e1, e2 = (frame_combination(m, m.frames[:2], row) for row in _gram_schmidt_horizontal(m))
     phi = expr.mul(expr.rational(1, 3), expr.var("x4"))
     cs, sn = expr.cos(phi), expr.sin(phi)
     x1 = e1.scaled(cs) + e2.scaled(sn)
@@ -347,10 +348,10 @@ def test_shared_evaluation_follows_the_point_set(change, flatness_first, monkeyp
             1,
         ),
         (
-            # four bitwise-distinct symbols, see test_connection
+            # one symbol, bitwise, at these points; see test_connection
             models.conformal_heisenberg_manifold,
             lambda m: [{"x": x, "y": 0.0, "z": 0.0} for x in (-0.8, -0.3, 0.0, 0.3, 0.5)],
-            4,
+            1,
         ),
     ],
     ids=["flat-h3", "conformal-h1"],

@@ -3,7 +3,7 @@
 The sparse loops of ``VectorField.apply``, ``frame_bracket``,
 ``Connection.curvature_rows``, ``manifold._matmul``, ``structure_functions``,
 ``_gauss_jordan``, the taming metric and selector, ``connection_double_prime``
-and ``g235._frame_comp`` run over the supports of their operands; the dense
+and ``manifold._component`` run over the supports of their operands; the dense
 loops they replaced are kept here as oracles, and both must return the same
 interned nodes.  Volume guards count the constructor calls and the sums the
 contact and (2,3,5) pipelines spend on structurally zero terms, and the
@@ -22,15 +22,18 @@ from srgeom.contact import (
     morimoto_connection_contact,
     morimoto_grading_contact,
 )
-from srgeom.g235 import _frame_comp, intrinsic_frame_235, morimoto_connection_235, morimoto_grading_235
+from srgeom.g235 import intrinsic_frame_235, morimoto_connection_235, morimoto_grading_235
 from srgeom.manifold import (
     FramedManifold,
+    _component,
     _default_samples,
     _gauss_jordan,
+    _inverse,
     _matmul,
     _sum_of_products,
     bracket,
     frame_bracket,
+    frame_combination,
     frame_inverse,
     structure_functions,
 )
@@ -495,20 +498,22 @@ def test_sparse_frame_components_are_the_dense_nodes():
     cartan = models.cartan_group_manifold()
     data = [intrinsic_frame_235(models.perturbed_235_manifold(0.1))]
     # Cartan's chart with its orthonormal frame rotated by x4/3
-    e1, e2 = manifold._gram_schmidt_horizontal(cartan)
+    e1, e2 = (frame_combination(cartan, cartan.frames[:2], row) for row in manifold._gram_schmidt_horizontal(cartan))
     phi = expr.mul(expr.rational(1, 3), expr.var("x4"))
     cs, sn = expr.cos(phi), expr.sin(phi)
     data.append(intrinsic_frame_235(cartan, e1.scaled(cs) + e2.scaled(sn), e2.scaled(cs) - e1.scaled(sn)))
     nonzero = 0
     for d in data:
+        sinv = _inverse(d.srows)
+        ctab = structure_functions(d.frame)
         vectors = list(d.srows)
-        vectors += [frame_bracket(d.x, d.c, u, w) for u in d.srows for w in d.srows]
+        vectors += [frame_bracket(d.frame.frames, ctab, u, w) for u in d.srows for w in d.srows]
         vectors.append([expr.mul(expr.floatc(0.1 * (a + 1)), expr.var("x1")) for a in range(5)])
         for v in vectors:
             for k in range(5):
-                want = _dense_sum((v[a], d.sinv[a][k]) for a in range(5))
+                want = _dense_sum((v[a], sinv[a][k]) for a in range(5))
                 nonzero += want is not _ZERO
-                assert _frame_comp(v, d.sinv, k) is want
+                assert _component(v, sinv, k) is want
     assert nonzero > 0
 
 
