@@ -27,7 +27,11 @@ so no check differentiates a table symbolically.  The connection keeps that
 evaluation for its last point set, so the checks of one chart share it.
 Torsion, curvature, ∇g and ∇T₀ are contracted with ``matmul`` on stacked
 ``(point, …)`` arrays, one block of points at a time, so a stacked n⁴ array
-holds at most 8192 floats (or one point).  Points with bitwise equal symbols
+holds at most 8192 floats (or one point).  The Morimoto and flatness checks
+share one pass over the blocks (``_PointValues.residuals``): each block's
+curvature is computed once and feeds both checks' reductions, and only their
+running maxima are kept.  A table whose gradient is the evaluator's constant
+zero has no frame-derivative product.  Points with bitwise equal symbols
 share one :class:`CarnotAlgebra`, so its Gram matrices, isometry algebra and
 trace frame are computed once and gathered per point.
 """
@@ -453,9 +457,55 @@ class _PointValues:
     def blocks(self) -> list:
         return _blocks(len(self.gamma), self.grading.dim)
 
+    @functools.cached_property
+    def residuals(self) -> tuple:
+        """Morimoto's r and t residuals, then flatness's torsion and curvature residuals.
+
+        One pass over the blocks: each block's torsion, selector matrices and
+        curvature R are made once and fed to every reduction that reads them,
+        so ``check_morimoto`` and ``flatness_check`` on one point set compute
+        R once per block, in either order.  Only the four running maxima are
+        kept, never a block's arrays.
+        """
+        n = self.grading.dim
+        chi = selector(self.grading)
+        gram, ginv, pairing = self.per_symbol(_trace_frame)
+        gram_t, ginv_t = gram.swapaxes(1, 2)[:, None], ginv.swapaxes(1, 2)[:, None]
+        q, qinv = self.per_symbol(_onb_and_inverse)
+        deg = np.array(self.grading.degrees)
+        lower = deg[None, :] < deg[:, None]  # [v, w]: deg w < deg v
+
+        worst_r = worst_t = worst_torsion = worst_curvature = 0.0
+        for blk in self.blocks():
+            tors = _torsion_values(self.gamma[blk], self.c[blk])
+            b = len(tors)
+            t_v = tors.reshape(b, n, n * n)  # operator T_v held with its input index first
+            chis = chi.matrices(self.selector[blk]).reshape(b, n, n * n)  # [v, ab]
+            # <T(chi(v)), w> + <T_v, TZ_w>, where <T_v, TZ_w> = Σ T_v ⊙ (G⁻ᵀ TZ_w Gᵀ)
+            tz_w = ginv_t[blk] @ self.t_zero[blk] @ gram_t[blk]
+            resid_t = 0.5 * chis @ tors.reshape(b, n * n, n) @ gram[blk]
+            resid_t += t_v @ tz_w.reshape(b, n, n * n).swapaxes(1, 2)
+            worst_t = _worst(worst_t, resid_t[:, lower])
+            # <R(chi(v)) - T_v, D> for every generator D
+            curv = _curvature(self, blk)
+            diff = 0.5 * chis @ curv.reshape(b, n * n, n * n) - t_v
+            worst_r = _worst(worst_r, diff @ pairing[blk].reshape(b, -1, n * n).swapaxes(1, 2))
+            # torsion less its degree-0 part, and R, in the orthonormal frame
+            worst_torsion = _worst(worst_torsion, _in_frame(tors - self.t_zero[blk], q[blk], qinv[blk]))
+            worst_curvature = _worst(worst_curvature, _in_frame(curv, q[blk], qinv[blk]))
+        return worst_r, worst_t, worst_torsion, worst_curvature
+
+
+def _constant(grad: np.ndarray) -> bool:
+    """Whether ``grad`` is the evaluator's gradient of a constant table: one zero, broadcast."""
+    return not any(grad.strides)
+
 
 def _frame_derivative(frame: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """W_i of a table at stacked points: F ∂, with the frame index in place of the coordinate."""
+    """W_i of a table at stacked points: F ∂, with the frame index in place of the coordinate.
+
+    Callers skip it for a :func:`_constant` gradient, whose product is zero.
+    """
     b, n = frame.shape[:2]
     return (frame @ grad.reshape(b, grad.shape[1], -1)).reshape(b, n, *grad.shape[2:])
 
@@ -466,11 +516,13 @@ def _curvature(vals: _PointValues, blk: slice) -> np.ndarray:
     R = A - Aᵀ in (i, j), with A_ijkl = W_i(Γ_jkl) + Σ_m (Γ_jkm Γ_iml - ½ c_ij^m Γ_mkl)
     (c is antisymmetric in i, j).  A is antisymmetrized in place, one i at a
     time, so one n⁴ array of the block and one matmul product are alive at once.
+    A constant Γ has no W_i(Γ) term.
     """
     gam, c = vals.gamma[blk], vals.c[blk]
     b, n = gam.shape[:2]
-    curv = _frame_derivative(vals.frame[blk], vals.d_gamma[blk])
-    curv += (gam.reshape(b, 1, n * n, n) @ gam).reshape(curv.shape)
+    curv = (gam.reshape(b, 1, n * n, n) @ gam).reshape(b, n, n, n, n)
+    if not _constant(vals.d_gamma):
+        curv += _frame_derivative(vals.frame[blk], vals.d_gamma[blk])
     curv -= ((0.5 * c).reshape(b, n * n, n) @ gam.reshape(b, n, n * n)).reshape(curv.shape)
     for i in range(n):
         d = curv[:, i, :i] - curv[:, :i, i]
@@ -496,6 +548,9 @@ class Connection:
     ``(point, …)`` arrays with ``matmul``, one block of points at a time
     (``_blocks``): a block holds at most 8192 floats of each n⁴ array, so
     n = 7 takes 3 points per block and n = 3 takes every point.
+    ``check_morimoto`` and ``flatness_check`` read one curvature pass per
+    block, made on first use and kept with the evaluation as four running
+    maxima.
     ``torsion_at`` and ``curvature_at`` are the one-point case; the bench
     harness times these four methods.  The frame derivatives W_i(Γ) at a
     point are F(p) ∂Γ(p): F(p) is the adapted frame matrix and ∂Γ the
@@ -645,11 +700,12 @@ def _metric_derivative(vals: _PointValues, blk: slice) -> np.ndarray:
     r = vals.grading.layer_dims[0]
     hor = vals.gamma[blk, :, :r, :r]
     met = vals.metric[blk, None]
-    return (
-        _frame_derivative(vals.frame[blk], vals.d_metric[blk])
-        - hor @ met
-        - (hor @ met.swapaxes(2, 3)).swapaxes(2, 3)
-    )
+    if _constant(vals.d_metric):
+        # a constant metric has no W_i(g) term
+        out = -(hor @ met)
+    else:
+        out = _frame_derivative(vals.frame[blk], vals.d_metric[blk]) - hor @ met
+    return out - (hor @ met.swapaxes(2, 3)).swapaxes(2, 3)
 
 
 def _t_zero_derivative(vals: _PointValues, blk: slice) -> np.ndarray:
@@ -659,8 +715,9 @@ def _t_zero_derivative(vals: _PointValues, blk: slice) -> np.ndarray:
     """
     gam, tz = vals.gamma[blk], vals.t_zero[blk]
     b, n = gam.shape[:2]
-    out = _frame_derivative(vals.frame[blk], vals.d_t_zero[blk])
-    out += (tz.reshape(b, 1, n * n, n) @ gam).reshape(out.shape)
+    out = (tz.reshape(b, 1, n * n, n) @ gam).reshape(b, n, n, n, n)
+    if not _constant(vals.d_t_zero):
+        out += _frame_derivative(vals.frame[blk], vals.d_t_zero[blk])
     out -= (gam.reshape(b, n * n, n) @ tz.reshape(b, n, n * n)).reshape(out.shape)
     out -= gam[:, :, None] @ tz[:, None]  # Γ_i (k, m) times T₀_j (m, l), for every (i, j)
     return out
@@ -728,31 +785,9 @@ def check_morimoto(conn: Connection, points, tol: float = 1e-8) -> MorimotoRepor
     generators than others are padded with zero generators, whose pairings
     are zero.
     """
-    g = conn.grading
-    n = g.dim
-    chi = selector(g)
     vals = conn._at(points)
     compat = check_compatible(conn, points, tol=tol)
-    gram, ginv, pairing = vals.per_symbol(_trace_frame)
-    gram_t, ginv_t = gram.swapaxes(1, 2)[:, None], ginv.swapaxes(1, 2)[:, None]
-    deg = np.array(g.degrees)
-    lower = deg[None, :] < deg[:, None]  # [v, w]: deg w < deg v
-
-    worst_r = worst_t = 0.0
-    for blk in vals.blocks():
-        tors = _torsion_values(vals.gamma[blk], vals.c[blk])
-        b = len(tors)
-        t_v = tors.reshape(b, n, n * n)  # operator T_v held with its input index first
-        chis = chi.matrices(vals.selector[blk]).reshape(b, n, n * n)  # [v, ab]
-        # <T(chi(v)), w> + <T_v, TZ_w>, where <T_v, TZ_w> = Σ T_v ⊙ (G⁻ᵀ TZ_w Gᵀ)
-        tz_w = ginv_t[blk] @ vals.t_zero[blk] @ gram_t[blk]
-        resid_t = 0.5 * chis @ tors.reshape(b, n * n, n) @ gram[blk]
-        resid_t += t_v @ tz_w.reshape(b, n, n * n).swapaxes(1, 2)
-        worst_t = _worst(worst_t, resid_t[:, lower])
-        # <R(chi(v)) - T_v, D> for every generator D
-        diff = 0.5 * chis @ _curvature(vals, blk).reshape(b, n * n, n * n) - t_v
-        worst_r = _worst(worst_r, diff @ pairing[blk].reshape(b, -1, n * n).swapaxes(1, 2))
-
+    worst_r, worst_t, _, _ = vals.residuals
     return MorimotoReport(worst_r, worst_t, compat, tol)
 
 
@@ -797,13 +832,7 @@ def flatness_check(conn: Connection, points, tol: float = 1e-8) -> FlatnessRepor
     taming metric; passing certifies local isometry with the flat model
     group of the symbol.
     """
-    vals = conn._at(points)
-    q, qinv = vals.per_symbol(_onb_and_inverse)
-    worst_t = worst_r = 0.0
-    for blk in vals.blocks():
-        tors = _torsion_values(vals.gamma[blk], vals.c[blk]) - vals.t_zero[blk]
-        worst_t = _worst(worst_t, _in_frame(tors, q[blk], qinv[blk]))
-        worst_r = _worst(worst_r, _in_frame(_curvature(vals, blk), q[blk], qinv[blk]))
+    _, _, worst_t, worst_r = conn._at(points).residuals
     return FlatnessReport(
         flat=bool(worst_t <= tol and worst_r <= tol),
         torsion_residual=worst_t,

@@ -28,6 +28,7 @@ from .manifold import (
     FramedManifold,
     ManifoldError,
     VectorField,
+    _coframe_row,
     _default_samples,
     _frame_over,
     _gram_schmidt_horizontal,
@@ -37,7 +38,6 @@ from .manifold import (
     check_constant_symbol,
     frame_bracket,
     frame_combination,
-    frame_inverse,
     structure_functions,
 )
 
@@ -141,8 +141,8 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
     caux = structure_functions(aux)
     v = r  # index of the vertical frame slot
 
-    # raw annihilator one-form: the vertical coframe row
-    theta_raw = frame_inverse(aux)[v]
+    # raw annihilator one-form: the vertical coframe row, without the others
+    theta_raw = _coframe_row(aux, v)
 
     # structure coefficients of the raw form: dtheta_raw(F_a, F_b)
     dmat = [[_ZERO if caux[a][b][v] is _ZERO else expr.neg(caux[a][b][v]) for b in range(r)]

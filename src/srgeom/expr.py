@@ -20,6 +20,16 @@ live, and so call no constructor for a term with a ``ZERO`` factor. That
 Invariant: every node the constructors return is already in normal form, i.e.
 ``simplify(e) is e``. Callers never need to re-normalize a result.
 
+Next to the pool, ``mul``, ``add`` and ``pow_`` keep a memo of their calls
+(``_MUL_MEMO``, ``_ADD_MEMO``, ``_POW_MEMO``). Its key is the tuple of the
+coerced, interned operands (for ``pow_`` the base and the exponent, checked
+to be an integer first), so ``mul(2, x)`` and ``mul(2.0, x)`` are different
+calls; its value is the node the call returns, which the pool holds anyway.
+Like ``_POOL`` and the differentiation cache it lives as long as the
+process. The constructors fold without closures, dispatching on the node's
+type, and carry an exact coefficient as an integer numerator and
+denominator, made one ``Rat`` at the end.
+
 Exact rationals stay exact until a float literal or a transcendental forces a
 float; all verdict-level work downstream is numeric at sample points. One
 evaluator, :func:`evaluate_tables`, takes nested tables and a list of points
@@ -54,23 +64,26 @@ class EvaluationError(ExprError):
 
 _POOL: dict = {}
 
+# the constructor memo (module docstring): coerced operands -> result node
+_ADD_MEMO: dict = {}
+_MUL_MEMO: dict = {}
+_POW_MEMO: dict = {}
 
-def _node(cls, key: tuple, *fields) -> "Expr":
-    """The one interned node of class ``cls`` with pool key ``key``.
+
+def _new(cls, key: tuple, skey: tuple, *fields) -> "Expr":
+    """A fresh node of class ``cls``, interned in ``_POOL`` under ``key``.
 
     ``key`` is the tag followed by atoms or child nodes. Children hash by
     their cached ``_hash`` and compare by identity, so a lookup costs the
-    node's arity, not the size of its tree. ``fields`` fill the class's
+    node's arity, not the size of its tree; each class looks its key up
+    first and calls this only for a new one. ``fields`` fill the class's
     ``__slots__`` in order. The order key ``skey`` replaces each child by the
     child's ``skey``; it only sorts terms and factors and is never hashed.
     """
-    hit = _POOL.get(key)
-    if hit is not None:
-        return hit
     node = object.__new__(cls)
     for name, value in zip(cls.__slots__, fields):
         setattr(node, name, value)
-    node.skey = tuple(c.skey if isinstance(c, Expr) else c for c in key)
+    node.skey = skey
     node._hash = hash(key)
     _POOL[key] = node
     return node
@@ -131,42 +144,54 @@ class Rat(Expr):
     __slots__ = ("value",)
 
     def __new__(cls, value: Fraction):
-        return _node(cls, (0, value.numerator, value.denominator), value)
+        return _rat(value.numerator, value.denominator, value)
+
+
+def _rat(num: int, den: int, value=None) -> "Rat":
+    """The node of the reduced fraction num/den (den > 0); ``value`` is it as a Fraction, if made."""
+    key = (0, num, den)
+    return _POOL.get(key) or _new(Rat, key, key, Fraction(num, den) if value is None else value)
 
 
 class Flt(Expr):
     __slots__ = ("value",)
 
     def __new__(cls, value: float):
-        return _node(cls, (1, repr(float(value))), float(value))
+        value = float(value)
+        key = (1, repr(value))
+        return _POOL.get(key) or _new(cls, key, key, value)
 
 
 class Var(Expr):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
-        return _node(cls, (2, name), name)
+        key = (2, name)
+        return _POOL.get(key) or _new(cls, key, key, name)
 
 
 class Add(Expr):
     __slots__ = ("terms",)
 
     def __new__(cls, terms: tuple):
-        return _node(cls, (3,) + terms, terms)
+        key = (3,) + terms
+        return _POOL.get(key) or _new(cls, key, (3,) + tuple([t.skey for t in terms]), terms)
 
 
 class Mul(Expr):
     __slots__ = ("factors",)
 
     def __new__(cls, factors: tuple):
-        return _node(cls, (4,) + factors, factors)
+        key = (4,) + factors
+        return _POOL.get(key) or _new(cls, key, (4,) + tuple([f.skey for f in factors]), factors)
 
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
     def __new__(cls, base: Expr, exponent: int):
-        return _node(cls, (5, base, exponent), base, exponent)
+        key = (5, base, exponent)
+        return _POOL.get(key) or _new(cls, key, (5, base.skey, exponent), base, exponent)
 
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos", "tan")
@@ -176,17 +201,19 @@ class Fn(Expr):
     __slots__ = ("name", "arg")
 
     def __new__(cls, name: str, arg: Expr):
-        return _node(cls, (6, name, arg), name, arg)
+        key = (6, name, arg)
+        return _POOL.get(key) or _new(cls, key, (6, name, arg.skey), name, arg)
 
 
-# Fraction is immutable, so the folds below start from shared constants
-_FRACTION_ZERO = Fraction(0)
+# Fraction is immutable, so every term without a coefficient shares this one
 _FRACTION_ONE = Fraction(1)
 
-ZERO = Rat(_FRACTION_ZERO)
+ZERO = Rat(Fraction(0))
 ONE = Rat(_FRACTION_ONE)
 MINUS_ONE = Rat(Fraction(-1))
 HALF = Rat(Fraction(1, 2))
+
+_SKEY = operator.attrgetter("skey")
 
 
 def rational(num, den=1) -> Expr:
@@ -207,7 +234,7 @@ def _coerce(x) -> Expr:
     if isinstance(x, bool):
         raise ExprError("booleans are not expressions")
     if isinstance(x, int):
-        return Rat(Fraction(x))
+        return _rat(int(x), 1)
     if isinstance(x, Fraction):
         return Rat(x)
     if isinstance(x, float):
@@ -215,8 +242,16 @@ def _coerce(x) -> Expr:
     raise ExprError(f"cannot coerce {x!r} to Expr")
 
 
+def _operands(args: tuple) -> tuple:
+    """``args`` coerced to nodes: the tuple itself when every one is a node already."""
+    for a in args:
+        if not isinstance(a, Expr):
+            return tuple(map(_coerce, args))
+    return args
+
+
 def _is_const(e: Expr) -> bool:
-    return isinstance(e, (Rat, Flt))
+    return type(e) is Rat or type(e) is Flt
 
 
 def add(*terms) -> Expr:
@@ -224,58 +259,61 @@ def add(*terms) -> Expr:
 
     ``ZERO`` terms are dropped before anything is folded.
     """
-    terms = [t for t in map(_coerce, terms) if t is not ZERO]
-    if not terms:
-        return ZERO
-    rat_part = _FRACTION_ZERO
+    terms = _operands(terms)
+    hit = _ADD_MEMO.get(terms)
+    if hit is None:
+        hit = _ADD_MEMO[terms] = _add(terms)
+    return hit
+
+
+def _add(terms: tuple) -> Expr:
+    num, den = 0, 1  # the exact constant, num/den
     flt_part = 0.0
     has_flt = False
-    by_core: dict = {}
+    coeffs: dict = {}  # id(core) -> numeric coefficient
     order: list = []
-
-    def absorb(e: Expr):
-        nonlocal rat_part, flt_part, has_flt
-        if isinstance(e, Add):
-            for t in e.terms:
-                absorb(t)
-            return
-        if isinstance(e, Rat):
-            rat_part += e.value
-            return
-        if isinstance(e, Flt):
-            flt_part += e.value
-            has_flt = True
-            return
-        coeff, core = _split_coeff(e)
-        if core in by_core:
-            by_core[core] = _num_add(by_core[core], coeff)
-        else:
-            by_core[core] = coeff
-            order.append(core)
-
     for t in terms:
-        absorb(t)
+        if t is ZERO:
+            continue
+        for e in (t.terms if type(t) is Add else (t,)):
+            te = type(e)
+            if te is Rat:
+                v = e.value
+                num, den = num * v.denominator + v.numerator * den, den * v.denominator
+                continue
+            if te is Flt:
+                flt_part += e.value
+                has_flt = True
+                continue
+            coeff, core = _split_coeff(e)
+            k = id(core)
+            if k in coeffs:
+                coeffs[k] = _num_add(coeffs[k], coeff)
+            else:
+                coeffs[k] = coeff
+                order.append(core)
 
     out = []
     for core in order:
-        coeff = by_core[core]
+        coeff = coeffs[id(core)]
         if coeff == 0:
             continue
         out.append(_scale(core, coeff))
     const: Expr | None = None
     if has_flt:
-        total = flt_part + float(rat_part)
+        total = flt_part + num / den
         if total != 0.0:
             const = Flt(total)
-    elif rat_part != 0:
-        const = Rat(rat_part)
+    elif num != 0:
+        g = math.gcd(num, den)
+        const = _rat(num // g, den // g)
     if const is not None:
         out.append(const)
     if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
-    out.sort(key=lambda e: e.skey)
+    out.sort(key=_SKEY)
     return Add(tuple(out))
 
 
@@ -287,9 +325,9 @@ def _num_add(a, b):
 
 def _split_coeff(e: Expr):
     """Write a non-constant term as (numeric coefficient, core expression)."""
-    if isinstance(e, Mul):
+    if type(e) is Mul:
         f0 = e.factors[0]
-        if _is_const(f0):
+        if type(f0) is Rat or type(f0) is Flt:
             rest = e.factors[1:]
             core = rest[0] if len(rest) == 1 else Mul(rest)
             return f0.value, core
@@ -300,7 +338,7 @@ def _scale(core: Expr, coeff) -> Expr:
     if coeff == 1:
         return core
     c = Rat(coeff) if isinstance(coeff, Fraction) else Flt(coeff)
-    if isinstance(core, Mul):
+    if type(core) is Mul:
         return Mul((c,) + core.factors)
     return Mul((c, core))
 
@@ -310,43 +348,46 @@ def mul(*factors) -> Expr:
 
     A ``ZERO`` factor makes the product ``ZERO`` before anything is folded.
     """
-    factors = [_coerce(f) for f in factors]
+    factors = _operands(factors)
+    hit = _MUL_MEMO.get(factors)
+    if hit is None:
+        hit = _MUL_MEMO[factors] = _mul(factors)
+    return hit
+
+
+def _mul(factors: tuple) -> Expr:
     for f in factors:
         if f is ZERO:
             return ZERO
-    rat_part = _FRACTION_ONE
+    num, den = 1, 1  # the exact coefficient, num/den
     flt_part = 1.0
     has_flt = False
-    by_base: dict = {}
+    exponents: dict = {}  # id(base) -> exponent
     order: list = []
-
-    def absorb(e: Expr):
-        nonlocal rat_part, flt_part, has_flt
-        if isinstance(e, Mul):
-            for f in e.factors:
-                absorb(f)
-            return
-        if isinstance(e, Rat):
-            rat_part *= e.value
-            return
-        if isinstance(e, Flt):
-            flt_part *= e.value
-            has_flt = True
-            return
-        if isinstance(e, Pow):
-            base, k = e.base, e.exponent
-        else:
-            base, k = e, 1
-        if base in by_base:
-            by_base[base] += k
-        else:
-            by_base[base] = k
-            order.append(base)
-
     for f in factors:
-        absorb(f)
+        for e in (f.factors if type(f) is Mul else (f,)):
+            te = type(e)
+            if te is Rat:
+                v = e.value
+                num *= v.numerator
+                den *= v.denominator
+                continue
+            if te is Flt:
+                flt_part *= e.value
+                has_flt = True
+                continue
+            if te is Pow:
+                base, k = e.base, e.exponent
+            else:
+                base, k = e, 1
+            b = id(base)
+            if b in exponents:
+                exponents[b] += k
+            else:
+                exponents[b] = k
+                order.append(base)
 
-    if rat_part == 0:
+    if num == 0:
         return ZERO
     if has_flt and flt_part == 0.0:
         return ZERO
@@ -354,15 +395,24 @@ def mul(*factors) -> Expr:
     out = []
     folded = []
     for base in order:
-        k = by_base[base]
+        k = exponents[id(base)]
+        if k == 1:
+            out.append(base)
+            continue
         p = pow_(base, k)
         if p is ONE:
             continue
-        if _is_const(p):
+        tp = type(p)
+        if tp is Rat:
             # sqrt(c)^(2j) folds to a constant
-            absorb(p)
+            num *= p.value.numerator
+            den *= p.value.denominator
             continue
-        if p is base or (isinstance(p, Pow) and p.base is base):
+        if tp is Flt:
+            flt_part *= p.value
+            has_flt = True
+            continue
+        if p is base or (tp is Pow and p.base is base):
             out.append(p)
         else:
             # sqrt(u)^(2j) became u^j, which may share its base with other
@@ -371,19 +421,20 @@ def mul(*factors) -> Expr:
 
     const: Expr | None = None
     if has_flt:
-        total = flt_part * float(rat_part)
+        total = flt_part * (num / den)
         if total == 0.0:
             return ZERO
         if total != 1.0:
             const = Flt(total)
-    elif rat_part != 1:
-        const = Rat(rat_part)
+    elif num != den:
+        g = math.gcd(num, den)
+        const = _rat(num // g, den // g)
 
     if folded:
         return mul(*([] if const is None else [const]), *out, *folded)
     if not out:
         return const if const is not None else ONE
-    out.sort(key=lambda e: e.skey)
+    out.sort(key=_SKEY)
     if const is not None:
         out.insert(0, const)
     if len(out) == 1:
@@ -399,22 +450,31 @@ def pow_(base, exponent: int) -> Expr:
         return ONE
     if exponent == 1:
         return base
-    if isinstance(base, Rat):
+    key = (base, exponent)
+    hit = _POW_MEMO.get(key)
+    if hit is None:
+        hit = _POW_MEMO[key] = _pow(base, exponent)
+    return hit
+
+
+def _pow(base: Expr, exponent: int) -> Expr:
+    tb = type(base)
+    if tb is Rat:
         if base.value == 0 and exponent < 0:
             raise EvaluationError("division by zero (0 raised to negative power)")
         return Rat(base.value ** exponent)
-    if isinstance(base, Flt):
+    if tb is Flt:
         if base.value == 0.0 and exponent < 0:
             raise EvaluationError("division by zero (0.0 raised to negative power)")
         try:
             return Flt(base.value ** exponent)
         except OverflowError as exc:
             raise EvaluationError("overflow in power") from exc
-    if isinstance(base, Mul):
+    if tb is Mul:
         return mul(*[pow_(f, exponent) for f in base.factors])
-    if isinstance(base, Pow):
+    if tb is Pow:
         return pow_(base.base, base.exponent * exponent)
-    if isinstance(base, Fn) and base.name == "sqrt" and exponent % 2 == 0:
+    if tb is Fn and base.name == "sqrt" and exponent % 2 == 0:
         # valid on the sqrt domain (argument nonnegative)
         return pow_(base.arg, exponent // 2)
     return Pow(base, exponent)

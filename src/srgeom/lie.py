@@ -218,66 +218,49 @@ def isometry_algebra(g: CarnotAlgebra):
     singular value, so scaling the brackets or the metric does not change
     the answer.
     """
-    blocks = [(k, g.layer_range(k)) for k in range(1, g.step + 1)]
-    offsets = {}
-    nvars = 0
-    for k, rng in blocks:
-        d = len(rng)
-        offsets[k] = nvars
-        nvars += d * d
-
-    def var_idx(row: int, col: int) -> int:
-        k = g.degree_of(row)
-        if g.degree_of(col) != k:
-            raise LieError("degree-0 parametrization violated")
-        rng = g.layer_range(k)
-        d = len(rng)
-        return offsets[k] + (row - rng.start) * d + (col - rng.start)
+    n = g.dim
+    deg = np.array(g._degrees)
+    same = deg[:, None] == deg[None, :]
+    # var[row, col] is the index of the unknown D_{row col}: the layer blocks
+    # one after the other, each row-major; -1 off the blocks
+    nvars = int(np.count_nonzero(same))
+    var = np.full((n, n), -1)
+    var[same] = np.arange(nvars)
 
     C = g.structure_tensor()
     if C.any():  # a power of two divides exactly: a largest constant of 1 keeps its bits
         C = C / 2.0 ** round(np.log2(np.abs(C).max()))
-    rows = []
-    # derivation: sum_x D_{xa} c_{xb}^c + sum_x D_{xb} c_{ax}^c = sum_{c'} c_{ab}^{c'} D_{c c'}
-    for a in range(g.dim):
-        for b in range(a + 1, g.dim):
-            k_out = g.degree_of(a) + g.degree_of(b)
-            if k_out > g.step:
-                continue
-            for c in g.layer_range(k_out):
-                row = np.zeros(nvars)
-                for x in g.layer_range(g.degree_of(a)):
-                    if C[x, b, c]:
-                        row[var_idx(x, a)] += C[x, b, c]
-                for x in g.layer_range(g.degree_of(b)):
-                    if C[a, x, c]:
-                        row[var_idx(x, b)] += C[a, x, c]
-                for cp in g.layer_range(k_out):
-                    if C[a, b, cp]:
-                        row[var_idx(c, cp)] -= C[a, b, cp]
-                if np.any(row):
-                    rows.append(row)
-    # skew on the -1 layer: (G D)^T + G D = 0
+    # derivation: sum_x D_{xa} c_{xb}^c + sum_x D_{xb} c_{ax}^c = sum_{c'} c_{ab}^{c'} D_{c c'},
+    # one row per a < b and c of degree deg a + deg b; the three sums set
+    # distinct unknowns, each from one non-zero constant
+    dg = g._degrees
+    a, b, c = np.array(
+        [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(n) if dg[c] == dg[a] + dg[b]],
+        dtype=int,
+    ).reshape(-1, 3).T[:, :, None]
+    x = np.arange(n)
+    # [term, row, x]: D_{xa} c_{xb}^c, D_{xb} c_{ax}^c and -c_{ab}^{x} D_{c x}
+    index = np.array([var[x, a], var[x, b], var[c, x]])
+    value = np.array([C[x, b, c], C[a, x, c], -C[a, b, x]])
+    live = (index >= 0) & (value != 0)
+    derivation = np.zeros((len(a), nvars))
+    derivation[np.nonzero(live)[1], index[live]] = value[live]
+    derivation = derivation[derivation.any(axis=1)]
+    # skew on the -1 layer: (G D)^T + G D = 0, one row per i <= j
     G1 = g.metric1 / np.abs(g.metric1).max()
-    r1 = g.layer_range(1)
-    d1 = len(r1)
-    for i in range(d1):
-        for j in range(i, d1):
-            row = np.zeros(nvars)
-            for m in range(d1):
-                row[var_idx(r1.start + m, r1.start + j)] += G1[i, m]
-                row[var_idx(r1.start + m, r1.start + i)] += G1[j, m]
-            rows.append(row)
+    d1 = g.layer_dims[0]
+    si, sj = np.array([(i, j) for i in range(d1) for j in range(i, d1)]).T
+    skew = np.zeros((len(si), nvars))
+    rows = np.arange(len(si))[:, None]
+    skew[rows, var[:d1, sj].T] += G1[si]  # G1[i, m] at D_{mj}
+    skew[rows, var[:d1, si].T] += G1[sj]  # G1[j, m] at D_{mi}
 
-    _, sv, vt = np.linalg.svd(np.array(rows))
+    _, sv, vt = np.linalg.svd(np.concatenate([derivation, skew]))
     null = [vt[i] for i in range(vt.shape[0]) if i >= sv.size or sv[i] <= 1e-10 * sv[0]]
     out = []
     for vec in null:
-        D = np.zeros((g.dim, g.dim))
-        for k, rng in blocks:
-            d = len(rng)
-            off = offsets[k]
-            D[np.ix_(rng, rng)] = vec[off : off + d * d].reshape(d, d)
+        D = np.zeros((n, n))
+        D[same] = vec
         out.append(D)
     return out
 

@@ -21,7 +21,10 @@ for the points whose flag has not yet filled the chart.  The constant-symbol
 verdict, the one test through which the constructions refuse a chart, reads
 that pass too: a (2,3,5) chart its growth vector, a contact chart the
 bracket form modulo the horizontal bundle (the vertical row of the step-2
-values) and the evaluated metric, stacked for one batched normal form.
+values, one per unordered pair of horizontal fields, filled in
+antisymmetrically) and the evaluated metric, stacked for one batched normal
+form.  Symbols at points are checked and interned in one stacked pass
+(:func:`_interned_symbols`).
 
 Sample points, the default ones of the constructions and the seeded ones of
 a description file, come from one helper, :func:`_uniform_rows`, which draws
@@ -237,16 +240,18 @@ class FramedManifold:
     def bracket_layer(self, k: int):
         """Fields spanning the k-th layer: (k-1)-fold brackets of the frame.
 
-        Layer 1 is the horizontal frame; layer k brackets every horizontal
-        field with every layer-(k-1) field.
+        Layer 1 is the horizontal frame.  Layer 2 brackets each unordered
+        pair of horizontal fields once, [X_a, X_b] for a < b in the order
+        (0, 1), (0, 2), ..., (1, 2), ...: r(r-1)/2 fields, since [X_b, X_a] is
+        their negative and [X_a, X_a] is zero.  Layer k > 2 brackets every
+        horizontal field with every field of layer k-1.
         """
+        hor = self._bracket_layers[0]
         while len(self._bracket_layers) < k:
-            prev = self._bracket_layers[-1]
-            nxt = [
-                bracket(x, y)
-                for x in self._bracket_layers[0]
-                for y in prev
-            ]
+            if len(self._bracket_layers) == 1:
+                nxt = [bracket(x, y) for a, x in enumerate(hor) for y in hor[a + 1:]]
+            else:
+                nxt = [bracket(x, y) for x in hor for y in self._bracket_layers[-1]]
             self._bracket_layers.append(nxt)
         return self._bracket_layers[k - 1]
 
@@ -460,10 +465,18 @@ def frame_inverse(m: FramedManifold):
             matrix = [[m.frames[i].components[a] for i in range(n)] for a in range(n)]
             m._frame_inverse = tuple(map(tuple, _inverse(matrix)))
         else:
-            base, _, inverse = m._over
-            # coframe row i is the sum over k of inverse[k][i] times coframe row k of the base
-            m._frame_inverse = tuple(map(tuple, _matmul(list(zip(*inverse)), frame_inverse(base))))
+            m._frame_inverse = tuple(_coframe_row(m, i) for i in range(m.dim))
     return m._frame_inverse
+
+
+def _coframe_row(m: FramedManifold, i: int) -> tuple:
+    """Row i of the coframe of a derived frame, made without the other rows.
+
+    It is the sum over k of ``inverse[k][i]`` times coframe row k of the
+    base: column i of the inverse of the rows times the base's coframe.
+    """
+    base, _, inverse = m._over
+    return tuple(_matmul([[row[i] for row in inverse]], frame_inverse(base))[0])
 
 
 def structure_functions(m: FramedManifold):
@@ -629,22 +642,25 @@ def _interned_symbols(cs, metrics, layer_dims, cache: dict) -> list:
     """Symbols from the structure constants and the horizontal metric at each point.
 
     ``cs[x][a, b, c]`` is component c of [e_a, e_b] at point x.  A symbol is
-    its bracket rows (the constants above 1e-13) and the bytes of its metric,
-    checked symmetric positive-definite; equal ones are one object of ``cache``.
+    its bracket rows (the constants above 1e-13) and its metric; every
+    point's metric is checked symmetric positive-definite in one stacked
+    check.  A point is keyed by the bytes of its live mask, of its live
+    constants and of its metric, and bitwise-equal keys are one object of
+    ``cache``; the bracket rows are read only for a new key.
     """
+    metrics = _checked_metric(np.asarray(metrics))
+    live = np.abs(cs) > 1e-13
     out = []
-    for cg, metric in zip(cs, metrics):
-        brackets = {}
-        for a, b, c in zip(*np.nonzero(np.abs(cg) > 1e-13)):
-            if a < b:
-                brackets.setdefault((int(a), int(b)), {})[int(c)] = float(cg[a, b, c])
-        key = (
-            tuple((ab, tuple(row.items())) for ab, row in brackets.items()),
-            _checked_metric(metric).tobytes(),
-        )
-        if key not in cache:
-            cache[key] = CarnotAlgebra(layer_dims, brackets, metric1=metric)
-        out.append(cache[key])
+    for cg, mask, metric in zip(cs, live, metrics):
+        key = (mask.tobytes(), cg[mask].tobytes(), metric.tobytes())
+        sym = cache.get(key)
+        if sym is None:
+            brackets = {}
+            for a, b, c in zip(*np.nonzero(mask)):
+                if a < b:
+                    brackets.setdefault((int(a), int(b)), {})[int(c)] = float(cg[a, b, c])
+            sym = cache[key] = CarnotAlgebra(layer_dims, brackets, metric1=metric)
+        out.append(sym)
     return out
 
 
@@ -705,7 +721,12 @@ def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> Symbo
                 f"not a contact structure: {m.dim - r} vertical directions, not 1"
             )
         # [X_a, X_b] = B[a, b] X_r modulo E, from row r of the layer-2 values
-        forms = np.reshape([layers[1][r] for _, _, layers in passes], (-1, r, r))
+        # for a < b; B is antisymmetric, and 0 - B[a, b] keeps a zero +0.0
+        upper = np.array([layers[1][r] for _, _, layers in passes])
+        a, b = np.triu_indices(r, 1)
+        forms = np.zeros((len(points), r, r))
+        forms[:, a, b] = upper
+        forms[:, b, a] = 0.0 - upper
         metrics = _checked_metric(expr.evaluate_tables([m.metric], points)[0])
         try:
             lams = heisenberg_normal_forms(forms, metrics)

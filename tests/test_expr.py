@@ -196,6 +196,47 @@ def test_hash_consing_identity():
     assert a is b
 
 
+@pytest.mark.parametrize("exact_first", [True, False], ids=["exact-first", "float-first"])
+def test_memo_keeps_exact_and_float_constants_apart(exact_first):
+    # 2 and 2.0 (and 1 and 1.0) are equal as raw arguments, so a memo keyed on
+    # them would hand the second call the first one's node; keyed on the
+    # coerced nodes Rat(2) and Flt(2.0), each call keeps its own kind
+    x = var(f"memo_{exact_first}")
+    order = [(2, expr.Rat), (2.0, expr.Flt)]
+    for c, kind in order if exact_first else order[::-1]:
+        coeff = mul(c, x).factors[0]
+        assert type(coeff) is kind and coeff.value == 2
+    order = [(1, expr.Rat), (1.0, expr.Flt)]
+    for c, kind in order if exact_first else order[::-1]:
+        (const,) = [t for t in add(c, x).terms if t is not x]
+        assert type(const) is kind and const.value == 1
+
+
+@pytest.mark.parametrize("valid_first", [True, False], ids=["valid-first", "invalid-first"])
+def test_memo_keeps_refusing_exponents_that_are_not_integers(valid_first):
+    # True == 1 and 2.0 == 2 as raw arguments; the exponent is checked
+    # before any memo lookup
+    x = var(f"memo_pow_{valid_first}")
+
+    def valid():
+        assert pow_(x, 1) is x
+        assert pow_(x, 2) is expr.Pow(x, 2)
+
+    def invalid():
+        for k in (True, 2.0):
+            with pytest.raises(expr.ExprError, match="exponent must be an integer"):
+                pow_(x, k)
+
+    for step in (valid, invalid) if valid_first else (invalid, valid):
+        step()
+
+
+def test_memo_returns_the_interned_node():
+    a, b = var("memo_a"), var("memo_b")
+    assert mul(a, b) is mul(a, b) is mul(b, a)
+    assert add(a, b) is add(a, b) is add(b, a)
+
+
 def test_differentiate_linearity():
     rng = random.Random(23)
     for _ in range(20):

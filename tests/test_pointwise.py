@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from srgeom import connection, expr, lie, models
+from srgeom import connection, expr, lie, manifold, models
 from srgeom.connection import (
     CompatibilityReport,
     Connection,
@@ -365,6 +365,59 @@ def test_checks_evaluate_once_and_solve_each_symbol_once(build, points, symbols,
     assert check_morimoto(conn, pts, tol=1e-6).ok
     flatness_check(conn, pts)
     assert (len(evaluated), len(solved)) == (1, symbols)
+
+
+def _flat_h3():
+    return models.carnot_group_manifold(heisenberg((1, 1.6, 2.9)), structure_class="contact")
+
+
+@pytest.mark.parametrize("flatness_first", [False, True], ids=["morimoto-first", "flatness-first"])
+def test_both_checks_compute_the_curvature_once_per_block(flatness_first, monkeypatch):
+    # n = 7 takes 3 points per block, so 7 points make 3 blocks; both checks
+    # read one pass over them
+    m = _conformal(3)
+    conn = _contact_connection(m)
+    pts = _default_samples(m, count=7, seed=5)
+    curvatures = _count_calls(monkeypatch, connection, "_curvature")
+    reports = _reports(conn, pts, flatness_first)
+    assert len(curvatures) == len(connection._blocks(len(pts), m.dim)) == 3
+    assert reports == _reports(_contact_connection(_conformal(3)), pts, not flatness_first)
+
+
+def test_symbols_check_every_metric_in_one_call(monkeypatch):
+    m = _flat_h3()
+    conn = _contact_connection(m)
+    checked = _count_calls(monkeypatch, manifold, "_checked_metric")
+    symbols = conn._at(_default_samples(m, count=20, seed=5)).symbols
+    assert len(symbols) == 20 and len({id(s) for s in symbols}) == 1
+    assert len(checked) == 1
+
+
+def test_layer_two_brackets_each_unordered_pair_once():
+    m = _flat_h3()
+    r = m.rank
+    assert len(m.bracket_layer(2)) == r * (r - 1) // 2 == 15
+    # the contact form is still read whole, and antisymmetric
+    verdict = check_constant_symbol(m, _default_samples(m, count=3, seed=5))
+    assert verdict.constant and np.allclose(verdict.detail, (1, 1.6, 2.9), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build, count",
+    # a constant metric, T₀ and Γ (the flat chart) have no frame derivative;
+    # on conformal h_1 the grading's frame is derived, so its metric is the
+    # identity, while T₀ and Γ vary: one product each per block
+    [(_flat_h3, 0), (models.conformal_heisenberg_manifold, 2)],
+    ids=["flat-h3", "conformal-h1"],
+)
+def test_checks_skip_the_frame_derivative_of_a_constant_table(build, count, monkeypatch):
+    m = build()
+    conn = _contact_connection(m)
+    pts = _default_samples(m, count=5, seed=5)
+    calls = _count_calls(monkeypatch, connection, "_frame_derivative")
+    assert check_morimoto(conn, pts, tol=1e-6).ok
+    flatness_check(conn, pts)
+    assert len(calls) == count * len(connection._blocks(len(pts), m.dim))
 
 
 @pytest.mark.parametrize("chart", ["conformal-h2", "rotated-cartan"])

@@ -4,6 +4,8 @@
 constructions and the seeded ones of a description file, from
 ``random.Random(seed)``; numpy's generator module is never loaded.  After
 the import the benchmark times as setup, the pipelines load no module at all.
+A batch of charts in one interpreter keeps its live memory growth per chart
+under a fixed bound.
 """
 
 import os
@@ -84,3 +86,52 @@ def test_pipelines_with_default_points_never_load_numpy_random():
         check=True,
     )
     assert out.stdout.splitlines() == ["False", "[]"]
+
+
+_BATCH = """
+import gc
+import random
+import tracemalloc
+
+from srgeom import connection, contact, expr, lie, manifold, models
+
+tracemalloc.start()
+rng = random.Random(7)
+live = []
+for _ in range(20):
+    # h_1 with its metric rescaled by exp(a x1), a drawn from [0.5, 2]
+    scale = expr.exp(expr.mul(expr.floatc(rng.uniform(0.5, 2.0)), expr.var("x1")))
+    metric = [[scale, expr.ZERO], [expr.ZERO, scale]]
+    m = models.carnot_group_manifold(lie.heisenberg((1,)), metric=metric, structure_class="contact")
+    pts = [[rng.uniform(-0.8, 0.8) for _ in m.coords] for _ in range(5)]
+    assert manifold.check_constant_symbol(m, pts).constant
+    cd = contact.extract_contact_data(m)
+    conn = contact.morimoto_connection_contact(cd, contact.morimoto_grading_contact(cd))
+    assert connection.check_morimoto(conn, pts, tol=1e-6).ok
+    assert not connection.flatness_check(conn, pts).flat
+    del m, cd, conn
+    gc.collect()
+    live.append(tracemalloc.get_traced_memory()[0])
+print((live[19] - live[4]) / 15)
+"""
+
+# Live bytes a conformal h_1 chart adds, from chart 5 to chart 20: about
+# 80 KB before the constructor memo (the expression pool and the
+# differentiation cache hold every node) and 102 KB with it.  The bound
+# allows 1.5 times the 80 KB.
+_GROWTH_PER_CHART = 1.5 * 80e3
+
+
+def test_a_batch_of_charts_grows_live_memory_by_a_bounded_amount_per_chart():
+    # a fresh interpreter, so nothing the other tests interned is counted
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", _BATCH],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    growth = float(out.stdout)
+    assert 0 < growth < _GROWTH_PER_CHART, growth
