@@ -27,10 +27,10 @@ so no check differentiates a table symbolically.  The connection keeps that
 evaluation for its last point set, so the checks of one chart share it.
 Torsion, curvature, ∇g and ∇T₀ are contracted with ``matmul`` on stacked
 ``(point, …)`` arrays, one block of points at a time, so a stacked n⁴ array
-holds at most 8192 floats (or one point).  The Morimoto and flatness checks
-share one pass over the blocks (``_PointValues.residuals``): each block's
-curvature is computed once and feeds both checks' reductions, and only their
-running maxima are kept.  A table whose gradient is the evaluator's constant
+holds at most 8192 floats (or one point).  The three checks share one pass
+over the blocks (``_PointValues.residuals``) with six running maxima, so each
+check alone also makes the pieces of the other two, and each block's
+curvature is made once.  A table whose gradient is the evaluator's constant
 zero has no frame-derivative product.  Points with bitwise equal symbols
 share one :class:`CarnotAlgebra`, so its Gram matrices, isometry algebra and
 trace frame are computed once and gathered per point.
@@ -59,7 +59,6 @@ from .manifold import (
 
 __all__ = [
     "Grading",
-    "left_invariant_grading",
     "taming_metric",
     "Selector",
     "selector",
@@ -188,18 +187,6 @@ class Grading:
                         f"adapted layers through {k} are dependent at {p}"
                     )
         return worst
-
-
-def left_invariant_grading(m: FramedManifold, layer_dims, metric=None) -> Grading:
-    """Grading whose layers are consecutive blocks of the manifold frame.
-
-    With a ``metric``, the frame is a copy of the chart's frame that carries
-    it as its horizontal metric.
-    """
-    if metric is not None:
-        m = FramedManifold(m.coords, [f.components for f in m.frames], m.rank,
-                           metric=metric, structure_class=m.structure_class)
-    return Grading(m, layer_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +446,12 @@ class _PointValues:
 
     @functools.cached_property
     def residuals(self) -> tuple:
-        """Morimoto's r and t residuals, then flatness's torsion and curvature residuals.
+        """∇g and ∇T₀, Morimoto's r and t, and flatness's torsion and curvature residuals.
 
-        One pass over the blocks: each block's torsion, selector matrices and
-        curvature R are made once and fed to every reduction that reads them,
-        so ``check_morimoto`` and ``flatness_check`` on one point set compute
-        R once per block, in either order.  Only the four running maxima are
-        kept, never a block's arrays.
+        The one pass over the blocks, keeping only these six running maxima:
+        each block's torsion, selector matrices and curvature R are made once
+        for every reduction, so the three checks on one point set make R once
+        per block, in any order, and each alone makes the others' pieces.
         """
         n = self.grading.dim
         chi = selector(self.grading)
@@ -475,8 +461,10 @@ class _PointValues:
         deg = np.array(self.grading.degrees)
         lower = deg[None, :] < deg[:, None]  # [v, w]: deg w < deg v
 
-        worst_r = worst_t = worst_torsion = worst_curvature = 0.0
+        worst_metric = worst_tz = worst_r = worst_t = worst_torsion = worst_curvature = 0.0
         for blk in self.blocks():
+            worst_metric = _worst(worst_metric, _metric_derivative(self, blk))
+            worst_tz = _worst(worst_tz, _t_zero_derivative(self, blk))
             tors = _torsion_values(self.gamma[blk], self.c[blk])
             b = len(tors)
             t_v = tors.reshape(b, n, n * n)  # operator T_v held with its input index first
@@ -493,7 +481,7 @@ class _PointValues:
             # torsion less its degree-0 part, and R, in the orthonormal frame
             worst_torsion = _worst(worst_torsion, _in_frame(tors - self.t_zero[blk], q[blk], qinv[blk]))
             worst_curvature = _worst(worst_curvature, _in_frame(curv, q[blk], qinv[blk]))
-        return worst_r, worst_t, worst_torsion, worst_curvature
+        return worst_metric, worst_tz, worst_r, worst_t, worst_torsion, worst_curvature
 
 
 def _constant(grad: np.ndarray) -> bool:
@@ -547,14 +535,13 @@ class Connection:
     checks of one chart evaluate once.  The checks contract stacked
     ``(point, …)`` arrays with ``matmul``, one block of points at a time
     (``_blocks``): a block holds at most 8192 floats of each n⁴ array, so
-    n = 7 takes 3 points per block and n = 3 takes every point.
-    ``check_morimoto`` and ``flatness_check`` read one curvature pass per
-    block, made on first use and kept with the evaluation as four running
-    maxima.
-    ``torsion_at`` and ``curvature_at`` are the one-point case; the bench
-    harness times these four methods.  The frame derivatives W_i(Γ) at a
-    point are F(p) ∂Γ(p): F(p) is the adapted frame matrix and ∂Γ the
-    coordinate gradient of Γ, which the evaluator returns with Γ's values.
+    n = 7 takes 3 points per block and n = 3 takes every point.  The three
+    checks read one pass over the blocks, made on first use and kept with
+    the evaluation as six running maxima.  ``torsion_at`` and
+    ``curvature_at`` are the one-point case; the bench harness times these
+    four methods.  The frame derivatives W_i(Γ) at a point are F(p) ∂Γ(p):
+    F(p) is the adapted frame matrix and ∂Γ the coordinate gradient of Γ,
+    which the evaluator returns with Γ's values.
     """
 
     def __init__(self, grading: Grading, gamma):
@@ -724,17 +711,16 @@ def _t_zero_derivative(vals: _PointValues, blk: slice) -> np.ndarray:
 
 
 def check_compatible(conn: Connection, points, tol: float = 1e-8) -> CompatibilityReport:
-    """Layer parallelism, horizontal metric rule, and degree-0-torsion parallelism."""
+    """Layer parallelism, horizontal metric rule, and degree-0-torsion parallelism.
+
+    ∇g and ∇T₀ come from the one pass of ``_PointValues.residuals``, so this
+    check alone also makes the Morimoto and flatness pieces of its points."""
     vals = conn._at(points)
     # Christoffel components [i][j][k] that change layer: deg j != deg k
     deg = np.array(conn.grading.degrees)
     layer_change = deg[:, None] != deg[None, :]
     worst_layers = _worst(0.0, vals.gamma[:, :, layer_change])
-    worst_metric = worst_tz = 0.0
-    for blk in vals.blocks():
-        worst_metric = _worst(worst_metric, _metric_derivative(vals, blk))
-        worst_tz = _worst(worst_tz, _t_zero_derivative(vals, blk))
-
+    worst_metric, worst_tz = vals.residuals[:2]
     return CompatibilityReport(
         layers_parallel=worst_layers <= tol,
         metric_compatible=worst_metric <= tol,
@@ -785,9 +771,8 @@ def check_morimoto(conn: Connection, points, tol: float = 1e-8) -> MorimotoRepor
     generators than others are padded with zero generators, whose pairings
     are zero.
     """
-    vals = conn._at(points)
     compat = check_compatible(conn, points, tol=tol)
-    worst_r, worst_t, _, _ = vals.residuals
+    worst_r, worst_t = conn._at(points).residuals[2:4]
     return MorimotoReport(worst_r, worst_t, compat, tol)
 
 
@@ -832,7 +817,7 @@ def flatness_check(conn: Connection, points, tol: float = 1e-8) -> FlatnessRepor
     taming metric; passing certifies local isometry with the flat model
     group of the symbol.
     """
-    _, _, worst_t, worst_r = conn._at(points).residuals
+    worst_t, worst_r = conn._at(points).residuals[4:]
     return FlatnessReport(
         flat=bool(worst_t <= tol and worst_r <= tol),
         torsion_residual=worst_t,

@@ -9,11 +9,12 @@ promoted to symbolic projector matrices), construct the Reeb field, the
 grading-fixing horizontal field W, and finally the projected/corrected
 connections whose curvature correction yields the canonical connection.
 
-Only the chart's own frame is inverted and bracketed at the coordinate
-level.  The aux frame (the Gram-Schmidt rows and a bracket row over the
-chart) and the grading's frame (its horizontal rows and the Z^W row over
-aux) are derived frames, ``manifold._frame_over``, whose coframe and
-structure functions come from their coefficient rows.
+Only the chart's own frame, which also fixes the sign of the one-form, is
+inverted and bracketed at the coordinate level.  The aux frame (the
+Gram-Schmidt rows and a bracket row over the chart) and the grading's frame
+(its horizontal rows and the Z^W row over aux) are derived frames,
+``manifold._frame_over``, whose coframe and structure functions come from
+their coefficient rows.
 """
 
 from __future__ import annotations
@@ -98,24 +99,22 @@ class ContactData:
         return frame_combination(self.manifold, self.aux.frames, self.reeb_coeffs)
 
 
-def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int = 1) -> ContactData:
+def extract_contact_data(m: FramedManifold, sample_points=None) -> ContactData:
     """Normalize the contact structure of a constant-symbol manifold.
 
     The chart is refused unless ``manifold.check_constant_symbol`` finds its
-    symbol constant at the sample points.  The annihilator direction is the
-    bracket of the first two horizontal frame fields (``orientation=-1``
-    flips it, for invariance testing).  With the orthonormal fields it makes
-    aux, a frame derived from its rows over the chart, and the raw one-form
-    is the vertical row of aux's coframe; the one-form is scaled so the top
-    eigenvalue of the squared structure operator is one.  The eigenvalues are
-    taken at the first sample point, not read from the verdict's λ, whose
-    rounding would leave residue where the projectors have exact zeros; the
-    projectors are rebuilt as symbolic polynomials in the structure operator.
+    symbol constant at the sample points.  The annihilator direction, and so
+    the sign of θ, is the first bracket of horizontal frame fields outside E.
+    With the orthonormal fields it makes aux, a frame derived from its rows
+    over the chart, and the raw one-form is the vertical row of aux's
+    coframe; the one-form is scaled so the top eigenvalue of the squared
+    structure operator is one.  The eigenvalues are taken at the first
+    sample point, not read from the verdict's λ, whose rounding would leave
+    residue where the projectors have exact zeros; the projectors are
+    rebuilt as symbolic polynomials in the structure operator.
     """
     if m.structure_class != "contact":
         raise ManifoldError("manifold is not declared as a contact structure")
-    if orientation not in (1, -1):
-        raise ManifoldError("orientation must be +1 or -1")
     if sample_points is None:
         sample_points = _default_samples(m)
     if not check_constant_symbol(m, sample_points):
@@ -135,8 +134,6 @@ def extract_contact_data(m: FramedManifold, sample_points=None, orientation: int
         raise ManifoldError(
             "no horizontal bracket complements the horizontal bundle"
         )
-    if orientation == -1:
-        vert = [e if e is _ZERO else expr.neg(e) for e in vert]
     aux = _frame_over(m, rows + [vert])
     caux = structure_functions(aux)
     v = r  # index of the vertical frame slot

@@ -82,18 +82,17 @@ def _check_growth(m: FramedManifold, points):
 def _bracket_frame(m: FramedManifold, x1, x2) -> FramedManifold:
     """The bracket frame of an orthonormal horizontal frame, derived from ``raux``.
 
-    ``X_3 = [X_1, X_2]``, ``X_4 = [X_1, X_3]`` and ``X_5 = [X_2, X_3]`` are
-    bracketed as fields, and give the frame its coordinate components.  Its
-    calculus comes from its coefficient rows over ``raux``, the bracket
-    frame of the declared horizontal fields, which is the one frame of the
-    construction inverted and bracketed at the coordinate level.
+    The frame of its rows over ``raux``, the bracket frame of the declared
+    horizontal fields and the one frame here inverted and bracketed at the
+    coordinate level: ``x1`` and ``x2`` through raux's coframe, and
+    ``X_3 = [X_1, X_2]``, ``X_4 = [X_1, X_3]``, ``X_5 = [X_2, X_3]`` by
+    ``frame_bracket``.  Not over the chart, whose vertical fields need not be
+    brackets: for a chart where they are not, that grew the pool 180-fold.
     """
     if (x1 is None) != (x2 is None):
         raise ManifoldError("provide both horizontal fields or neither")
     if x1 is None:
         x1, x2 = (frame_combination(m, m.frames[:2], row) for row in _gram_schmidt_horizontal(m))
-    x3 = bracket(x1, x2)
-    fields = (x1, x2, x3, bracket(x1, x3), bracket(x2, x3))
     r1, r2 = m.frames[:2]
     r3 = bracket(r1, r2)
     raux = FramedManifold(
@@ -111,7 +110,7 @@ def _bracket_frame(m: FramedManifold, x1, x2) -> FramedManifold:
     ]
     rows.append(frame_bracket(raux.frames, c, rows[0], rows[1]))
     rows += [frame_bracket(raux.frames, c, rows[e], rows[2]) for e in range(2)]
-    return _frame_over(raux, rows, [f.components for f in fields])
+    return _frame_over(raux, rows)
 
 
 # nonzero entries of the frame rotation generator D, as (out, in): sign;

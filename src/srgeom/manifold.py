@@ -67,6 +67,7 @@ STRUCTURE_CLASSES = ("generic", "contact", "two-three-five")
 
 _ZERO = expr.rational(0)
 _ONE = expr.rational(1)
+_LAMBDA_SPREAD = 1e-6  # the most a contact λ varies over the points of a constant symbol
 
 
 class ManifoldError(Exception):
@@ -410,7 +411,7 @@ def _inverse(matrix):
     return [row[n:] for row in _gauss_jordan(rows, n)]
 
 
-def _frame_over(base: FramedManifold, rows, components=None) -> FramedManifold:
+def _frame_over(base: FramedManifold, rows) -> FramedManifold:
     """The derived frame whose fields are the coefficient ``rows`` over the frame ``base``.
 
     The one rule for a derived frame: :func:`structure_functions` brackets
@@ -418,15 +419,13 @@ def _frame_over(base: FramedManifold, rows, components=None) -> FramedManifold:
     through the inverse of the rows (:func:`_component`), and
     :func:`frame_inverse` is that inverse times the coframe of ``base``, made
     only when something reads it.  Nothing is inverted or bracketed at the
-    coordinate level.  The fields are the ``frame_combination`` of the rows,
-    unless the caller already holds them and passes their coordinate
-    ``components``.  The frame has the rank and class of ``base`` and the
-    identity metric: every derived frame starts with orthonormal horizontal
-    fields.
+    coordinate level.  The fields, the one thing made in coordinates, are the
+    :func:`frame_combination` of the rows.  The frame has the rank and class
+    of ``base`` and the identity metric: every derived frame starts with
+    orthonormal horizontal fields.
     """
     rows = tuple(map(tuple, rows))
-    if components is None:
-        components = [frame_combination(base, base.frames, row).components for row in rows]
+    components = [frame_combination(base, base.frames, row).components for row in rows]
     m = FramedManifold(base.coords, components, base.rank, structure_class=base.structure_class)
     m._over = (base, rows, tuple(map(tuple, _inverse(rows))))
     return m
@@ -677,7 +676,7 @@ class SymbolVerdict:
         return self.constant
 
 
-def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> SymbolVerdict:
+def check_constant_symbol(m: FramedManifold, sample) -> SymbolVerdict:
     """Decide whether the symbol algebra is the same at every sample point.
 
     The one constant-symbol test, through which the constructions refuse.
@@ -732,11 +731,11 @@ def check_constant_symbol(m: FramedManifold, sample, tol: float = 1e-6) -> Symbo
             lams = heisenberg_normal_forms(forms, metrics)
         except LieError as exc:
             raise ManifoldError(f"not a contact structure: {exc}") from None
-        spread = float(np.ptp(lams, axis=0).max())
+        constant = float(np.ptp(lams, axis=0).max()) <= _LAMBDA_SPREAD
         return SymbolVerdict(
-            constant=bool(spread <= tol),
+            constant=constant,
             structure_class="contact",
-            detail=tuple(lams[0]) if spread <= tol else None,
+            detail=tuple(lams[0]) if constant else None,
             samples=tuple(map(tuple, lams)),
         )
 

@@ -12,12 +12,11 @@ from srgeom.connection import (
     check_morimoto,
     flat_frame_connection,
     flatness_check,
-    left_invariant_grading,
     selector,
     taming_metric,
 )
 from srgeom.contact import extract_contact_data, morimoto_grading_contact
-from srgeom.manifold import ManifoldError, VectorField, _frame_over, bracket, frame_combination, frame_inverse
+from srgeom.manifold import FramedManifold, ManifoldError, VectorField, _frame_over, bracket, frame_combination, frame_inverse
 from srgeom.models import (
     cartan_group_manifold,
     conformal_heisenberg_manifold,
@@ -39,17 +38,17 @@ def sample_points(m, count=6, scale=0.7):
 
 def heis_grading():
     m = heisenberg_manifold()
-    return m, left_invariant_grading(m, (2, 1))
+    return m, Grading(m, (2, 1))
 
 
 def metric4_grading():
     m = heisenberg_metric4_manifold()
-    return m, left_invariant_grading(m, (4, 1))
+    return m, Grading(m, (4, 1))
 
 
 def cartan_grading():
     m = cartan_group_manifold()
-    return m, left_invariant_grading(m, (2, 1, 2))
+    return m, Grading(m, (2, 1, 2))
 
 
 def graded_structure_at(g, p):
@@ -85,9 +84,11 @@ def test_grading_validates_on_groups():
 def test_flat_verdict_does_not_depend_on_metric_scale(scale):
     # the positive-definiteness test of a Gram matrix is relative to its
     # largest eigenvalue, so a small metric is not refused
-    m = heisenberg_manifold()
+    h = heisenberg_manifold()
     metric = [[expr.floatc(scale) if i == j else expr.ZERO for j in range(2)] for i in range(2)]
-    g = left_invariant_grading(m, (2, 1), metric=metric)
+    m = FramedManifold(h.coords, [f.components for f in h.frames], 2, metric=metric,
+                       structure_class="contact")
+    g = Grading(m, (2, 1))
     assert flatness_check(flat_frame_connection(g), sample_points(m, 3)).flat
 
 
@@ -149,7 +150,7 @@ def test_symbols_are_shared_only_when_bitwise_equal():
 
 def test_taming_euclidean_is_identity():
     m = euclidean_manifold(2)
-    g = left_invariant_grading(m, (2,))
+    g = Grading(m, (2,))
     assert np.abs(taming_at(g, {"x1": 0.2, "x2": -0.4}) - np.eye(2)).max() == 0.0
 
 
@@ -180,7 +181,7 @@ def test_taming_matches_pointwise_symbol():
 
 def test_taming_varying_metric_is_symbolic():
     m = varying_lambda_manifold()
-    g = left_invariant_grading(m, (4, 1))
+    g = Grading(m, (4, 1))
     pts = sample_points(m, 4)
     for p, sym in zip(pts, symbols_at(g, pts)):
         w = (1.0 + p["x1"] ** 2) ** 2
@@ -250,7 +251,7 @@ def test_selector_anti_bracket_identity():
     # bracketing the selector value reproduces the field, even for a
     # point-dependent metric
     m = varying_lambda_manifold()
-    g = left_invariant_grading(m, (4, 1))
+    g = Grading(m, (4, 1))
     chi = selector(g)
     for p in sample_points(m, 4):
         cg = graded_structure_at(g, p)
@@ -392,7 +393,7 @@ def test_levi_civita_metric_rule_curved():
         2,
         metric=[["1 + x1^2", "0"], ["0", "1"]],
     )
-    g = left_invariant_grading(curved, (2,))
+    g = Grading(curved, (2,))
     # coordinate frame with g_11 = 1 + x1^2: the only Christoffel symbol is
     # Γ_11^1 = ∂_1 g_11 / (2 g_11)
     x1 = expr.var("x1")

@@ -466,17 +466,23 @@ def test_confh2_isometry_algebra_is_larger():
         assert len(sym.isometries()) == dim
 
 
-def test_bad_orientation_is_refused_before_any_bracket():
-    m = models.heisenberg_metric4_manifold()
-    with pytest.raises(ManifoldError, match="orientation must be"):
-        extract_contact_data(m, orientation=0)
-    assert len(m._bracket_layers) == 1
+def _b_fields_negated(m):
+    """The group chart ``m`` of h_n with every B_j field negated and the same metric.
+
+    Each bracket [A_j, B_j] changes sign, so the annihilator direction the
+    construction picks, and with it θ, is flipped.
+    """
+    n = m.rank // 2
+    frames = [(f.scaled(-1) if n <= i < m.rank else f).components for i, f in enumerate(m.frames)]
+    return FramedManifold(m.coords, frames, m.rank, metric=m.metric, structure_class="contact")
 
 
 def test_orientation_flip_leaves_geometry_unchanged():
     for name in ("m4", "conf"):
         m, cd, params, _, _, final, pts = build(name)
-        cd2 = extract_contact_data(m, orientation=-1)
+        cd2 = extract_contact_data(_b_fields_negated(m))
+        theta, theta2 = (expr.evaluate_tables([c.theta], pts)[0] for c in (cd, cd2))
+        assert np.array_equal(theta2, -theta)
         params2 = morimoto_grading_contact(cd2)
         final2 = morimoto_connection_contact(cd2, params2)
         coord_fields = [

@@ -14,12 +14,12 @@ from srgeom.connection import (
     CompatibilityReport,
     Connection,
     FlatnessReport,
+    Grading,
     MorimotoReport,
     _t_zero_derivative,
     check_compatible,
     check_morimoto,
     flatness_check,
-    left_invariant_grading,
     selector,
 )
 from srgeom.contact import (
@@ -115,7 +115,7 @@ def _skewed_h2_connection():
     m = models.carnot_group_manifold(
         heisenberg((1, 1.6)), metric=metric, structure_class="contact"
     )
-    g = left_invariant_grading(m, (4, 1))
+    g = Grading(m, (4, 1))
     return Connection(g, _curved_gamma(m)), _default_samples(m, count=3, seed=5)
 
 
@@ -621,7 +621,7 @@ def _symmetric_huge_gamma():
 @pytest.mark.parametrize("nan_last", [False, True], ids=["nan-first", "nan-last"])
 def test_nan_residuals_fail_their_verdicts(nan_last):
     m = models.heisenberg_manifold()
-    conn = Connection(left_invariant_grading(m, (2, 1)), _symmetric_huge_gamma())
+    conn = Connection(Grading(m, (2, 1)), _symmetric_huge_gamma())
     # 101 points fill the first block of n = 3; the NaN point sits in it or
     # in a second block of its own
     finite = [{"x": 0.0, "y": 0.1 * k / 101, "z": 0.0} for k in range(101)]

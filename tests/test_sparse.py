@@ -14,7 +14,7 @@ import pytest
 from test_pointwise import CHARTS
 
 from srgeom import connection, contact, expr, g235, lie, manifold, models
-from srgeom.connection import _wedge_classes, left_invariant_grading, selector, taming_metric
+from srgeom.connection import Grading, _wedge_classes, selector, taming_metric
 from srgeom.contact import (
     connection_double_prime,
     connection_prime,
@@ -404,7 +404,7 @@ def _step4_grading():
     e[5][6] = x
     metric = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 1.5]]
     m = FramedManifold([f"x{i + 1}" for i in range(7)], e, 3, metric=metric)
-    return left_invariant_grading(m, (3, 2, 1, 1))
+    return Grading(m, (3, 2, 1, 1))
 
 
 def _fresh_grading(name):
