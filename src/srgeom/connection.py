@@ -547,12 +547,9 @@ class Connection:
     def __init__(self, grading: Grading, gamma):
         n = grading.dim
         self.grading = grading
-        self.gamma = tuple(
-            tuple(tuple(expr._coerce(e) for e in gamma[i][j]) for j in range(n))
-            for i in range(n)
-        )
-        if any(len(entry) != n for row in self.gamma for entry in row):
-            raise ManifoldError("Christoffel table has wrong width")
+        if len(gamma) != n or any(len(row) != n or any(len(e) != n for e in row) for row in gamma):
+            raise ManifoldError(f"Christoffel table must be {n}x{n}x{n}")
+        self.gamma = tuple(tuple(tuple(map(expr._coerce, entry)) for entry in row) for row in gamma)
         self._torsion = None
         self._curvature = None
         self._slot = None

@@ -244,18 +244,12 @@ def _upsilon_coeffs(cd: ContactData):
     k = len(cd.lam_op)
     if k == 1:
         return {}
-    ctab = structure_functions(cd.aux)
     # [pr[j] F_a, pr[j] J F_a] over the aux frame, for every j and a
     brackets = []
     for pr in cd.projections:
         prj = _matmul(pr, cd.jmat)
         brackets.append([
-            frame_bracket(
-                cd.aux.frames,
-                ctab,
-                [pr[c][a] for c in range(r)] + [_ZERO],
-                [prj[c][a] for c in range(r)] + [_ZERO],
-            )
+            frame_bracket(cd.aux, [pr[c][a] for c in range(r)] + [_ZERO], [prj[c][a] for c in range(r)] + [_ZERO])
             for a in range(r)
         ])
     out = {}
@@ -324,7 +318,6 @@ def _tau_tensor(cd: ContactData, params: ContactGradingParams):
     g = params.grading
     nn = g.dim
     r = cd.rank
-    ctab = g.structure_functions()
     frame_fields = g.fields
     k = len(cd.lam_op)
 
@@ -347,7 +340,7 @@ def _tau_tensor(cd: ContactData, params: ContactGradingParams):
             usupp = [a for a in range(nn) if ui[a] is not _ZERO]
             if not usupp:
                 continue
-            brackets = {j: frame_bracket(frame_fields, ctab, ui, cols[j]) for j in live}
+            brackets = {j: frame_bracket(g.frame, ui, cols[j]) for j in live}
             for j in live:
                 aj, bra = cols[j], brackets[j]
                 for kk in live:
@@ -422,7 +415,7 @@ def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connectio
                     # pr[p] F_j is zero, and so are both terms
                     continue
                 # term 2: pr[p] [ W_i - pr[p]W_i, pr[p]F_j ]
-                brk = frame_bracket(frame_fields, ctab, ui, bcol + [_ZERO])
+                brk = frame_bracket(g.frame, ui, bcol + [_ZERO])
                 both = []
                 for kk in range(r):
                     # term 1: pr[p] ( LC_{pr[p]W_i} pr[p]F_j )

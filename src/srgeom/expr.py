@@ -37,12 +37,17 @@ and evaluates each DAG node once for all of them, together with the
 coordinate gradients of the tables the caller names (forward mode, with the
 rules of :func:`differentiate`); ``evaluate`` and ``evaluate_array`` are its
 one-point case.
+
+:func:`parse` takes its tokens from one compiled pattern, so a number is what
+``int`` and ``float`` read, and a recursive-descent parser builds the
+expression from them; every error it raises is an :class:`ExprError`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -578,6 +583,8 @@ def _apply_fn(name: str, x: float) -> float:
             return math.tan(x)
     except OverflowError as exc:
         raise EvaluationError(f"overflow in {name}") from exc
+    except ValueError as exc:  # sin, cos and tan of an infinity
+        raise EvaluationError(f"{name} of {x!r}") from exc
     raise ExprError(f"unknown function {name!r}")
 
 
@@ -878,58 +885,23 @@ def _print(e: Expr, ctx: int) -> str:
 # parsing
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list = []
-        self._scan()
-        self.idx = 0
+# a number, an identifier, an operator, or any other non-space character (an error)
+_TOKEN = re.compile(r"(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)|([^\W\d]\w*)|([-+*/^()])|(\S)")
 
-    def _scan(self):
-        text = self.text
-        i = 0
-        n = len(text)
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                is_float = False
-                if j < n and text[j] == ".":
-                    is_float = True
-                    j += 1
-                    while j < n and text[j].isdigit():
-                        j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k].isdigit():
-                        is_float = True
-                        j = k
-                        while j < n and text[j].isdigit():
-                            j += 1
-                self.tokens.append(("num", text[i:j], i, is_float))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j], i, None))
-                i = j
-                continue
-            if c in "+-*/^()":
-                self.tokens.append((c, c, i, None))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {c!r}", i)
-        self.tokens.append(("end", "", n, None))
+
+class _Tokenizer:
+    """Tokens ``(kind, text, offset, is_float)`` of ``text``, all read up front by ``_TOKEN``."""
+
+    def __init__(self, text: str):
+        self.tokens: list = []
+        for m in _TOKEN.finditer(text):
+            tok, i = m.group(), m.start()
+            if m.lastindex == 4:
+                raise ParseError(f"unexpected character {tok!r}", i)
+            kind = ("num", "ident", tok)[m.lastindex - 1]
+            self.tokens.append((kind, tok, i, not tok.isdecimal() if kind == "num" else None))
+        self.tokens.append(("end", "", len(text), None))
+        self.idx = 0
 
     def peek(self):
         return self.tokens[self.idx]

@@ -21,10 +21,12 @@ All constructions run in the coefficient calculus of the iterated-bracket
 frame: every corrected field is a coefficient row over that frame, and each
 grading is the derived frame of its rows (``manifold._frame_over``), whose
 coframe and structure functions come from the rows.  The bracket frame is
-itself derived, from its rows over ``raux``, the bracket frame of the
-declared horizontal fields, which is the only frame inverted and bracketed
-at the coordinate level.  The calculus is the one ``contact`` uses too:
-``manifold.frame_bracket`` brackets coefficient rows,
+itself derived, from its rows over ``raux``, the chart's flag layers 1 to
+3 (the declared horizontal fields and their brackets, which the
+constant-symbol verdict's flag pass has already built), the only frame
+inverted and bracketed at the coordinate level.  The calculus is the one
+``contact`` uses too: ``manifold.frame_bracket(frame, u, w)`` brackets
+coefficient rows over a frame,
 ``VectorField.apply`` differentiates along a frame field, and every sum of
 products is built by ``manifold._sum_of_products`` from its non-zero terms.
 """
@@ -44,7 +46,6 @@ from .manifold import (
     _inverse,
     _matmul,
     _sum_of_products,
-    bracket,
     check_constant_symbol,
     frame_bracket,
     frame_combination,
@@ -82,9 +83,11 @@ def _check_growth(m: FramedManifold, points):
 def _bracket_frame(m: FramedManifold, x1, x2) -> FramedManifold:
     """The bracket frame of an orthonormal horizontal frame, derived from ``raux``.
 
-    The frame of its rows over ``raux``, the bracket frame of the declared
-    horizontal fields and the one frame here inverted and bracketed at the
-    coordinate level: ``x1`` and ``x2`` through raux's coframe, and
+    ``raux`` is the chart's bracket flag: the fields of ``m.bracket_layer``
+    1, 2 and 3, which the constant-symbol verdict's flag pass has already
+    built on this chart, and the one frame here inverted and bracketed at
+    the coordinate level.  The bracket frame is the frame of its rows over
+    ``raux``: ``x1`` and ``x2`` through raux's coframe, and
     ``X_3 = [X_1, X_2]``, ``X_4 = [X_1, X_3]``, ``X_5 = [X_2, X_3]`` by
     ``frame_bracket``.  Not over the chart, whose vertical fields need not be
     brackets: for a chart where they are not, that grew the pool 180-fold.
@@ -93,23 +96,21 @@ def _bracket_frame(m: FramedManifold, x1, x2) -> FramedManifold:
         raise ManifoldError("provide both horizontal fields or neither")
     if x1 is None:
         x1, x2 = (frame_combination(m, m.frames[:2], row) for row in _gram_schmidt_horizontal(m))
-    r1, r2 = m.frames[:2]
-    r3 = bracket(r1, r2)
     raux = FramedManifold(
         m.coords,
-        [f.components for f in (r1, r2, r3, bracket(r1, r3), bracket(r2, r3))],
+        [f.components for k in (1, 2, 3) for f in m.bracket_layer(k)],
         m.rank,
         structure_class=m.structure_class,
     )
-    alpha, c = frame_inverse(raux), structure_functions(raux)
+    alpha = frame_inverse(raux)
     # rows over raux; the given fields are horizontal, so their rows vanish
     # identically beyond the horizontal slots
     rows = [
         [_sum_of_products((alpha[j][a], x.components[a]) for a in range(5)) for j in range(2)] + [_ZERO] * 3
         for x in (x1, x2)
     ]
-    rows.append(frame_bracket(raux.frames, c, rows[0], rows[1]))
-    rows += [frame_bracket(raux.frames, c, rows[e], rows[2]) for e in range(2)]
+    rows.append(frame_bracket(raux, rows[0], rows[1]))
+    rows += [frame_bracket(raux, rows[e], rows[2]) for e in range(2)]
     return _frame_over(raux, rows)
 
 
@@ -130,10 +131,8 @@ def _rotation_connection(grading: Grading, nu_vals) -> Connection:
     for i in range(n):
         nv = nu_vals[i]
         nneg = _ZERO if nv is _ZERO else expr.neg(nv)
-        gamma[i][0][1] = nv
-        gamma[i][1][0] = nneg
-        gamma[i][3][4] = nv
-        gamma[i][4][3] = nneg
+        for (k, j), s in _DENTRIES.items():
+            gamma[i][j][k] = nv if s > 0 else nneg
     return Connection(grading, gamma)
 
 
@@ -299,7 +298,6 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     """
     data = intrinsic_frame_235(m, x1, x2, sample_points)
     xfields = data.frame.frames
-    c = structure_functions(data.frame)
     srows = data.srows
     sinv = _inverse(srows)
 
@@ -320,14 +318,14 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     # is b*Y_1 - a*Y_2.
     e_rows, zp_row = srows[:2], srows[2]
     ell_rows = _matmul([[_ZERO, _MINUS_ONE], [_ONE, _ZERO]], srows[3:])
-    ez = [frame_bracket(xfields, c, e_rows[e], zp_row) for e in range(2)]
+    ez = [frame_bracket(data.frame, e_rows[e], zp_row) for e in range(2)]
     p_t = [phix(br) for br in ez]
     phi_t = [
-        [phix(frame_bracket(xfields, c, e_rows[a], ell_rows[j])) for j in range(2)]
+        [phix(frame_bracket(data.frame, e_rows[a], ell_rows[j])) for j in range(2)]
         for a in range(2)
     ]
-    xi_t = [phix(frame_bracket(xfields, c, zp_row, ell_rows[j])) for j in range(2)]
-    cp_t = [_component(frame_bracket(xfields, c, e_rows[0], e_rows[1]), sinv, k) for k in range(2)]
+    xi_t = [phix(frame_bracket(data.frame, zp_row, ell_rows[j])) for j in range(2)]
+    cp_t = [_component(frame_bracket(data.frame, e_rows[0], e_rows[1]), sinv, k) for k in range(2)]
     b_t = [[_component(br, sinv, k) for k in range(2)] for br in ez]
     (p00, p01), (p10, p11) = p_t
 

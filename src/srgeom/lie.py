@@ -51,6 +51,8 @@ class CarnotAlgebra:
         for (a, b), row in self.brackets.items():
             if not a < b:
                 raise LieError("bracket table must be indexed with a < b")
+            if a < 0 or b >= self.dim or any(not 0 <= c < self.dim for c in row):
+                raise LieError(f"bracket [e{a}, e{b}] has an index outside range({self.dim})")
             for c, v in row.items():
                 if self._degrees[c] != self._degrees[a] + self._degrees[b]:
                     raise LieError(

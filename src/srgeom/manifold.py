@@ -280,16 +280,18 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(x.manifold, components)
 
 
-def frame_bracket(fields, ctab, u, w):
-    """Bracket of two coefficient vectors over a frame, again as coefficients.
+def frame_bracket(frame: FramedManifold, u, w):
+    """Bracket of two coefficient vectors over ``frame``, again as coefficients.
 
-    ``u`` and ``w`` hold coefficients over the vector fields ``fields``, whose
-    structure functions are ``ctab``.  The loops run over the supports of
-    ``u`` and ``w``, the non-zero derivatives and the non-zero
-    ``ctab[a][b][k]``, so no term with a ``ZERO`` factor reaches ``expr.mul``
-    (whose ``ZERO`` short-circuit is only a backstop), and a component with
-    no term is ``ZERO`` without a sum.  The kept terms keep their dense order.
+    ``u`` and ``w`` hold coefficients over the fields of ``frame``; the
+    bracket reads those fields and :func:`structure_functions` of ``frame``
+    itself.  The loops run over the supports of ``u`` and ``w``, the non-zero
+    derivatives and the non-zero ``ctab[a][b][k]``, so no term with a
+    ``ZERO`` factor reaches ``expr.mul`` (whose ``ZERO`` short-circuit is
+    only a backstop), and a component with no term is ``ZERO`` without a
+    sum.  The kept terms keep their dense order.
     """
+    fields, ctab = frame.frames, structure_functions(frame)
     n = len(u)
     su = [a for a in range(n) if u[a] is not _ZERO]
     sw = [b for b in range(n) if w[b] is not _ZERO]
@@ -495,10 +497,9 @@ def structure_functions(m: FramedManifold):
                 return bracket(m.frames[i], m.frames[j]).components
         else:
             base, rows, inverse = m._over
-            ctab = structure_functions(base)
 
             def brackets(i, j):
-                return frame_bracket(base.frames, ctab, rows[i], rows[j])
+                return frame_bracket(base, rows[i], rows[j])
         c = [[[_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):

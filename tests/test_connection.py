@@ -98,6 +98,21 @@ def test_grading_rejects_wrong_layer_sizes():
         Grading(m, (1, 2))
 
 
+def _zeros(*shape):
+    return [_zeros(*shape[1:]) for _ in range(shape[0])] if len(shape) > 1 else [expr.ZERO] * shape[0]
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [_zeros(2, 3, 3), _zeros(4, 3, 3), [_zeros(3, 3), _zeros(2, 3), _zeros(3, 3)], [_zeros(3, 3), _zeros(3, 4), _zeros(3, 3)]],
+    ids=["short", "long", "short-row", "wide"],
+)
+def test_connection_refuses_a_table_that_is_not_n_by_n_by_n(gamma):
+    _, g = heis_grading()
+    with pytest.raises(ManifoldError, match="must be 3x3x3"):
+        Connection(g, gamma)
+
+
 def test_grading_bad_complement_has_large_residual():
     m = heisenberg_manifold()
     # second "horizontal" field replaced by the vertical one: not inside E

@@ -89,3 +89,22 @@ def test_the_srgeom_names_the_bench_worker_reads_resolve():
         "g235.morimoto_connection_235",
     } <= read
     assert {"prime", "second"} <= keywords
+
+
+def test_every_top_level_import_is_read():
+    # a name a module imports and never reads is left over from a cut;
+    # names in ``__all__`` and ``from __future__ import annotations`` are exempt
+    for path in sorted((PYPROJECT.parent / "src" / "srgeom").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        exempt = {"annotations"}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exempt |= set(ast.literal_eval(node.value))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert bound - read - exempt == set(), path.name

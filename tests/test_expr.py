@@ -1,8 +1,9 @@
 import math
 import random
+import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srgeom import expr
@@ -64,6 +65,23 @@ def test_parse_non_integer_exponent():
         parse("x^2.5", ["x"])
     with pytest.raises(ParseError):
         parse("x^(1/2)", ["x"])
+
+
+@pytest.mark.parametrize("text", ["2²", "x^²", "²"])
+def test_parse_refuses_numeric_characters_that_are_not_decimal_digits(text):
+    # str.isdigit accepts "²", int does not
+    with pytest.raises(ParseError):
+        parse(text, ["x"])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.text(alphabet=string.digits + string.ascii_letters + "_.+-*/^() \t\n²½é", max_size=24))
+@example("sin(1e999)")  # math.sin of an infinity raises ValueError
+def test_parse_returns_or_raises_an_expr_error(text):
+    try:
+        parse(text, ["x", "y", "é"])
+    except expr.ExprError:
+        pass
 
 
 def test_parse_rational_literal():

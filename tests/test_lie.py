@@ -59,6 +59,12 @@ def test_bracket_table_is_refused_out_of_order_or_off_grading():
         CarnotAlgebra((2, 1), {(0, 1): {0: 1}})
 
 
+@pytest.mark.parametrize("brackets", [{(0, 1): {-1: 1}}, {(0, 1): {3: 1}}, {(0, 5): {2: 1}}, {(-1, 1): {2: 1}}])
+def test_bracket_table_is_refused_with_an_index_outside_the_algebra(brackets):
+    with pytest.raises(LieError, match="outside range"):
+        CarnotAlgebra((2, 1), brackets)
+
+
 def test_jacobi_residual_of_a_non_lie_bracket():
     # on (A1, A2, A3) the Jacobi sum is [[A1,A2],A3] + [[A2,A3],A1] + [[A3,A1],A2] = -C
     brackets = {

@@ -495,7 +495,7 @@ def test_frame_bracket_matches_bracket_of_combinations():
     fields = data.frame.frames
     u = [expr.parse(t, m.coords) for t in ("x1", "1", "x2*x3", "0", "x5^2")]
     w = [expr.parse(t, m.coords) for t in ("x4", "x1*x2", "0", "1", "x3 - x5")]
-    coeffs = frame_bracket(fields, structure_functions(data.frame), u, w)
+    coeffs = frame_bracket(data.frame, u, w)
     field = bracket(frame_combination(m, fields, u), frame_combination(m, fields, w))
     for p in ((0.1, -0.2, 0.3, 0.4, -0.5), (0.5, 0.3, -0.7, 0.2, 0.6), (-0.4, 0.8, 0.1, -0.3, 0.2)):
         pt = m.point(p)

@@ -150,7 +150,7 @@ def test_sparse_construction_builds_the_dense_nodes(chart):
     pairs += [(units[i], gam[i][j]) for i in range(n) for j in range(n)]
     pairs += [(gam[i][j], ctab[i][j]) for i in range(n) for j in range(n)]
     for u, w in pairs:
-        assert _same_nodes(frame_bracket(fields, ctab, u, w), _oracle_frame_bracket(fields, ctab, u, w))
+        assert _same_nodes(frame_bracket(g.frame, u, w), _oracle_frame_bracket(fields, ctab, u, w))
     for i in range(n):
         for j in range(i + 1, n):
             assert _same_nodes(conn.curvature_rows(i, j), _oracle_curvature_rows(conn, i, j))
@@ -505,9 +505,8 @@ def test_sparse_frame_components_are_the_dense_nodes():
     nonzero = 0
     for d in data:
         sinv = _inverse(d.srows)
-        ctab = structure_functions(d.frame)
         vectors = list(d.srows)
-        vectors += [frame_bracket(d.frame.frames, ctab, u, w) for u in d.srows for w in d.srows]
+        vectors += [frame_bracket(d.frame, u, w) for u in d.srows for w in d.srows]
         vectors.append([expr.mul(expr.floatc(0.1 * (a + 1)), expr.var("x1")) for a in range(5)])
         for v in vectors:
             for k in range(5):
