@@ -20,6 +20,16 @@ live, and so call no constructor for a term with a ``ZERO`` factor. That
 Invariant: every node the constructors return is already in normal form, i.e.
 ``simplify(e) is e``. Callers never need to re-normalize a result.
 
+Exponentials have a normal form of their own (as in SymPy's exp/power
+combination): a product holds at most one ``exp`` factor, e^u·e^v being
+e^{u+v} and ``ONE`` when the exponents cancel; (e^u)^k is e^{ku} and
+sqrt(e^u) is e^{u/2}. An exponent keeps its numeric coefficients distributed
+over its sums and exact: a finite float coefficient or constant becomes the
+rational it equals (``Fraction(float)`` is exact, so ``exp(a*x)`` evaluates
+as ``math.exp(a * x)``), and halving or summing exponents rounds nothing, so
+e^{-u/2} reached by two routes is one node and a difference of two such terms
+cancels. A non-finite coefficient stays a float.
+
 Next to the pool, ``mul``, ``add`` and ``pow_`` keep a memo of their calls
 (``_MUL_MEMO``, ``_ADD_MEMO``, ``_POW_MEMO``). Its key is the tuple of the
 coerced, interned operands (for ``pow_`` the base and the exponent, checked
@@ -31,16 +41,17 @@ type, and carry an exact coefficient as an integer numerator and
 denominator, made one ``Rat`` at the end.
 
 Exact rationals stay exact until a float literal or a transcendental forces a
-float; all verdict-level work downstream is numeric at sample points. One
-evaluator, :func:`evaluate_tables`, takes nested tables and a list of points
-and evaluates each DAG node once for all of them, together with the
-coordinate gradients of the tables the caller names (forward mode, with the
-rules of :func:`differentiate`); ``evaluate`` and ``evaluate_array`` are its
-one-point case.
+float, except in an exponent, as above; all verdict-level work downstream is
+numeric at sample points. One evaluator, :func:`evaluate_tables`, takes
+nested tables and a list of points and evaluates each DAG node once for all
+of them, together with the coordinate gradients of the tables the caller
+names (forward mode, with the rules of :func:`differentiate`); ``evaluate``
+and ``evaluate_array`` are its one-point case.
 
 :func:`parse` takes its tokens from one compiled pattern, so a number is what
 ``int`` and ``float`` read, and a recursive-descent parser builds the
-expression from them; every error it raises is an :class:`ExprError`.
+expression from them; every error it raises is an :class:`ExprError`, an
+integer literal longer than ``int`` converts included.
 """
 
 from __future__ import annotations
@@ -369,6 +380,7 @@ def _mul(factors: tuple) -> Expr:
     has_flt = False
     exponents: dict = {}  # id(base) -> exponent
     order: list = []
+    exps: list = []  # the exp factors, made one below
     for f in factors:
         for e in (f.factors if type(f) is Mul else (f,)):
             te = type(e)
@@ -380,6 +392,9 @@ def _mul(factors: tuple) -> Expr:
             if te is Flt:
                 flt_part *= e.value
                 has_flt = True
+                continue
+            if te is Fn and e.name == "exp":
+                exps.append(e)
                 continue
             if te is Pow:
                 base, k = e.base, e.exponent
@@ -399,6 +414,15 @@ def _mul(factors: tuple) -> Expr:
 
     out = []
     folded = []
+    if exps:
+        # e^u·e^v = e^{u+v}: ONE when the exponents cancel, a Flt when they add
+        # up to a float constant
+        p = exps[0] if len(exps) == 1 else exp(add(*[e.arg for e in exps]))
+        if type(p) is Flt:
+            flt_part *= p.value
+            has_flt = True
+        elif p is not ONE:
+            out.append(p)
     for base in order:
         k = exponents[id(base)]
         if k == 1:
@@ -479,6 +503,8 @@ def _pow(base: Expr, exponent: int) -> Expr:
         return mul(*[pow_(f, exponent) for f in base.factors])
     if tb is Pow:
         return pow_(base.base, base.exponent * exponent)
+    if tb is Fn and base.name == "exp":
+        return exp(mul(exponent, base.arg))
     if tb is Fn and base.name == "sqrt" and exponent % 2 == 0:
         # valid on the sqrt domain (argument nonnegative)
         return pow_(base.arg, exponent // 2)
@@ -512,6 +538,8 @@ def fn(name: str, arg) -> Expr:
     arg = _coerce(arg)
     if name not in FUNCTIONS:
         raise ExprError(f"unknown function {name!r}")
+    if name == "exp" and not _is_const(arg):
+        arg = _exponent(arg)
     if isinstance(arg, Flt):
         return Flt(_apply_fn(name, arg.value))
     if isinstance(arg, Rat):
@@ -536,7 +564,32 @@ def fn(name: str, arg) -> Expr:
         elif name == "cos":
             if q == 0:
                 return ONE
+    if name == "sqrt" and type(arg) is Fn and arg.name == "exp":
+        return exp(mul(HALF, arg.arg))
     return Fn(name, arg)
+
+
+def _exponent(u: Expr, scale: Expr = ONE) -> Expr:
+    """``scale·u`` as an exponent in normal form (module docstring).
+
+    Numeric coefficients are distributed over sums, and a finite float
+    coefficient or constant becomes the rational it equals.
+    """
+    terms = []
+    for t in (u.terms if type(u) is Add else (u,)):
+        factors = t.factors if type(t) is Mul else (t,)
+        c = scale
+        if _is_const(factors[0]):
+            c0 = factors[0]
+            if type(c0) is Flt and math.isfinite(c0.value):
+                c0 = Rat(Fraction(c0.value))
+            c = mul(scale, c0)
+            factors = factors[1:]
+        if len(factors) == 1 and type(factors[0]) is Add:
+            terms.append(_exponent(factors[0], c))
+        else:
+            terms.append(mul(c, *factors))
+    return add(*terms)
 
 
 def sqrt(e) -> Expr:
@@ -620,7 +673,8 @@ def evaluate_tables(tables, points, coords=(), gradients=()) -> list:
     at each point its arithmetic is the scalar one (``math.fsum`` for sums,
     left-to-right products, Python ``**``), so a point's values do not depend
     on the other points in the batch.  An :class:`EvaluationError` at any
-    point aborts the whole batch.
+    point aborts the whole batch; a sum that overflows or adds inf to -inf is
+    one.
 
     ``gradients`` names tables by their position in ``tables``; after the
     values come their coordinate gradients along ``coords``, one ndarray
@@ -653,7 +707,7 @@ def evaluate_tables(tables, points, coords=(), gradients=()) -> list:
             except KeyError:
                 raise EvaluationError(f"missing coordinate {e.name!r}") from None
         elif isinstance(e, Add):
-            v = list(map(math.fsum, zip(*[ev(t) for t in e.terms])))
+            v = _sums([ev(t) for t in e.terms])
         elif isinstance(e, Mul):
             v = _product([ev(f) for f in e.factors])
         elif isinstance(e, Pow):
@@ -687,8 +741,7 @@ def evaluate_tables(tables, points, coords=(), gradients=()) -> list:
             parts = [p for p in map(grad, e.terms) if p]
             # with one dependent term, the sum's derivative is that term's
             d = parts[0] if len(parts) == 1 else {
-                a: list(map(math.fsum, zip(*[p[a] for p in parts if a in p])))
-                for a in sorted(set().union(*parts))
+                a: _sums([p[a] for p in parts if a in p]) for a in sorted(set().union(*parts))
             }
         elif isinstance(e, Mul):
             # Σ_i ∂f_i · Π_{j≠i} f_j over the factors that depend on the slot
@@ -706,7 +759,7 @@ def evaluate_tables(tables, points, coords=(), gradients=()) -> list:
                     for i, v in others.items()
                     if a in parts[i]
                 ]
-                d[a] = terms[0] if len(terms) == 1 else list(map(math.fsum, zip(*terms)))
+                d[a] = terms[0] if len(terms) == 1 else _sums(terms)
         elif isinstance(e, (Pow, Fn)):
             inner = grad(e.base if isinstance(e, Pow) else e.arg)
             # the outer derivative is evaluated only where the chain rule reads it
@@ -738,6 +791,16 @@ def evaluate_tables(tables, points, coords=(), gradients=()) -> list:
         values[:, list(slot), list(index)] = np.array(derivatives, dtype=float).T
         out.append(values.reshape((count, len(coords)) + shape))
     return out
+
+
+def _sums(terms: list) -> list:
+    """Per-point ``math.fsum`` of value lists; its two failures are :class:`EvaluationError`."""
+    try:
+        return list(map(math.fsum, zip(*terms)))
+    except OverflowError as exc:
+        raise EvaluationError("overflow in sum") from exc
+    except ValueError as exc:  # inf + -inf
+        raise EvaluationError("inf - inf in sum") from exc
 
 
 def _product(factors: list) -> list:
@@ -975,6 +1038,13 @@ def _parse_power(tz, coords) -> Expr:
     return pow_(base, k)
 
 
+def _int(text: str, offset: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than CPython converts
+        raise ParseError("integer literal too long", offset) from None
+
+
 def _parse_exponent(tz) -> int:
     parens = False
     if tz.peek()[0] == "(":
@@ -991,13 +1061,13 @@ def _parse_exponent(tz) -> int:
         kind2, _, off2, _ = tz.next()
         if kind2 != ")":
             raise ParseError("expected ')' after exponent", off2)
-    return sign * int(text)
+    return sign * _int(text, off)
 
 
 def _parse_atom(tz, coords) -> Expr:
     kind, text, off, is_float = tz.next()
     if kind == "num":
-        return Flt(float(text)) if is_float else Rat(Fraction(int(text)))
+        return Flt(float(text)) if is_float else _rat(_int(text, off), 1)
     if kind == "(":
         e = _parse_sum(tz, coords)
         kind2, _, off2, _ = tz.next()

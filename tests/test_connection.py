@@ -16,8 +16,10 @@ from srgeom.connection import (
     taming_metric,
 )
 from srgeom.contact import extract_contact_data, morimoto_grading_contact
+from srgeom.lie import heisenberg
 from srgeom.manifold import FramedManifold, ManifoldError, VectorField, _frame_over, bracket, frame_combination, frame_inverse
 from srgeom.models import (
+    carnot_group_manifold,
     cartan_group_manifold,
     conformal_heisenberg_manifold,
     euclidean_manifold,
@@ -138,13 +140,23 @@ def test_symbol_algebra_matches_lie_model():
 
 
 def test_symbols_are_shared_only_when_bitwise_equal():
-    # the symbol of conformal h_1 is h_1 at every point, but its computed
-    # bracket constant is 1 up to a rounding that depends on x: it is 1.0 at
-    # the first five points and 0.9999999999999999 at x = -0.161, so the six
-    # points have two bitwise-distinct symbols
-    m = conformal_heisenberg_manifold()
-    g = morimoto_grading_contact(extract_contact_data(m)).grading
+    # the bracket constant of conformal h_1 is exactly 1: its structure
+    # function exp(-x)·sqrt(exp(2x)) folds to ONE, so every point, x = -0.161
+    # included, has the one symbol
+    g = morimoto_grading_contact(extract_contact_data(conformal_heisenberg_manifold())).grading
     pts = [{"x": x, "y": 0.0, "z": 0.0} for x in (-0.8, -0.3, 0.0, 0.3, 0.5, -0.161)]
+    assert len({id(s) for s in symbols_at(g, pts)}) == 1
+    # with the metric weight 1 + x² it is (1 + x²)^-1·sqrt((1 + x²)^2), 1 up
+    # to a rounding that depends on x: it is 1.0 at the first five points and
+    # 0.9999999999999999 at x = 0.68, so the six points have two
+    # bitwise-distinct symbols
+    w = expr.add(1, expr.pow_(expr.var("x"), 2))
+    m = carnot_group_manifold(
+        heisenberg((1,)), coords=("x", "y", "z"),
+        metric=[[w, expr.ZERO], [expr.ZERO, w]], structure_class="contact",
+    )
+    g = morimoto_grading_contact(extract_contact_data(m)).grading
+    pts = [{"x": x, "y": 0.0, "z": 0.0} for x in (-0.8, -0.3, 0.0, 0.3, 0.5, 0.68)]
     syms = symbols_at(g, pts)
     assert len({id(s) for s in syms[:5]}) == 1
     assert len({id(s) for s in syms}) == 2

@@ -1,6 +1,7 @@
 import math
 import random
 import string
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from srgeom import expr
 from srgeom.expr import (
+    HALF,
     EvaluationError,
     ParseError,
     add,
@@ -17,6 +19,7 @@ from srgeom.expr import (
     evaluate,
     exp,
     mul,
+    neg,
     parse,
     pow_,
     rational,
@@ -82,6 +85,15 @@ def test_parse_returns_or_raises_an_expr_error(text):
         parse(text, ["x", "y", "é"])
     except expr.ExprError:
         pass
+
+
+def test_parse_refuses_an_integer_literal_too_long_to_convert():
+    # CPython converts at most 4,300 digits of a decimal string to an int
+    for text, offset in (("1" * 4301, 0), ("x + " + "1" * 4301, 4), ("x^" + "1" * 4301, 2)):
+        with pytest.raises(ParseError) as err:
+            parse(text, ["x"])
+        assert err.value.offset == offset
+    assert parse("1" * 4300, ["x"]) is rational(int("1" * 4300))
 
 
 def test_parse_rational_literal():
@@ -374,3 +386,101 @@ def test_interning_cost_follows_the_dag_not_the_tree():
     size = len(expr._POOL)
     assert _sin_cos_chain(48) is e
     assert len(expr._POOL) == size
+
+
+# ---------------------------------------------------------------------------
+# exponentials in normal form: one exp per product, exact exponent coefficients
+
+
+def _normal_exponent(u):
+    """``u`` as the constructors keep an exponent: exact coefficients, distributed over sums."""
+    return exp(u).arg
+
+
+_EXPONENTS = tuple(
+    _normal_exponent(u)
+    for u in (
+        X,
+        mul(expr.floatc(1.1), X),
+        add(X, Y),
+        add(mul(expr.floatc(0.7), X), mul(rational(-1, 3), Y), expr.floatc(0.25)),
+        mul(X, Y),
+        sin(Z),
+    )
+)
+
+
+@pytest.mark.parametrize("u", _EXPONENTS, ids=["x", "float-x", "x+y", "sum", "x*y", "sin-z"])
+def test_exponentials_combine_into_one_node(u):
+    results = [mul(exp(u), exp(neg(u)))]
+    assert results[0] is expr.ONE
+    for v in _EXPONENTS:
+        results.append(mul(exp(u), exp(v)))
+        assert results[-1] is exp(add(u, v))
+    for k in (-3, -1, 2, 3):
+        results.append(pow_(exp(u), k))
+        assert results[-1] is exp(mul(k, u))
+    results.append(sqrt(exp(u)))
+    assert results[-1] is exp(mul(HALF, u))
+    # e^u·e^u and (e^u)² are one node, also when u is a sum
+    assert mul(exp(u), exp(u)) is pow_(exp(u), 2)
+    assert sqrt(pow_(exp(u), 2)) is exp(u)
+    for e in results:
+        assert simplify(e) is e
+        assert parse(to_string(e), ["x", "y", "z"]) is e
+
+
+def test_exponent_coefficients_are_exact():
+    # Fraction(float) is exact, so exp(a·x) evaluates as math.exp(a * x)
+    a = 1.1
+    e = exp(mul(expr.floatc(a), X))
+    assert e.arg is mul(rational(Fraction(a)), X)
+    for x in (-0.9, -0.161, 0.3, 0.7):
+        assert evaluate(e, {"x": x}) == math.exp(a * x)
+    # a / 2 is not rounded twice, so e^{-a x / 2} meets itself
+    half = pow_(sqrt(e), -1)
+    assert add(mul(3, half), mul(-3, pow_(sqrt(pow_(e, 3)), -1), e)) is expr.ZERO
+    # a constant in an exponent is exact too, and a float argument still folds
+    assert exp(add(X, expr.floatc(0.5))).arg is add(X, HALF)
+    assert exp(expr.floatc(0.5)) is expr.floatc(math.exp(0.5))
+
+
+def test_a_non_finite_exponent_coefficient_stays_a_float():
+    # Fraction(inf) raises OverflowError; the coefficient is kept as it is
+    assert parse("exp(1e999*x)", ["x"]).arg is mul(expr.floatc(math.inf), X)
+    for text in ("exp(1e999*x)*exp(-1e999*x)", "sqrt(exp(1e999*x))", "exp(x + 1e999)"):
+        try:
+            parse(text, ["x"])
+        except expr.ExprError:
+            pass
+
+
+_COEFFICIENTS = st.sampled_from([rational(1, 3), rational(-2), expr.floatc(0.7), expr.floatc(-1.3)])
+_MONOMIALS = st.sampled_from([X, Y, mul(X, Y), sin(Z), pow_(X, 2)])
+
+
+@st.composite
+def _exponents(draw):
+    terms = [mul(c, t) for c, t in draw(st.lists(st.tuples(_COEFFICIENTS, _MONOMIALS), max_size=3))]
+    if draw(st.booleans()):
+        terms.append(draw(_COEFFICIENTS))
+    return add(*terms)
+
+
+_SAMPLE = st.fixed_dictionaries({c: st.floats(-1, 1) for c in "xyz"})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_exponents(), _exponents(), st.integers(-3, 3), _SAMPLE)
+def test_normalized_exponentials_keep_their_value(u, v, k, point):
+    # each rule's node against the expression it rewrites, evaluated piece by piece
+    eu, ev = math.exp(evaluate(u, point)), math.exp(evaluate(v, point))
+    for e, want in (
+        (mul(exp(u), exp(v), Y), eu * ev * point["y"]),
+        (pow_(exp(u), k), eu ** k),
+        (sqrt(exp(u)), math.sqrt(eu)),
+        (mul(exp(u), pow_(exp(v), k), pow_(sqrt(exp(u)), -1)), eu * ev ** k / math.sqrt(eu)),
+    ):
+        assert simplify(e) is e
+        got = evaluate(e, point)
+        assert abs(got - want) <= 1e-12 * abs(want)

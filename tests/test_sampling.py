@@ -5,7 +5,8 @@ constructions and the seeded ones of a description file, from
 ``random.Random(seed)``; numpy's generator module is never loaded.  After
 the import the benchmark times as setup, the pipelines load no module at all.
 A batch of charts in one interpreter keeps its live memory growth per chart
-under a fixed bound.
+under a fixed bound, and one curved chart's expression pool stays under a
+fixed number of nodes.
 """
 
 import os
@@ -117,9 +118,10 @@ print((live[19] - live[4]) / 15)
 
 # Live bytes a conformal h_1 chart adds, from chart 5 to chart 20: about
 # 80 KB before the constructor memo (the expression pool and the
-# differentiation cache hold every node) and 102 KB with it.  The bound
-# allows 1.5 times the 80 KB.
-_GROWTH_PER_CHART = 1.5 * 80e3
+# differentiation cache hold every node), 102 KB with it, and 41.6 KB since
+# exp factors combine into one exp with exact exponent coefficients.  The
+# bound allows 1.5 times the 41.6 KB.
+_GROWTH_PER_CHART = 1.5 * 41.6e3
 
 
 def test_a_batch_of_charts_grows_live_memory_by_a_bounded_amount_per_chart():
@@ -135,3 +137,38 @@ def test_a_batch_of_charts_grows_live_memory_by_a_bounded_amount_per_chart():
     )
     growth = float(out.stdout)
     assert 0 < growth < _GROWTH_PER_CHART, growth
+
+
+_CONFORMAL_H2 = """
+from srgeom import connection, contact, expr, lie, manifold, models
+
+# the contact-conformal benchmark's h_2(1, 1) chart: the metric rescaled by exp(a x1)
+scale = expr.exp(expr.mul(expr.floatc(1.1), expr.var("x1")))
+metric = [[scale if i == j else expr.ZERO for j in range(4)] for i in range(4)]
+m = models.carnot_group_manifold(lie.heisenberg((1, 1)), metric=metric, structure_class="contact")
+pts = manifold._default_samples(m, count=3, seed=7)
+assert manifold.check_constant_symbol(m, pts).constant
+cd = contact.extract_contact_data(m)
+conn = contact.morimoto_connection_contact(cd, contact.morimoto_grading_contact(cd))
+assert connection.check_morimoto(conn, pts, tol=1e-6).ok
+assert not connection.flatness_check(conn, pts).flat
+print(len(expr._POOL))
+"""
+
+# Nodes in the expression pool after that chart's pipeline and verdicts: 312
+# while exp factors were kept apart (exp(u)^(-1)*sqrt(exp(u)^2) for 1), 116
+# since they combine.  The bound allows 1.25 times the 116.
+_CONFORMAL_H2_POOL = 1.25 * 116
+
+
+def test_the_conformal_h2_chart_builds_a_bounded_pool():
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", _CONFORMAL_H2],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert int(out.stdout) <= _CONFORMAL_H2_POOL
