@@ -295,10 +295,12 @@ class Selector:
     """Canonical selector in the adapted frame.
 
     ``coefficients[c]`` lists (a, b, Expr) triples: the value on the c-th
-    adapted field is the sum of coeff * (field_a wedge field_b).
+    adapted field is the sum of coeff * (field_a wedge field_b).  ``dim`` is
+    the grading's dimension; the grading keeps its selector, and the selector
+    keeps no reference back to it.
     """
 
-    grading: Grading
+    dim: int
     coefficients: tuple
 
     def table(self) -> list:
@@ -314,7 +316,7 @@ class Selector:
         distinct, as :func:`selector` makes them.
         """
         values = np.asarray(values, dtype=float)
-        n = self.grading.dim
+        n = self.dim
         c, a, b = np.array(
             [(c, a, b) for c, row in enumerate(self.coefficients) for a, b, _ in row],
             dtype=int,
@@ -366,7 +368,7 @@ def _solve_selector(grading: Grading) -> Selector:
                 coef = _sum_of_products(terms) if terms else _ZERO
                 if coef is not _ZERO:
                     coefficients[t].append((a, b, coef))
-    return Selector(grading, tuple(tuple(row) for row in coefficients))
+    return Selector(n, tuple(tuple(row) for row in coefficients))
 
 
 # ---------------------------------------------------------------------------

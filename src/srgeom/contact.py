@@ -5,9 +5,13 @@ its symbol constant, orthonormalize the horizontal frame, build the
 annihilator one-form from a coframe row, normalize it so the largest
 eigenvalue of the squared structure operator is one, split the horizontal
 bundle into eigenbundles (eigenvalues taken at the first sample point, then
-promoted to symbolic projector matrices), construct the Reeb field, the
-grading-fixing horizontal field W, and finally the projected/corrected
-connections whose curvature correction yields the canonical connection.
+promoted to symbolic projector matrices) and construct the Reeb field Z^0
+(:func:`extract_contact_data`).  :func:`morimoto_grading_contact` returns
+the canonical grading itself, a ``Grading`` whose degree-2 field is
+Z^W = Z^0 - JW for the grading-fixing horizontal field W.  Each connection
+builder takes the contact data and that grading: the projected and
+corrected connections, and the curvature-corrected canonical connection
+``morimoto_connection_contact(cd, g)``.
 
 Only the chart's own frame, which also fixes the sign of the one-form, is
 inverted and bracketed at the coordinate level.  The aux frame (the
@@ -44,7 +48,6 @@ from .manifold import (
 
 __all__ = [
     "ContactData",
-    "ContactGradingParams",
     "extract_contact_data",
     "morimoto_grading_contact",
     "connection_prime",
@@ -80,18 +83,12 @@ class ContactData:
     lam: tuple  # symbol normal form (one entry per symplectic pair)
     projections: tuple  # eigenbundle projector Expr matrices
     lam_matrix: tuple  # Lambda as Expr matrix on E
-    lam_inv_matrix: tuple
     jmat: tuple  # J = Lambda J^theta, Expr matrix on E
     reeb_coeffs: tuple  # Z^0 as coefficients over aux
 
     @property
     def rank(self) -> int:
         return self.manifold.rank
-
-    @property
-    def ortho_frame(self) -> tuple:
-        """The orthonormal horizontal fields: the first ``rank`` fields of aux."""
-        return self.aux.frames[: self.rank]
 
     @property
     def reeb(self) -> VectorField:
@@ -189,19 +186,14 @@ def extract_contact_data(m: FramedManifold, sample_points=None) -> ContactData:
         projections.append(tuple(tuple(row) for row in mat))
     projections = tuple(projections)
 
-    def combination(weights):
-        # sum_p weights[p] * projections[p]
-        ws = [expr.floatc(wt) for wt in weights]
-        out = [[_ZERO] * r for _ in range(r)]
-        for a in range(r):
-            for b in range(r):
-                terms = [(wt, pr[a][b]) for wt, pr in zip(ws, projections) if pr[a][b] is not _ZERO]
-                if terms:
-                    out[a][b] = _sum_of_products(terms)
-        return out
-
-    lam_matrix = combination(lam_op)
-    lam_inv_matrix = combination([1.0 / lo for lo in lam_op])
+    # Lambda = sum_p lam_op[p] * projections[p]
+    ws = [expr.floatc(lo) for lo in lam_op]
+    lam_matrix = [[_ZERO] * r for _ in range(r)]
+    for a in range(r):
+        for b in range(r):
+            terms = [(wt, pr[a][b]) for wt, pr in zip(ws, projections) if pr[a][b] is not _ZERO]
+            if terms:
+                lam_matrix[a][b] = _sum_of_products(terms)
     jmat = _matmul(lam_matrix, jtheta)
 
     # Reeb field Z^0 = (1/t) * vertical + u^a F_a where the horizontal part
@@ -229,7 +221,6 @@ def extract_contact_data(m: FramedManifold, sample_points=None) -> ContactData:
         lam=lam,
         projections=projections,
         lam_matrix=tuple(tuple(row) for row in lam_matrix),
-        lam_inv_matrix=tuple(tuple(row) for row in lam_inv_matrix),
         jmat=tuple(tuple(row) for row in jmat),
         reeb_coeffs=tuple(u) + (tinv,),
     )
@@ -276,19 +267,14 @@ def _upsilon_coeffs(cd: ContactData):
     return out
 
 
-@dataclass
-class ContactGradingParams:
-    """Grading data: the horizontal field W and the vertical direction."""
+def morimoto_grading_contact(cd: ContactData) -> Grading:
+    """Canonical grading: the orthonormal horizontal fields and Z^W = Z^0 - JW.
 
-    data: ContactData
-    w_coeffs: tuple  # W in orthonormal-frame coefficients
-    w_field: VectorField
-    zw_field: VectorField  # Z^W = Z^0 - JW
-    grading: Grading
-
-
-def morimoto_grading_contact(cd: ContactData) -> ContactGradingParams:
-    """Canonical grading: the weighted sum of the cross-eigenbundle fields."""
+    W, over the orthonormal frame, is the weighted sum of the
+    cross-eigenbundle fields; it vanishes exactly when Z^W is the Reeb field,
+    since J is invertible.  The grading is the derived frame of its rows
+    over aux.
+    """
     r = cd.rank
     ups = _upsilon_coeffs(cd)
     tr_lam = float(
@@ -300,22 +286,19 @@ def morimoto_grading_contact(cd: ContactData) -> ContactGradingParams:
             (2.0 / tr_lam) * cd.lam_op[i - 1] ** 2 / cd.lam_op[j - 1]
         )
         w = [wc if vc is _ZERO else _sum_of_products([(coef, vc)], wc) for vc, wc in zip(vec, w)]
-    w_field = frame_combination(cd.manifold, cd.ortho_frame, w)
     jw = [row[0] for row in _matmul(cd.jmat, [[e] for e in w])]
     # the grading over aux: its horizontal fields, and Z^W = Z^0 - JW
     zw = [z if e is _ZERO else _sum_of_products([(expr.MINUS_ONE, e)], z) for z, e in zip(cd.reeb_coeffs, jw)]
     rows = [[expr.ONE if a == b else _ZERO for b in range(r + 1)] for a in range(r)]
-    grading = Grading(_frame_over(cd.aux, rows + [zw + [cd.reeb_coeffs[r]]]), (r, 1))
-    return ContactGradingParams(cd, tuple(w), w_field, grading.fields[r], grading)
+    return Grading(_frame_over(cd.aux, rows + [zw + [cd.reeb_coeffs[r]]]), (r, 1))
 
 
 # ---------------------------------------------------------------------------
 # connections
 
 
-def _tau_tensor(cd: ContactData, params: ContactGradingParams):
+def _tau_tensor(cd: ContactData, g: Grading):
     """tau[i][j][k] = <tau_{W_i} F_j, F_k> over the graded frame."""
-    g = params.grading
     nn = g.dim
     r = cd.rank
     frame_fields = g.fields
@@ -373,14 +356,13 @@ def _complement(proj, n: int, i: int) -> list:
     return ui
 
 
-def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connection:
+def connection_prime(cd: ContactData, g: Grading) -> Connection:
     """Projected metric connection: eigenbundles and the vertical line parallel.
 
     Horizontal arguments follow the three-term rule (projected Levi-Civita
     within each eigenbundle, projected bracket across, plus the Lie-derivative
     correction); the vertical frame field is parallel.
     """
-    g = params.grading
     nn = g.dim
     r = cd.rank
     ctab = g.structure_functions()
@@ -398,7 +380,7 @@ def connection_prime(cd: ContactData, params: ContactGradingParams) -> Connectio
     # (orthonormal frame: metric derivative terms vanish)
     gamma_h = [[[koszul(a, b, c) for c in range(r)] for b in range(r)] for a in range(r)]
 
-    tau = _tau_tensor(cd, params)
+    tau = _tau_tensor(cd, g)
     gamma = [[[_ZERO] * nn for _ in range(nn)] for _ in range(nn)]
     for p_idx in range(k):
         proj = cd.projections[p_idx]
@@ -470,13 +452,11 @@ def _dj_tensor(cd: ContactData, conn: Connection):
     return dj
 
 
-def connection_double_prime(cd: ContactData, params: ContactGradingParams,
-                            prime: Connection = None) -> Connection:
+def connection_double_prime(cd: ContactData, g: Grading, prime: Connection = None) -> Connection:
     """Corrected connection: adds half the J-derivative twist, which makes J
     (hence the degree-0 torsion) parallel for any metric starting connection."""
     if prime is None:
-        prime = connection_prime(cd, params)
-    g = params.grading
+        prime = connection_prime(cd, g)
     nn = g.dim
     r = cd.rank
     dj = _dj_tensor(cd, prime)
@@ -495,15 +475,13 @@ def connection_double_prime(cd: ContactData, params: ContactGradingParams,
     return Connection(g, gamma)
 
 
-def morimoto_connection_contact(cd: ContactData, params: ContactGradingParams,
-                                second: Connection = None) -> Connection:
+def morimoto_connection_contact(cd: ContactData, g: Grading, second: Connection = None) -> Connection:
     """Canonical connection: curvature-corrected along the selector.
 
     Only the curvature rows of ``second`` at the selector's wedge pairs are built.
     """
     if second is None:
-        second = connection_double_prime(cd, params)
-    g = params.grading
+        second = connection_double_prime(cd, g)
     nn = g.dim
     chi = selector(g)
     rten = {(a, b): second.curvature_rows(a, b) for rows in chi.coefficients for a, b, _ in rows}

@@ -42,7 +42,9 @@ denominator, made one ``Rat`` at the end.
 
 Exact rationals stay exact until a float literal or a transcendental forces a
 float, except in an exponent, as above; all verdict-level work downstream is
-numeric at sample points. One evaluator, :func:`evaluate_tables`, takes
+numeric at sample points. A float constant may be infinite but never NaN:
+folding inf - inf or 0 * inf raises :class:`EvaluationError`, as the
+evaluator does at a point. One evaluator, :func:`evaluate_tables`, takes
 nested tables and a list of points and evaluates each DAG node once for all
 of them, together with the coordinate gradients of the tables the caller
 names (forward mode, with the rules of :func:`differentiate`); ``evaluate``
@@ -51,7 +53,10 @@ and ``evaluate_array`` are its one-point case.
 :func:`parse` takes its tokens from one compiled pattern, so a number is what
 ``int`` and ``float`` read, and a recursive-descent parser builds the
 expression from them; every error it raises is an :class:`ExprError`, an
-integer literal longer than ``int`` converts included.
+integer literal longer than ``int`` converts included. The printed form
+(:func:`to_string`) parses back to the same node; an infinity prints as
+``1e999``, and a rational longer than ``str`` converts is an
+:class:`ExprError`.
 """
 
 from __future__ import annotations
@@ -174,6 +179,8 @@ class Flt(Expr):
 
     def __new__(cls, value: float):
         value = float(value)
+        if value != value:
+            raise EvaluationError("constant is NaN (inf - inf or 0 * inf)")
         key = (1, repr(value))
         return _POOL.get(key) or _new(cls, key, key, value)
 
@@ -771,25 +778,30 @@ def evaluate_tables(tables, points, coords=(), gradients=()) -> list:
         return d
 
     out = []
-    for shape, entries in tables:
-        values = np.zeros((count, math.prod(shape)))
-        if entries:
-            # ZERO entries keep the fill value, 0.0 = float(ZERO.value)
-            index, exprs = zip(*entries)
-            values[:, list(index)] = np.array([ev(e) for e in exprs], dtype=float).T
-        out.append(values.reshape((count,) + shape))
-    for t in gradients:
-        shape, entries = tables[t]
-        nonzero = [(a, i, d) for i, e in entries for a, d in grad(e).items()]
-        if not nonzero:
-            # a constant table (every flat chart's Γ and T₀): one zero, not
-            # points x coordinates x entries of them
-            out.append(np.broadcast_to(0.0, (count, len(coords)) + shape))
-            continue
-        values = np.zeros((count, len(coords), math.prod(shape)))
-        slot, index, derivatives = zip(*nonzero)
-        values[:, list(slot), list(index)] = np.array(derivatives, dtype=float).T
-        out.append(values.reshape((count, len(coords)) + shape))
+    try:
+        for shape, entries in tables:
+            values = np.zeros((count, math.prod(shape)))
+            if entries:
+                # ZERO entries keep the fill value, 0.0 = float(ZERO.value)
+                index, exprs = zip(*entries)
+                values[:, list(index)] = np.array([ev(e) for e in exprs], dtype=float).T
+            out.append(values.reshape((count,) + shape))
+        for t in gradients:
+            shape, entries = tables[t]
+            nonzero = [(a, i, d) for i, e in entries for a, d in grad(e).items()]
+            if not nonzero:
+                # a constant table (every flat chart's Γ and T₀): one zero, not
+                # points x coordinates x entries of them
+                out.append(np.broadcast_to(0.0, (count, len(coords)) + shape))
+                continue
+            values = np.zeros((count, len(coords), math.prod(shape)))
+            slot, index, derivatives = zip(*nonzero)
+            values[:, list(slot), list(index)] = np.array(derivatives, dtype=float).T
+            out.append(values.reshape((count, len(coords)) + shape))
+    finally:
+        # ev and grad reach themselves through their closure cells, a cycle
+        # that would keep the value caches alive until the cyclic collector ran
+        del ev, grad
     return out
 
 
@@ -911,11 +923,15 @@ def to_string(e: Expr) -> str:
 def _print(e: Expr, ctx: int) -> str:
     if isinstance(e, Rat):
         q = e.value
-        s = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        try:
+            s = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        except ValueError:  # more digits than CPython converts
+            raise ExprError("rational too long to print") from None
         need = ctx >= 1 and (q < 0 or q.denominator != 1)
         return f"({s})" if need else s
     if isinstance(e, Flt):
-        s = repr(e.value)
+        # the literal 1e999 reads back as inf, where "inf" would not parse
+        s = repr(e.value) if math.isfinite(e.value) else ("1e999" if e.value > 0 else "-1e999")
         return f"({s})" if (ctx >= 1 and e.value < 0) else s
     if isinstance(e, Var):
         return e.name

@@ -1,12 +1,12 @@
 """Rank-two distributions of growth (2,3,5): grading, connections, flatness.
 
-:func:`intrinsic_frame_235` builds the intrinsic grading
-``E + span{Z} + span{Y_1, Y_2}``: ``Z`` and ``Y_1``, ``Y_2`` correct the
-iterated brackets of an orthonormal horizontal frame so that ``Z`` and the
-span of the ``Y_j`` do not depend on that frame.  :func:`connection_235` is
-the adapted metric connection of this grading; the structure is locally
-equivalent to the nilpotent model group exactly when
-``connection.flatness_check(connection_235(data), points)`` reports it flat.
+:func:`intrinsic_frame_235` returns the intrinsic grading
+``E + span{Z} + span{Y_1, Y_2}`` as a ``Grading``: ``Z`` and ``Y_1``, ``Y_2``
+correct the iterated brackets of an orthonormal horizontal frame so that
+``Z`` and the span of the ``Y_j`` do not depend on that frame.
+:func:`connection_235` is the adapted metric connection of this grading; the
+structure is locally equivalent to the nilpotent model group exactly when
+``connection.flatness_check(connection_235(g), points)`` reports it flat.
 
 :func:`morimoto_grading_235` returns Morimoto's canonical grading as a
 ``Grading``: the intrinsic grading with its degree -2 field and degree -3
@@ -31,8 +31,6 @@ coefficient rows over a frame,
 products is built by ``manifold._sum_of_products`` from its non-zero terms.
 """
 
-from dataclasses import dataclass, field
-
 from . import expr
 from .manifold import (
     FramedManifold,
@@ -55,7 +53,6 @@ from .manifold import (
 from .connection import Connection, Grading, selector
 
 __all__ = [
-    "Intrinsic235",
     "connection_235",
     "intrinsic_frame_235",
     "morimoto_grading_235",
@@ -157,29 +154,8 @@ def _adapted_lambda(grading: Grading):
     return lam
 
 
-@dataclass
-class Intrinsic235:
-    """Intrinsic grading ``E + span{Z} + span{Y_1, Y_2}`` over the bracket frame.
-
-    ``frame`` is the bracket frame ``X_1..X_5``; ``srows`` holds the adapted
-    fields ``X_1, X_2, Z, Y_1, Y_2`` as coefficient rows over it.  The
-    grading, the derived frame of these rows, is built on first access.
-    """
-
-    manifold: FramedManifold
-    frame: FramedManifold  # bracket frame X_1..X_5
-    srows: tuple = field(repr=False)
-    _grading: Grading = field(default=None, repr=False)
-
-    @property
-    def grading(self) -> Grading:
-        if self._grading is None:
-            self._grading = Grading(_frame_over(self.frame, self.srows), (2, 1, 2))
-        return self._grading
-
-
 def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
-                        x2: VectorField = None, sample_points=None) -> Intrinsic235:
+                        x2: VectorField = None, sample_points=None) -> Grading:
     """Intrinsic grading of a growth (2,3,5) horizontal bundle.
 
     Refuses a chart unless it is declared ``two-three-five`` and
@@ -203,7 +179,16 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
     is the common kernel of ``i_{X_1} d theta`` and ``i_{X_2} d theta``,
     ``span{Y_1, Y_2}`` is its intersection with the kernel of ``theta``, and
     ``theta([X_1, X_2]) = 1``.  Either way ``Z`` and ``span{Y_1, Y_2}`` do
-    not depend on the choice of orthonormal horizontal frame.
+    not depend on the choice of orthonormal horizontal frame.  The grading is
+    the derived frame of these fields' rows over the bracket frame.
+    """
+    return Grading(_frame_over(*_intrinsic_rows(m, x1, x2, sample_points)), (2, 1, 2))
+
+
+def _intrinsic_rows(m: FramedManifold, x1, x2, sample_points):
+    """The bracket frame, and the rows of ``X_1, X_2, Z, Y_1, Y_2`` over it.
+
+    The refusals and the fields are those of :func:`intrinsic_frame_235`.
     """
     if sample_points is None:
         sample_points = _default_samples(m)
@@ -259,11 +244,11 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
             _ONE,
         ),
     )
-    return Intrinsic235(m, aux, srows)
+    return aux, srows
 
 
-def connection_235(data: Intrinsic235) -> Connection:
-    """Adapted metric connection of the intrinsic grading.
+def connection_235(g: Grading) -> Connection:
+    """Adapted metric connection of the intrinsic grading ``g`` from :func:`intrinsic_frame_235`.
 
     Horizontal directions differentiate by the horizontal part of the
     Levi-Civita connection of the taming metric; directions of degree -2 and
@@ -273,7 +258,6 @@ def connection_235(data: Intrinsic235) -> Connection:
     structure is locally equivalent to the nilpotent model group exactly
     when this connection passes ``connection.flatness_check``.
     """
-    g = data.grading
     return _rotation_connection(g, _adapted_lambda(g))
 
 
@@ -293,12 +277,11 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     solving the two resulting linear systems by ``manifold._gauss_jordan``.
     The returned grading is the derived frame of its rows over the bracket
     frame.  On the model algebra every correction vanishes, so its layers
-    span the same subspaces as those of ``intrinsic_frame_235(...).grading``;
-    the degree -3 frames differ by the rotation generator.
+    span the same subspaces as those of ``intrinsic_frame_235(...)``; the
+    degree -3 frames differ by the rotation generator.
     """
-    data = intrinsic_frame_235(m, x1, x2, sample_points)
-    xfields = data.frame.frames
-    srows = data.srows
+    frame, srows = _intrinsic_rows(m, x1, x2, sample_points)
+    xfields = frame.frames
     sinv = _inverse(srows)
 
     def phix(v):
@@ -318,14 +301,14 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     # is b*Y_1 - a*Y_2.
     e_rows, zp_row = srows[:2], srows[2]
     ell_rows = _matmul([[_ZERO, _MINUS_ONE], [_ONE, _ZERO]], srows[3:])
-    ez = [frame_bracket(data.frame, e_rows[e], zp_row) for e in range(2)]
+    ez = [frame_bracket(frame, e_rows[e], zp_row) for e in range(2)]
     p_t = [phix(br) for br in ez]
     phi_t = [
-        [phix(frame_bracket(data.frame, e_rows[a], ell_rows[j])) for j in range(2)]
+        [phix(frame_bracket(frame, e_rows[a], ell_rows[j])) for j in range(2)]
         for a in range(2)
     ]
-    xi_t = [phix(frame_bracket(data.frame, zp_row, ell_rows[j])) for j in range(2)]
-    cp_t = [_component(frame_bracket(data.frame, e_rows[0], e_rows[1]), sinv, k) for k in range(2)]
+    xi_t = [phix(frame_bracket(frame, zp_row, ell_rows[j])) for j in range(2)]
+    cp_t = [_component(frame_bracket(frame, e_rows[0], e_rows[1]), sinv, k) for k in range(2)]
     b_t = [[_component(br, sinv, k) for k in range(2)] for br in ez]
     (p00, p01), (p10, p11) = p_t
 
@@ -533,7 +516,7 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
         [amat[0][0], amat[0][1], w2c[0], _ZERO, _MINUS_ONE],
         [amat[1][0], amat[1][1], w2c[1], _ONE, _ZERO],
     ]
-    return Grading(_frame_over(data.frame, _matmul(tmat, srows)), (2, 1, 2))
+    return Grading(_frame_over(frame, _matmul(tmat, srows)), (2, 1, 2))
 
 
 def morimoto_connection_235(g: Grading) -> Connection:

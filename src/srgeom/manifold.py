@@ -93,17 +93,23 @@ def _coerce_expr(value, coords):
 
 
 class VectorField:
-    """Vector field on a chart, stored as coordinate-basis coefficients."""
+    """Vector field on a chart, stored as coordinate-basis coefficients.
 
-    __slots__ = ("manifold", "components")
+    Of ``manifold``, the chart or a field on it, only the coordinate names
+    are kept: the chart's frame holds its fields, so keeping the chart would
+    make a cycle that reference counting cannot free.
+    """
 
-    def __init__(self, manifold: "FramedManifold", components):
-        comps = tuple(_coerce_expr(c, manifold.coords) for c in components)
-        if len(comps) != manifold.dim:
+    __slots__ = ("coords", "components")
+
+    def __init__(self, manifold, components):
+        coords = manifold.coords
+        comps = tuple(_coerce_expr(c, coords) for c in components)
+        if len(comps) != len(coords):
             raise ManifoldError(
-                f"vector field needs {manifold.dim} components, got {len(comps)}"
+                f"vector field needs {len(coords)} components, got {len(comps)}"
             )
-        self.manifold = manifold
+        self.coords = coords
         self.components = comps
 
     def value_at(self, point: dict) -> np.ndarray:
@@ -123,40 +129,12 @@ class VectorField:
         if isinstance(f, (expr.Rat, expr.Flt)):
             return _ZERO
         terms = []
-        for xa, c in zip(self.components, self.manifold.coords):
+        for xa, c in zip(self.components, self.coords):
             if xa is not _ZERO:
                 d = expr.differentiate(f, c)
                 if d is not _ZERO:
                     terms.append((factor, xa, d))
         return _sum_of_products(terms) if terms else _ZERO
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        if other.manifold is not self.manifold:
-            raise ManifoldError("vector fields live on different manifolds")
-        return VectorField(
-            self.manifold,
-            [
-                b if a is _ZERO else a if b is _ZERO else _sum_of_products((), a, b)
-                for a, b in zip(self.components, other.components)
-            ],
-        )
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        if other.manifold is not self.manifold:
-            raise ManifoldError("vector fields live on different manifolds")
-        return VectorField(
-            self.manifold,
-            [
-                a if b is _ZERO else _sum_of_products([(expr.MINUS_ONE, b)], a)  # expr.sub(a, b)
-                for a, b in zip(self.components, other.components)
-            ],
-        )
-
-    def scaled(self, factor) -> "VectorField":
-        f = _coerce_expr(factor, self.manifold.coords)
-        return VectorField(
-            self.manifold, [_ZERO if c is _ZERO or f is _ZERO else expr.mul(f, c) for c in self.components]
-        )
 
     def __repr__(self) -> str:
         parts = ", ".join(expr.to_string(c) for c in self.components)
@@ -270,14 +248,14 @@ def _is_nonzero_const(e: Expr) -> bool:
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Commutator bracket of two vector fields on the same chart."""
-    if x.manifold is not y.manifold:
-        raise ManifoldError("vector fields live on different manifolds")
+    """Commutator bracket of two vector fields in the same coordinates."""
+    if x.coords != y.coords:
+        raise ManifoldError("vector fields live on different charts")
     components = []
     for xk, yk in zip(x.components, y.components):
         live = [s for s in (x.apply(yk), y.apply(xk, expr.MINUS_ONE)) if s is not _ZERO]
         components.append(_sum_of_products((), *live) if live else _ZERO)
-    return VectorField(x.manifold, components)
+    return VectorField(x, components)
 
 
 def frame_bracket(frame: FramedManifold, u, w):

@@ -1,4 +1,4 @@
-"""Ready-made sub-Riemannian manifolds used in tests and as CLI examples.
+"""Ready-made sub-Riemannian manifolds used by the tests and the benchmark.
 
 The central constructor builds the left-invariant frame of a nilpotent group
 in exponential coordinates.  For step at most three the fields

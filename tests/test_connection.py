@@ -69,7 +69,7 @@ def taming_at(g, p):
 
 def selector_matrix_at(chi, p, index):
     """Antisymmetric wedge-coefficient matrix of the selector's value on one field."""
-    values = expr.evaluate_array(chi.table(), chi.grading.frame.point(p))
+    values = expr.evaluate_array(chi.table(), p)
     return chi.matrices(values[None])[0, index]
 
 
@@ -143,7 +143,7 @@ def test_symbols_are_shared_only_when_bitwise_equal():
     # the bracket constant of conformal h_1 is exactly 1: its structure
     # function exp(-x)·sqrt(exp(2x)) folds to ONE, so every point, x = -0.161
     # included, has the one symbol
-    g = morimoto_grading_contact(extract_contact_data(conformal_heisenberg_manifold())).grading
+    g = morimoto_grading_contact(extract_contact_data(conformal_heisenberg_manifold()))
     pts = [{"x": x, "y": 0.0, "z": 0.0} for x in (-0.8, -0.3, 0.0, 0.3, 0.5, -0.161)]
     assert len({id(s) for s in symbols_at(g, pts)}) == 1
     # with the metric weight 1 + x² it is (1 + x²)^-1·sqrt((1 + x²)^2), 1 up
@@ -155,7 +155,7 @@ def test_symbols_are_shared_only_when_bitwise_equal():
         heisenberg((1,)), coords=("x", "y", "z"),
         metric=[[w, expr.ZERO], [expr.ZERO, w]], structure_class="contact",
     )
-    g = morimoto_grading_contact(extract_contact_data(m)).grading
+    g = morimoto_grading_contact(extract_contact_data(m))
     pts = [{"x": x, "y": 0.0, "z": 0.0} for x in (-0.8, -0.3, 0.0, 0.3, 0.5, 0.68)]
     syms = symbols_at(g, pts)
     assert len({id(s) for s in syms[:5]}) == 1
@@ -461,13 +461,18 @@ def covariant_derivative(conn, x, y):
     return frame_combination(g.base, g.fields, out)
 
 
+def _difference(conn, a, b, c):
+    """The vector field a - b - c."""
+    return frame_combination(conn.grading.base, (a, b, c), (expr.ONE, expr.MINUS_ONE, expr.MINUS_ONE))
+
+
 def torsion_field(conn, x, y):
-    return covariant_derivative(conn, x, y) - covariant_derivative(conn, y, x) - bracket(x, y)
+    return _difference(conn, covariant_derivative(conn, x, y), covariant_derivative(conn, y, x), bracket(x, y))
 
 
 def curvature_field(conn, x, y, w):
     nabla = functools.partial(covariant_derivative, conn)
-    return nabla(x, nabla(y, w)) - nabla(y, nabla(x, w)) - nabla(bracket(x, y), w)
+    return _difference(conn, nabla(x, nabla(y, w)), nabla(y, nabla(x, w)), nabla(bracket(x, y), w))
 
 
 def test_covariant_derivative_product_rule():

@@ -5,6 +5,7 @@ import pytest
 
 from srgeom import expr, models
 from srgeom.connection import (
+    Grading,
     check_compatible,
     check_morimoto,
     flatness_check,
@@ -21,7 +22,7 @@ from srgeom.contact import (
     morimoto_connection_contact,
     morimoto_grading_contact,
 )
-from srgeom.manifold import FramedManifold, ManifoldError, VectorField, check_constant_symbol
+from srgeom.manifold import FramedManifold, ManifoldError, VectorField, check_constant_symbol, frame_combination
 from test_connection import covariant_derivative, selector_matrix_at
 
 
@@ -55,14 +56,14 @@ def build(name):
         "confh2": conformal_h2_manifold,
     }[name]()
     cd = extract_contact_data(m)
-    params = morimoto_grading_contact(cd)
-    prime = connection_prime(cd, params)
-    second = connection_double_prime(cd, params, prime=prime)
-    final = morimoto_connection_contact(cd, params, second=second)
+    g = morimoto_grading_contact(cd)
+    prime = connection_prime(cd, g)
+    second = connection_double_prime(cd, g, prime=prime)
+    final = morimoto_connection_contact(cd, g, second=second)
     rng = np.random.default_rng(7)
     count = 3 if name == "confh2" else 5
     pts = [dict(zip(m.coords, rng.uniform(-0.8, 0.8, m.dim))) for _ in range(count)]
-    _cache[name] = (m, cd, params, prime, second, final, pts)
+    _cache[name] = (m, cd, g, prime, second, final, pts)
     return _cache[name]
 
 
@@ -128,7 +129,7 @@ def test_reeb_and_structure_operator_invariants():
             z = cd.reeb.value_at(p)
             assert abs(theta @ z - 1.0) <= 1e-10
             assert np.abs(dmat @ z).max() <= 1e-10
-            fmat = np.column_stack([f.value_at(p) for f in cd.ortho_frame])
+            fmat = np.column_stack([f.value_at(p) for f in cd.aux.frames[: m.rank]])
             jt = eval_matrix(cd.jtheta, p)
             assert np.abs(fmat.T @ dmat @ fmat - jt).max() <= 1e-10
 
@@ -201,37 +202,46 @@ def test_varying_eigenvalue_ratio_rejected():
 # grading
 
 
+def test_the_grading_is_returned_and_each_connection_keeps_it():
+    _, cd, g, prime, second, final, _ = build("m4")
+    assert type(g) is Grading
+    assert prime.grading is g and second.grading is g and final.grading is g
+    # the default starting connections are built on the same grading
+    assert connection_double_prime(cd, g).grading is g
+    assert morimoto_connection_contact(cd, g).grading is g
+
+
 def test_upsilon_vanishes_on_group():
-    # the obstruction fields, as coefficients over the orthonormal frame
-    m, cd, params, _, _, _, pts = build("m4")
+    # the obstruction fields, as coefficients over the orthonormal frame; W
+    # vanishes exactly when Z^W is the Reeb field, since J is invertible
+    m, cd, g, _, _, _, pts = build("m4")
     ups = _upsilon_coeffs(cd)
     assert set(ups) == {(1, 2), (2, 1)}
     for pt in pts:
         p = m.point(pt)
         for coeffs in ups.values():
             assert np.abs(expr.evaluate_array(coeffs, p)).max() <= 1e-10
-        assert np.abs([expr.evaluate(e, p) for e in params.w_coeffs]).max() <= 1e-10
-        assert np.abs(params.zw_field.value_at(p) - cd.reeb.value_at(p)).max() <= 1e-10
+        assert np.abs(g.fields[m.rank].value_at(p) - cd.reeb.value_at(p)).max() <= 1e-10
 
 
 def test_k1_grading_is_reeb_grading():
     for name in ("h1", "conf"):
-        m, cd, params, _, _, _, pts = build(name)
+        m, cd, g, _, _, _, pts = build(name)
         assert _upsilon_coeffs(cd) == {}
         for pt in pts:
             p = m.point(pt)
-            assert np.abs(params.zw_field.value_at(p) - cd.reeb.value_at(p)).max() <= 1e-12
+            assert np.abs(g.fields[m.rank].value_at(p) - cd.reeb.value_at(p)).max() <= 1e-12
 
 
 def test_grading_validates_against_flag():
     for name in ("m4", "conf"):
-        m, _, params, _, _, _, pts = build(name)
-        assert params.grading.validate(pts) <= 1e-9
+        m, _, g, _, _, _, pts = build(name)
+        assert g.validate(pts) <= 1e-9
 
 
 def test_taming_vertical_norm_m4():
-    m, _, params, _, _, _, _ = build("m4")
-    tm = taming_metric(params.grading)
+    m, _, g, _, _, _, _ = build("m4")
+    tm = taming_metric(g)
     entry = expr.simplify(tm[4][4])
     assert abs(expr.evaluate(entry, m.point([0.0] * 5)) - 16.0 / 17.0) <= 1e-12
     for i in range(4):
@@ -241,8 +251,8 @@ def test_taming_vertical_norm_m4():
 def test_selector_closed_form():
     # the canonical degree-2 selector equals -(2/tr Lambda^(-2)) Lambda^(-1) J
     for name in ("h1", "m4", "conf"):
-        m, cd, params, _, _, _, pts = build(name)
-        chi = selector(params.grading)
+        m, cd, g, _, _, _, pts = build(name)
+        chi = selector(g)
         trlam = sum(
             n * lo**-2.0 for lo, n in zip(cd.lam_op, cd.multiplicities)
         )
@@ -250,7 +260,7 @@ def test_selector_closed_form():
         for pt in pts:
             p = m.point(pt)
             mat = selector_matrix_at(chi, p, r)  # vertical slot
-            lam_inv = eval_matrix(cd.lam_inv_matrix, p)
+            lam_inv = np.linalg.inv(eval_matrix(cd.lam_matrix, p))
             jm = eval_matrix(cd.jmat, p)
             closed = -(2.0 / trlam) * lam_inv @ jm
             assert np.abs(mat[:r, :r] - closed).max() <= 1e-10
@@ -282,8 +292,7 @@ def test_twist_correction_restores_parallel_j():
     # J parallel; verify on a deliberately twisted perturbation
     from srgeom.connection import Connection
 
-    m, cd, params, prime, _, _, pts = build("m4")
-    g = params.grading
+    m, cd, g, prime, _, _, pts = build("m4")
     nn = m.dim
     bump = expr.floatc(0.3)
     gamma = [
@@ -301,13 +310,13 @@ def test_twist_correction_restores_parallel_j():
         return np.abs(dj[:, : m.rank]).max()
 
     assert djmax(perturbed) > 0.1
-    corrected = connection_double_prime(cd, params, prime=perturbed)
+    corrected = connection_double_prime(cd, g, prime=perturbed)
     assert djmax(corrected) <= 1e-10
 
 
 def test_prime_preserves_eigenbundles_and_vertical():
     for name in ("m4", "conf"):
-        m, cd, params, prime, _, _, pts = build(name)
+        m, cd, g, prime, _, _, pts = build(name)
         r = m.rank
         nn = m.dim
         for pt in pts:
@@ -340,7 +349,7 @@ def test_double_prime_strongly_compatible():
 def test_trace_j_identity():
     # within each eigenbundle the twist derivative is trace-free
     for name in ("m4", "conf", "confh2"):
-        m, cd, params, prime, _, _, pts = build(name)
+        m, cd, g, prime, _, _, pts = build(name)
         dj = _dj_tensor(cd, prime)
         r = m.rank
         for pt in pts:
@@ -356,7 +365,7 @@ def test_bianchi_cyclic_identity_prime():
     # cyclic sum of <(nabla'_X J)X1, X2> over same-eigenbundle fields
     rng = np.random.default_rng(3)
     for name in ("m4", "conf"):
-        m, cd, params, prime, _, _, pts = build(name)
+        m, cd, g, prime, _, _, pts = build(name)
         dj = _dj_tensor(cd, prime)
         r = m.rank
         for pt in pts[:3]:
@@ -374,8 +383,8 @@ def test_bianchi_cyclic_identity_prime():
 def test_torsion_prime_equals_tau_on_horizontal_output():
     # the horizontal part of the prime torsion is the Lie-derivative tensor
     for name in ("m4", "conf"):
-        m, cd, params, prime, _, _, pts = build(name)
-        tau = _tau_tensor(cd, params)
+        m, cd, g, prime, _, _, pts = build(name)
+        tau = _tau_tensor(cd, g)
         tten = prime.torsion_tensor()
         r = m.rank
         for pt in pts[:3]:
@@ -387,9 +396,9 @@ def test_torsion_prime_equals_tau_on_horizontal_output():
 def test_torsion_prime_same_bundle_matches_degree_zero():
     # between fields of one eigenbundle the prime torsion is the symbol bracket
     for name in ("m4", "conf"):
-        m, cd, params, prime, _, _, pts = build(name)
+        m, cd, g, prime, _, _, pts = build(name)
         tten = prime.torsion_tensor()
-        tzt = params.grading.t_zero_tensor()
+        tzt = g.t_zero_tensor()
         r = m.rank
         v = m.dim - 1
         for pt in pts[:3]:
@@ -403,8 +412,8 @@ def test_torsion_prime_same_bundle_matches_degree_zero():
 def test_degree_zero_torsion_sign():
     # T0(X, Y) = <X, J^theta Y> Z^W in the orthonormal horizontal frame
     for name in ("h1", "m4", "conf"):
-        m, cd, params, _, _, _, pts = build(name)
-        tzt = params.grading.t_zero_tensor()
+        m, cd, g, _, _, _, pts = build(name)
+        tzt = g.t_zero_tensor()
         r = m.rank
         v = m.dim - 1
         for pt in pts[:3]:
@@ -416,8 +425,7 @@ def test_degree_zero_torsion_sign():
 
 def test_t_double_prime_orthogonal_to_isometries():
     for name in ("m4", "conf", "confh2"):
-        m, _, params, _, second, _, pts = build(name)
-        g = params.grading
+        m, _, g, _, second, _, pts = build(name)
         nn = m.dim
         for pt in pts[:3]:
             p = m.point(pt)
@@ -473,31 +481,35 @@ def _b_fields_negated(m):
     construction picks, and with it θ, is flipped.
     """
     n = m.rank // 2
-    frames = [(f.scaled(-1) if n <= i < m.rank else f).components for i, f in enumerate(m.frames)]
+    frames = [
+        frame_combination(m, [f], [expr.MINUS_ONE if n <= i < m.rank else expr.ONE]).components
+        for i, f in enumerate(m.frames)
+    ]
     return FramedManifold(m.coords, frames, m.rank, metric=m.metric, structure_class="contact")
 
 
 def test_orientation_flip_leaves_geometry_unchanged():
     for name in ("m4", "conf"):
-        m, cd, params, _, _, final, pts = build(name)
+        m, cd, g, _, _, final, pts = build(name)
         cd2 = extract_contact_data(_b_fields_negated(m))
         theta, theta2 = (expr.evaluate_tables([c.theta], pts)[0] for c in (cd, cd2))
         assert np.array_equal(theta2, -theta)
-        params2 = morimoto_grading_contact(cd2)
-        final2 = morimoto_connection_contact(cd2, params2)
+        g2 = morimoto_grading_contact(cd2)
+        final2 = morimoto_connection_contact(cd2, g2)
         coord_fields = [
             VectorField(m, [expr.rational(1 if a == i else 0) for a in range(m.dim)])
             for i in range(m.dim)
         ]
         for pt in pts[:2]:
             p = m.point(pt)
-            # W and the taming data agree
-            w1 = params.w_field.value_at(p)
-            w2 = params2.w_field.value_at(p)
-            assert np.abs(w1 - w2).max() <= 1e-8
-            g1 = final._at([p]).symbols[0].full_gram()
-            g2 = final2._at([p]).symbols[0].full_gram()
-            assert np.abs(g1 - g2).max() <= 1e-8
+            # W and the taming data agree: θ, Z^0 and J change sign, so W
+            # is unchanged exactly when Z^W = Z^0 - JW changes sign
+            zw1 = g.fields[m.rank].value_at(p)
+            zw2 = g2.fields[m.rank].value_at(p)
+            assert np.abs(zw1 + zw2).max() <= 1e-8
+            gram1 = final._at([p]).symbols[0].full_gram()
+            gram2 = final2._at([p]).symbols[0].full_gram()
+            assert np.abs(gram1 - gram2).max() <= 1e-8
             # the connections agree as geometric objects
             for x in coord_fields:
                 for y in coord_fields[:2]:
@@ -537,5 +549,5 @@ def test_contact_grading_validates_at_every_metric_scale(scale):
 
     metric = [[expr.floatc(scale) if i == j else expr.ZERO for j in range(2)] for i in range(2)]
     m = models.carnot_group_manifold(heisenberg((1,)), metric=metric, structure_class="contact")
-    g = morimoto_grading_contact(extract_contact_data(m)).grading
+    g = morimoto_grading_contact(extract_contact_data(m))
     assert g.validate(_default_samples(m, count=3)) <= 1e-9

@@ -108,3 +108,31 @@ def test_every_top_level_import_is_read():
                 exempt |= set(ast.literal_eval(node.value))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         assert bound - read - exempt == set(), path.name
+
+
+def _is_dataclass(decorator) -> bool:
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(node, ast.Name) and node.id == "dataclass"
+
+
+def test_every_dataclass_field_is_read():
+    # a field of an srgeom dataclass that nothing reads is written for no
+    # one; read means an attribute load of its name in src/, bench/ or tests/
+    root = PYPROJECT.parent
+    read = {
+        node.attr
+        for top in ("src", "bench", "tests")
+        for path in sorted((root / top).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [
+        (path.name, cls.name, stmt.target.id)
+        for path in sorted((root / "src" / "srgeom").glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign)
+    ]
+    assert fields
+    assert [f for f in fields if f[2] not in read] == []

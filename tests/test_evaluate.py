@@ -304,8 +304,7 @@ def _flat_h3():
 def test_connection_tables_batch_equals_scalar_reference(build):
     m = build()
     cd = extract_contact_data(m)
-    params = morimoto_grading_contact(cd)
-    conn = morimoto_connection_contact(cd, params)
+    conn = morimoto_connection_contact(cd, morimoto_grading_contact(cd))
     g = conn.grading
     tables = [conn.gamma, g.structure_functions(), g.t_zero_tensor(), g.frame_rows]
     points = _default_samples(m, count=4, seed=3)

@@ -288,6 +288,34 @@ def test_construction_float_power_overflow():
         pow_(mul(expr.floatc(1e200), X), 3)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: add(expr.floatc(math.inf), expr.floatc(-math.inf)),
+        lambda: parse("1e999*0.0", ["x"]),
+        lambda: add(mul(expr.floatc(math.inf), X), mul(expr.floatc(-math.inf), X)),
+    ],
+    ids=["inf-minus-inf", "inf-times-zero", "coefficients"],
+)
+def test_construction_refuses_a_nan_constant(build):
+    # the evaluator refuses inf - inf at a point; folding refuses it too
+    with pytest.raises(EvaluationError, match="NaN"):
+        build()
+
+
+@pytest.mark.parametrize("text", ["exp(1e999*x)", "exp(-1e999*x)", "x - 1e999", "1e999*x^2"])
+def test_a_non_finite_float_prints_as_a_literal_that_parses_back(text):
+    e = parse(text, ["x"])
+    assert "inf" not in to_string(e)
+    assert parse(to_string(e), ["x"]) is e
+
+
+def test_printing_a_rational_too_long_to_convert_is_an_expr_error():
+    # 2^20000 has 6,021 digits; CPython converts at most 4,300 to a string
+    with pytest.raises(expr.ExprError, match="too long"):
+        to_string(parse("2^20000", ["x"]))
+
+
 def test_sqrt_of_square_power():
     assert pow_(sqrt(X), 2) is X
     assert pow_(sqrt(X), 4) is pow_(X, 2)

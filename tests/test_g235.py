@@ -6,8 +6,9 @@ import pytest
 from test_manifold import _six_coordinate_235_chart
 
 from srgeom import expr, models
-from srgeom.connection import check_morimoto, flatness_check
+from srgeom.connection import Grading, check_morimoto, flatness_check
 from srgeom.g235 import (
+    _intrinsic_rows,
     connection_235,
     intrinsic_frame_235,
     morimoto_connection_235,
@@ -60,9 +61,16 @@ def test_cartan_has_constant_symbol(cartan):
     assert check_constant_symbol(m, pts).constant
 
 
+def test_each_grading_is_returned_and_each_connection_keeps_it(cartan):
+    m, pts, g = cartan
+    assert type(g) is Grading and connection_235(g).grading is g
+    morimoto = morimoto_grading_235(m, sample_points=pts)
+    assert type(morimoto) is Grading and morimoto_connection_235(morimoto).grading is morimoto
+
+
 def test_cartan_adapted_connection_is_flat(cartan):
-    _, pts, data = cartan
-    rep = flatness_check(connection_235(data), pts)
+    _, pts, g = cartan
+    rep = flatness_check(connection_235(g), pts)
     assert rep.flat
     assert max(rep.torsion_residual, rep.curvature_residual) <= 1e-8
 
@@ -77,8 +85,8 @@ def test_cartan_morimoto_connection_is_flat_and_normalized(cartan):
 
 
 def test_perturbed_adapted_connection_is_not_flat(perturbed):
-    _, pts, data = perturbed
-    rep = flatness_check(connection_235(data), pts)
+    _, pts, g = perturbed
+    rep = flatness_check(connection_235(g), pts)
     assert not rep.flat
     assert rep.torsion_residual == pytest.approx(0.07295747671501576, abs=1e-10)
     assert rep.curvature_residual == pytest.approx(0.09683132718135146, abs=1e-10)
@@ -95,10 +103,10 @@ def test_perturbed_morimoto_connection_is_normalized_but_not_flat():
     assert rep.curvature_residual == pytest.approx(0.04495192438719752, abs=1e-10)
 
 
-def _assert_form_characterization(m, pts, data):
+def _assert_form_characterization(m, pts, g):
     # theta is the coframe member dual to Z: d theta(X_e, .) kills Z and the
     # degree -3 layer, and theta([X_1, X_2]) = 1
-    c = data.grading.structure_functions()
+    c = g.structure_functions()
     for p in pts:
         p = m.point(p)
         for e in range(2):
@@ -122,17 +130,17 @@ def _rotated_frame(m):
     e1, e2 = (frame_combination(m, m.frames[:2], row) for row in _gram_schmidt_horizontal(m))
     phi = expr.mul(expr.rational(1, 3), expr.var("x4"))
     cs, sn = expr.cos(phi), expr.sin(phi)
-    return e1.scaled(cs) + e2.scaled(sn), e2.scaled(cs) - e1.scaled(sn)
+    return frame_combination(m, (e1, e2), (cs, sn)), frame_combination(m, (e1, e2), (expr.neg(sn), cs))
 
 
 def test_fields_do_not_depend_on_horizontal_frame(cartan):
-    m, pts, data = cartan
+    m, pts, g = cartan
     rotated = intrinsic_frame_235(m, *_rotated_frame(m), sample_points=pts)
     for p in pts:
         p = m.point(p)
-        z, rotated_z = data.grading.fields[2], rotated.grading.fields[2]
+        z, rotated_z = g.fields[2], rotated.fields[2]
         assert np.abs(rotated_z.value_at(p) - z.value_at(p)).max() <= 1e-12
-        moved = _span_projector(rotated.grading.fields[3:], p) - _span_projector(data.grading.fields[3:], p)
+        moved = _span_projector(rotated.fields[3:], p) - _span_projector(g.fields[3:], p)
         assert np.abs(moved).max() <= 1e-12
     _assert_form_characterization(m, pts, rotated)
     rep = flatness_check(connection_235(rotated), pts)
@@ -147,7 +155,7 @@ def _layer_projectors(g, p):
     ]
 
 
-def _layer_moves(m, pts, data):
+def _layer_moves(m, pts, intrinsic):
     """Per point, how far each Morimoto layer lies from the intrinsic one."""
     g = morimoto_grading_235(m, sample_points=pts)
     moves = []
@@ -155,7 +163,7 @@ def _layer_moves(m, pts, data):
         p = m.point(p)
         moves.append([
             np.abs(a - b).max()
-            for a, b in zip(_layer_projectors(g, p), _layer_projectors(data.grading, p))
+            for a, b in zip(_layer_projectors(g, p), _layer_projectors(intrinsic, p))
         ])
     return g, moves
 
@@ -179,11 +187,11 @@ def test_installed_coframe_inverts_the_frame(chart, request):
     # components of its brackets, for the bracket frame and the intrinsic and
     # Morimoto gradings; the brackets are taken at the coordinate level and
     # solved numerically at each point
-    m, pts, data = request.getfixturevalue(chart.removeprefix("rotated-"))
-    frame = _rotated_frame(m) if chart == "rotated-cartan" else ()
-    if frame:
-        data = intrinsic_frame_235(m, *frame, sample_points=pts)
-    for derived in (data.frame, data.grading.frame, morimoto_grading_235(m, *frame, sample_points=pts).frame):
+    m, pts, _ = request.getfixturevalue(chart.removeprefix("rotated-"))
+    x1, x2 = _rotated_frame(m) if chart == "rotated-cartan" else (None, None)
+    bracket_frame, _ = _intrinsic_rows(m, x1, x2, pts)
+    intrinsic = intrinsic_frame_235(m, x1, x2, sample_points=pts)
+    for derived in (bracket_frame, intrinsic.frame, morimoto_grading_235(m, x1, x2, sample_points=pts).frame):
         ctab = structure_functions(derived)
         pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
         tables = (
@@ -205,7 +213,11 @@ def test_bracket_frame_is_derived_over_the_brackets_of_the_declared_fields():
     # through raux's, grew the pool from about 3,700 to 648,428 nodes
     c = cartan_group_manifold()
     x3, x4, x5 = c.frames[2:]
-    vertical = (x3 + x4.scaled("x2"), x4 + x5.scaled("x1"), x5 + x3.scaled("x1*x2"))
+    x1, x2 = expr.var("x1"), expr.var("x2")
+    vertical = [
+        frame_combination(c, pair, (expr.ONE, factor))
+        for pair, factor in (((x3, x4), x2), ((x4, x5), x1), ((x5, x3), expr.mul(x1, x2)))
+    ]
     m = FramedManifold(
         c.coords,
         [f.components for f in (*c.frames[:2], *vertical)],

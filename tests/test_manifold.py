@@ -86,10 +86,10 @@ def test_bracket_jacobi_identity():
         VectorField(m, ["z", "x*y", "cos(z)"]),
     ]
     x, y, z = fields
-    total = (
-        bracket(bracket(x, y), z)
-        + bracket(bracket(y, z), x)
-        + bracket(bracket(z, x), y)
+    total = frame_combination(
+        m,
+        (bracket(bracket(x, y), z), bracket(bracket(y, z), x), bracket(bracket(z, x), y)),
+        (expr.ONE,) * 3,
     )
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -516,14 +516,14 @@ def _contact_frames(m):
     from srgeom.contact import extract_contact_data, morimoto_grading_contact
 
     cd = extract_contact_data(m)
-    return [cd.aux, morimoto_grading_contact(cd).grading.frame]
+    return [cd.aux, morimoto_grading_contact(cd).frame]
 
 
 def _235_frames(m):
-    from srgeom.g235 import intrinsic_frame_235, morimoto_grading_235
+    from srgeom.g235 import _intrinsic_rows, intrinsic_frame_235, morimoto_grading_235
 
-    data = intrinsic_frame_235(m)
-    return [data.frame, data.grading.frame, morimoto_grading_235(m).frame]
+    bracket_frame, _ = _intrinsic_rows(m, None, None, None)
+    return [bracket_frame, intrinsic_frame_235(m).frame, morimoto_grading_235(m).frame]
 
 
 @pytest.mark.parametrize(

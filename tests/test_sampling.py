@@ -5,17 +5,18 @@ constructions and the seeded ones of a description file, from
 ``random.Random(seed)``; numpy's generator module is never loaded.  After
 the import the benchmark times as setup, the pipelines load no module at all.
 A batch of charts in one interpreter keeps its live memory growth per chart
-under a fixed bound, and one curved chart's expression pool stays under a
-fixed number of nodes.
+under a fixed bound, one curved chart's expression pool stays under a fixed
+number of nodes, and a finished chart is freed by reference counting alone.
 """
 
+import gc
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from srgeom import models
-from srgeom.manifold import _default_samples, manifold_from_dict
+from srgeom import connection, contact, g235, models
+from srgeom.manifold import _default_samples, check_constant_symbol, manifold_from_dict
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -58,8 +59,7 @@ m = models.heisenberg_manifold()
 pts = _default_samples(m)
 assert manifold.check_constant_symbol(m, pts).constant
 cd = contact.extract_contact_data(m)
-params = contact.morimoto_grading_contact(cd)
-conn = contact.morimoto_connection_contact(cd, params)
+conn = contact.morimoto_connection_contact(cd, contact.morimoto_grading_contact(cd))
 assert connection.check_morimoto(conn, pts).ok
 assert connection.flatness_check(conn, pts).flat
 m = models.cartan_group_manifold()
@@ -172,3 +172,34 @@ def test_the_conformal_h2_chart_builds_a_bounded_pool():
         check=True,
     )
     assert int(out.stdout) <= _CONFORMAL_H2_POOL
+
+
+def _contact_and_235_verdicts():
+    """Conformal h_1 and Cartan's chart through their pipelines and three checks."""
+    m = models.conformal_heisenberg_manifold()
+    pts = _default_samples(m, count=3)
+    cd = contact.extract_contact_data(m, pts)
+    conns = [(contact.morimoto_connection_contact(cd, contact.morimoto_grading_contact(cd)), pts)]
+    m = models.cartan_group_manifold()
+    pts = _default_samples(m, count=3)
+    conns.append((g235.morimoto_connection_235(g235.morimoto_grading_235(m, sample_points=pts)), pts))
+    for conn, pts in conns:
+        assert check_constant_symbol(conn.grading.base, pts).constant
+        assert connection.check_morimoto(conn, pts, tol=1e-6).ok
+        connection.flatness_check(conn, pts)
+
+
+def test_a_finished_chart_is_freed_by_reference_counting():
+    # Nothing of a finished chart waits for the cyclic collector: a field
+    # keeps its chart's coordinates, not the chart; a selector keeps the
+    # grading's dimension, not the grading; and the evaluator's recursive
+    # walks drop their caches when they end.  The first run loads what the
+    # pipelines load on first use.
+    _contact_and_235_verdicts()
+    gc.collect()
+    gc.disable()
+    try:
+        _contact_and_235_verdicts()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -22,7 +22,7 @@ from srgeom.contact import (
     morimoto_connection_contact,
     morimoto_grading_contact,
 )
-from srgeom.g235 import intrinsic_frame_235, morimoto_connection_235, morimoto_grading_235
+from srgeom.g235 import _intrinsic_rows, morimoto_connection_235, morimoto_grading_235
 from srgeom.manifold import (
     FramedManifold,
     _component,
@@ -53,7 +53,7 @@ def _oracle_apply(x, f, factor=expr.ONE):
     return expr.add(
         *[
             expr.mul(factor, xa, expr.differentiate(f, c))
-            for xa, c in zip(x.components, x.manifold.coords)
+            for xa, c in zip(x.components, x.coords)
             if xa is not _ZERO
         ]
     )
@@ -186,10 +186,10 @@ def test_contact_pipeline_builds_few_zero_terms(monkeypatch):
     m = models.carnot_group_manifold(lie.heisenberg((1, 1.5, 2.5)), structure_class="contact")
     zero_mul, zero_add = _count_zero_terms(monkeypatch)
     cd = extract_contact_data(m)
-    params = morimoto_grading_contact(cd)
-    prime = connection_prime(cd, params)
-    second = connection_double_prime(cd, params, prime=prime)
-    morimoto_connection_contact(cd, params, second=second)
+    g = morimoto_grading_contact(cd)
+    prime = connection_prime(cd, g)
+    second = connection_double_prime(cd, g, prime=prime)
+    morimoto_connection_contact(cd, g, second=second)
     assert zero_mul[0] < 1000
     assert zero_add[0] < 1000
 
@@ -212,7 +212,7 @@ def test_connection_prime_skips_zero_columns_of_the_projectors(monkeypatch):
     # of them ZERO; skipping the zero columns makes 2,564.
     m = models.carnot_group_manifold(lie.heisenberg((1, 1.6, 2.9)), structure_class="contact")
     cd = extract_contact_data(m)
-    params = morimoto_grading_contact(cd)
+    g = morimoto_grading_contact(cd)
     sums, zeros = [0], [0]
 
     def counted(terms, *summands):
@@ -223,7 +223,7 @@ def test_connection_prime_skips_zero_columns_of_the_projectors(monkeypatch):
 
     monkeypatch.setattr(contact, "_sum_of_products", counted)
     monkeypatch.setattr(manifold, "_sum_of_products", counted)
-    connection_prime(cd, params)
+    connection_prime(cd, g)
     assert sums[0] < 2800
     assert zeros[0] < 2600
 
@@ -328,9 +328,8 @@ def _oracle_selector(g):
     return coefficients
 
 
-def _oracle_double_prime(cd, params, prime):
+def _oracle_double_prime(cd, g, prime):
     """Γ'' with every product of the J-derivative and of its contraction with J built."""
-    g = params.grading
     nn, r = g.dim, cd.rank
     gam, jmat = prime.gamma, cd.jmat
     dj = [
@@ -410,7 +409,7 @@ def _step4_grading():
 def _fresh_grading(name):
     """A grading on which no taming metric or selector has been solved yet."""
     if name in _CONTACT:
-        return morimoto_grading_contact(extract_contact_data(_CONTACT[name]())).grading
+        return morimoto_grading_contact(extract_contact_data(_CONTACT[name]()))
     if name == "cartan":
         m = models.cartan_group_manifold()
         return morimoto_grading_235(m, sample_points=_default_samples(m)[:3])
@@ -488,25 +487,27 @@ def test_wedge_gram_inverse_is_solved_once_per_class(monkeypatch):
 @pytest.mark.parametrize("name", sorted(_CONTACT))
 def test_sparse_double_prime_is_the_dense_correction(name):
     cd = extract_contact_data(_CONTACT[name]())
-    params = morimoto_grading_contact(cd)
-    prime = connection_prime(cd, params)
-    got = connection_double_prime(cd, params, prime=prime).gamma
-    assert _same_nodes(got, _oracle_double_prime(cd, params, prime))
+    g = morimoto_grading_contact(cd)
+    prime = connection_prime(cd, g)
+    got = connection_double_prime(cd, g, prime=prime).gamma
+    assert _same_nodes(got, _oracle_double_prime(cd, g, prime))
 
 
 def test_sparse_frame_components_are_the_dense_nodes():
     cartan = models.cartan_group_manifold()
-    data = [intrinsic_frame_235(models.perturbed_235_manifold(0.1))]
+    data = [_intrinsic_rows(models.perturbed_235_manifold(0.1), None, None, None)]
     # Cartan's chart with its orthonormal frame rotated by x4/3
     e1, e2 = (frame_combination(cartan, cartan.frames[:2], row) for row in manifold._gram_schmidt_horizontal(cartan))
     phi = expr.mul(expr.rational(1, 3), expr.var("x4"))
     cs, sn = expr.cos(phi), expr.sin(phi)
-    data.append(intrinsic_frame_235(cartan, e1.scaled(cs) + e2.scaled(sn), e2.scaled(cs) - e1.scaled(sn)))
+    x1 = frame_combination(cartan, (e1, e2), (cs, sn))
+    x2 = frame_combination(cartan, (e1, e2), (expr.neg(sn), cs))
+    data.append(_intrinsic_rows(cartan, x1, x2, None))
     nonzero = 0
-    for d in data:
-        sinv = _inverse(d.srows)
-        vectors = list(d.srows)
-        vectors += [frame_bracket(d.frame, u, w) for u in d.srows for w in d.srows]
+    for frame, srows in data:
+        sinv = _inverse(srows)
+        vectors = list(srows)
+        vectors += [frame_bracket(frame, u, w) for u in srows for w in srows]
         vectors.append([expr.mul(expr.floatc(0.1 * (a + 1)), expr.var("x1")) for a in range(5)])
         for v in vectors:
             for k in range(5):
