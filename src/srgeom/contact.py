@@ -8,10 +8,14 @@ bundle into eigenbundles (eigenvalues taken at the first sample point, then
 promoted to symbolic projector matrices) and construct the Reeb field Z^0
 (:func:`extract_contact_data`).  :func:`morimoto_grading_contact` returns
 the canonical grading itself, a ``Grading`` whose degree-2 field is
-Z^W = Z^0 - JW for the grading-fixing horizontal field W.  Each connection
-builder takes the contact data and that grading: the projected and
-corrected connections, and the curvature-corrected canonical connection
-``morimoto_connection_contact(cd, g)``.
+Z^W = Z^0 - JW for the grading-fixing horizontal field W, which it sums in
+its own loop.  Each connection builder takes the contact data and that
+grading: the projected connection (whose Lie-derivative tensor τ is built in
+the same loop, from the same brackets, as its projected-bracket term), the
+corrected connection, and the curvature-corrected canonical connection
+``morimoto_connection_contact(cd, g)``.  Each bracket of coefficient vectors
+is made once, and none with a zero operand.  The contact form θ is the
+grading's vertical coframe row.
 
 Only the chart's own frame, which also fixes the sign of the one-form, is
 inverted and bracketed at the coordinate level.  The aux frame (the
@@ -33,7 +37,6 @@ from .manifold import (
     FramedManifold,
     ManifoldError,
     VectorField,
-    _coframe_row,
     _default_samples,
     _frame_over,
     _gram_schmidt_horizontal,
@@ -76,7 +79,6 @@ class ContactData:
 
     manifold: FramedManifold
     aux: FramedManifold  # frame (ortho..., vertical), derived from the chart
-    theta: tuple  # normalized one-form, coordinate components (Expr)
     jtheta: tuple  # structure operator on E, Expr matrix
     lam_op: tuple  # eigenvalue parameters, ascending, lam_op[0] == 1
     multiplicities: tuple  # dimensions of the eigenbundles
@@ -103,12 +105,14 @@ def extract_contact_data(m: FramedManifold, sample_points=None) -> ContactData:
     symbol constant at the sample points.  The annihilator direction, and so
     the sign of θ, is the first bracket of horizontal frame fields outside E.
     With the orthonormal fields it makes aux, a frame derived from its rows
-    over the chart, and the raw one-form is the vertical row of aux's
-    coframe; the one-form is scaled so the top eigenvalue of the squared
-    structure operator is one.  The eigenvalues are taken at the first
-    sample point, not read from the verdict's λ, whose rounding would leave
-    residue where the projectors have exact zeros; the projectors are
-    rebuilt as symbolic polynomials in the structure operator.
+    over the chart, and the raw one-form θ_raw is the vertical row of aux's
+    coframe; θ = t θ_raw, with t such that the top eigenvalue of the squared
+    structure operator is one.  Only dθ_raw is read here: θ itself is the
+    grading's vertical coframe row, ``frame_inverse(g.frame)[r]``, since the
+    vertical entry of its Z^W row over aux is 1/t.  The eigenvalues are
+    taken at the first sample point, not read from the verdict's λ, whose
+    rounding would leave residue where the projectors have exact zeros; the
+    projectors are rebuilt as symbolic polynomials in the structure operator.
     """
     if m.structure_class != "contact":
         raise ManifoldError("manifold is not declared as a contact structure")
@@ -135,10 +139,8 @@ def extract_contact_data(m: FramedManifold, sample_points=None) -> ContactData:
     caux = structure_functions(aux)
     v = r  # index of the vertical frame slot
 
-    # raw annihilator one-form: the vertical coframe row, without the others
-    theta_raw = _coframe_row(aux, v)
-
-    # structure coefficients of the raw form: dtheta_raw(F_a, F_b)
+    # structure coefficients of the raw annihilator one-form theta_raw, the
+    # vertical coframe row of aux: dtheta_raw(F_a, F_b) = -c^v_ab
     dmat = [[_ZERO if caux[a][b][v] is _ZERO else expr.neg(caux[a][b][v]) for b in range(r)]
             for a in range(r)]
 
@@ -160,7 +162,6 @@ def extract_contact_data(m: FramedManifold, sample_points=None) -> ContactData:
     tr_lam = float(sum(n * lo**-2.0 for lo, n in zip(lam_op, mults)))
     tr_d = _sum_of_products((e, e) for row in dmat for e in row)
     t = expr.sqrt(expr.div(expr.floatc(tr_lam), tr_d))
-    theta = tuple(e if e is _ZERO else expr.mul(t, e) for e in theta_raw)
 
     def scalar(s):
         # s times the identity on E: _matmul(scalar(s), a) scales a
@@ -214,7 +215,6 @@ def extract_contact_data(m: FramedManifold, sample_points=None) -> ContactData:
     return ContactData(
         manifold=m,
         aux=aux,
-        theta=theta,
         jtheta=tuple(tuple(row) for row in jtheta),
         lam_op=lam_op,
         multiplicities=mults,
@@ -230,20 +230,33 @@ def extract_contact_data(m: FramedManifold, sample_points=None) -> ContactData:
 # grading
 
 
-def _upsilon_coeffs(cd: ContactData):
+def morimoto_grading_contact(cd: ContactData) -> Grading:
+    """Canonical grading: the orthonormal horizontal fields and Z^W = Z^0 - JW.
+
+    W, over the orthonormal frame, is summed here: for each ordered pair
+    i != j of eigenbundles it gains (2 / tr Λ^-2) λ_i² / λ_j times
+    ½ J pr_i Σ_a [pr_j F_a, pr_j J F_a].  Each bracket is made once, for
+    every j and every a whose column of pr_j and of pr_j J is non-zero; with
+    one eigenbundle W is zero and nothing is bracketed.  W vanishes exactly
+    when Z^W is the Reeb field, since J is invertible.  The grading is the
+    derived frame of its rows over aux.
+    """
     r = cd.rank
     k = len(cd.lam_op)
-    if k == 1:
-        return {}
-    # [pr[j] F_a, pr[j] J F_a] over the aux frame, for every j and a
+    tr_lam = float(
+        sum(n * lo**-2.0 for lo, n in zip(cd.lam_op, cd.multiplicities))
+    )
+    # [pr[j] F_a, pr[j] J F_a] over the aux frame, for every j and every a
+    # where neither is zero
     brackets = []
-    for pr in cd.projections:
+    for pr in cd.projections if k > 1 else ():
         prj = _matmul(pr, cd.jmat)
+        pairs = (([pr[c][a] for c in range(r)] + [_ZERO], [prj[c][a] for c in range(r)] + [_ZERO]) for a in range(r))
         brackets.append([
-            frame_bracket(cd.aux, [pr[c][a] for c in range(r)] + [_ZERO], [prj[c][a] for c in range(r)] + [_ZERO])
-            for a in range(r)
+            frame_bracket(cd.aux, u, v) for u, v in pairs
+            if any(e is not _ZERO for e in u) and any(e is not _ZERO for e in v)
         ])
-    out = {}
+    w = [_ZERO] * r
     for i in range(k):
         for j in range(k):
             if i == j:
@@ -257,35 +270,13 @@ def _upsilon_coeffs(cd: ContactData):
                     terms = [(row[d], brk[d]) for d in live if row[d] is not _ZERO]
                     if terms:
                         acc[c] = _sum_of_products(terms, acc[c])
-            # apply J and the 1/2 factor
+            coef = expr.floatc((2.0 / tr_lam) * cd.lam_op[i] ** 2 / cd.lam_op[j])
+            # apply J and the 1/2 factor, then the weight
             live = [d for d in range(r) if acc[d] is not _ZERO]
-            vec = []
             for c in range(r):
                 terms = [(_HALF, cd.jmat[c][d], acc[d]) for d in live if cd.jmat[c][d] is not _ZERO]
-                vec.append(_sum_of_products(terms) if terms else _ZERO)
-            out[i + 1, j + 1] = vec
-    return out
-
-
-def morimoto_grading_contact(cd: ContactData) -> Grading:
-    """Canonical grading: the orthonormal horizontal fields and Z^W = Z^0 - JW.
-
-    W, over the orthonormal frame, is the weighted sum of the
-    cross-eigenbundle fields; it vanishes exactly when Z^W is the Reeb field,
-    since J is invertible.  The grading is the derived frame of its rows
-    over aux.
-    """
-    r = cd.rank
-    ups = _upsilon_coeffs(cd)
-    tr_lam = float(
-        sum(n * lo**-2.0 for lo, n in zip(cd.lam_op, cd.multiplicities))
-    )
-    w = [_ZERO] * r
-    for (i, j), vec in ups.items():
-        coef = expr.floatc(
-            (2.0 / tr_lam) * cd.lam_op[i - 1] ** 2 / cd.lam_op[j - 1]
-        )
-        w = [wc if vc is _ZERO else _sum_of_products([(coef, vc)], wc) for vc, wc in zip(vec, w)]
+                if terms:
+                    w[c] = _sum_of_products([(coef, _sum_of_products(terms))], w[c])
     jw = [row[0] for row in _matmul(cd.jmat, [[e] for e in w])]
     # the grading over aux: its horizontal fields, and Z^W = Z^0 - JW
     zw = [z if e is _ZERO else _sum_of_products([(expr.MINUS_ONE, e)], z) for z, e in zip(cd.reeb_coeffs, jw)]
@@ -297,77 +288,26 @@ def morimoto_grading_contact(cd: ContactData) -> Grading:
 # connections
 
 
-def _tau_tensor(cd: ContactData, g: Grading):
-    """tau[i][j][k] = <tau_{W_i} F_j, F_k> over the graded frame."""
-    nn = g.dim
-    r = cd.rank
-    frame_fields = g.fields
-    k = len(cd.lam_op)
-
-    tau = [[[_ZERO] * nn for _ in range(nn)] for _ in range(nn)]
-    for p_idx in range(k):
-        proj = cd.projections[p_idx]
-        # pr[p] F_j as frame coefficients, with the indices where they are non-zero
-        cols = [[proj[c][j] for c in range(r)] + [_ZERO] for j in range(r)]
-        supports = [[c for c in range(r) if col[c] is not _ZERO] for col in cols]
-        # a zero column of pr[p] adds nothing to tau as F_j or as F_k
-        live = [j for j in range(r) if supports[j]]
-        # <pr[p] F_j, pr[p] F_k>, which does not depend on i
-        gram = {}
-        for j in live:
-            for kk in live:
-                terms = [(cols[j][c], cols[kk][c]) for c in supports[j] if cols[kk][c] is not _ZERO]
-                gram[j, kk] = _sum_of_products(terms) if terms else _ZERO
-        for i in range(nn):
-            ui = _complement(proj, nn, i)  # W_i - pr[p] W_i
-            usupp = [a for a in range(nn) if ui[a] is not _ZERO]
-            if not usupp:
-                continue
-            brackets = {j: frame_bracket(g.frame, ui, cols[j]) for j in live}
-            for j in live:
-                aj, bra = cols[j], brackets[j]
-                for kk in live:
-                    bk, brb = cols[kk], brackets[kk]
-                    du = []
-                    for a in usupp:
-                        d = frame_fields[a].apply(gram[j, kk])
-                        if d is not _ZERO:
-                            du.append((ui[a], d))
-                    # -<[u, pr F_j], pr F_k> - <[u, pr F_k], pr F_j>
-                    pairings = []
-                    for br, col, supp in ((bra, bk, supports[kk]), (brb, aj, supports[j])):
-                        terms = [(br[c], col[c]) for c in supp if br[c] is not _ZERO]
-                        if terms:
-                            pairings.append((expr.MINUS_ONE, _sum_of_products(terms)))
-                    if du or pairings:
-                        lie = _sum_of_products(pairings, _sum_of_products(du) if du else _ZERO)
-                        if lie is not _ZERO:
-                            tau[i][j][kk] = _sum_of_products([(_HALF, lie)], tau[i][j][kk])
-    return tau
-
-
-def _complement(proj, n: int, i: int) -> list:
-    """Coefficients of W_i - pr W_i over the n graded frame fields, for the projector ``proj`` on E."""
-    ui = [expr.ONE if c == i else _ZERO for c in range(n)]
-    if i < len(proj):
-        for c in range(len(proj)):
-            if proj[c][i] is not _ZERO:
-                ui[c] = _sum_of_products([(expr.MINUS_ONE, proj[c][i])], ui[c])
-    return ui
-
-
 def connection_prime(cd: ContactData, g: Grading) -> Connection:
     """Projected metric connection: eigenbundles and the vertical line parallel.
 
-    Horizontal arguments follow the three-term rule (projected Levi-Civita
-    within each eigenbundle, projected bracket across, plus the Lie-derivative
-    correction); the vertical frame field is parallel.
+    For each eigenbundle projector pr and u = W_i - pr W_i, the horizontal
+    arguments follow the three-term rule: the projected Levi-Civita
+    connection pr LC_{pr W_i} pr F_j within the eigenbundle, the projected
+    bracket pr [u, pr F_j] across, and the Lie-derivative tensor
+    τ[i][j][k] = ½ (u<pr F_j, pr F_k> - <[u, pr F_j], pr F_k> - <[u, pr F_k], pr F_j>),
+    summed over the projectors and added last.  The vertical frame field is
+    parallel.  τ is built in this loop from the bracket term's own brackets:
+    each [u, pr F_j] is made once, for every non-zero column j of pr, and
+    not at all where u is zero.  Since pr is symmetric, the pairing
+    <[u, pr F_j], pr F_k> is component k of the projected bracket, the
+    bracket term's sum; it is made once for each ordered pair (j, k), over
+    column k of pr, and read by τ[i][j][k] and τ[i][k][j].
     """
     nn = g.dim
     r = cd.rank
     ctab = g.structure_functions()
     frame_fields = g.fields
-    k = len(cd.lam_op)
 
     def koszul(a, b, c):
         # half of c_ab^c - c_ac^b - c_bc^a
@@ -380,27 +320,37 @@ def connection_prime(cd: ContactData, g: Grading) -> Connection:
     # (orthonormal frame: metric derivative terms vanish)
     gamma_h = [[[koszul(a, b, c) for c in range(r)] for b in range(r)] for a in range(r)]
 
-    tau = _tau_tensor(cd, g)
     gamma = [[[_ZERO] * nn for _ in range(nn)] for _ in range(nn)]
-    for p_idx in range(k):
-        proj = cd.projections[p_idx]
-        # the non-zero entries of each row of pr[p]
+    tau = [[[_ZERO] * nn for _ in range(nn)] for _ in range(nn)]
+    for proj in cd.projections:
+        # the non-zero entries of each row of pr
         rows = [[c for c in range(r) if proj[kk][c] is not _ZERO] for kk in range(r)]
+        # pr F_j as frame coefficients, with the indices where they are non-zero;
+        # a zero column adds no term, as F_j or as F_k
+        cols = [[proj[c][j] for c in range(r)] + [_ZERO] for j in range(r)]
+        supports = [[c for c in range(r) if col[c] is not _ZERO] for col in cols]
+        live = [j for j in range(r) if supports[j]]
+        # <pr F_j, pr F_k>, which does not depend on i
+        gram = {}
+        for j in live:
+            for kk in live:
+                terms = [(cols[j][c], cols[kk][c]) for c in supports[j] if cols[kk][c] is not _ZERO]
+                gram[j, kk] = _sum_of_products(terms) if terms else _ZERO
         for i in range(nn):
-            # pr[p] W_i as horizontal coefficients, and where they are non-zero
+            # pr W_i as horizontal coefficients, where they are non-zero, and
+            # u = W_i - pr W_i
             asupp = [a for a in range(r) if proj[a][i] is not _ZERO] if i < r else []
-            ui = _complement(proj, nn, i)
-            for j in range(r):
-                bcol = [proj[c][j] for c in range(r)]
-                bsupp = [b for b in range(r) if bcol[b] is not _ZERO]
-                if not bsupp:
-                    # pr[p] F_j is zero, and so are both terms
-                    continue
-                # term 2: pr[p] [ W_i - pr[p]W_i, pr[p]F_j ]
-                brk = frame_bracket(g.frame, ui, bcol + [_ZERO])
+            u = [expr.ONE if c == i else _ZERO for c in range(nn)]
+            for c in asupp:
+                u[c] = _sum_of_products([(expr.MINUS_ONE, proj[c][i])], u[c])
+            usupp = [a for a in range(nn) if u[a] is not _ZERO]
+            # term 2's brackets [u, pr F_j], which τ reads too; ZERO where u is
+            brackets = {j: frame_bracket(g.frame, u, cols[j]) if usupp else [_ZERO] * nn for j in live}
+            for j in live:
+                bcol, brk = cols[j], brackets[j]
                 both = []
                 for kk in range(r):
-                    # term 1: pr[p] ( LC_{pr[p]W_i} pr[p]F_j )
+                    # term 1: pr ( LC_{pr W_i} pr F_j )
                     terms = []
                     for a in asupp:
                         d = frame_fields[a].apply(bcol[kk])
@@ -409,17 +359,35 @@ def connection_prime(cd: ContactData, g: Grading) -> Connection:
                     terms += [
                         (proj[a][i], bcol[b], gamma_h[a][b][kk])
                         for a in asupp
-                        for b in bsupp
+                        for b in supports[j]
                         if gamma_h[a][b][kk] is not _ZERO
                     ]
                     t1 = _sum_of_products(terms) if terms else _ZERO
-                    live = [e for e in (t1, brk[kk]) if e is not _ZERO]
-                    both.append(_sum_of_products((), *live) if live else _ZERO)
+                    summands = [e for e in (t1, brk[kk]) if e is not _ZERO]
+                    both.append(_sum_of_products((), *summands) if summands else _ZERO)
                 for kk in range(r):
                     terms = [(proj[kk][c], both[c]) for c in rows[kk] if both[c] is not _ZERO]
                     val = _sum_of_products(terms) if terms else _ZERO
                     if val is not _ZERO:
                         gamma[i][j][kk] = _sum_of_products((), gamma[i][j][kk], val)
+            # <[u, pr F_j], pr F_k>, read by tau[i][j][k] and tau[i][k][j]
+            pairing = {}
+            for j in live:
+                for kk in live:
+                    terms = [(brackets[j][c], cols[kk][c]) for c in supports[kk] if brackets[j][c] is not _ZERO]
+                    pairing[j, kk] = _sum_of_products(terms) if terms else _ZERO
+            for j in live:
+                for kk in live:
+                    du = []
+                    for a in usupp:
+                        d = frame_fields[a].apply(gram[j, kk])
+                        if d is not _ZERO:
+                            du.append((u[a], d))
+                    pairings = [(expr.MINUS_ONE, e) for e in (pairing[j, kk], pairing[kk, j]) if e is not _ZERO]
+                    if du or pairings:
+                        lie = _sum_of_products(pairings, _sum_of_products(du) if du else _ZERO)
+                        if lie is not _ZERO:
+                            tau[i][j][kk] = _sum_of_products([(_HALF, lie)], tau[i][j][kk])
     for i in range(nn):
         for j in range(r):
             for kk in range(r):

@@ -35,6 +35,7 @@ never loaded.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -194,17 +195,22 @@ class FramedManifold:
         return len(self.coords)
 
     def point(self, values) -> dict:
+        """The point as a coordinate dict of floats, each one finite."""
         if isinstance(values, dict):
             missing = [c for c in self.coords if c not in values]
             if missing:
                 raise ManifoldError(f"point is missing coordinates {missing}")
-            return {c: float(values[c]) for c in self.coords}
+            values = [values[c] for c in self.coords]
         values = list(values)
         if len(values) != self.dim:
             raise ManifoldError(
                 f"point needs {self.dim} values, got {len(values)}"
             )
-        return {c: float(v) for c, v in zip(self.coords, values)}
+        point = {c: float(v) for c, v in zip(self.coords, values)}
+        bad = [c for c, v in point.items() if not math.isfinite(v)]
+        if bad:
+            raise ManifoldError(f"coordinate {bad[0]!r} of the point is {point[bad[0]]}, not finite")
+        return point
 
     def frame_matrix_at(self, point: dict) -> np.ndarray:
         """Columns are the frame fields evaluated at the point."""
@@ -435,8 +441,8 @@ def frame_inverse(m: FramedManifold):
     coordinate vector field number a, i.e. applying row i to a coordinate
     vector recovers the i-th frame component of that vector.  A declared
     frame solves its coordinate matrix by :func:`_inverse`; a derived frame
-    (:func:`_frame_over`) takes the inverse of its rows times the coframe of
-    its base.
+    (:func:`_frame_over`) takes the transpose of the inverse of its rows times
+    the coframe of its base: row i sums ``inverse[k][i]`` times base row k.
     """
     if m._frame_inverse is None:
         if m._over is None:
@@ -444,18 +450,9 @@ def frame_inverse(m: FramedManifold):
             matrix = [[m.frames[i].components[a] for i in range(n)] for a in range(n)]
             m._frame_inverse = tuple(map(tuple, _inverse(matrix)))
         else:
-            m._frame_inverse = tuple(_coframe_row(m, i) for i in range(m.dim))
+            base, _, inverse = m._over
+            m._frame_inverse = tuple(map(tuple, _matmul(list(zip(*inverse)), frame_inverse(base))))
     return m._frame_inverse
-
-
-def _coframe_row(m: FramedManifold, i: int) -> tuple:
-    """Row i of the coframe of a derived frame, made without the other rows.
-
-    It is the sum over k of ``inverse[k][i]`` times coframe row k of the
-    base: column i of the inverse of the rows times the base's coframe.
-    """
-    base, _, inverse = m._over
-    return tuple(_matmul([[row[i] for row in inverse]], frame_inverse(base))[0])
 
 
 def structure_functions(m: FramedManifold):
@@ -812,12 +809,11 @@ def manifold_from_dict(data: dict) -> ManifoldDocument:
             )
         chart_box = tuple((float(lo), float(hi)) for lo, hi in box)
         for lo, hi in chart_box:
-            if not lo < hi:
-                raise ManifoldError("chart_box intervals must be increasing")
+            if not -math.inf < lo < hi < math.inf:
+                raise ManifoldError(f"chart_box intervals must be finite and increasing, got [{lo}, {hi}]")
 
     pts = data.get("sample_points")
-    sample_points = tuple(tuple(map(float, p)) if not isinstance(p, dict) else p
-                          for p in pts) if pts is not None else None
+    sample_points = tuple(manifold.point(p) for p in pts) if pts is not None else None
 
     return ManifoldDocument(
         manifold=manifold,

@@ -136,3 +136,31 @@ def test_every_dataclass_field_is_read():
     ]
     assert fields
     assert [f for f in fields if f[2] not in read] == []
+
+
+def test_every_private_helper_serves_src():
+    # a top-level function or method of srgeom named with one leading
+    # underscore is a helper of the package: something in src/srgeom outside
+    # its own body must read it, or it is kept only for tests
+    trees = [ast.parse(path.read_text()) for path in sorted((PYPROJECT.parent / "src" / "srgeom").glob("*.py"))]
+
+    def reads(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                yield sub.attr
+
+    everywhere = [name for tree in trees for name in reads(tree)]
+    helpers = [
+        node
+        for tree in trees
+        for top in tree.body
+        for node in ([top] + (top.body if isinstance(top, ast.ClassDef) else []))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    assert helpers
+    unread = [f.name for f in helpers if everywhere.count(f.name) == list(reads(f)).count(f.name)]
+    assert unread == []

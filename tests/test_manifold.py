@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -667,6 +668,36 @@ def test_explicit_sample_points():
     )
     pts = doc.sample()
     assert pts[0] == {"x": 0.1, "y": 0.2, "z": 0.3}
+
+
+_HEIS_DOC = {
+    "coords": ["x", "y", "z"],
+    "frames": [["1", "0", "-y/2"], ["0", "1", "x/2"], ["0", "0", "1"]],
+    "horizontal_rank": 2,
+}
+
+
+@pytest.mark.parametrize("box", ["[0, Infinity]", "[-Infinity, 0]", "[0, NaN]", "[[-1, 1], [0, Infinity], [-1, 1]]"])
+def test_a_non_finite_chart_box_bound_is_refused(tmp_path, box):
+    # json reads Infinity and NaN; sampling such a box drew inf coordinates
+    path = tmp_path / "heis.json"
+    path.write_text(json.dumps(_HEIS_DOC)[:-1] + f', "chart_box": {box}}}')
+    with pytest.raises(ManifoldError, match="finite"):
+        load_manifold(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_point_with_a_non_finite_coordinate_is_refused(tmp_path, bad):
+    m = manifold_from_dict(_HEIS_DOC).manifold
+    with pytest.raises(ManifoldError, match="'y'.*not finite"):
+        m.point([0.1, bad, 0.3])
+    with pytest.raises(ManifoldError, match="'y'.*not finite"):
+        m.point({"x": 0.1, "y": bad, "z": 0.3})
+    # a sample point of a description file is checked as it is loaded
+    path = tmp_path / "heis.json"
+    path.write_text(json.dumps(dict(_HEIS_DOC, sample_points=[[0.0, 0.0, 0.0], [0.1, bad, 0.3]])))
+    with pytest.raises(ManifoldError, match="'y'.*not finite"):
+        load_manifold(path)
 
 
 def test_metric_must_be_symmetric():

@@ -6,8 +6,9 @@ The sparse loops of ``VectorField.apply``, ``frame_bracket``,
 and ``manifold._component`` run over the supports of their operands; the dense
 loops they replaced are kept here as oracles, and both must return the same
 interned nodes.  Volume guards count the constructor calls and the sums the
-contact and (2,3,5) pipelines spend on structurally zero terms, and the
-wedge-Gram inverses a grading solves.
+contact and (2,3,5) pipelines spend on structurally zero terms, the
+brackets the contact construction makes, and the wedge-Gram inverses a
+grading solves.
 """
 
 import pytest
@@ -209,7 +210,9 @@ def test_235_pipeline_builds_few_zero_terms(monkeypatch):
 def test_connection_prime_skips_zero_columns_of_the_projectors(monkeypatch):
     # Flat h_3(1, 1.6, 2.9): each eigenbundle projector has two non-zero
     # columns of six.  Looping over every column made 8,672 sums here, 8,610
-    # of them ZERO; skipping the zero columns makes 2,564.
+    # of them ZERO.  Skipping the zero columns made 24, 12 of them ZERO;
+    # bracketing no zero u = W_i - pr W_i and pairing each bracket once
+    # makes 18, 6 of them ZERO.
     m = models.carnot_group_manifold(lie.heisenberg((1, 1.6, 2.9)), structure_class="contact")
     cd = extract_contact_data(m)
     g = morimoto_grading_contact(cd)
@@ -224,8 +227,36 @@ def test_connection_prime_skips_zero_columns_of_the_projectors(monkeypatch):
     monkeypatch.setattr(contact, "_sum_of_products", counted)
     monkeypatch.setattr(manifold, "_sum_of_products", counted)
     connection_prime(cd, g)
-    assert sums[0] < 2800
-    assert zeros[0] < 2600
+    assert sums[0] <= 22
+    assert zeros[0] <= 7
+
+
+@pytest.mark.parametrize("name", ["flat-h3", "conformal-h2"])
+def test_contact_construction_makes_each_bracket_once(monkeypatch, name):
+    # From the contact data to the canonical connection, on flat h_3(1, 1.6,
+    # 2.9) and on h_2(1, 1) with its metric rescaled by exp(1.1 x1).  The
+    # Lie-derivative tensor reads the brackets of the projected-bracket term,
+    # and no bracket has a zero operand: the zero columns of the projectors
+    # and the zero u = W_i - pr W_i are skipped.  Building τ apart made 24
+    # brackets on conformal h_2, 16 of them repeats and 16 with a ZERO
+    # operand; the shared build makes 4.
+    m = _flat_h3() if name == "flat-h3" else _conformal_h2(1.1)
+    calls = {contact: [], manifold: []}
+
+    def wrapped(module):
+        def call(frame, u, w):
+            calls[module].append((frame, tuple(u), tuple(w)))
+            return frame_bracket(frame, u, w)
+        return call
+
+    for module in calls:
+        monkeypatch.setattr(module, "frame_bracket", wrapped(module))
+    cd = extract_contact_data(m)
+    morimoto_connection_contact(cd, morimoto_grading_contact(cd))
+    own = [(id(frame), tuple(map(id, u)), tuple(map(id, w))) for frame, u, w in calls[contact]]
+    assert own and len(set(own)) == len(own)
+    for _, u, w in calls[contact] + calls[manifold]:
+        assert any(e is not _ZERO for e in u) and any(e is not _ZERO for e in w)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +401,9 @@ def _flat_h3():
     return models.carnot_group_manifold(lie.heisenberg((1, 1.6, 2.9)), structure_class="contact")
 
 
-def _conformal_h2():
-    scale = expr.exp(expr.var("x1"))
+def _conformal_h2(a=1.0):
+    # the float 1.0 folds away: a = 1 gives exp(x1)
+    scale = expr.exp(expr.mul(expr.floatc(a), expr.var("x1")))
     metric = [[scale if i == j else _ZERO for j in range(4)] for i in range(4)]
     return models.carnot_group_manifold(lie.heisenberg((1, 1)), metric=metric, structure_class="contact")
 
@@ -535,15 +567,17 @@ def _count_sums(monkeypatch):
 def test_contact_pipeline_makes_few_sums(monkeypatch):
     # Flat h_3(1, 1.6, 2.9), from the contact data through both checks.  The
     # dense loops made 8,304 sums here, 7,894 of them ZERO; the loops over
-    # supports make 216, 24 of them ZERO.
+    # supports made 200, 24 of them ZERO.  Building no contact form θ (it is
+    # the grading's coframe row), and each bracket of the grading and of the
+    # projected connection once, makes 187, 18 of them ZERO.
     m = _flat_h3()
     pts = _default_samples(m, count=3)
     sums, zeros = _count_sums(monkeypatch)
     cd = extract_contact_data(m)
     conn = morimoto_connection_contact(cd, morimoto_grading_contact(cd))
     assert connection.check_morimoto(conn, pts).ok and connection.flatness_check(conn, pts).flat
-    assert sums[0] <= 238
-    assert zeros[0] <= 27
+    assert sums[0] <= 233
+    assert zeros[0] <= 22
 
 
 def test_235_pipeline_makes_few_sums(monkeypatch):
