@@ -10,12 +10,18 @@ structure is locally equivalent to the nilpotent model group exactly when
 
 :func:`morimoto_grading_235` returns Morimoto's canonical grading as a
 ``Grading``: the intrinsic grading with its degree -2 field and degree -3
-lifts corrected so that the normalization holds.  On the nilpotent model
-every correction vanishes, so each layer spans the same subspace as the
-intrinsic one (the degree -3 frames still differ by the rotation generator).
+lifts corrected so that the normalization holds.  Its operator ∂ is
+constant in the intrinsic frame with the lifts rotated, so the corrections
+are structure functions of two derived frames taken through the constant
+inverses of ∂'s two blocks: ``(r_k, r_{k+2}) -> ((r_k - r_{k+2}) / 2,
+(3 r_k - 5 r_{k+2}) / 8)`` and ``diag(1/3, 1/3, 1/3, 1/3, 1/8)``; nothing
+is solved symbolically.  On the nilpotent model every correction vanishes,
+so each layer spans the same subspace as the intrinsic one (the degree -3
+frames still differ by the rotation generator).
 :func:`morimoto_connection_235` takes that grading and solves the
 normalization identities checked by ``check_morimoto`` for its unique
-compatible connection.
+compatible connection, the degree -2 scaling ν₂ that ∂'s second block
+decouples from the grading included.
 
 All constructions run in the coefficient calculus of the iterated-bracket
 frame: every corrected field is a coefficient row over that frame, and each
@@ -36,12 +42,9 @@ from .manifold import (
     FramedManifold,
     ManifoldError,
     VectorField,
-    _component,
     _default_samples,
     _frame_over,
-    _gauss_jordan,
     _gram_schmidt_horizontal,
-    _inverse,
     _matmul,
     _sum_of_products,
     check_constant_symbol,
@@ -261,6 +264,52 @@ def connection_235(g: Grading) -> Connection:
     return _rotation_connection(g, _adapted_lambda(g))
 
 
+# Morimoto's normalization of the canonical grading, read in the intrinsic
+# frame F = (X_1, X_2, Z, -Y_2, Y_1) and its corrections, whose structure
+# functions c[i][j][k] are the components k of [F_i, F_j].  Each table lists
+# entries (sign, i, j, k) of c.  The right-hand sides r of the degree -2
+# shift w1 and the degree -3 tilt w2, read off F itself:
+_SHIFT_RHS = (
+    ((2, 0, 1, 0), (1, 0, 3, 4), (-1, 0, 4, 3)),
+    ((2, 0, 1, 1), (1, 1, 3, 4), (-1, 1, 4, 3)),
+    ((1, 0, 1, 0), (1, 0, 3, 4), (-1, 1, 3, 3)),
+    ((1, 0, 1, 1), (1, 0, 4, 4), (-1, 1, 4, 3)),
+)
+# the inverse of the first block of the normalization operator, (w1_k, w2_k)
+# from (r_k, r_{k+2})
+_SHIFT_INVERSE = ((expr.rational(1, 2), expr.rational(-1, 2)), (expr.rational(3, 8), expr.rational(-5, 8)))
+# three times the horizontal endomorphism A of the lifts, read off F corrected
+# by w1 and w2
+_LIFT_RHS = (
+    (((-1, 1, 2, 0), (-1, 3, 1, 2), (-1, 3, 2, 4)), ((-1, 1, 2, 1), (1, 3, 0, 2), (1, 3, 2, 3))),
+    (((1, 0, 2, 0), (-1, 4, 1, 2), (-1, 4, 2, 4)), ((1, 0, 2, 1), (1, 4, 0, 2), (1, 4, 2, 3))),
+)
+_ZERO_PAIR = (_ZERO, _ZERO)
+
+
+def _signed_sum(c, entries, den=1):
+    """The sum of ``sign / den * c[i][j][k]`` over the ``entries`` ``(sign, i, j, k)``."""
+    terms = [(expr.rational(s, den), c[i][j][k]) for s, i, j, k in entries if c[i][j][k] is not _ZERO]
+    return _sum_of_products(terms) if terms else _ZERO
+
+
+def _corrected_frame(frame, srows, w1=_ZERO_PAIR, w2=_ZERO_PAIR, amat=(_ZERO_PAIR,) * 2):
+    """The intrinsic frame with its lifts rotated and corrected, derived over the bracket frame.
+
+    Its fields are ``X_1``, ``X_2``, ``Z + w1_0 X_1 + w1_1 X_2`` and the
+    rotated lifts ``-Y_2``, ``Y_1``, to which ``w2_j Z + amat[j][0] X_1 +
+    amat[j][1] X_2`` is added.
+    """
+    tmat = [
+        [_ONE, _ZERO, _ZERO, _ZERO, _ZERO],
+        [_ZERO, _ONE, _ZERO, _ZERO, _ZERO],
+        [w1[0], w1[1], _ONE, _ZERO, _ZERO],
+        [amat[0][0], amat[0][1], w2[0], _ZERO, _MINUS_ONE],
+        [amat[1][0], amat[1][1], w2[1], _ONE, _ZERO],
+    ]
+    return _frame_over(frame, _matmul(tmat, srows))
+
+
 def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
                          x2: VectorField = None, sample_points=None) -> Grading:
     """Canonical grading of a growth (2,3,5) structure.
@@ -270,253 +319,34 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
 
     Corrects the intrinsic grading so the canonical connection of the
     result satisfies the torsion and curvature trace normalizations exactly:
-    the degree -2 direction is shifted by a rotated horizontal field, and
-    the degree -3 lifts are tilted by a vertical shift and a horizontal
-    endomorphism.  The corrections are obtained by expanding the structure
-    functions of the corrected frame over intrinsic bracket tensors and
-    solving the two resulting linear systems by ``manifold._gauss_jordan``.
-    The returned grading is the derived frame of its rows over the bracket
-    frame.  On the model algebra every correction vanishes, so its layers
-    span the same subspaces as those of ``intrinsic_frame_235(...)``; the
-    degree -3 frames differ by the rotation generator.
+    the degree -2 direction is shifted by ``w1_0 X_1 + w1_1 X_2``, and the
+    degree -3 lifts are tilted by ``w2_j Z`` and a horizontal endomorphism
+    ``A``.  Morimoto's normalization is solved degree by degree through the
+    operator ∂ of the symbol algebra, and ∂ is constant in the intrinsic
+    frame with its lifts rotated to ``-Y_2``, ``Y_1``: there the degree -3
+    part of ``[X_e, Z]`` is row e of the model's ``[[0, 1], [-1, 0]]``, by
+    the definition of the bracket frame.  So nothing is solved symbolically.
+    The first block of ∂, on ``(w1, w2)``, is
+    ``[[5, 0, -4, 0], [0, 5, 0, -4], [3, 0, -4, 0], [0, 3, 0, -4]]``; its
+    inverse takes the right-hand sides ``r`` read off that frame to
+    ``w1_k = (r_k - r_{k+2}) / 2`` and ``w2_k = (3 r_k - 5 r_{k+2}) / 8``.
+    The second block, on ``A`` and the degree -2 scaling ν₂ of the canonical
+    connection, is ``diag(3, 3, 3, 3, 8)``: each entry of ``A`` is a third
+    of a combination of structure functions of the frame corrected by ``w1``
+    and ``w2``, and ν₂, which decouples, is left to
+    :func:`morimoto_connection_235`.  The returned grading is the derived
+    frame of its rows over the bracket frame.  On the model algebra every
+    correction vanishes, so its layers span the same subspaces as those of
+    ``intrinsic_frame_235(...)``; the degree -3 frames differ by the
+    rotation generator.
     """
     frame, srows = _intrinsic_rows(m, x1, x2, sample_points)
-    xfields = frame.frames
-    sinv = _inverse(srows)
-
-    def phix(v):
-        """Horizontal image of a coefficient vector under the flag map."""
-        return [
-            _sum_of_products([(_MINUS_ONE, _component(v, sinv, 4))]),
-            _component(v, sinv, 3),
-        ]
-
-    # ---- intrinsic tensors of the lift geometry -------------------------
-    # p pairs the flag image of brackets of horizontal fields with the
-    # degree -2 direction against the horizontal frame; phi does the same
-    # for brackets against the degree -3 lifts; xi for brackets of the
-    # degree -2 direction with the lifts; cp and b are the horizontal parts
-    # of the basic brackets.  The horizontal fields and the degree -2
-    # direction are rows of ``srows``; the degree -3 lift of a*X_1 + b*X_2
-    # is b*Y_1 - a*Y_2.
-    e_rows, zp_row = srows[:2], srows[2]
-    ell_rows = _matmul([[_ZERO, _MINUS_ONE], [_ONE, _ZERO]], srows[3:])
-    ez = [frame_bracket(frame, e_rows[e], zp_row) for e in range(2)]
-    p_t = [phix(br) for br in ez]
-    phi_t = [
-        [phix(frame_bracket(frame, e_rows[a], ell_rows[j])) for j in range(2)]
-        for a in range(2)
-    ]
-    xi_t = [phix(frame_bracket(frame, zp_row, ell_rows[j])) for j in range(2)]
-    cp_t = [_component(frame_bracket(frame, e_rows[0], e_rows[1]), sinv, k) for k in range(2)]
-    b_t = [[_component(br, sinv, k) for k in range(2)] for br in ez]
-    (p00, p01), (p10, p11) = p_t
-
-    # ---- first correction block: rotated shift pairs --------------------
-    # The normalization conditions that avoid the degree -3 endomorphism
-    # (torsion on the degree -2 selector against horizontal fields, torsion
-    # on degree -3 selectors against the degree -2 field, and the curvature
-    # trace on horizontal selector wedges) close up into a linear system for
-    # the rotated horizontal components of the two lift corrections.  A
-    # 1-tuple among the products keeps a summand in its place in the sum.
-    f_t = [_sum_of_products([(_MINUS_ONE, phi_t[v][1][0])], phi_t[v][0][1]) for v in range(2)]
-    g_t = [
-        _sum_of_products((phi_t[e][j][k], p_t[e][k]) for e in range(2) for k in range(2))
-        for j in range(2)
-    ]
-    psq = _sum_of_products((p_t[e][k], p_t[e][k]) for e in range(2) for k in range(2))
-    r2 = expr.rational(2)
-    r5 = expr.rational(5)
-    r3 = expr.rational(3)
-    rhs1 = [
-        _sum_of_products([(r2, cp_t[0])], f_t[0]),
-        _sum_of_products([(r2, cp_t[1])], f_t[1]),
-        _sum_of_products([(cp_t[0], p01), (cp_t[1], p11)], g_t[0]),
-        _sum_of_products([(_MINUS_ONE, cp_t[0], p00), (_MINUS_ONE, cp_t[1], p10)], g_t[1]),
-    ]
-    mat1 = [
-        [
-            r5,
-            _ZERO,
-            _sum_of_products([(r3, p10), (_MINUS_ONE, p01)]),
-            _sum_of_products([(r3, p11)], p00),
-        ],
-        [
-            _ZERO,
-            r5,
-            _sum_of_products([(_MINUS_ONE, _sum_of_products([(r3, p00)], p11))]),
-            _sum_of_products([(_MINUS_ONE, r3, p01)], p10),
-        ],
-        [
-            _sum_of_products([(r2, p01)], _ONE),
-            _sum_of_products([(r2, p11)]),
-            _sum_of_products([(_MINUS_ONE, psq), (p10, p01), (_MINUS_ONE, p00, p11)], p10),
-            p11,
-        ],
-        [
-            _sum_of_products([(_MINUS_ONE, r2, p00)]),
-            _sum_of_products([(_MINUS_ONE, r2, p10)], _ONE),
-            _sum_of_products([(_MINUS_ONE, p00)]),
-            _sum_of_products(
-                [(_MINUS_ONE, _sum_of_products([(p11, p00), (_MINUS_ONE, p01, p10)], p01, psq))]
-            ),
-        ],
-    ]
-    aug1 = [mat1[i] + [rhs1[i]] for i in range(4)]
-    sol1 = [row[4] for row in _gauss_jordan(aug1, 4)]
-    w1c = sol1[:2]  # rotated components of the degree -2 shift
-    w2c = sol1[2:]  # rotated components of the degree -3 vertical tilt
-
-    dw1 = [[xfields[e].apply(w1c[k]) for k in range(2)] for e in range(2)]
-    dw2 = [[xfields[e].apply(w2c[j]) for j in range(2)] for e in range(2)]
-    w2p = [_sum_of_products((w2c[k], p_t[e][k]) for k in range(2)) for e in range(2)]
-
-    # horizontal scaling values of the canonical connection, from the
-    # curvature trace normalization (closed form with weight 3)
-    nu_e = [
-        _sum_of_products([(
-            expr.rational(1, 3),
-            _sum_of_products(
-                [
-                    (_MINUS_ONE, cp_t[e]),
-                    (phi_t[e][0][1],),
-                    (_MINUS_ONE, phi_t[e][1][0]),
-                    (w2c[0], p_t[e][1]),
-                    (_MINUS_ONE, w2c[1], p_t[e][0]),
-                ],
-                w1c[e],
-            ),
-        )])
-        for e in range(2)
-    ]
-
-    # ---- second correction block: degree -3 endomorphism ----------------
-    # The remaining torsion conditions (degree -3 selectors against
-    # horizontal fields) couple the endomorphism to the degree -2 scaling
-    # value; the curvature trace on the degree -2 selector closes the
-    # system.  Each structure function entering the conditions is expanded
-    # as an affine function of the endomorphism entries and that scaling:
-    # a row of their five coefficients and the constant, built from the
-    # intrinsic tensors and the solved shift components.  The conditions
-    # are combinations of these rows, that is row vectors times them.
-
-    # theta values of brackets of horizontal fields with the corrected
-    # degree -2 field
-    zpr = [w1c[1], _sum_of_products([(_MINUS_ONE, w1c[0])])]
-    # horizontal components of brackets with the corrected degree -2 field
-    cbar_e2 = [[None, None], [None, None]]
-    for e in range(2):
-        drift = _sum_of_products([(_MINUS_ONE, w2p[e])], zpr[e])
-        for k in range(2):
-            cw = (w1c[1], cp_t[k]) if e == 0 else (_MINUS_ONE, w1c[0], cp_t[k])
-            const = _sum_of_products(
-                [cw, (dw1[e][k],), (_MINUS_ONE, drift, w1c[k])], b_t[e][k]
-            )
-            row = [_ZERO] * 5 + [const]
-            for mm in range(2):
-                row[2 * mm + k] = _sum_of_products([(_MINUS_ONE, p_t[e][mm])])
-            cbar_e2[e][k] = row
-    # degree -2 components of brackets of the lifts with horizontal fields
-    cbar_ye2 = [[None, None], [None, None]]
-    for j in range(2):
-        for e in range(2):
-            w2phi = _sum_of_products((w2c[kk], phi_t[e][j][kk]) for kk in range(2))
-            const = _sum_of_products(
-                [(_MINUS_ONE, dw2[e][j]), (w2phi,), (w2c[j], w2p[e])]
-            )
-            row = [_ZERO] * 5 + [const]
-            if e == 0:
-                row[2 * j + 1] = _MINUS_ONE
-            else:
-                row[2 * j] = _ONE
-            cbar_ye2[j][e] = row
-    # degree -3 components of brackets of the lifts with the corrected
-    # degree -2 field
-    cbar_y2y = [[None, None], [None, None]]
-    for j in range(2):
-        for k in range(2):
-            const = _sum_of_products(
-                [(_MINUS_ONE, xi_t[j][k])]
-                + [
-                    (
-                        _MINUS_ONE,
-                        w1c[mm],
-                        _sum_of_products([(w2c[j], p_t[mm][k])], phi_t[mm][j][k]),
-                    )
-                    for mm in range(2)
-                ]
-            )
-            row = [_ZERO] * 5 + [const]
-            for mm in range(2):
-                row[2 * j + mm] = p_t[mm][k]
-            cbar_y2y[j][k] = row
-
-    # curvature trace data on the degree -2 selector
-    qt2 = _matmul(
-        [[_ONE, _MINUS_ONE, _ONE, _MINUS_ONE]],
-        [cbar_e2[1][0], cbar_e2[0][1], cbar_y2y[1][0], cbar_y2y[0][1]],
-    )[0]
-    dkn2 = _sum_of_products(
-        [
-            (_MINUS_ONE, xfields[1].apply(nu_e[0])),
-            (_MINUS_ONE, _sum_of_products([(_MINUS_ONE, w1c[0])], cp_t[0]), nu_e[0]),
-            (_MINUS_ONE, _sum_of_products([(_MINUS_ONE, w1c[1])], cp_t[1]), nu_e[1]),
-        ],
-        xfields[0].apply(nu_e[1]),
-    )
-
-    nu2aff = [_ZERO, _ZERO, _ZERO, _ZERO, _ONE, _ZERO]
-    nconst = [_ZERO] * 4 + [expr.rational(8), _sum_of_products([(expr.rational(-4), dkn2)])]
-    # (coefficient, row) pairs of each condition
-    conditions = [
-        [
-            (_MINUS_ONE, nu2aff),
-            (_ONE, cbar_e2[1][0]),
-            (_ONE, cbar_ye2[0][1]),
-            (p00, cbar_y2y[0][0]),
-            (p01, cbar_y2y[0][1]),
-            (p01, nu2aff),
-        ],
-        [
-            (_ONE, cbar_e2[1][1]),
-            (_MINUS_ONE, cbar_ye2[0][0]),
-            (p10, cbar_y2y[0][0]),
-            (p11, cbar_y2y[0][1]),
-            (p11, nu2aff),
-        ],
-        [
-            (_MINUS_ONE, cbar_e2[0][0]),
-            (_ONE, cbar_ye2[1][1]),
-            (p00, cbar_y2y[1][0]),
-            (p01, cbar_y2y[1][1]),
-            (_sum_of_products([(_MINUS_ONE, p00)]), nu2aff),
-        ],
-        [
-            (_MINUS_ONE, nu2aff),
-            (_MINUS_ONE, cbar_e2[0][1]),
-            (_MINUS_ONE, cbar_ye2[1][0]),
-            (p10, cbar_y2y[1][0]),
-            (p11, cbar_y2y[1][1]),
-            (_sum_of_products([(_MINUS_ONE, p10)]), nu2aff),
-        ],
-        [(_ONE, nconst), (_MINUS_ONE, qt2)],
-    ]
-    eqs = [_matmul([[s for s, _ in pairs]], [row for _, row in pairs])[0] for pairs in conditions]
-    # augmented rows: the five unknowns' coefficients, then minus the constant
-    aug2 = [eqs[i][:5] + [_sum_of_products([(_MINUS_ONE, eqs[i][5])])] for i in range(5)]
-    sol2 = [row[5] for row in _gauss_jordan(aug2, 5)]
-    amat = [[sol2[0], sol2[1]], [sol2[2], sol2[3]]]
-
-    # adapted rows of the corrected fields over the bracket frame; the lift
-    # block rotates the degree -3 plane
-    tmat = [
-        [_ONE, _ZERO, _ZERO, _ZERO, _ZERO],
-        [_ZERO, _ONE, _ZERO, _ZERO, _ZERO],
-        [w1c[0], w1c[1], _ONE, _ZERO, _ZERO],
-        [amat[0][0], amat[0][1], w2c[0], _ZERO, _MINUS_ONE],
-        [amat[1][0], amat[1][1], w2c[1], _ONE, _ZERO],
-    ]
-    return Grading(_frame_over(frame, _matmul(tmat, srows)), (2, 1, 2))
+    c = structure_functions(_corrected_frame(frame, srows))
+    r = [_signed_sum(c, entries) for entries in _SHIFT_RHS]
+    w1, w2 = ([_sum_of_products([(a, r[k]), (b, r[k + 2])]) for k in range(2)] for a, b in _SHIFT_INVERSE)
+    c = structure_functions(_corrected_frame(frame, srows, w1, w2))
+    amat = [[_signed_sum(c, entries, 3) for entries in row] for row in _LIFT_RHS]
+    return Grading(_corrected_frame(frame, srows, w1, w2, amat), (2, 1, 2))
 
 
 def morimoto_connection_235(g: Grading) -> Connection:

@@ -779,18 +779,28 @@ class ManifoldDocument:
 
 
 def manifold_from_dict(data: dict) -> ManifoldDocument:
+    """The manifold and sampling directives of a parsed description file.
+
+    A malformed description raises :class:`ManifoldError`, also where reading
+    a value of the wrong type or shape raises ``TypeError`` or ``ValueError``.
+    """
     if not isinstance(data, dict):
         raise ManifoldError("manifold description must be a mapping")
     try:
-        coords = list(data["coords"])
-        frames = data["frames"]
-        rank = int(data["horizontal_rank"])
+        return _read_document(data)
+    except (TypeError, ValueError) as exc:
+        raise ManifoldError(f"malformed manifold description: {exc}") from None
+
+
+def _read_document(data: dict) -> ManifoldDocument:
+    try:
+        coords, frames, rank = data["coords"], data["frames"], data["horizontal_rank"]
     except KeyError as exc:
         raise ManifoldError(f"missing required key {exc.args[0]!r}") from None
     manifold = FramedManifold(
-        coords,
+        list(coords),
         frames,
-        rank,
+        _whole_number("horizontal_rank", rank, 1),
         metric=data.get("metric"),
         structure_class=data.get("class", "generic"),
     )
@@ -818,15 +828,14 @@ def manifold_from_dict(data: dict) -> ManifoldDocument:
     return ManifoldDocument(
         manifold=manifold,
         chart_box=chart_box,
-        seed=_whole_number(data, "seed", 42, 0),
-        sample_count=_whole_number(data, "sample_count", 10, 1),
+        seed=_whole_number("seed", data.get("seed", 42), 0),
+        sample_count=_whole_number("sample_count", data.get("sample_count", 10), 1),
         sample_points=sample_points,
     )
 
 
-def _whole_number(data: dict, key: str, default: int, least: int) -> int:
-    """The integer ``data[key]`` (``default`` if absent), at least ``least``."""
-    value = data.get(key, default)
+def _whole_number(key: str, value, least: int) -> int:
+    """``value``, the entry ``key`` of a description file, refused unless an integer of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ManifoldError(f"{key} must be an integer of at least {least}, got {value!r}")
     return value

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from test_manifold import _six_coordinate_235_chart
 
-from srgeom import expr, models
+from srgeom import expr, g235, manifold, models
 from srgeom.connection import Grading, check_morimoto, flatness_check
 from srgeom.g235 import (
+    _corrected_frame,
     _intrinsic_rows,
     connection_235,
     intrinsic_frame_235,
@@ -18,6 +19,7 @@ from srgeom.manifold import (
     FramedManifold,
     ManifoldError,
     _default_samples,
+    _gauss_jordan,
     _gram_schmidt_horizontal,
     bracket,
     check_constant_symbol,
@@ -205,6 +207,40 @@ def test_installed_coframe_inverts_the_frame(chart, request):
             assert np.abs(coframe @ fmat - np.eye(5)).max() <= 1e-12
             want = np.linalg.solve(fmat, brackets.T).T
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("chart", ["cartan", "perturbed", "rotated-cartan"])
+def test_brackets_with_z_pair_with_the_rotated_lifts_as_on_the_model(chart, request):
+    # In the intrinsic frame with its lifts rotated to -Y_2, Y_1, the degree
+    # -3 components of [X_e, Z] are row e of the model's [[0, 1], [-1, 0]] at
+    # every point.  So Morimoto's normalization operator is constant in this
+    # frame, and the canonical grading reads its corrections off structure
+    # functions instead of solving for them.
+    m, pts, _ = request.getfixturevalue(chart.removeprefix("rotated-"))
+    x1, x2 = _rotated_frame(m) if chart == "rotated-cartan" else (None, None)
+    c = structure_functions(_corrected_frame(*_intrinsic_rows(m, x1, x2, pts)))
+    (values,) = expr.evaluate_tables(([[c[e][2][k] for k in (3, 4)] for e in range(2)],), [m.point(p) for p in pts])
+    assert np.abs(values - np.array([[0.0, 1.0], [-1.0, 0.0]])).max() <= 1e-12
+
+
+def test_canonical_grading_solves_nothing_but_frame_inverses(monkeypatch):
+    # Every Gauss-Jordan elimination the grading runs is the inverse of a
+    # frame's rows, [A | I] with n columns of A: its corrections are read off
+    # structure functions, not solved from symbolic linear systems.
+    inverses = []
+
+    def checked(rows, n):
+        identity = [[expr.ONE if r == k else expr.ZERO for k in range(n)] for r in range(n)]
+        assert len(rows) == n and [list(row[n:]) for row in rows] == identity
+        inverses.append(n)
+        return _gauss_jordan(rows, n)
+
+    for module in (manifold, g235):
+        if hasattr(module, "_gauss_jordan"):
+            monkeypatch.setattr(module, "_gauss_jordan", checked)
+    m = perturbed_235_manifold(0.1)
+    morimoto_grading_235(m, sample_points=_pinned_samples(m)[:3])
+    assert inverses
 
 
 def test_bracket_frame_is_derived_over_the_brackets_of_the_declared_fields():

@@ -677,6 +677,28 @@ _HEIS_DOC = {
 }
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("sample_points", [["a", 0, 0]], "malformed"),
+        ("sample_points", [[None, 0, 0]], "malformed"),
+        ("sample_points", 5, "malformed"),
+        ("chart_box", [[0], [0, 1], [0, 1]], "malformed"),
+        ("chart_box", [["a", 1], [0, 1], [0, 1]], "malformed"),
+        ("coords", 5, "malformed"),
+        ("frames", 7, "malformed"),
+        ("metric", 3, "malformed"),
+        ("horizontal_rank", 2.7, "horizontal_rank"),
+        ("horizontal_rank", True, "horizontal_rank"),
+    ],
+)
+def test_a_malformed_description_raises_manifold_error(key, value, message):
+    # each of these escaped as a bare ValueError or TypeError, or was read as
+    # another value (a rank of 2.7 as 2, of true as 1)
+    with pytest.raises(ManifoldError, match=message):
+        manifold_from_dict(dict(_HEIS_DOC, **{key: value}))
+
+
 @pytest.mark.parametrize("box", ["[0, Infinity]", "[-Infinity, 0]", "[0, NaN]", "[[-1, 1], [0, Infinity], [-1, 1]]"])
 def test_a_non_finite_chart_box_bound_is_refused(tmp_path, box):
     # json reads Infinity and NaN; sampling such a box drew inf coordinates
