@@ -1,10 +1,10 @@
 """Gradings, taming metrics, selectors, and graded affine connections.
 
-A :class:`Grading` is an adapted frame, a :class:`FramedManifold`, split into
-layers spanning a complement decomposition of the bracket flag.  A
-construction's grading has a derived frame, whose calculus comes from its
-coefficient rows (``manifold._frame_over``); a declared chart's own frame is
-inverted and bracketed at the coordinate level.  In adapted
+A :class:`Grading` is an adapted frame split into layers spanning a
+complement decomposition of the bracket flag.  A construction's grading has
+a derived frame (``manifold._Frame``), whose calculus comes from its
+coefficient rows; a declared chart, a :class:`FramedManifold`, is its own
+frame, inverted and bracketed at the coordinate level.  In adapted
 coordinates the induced identification of the tangent space with its graded
 symbol is simply "read the frame components", which makes the taming metric,
 the canonical selector and the degree-zero torsion concretely computable.  A
@@ -46,9 +46,7 @@ import numpy as np
 from . import expr
 from .lie import CarnotAlgebra, _onb_columns
 from .manifold import (
-    FramedManifold,
     ManifoldError,
-    _chart,
     _flags,
     _interned_symbols,
     _inverse,
@@ -78,18 +76,17 @@ _ZERO = expr.rational(0)
 class Grading:
     """Adapted frame whose layer blocks realize a grading of the tangent bundle.
 
-    ``frame`` is a :class:`FramedManifold` whose fields, taken in blocks of
-    ``layer_dims``, are the layers: the first block spans the horizontal
-    bundle (its size equals the horizontal rank) and block number k spans a
-    complement of the (k-1)-th flag subbundle inside the k-th.  The frame's
-    metric is the horizontal inner product in its first block.  A grading
-    built by a construction has a derived frame (``manifold._frame_over``),
-    whose calculus comes from its coefficient rows; a declared chart's own
-    frame is handled at the coordinate level.  ``base`` is the declared
-    chart under the frame, whose flag :meth:`validate` reads.
+    ``frame`` is a frame whose fields, taken in blocks of ``layer_dims``,
+    are the layers: the first block spans the horizontal bundle (its size
+    equals the horizontal rank) and block number k spans a complement of the
+    (k-1)-th flag subbundle inside the k-th.  The frame's metric is the
+    horizontal inner product in its first block.  A construction's grading
+    has a derived frame (``manifold._Frame``); a declared chart is its own
+    frame.  ``frame.chart`` is the declared chart, whose flag :meth:`validate`
+    reads.  The structure functions are built once and kept.
     """
 
-    def __init__(self, frame: FramedManifold, layer_dims):
+    def __init__(self, frame, layer_dims):
         self.layer_dims = tuple(layer_dims)
         if not self.layer_dims or self.layer_dims[0] != frame.rank:
             raise ManifoldError(
@@ -100,7 +97,6 @@ class Grading:
                 f"adapted frame needs {frame.dim} fields, got {sum(self.layer_dims)}"
             )
         self.frame = frame
-        self.base = _chart(frame)
         self.step = len(self.layer_dims)
         self.degrees = tuple(
             k + 1 for k, d in enumerate(self.layer_dims) for _ in range(d)
@@ -109,6 +105,7 @@ class Grading:
         self.fields = frame.frames
         # rows[i][a]: coordinate component a of the i-th adapted field
         self.frame_rows = tuple(f.components for f in self.fields)
+        self._table = None
         self._t_zero = None
         self._selector = None
         self._wedge_inverses = {}  # wedge class -> its wedge-Gram inverse
@@ -127,7 +124,9 @@ class Grading:
         return range(start, start + self.layer_dims[k - 1])
 
     def structure_functions(self):
-        return structure_functions(self.frame)
+        if self._table is None:
+            self._table = structure_functions(self.frame)
+        return self._table
 
     # -- pointwise graded data ----------------------------------------------
 
@@ -161,8 +160,8 @@ class Grading:
         bundle, and the two spans must fill it as a direct sum.  The flag and
         its layer columns come from one flag pass over all points.
         """
-        pts = [self.base.point(p) for p in points]
-        passes = _flags(self.base, pts, self.step)
+        pts = [self.frame.point(p) for p in points]
+        passes = _flags(self.frame.chart, pts, self.step)
         adapted_frames = self.frame.frame_matrices_at(pts)
         want = tuple(sum(self.layer_dims[: k + 1]) for k in range(self.step))
         worst = 0.0

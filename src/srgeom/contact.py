@@ -21,8 +21,10 @@ Only the chart's own frame, which also fixes the sign of the one-form, is
 inverted and bracketed at the coordinate level.  The aux frame (the
 Gram-Schmidt rows and a bracket row over the chart) and the grading's frame
 (its horizontal rows and the Z^W row over aux) are derived frames,
-``manifold._frame_over``, whose coframe and structure functions come from
-their coefficient rows.
+``manifold._Frame``, whose coframe and structure functions come from
+their coefficient rows.  W splits its brackets along the Reeb field Z^0 and
+the connections theirs along Z^W; aux's vertical field is read only
+through θ_raw.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ from .manifold import (
     FramedManifold,
     ManifoldError,
     VectorField,
+    _Frame,
     _default_samples,
-    _frame_over,
     _gram_schmidt_horizontal,
     _matmul,
+    _pair,
     _singular,
     _sum_of_products,
     check_constant_symbol,
@@ -78,7 +81,7 @@ class ContactData:
     """Normalized contact structure data on a constant-symbol manifold."""
 
     manifold: FramedManifold
-    aux: FramedManifold  # frame (ortho..., vertical), derived from the chart
+    aux: _Frame  # frame (ortho..., vertical), derived from the chart
     jtheta: tuple  # structure operator on E, Expr matrix
     lam_op: tuple  # eigenvalue parameters, ascending, lam_op[0] == 1
     multiplicities: tuple  # dimensions of the eigenbundles
@@ -86,7 +89,8 @@ class ContactData:
     projections: tuple  # eigenbundle projector Expr matrices
     lam_matrix: tuple  # Lambda as Expr matrix on E
     jmat: tuple  # J = Lambda J^theta, Expr matrix on E
-    reeb_coeffs: tuple  # Z^0 as coefficients over aux
+    t: expr.Expr  # normalization scale: theta = t * theta_raw
+    reeb_coeffs: tuple  # Z^0 as coefficients over aux, the last one 1/t
 
     @property
     def rank(self) -> int:
@@ -126,16 +130,15 @@ def extract_contact_data(m: FramedManifold, sample_points=None) -> ContactData:
     # one vertical slot) and the row of a horizontal bracket that leaves the
     # horizontal bundle, the first such pair (for most inputs, [X_1, X_2])
     rows = [row + [_ZERO] for row in _gram_schmidt_horizontal(m)]
-    cm = structure_functions(m)
     base = m.point(sample_points[0])
     ortho = expr.evaluate_array(rows, base)
-    brackets = (cm[i][j] for i in range(r) for j in range(i + 1, r))
+    brackets = (_pair(m, i, j) for i in range(r) for j in range(i + 1, r))
     vert = next((b for b in brackets if not _singular(np.vstack([ortho, expr.evaluate_array(b, base)]).T)), None)
     if vert is None:
         raise ManifoldError(
             "no horizontal bracket complements the horizontal bundle"
         )
-    aux = _frame_over(m, rows + [vert])
+    aux = _Frame(m, rows + [vert])
     caux = structure_functions(aux)
     v = r  # index of the vertical frame slot
 
@@ -222,6 +225,7 @@ def extract_contact_data(m: FramedManifold, sample_points=None) -> ContactData:
         projections=projections,
         lam_matrix=tuple(tuple(row) for row in lam_matrix),
         jmat=tuple(tuple(row) for row in jmat),
+        t=t,
         reeb_coeffs=tuple(u) + (tinv,),
     )
 
@@ -237,23 +241,33 @@ def morimoto_grading_contact(cd: ContactData) -> Grading:
     i != j of eigenbundles it gains (2 / tr Λ^-2) λ_i² / λ_j times
     ½ J pr_i Σ_a [pr_j F_a, pr_j J F_a].  Each bracket is made once, for
     every j and every a whose column of pr_j and of pr_j J is non-zero; with
-    one eigenbundle W is zero and nothing is bracketed.  W vanishes exactly
-    when Z^W is the Reeb field, since J is invertible.  The grading is the
-    derived frame of its rows over aux.
+    one eigenbundle W is zero and nothing is bracketed.  A bracket's
+    horizontal part is taken along Z^0 = Σ_d u_d F_d + (1/t) vert, as
+    brk[d] - t brk[vert] u_d, so W does not depend on the orthonormal frame:
+    the extra terms a frame change adds lie in E_j, which pr_i kills.  W
+    vanishes exactly when Z^W is the Reeb field, since J is invertible.  The
+    grading is the derived frame of its rows over aux.
     """
     r = cd.rank
     k = len(cd.lam_op)
     tr_lam = float(
         sum(n * lo**-2.0 for lo, n in zip(cd.lam_op, cd.multiplicities))
     )
-    # [pr[j] F_a, pr[j] J F_a] over the aux frame, for every j and every a
+    z0, t = cd.reeb_coeffs, cd.t
+
+    def horizontal(brk):
+        v = brk[r]
+        return [e if v is _ZERO or z0[d] is _ZERO else _sum_of_products([(expr.MINUS_ONE, t, v, z0[d])], e)
+                for d, e in enumerate(brk[:r])]
+
+    # the horizontal part of [pr[j] F_a, pr[j] J F_a], for every j and every a
     # where neither is zero
     brackets = []
     for pr in cd.projections if k > 1 else ():
         prj = _matmul(pr, cd.jmat)
         pairs = (([pr[c][a] for c in range(r)] + [_ZERO], [prj[c][a] for c in range(r)] + [_ZERO]) for a in range(r))
         brackets.append([
-            frame_bracket(cd.aux, u, v) for u, v in pairs
+            horizontal(frame_bracket(cd.aux, u, v)) for u, v in pairs
             if any(e is not _ZERO for e in u) and any(e is not _ZERO for e in v)
         ])
     w = [_ZERO] * r
@@ -281,7 +295,7 @@ def morimoto_grading_contact(cd: ContactData) -> Grading:
     # the grading over aux: its horizontal fields, and Z^W = Z^0 - JW
     zw = [z if e is _ZERO else _sum_of_products([(expr.MINUS_ONE, e)], z) for z, e in zip(cd.reeb_coeffs, jw)]
     rows = [[expr.ONE if a == b else _ZERO for b in range(r + 1)] for a in range(r)]
-    return Grading(_frame_over(cd.aux, rows + [zw + [cd.reeb_coeffs[r]]]), (r, 1))
+    return Grading(_Frame(cd.aux, rows + [zw + [cd.reeb_coeffs[r]]]), (r, 1))
 
 
 # ---------------------------------------------------------------------------

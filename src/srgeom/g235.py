@@ -25,8 +25,9 @@ decouples from the grading included.
 
 All constructions run in the coefficient calculus of the iterated-bracket
 frame: every corrected field is a coefficient row over that frame, and each
-grading is the derived frame of its rows (``manifold._frame_over``), whose
-coframe and structure functions come from the rows.  The bracket frame is
+grading is the derived frame of its rows (``manifold._Frame``), whose
+coframe and structure functions come from the rows and are read by pair
+(``manifold._pair``), so only the pairs read are built.  The bracket frame is
 itself derived, from its rows over ``raux``, the chart's flag layers 1 to
 3 (the declared horizontal fields and their brackets, which the
 constant-symbol verdict's flag pass has already built), the only frame
@@ -42,16 +43,16 @@ from .manifold import (
     FramedManifold,
     ManifoldError,
     VectorField,
+    _Frame,
     _default_samples,
-    _frame_over,
     _gram_schmidt_horizontal,
     _matmul,
+    _pair,
     _sum_of_products,
     check_constant_symbol,
     frame_bracket,
     frame_combination,
     frame_inverse,
-    structure_functions,
 )
 from .connection import Connection, Grading, selector
 
@@ -80,7 +81,7 @@ def _check_growth(m: FramedManifold, points):
         )
 
 
-def _bracket_frame(m: FramedManifold, x1, x2) -> FramedManifold:
+def _bracket_frame(m: FramedManifold, x1, x2) -> _Frame:
     """The bracket frame of an orthonormal horizontal frame, derived from ``raux``.
 
     ``raux`` is the chart's bracket flag: the fields of ``m.bracket_layer``
@@ -111,7 +112,7 @@ def _bracket_frame(m: FramedManifold, x1, x2) -> FramedManifold:
     ]
     rows.append(frame_bracket(raux, rows[0], rows[1]))
     rows += [frame_bracket(raux, rows[e], rows[2]) for e in range(2)]
-    return _frame_over(raux, rows)
+    return _Frame(raux, rows)
 
 
 # nonzero entries of the frame rotation generator D, as (out, in): sign;
@@ -185,7 +186,7 @@ def intrinsic_frame_235(m: FramedManifold, x1: VectorField = None,
     not depend on the choice of orthonormal horizontal frame.  The grading is
     the derived frame of these fields' rows over the bracket frame.
     """
-    return Grading(_frame_over(*_intrinsic_rows(m, x1, x2, sample_points)), (2, 1, 2))
+    return Grading(_Frame(*_intrinsic_rows(m, x1, x2, sample_points)), (2, 1, 2))
 
 
 def _intrinsic_rows(m: FramedManifold, x1, x2, sample_points):
@@ -202,14 +203,14 @@ def _intrinsic_rows(m: FramedManifold, x1, x2, sample_points):
         aux.frame_matrix_at(aux.point(sample_points[0]))
     except ManifoldError as exc:
         raise ManifoldError(f"bracket frame is rank deficient: {exc}") from exc
-    c = structure_functions(aux)
 
-    # two recurring horizontal-coefficient sums of the second layer
-    p_sum = _sum_of_products((), c[0][3][3], c[0][4][4])
-    s_sum = _sum_of_products((), c[1][3][3], c[1][4][4])
+    # two recurring horizontal-coefficient sums of the second layer; 6 of the
+    # 10 pairs of the bracket frame are read
+    p_sum = _sum_of_products((), _pair(aux, 0, 3)[3], _pair(aux, 0, 4)[4])
+    s_sum = _sum_of_products((), _pair(aux, 1, 3)[3], _pair(aux, 1, 4)[4])
 
-    zc1 = _sum_of_products((), c[1][2][2], s_sum)
-    zc2 = _sum_of_products((), c[0][2][2], p_sum)
+    zc1 = _sum_of_products((), _pair(aux, 1, 2)[2], s_sum)
+    zc2 = _sum_of_products((), _pair(aux, 0, 2)[2], p_sum)
 
     # coefficients of X_1 and -X_2 in Y_j; ``v`` is the sum multiplying Z
     def ycoeffs(j, v):
@@ -217,10 +218,10 @@ def _intrinsic_rows(m: FramedManifold, x1, x2, sample_points):
             _sum_of_products(
                 [
                     (_MINUS_ONE, fields[e].apply(v)),
-                    (c[e][j][3], p_sum),
-                    (c[e][j][4], s_sum),
+                    (_pair(aux, e, j)[3], p_sum),
+                    (_pair(aux, e, j)[4], s_sum),
                 ],
-                c[e][j][2],
+                _pair(aux, e, j)[2],
             )
             for e in (1, 0)
         ]
@@ -287,9 +288,9 @@ _LIFT_RHS = (
 _ZERO_PAIR = (_ZERO, _ZERO)
 
 
-def _signed_sum(c, entries, den=1):
-    """The sum of ``sign / den * c[i][j][k]`` over the ``entries`` ``(sign, i, j, k)``."""
-    terms = [(expr.rational(s, den), c[i][j][k]) for s, i, j, k in entries if c[i][j][k] is not _ZERO]
+def _signed_sum(frame, entries, den=1):
+    """The sum of ``sign / den * c[i][j][k]`` over the ``entries`` ``(sign, i, j, k)``, by pair of ``frame``."""
+    terms = [(expr.rational(s, den), e) for s, i, j, k in entries if (e := _pair(frame, i, j)[k]) is not _ZERO]
     return _sum_of_products(terms) if terms else _ZERO
 
 
@@ -307,7 +308,7 @@ def _corrected_frame(frame, srows, w1=_ZERO_PAIR, w2=_ZERO_PAIR, amat=(_ZERO_PAI
         [amat[0][0], amat[0][1], w2[0], _ZERO, _MINUS_ONE],
         [amat[1][0], amat[1][1], w2[1], _ONE, _ZERO],
     ]
-    return _frame_over(frame, _matmul(tmat, srows))
+    return _Frame(frame, _matmul(tmat, srows))
 
 
 def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
@@ -341,11 +342,11 @@ def morimoto_grading_235(m: FramedManifold, x1: VectorField = None,
     rotation generator.
     """
     frame, srows = _intrinsic_rows(m, x1, x2, sample_points)
-    c = structure_functions(_corrected_frame(frame, srows))
-    r = [_signed_sum(c, entries) for entries in _SHIFT_RHS]
+    shifted = _corrected_frame(frame, srows)
+    r = [_signed_sum(shifted, entries) for entries in _SHIFT_RHS]
     w1, w2 = ([_sum_of_products([(a, r[k]), (b, r[k + 2])]) for k in range(2)] for a, b in _SHIFT_INVERSE)
-    c = structure_functions(_corrected_frame(frame, srows, w1, w2))
-    amat = [[_signed_sum(c, entries, 3) for entries in row] for row in _LIFT_RHS]
+    tilted = _corrected_frame(frame, srows, w1, w2)
+    amat = [[_signed_sum(tilted, entries, 3) for entries in row] for row in _LIFT_RHS]
     return Grading(_corrected_frame(frame, srows, w1, w2, amat), (2, 1, 2))
 
 

@@ -7,13 +7,13 @@ horizontal metric in that frame.  All geometry here is exact-symbolic where
 possible (brackets, structure functions, frame inversion) and numeric where
 it has to be (ranks, symbol algebras at sample points).
 
-A frame is declared (a chart's own frame, by its coordinate components) or
-derived (:func:`_frame_over`: coefficient rows over a frame whose calculus
-is known), and :func:`frame_inverse` and :func:`structure_functions` hold
-one rule for each.  A declared frame is inverted and bracketed at the
-coordinate level.  A derived frame brackets its rows with
-:func:`frame_bracket` and reads them through the inverse of its rows; its
-coframe, that inverse times the coframe of its base, is made when read.
+A frame is declared (a :class:`FramedManifold`, a chart's own frame by its
+coordinate components) or derived (a :class:`_Frame`, coefficient rows over
+a frame whose calculus is known).  Both offer :func:`frame_inverse` and one
+bracket pair at a time, :func:`_pair`, built when first read; the whole
+table, :func:`structure_functions`, is made of pairs.  A declared frame is
+inverted and bracketed at the coordinate level, a derived frame through its
+rows, and its coordinate fields are made when read.
 
 Every reader of a bracket flag takes it from one pass, :func:`_flags`, which
 evaluates the frame once for all sample points and each bracket layer once
@@ -34,6 +34,7 @@ never loaded.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -183,9 +184,7 @@ class FramedManifold:
                     raise ManifoldError("metric matrix must be symmetric")
         self.metric = tuple(rows)
 
-        self._over = None  # (base frame, coefficient rows, their inverse) of a derived frame
-        self._frame_inverse = None
-        self._structure_functions = None
+        self._pairs = {}  # (i, j) -> c[i][j], as read by _pair
         self._bracket_layers = [list(self.frames[:r])]
 
     # -- basic queries -----------------------------------------------------
@@ -193,6 +192,10 @@ class FramedManifold:
     @property
     def dim(self) -> int:
         return len(self.coords)
+
+    @property
+    def chart(self) -> "FramedManifold":
+        return self
 
     def point(self, values) -> dict:
         """The point as a coordinate dict of floats, each one finite."""
@@ -219,6 +222,20 @@ class FramedManifold:
     def frame_matrices_at(self, points) -> list:
         """Frame matrix at every point, checked non-singular; one evaluation and one check."""
         return list(_checked_frame(_columns(self.frames, points)))
+
+    # -- the coordinate-level calculus, read by frame_inverse and _pair -----
+
+    @functools.cached_property
+    def _coframe(self):
+        n = self.dim
+        return tuple(map(tuple, _inverse([[self.frames[i].components[a] for i in range(n)] for a in range(n)])))
+
+    @functools.cached_property
+    def _rows_inverse(self):
+        return list(zip(*frame_inverse(self)))  # the coframe transposed
+
+    def _bracket(self, i: int, j: int):
+        return bracket(self.frames[i], self.frames[j]).components
 
     # -- iterated horizontal brackets ---------------------------------------
 
@@ -264,18 +281,17 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(x, components)
 
 
-def frame_bracket(frame: FramedManifold, u, w):
+def frame_bracket(frame, u, w):
     """Bracket of two coefficient vectors over ``frame``, again as coefficients.
 
     ``u`` and ``w`` hold coefficients over the fields of ``frame``; the
-    bracket reads those fields and :func:`structure_functions` of ``frame``
-    itself.  The loops run over the supports of ``u`` and ``w``, the non-zero
-    derivatives and the non-zero ``ctab[a][b][k]``, so no term with a
-    ``ZERO`` factor reaches ``expr.mul`` (whose ``ZERO`` short-circuit is
-    only a backstop), and a component with no term is ``ZERO`` without a
-    sum.  The kept terms keep their dense order.
+    bracket reads those fields, and the pairs :func:`_pair` ``(a, b)`` with
+    ``u[a]`` and ``w[b]`` non-zero.  The loops run over the supports of ``u``
+    and ``w``, the non-zero derivatives and the non-zero ``c[a][b][k]``, so no
+    term with a ``ZERO`` factor reaches ``expr.mul`` (whose ``ZERO``
+    short-circuit is only a backstop).  The kept terms keep their dense order.
     """
-    fields, ctab = frame.frames, structure_functions(frame)
+    fields, pairs = frame.frames, frame._pairs
     n = len(u)
     su = [a for a in range(n) if u[a] is not _ZERO]
     sw = [b for b in range(n) if w[b] is not _ZERO]
@@ -284,7 +300,7 @@ def frame_bracket(frame: FramedManifold, u, w):
     structure = [[] for _ in range(n)]
     for a in su:
         for b in sw:
-            row = ctab[a][b]
+            row = pairs.get((a, b)) or _pair(frame, a, b)
             for k in range(n):
                 if row[k] is not _ZERO:
                     structure[k].append((u[a], w[b], row[k]))
@@ -397,97 +413,75 @@ def _inverse(matrix):
     return [row[n:] for row in _gauss_jordan(rows, n)]
 
 
-def _frame_over(base: FramedManifold, rows) -> FramedManifold:
+class _Frame:
     """The derived frame whose fields are the coefficient ``rows`` over the frame ``base``.
 
-    The one rule for a derived frame: :func:`structure_functions` brackets
-    its rows over ``base`` with :func:`frame_bracket` and reads the brackets
-    through the inverse of the rows (:func:`_component`), and
-    :func:`frame_inverse` is that inverse times the coframe of ``base``, made
-    only when something reads it.  Nothing is inverted or bracketed at the
-    coordinate level.  The fields, the one thing made in coordinates, are the
-    :func:`frame_combination` of the rows.  The frame has the rank and class
-    of ``base`` and the identity metric: every derived frame starts with
-    orthonormal horizontal fields.
+    Its coordinates, rank and points are those of ``chart``, the declared
+    chart under it, and its metric is the identity: every derived frame
+    starts with orthonormal horizontal fields.  A bracket pair is the
+    :func:`frame_bracket` of two rows over ``base``; the fields, the
+    :func:`frame_combination` of the rows, are made when first read.
     """
-    rows = tuple(map(tuple, rows))
-    components = [frame_combination(base, base.frames, row).components for row in rows]
-    m = FramedManifold(base.coords, components, base.rank, structure_class=base.structure_class)
-    m._over = (base, rows, tuple(map(tuple, _inverse(rows))))
-    return m
+
+    def __init__(self, base, rows):
+        self.base = base
+        self.chart = base.chart
+        self.rows = tuple(map(tuple, rows))
+        self._rows_inverse = tuple(map(tuple, _inverse(self.rows)))
+        self.coords, self.rank = self.chart.coords, self.chart.rank
+        self.metric = tuple(tuple(_ONE if i == j else _ZERO for j in range(self.rank)) for i in range(self.rank))
+        self._pairs = {}
+
+    dim = FramedManifold.dim
+    point = FramedManifold.point
+    frame_matrix_at = FramedManifold.frame_matrix_at
+    frame_matrices_at = FramedManifold.frame_matrices_at
+
+    @functools.cached_property
+    def frames(self):
+        return tuple(frame_combination(self.chart, self.base.frames, row) for row in self.rows)
+
+    @functools.cached_property
+    def _coframe(self):
+        return tuple(map(tuple, _matmul(list(zip(*self._rows_inverse)), frame_inverse(self.base))))
+
+    def _bracket(self, i: int, j: int):
+        return frame_bracket(self.base, self.rows[i], self.rows[j])
 
 
-def _chart(m: FramedManifold) -> FramedManifold:
-    """The declared chart a frame is derived from: ``m`` itself if it is declared."""
-    while m._over is not None:
-        m = m._over[0]
-    return m
-
-
-def _component(v, inverse, k: int) -> Expr:
-    """Component k, over a frame given by rows, of the vector ``v`` over their base.
-
-    ``inverse`` is the inverse of the rows: ``v = sum_i d_i rows[i]`` has
-    ``d_k = sum_a v[a] inverse[a][k]``, summed over the non-zero pairs.
-    """
-    terms = [(v[a], inverse[a][k]) for a in range(len(v)) if v[a] is not _ZERO and inverse[a][k] is not _ZERO]
-    return _sum_of_products(terms) if terms else _ZERO
-
-
-def frame_inverse(m: FramedManifold):
+def frame_inverse(m):
     """Symbolic inverse of the frame matrix (rows of the dual coframe).
 
     Entry [i][a] is the coefficient of the i-th coframe one-form on the
     coordinate vector field number a, i.e. applying row i to a coordinate
     vector recovers the i-th frame component of that vector.  A declared
     frame solves its coordinate matrix by :func:`_inverse`; a derived frame
-    (:func:`_frame_over`) takes the transpose of the inverse of its rows times
-    the coframe of its base: row i sums ``inverse[k][i]`` times base row k.
+    takes the transpose of the inverse of its rows times the coframe of its
+    base.  Made once per frame.
     """
-    if m._frame_inverse is None:
-        if m._over is None:
-            n = m.dim
-            matrix = [[m.frames[i].components[a] for i in range(n)] for a in range(n)]
-            m._frame_inverse = tuple(map(tuple, _inverse(matrix)))
-        else:
-            base, _, inverse = m._over
-            m._frame_inverse = tuple(map(tuple, _matmul(list(zip(*inverse)), frame_inverse(base))))
-    return m._frame_inverse
+    return m._coframe
 
 
-def structure_functions(m: FramedManifold):
-    """Expressions c[i][j][k] with [X_i, X_j] = sum_k c[i][j][k] X_k.
+def _pair(frame, i: int, j: int):
+    """c[i][j] of :func:`structure_functions`: the components over ``frame`` of [F_i, F_j].
 
-    A declared frame brackets its fields at the coordinate level and reads
-    each bracket through its coframe; a derived frame (:func:`_frame_over`)
-    brackets its rows over its base with :func:`frame_bracket` and reads
-    each bracket through the inverse of its rows.
+    Built with c[j][i] when first read, from the bracket with ``i < j`` read
+    through the inverse of the frame's rows (a zero bracket without a sum),
+    and kept.
     """
-    if m._structure_functions is None:
-        n = m.dim
-        if m._over is None:
-            inverse = list(zip(*frame_inverse(m)))
+    if (i, j) not in frame._pairs:
+        a, b = sorted((i, j))
+        br = () if a == b else frame._bracket(a, b)
+        c = _matmul([br], frame._rows_inverse)[0] if any(e is not _ZERO for e in br) else [_ZERO] * frame.dim
+        frame._pairs[a, b] = c
+        frame._pairs[b, a] = [e if e is _ZERO else expr.neg(e) for e in c]
+    return frame._pairs[i, j]
 
-            def brackets(i, j):
-                return bracket(m.frames[i], m.frames[j]).components
-        else:
-            base, rows, inverse = m._over
 
-            def brackets(i, j):
-                return frame_bracket(base, rows[i], rows[j])
-        c = [[[_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                br = brackets(i, j)
-                if all(e is _ZERO for e in br):
-                    continue
-                for k in range(n):
-                    e = _component(br, inverse, k)
-                    if e is not _ZERO:
-                        c[i][j][k] = e
-                        c[j][i][k] = expr.neg(e)
-        m._structure_functions = c
-    return m._structure_functions
+def structure_functions(m):
+    """Expressions c[i][j][k] with [X_i, X_j] = sum_k c[i][j][k] X_k: the whole table of pairs :func:`_pair`."""
+    n = m.dim
+    return [[_pair(m, i, j) for j in range(n)] for i in range(n)]
 
 
 def _sum_of_products(terms, *summands):
@@ -797,6 +791,8 @@ def _read_document(data: dict) -> ManifoldDocument:
         coords, frames, rank = data["coords"], data["frames"], data["horizontal_rank"]
     except KeyError as exc:
         raise ManifoldError(f"missing required key {exc.args[0]!r}") from None
+    if isinstance(coords, str) or not all(map(_is_identifier, coords)):
+        raise ManifoldError(f"coords must be a list of names each read by the parser as one identifier, got {coords!r}")
     manifold = FramedManifold(
         list(coords),
         frames,
@@ -832,6 +828,12 @@ def _read_document(data: dict) -> ManifoldDocument:
         sample_count=_whole_number("sample_count", data.get("sample_count", 10), 1),
         sample_points=sample_points,
     )
+
+
+def _is_identifier(name) -> bool:
+    """Whether ``name`` is a string that ``expr.parse`` reads as one identifier."""
+    token = isinstance(name, str) and expr._TOKEN.fullmatch(name)
+    return bool(token) and token.lastindex == 2
 
 
 def _whole_number(key: str, value, least: int) -> int:

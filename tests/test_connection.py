@@ -17,7 +17,7 @@ from srgeom.connection import (
 )
 from srgeom.contact import extract_contact_data, morimoto_grading_contact
 from srgeom.lie import heisenberg
-from srgeom.manifold import FramedManifold, ManifoldError, VectorField, _frame_over, bracket, frame_combination, frame_inverse
+from srgeom.manifold import FramedManifold, ManifoldError, VectorField, _Frame, bracket, frame_combination, frame_inverse
 from srgeom.models import (
     carnot_group_manifold,
     cartan_group_manifold,
@@ -119,7 +119,7 @@ def test_grading_bad_complement_has_large_residual():
     m = heisenberg_manifold()
     # second "horizontal" field replaced by the vertical one: not inside E
     swap = [[expr.ONE if b == a else expr.ZERO for b in range(3)] for a in (0, 2, 1)]
-    g = Grading(_frame_over(m, swap), (2, 1))
+    g = Grading(_Frame(m, swap), (2, 1))
     assert g.validate(sample_points(m, 2)) > 1e-3
 
 
@@ -458,12 +458,12 @@ def covariant_derivative(conn, x, y):
         )
         for k in range(n)
     ]
-    return frame_combination(g.base, g.fields, out)
+    return frame_combination(g.frame.chart, g.fields, out)
 
 
 def _difference(conn, a, b, c):
     """The vector field a - b - c."""
-    return frame_combination(conn.grading.base, (a, b, c), (expr.ONE, expr.MINUS_ONE, expr.MINUS_ONE))
+    return frame_combination(conn.grading.frame.chart, (a, b, c), (expr.ONE, expr.MINUS_ONE, expr.MINUS_ONE))
 
 
 def torsion_field(conn, x, y):

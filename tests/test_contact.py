@@ -24,6 +24,7 @@ from srgeom.manifold import (
     FramedManifold,
     ManifoldError,
     VectorField,
+    _default_samples,
     check_constant_symbol,
     frame_combination,
     frame_inverse,
@@ -550,6 +551,54 @@ def test_orientation_flip_leaves_geometry_unchanged():
                     d1 = covariant_derivative(final, x, y).value_at(p)
                     d2 = covariant_derivative(final2, x, y).value_at(p)
                     assert np.abs(d1 - d2).max() <= 1e-7, (name, pt)
+
+
+def _sheared_h2(coord):
+    """h₂(1, 2) declared with the frame A₁ + (s/2) A₂, A₂/2, B₁, B₂/2, C, s = ``coord``/3.
+
+    The metric is the declared one read in the new frame, so the chart is
+    the flat group with the same distribution and metric.
+    """
+    m = models.heisenberg_metric4_manifold()
+    a1, a2, b1, b2, c = m.frames
+    s = expr.mul(expr.rational(1, 3), expr.var(coord))
+    half = expr.HALF
+    frames = [
+        frame_combination(m, (a1, a2), (expr.ONE, expr.mul(half, s))),
+        frame_combination(m, (a2,), (half,)),
+        b1,
+        frame_combination(m, (b2,), (half,)),
+        c,
+    ]
+    one, zero = expr.ONE, expr.ZERO
+    metric = [
+        [expr.add(one, expr.mul(s, s)), s, zero, zero],
+        [s, one, zero, zero],
+        [zero, zero, one, zero],
+        [zero, zero, zero, one],
+    ]
+    return FramedManifold(m.coords, [f.components for f in frames], 4, metric=metric, structure_class="contact")
+
+
+@pytest.mark.parametrize("coord", ["x3", "x5"])
+def test_a_sheared_frame_leaves_the_canonical_grading_and_verdicts_unchanged(coord):
+    # W is summed from the horizontal parts of brackets; split along aux's
+    # vertical field, a bracket of the chart, instead of the Reeb field, the
+    # x3 shear gave residual_t 4.97, torsion 4.93 and curvature 2.02
+    m = _sheared_h2(coord)
+    pts = _default_samples(m, count=3)
+    cd = extract_contact_data(m)
+    g = morimoto_grading_contact(cd)
+    final = morimoto_connection_contact(cd, g)
+    mr = check_morimoto(final, pts)
+    fr = flatness_check(final, pts)
+    assert mr.ok and mr.max_residual <= 1e-12, mr
+    assert fr.flat and max(fr.torsion_residual, fr.curvature_residual) <= 1e-12, fr
+    # Z^W in coordinates is the declared chart's
+    declared = models.heisenberg_metric4_manifold()
+    g0 = morimoto_grading_contact(extract_contact_data(declared))
+    for p in pts:
+        assert np.abs(g.fields[4].value_at(p) - g0.fields[4].value_at(p)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e10, 1e12])

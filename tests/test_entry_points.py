@@ -164,3 +164,46 @@ def test_every_private_helper_serves_src():
     assert helpers
     unread = [f.name for f in helpers if everywhere.count(f.name) == list(reads(f)).count(f.name)]
     assert unread == []
+
+
+def _functions(tree):
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_declared_and_derived_frames_offer_what_their_readers_read():
+    # a derived frame (manifold._Frame) is not a FramedManifold: what the
+    # gradings, the pointwise tables, the constructions and the frame calculus
+    # read of a frame must exist on both
+    from srgeom import expr, manifold, models
+
+    src = PYPROJECT.parent / "src" / "srgeom"
+    trees = {name: ast.parse((src / f"{name}.py").read_text()) for name in ("manifold", "connection", "contact", "g235")}
+    conn, man = _functions(trees["connection"]), _functions(trees["manifold"])
+    scopes = [(conn["Grading"], {"frame"}), (conn["_at"], {"frame"})]
+    scopes += [(trees[name], {"aux"}) for name in ("contact", "g235")]
+    scopes += [(man[f], {man[f].args.args[0].arg}) for f in ("frame_bracket", "_pair", "frame_inverse", "structure_functions")]
+    read = set()
+    for node, names in scopes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                owner = sub.value
+                if getattr(owner, "id", None) in names or getattr(owner, "attr", None) in names:
+                    read.add(sub.attr)
+    assert {"chart", "coords", "frames", "metric", "point", "frame_matrices_at", "_pairs", "_coframe"} <= read
+    chart = models.heisenberg_manifold()
+    derived = manifold._Frame(chart, [[expr.ONE if a == b else expr.ZERO for b in range(3)] for a in range(3)])
+    for frame in (chart, derived):
+        assert [a for a in sorted(read) if not hasattr(frame, a)] == [], type(frame).__name__
+
+
+def test_only_declared_charts_are_built_as_framed_manifolds():
+    # a derived frame is a manifold._Frame; a FramedManifold is declared by a
+    # model, a description file, or as raux, the (2,3,5) bracket flag
+    sites = set()
+    for path in sorted((PYPROJECT.parent / "src" / "srgeom").glob("*.py")):
+        for fn in _functions(ast.parse(path.read_text())).values():
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "FramedManifold":
+                    sites.add((path.name, fn.name))
+    assert any(name == "models.py" for name, _ in sites)
+    assert {s for s in sites if s[0] != "models.py"} == {("manifold.py", "_read_document"), ("g235.py", "_bracket_frame")}

@@ -547,7 +547,7 @@ def test_derived_frames_agree_with_the_coordinate_level_calculus(build, frames):
     m = build()
     pts = manifold._default_samples(m, count=3)
     for derived in frames(m):
-        assert derived._over is not None
+        assert isinstance(derived, manifold._Frame) and isinstance(derived.chart, FramedManifold)
         reference = FramedManifold(derived.coords, [f.components for f in derived.frames], derived.rank)
         for p in pts:
             got = expr.evaluate_array(frame_inverse(derived), p)
@@ -561,20 +561,21 @@ def test_pipelines_invert_and_bracket_only_declared_frames_at_the_coordinate_lev
     # the contact pipeline reads the calculus of the chart's own frame, the
     # (2,3,5) pipeline that of raux, the bracket frame of the declared
     # horizontal fields; every other frame is derived from coefficient rows
-    from srgeom import connection, contact, g235
+    from srgeom import contact, g235
 
+    # the coordinate-level inverse and bracket are methods of the declared
+    # chart's type; every frame they run on is recorded
     declared = []
-    for name in ("frame_inverse", "structure_functions"):
-        inner = getattr(manifold, name)
 
-        def spy(m, inner=inner):
-            if m._over is None:
-                declared.append(m)
-            return inner(m)
+    def spy(inner):
+        def record(m, *args):
+            declared.append(m)
+            return inner(m, *args)
 
-        for module in (manifold, contact, connection, g235):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, spy)
+        return record
+
+    monkeypatch.setattr(FramedManifold, "_coframe", property(spy(FramedManifold._coframe.func)))
+    monkeypatch.setattr(FramedManifold, "_bracket", spy(FramedManifold._bracket))
     m = _conformal_contact(1)
     cd = contact.extract_contact_data(m)
     contact.morimoto_connection_contact(cd, contact.morimoto_grading_contact(cd))
@@ -697,6 +698,14 @@ def test_a_malformed_description_raises_manifold_error(key, value, message):
     # another value (a rank of 2.7 as 2, of true as 1)
     with pytest.raises(ManifoldError, match=message):
         manifold_from_dict(dict(_HEIS_DOC, **{key: value}))
+
+
+@pytest.mark.parametrize("coords", ["xyz", [1, 2, 3], ["x", "y z", "w"], ["x", "2y", "z"], ["x", "y", ""]])
+def test_coordinate_names_the_parser_cannot_read_are_refused(coords):
+    # a string was read as its characters, and a number surfaced as a
+    # ParseError from the frames
+    with pytest.raises(ManifoldError, match="coords"):
+        manifold_from_dict(dict(_HEIS_DOC, coords=coords))
 
 
 @pytest.mark.parametrize("box", ["[0, Infinity]", "[-Infinity, 0]", "[0, NaN]", "[[-1, 1], [0, Infinity], [-1, 1]]"])

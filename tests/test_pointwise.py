@@ -255,7 +255,7 @@ def _count_calls(monkeypatch, module, name):
 
 
 def check_constant_symbol_of_base(conn, points):
-    return check_constant_symbol(conn.grading.base, points)
+    return check_constant_symbol(conn.grading.frame.chart, points)
 
 
 def validate_grading(conn, points):

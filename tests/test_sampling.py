@@ -184,7 +184,7 @@ def _contact_and_235_verdicts():
     pts = _default_samples(m, count=3)
     conns.append((g235.morimoto_connection_235(g235.morimoto_grading_235(m, sample_points=pts)), pts))
     for conn, pts in conns:
-        assert check_constant_symbol(conn.grading.base, pts).constant
+        assert check_constant_symbol(conn.grading.frame.chart, pts).constant
         assert connection.check_morimoto(conn, pts, tol=1e-6).ok
         connection.flatness_check(conn, pts)
 

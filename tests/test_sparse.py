@@ -3,7 +3,8 @@
 The sparse loops of ``VectorField.apply``, ``frame_bracket``,
 ``Connection.curvature_rows``, ``manifold._matmul``, ``structure_functions``,
 ``_gauss_jordan``, the taming metric and selector, ``connection_double_prime``
-and ``manifold._component`` run over the supports of their operands; the dense
+and the reading of a bracket over a derived frame's rows (``manifold._pair``)
+run over the supports of their operands; the dense
 loops they replaced are kept here as oracles, and both must return the same
 interned nodes.  Volume guards count the constructor calls and the sums the
 contact and (2,3,5) pipelines spend on structurally zero terms, the
@@ -26,7 +27,6 @@ from srgeom.contact import (
 from srgeom.g235 import _intrinsic_rows, morimoto_connection_235, morimoto_grading_235
 from srgeom.manifold import (
     FramedManifold,
-    _component,
     _default_samples,
     _gauss_jordan,
     _inverse,
@@ -538,15 +538,41 @@ def test_sparse_frame_components_are_the_dense_nodes():
     nonzero = 0
     for frame, srows in data:
         sinv = _inverse(srows)
+        derived = manifold._Frame(frame, srows)
+        for i in range(5):
+            for j in range(i + 1, 5):
+                br = frame_bracket(frame, srows[i], srows[j])
+                assert all(manifold._pair(derived, i, j)[k] is _dense_sum((br[a], sinv[a][k]) for a in range(5)) for k in range(5))
         vectors = list(srows)
         vectors += [frame_bracket(frame, u, w) for u in srows for w in srows]
         vectors.append([expr.mul(expr.floatc(0.1 * (a + 1)), expr.var("x1")) for a in range(5)])
         for v in vectors:
+            # a bracket over the rows is read as _pair reads it
+            got = _matmul([v], sinv)[0]
             for k in range(5):
                 want = _dense_sum((v[a], sinv[a][k]) for a in range(5))
                 nonzero += want is not _ZERO
-                assert _component(v, sinv, k) is want
+                assert got[k] is want
     assert nonzero > 0
+
+
+def test_derived_frames_build_only_the_pairs_and_fields_read(monkeypatch):
+    # morimoto_grading_235 reads 5 of the 10 bracket pairs of the rotated
+    # intrinsic frame and 8 of the tilted frame's, and none of their fields;
+    # building every pair and field of a derived frame up front made 10 and 10
+    frames = []
+    corrected = g235._corrected_frame
+
+    def recorded(*args):
+        frames.append(corrected(*args))
+        return frames[-1]
+
+    monkeypatch.setattr(g235, "_corrected_frame", recorded)
+    m = models.perturbed_235_manifold(0.1)
+    morimoto_grading_235(m, sample_points=_default_samples(m)[:3])
+    shifted, tilted, _ = frames
+    assert [sum(i < j for i, j in f._pairs) for f in (shifted, tilted)] == [5, 8]
+    assert "frames" not in vars(shifted) and "frames" not in vars(tilted)
 
 
 def _count_sums(monkeypatch):
