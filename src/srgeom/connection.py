@@ -12,18 +12,19 @@ the canonical selector and the degree-zero torsion concretely computable.  A
 compatibility, normalization and flatness checks read its torsion and
 curvature at sample points.
 
-Symbolic where a construction reads expressions: structure functions, degree-0
-torsion, taming metric, selector (solved once per grading), Γ and the symbolic
-tensors listed on :class:`Connection`.  Every symbolic inverse, the wedge-Gram
-inverses and the taming metric's layer blocks alike, is ``manifold._inverse``.
-The wedge-Gram inverse of each wedge class is solved once per grading and kept
-on it, so the taming metric and the selector share it.  From values where only
-points are read, with one evaluation per chart and one solve per distinct
-symbol: the tables every check reads (Γ, structure functions, T₀, frame rows,
-the horizontal metric, selector coefficients) are evaluated in one
-:func:`expr.evaluate_tables` call for all points, which also returns the
-coordinate gradients of Γ, T₀ and the metric by forward-mode differentiation,
-so no check differentiates a table symbolically.  The connection keeps that
+Symbolic where a construction reads expressions: structure functions, the
+taming metric and the selector (one solve per grading, :func:`selector`), Γ
+and the symbolic tensors listed on :class:`Connection`.  Every symbolic
+inverse, the wedge-Gram inverses and the taming metric's layer blocks alike,
+is ``manifold._inverse``; the solve inverts each wedge class's Gram once and
+reads it for both, and keeps no inverse on the grading.  From values where
+only points are read, with one evaluation per chart and one solve per
+distinct symbol: the tables every check reads (Γ, structure functions, their
+exact-degree part c₀ = −T₀, frame rows, the horizontal metric, selector
+coefficients) are evaluated in one :func:`expr.evaluate_tables` call for all
+points, which also returns the coordinate gradients of Γ, c₀ and the metric by
+forward-mode differentiation, so no check differentiates a table
+symbolically, and T₀ is never built as expressions.  The connection keeps that
 evaluation for its last point set, so the checks of one chart share it.
 Torsion, curvature, ∇g and ∇T₀ are contracted with ``matmul`` on stacked
 ``(point, …)`` arrays, one block of points at a time, so a stacked n⁴ array
@@ -57,7 +58,6 @@ from .manifold import (
 
 __all__ = [
     "Grading",
-    "taming_metric",
     "Selector",
     "selector",
     "Connection",
@@ -83,11 +83,14 @@ class Grading:
     horizontal inner product in its first block.  A construction's grading
     has a derived frame (``manifold._Frame``); a declared chart is its own
     frame.  ``frame.chart`` is the declared chart, whose flag :meth:`validate`
-    reads.  The structure functions are built once and kept.
+    reads.  The structure functions and the :class:`Selector` (with the taming
+    metric) are built once and kept; nothing else is cached on it.
     """
 
     def __init__(self, frame, layer_dims):
         self.layer_dims = tuple(layer_dims)
+        if any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in self.layer_dims):
+            raise ManifoldError(f"grading layer sizes must be positive integers, got {self.layer_dims}")
         if not self.layer_dims or self.layer_dims[0] != frame.rank:
             raise ManifoldError(
                 "the first grading layer must have exactly the horizontal rank"
@@ -106,9 +109,7 @@ class Grading:
         # rows[i][a]: coordinate component a of the i-th adapted field
         self.frame_rows = tuple(f.components for f in self.fields)
         self._table = None
-        self._t_zero = None
         self._selector = None
-        self._wedge_inverses = {}  # wedge class -> its wedge-Gram inverse
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -127,30 +128,6 @@ class Grading:
         if self._table is None:
             self._table = structure_functions(self.frame)
         return self._table
-
-    # -- pointwise graded data ----------------------------------------------
-
-    def t_zero_tensor(self):
-        """Degree-0 torsion tensor in the adapted frame (Expr entries).
-
-        Entry [i][j][k] holds the k-th component of the value on the i-th
-        and j-th adapted fields; it is the negated exact-degree part of the
-        structure functions.
-        """
-        if self._t_zero is None:
-            c = self.structure_functions()
-            n = self.dim
-            out = [[[_ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    kdeg = self.degrees[i] + self.degrees[j]
-                    if kdeg > self.step:
-                        continue
-                    for k in self.layer_range(kdeg):
-                        if c[i][j][k] is not _ZERO:
-                            out[i][j][k] = expr.neg(c[i][j][k])
-            self._t_zero = out
-        return self._t_zero
 
     def validate(self, points):
         """Check the flag decomposition at sample points; returns max residual.
@@ -189,7 +166,7 @@ class Grading:
 
 
 # ---------------------------------------------------------------------------
-# taming metric
+# taming metric and selector
 
 
 def _wedge_classes(grading: Grading):
@@ -203,104 +180,38 @@ def _wedge_classes(grading: Grading):
     return groups
 
 
-def _wedge_gram_inverse(grading: Grading, gmat, key, wedges):
-    """Symbolic inverse of the Gram matrix of the ``wedges`` of class ``key`` under ``gmat``.
+def _wedge_gram(gmat, wedges) -> list:
+    """Gram matrix of ``wedges`` under ``gmat``: entry (ab, cd) is g_ac g_bd - g_ad g_bc.
 
-    Entry (ab, cd) of the Gram matrix is g_ac g_bd - g_ad g_bc, built from its
-    products of two non-zero entries.  Both layers of a wedge in the class
-    have degree below its sum, so only those layers of ``gmat`` are read,
-    which the taming metric fills before it needs the class.  The inverse is
-    solved once per grading and class and kept on the grading, which
-    :func:`taming_metric` and :func:`selector` share.
+    Each entry is built from its products of two non-zero entries.  Both
+    layers of a wedge have degree below the wedge's, so only those layers of
+    ``gmat`` are read.
     """
-    if key not in grading._wedge_inverses:
 
-        def minor(a, b, cc, d):
-            # expr.sub(g_ac g_bd, g_ad g_bc), from the products without a ZERO factor
-            ac_bd = _ZERO if _ZERO in (gmat[a][cc], gmat[b][d]) else expr.mul(gmat[a][cc], gmat[b][d])
-            if _ZERO in (gmat[a][d], gmat[b][cc]):
-                return ac_bd
-            return _sum_of_products([(expr.MINUS_ONE, expr.mul(gmat[a][d], gmat[b][cc]))], ac_bd)
+    def minor(a, b, cc, d):
+        # expr.sub(g_ac g_bd, g_ad g_bc), from the products without a ZERO factor
+        ac_bd = _ZERO if _ZERO in (gmat[a][cc], gmat[b][d]) else expr.mul(gmat[a][cc], gmat[b][d])
+        if _ZERO in (gmat[a][d], gmat[b][cc]):
+            return ac_bd
+        return _sum_of_products([(expr.MINUS_ONE, expr.mul(gmat[a][d], gmat[b][cc]))], ac_bd)
 
-        gram = [[minor(a, b, cc, d) for (cc, d) in wedges] for (a, b) in wedges]
-        grading._wedge_inverses[key] = _inverse(gram)
-    return grading._wedge_inverses[key]
-
-
-def taming_metric(grading: Grading) -> tuple:
-    """Extend the horizontal metric over the whole adapted frame.
-
-    Returns the n x n matrix of Expr entries in the adapted frame.  Layer one
-    carries the declared horizontal metric.  Each higher layer is built so
-    that bracketing orthonormal 2-vectors of lower layers onto it is a
-    submetry; concretely the layer's inverse Gram is B W^{-1} B^T with W the
-    Gram of the lower-degree wedges and B the bracket coefficients.  This is
-    the Gram of :meth:`lie.CarnotAlgebra.full_gram`, as expressions.
-
-    W is block diagonal over the wedge classes of degree k, which follow each
-    other in the order of the wedges (the first degree of a class grows with
-    its first index), so W⁻¹ is assembled from the inverses of the classes
-    that :func:`_wedge_gram_inverse` keeps on the grading: :func:`selector`
-    reads the same ones.  The sums run over the non-zero bracket
-    coefficients and inverse entries, in the order of the dense sum.
-    """
-    n = grading.dim
-    c = grading.structure_functions()
-    gmat = [[_ZERO for _ in range(n)] for _ in range(n)]
-    r1 = grading.layer_range(1)
-    for i in r1:
-        for j in r1:
-            gmat[i][j] = grading.frame.metric[i][j]
-
-    classes = _wedge_classes(grading)
-    for k in range(2, grading.step + 1):
-        rk = grading.layer_range(k)
-        # per class: its inverse, and per u in layer k the wedges i with c[a][b][u] != 0
-        blocks = []
-        for key, wedges in classes.items():
-            if sum(key) == k:
-                winv = _wedge_gram_inverse(grading, gmat, key, wedges)
-                live = {
-                    u: [(i, c[a][b][u]) for i, (a, b) in enumerate(wedges) if c[a][b][u] is not _ZERO]
-                    for u in rk
-                }
-                blocks.append((winv, live))
-        ginv = []
-        for u in rk:
-            row = []
-            for v in rk:
-                terms = [
-                    (cu, winv[i][j], cv)
-                    for winv, live in blocks
-                    for i, cu in live[u]
-                    for j, cv in live[v]
-                    if winv[i][j] is not _ZERO
-                ]
-                row.append(_sum_of_products(terms) if terms else _ZERO)
-            ginv.append(row)
-        block = _inverse(ginv)
-        for ui, u in enumerate(rk):
-            for vi, v in enumerate(rk):
-                gmat[u][v] = block[ui][vi]
-    return tuple(tuple(row) for row in gmat)
-
-
-# ---------------------------------------------------------------------------
-# selector
+    return [[minor(a, b, cc, d) for (cc, d) in wedges] for (a, b) in wedges]
 
 
 @dataclass
 class Selector:
-    """Canonical selector in the adapted frame.
+    """Canonical selector in the adapted frame, with the taming metric it inverts the bracket for.
 
     ``coefficients[c]`` lists (a, b, Expr) triples: the value on the c-th
-    adapted field is the sum of coeff * (field_a wedge field_b).  ``dim`` is
-    the grading's dimension; the grading keeps its selector, and the selector
-    keeps no reference back to it.
+    adapted field is the sum of coeff * (field_a wedge field_b).  ``metric``
+    is the taming metric, the n x n matrix of Expr entries in the adapted
+    frame.  ``dim`` is the grading's dimension; the grading keeps its
+    selector, and the selector keeps no reference back to it.
     """
 
     dim: int
     coefficients: tuple
+    metric: tuple
 
     def table(self) -> list:
         """Every coefficient expression, field after field: what :meth:`matrices` reads."""
@@ -327,16 +238,27 @@ class Selector:
 
 
 def selector(grading: Grading) -> Selector:
-    """Solve the wedge Gram system for the canonical selector.
+    """The canonical selector and the taming metric, solved together once per grading.
 
-    The value on a degree-k field is the unique wedge combination whose
-    pairing against every wedge equals the pairing of the symbol bracket
-    against the field; with the taming metric (:func:`taming_metric`) this
-    inverts the fiberwise bracket (bracketing the value reproduces the
-    field modulo lower flag layers), which is the defining normalization.
-    Values on horizontal fields vanish.  Solved once per grading and stored
-    on it; the wedge-Gram inverse of each class is the one
-    :func:`taming_metric` solved, kept on the grading.
+    The taming metric extends the horizontal metric over the whole adapted
+    frame.  Each higher layer is built so that bracketing orthonormal
+    2-vectors of lower layers onto it is a submetry: the layer's inverse Gram
+    is B W⁻¹ Bᵀ, with W the Gram of the lower-degree wedges and B the bracket
+    coefficients.  This is the Gram of :meth:`lie.CarnotAlgebra.full_gram`, as
+    expressions.  The selector's value on a degree-k field is the unique wedge
+    combination whose pairing against every wedge equals the pairing of the
+    symbol bracket against the field; with the taming metric this inverts the
+    fiberwise bracket (bracketing the value reproduces the field modulo lower
+    flag layers), which is the defining normalization.  Values on horizontal
+    fields vanish.
+
+    One loop runs over the degrees k = 2..step.  W is block diagonal over the
+    wedge classes of degree k, which follow each other in the order of the
+    wedges (the first degree of a class grows with its first index).  So each
+    class's Gram is inverted once and read twice: for layer k of the metric,
+    then for the degree-k selector coefficients.  The sums run over the
+    non-zero terms, in the order of the dense sum.  The result is kept on the
+    grading.
     """
     if grading._selector is None:
         grading._selector = _solve_selector(grading)
@@ -344,30 +266,60 @@ def selector(grading: Grading) -> Selector:
 
 
 def _solve_selector(grading: Grading) -> Selector:
-    gmat = taming_metric(grading)
-    c = grading.structure_functions()
     n = grading.dim
+    c = grading.structure_functions()
+    gmat = [[_ZERO for _ in range(n)] for _ in range(n)]
+    r1 = grading.layer_range(1)
+    for i in r1:
+        for j in r1:
+            gmat[i][j] = grading.frame.metric[i][j]
+
     classes = _wedge_classes(grading)
     coefficients = [[] for _ in range(n)]
-    for key, wedges in classes.items():
-        k = sum(key)
-        if k > grading.step:
-            continue
+    for k in range(2, grading.step + 1):
         rk = grading.layer_range(k)
-        winv = _wedge_gram_inverse(grading, gmat, key, wedges)
-        for t in rk:
-            column = [d for d in rk if gmat[d][t] is not _ZERO]
-            rhs = []
-            for a, b in wedges:
-                terms = [(c[a][b][d], gmat[d][t]) for d in column if c[a][b][d] is not _ZERO]
-                rhs.append(_sum_of_products(terms) if terms else _ZERO)
-            live = [j for j, e in enumerate(rhs) if e is not _ZERO]
-            for i, (a, b) in enumerate(wedges):
-                terms = [(winv[i][j], rhs[j]) for j in live if winv[i][j] is not _ZERO]
-                coef = _sum_of_products(terms) if terms else _ZERO
-                if coef is not _ZERO:
-                    coefficients[t].append((a, b, coef))
-    return Selector(n, tuple(tuple(row) for row in coefficients))
+        inverses = [
+            (wedges, _inverse(_wedge_gram(gmat, wedges)))
+            for key, wedges in classes.items()
+            if sum(key) == k
+        ]
+        # layer k of the metric: per class, per u in layer k the wedges i with c[a][b][u] != 0
+        blocks = [
+            (winv, {u: [(i, c[a][b][u]) for i, (a, b) in enumerate(wedges) if c[a][b][u] is not _ZERO] for u in rk})
+            for wedges, winv in inverses
+        ]
+        ginv = []
+        for u in rk:
+            row = []
+            for v in rk:
+                terms = [
+                    (cu, winv[i][j], cv)
+                    for winv, live in blocks
+                    for i, cu in live[u]
+                    for j, cv in live[v]
+                    if winv[i][j] is not _ZERO
+                ]
+                row.append(_sum_of_products(terms) if terms else _ZERO)
+            ginv.append(row)
+        block = _inverse(ginv)
+        for ui, u in enumerate(rk):
+            for vi, v in enumerate(rk):
+                gmat[u][v] = block[ui][vi]
+        # the degree-k selector coefficients, through the same class inverses
+        for wedges, winv in inverses:
+            for t in rk:
+                column = [d for d in rk if gmat[d][t] is not _ZERO]
+                rhs = []
+                for a, b in wedges:
+                    terms = [(c[a][b][d], gmat[d][t]) for d in column if c[a][b][d] is not _ZERO]
+                    rhs.append(_sum_of_products(terms) if terms else _ZERO)
+                live = [j for j, e in enumerate(rhs) if e is not _ZERO]
+                for i, (a, b) in enumerate(wedges):
+                    terms = [(winv[i][j], rhs[j]) for j in live if winv[i][j] is not _ZERO]
+                    coef = _sum_of_products(terms) if terms else _ZERO
+                    if coef is not _ZERO:
+                        coefficients[t].append((a, b, coef))
+    return Selector(n, tuple(tuple(row) for row in coefficients), tuple(tuple(row) for row in gmat))
 
 
 # ---------------------------------------------------------------------------
@@ -408,27 +360,29 @@ class _PointValues:
     """A connection's tables at a point set, from one :func:`expr.evaluate_tables` call.
 
     Each array has the point index first; the gradients ``d_*`` put the
-    coordinate index second.  ``selector`` holds the values of
-    :meth:`Selector.table`.
+    coordinate index second.  ``c0`` holds the structure functions of exact
+    degree, c_ij^k with deg k = deg i + deg j and zero elsewhere: c₀ = −T₀,
+    so the readers of T₀ flip its sign, which is exact.  ``selector`` holds
+    the values of :meth:`Selector.table`.
     """
 
     key: bytes
     grading: Grading
     gamma: np.ndarray
     c: np.ndarray
-    t_zero: np.ndarray
+    c0: np.ndarray
     frame: np.ndarray
     metric: np.ndarray
     selector: np.ndarray
     d_gamma: np.ndarray
-    d_t_zero: np.ndarray
+    d_c0: np.ndarray
     d_metric: np.ndarray
 
     @functools.cached_property
     def symbols(self) -> list:
         """The symbol at each point; bitwise-equal symbols are one object."""
         g = self.grading
-        return _interned_symbols(-self.t_zero, self.metric, g.layer_dims, g._symbol_cache)
+        return _interned_symbols(self.c0, self.metric, g.layer_dims, g._symbol_cache)
 
     def per_symbol(self, make) -> list:
         """The arrays ``make(symbol)`` returns, made once per distinct symbol, at every point.
@@ -470,17 +424,17 @@ class _PointValues:
             b = len(tors)
             t_v = tors.reshape(b, n, n * n)  # operator T_v held with its input index first
             chis = chi.matrices(self.selector[blk]).reshape(b, n, n * n)  # [v, ab]
-            # <T(chi(v)), w> + <T_v, TZ_w>, where <T_v, TZ_w> = Σ T_v ⊙ (G⁻ᵀ TZ_w Gᵀ)
-            tz_w = ginv_t[blk] @ self.t_zero[blk] @ gram_t[blk]
+            # <T(chi(v)), w> + <T_v, TZ_w>, where <T_v, TZ_w> = -Σ T_v ⊙ (G⁻ᵀ c₀_w Gᵀ)
+            c0_w = ginv_t[blk] @ self.c0[blk] @ gram_t[blk]
             resid_t = 0.5 * chis @ tors.reshape(b, n * n, n) @ gram[blk]
-            resid_t += t_v @ tz_w.reshape(b, n, n * n).swapaxes(1, 2)
+            resid_t -= t_v @ c0_w.reshape(b, n, n * n).swapaxes(1, 2)
             worst_t = _worst(worst_t, resid_t[:, lower])
             # <R(chi(v)) - T_v, D> for every generator D
             curv = _curvature(self, blk)
             diff = 0.5 * chis @ curv.reshape(b, n * n, n * n) - t_v
             worst_r = _worst(worst_r, diff @ pairing[blk].reshape(b, -1, n * n).swapaxes(1, 2))
             # torsion less its degree-0 part, and R, in the orthonormal frame
-            worst_torsion = _worst(worst_torsion, _in_frame(tors - self.t_zero[blk], q[blk], qinv[blk]))
+            worst_torsion = _worst(worst_torsion, _in_frame(tors + self.c0[blk], q[blk], qinv[blk]))
             worst_curvature = _worst(worst_curvature, _in_frame(curv, q[blk], qinv[blk]))
         return worst_metric, worst_tz, worst_r, worst_t, worst_torsion, worst_curvature
 
@@ -630,9 +584,13 @@ class Connection:
             raise ManifoldError("at least one sample point is required")
         key = np.array([[p[c] for c in g.frame.coords] for p in pts], dtype=float).tobytes()
         if self._slot is None or self._slot.key != key:
+            c, deg, n = g.structure_functions(), g.degrees, g.dim
+            c0 = [
+                [[c[i][j][k] if deg[k] == deg[i] + deg[j] else _ZERO for k in range(n)] for j in range(n)]
+                for i in range(n)
+            ]
             values = expr.evaluate_tables(
-                (self.gamma, g.structure_functions(), g.t_zero_tensor(), g.frame_rows,
-                 g.frame.metric, selector(g).table()),
+                (self.gamma, c, c0, g.frame_rows, g.frame.metric, selector(g).table()),
                 pts,
                 g.frame.coords,
                 gradients=(0, 2, 4),
@@ -694,17 +652,18 @@ def _metric_derivative(vals: _PointValues, blk: slice) -> np.ndarray:
 
 
 def _t_zero_derivative(vals: _PointValues, blk: slice) -> np.ndarray:
-    """∇T₀ at the points of one block: [p, i, j, k, l] = (∇_i T₀)_jk^l.
+    """−∇T₀ = ∇c₀ at the points of one block: [p, i, j, k, l] = (∇_i c₀)_jk^l.
 
-    (∇_i T₀)_jk^l = W_i(T₀_jk^l) + T₀_jk^m Γ_im^l - Γ_ij^m T₀_mk^l - Γ_ik^m T₀_jm^l.
+    (∇_i c₀)_jk^l = W_i(c₀_jk^l) + c₀_jk^m Γ_im^l - Γ_ij^m c₀_mk^l - Γ_ik^m c₀_jm^l.
+    Negation is exact, so its magnitudes are ∇T₀'s bit for bit.
     """
-    gam, tz = vals.gamma[blk], vals.t_zero[blk]
+    gam, c0 = vals.gamma[blk], vals.c0[blk]
     b, n = gam.shape[:2]
-    out = (tz.reshape(b, 1, n * n, n) @ gam).reshape(b, n, n, n, n)
-    if not _constant(vals.d_t_zero):
-        out += _frame_derivative(vals.frame[blk], vals.d_t_zero[blk])
-    out -= (gam.reshape(b, n * n, n) @ tz.reshape(b, n, n * n)).reshape(out.shape)
-    out -= gam[:, :, None] @ tz[:, None]  # Γ_i (k, m) times T₀_j (m, l), for every (i, j)
+    out = (c0.reshape(b, 1, n * n, n) @ gam).reshape(b, n, n, n, n)
+    if not _constant(vals.d_c0):
+        out += _frame_derivative(vals.frame[blk], vals.d_c0[blk])
+    out -= (gam.reshape(b, n * n, n) @ c0.reshape(b, n, n * n)).reshape(out.shape)
+    out -= gam[:, :, None] @ c0[:, None]  # Γ_i (k, m) times c₀_j (m, l), for every (i, j)
     return out
 
 
@@ -712,7 +671,9 @@ def check_compatible(conn: Connection, points, tol: float = 1e-8) -> Compatibili
     """Layer parallelism, horizontal metric rule, and degree-0-torsion parallelism.
 
     ∇g and ∇T₀ come from the one pass of ``_PointValues.residuals``, so this
-    check alone also makes the Morimoto and flatness pieces of its points."""
+    check alone also makes the Morimoto and flatness pieces of its points.
+    ∇T₀ is measured as ∇c₀ = −∇T₀, from the values of the exact-degree
+    structure functions c₀, whose magnitudes are the same bits."""
     vals = conn._at(points)
     # Christoffel components [i][j][k] that change layer: deg j != deg k
     deg = np.array(conn.grading.degrees)

@@ -86,8 +86,9 @@ def _bracket_frame(m: FramedManifold, x1, x2) -> _Frame:
 
     ``raux`` is the chart's bracket flag: the fields of ``m.bracket_layer``
     1, 2 and 3, which the constant-symbol verdict's flag pass has already
-    built on this chart, and the one frame here inverted and bracketed at
-    the coordinate level.  The bracket frame is the frame of its rows over
+    built on this chart, with the chart's metric (its horizontal fields are
+    the chart's own), and the one frame here inverted and bracketed at the
+    coordinate level.  The bracket frame is the frame of its rows over
     ``raux``: ``x1`` and ``x2`` through raux's coframe, and
     ``X_3 = [X_1, X_2]``, ``X_4 = [X_1, X_3]``, ``X_5 = [X_2, X_3]`` by
     ``frame_bracket``.  Not over the chart, whose vertical fields need not be
@@ -101,6 +102,7 @@ def _bracket_frame(m: FramedManifold, x1, x2) -> _Frame:
         m.coords,
         [f.components for k in (1, 2, 3) for f in m.bracket_layer(k)],
         m.rank,
+        metric=m.metric,
         structure_class=m.structure_class,
     )
     alpha = frame_inverse(raux)

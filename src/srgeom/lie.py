@@ -60,6 +60,8 @@ class CarnotAlgebra:
                     )
                 C[a, b, c] = float(v)
                 C[b, a, c] = -float(v)
+        if not np.isfinite(C).all():
+            raise LieError("structure constants must be finite")
         self._tensor = C
         d1 = self.layer_dims[0]
         if metric1 is None:
@@ -67,6 +69,8 @@ class CarnotAlgebra:
         metric1 = np.array(metric1, dtype=float)
         if metric1.shape != (d1, d1):
             raise LieError("metric must be square of the -1 layer dimension")
+        if not np.isfinite(metric1).all():
+            raise LieError("metric must be finite")
         if np.abs(metric1 - metric1.T).max() > 1e-12:
             raise LieError("metric must be symmetric")
         try:

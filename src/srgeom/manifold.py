@@ -80,6 +80,13 @@ class RankJumpError(ManifoldError):
     """Growth vector changed between sample points (not equiregular)."""
 
 
+def _row(value, what: str) -> tuple:
+    """``value`` as a tuple; a string or bytes, which would be read as its characters, is refused."""
+    if isinstance(value, (str, bytes)):
+        raise ManifoldError(f"{what} must be a sequence, not the string {value!r}")
+    return tuple(value)
+
+
 def _coerce_expr(value, coords):
     if isinstance(value, Expr):
         return value
@@ -106,7 +113,7 @@ class VectorField:
 
     def __init__(self, manifold, components):
         coords = manifold.coords
-        comps = tuple(_coerce_expr(c, coords) for c in components)
+        comps = tuple(_coerce_expr(c, coords) for c in _row(components, "a vector field's components"))
         if len(comps) != len(coords):
             raise ManifoldError(
                 f"vector field needs {len(coords)} components, got {len(comps)}"
@@ -148,7 +155,7 @@ class FramedManifold:
 
     def __init__(self, coords, frames, horizontal_rank, metric=None,
                  structure_class: str = "generic"):
-        coords = tuple(coords)
+        coords, frames = _row(coords, "coords"), _row(frames, "frames")
         if not coords:
             raise ManifoldError("at least one coordinate is required")
         if len(set(coords)) != len(coords):
@@ -175,7 +182,7 @@ class FramedManifold:
         r = self.rank
         if metric is None:
             metric = [[_ONE if i == j else _ZERO for j in range(r)] for i in range(r)]
-        rows = [tuple(_coerce_expr(v, coords) for v in row) for row in metric]
+        rows = [tuple(_coerce_expr(v, coords) for v in _row(row, "a metric row")) for row in _row(metric, "metric")]
         if len(rows) != r or any(len(row) != r for row in rows):
             raise ManifoldError(f"metric must be a {r}x{r} matrix")
         for i in range(r):
@@ -204,7 +211,7 @@ class FramedManifold:
             if missing:
                 raise ManifoldError(f"point is missing coordinates {missing}")
             values = [values[c] for c in self.coords]
-        values = list(values)
+        values = _row(values, "a point")
         if len(values) != self.dim:
             raise ManifoldError(
                 f"point needs {self.dim} values, got {len(values)}"
@@ -791,10 +798,10 @@ def _read_document(data: dict) -> ManifoldDocument:
         coords, frames, rank = data["coords"], data["frames"], data["horizontal_rank"]
     except KeyError as exc:
         raise ManifoldError(f"missing required key {exc.args[0]!r}") from None
-    if isinstance(coords, str) or not all(map(_is_identifier, coords)):
+    if not all(map(_is_identifier, coords)):
         raise ManifoldError(f"coords must be a list of names each read by the parser as one identifier, got {coords!r}")
     manifold = FramedManifold(
-        list(coords),
+        coords,
         frames,
         _whole_number("horizontal_rank", rank, 1),
         metric=data.get("metric"),

@@ -13,7 +13,6 @@ from srgeom.connection import (
     flat_frame_connection,
     flatness_check,
     selector,
-    taming_metric,
 )
 from srgeom.contact import extract_contact_data, morimoto_grading_contact
 from srgeom.lie import heisenberg
@@ -53,9 +52,19 @@ def cartan_grading():
     return m, Grading(m, (2, 1, 2))
 
 
+def t_zero_table(g):
+    """Degree-0 torsion in the adapted frame, as Expr entries: entry [i][j][k] is
+    the negated structure function c_ij^k where deg k = deg i + deg j, else 0."""
+    c, deg, n = g.structure_functions(), g.degrees, g.dim
+    return [
+        [[expr.neg(c[i][j][k]) if deg[k] == deg[i] + deg[j] else expr.ZERO for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def graded_structure_at(g, p):
     """Structure functions at a point, restricted to exact-degree targets."""
-    return -expr.evaluate_array(g.t_zero_tensor(), g.frame.point(p))
+    return -expr.evaluate_array(t_zero_table(g), g.frame.point(p))
 
 
 def symbols_at(g, points):
@@ -64,7 +73,7 @@ def symbols_at(g, points):
 
 
 def taming_at(g, p):
-    return expr.evaluate_array(taming_metric(g), g.frame.point(p))
+    return expr.evaluate_array(selector(g).metric, g.frame.point(p))
 
 
 def selector_matrix_at(chi, p, index):
@@ -98,6 +107,16 @@ def test_grading_rejects_wrong_layer_sizes():
     m = heisenberg_manifold()
     with pytest.raises(ManifoldError):
         Grading(m, (1, 2))
+
+
+@pytest.mark.parametrize("dims", [(2, -1, 2), (2, 0, 1), (2, 1.0), (2, True), (True, True, 1)])
+def test_grading_refuses_a_layer_size_that_is_not_a_positive_integer(dims):
+    # (2, -1, 2) gave 4 degrees on a 3-field frame and (2, 0, 1) an empty
+    # layer, both refused only later as "not symbolically invertible";
+    # (2, 1.0) raised a TypeError
+    m = heisenberg_manifold()
+    with pytest.raises(ManifoldError, match="positive integers"):
+        Grading(m, dims)
 
 
 def _zeros(*shape):
@@ -338,7 +357,7 @@ def graded_torsion_residual(conn, points):
     worst = 0.0
     for p in points:
         tors = conn.torsion_at(p)
-        tz = expr.evaluate_array(g.t_zero_tensor(), g.frame.point(p))
+        tz = expr.evaluate_array(t_zero_table(g), g.frame.point(p))
         worst = max(
             worst,
             np.abs(tors - tz)[deg == target].max(),
@@ -536,7 +555,7 @@ def test_curvature_at_equals_the_field_curvature():
 def test_t_zero_heisenberg_sign():
     # T₀(X, Y) = -[X, Y] on the Heisenberg frame
     m, g = heis_grading()
-    tz = expr.evaluate_array(g.t_zero_tensor(), {"x": 0.3, "y": 0.2, "z": 0.6})
+    tz = expr.evaluate_array(t_zero_table(g), {"x": 0.3, "y": 0.2, "z": 0.6})
     want = np.zeros((3, 3, 3))
     want[0, 1, 2] = -1.0
     want[1, 0, 2] = 1.0

@@ -10,7 +10,6 @@ from srgeom.connection import (
     check_morimoto,
     flatness_check,
     selector,
-    taming_metric,
 )
 from srgeom.contact import (
     _dj_tensor,
@@ -29,7 +28,7 @@ from srgeom.manifold import (
     frame_combination,
     frame_inverse,
 )
-from test_connection import covariant_derivative, selector_matrix_at
+from test_connection import covariant_derivative, selector_matrix_at, t_zero_table
 
 
 _cache = {}
@@ -247,7 +246,7 @@ def test_grading_validates_against_flag():
 
 def test_taming_vertical_norm_m4():
     m, _, g, _, _, _, _ = build("m4")
-    tm = taming_metric(g)
+    tm = selector(g).metric
     entry = expr.simplify(tm[4][4])
     assert abs(expr.evaluate(entry, m.point([0.0] * 5)) - 16.0 / 17.0) <= 1e-12
     for i in range(4):
@@ -433,7 +432,7 @@ def test_torsion_prime_same_bundle_matches_degree_zero():
     for name in ("m4", "conf"):
         m, cd, g, prime, _, _, pts = build(name)
         tten = prime.torsion_tensor()
-        tzt = g.t_zero_tensor()
+        tzt = t_zero_table(g)
         r = m.rank
         v = m.dim - 1
         for pt in pts[:3]:
@@ -448,7 +447,7 @@ def test_degree_zero_torsion_sign():
     # T0(X, Y) = <X, J^theta Y> Z^W in the orthonormal horizontal frame
     for name in ("h1", "m4", "conf"):
         m, cd, g, _, _, _, pts = build(name)
-        tzt = g.t_zero_tensor()
+        tzt = t_zero_table(g)
         r = m.rank
         v = m.dim - 1
         for pt in pts[:3]:

@@ -17,6 +17,7 @@ from srgeom.contact import (
 from srgeom.expr import EvaluationError, ExprError
 from srgeom.lie import heisenberg
 from srgeom.manifold import _default_samples
+from test_connection import t_zero_table
 
 X, Y, Z, W = expr.var("x"), expr.var("y"), expr.var("z"), expr.var("w")
 
@@ -306,7 +307,8 @@ def test_connection_tables_batch_equals_scalar_reference(build):
     cd = extract_contact_data(m)
     conn = morimoto_connection_contact(cd, morimoto_grading_contact(cd))
     g = conn.grading
-    tables = [conn.gamma, g.structure_functions(), g.t_zero_tensor(), g.frame_rows]
+    t_zero = t_zero_table(g)
+    tables = [conn.gamma, g.structure_functions(), t_zero, g.frame_rows]
     points = _default_samples(m, count=4, seed=3)
     coords = g.frame.coords
     batch = expr.evaluate_tables(tables, points, coords, (0, 2))
@@ -314,7 +316,7 @@ def test_connection_tables_batch_equals_scalar_reference(build):
         for x, p in enumerate(points):
             _assert_bitwise(got[x], _reference_table(table, p))
     # the gradients of Γ and T₀ against their evaluated symbolic derivatives
-    for table, got in zip((conn.gamma, g.t_zero_tensor()), batch[len(tables):]):
+    for table, got in zip((conn.gamma, t_zero), batch[len(tables):]):
         derivatives = [_derivatives(table, c) for c in coords]
         for x, p in enumerate(points):
             _assert_gradient_close(got[x], _reference_table(derivatives, p))

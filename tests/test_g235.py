@@ -243,6 +243,16 @@ def test_canonical_grading_solves_nothing_but_frame_inverses(monkeypatch):
     assert inverses
 
 
+def test_the_chart_under_each_grading_carries_the_declared_metric(perturbed):
+    # raux, the chart under both gradings, has the chart's horizontal fields;
+    # it was declared with the identity metric, not 1 + 0.1*x4^2
+    m, pts, intrinsic = perturbed
+    for g in (intrinsic, morimoto_grading_235(m, sample_points=pts)):
+        got = g.frame.chart.metric
+        assert len(got) == len(m.metric) == 2
+        assert all(a is b for row, want in zip(got, m.metric, strict=True) for a, b in zip(row, want, strict=True))
+
+
 def test_bracket_frame_is_derived_over_the_brackets_of_the_declared_fields():
     # Cartan's horizontal fields with vertical fields that are not their
     # brackets: reading the bracket frame through this chart's coframe, not

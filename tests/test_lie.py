@@ -65,6 +65,25 @@ def test_bracket_table_is_refused_with_an_index_outside_the_algebra(brackets):
         CarnotAlgebra((2, 1), brackets)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: heisenberg((1, np.nan)),
+        lambda: heisenberg((1, np.inf)),
+        lambda: CarnotAlgebra((2, 1), {(0, 1): {2: 1}}, metric1=[[1.0, 0.0], [0.0, np.inf]]),
+        lambda: CarnotAlgebra((2, 1), {(0, 1): {2: 1}}, metric1=[[1.0, np.nan], [np.nan, 1.0]]),
+        lambda: CarnotAlgebra((2, 1), {(0, 1): {2: np.nan}}),
+        lambda: CarnotAlgebra((2, 1), {(0, 1): {2: -np.inf}}),
+    ],
+    ids=["lambda-nan", "lambda-inf", "metric-inf", "metric-nan", "bracket-nan", "bracket-inf"],
+)
+def test_non_finite_input_is_refused(build):
+    # each was accepted: NaN passes the symmetry test, and cholesky does not
+    # raise on NaN or inf entries
+    with pytest.raises(LieError, match="finite"):
+        build()
+
+
 def test_jacobi_residual_of_a_non_lie_bracket():
     # on (A1, A2, A3) the Jacobi sum is [[A1,A2],A3] + [[A2,A3],A1] + [[A3,A1],A2] = -C
     brackets = {

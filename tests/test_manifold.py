@@ -708,6 +708,31 @@ def test_coordinate_names_the_parser_cannot_read_are_refused(coords):
         manifold_from_dict(dict(_HEIS_DOC, coords=coords))
 
 
+_HEIS_ROWS = _HEIS_DOC["frames"]
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda: manifold_from_dict(dict(_HEIS_DOC, frames=["100", "010", "001"])),
+        lambda: manifold_from_dict(dict(_HEIS_DOC, frames=[*_HEIS_ROWS[:2], "001"])),
+        lambda: manifold_from_dict(dict(_HEIS_DOC, metric=["10", "01"])),
+        lambda: manifold_from_dict(dict(_HEIS_DOC, metric="ab")),
+        lambda: manifold_from_dict(dict(_HEIS_DOC, sample_points=["000"])),
+        lambda: heisenberg_manifold().point("123"),
+        lambda: heisenberg_manifold().point(b"123"),
+        lambda: FramedManifold(("x", "y", "z"), [*_HEIS_ROWS[:2], b"001"], 2),
+        lambda: VectorField(heisenberg_manifold(), "001"),
+    ],
+    ids=["frames", "frame-row", "metric-rows", "metric", "sample-point", "point", "point-bytes", "row-bytes", "field"],
+)
+def test_a_string_is_not_a_row(read):
+    # each was read as its characters: "001" as the row (0, 0, 1), "123" as
+    # the point x=1, y=2, z=3, and the metric "ab" raised a ParseError
+    with pytest.raises(ManifoldError, match="not the string"):
+        read()
+
+
 @pytest.mark.parametrize("box", ["[0, Infinity]", "[-Infinity, 0]", "[0, NaN]", "[[-1, 1], [0, Infinity], [-1, 1]]"])
 def test_a_non_finite_chart_box_bound_is_refused(tmp_path, box):
     # json reads Infinity and NaN; sampling such a box drew inf coordinates

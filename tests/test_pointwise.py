@@ -36,6 +36,7 @@ from srgeom.manifold import (
     check_constant_symbol,
     frame_combination,
 )
+from test_connection import t_zero_table
 
 
 def _conformal(n):
@@ -160,7 +161,7 @@ def _symbolic_t_zero_derivative(conn):
     """(∇_i T₀)[j][k][l] as an n⁴ table of expressions."""
     g = conn.grading
     n = g.dim
-    tz = g.t_zero_tensor()
+    tz = t_zero_table(g)
     gam = conn.gamma
     return [
         [
@@ -199,13 +200,14 @@ def test_t_zero_derivative_from_values_equals_symbolic(build):
     conn = Connection(g, _curved_gamma(m))
     table = _symbolic_t_zero_derivative(conn)
     pts = _default_samples(m, count=3, seed=5)
-    # through the evaluation the checks share, block by block
+    # through the evaluation the checks share, block by block; the checks
+    # differentiate c₀ = -T₀
     vals = conn._at(pts)
     blocks = [_t_zero_derivative(vals, blk) for blk in vals.blocks()]
     for p, got in zip(pts, np.concatenate(blocks), strict=True):
         want = expr.evaluate_array(table, p)
         assert np.abs(want).max() > 0.1
-        _assert_close(got, want)
+        _assert_close(-got, want)
 
 
 def _no_full_curvature_table(self):
@@ -297,7 +299,7 @@ def test_each_check_walks_its_tables_once_for_all_points(build, monkeypatch):
 def test_selector_is_solved_once_per_pipeline(build, monkeypatch):
     m = build()
     pts = _default_samples(m, count=3, seed=5)
-    calls = _count_calls(monkeypatch, connection, "taming_metric")
+    calls = _count_calls(monkeypatch, connection, "_solve_selector")
     if m.structure_class == "contact":
         conn = _contact_connection(m)
     else:
@@ -457,7 +459,7 @@ def _oracle_compatible(conn, points, tol):
     layer_change = deg[:, None] != deg[None, :]
     worst_layers = worst_metric = worst_tz = 0.0
     for gam, tz, frame, met, dtz, dmet in zip(
-        vals.gamma, vals.t_zero, vals.frame, vals.metric, vals.d_t_zero, vals.d_metric
+        vals.gamma, -vals.c0, vals.frame, vals.metric, -vals.d_c0, vals.d_metric
     ):
         hor = gam[:, :r, :r]
         nmet = (
@@ -502,7 +504,7 @@ def _oracle_morimoto(conn, points, tol):
     vals = conn._at(points)
     worst_r = worst_t = 0.0
     for sym, (tten, rten), tzt, coefs in zip(
-        vals.symbols, _oracle_tensors(vals), vals.t_zero, vals.selector
+        vals.symbols, _oracle_tensors(vals), -vals.c0, vals.selector
     ):
         gram = sym.full_gram()
         ginv = np.linalg.inv(gram)
@@ -525,7 +527,7 @@ def _oracle_morimoto(conn, points, tol):
 def _oracle_flatness(conn, points, tol):
     vals = conn._at(points)
     worst_t = worst_r = 0.0
-    for sym, (tten, rten), tzt in zip(vals.symbols, _oracle_tensors(vals), vals.t_zero):
+    for sym, (tten, rten), tzt in zip(vals.symbols, _oracle_tensors(vals), -vals.c0):
         q = lie._onb_columns(sym.full_gram())
         qinv = np.linalg.inv(q)
         dt = np.einsum("ia,jb,ijk,kc->abc", q, q, tten - tzt, qinv.T, optimize=True)

@@ -16,7 +16,7 @@ import pytest
 from test_pointwise import CHARTS
 
 from srgeom import connection, contact, expr, g235, lie, manifold, models
-from srgeom.connection import Grading, _wedge_classes, selector, taming_metric
+from srgeom.connection import Grading, _wedge_classes, selector
 from srgeom.contact import (
     connection_double_prime,
     connection_prime,
@@ -483,7 +483,7 @@ def test_sparse_gauss_jordan_is_the_dense_elimination():
 def test_taming_metric_and_selector_are_the_dense_nodes(name):
     g = _fresh_grading(name)
     want = _oracle_selector(g)
-    assert _same_nodes(taming_metric(g), _oracle_taming_metric(g))
+    assert _same_nodes(selector(g).metric, _oracle_taming_metric(g))
     got = selector(g).coefficients
     assert [[(a, b) for a, b, _ in row] for row in got] == [[(a, b) for a, b, _ in row] for row in want]
     coefs = [[[coef for _, _, coef in row] for row in rows] for rows in (got, want)]
@@ -492,11 +492,11 @@ def test_taming_metric_and_selector_are_the_dense_nodes(name):
 
 
 def test_wedge_gram_inverse_is_solved_once_per_class(monkeypatch):
-    # Each taming metric solves one inverse per layer above the first, and the
-    # wedge classes' inverses once per grading; the selector, which builds the
-    # taming metric too, reads them from the grading.  Solving every wedge
-    # inverse at each use made 7 inverses here on flat h_3 and 22 on the
-    # step-4 grading, whose degree-4 wedges were one inverse.
+    # The one solve of the taming metric and the selector inverts each wedge
+    # class's Gram once, for both, and one block per layer above the first;
+    # the grading keeps the result, so a second call solves nothing.  Solving
+    # every wedge inverse at each use made 7 inverses here on flat h_3 and 22
+    # on the step-4 grading, whose degree-4 wedges were one inverse.
     solved = [0]
     inverse = connection._inverse
 
@@ -508,11 +508,10 @@ def test_wedge_gram_inverse_is_solved_once_per_class(monkeypatch):
     for g in (_fresh_grading("flat-h3"), _step4_grading()):
         solved[0] = 0
         classes = [key for key in _wedge_classes(g) if sum(key) <= g.step]
-        taming_metric(g)
         selector(g)
-        taming_metric(g)
-        assert solved[0] == len(classes) + 3 * (g.step - 1)
-        assert sorted(g._wedge_inverses) == sorted(classes)
+        assert solved[0] == len(classes) + g.step - 1
+        selector(g)
+        assert solved[0] == len(classes) + g.step - 1
     assert len(classes) == 4  # (1, 1), (1, 2), (1, 3) and (2, 2)
 
 
